@@ -191,12 +191,13 @@ func (p *Protocol) bordercast(rec manet.Recorder, msgs *int64, v, target NodeID,
 	// sentEdge dedups tree edges: one transmission per (from,to) pair even
 	// when several peripheral routes share a prefix.
 	sentEdge := make(map[[2]NodeID]struct{})
+	var route []NodeID // one buffer for every peripheral route of this cast
 	for _, b := range p.nb.EdgeNodes(v) {
 		if covered.Contains(int(b)) {
 			continue // QD: this region already saw the query
 		}
-		route := p.nb.Route(v, b)
-		if route == nil {
+		var ok bool
+		if route, ok = p.nb.AppendRoute(route[:0], v, b); !ok {
 			continue
 		}
 		for i := 0; i+1 < len(route); i++ {

@@ -1,0 +1,108 @@
+package card
+
+import (
+	"testing"
+
+	"card/internal/geom"
+	"card/internal/manet"
+	"card/internal/mobility"
+	"card/internal/neighborhood"
+	"card/internal/topology"
+	"card/internal/xrand"
+)
+
+// The selection path's own numbers, on one fixed field so they compare
+// across commits without passing through the engine: 2000 static nodes at
+// the citywide presets' density (mean degree ≈ 14), R=2, r=10, NoC=6, EM.
+// Run with
+//
+//	go test -run '^$' -bench 'SelectNode|WalkEM|Ineligible' -benchmem ./internal/card
+
+const benchNodes = 2000
+
+var benchSink int
+
+// benchProtocol builds the fixed field behind the provider newNB makes.
+func benchProtocol(b *testing.B, newNB func(*manet.Network, int) neighborhood.Provider) *Protocol {
+	b.Helper()
+	area := geom.Rect{W: 2100, H: 2100}
+	pts := topology.UniformPositions(benchNodes, area, xrand.New(42))
+	net := manet.New(mobility.NewStatic(pts, area), 100, xrand.New(43))
+	cfg := Config{R: 2, MaxContactDist: 10, NoC: 6, Method: EM}
+	p, err := New(net, newNB(net, cfg.R), cfg, xrand.New(44))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkSelectNode times one node's whole selection round from an empty
+// table: shuffle, ineligible set, up to NoC successful CSQs.
+func BenchmarkSelectNode(b *testing.B) {
+	for _, prov := range testProviders {
+		b.Run(prov.name, func(b *testing.B) {
+			p := benchProtocol(b, prov.new)
+			m := p.NewMaintainer()
+			p.SelectAll(0) // resident views, grown scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				u := NodeID(k % benchNodes)
+				p.tables[u].clear()
+				benchSink += m.SelectNode(u, 0, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkWalkEM times one EM walk beyond the edge node, ineligible set
+// and route already in hand. Each of 64 sources keeps its own Maintainer
+// so the per-source set is computed outside the timed loop.
+func BenchmarkWalkEM(b *testing.B) {
+	for _, prov := range testProviders {
+		b.Run(prov.name, func(b *testing.B) {
+			p := benchProtocol(b, prov.new)
+			type walk struct {
+				m     *Maintainer
+				route []NodeID
+			}
+			var walks []walk
+			for u := NodeID(0); len(walks) < 64 && int(u) < benchNodes; u += 31 {
+				edges := p.nb.EdgeNodes(u)
+				if len(edges) == 0 {
+					continue
+				}
+				route, _ := p.nb.AppendRoute(nil, u, edges[0])
+				m := p.NewMaintainer()
+				m.computeIneligible(u)
+				walks = append(walks, walk{m, route})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				w := walks[k%len(walks)]
+				w.m.rng.Reseed(uint64(k))
+				path, _ := w.m.walkEM(w.route)
+				benchSink += len(path)
+			}
+		})
+	}
+}
+
+// BenchmarkIneligible times the per-round ineligible set of a node with a
+// full table: the edge cover plus NoC contact neighborhoods.
+func BenchmarkIneligible(b *testing.B) {
+	for _, prov := range testProviders {
+		b.Run(prov.name, func(b *testing.B) {
+			p := benchProtocol(b, prov.new)
+			p.SelectAll(0)
+			m := p.NewMaintainer()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				m.computeIneligible(NodeID(k % benchNodes))
+			}
+			benchSink += int(m.ineligGen)
+		})
+	}
+}

@@ -42,6 +42,19 @@ func newProtocol(t *testing.T, net *manet.Network, cfg Config, seed uint64) *Pro
 	return p
 }
 
+// testProviders are the two substrates selection runs on: every view
+// resident, and the capped cache the 100k/1M rungs use (a quarter of the
+// field resident, the metro-rwp-1m ratio).
+var testProviders = []struct {
+	name string
+	new  func(net *manet.Network, r int) neighborhood.Provider
+}{
+	{"oracle", func(net *manet.Network, r int) neighborhood.Provider { return neighborhood.NewOracle(net, r) }},
+	{"viewcache", func(net *manet.Network, r int) neighborhood.Provider {
+		return neighborhood.NewViewCache(net, r, net.N()/4)
+	}},
+}
+
 // lineNet builds n nodes 10 m apart on a line with 15 m range (path graph).
 func lineNet(n int) *manet.Network {
 	pts := make([]geom.Point, n)

@@ -34,7 +34,7 @@ type Maintainer struct {
 	visited  []uint64
 	visitGen uint64
 
-	// ineligible is the per-CSQ selection-overlap scratch, epoch stamped
+	// ineligible is the per-round selection-overlap scratch, epoch stamped
 	// like visited; see computeIneligible.
 	ineligible []uint64
 	ineligGen  uint64
@@ -45,13 +45,17 @@ type Maintainer struct {
 	rng *xrand.Rand
 
 	// Reusable walk and validation scratch, grown on demand and retained
-	// across rounds: the EM/PM walk stack, the per-step candidate list,
-	// the shuffled edge-node copy and validatePath's rebuilt route. The
-	// old per-walk allocations of these were the dominant GC churn of a
-	// maintenance round.
+	// across rounds: the EM/PM walk stack, the candidate lists (PM: the
+	// current step's; EM: one per walk frame, end to end, with frames
+	// holding each frame's start offset), the shuffled edge-node copy, the
+	// intra-neighborhood route of the current CSQ or recovery splice, and
+	// validatePath's rebuilt route. The old per-walk allocations of these
+	// were the dominant GC churn of a maintenance round.
 	stack   []NodeID
 	cand    []NodeID
+	frames  []int
 	edges   []NodeID
+	route   []NodeID
 	pathOut []NodeID
 
 	// Locally accumulated protocol statistics and transmission tallies,
@@ -140,7 +144,11 @@ func (m *Maintainer) selectContacts(u NodeID, now float64) int {
 	}
 	edges := append(m.edges[:0], p.nb.EdgeNodes(u)...)
 	m.edges = edges
+	if len(edges) == 0 {
+		return 0 // nobody to send a CSQ through
+	}
 	m.rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	m.computeIneligible(u)
 	added, failures := 0, 0
 	for _, e := range edges {
 		if t.Len() >= p.cfg.NoC {
@@ -148,7 +156,9 @@ func (m *Maintainer) selectContacts(u NodeID, now float64) int {
 		}
 		path, exhausted := m.runCSQ(u, e, now)
 		if path != nil {
-			t.add(Contact{ID: path[len(path)-1], Path: path, SelectedAt: now, LastValidated: now})
+			c := path[len(path)-1]
+			t.add(Contact{ID: c, Path: path, SelectedAt: now, LastValidated: now})
+			m.markIneligible(p.nb.Members(c))
 			m.stats.ContactsSelected++
 			added++
 		}
@@ -200,30 +210,36 @@ func (m *Maintainer) maintain(u NodeID, now float64) {
 // Hop distance over an undirected snapshot is symmetric, so
 // (y in N(X)) == (X in N(y)); the union of N(source), N(contact_i) and —
 // for EM — N(edge_j) therefore contains exactly the candidates that would
-// refuse. Precomputing that union once per CSQ replaces O(|Contact_List| +
-// |Edge_List|) membership probes at every visited node with one stamp
-// comparison, without changing the decision each node would make. Marking
-// the sorted member lists costs O(Σ|ball|), independent of N — where the
-// old N-bit set unions made every CSQ pay O(N/64) at 100k nodes.
+// refuse. Stamping that union replaces O(|Contact_List| + |Edge_List|)
+// membership probes at every visited node with one stamp comparison,
+// without changing the decision each node would make, at O(Σ|ball|) cost
+// independent of N.
+//
+// It runs once per selection round, not per CSQ: within selectContacts
+// the table only grows, so the set a later walk must see is this one plus
+// the balls of the contacts added since — which selectContacts stamps as
+// it stores them (markIneligible). The EM term N(source) ∪ ⋃ N(edge_j)
+// is the provider's edge cover, on exact providers the 2R-hop out-ball
+// of u — one bounded BFS instead of |Edge_List| views; the identity and
+// its directed-graph proof are at neighborhood.ViewCache.StampCover.
 func (m *Maintainer) computeIneligible(u NodeID) {
 	p := m.p
 	m.ineligGen++
-	gen := m.ineligGen
-	for _, x := range p.nb.Members(u) {
-		m.ineligible[x] = gen
+	if p.cfg.Method == EM {
+		p.nb.StampCover(u, m.ineligible, m.ineligGen)
+	} else {
+		m.markIneligible(p.nb.Members(u))
 	}
 	t := &p.tables[u]
 	for i := 0; i < t.Len(); i++ {
-		for _, x := range p.nb.Members(t.at(i).ID) {
-			m.ineligible[x] = gen
-		}
+		m.markIneligible(p.nb.Members(t.at(i).ID))
 	}
-	if p.cfg.Method == EM {
-		for _, e := range p.nb.EdgeNodes(u) {
-			for _, x := range p.nb.Members(e) {
-				m.ineligible[x] = gen
-			}
-		}
+}
+
+// markIneligible adds one neighborhood to the current round's set.
+func (m *Maintainer) markIneligible(ball []NodeID) {
+	for _, x := range ball {
+		m.ineligible[x] = m.ineligGen
 	}
 }
 
@@ -270,11 +286,11 @@ func (m *Maintainer) accept(x NodeID, d int) bool {
 // reply returning the contact path counts as CatCSQ.
 func (m *Maintainer) runCSQ(u, e NodeID, now float64) (path []NodeID, exhausted bool) {
 	m.stats.CSQLaunched++
-	route := m.p.nb.Route(u, e)
-	if route == nil {
+	route, ok := m.p.nb.AppendRoute(m.route[:0], u, e)
+	m.route = route
+	if !ok {
 		return nil, false // stale edge information (provider mid-convergence)
 	}
-	m.computeIneligible(u)
 	m.sendHops(manet.CatCSQ, len(route)-1)
 	if m.p.cfg.Method == EM {
 		return m.walkEM(route)
@@ -283,6 +299,14 @@ func (m *Maintainer) runCSQ(u, e NodeID, now float64) (path []NodeID, exhausted 
 }
 
 // walkEM runs the edge method's loop-free depth-first walk.
+//
+// Each frame (the edge node and every node pushed after it) scans its
+// adjacency once, when it is first on top, and keeps the resulting
+// candidate list in m.cand — the top frame's list is always the tail of
+// that arena. When the walk returns to a frame from an exhausted child it
+// filters the kept list by visited instead of rescanning: visited only
+// grows during a walk and adjacency is fixed, so the filtered list is the
+// ordered list a rescan would build and rng.Intn picks the same node.
 func (m *Maintainer) walkEM(route []NodeID) ([]NodeID, bool) {
 	m.visitGen++
 	gen := m.visitGen
@@ -292,45 +316,58 @@ func (m *Maintainer) walkEM(route []NodeID) ([]NodeID, bool) {
 	stack := append(m.stack[:0], route...)
 	r := m.p.cfg.MaxContactDist
 	directed := m.p.net.Directed()
-	cand := m.cand
+	cand, frames := m.cand[:0], m.frames[:0]
+	fresh := true // the top of the stack has no frame yet
 	for {
 		x := stack[len(stack)-1]
-		d := len(stack) - 1
-		cand = cand[:0]
-		if d < r {
-			for _, y := range m.p.net.Neighbors(x) {
-				if m.visited[y] == gen {
-					continue
+		lo := len(cand)
+		if fresh {
+			frames = append(frames, lo)
+			if len(stack)-1 < r {
+				for _, y := range m.p.net.Neighbors(x) {
+					if m.visited[y] == gen {
+						continue
+					}
+					// Under asymmetric links the walk only advances over
+					// bidirectional hops: the CSQ needs its reply (and every
+					// backtrack) to travel the reverse edge, and a contact
+					// reached one-way would fail its first validation anyway.
+					if directed && !m.p.net.Adjacent(y, x) {
+						continue
+					}
+					cand = append(cand, y)
 				}
-				// Under asymmetric links the walk only advances over
-				// bidirectional hops: the CSQ needs its reply (and every
-				// backtrack) to travel the reverse edge, and a contact
-				// reached one-way would fail its first validation anyway.
-				if directed && !m.p.net.Adjacent(y, x) {
-					continue
-				}
-				cand = append(cand, y)
 			}
+		} else {
+			lo = frames[len(frames)-1]
+			k := lo
+			for _, y := range cand[lo:] {
+				if m.visited[y] != gen {
+					cand[k] = y
+					k++
+				}
+			}
+			cand = cand[:k]
 		}
-		if len(cand) == 0 {
+		if len(cand) == lo {
 			// Dead end or depth limit: backtrack one hop. Walking back past
 			// the edge node means the whole region is exhausted — the
 			// failure report continues to the source.
 			m.sendHop(manet.CatBacktrack)
-			stack = stack[:len(stack)-1]
+			stack, frames, fresh = stack[:len(stack)-1], frames[:len(frames)-1], false
 			if len(stack) < len(route) {
 				m.sendHops(manet.CatBacktrack, len(stack)-1)
-				m.stack, m.cand = stack, cand
+				m.stack, m.cand, m.frames = stack, cand, frames
 				return nil, true
 			}
 			continue
 		}
-		y := cand[m.rng.Intn(len(cand))]
+		y := cand[lo+m.rng.Intn(len(cand)-lo)]
 		m.visited[y] = gen
-		stack = append(stack, y)
+		stack, fresh = append(stack, y), true
 		m.sendHop(manet.CatCSQ)
 		if m.accept(y, len(stack)-1) {
-			m.stack, m.cand = stack, cand
+			m.stack, m.cand, m.frames = stack, cand, frames
 			return m.acceptContact(stack), false
 		}
 	}
@@ -470,8 +507,9 @@ func (m *Maintainer) validatePath(c *Contact) (path []NodeID, ok bool) {
 			if !p.nb.Contains(cur, old[j]) {
 				continue
 			}
-			sub := p.nb.Route(cur, old[j])
-			if sub == nil {
+			sub, routed := p.nb.AppendRoute(m.route[:0], cur, old[j])
+			m.route = sub
+			if !routed {
 				continue
 			}
 			m.sendHops(manet.CatRecovery, len(sub)-1)

@@ -361,33 +361,33 @@ func (d *DSDV) Dist(u, x NodeID) int {
 	return int(e.metric)
 }
 
-// Route implements Provider. The route is assembled by chaining next-hop
-// pointers through intermediate tables, exactly as packets would be
-// forwarded; during convergence the chain may be inconsistent, in which
-// case nil is returned.
-func (d *DSDV) Route(u, x NodeID) []NodeID {
+// AppendRoute implements Provider. The route is assembled by chaining
+// next-hop pointers through intermediate tables, exactly as packets would
+// be forwarded; during convergence the chain may be inconsistent, in which
+// case ok is false.
+func (d *DSDV) AppendRoute(dst []NodeID, u, x NodeID) ([]NodeID, bool) {
 	if u == x {
-		return []NodeID{u}
+		return append(dst, u), true
 	}
 	e, ok := d.tables[u][x]
 	if !ok || !d.entryLive(e) {
-		return nil
+		return dst, false
 	}
-	path := []NodeID{u}
+	path := append(dst, u)
 	cur := u
 	for steps := 0; steps <= d.r+1; steps++ {
 		ce, ok := d.tables[cur][x]
 		if !ok || !d.entryLive(ce) {
-			return nil
+			return dst, false
 		}
 		nxt := ce.next
 		path = append(path, nxt)
 		if nxt == x {
-			return path
+			return path, true
 		}
 		cur = nxt
 	}
-	return nil // loop or over-length chain: not converged
+	return dst, false // loop or over-length chain: not converged
 }
 
 // EdgeNodes implements Provider.
@@ -396,10 +396,15 @@ func (d *DSDV) EdgeNodes(u NodeID) []NodeID {
 	return d.edges[u]
 }
 
+// StampCover implements Provider.
+func (d *DSDV) StampCover(u NodeID, stamp []uint64, gen uint64) {
+	stampResidentCover(d, u, stamp, gen)
+}
+
 // WarmAll implements Warmer: it rebuilds every dirty per-node cache so the
 // Provider facade is read-only until the next Round/DetectBreaks. Contains
 // and Dist read the tables directly and are always safe between rounds;
-// warming additionally covers Set, Route and EdgeNodes.
+// warming additionally covers Members, EdgeNodes and StampCover.
 func (d *DSDV) WarmAll() {
 	par.Do(len(d.tables), func(i int) { d.refreshCache(NodeID(i)) })
 }

@@ -95,7 +95,7 @@ func TestDSDVRoutesAreUsable(t *testing.T) {
 		u := NodeID(rng.Intn(net.N()))
 		members := d.Members(u)
 		x := members[rng.Intn(len(members))]
-		route := d.Route(u, x)
+		route := routeOf(t, d, u, x)
 		if route == nil {
 			t.Fatalf("no route %d->%d despite membership", u, x)
 		}
@@ -219,10 +219,10 @@ func TestDSDVRouteDuringNonConvergenceIsNilNotWrong(t *testing.T) {
 	net := lineNet(10)
 	d := newDSDV(t, net, 3)
 	// No dump at all: only self routes exist.
-	if r := d.Route(0, 3); r != nil {
+	if r := routeOf(t, d, 0, 3); r != nil {
 		t.Errorf("route before convergence = %v, want nil", r)
 	}
-	if r := d.Route(2, 2); len(r) != 1 || r[0] != 2 {
+	if r := routeOf(t, d, 2, 2); len(r) != 1 || r[0] != 2 {
 		t.Errorf("self route = %v", r)
 	}
 }

@@ -228,11 +228,11 @@ func (o *Oracle) view(u NodeID) *oracleView {
 
 // WarmAll implements Warmer: it materializes every missing view for the
 // current snapshot, fanning the per-node BFS across workers. Afterwards
-// Members/Contains/Dist/Route/EdgeNodes are pure reads until the next
-// epoch. Under Retain-driven retention only the dropped views are listed
-// and recomputed — the warm call is O(dropped) work AND dispatch, so a
-// quiet refresh costs nothing; only an epoch wipe (or the first warm)
-// pays the O(N) fan-out.
+// every Provider method is a pure read until the next epoch. Under
+// Retain-driven retention only the dropped views are listed and
+// recomputed — the warm call is O(dropped) work AND dispatch, so a quiet
+// refresh costs nothing; only an epoch wipe (or the first warm) pays the
+// O(N) fan-out.
 func (o *Oracle) WarmAll() {
 	o.invalidate()
 	if o.allMissing {
@@ -277,29 +277,39 @@ func (o *Oracle) Dist(u, x NodeID) int {
 	return int(v.dist[i])
 }
 
-// Route implements Provider.
-func (o *Oracle) Route(u, x NodeID) []NodeID { return o.view(u).route(x) }
+// AppendRoute implements Provider.
+func (o *Oracle) AppendRoute(dst []NodeID, u, x NodeID) ([]NodeID, bool) {
+	return o.view(u).appendRoute(dst, x)
+}
 
-// route reconstructs the BFS path to x by chaining parents (nil if x is
-// outside the ball).
-func (v *oracleView) route(x NodeID) []NodeID {
+// appendRoute reconstructs the BFS path to x by chaining parents, into
+// dst's spare capacity when it has any (ok=false if x is outside the
+// ball).
+func (v *oracleView) appendRoute(dst []NodeID, x NodeID) ([]NodeID, bool) {
 	i := v.find(x)
 	if i < 0 {
-		return nil
+		return dst, false
 	}
 	d := int(v.dist[i])
-	path := make([]NodeID, d+1)
+	base := len(dst)
+	dst = slices.Grow(dst, d+1)[:base+d+1]
+	path := dst[base:]
 	path[d] = x
 	for j := d; j > 0; j-- {
 		p := v.parent[i]
 		path[j-1] = p
 		i = v.find(p)
 	}
-	return path
+	return dst, true
 }
 
 // EdgeNodes implements Provider.
 func (o *Oracle) EdgeNodes(u NodeID) []NodeID { return o.view(u).edges }
+
+// StampCover implements Provider.
+func (o *Oracle) StampCover(u NodeID, stamp []uint64, gen uint64) {
+	stampResidentCover(o, u, stamp, gen)
+}
 
 var (
 	_ Provider = (*Oracle)(nil)

@@ -22,6 +22,24 @@ func lineNet(n int) *manet.Network {
 	return manet.New(mobility.NewStatic(pts, geom.Rect{W: float64(n) * 10, H: 10}), 15, xrand.New(1))
 }
 
+// routeOf is the allocating form the tests read. It appends onto a
+// sentinel prefix so every use also checks the AppendRoute contract: the
+// prefix survives, and a miss returns dst exactly as passed.
+func routeOf(t testing.TB, p Provider, u, x NodeID) []NodeID {
+	t.Helper()
+	got, ok := p.AppendRoute([]NodeID{topology.None}, u, x)
+	if len(got) == 0 || got[0] != topology.None {
+		t.Fatalf("AppendRoute(%d,%d) clobbered dst: %v", u, x, got)
+	}
+	if !ok {
+		if len(got) != 1 {
+			t.Fatalf("AppendRoute(%d,%d) missed but returned %v", u, x, got)
+		}
+		return nil
+	}
+	return got[1:]
+}
+
 func randomNet(seed uint64, n int, txRange float64) *manet.Network {
 	rng := xrand.New(seed)
 	pts := topology.UniformPositions(n, area, rng)
@@ -100,7 +118,7 @@ func TestOracleEdgeNodes(t *testing.T) {
 func TestOracleRoute(t *testing.T) {
 	net := lineNet(8)
 	o := NewOracle(net, 4)
-	route := o.Route(1, 5)
+	route := routeOf(t, o, 1, 5)
 	want := []NodeID{1, 2, 3, 4, 5}
 	if len(route) != len(want) {
 		t.Fatalf("Route(1,5) = %v", route)
@@ -110,10 +128,10 @@ func TestOracleRoute(t *testing.T) {
 			t.Fatalf("Route(1,5) = %v, want %v", route, want)
 		}
 	}
-	if o.Route(1, 7) != nil {
+	if routeOf(t, o, 1, 7) != nil {
 		t.Error("Route beyond radius must be nil")
 	}
-	if r := o.Route(2, 2); len(r) != 1 || r[0] != 2 {
+	if r := routeOf(t, o, 2, 2); len(r) != 1 || r[0] != 2 {
 		t.Errorf("Route(u,u) = %v", r)
 	}
 }
@@ -180,7 +198,7 @@ func TestQuickOracleRoutesAreValidPaths(t *testing.T) {
 			u := NodeID(rng.Intn(g.N()))
 			members := o.Members(u)
 			x := members[rng.Intn(len(members))]
-			route := o.Route(u, x)
+			route := routeOf(t, o, u, x)
 			if route == nil || route[0] != u || route[len(route)-1] != x {
 				return false
 			}

@@ -42,12 +42,38 @@ type Provider interface {
 	// Dist returns the hop distance from u to x if x is in u's
 	// neighborhood, else -1.
 	Dist(u, x NodeID) int
-	// Route returns an intra-neighborhood route u→x inclusive of both
-	// endpoints, or nil if x is outside u's neighborhood.
-	Route(u, x NodeID) []NodeID
+	// AppendRoute appends the intra-neighborhood route u→x, inclusive of
+	// both endpoints, to dst and returns the extended slice; ok is false
+	// (and dst is returned as passed) if x is outside u's neighborhood.
+	// Callers on a hot path pass reusable scratch; AppendRoute(nil, u, x)
+	// allocates a fresh route.
+	AppendRoute(dst []NodeID, u, x NodeID) (route []NodeID, ok bool)
 	// EdgeNodes returns the nodes at exactly R hops from u ("edge nodes"
 	// in the paper). The slice is owned by the provider; do not mutate.
 	EdgeNodes(u NodeID) []NodeID
+	// StampCover sets stamp[x] = gen for every x of u's edge cover,
+	// Members(u) ∪ ⋃ Members(e) over e in EdgeNodes(u) — the set the edge
+	// method excludes from contact-hood — and writes nothing else. stamp
+	// is caller-owned and indexed by node id. On an exact provider the
+	// cover is the 2R-hop out-ball of u (see ViewCache.StampCover), which
+	// lets an on-demand provider produce it without materializing any
+	// edge node's view.
+	StampCover(u NodeID, stamp []uint64, gen uint64)
+}
+
+// stampResidentCover is StampCover for providers that keep every member
+// list resident (Oracle, DSDV): the literal union, one pass over the
+// lists. For DSDV mid-convergence it is also the only correct form — its
+// tables need not describe balls of any one graph.
+func stampResidentCover(p Provider, u NodeID, stamp []uint64, gen uint64) {
+	for _, x := range p.Members(u) {
+		stamp[x] = gen
+	}
+	for _, e := range p.EdgeNodes(u) {
+		for _, x := range p.Members(e) {
+			stamp[x] = gen
+		}
+	}
 }
 
 // Warmer is implemented by providers whose per-node views are computed

@@ -247,10 +247,53 @@ func (c *ViewCache) Dist(u, x NodeID) int {
 	return int(v.dist[i])
 }
 
-// Route implements Provider.
-func (c *ViewCache) Route(u, x NodeID) []NodeID { return c.view(u).route(x) }
+// AppendRoute implements Provider.
+func (c *ViewCache) AppendRoute(dst []NodeID, u, x NodeID) ([]NodeID, bool) {
+	return c.view(u).appendRoute(dst, x)
+}
 
 // EdgeNodes implements Provider.
 func (c *ViewCache) EdgeNodes(u NodeID) []NodeID { return c.view(u).edges }
+
+// StampCover implements Provider with one 2R-bounded BFS from u and no
+// view lookup: nothing is computed, sorted, allocated or evicted on
+// behalf of the edge nodes, whose views the caller only ever wanted as
+// stamp lists.
+//
+// Why the 2R-hop out-ball is the cover. Views are BFS balls over the
+// snapshot's out-adjacency (directed under per-node ranges), so write
+// d(a,b) for out-distance: Members(a) = {x : d(a,x) ≤ R} and
+// EdgeNodes(u) = {e : d(u,e) = R}.
+//   - ball ⊆ cover: take x with d(u,x) = k ≤ 2R. If k ≤ R then x is in
+//     Members(u). Otherwise the R-th node e of a shortest u→x path has
+//     d(u,e) = R exactly (a prefix of a shortest path is shortest), so e
+//     is an edge node, and the path's suffix gives d(e,x) ≤ k-R ≤ R.
+//   - cover ⊆ ball: x in Members(e) has d(u,x) ≤ d(u,e) + d(e,x) ≤ 2R,
+//     the triangle inequality, which holds for directed distance too.
+//
+// Churned-down nodes and barrier cuts are absent edges of the same
+// snapshot, so they change the graph, not the argument.
+func (c *ViewCache) StampCover(u NodeID, stamp []uint64, gen uint64) {
+	g := c.net.Graph()
+	s := c.scratch.Get().(*oracleScratch)
+	// The BFS keeps its own visit marks: stamp may already carry gen.
+	s.gen++
+	s.stamp[u] = s.gen
+	stamp[u] = gen
+	s.order = append(s.order[:0], u)
+	head := 0
+	for depth := 0; depth < 2*c.r && head < len(s.order); depth++ {
+		for end := len(s.order); head < end; head++ {
+			for _, y := range g.Neighbors(s.order[head]) {
+				if s.stamp[y] != s.gen {
+					s.stamp[y] = s.gen
+					stamp[y] = gen
+					s.order = append(s.order, y)
+				}
+			}
+		}
+	}
+	c.scratch.Put(s)
+}
 
 var _ Provider = (*ViewCache)(nil)

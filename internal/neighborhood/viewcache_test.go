@@ -39,7 +39,7 @@ func checkProvidersAgree(t *testing.T, a, b Provider, n int) {
 			if got, want := b.Dist(u, x), a.Dist(u, x); got != want {
 				t.Fatalf("Dist(%d,%d): %d vs %d", u, x, got, want)
 			}
-			if got, want := b.Route(u, x), a.Route(u, x); !reflect.DeepEqual(got, want) {
+			if got, want := routeOf(t, b, u, x), routeOf(t, a, u, x); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Route(%d,%d): %v vs %v", u, x, got, want)
 			}
 		}
