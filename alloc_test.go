@@ -51,7 +51,7 @@ func TestAllocBudgetAdvance1k(t *testing.T) {
 // TestAllocBudgetQuietAdvance10k pins the quiet-refresh machinery the 1M
 // preset leans on: random-waypoint nodes inside their synchronized
 // initial dwell, so every tick runs the full lazy stack — StepTo with an
-// empty moved list, UpdateDirtyMasked's empty-diff early-out, the
+// empty moved list, Builder.Update's empty-diff early-out, the
 // deficit∪dirty round list over the stragglers — against reused scratch:
 // the expandChanges BFS queue and stamps, the dirtyAcc/deficit/roundSet
 // bitsets and the round-list slice all persist across refreshes. A leak

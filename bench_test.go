@@ -217,19 +217,18 @@ func BenchmarkSmallWorld(b *testing.B) {
 	b.ReportMetric(cell(b, t, 3, 3), "reach-noc8-D3-%")
 }
 
-// scale1kScenario is the engine-scaling workload of the acceptance bar: a
-// 1000-node random-waypoint fleet — nomadic teams that relocate in
-// 10-19 m/s bursts between long dwells, the paper's §II rescue/military
-// deployments — observed at a 20 Hz link-sensing rate (every Advance step
-// refreshes the connectivity snapshot) and answering a 500-query batch. At
-// that sensing rate topology recomputation dominates, which is exactly
-// what the spatial-grid engine exists to fix; dwell times keep most nodes
+// scale1kScenario is the engine-scaling workload: a 1000-node
+// random-waypoint fleet — nomadic teams that relocate in 10-19 m/s bursts
+// between long dwells, the paper's §II rescue/military deployments —
+// observed at a 20 Hz link-sensing rate (every Advance step refreshes the
+// connectivity snapshot) and answering a 500-query batch. At that sensing
+// rate topology recomputation dominates; dwell times keep most nodes
 // stationary per step, which is what the incremental builder exploits.
-func scale1kScenario(topo TopologyKind) (NetworkConfig, Config) {
+func scale1kScenario() (NetworkConfig, Config) {
 	return NetworkConfig{
 			Nodes: 1000, Width: 1500, Height: 1500, TxRange: 100,
 			Mobility: RandomWaypoint, MinSpeed: 10, MaxSpeed: 19, Pause: 300,
-			Topology: topo, Seed: 11,
+			Seed: 11,
 		}, Config{
 			// Bounded CSQ retries and a 15 s validation period keep contact
 			// churn realistic for slow-churn deployments; the workload's hot
@@ -242,8 +241,8 @@ func scale1kScenario(topo TopologyKind) (NetworkConfig, Config) {
 // newScale1k builds the scenario and runs it to mobility steady state
 // (past the synchronized initial pause, with node phases spread out) in
 // coarse steps. This is the benchmarks' untimed setup.
-func newScale1k(tb testing.TB, topo TopologyKind) *Simulation {
-	nc, cfg := scale1kScenario(topo)
+func newScale1k(tb testing.TB) *Simulation {
+	nc, cfg := scale1kScenario()
 	sim, err := NewSimulation(nc, cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -271,17 +270,9 @@ func runScale1k(tb testing.TB, sim *Simulation, horizon float64) []QueryResult {
 	return sim.BatchQuery(pairs)
 }
 
-// BenchmarkScale1kGrid is the incremental spatial-grid engine on the
-// 1k-node scenario; BenchmarkScale1kNaive is the same run on the O(N²)
-// rebuild path. The acceptance bar for the engine refactor is grid ≥ 3×
-// faster with bit-identical query results (TestScale1kTopologyEquivalence
-// in card_test.go).
-func BenchmarkScale1kGrid(b *testing.B)        { benchScale1k(b, SpatialGrid) }
-func BenchmarkScale1kFullRebuild(b *testing.B) { benchScale1k(b, FullRebuild) }
-func BenchmarkScale1kNaive(b *testing.B)       { benchScale1k(b, NaiveRebuild) }
-
-func benchScale1k(b *testing.B, topo TopologyKind) {
-	sim := newScale1k(b, topo)
+// BenchmarkScale1kGrid times the measured half of the 1k-node scenario.
+func BenchmarkScale1kGrid(b *testing.B) {
+	sim := newScale1k(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runScale1k(b, sim, 30)

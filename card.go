@@ -77,21 +77,6 @@ const (
 	DSDVProtocol = engine.DSDVProtocol
 )
 
-// TopologyKind selects the connectivity-snapshot strategy.
-type TopologyKind = engine.TopologyKind
-
-// Topology strategies.
-const (
-	// SpatialGrid (default) is the incremental spatial-hash builder:
-	// refreshes cost O(moved·degree).
-	SpatialGrid = engine.SpatialGrid
-	// FullRebuild rebuilds the grid-indexed graph every refresh.
-	FullRebuild = engine.FullRebuild
-	// NaiveRebuild is the O(N²) all-pairs reference path, kept for
-	// equivalence tests and benchmarks.
-	NaiveRebuild = engine.NaiveRebuild
-)
-
 // Pair is one (source, destination) query assignment for BatchQuery.
 type Pair = engine.Pair
 

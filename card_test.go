@@ -231,32 +231,6 @@ func TestDSDVSubstrateUnderMobility(t *testing.T) {
 	}
 }
 
-// TestScale1kTopologyEquivalence is the correctness half of the scaling
-// acceptance bar (the speed half lives in BenchmarkScale1k*): the 1000-node
-// random-waypoint scenario with 500 batched queries produces bit-identical
-// QueryResults and message accounting on the spatial-grid engine and on the
-// O(N²) rebuild path for equal seeds.
-func TestScale1kTopologyEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1k-node naive-topology run is slow")
-	}
-	grid := newScale1k(t, SpatialGrid)
-	naive := newScale1k(t, NaiveRebuild)
-	resG := runScale1k(t, grid, 30)
-	resN := runScale1k(t, naive, 30)
-	if len(resG) != len(resN) {
-		t.Fatalf("result counts differ: %d vs %d", len(resG), len(resN))
-	}
-	for i := range resG {
-		if resG[i] != resN[i] {
-			t.Fatalf("query %d differs: grid %+v, naive %+v", i, resG[i], resN[i])
-		}
-	}
-	if grid.Messages() != naive.Messages() {
-		t.Errorf("accounting differs:\n grid  %+v\n naive %+v", grid.Messages(), naive.Messages())
-	}
-}
-
 func TestBatchQueryFacade(t *testing.T) {
 	nc, cfg := staticCfg()
 	s := newSim(t, nc, cfg)

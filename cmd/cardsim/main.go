@@ -11,7 +11,7 @@
 //
 //	cardsim -presets                  # list workload presets
 //	cardsim -preset citywide-rwp-1k   # run one preset end to end
-//	cardsim -preset sparse-rescue -queries 1000 -horizon 30 -topology naive
+//	cardsim -preset sparse-rescue -queries 1000 -horizon 30
 //	cardsim -preset citywide-rwp-1k -churn 60,15   # add node churn
 //	cardsim -preset citywide-rwp-1k -loss 0.1 -rangespread 0.5   # lossy directed links
 //	cardsim -preset citywide-rwp-1k -qps 200 -zipf 1.1   # sustained traffic
@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -90,13 +91,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		queries   = fs.Int("queries", 500, "batched queries per preset run")
 		horizon   = fs.Float64("horizon", -1, "simulated seconds before querying (-1 = preset default)")
 		seed      = fs.Uint64("seed", 1, "preset run seed")
-		topology  = fs.String("topology", "grid", "topology path: grid (incremental), full, naive")
 		qps       = fs.Float64("qps", -1, "sustained query-traffic rate in queries/s (-1 = preset default, 0 = off)")
 		zipf      = fs.Float64("zipf", -1, "resource popularity skew for sustained traffic (-1 = preset default)")
 		sweepArg  = fs.String("sweep", "", `parameter-sweep grid over the preset, e.g. "NoC=1..10;r=6..20"`)
 		schemeArg = fs.String("scheme", "", "discovery scheme for sweeps and sustained traffic: card, flood, ring, bordercast, rendezvous")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// strconv accepts "nan" and "inf", and NaN then slips through every
+	// range check downstream (-loss nan compares false against both
+	// bounds; -horizon inf never ends), so no numeric flag may carry one.
+	var nonFinite string
+	fs.Visit(func(f *flag.Flag) {
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			nonFinite = fmt.Sprintf("bad -%s %s: want a finite number", f.Name, f.Value)
+		}
+	})
+	if nonFinite != "" {
+		fmt.Fprintln(stderr, "cardsim:", nonFinite)
 		return 2
 	}
 
@@ -140,10 +153,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if *qps >= 0 || *zipf >= 0 {
 					err = fmt.Errorf("-qps/-zipf (sustained traffic) do not compose with -sweep; sweep cells measure batched queries")
 				} else {
-					err = runSweep(p, *sweepArg, *schemeArg, *seeds, *queries, *horizon, *seed, *topology, *format)
+					err = runSweep(p, *sweepArg, *schemeArg, *seeds, *queries, *horizon, *seed, *format)
 				}
 			} else {
-				err = runPreset(p, *queries, *horizon, *seed, *topology, resolveTraffic(p, *qps, *zipf, *schemeArg))
+				err = runPreset(p, *queries, *horizon, *seed, resolveTraffic(p, *qps, *zipf, *schemeArg))
 			}
 		}
 		if err != nil {
@@ -225,7 +238,7 @@ func resolveWorkload(preset, trace string, tx float64, churn string, loss, sprea
 		upStr, downStr, found := strings.Cut(strings.TrimSpace(churn), ",")
 		up, err1 := strconv.ParseFloat(strings.TrimSpace(upStr), 64)
 		down, err2 := strconv.ParseFloat(strings.TrimSpace(downStr), 64)
-		if !found || err1 != nil || err2 != nil || up <= 0 || down <= 0 {
+		if !found || err1 != nil || err2 != nil || !(up > 0) || !(down > 0) { // !(x > 0) also catches NaN
 			return p, fmt.Errorf("bad -churn %q: want meanUp,meanDown seconds, both > 0", churn)
 		}
 		p.Net.ChurnMeanUp, p.Net.ChurnMeanDown = up, down
@@ -273,10 +286,7 @@ func resolveTraffic(p engine.Preset, qps, zipf float64, schemeName string) workl
 // numbers — the quickest way to feel a workload's scale. A non-zero
 // traffic config then keeps the clock running under sustained query load
 // and reports the serving-style quantiles.
-func runPreset(p engine.Preset, queries int, horizon float64, seed uint64, topo string, traffic workload.Config) error {
-	if err := applyTopology(&p.Net, topo); err != nil {
-		return err
-	}
+func runPreset(p engine.Preset, queries int, horizon float64, seed uint64, traffic workload.Config) error {
 	if horizon < 0 {
 		horizon = p.Horizon
 	}
@@ -332,8 +342,8 @@ func runPreset(p engine.Preset, queries int, horizon float64, seed uint64, topo 
 	fmt.Printf("queries: %d/%d found, %.1f msgs/query\n", found, len(res), avg(msgs, len(res)))
 	fmt.Printf("traffic/node: %.1f total (selection %d, validation %d, query %d)\n",
 		m.TotalPerNode, m.Selection, m.Validation, m.Query)
-	fmt.Printf("wall clock [%s topology]: build %v, select %v, advance %v, %d queries %v\n",
-		topoName(topo), build.Round(time.Millisecond), sel.Round(time.Millisecond),
+	fmt.Printf("wall clock: build %v, select %v, advance %v, %d queries %v\n",
+		build.Round(time.Millisecond), sel.Round(time.Millisecond),
 		adv.Round(time.Millisecond), len(res), q.Round(time.Millisecond))
 
 	if traffic.QPS > 0 {
@@ -369,33 +379,15 @@ func runPreset(p engine.Preset, queries int, horizon float64, seed uint64, topo 
 	return nil
 }
 
-// applyTopology resolves the -topology flag onto a network config.
-func applyTopology(nc *engine.NetworkConfig, topo string) error {
-	switch topo {
-	case "grid", "":
-		nc.Topology = engine.SpatialGrid
-	case "full":
-		nc.Topology = engine.FullRebuild
-	case "naive":
-		nc.Topology = engine.NaiveRebuild
-	default:
-		return fmt.Errorf("unknown -topology %q (grid, full, naive)", topo)
-	}
-	return nil
-}
-
 // runSweep spans the -sweep grid over the resolved workload: every
 // (point, seed) cell is one isolated engine run on the preset's scenario
 // with the point's protocol tuning, measured over -horizon simulated
 // seconds and a -queries batch. The per-point table (Pareto frontier
 // starred) renders through -format; "json" additionally carries the raw
 // per-cell metrics.
-func runSweep(p engine.Preset, spec, schemeName string, seeds, queries int, horizon float64, seed uint64, topo, format string) error {
+func runSweep(p engine.Preset, spec, schemeName string, seeds, queries int, horizon float64, seed uint64, format string) error {
 	axes, err := sweep.ParseSpec(spec)
 	if err != nil {
-		return err
-	}
-	if err := applyTopology(&p.Net, topo); err != nil {
 		return err
 	}
 	if horizon < 0 {
@@ -436,13 +428,6 @@ func runSweep(p engine.Preset, spec, schemeName string, seeds, queries int, hori
 	fmt.Printf("pareto frontier: %d of %d points; wall %v\n",
 		len(front), g.Points(), wall.Round(time.Millisecond))
 	return nil
-}
-
-func topoName(t string) string {
-	if t == "" {
-		return "grid"
-	}
-	return t
 }
 
 func avg(total int64, n int) float64 {

@@ -73,3 +73,32 @@ func TestListAndPresetsExitZero(t *testing.T) {
 		t.Errorf("-list output does not include fig3:\n%s", out.String())
 	}
 }
+
+// TestNonFiniteFlagValuesExitTwo pins that "nan" and "inf" — which strconv
+// parses happily — are malformed invocations, not values: before the check
+// -tx nan printed a link-less network and exited 0, -loss / -rangespread /
+// -churn nan were silently ignored, -horizon / -qps / -zipf nan silently
+// fell back to the preset's defaults, and -horizon inf never returned.
+func TestNonFiniteFlagValuesExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trace", "no-such-file.tr", "-tx", "nan"},
+		{"-trace", "no-such-file.tr", "-tx", "inf"},
+		{"-preset", "citywide-rwp-1k", "-loss", "nan"},
+		{"-preset", "citywide-rwp-1k", "-rangespread", "NaN"},
+		{"-preset", "citywide-rwp-1k", "-churn", "nan,nan"},
+		{"-preset", "citywide-rwp-1k", "-churn", "60,nan"},
+		{"-preset", "citywide-rwp-1k", "-horizon", "nan"},
+		{"-preset", "citywide-rwp-1k", "-horizon", "+Inf"},
+		{"-preset", "citywide-rwp-1k", "-qps", "nan"},
+		{"-preset", "citywide-rwp-1k", "-zipf", "nan"},
+		{"-exp", "fig4", "-scale", "-inf"},
+	} {
+		var out, errw strings.Builder
+		if code := run(args, &out, &errw); code != 2 {
+			t.Errorf("run(%v) = exit %d, want 2\nstderr: %s", args, code, errw.String())
+		}
+		if !strings.Contains(errw.String(), "bad -") {
+			t.Errorf("run(%v) does not name the bad flag:\n%s", args, errw.String())
+		}
+	}
+}

@@ -76,10 +76,7 @@
 // Message accounting flows through a pluggable recorder on the network
 // (manet.Recorder): plain counters by default, atomic counters for
 // concurrent consumers; [Simulation.Messages] reports the per-category
-// totals the paper's overhead figures use. TopologyKind selects how
-// connectivity snapshots are recomputed — [SpatialGrid] (incremental,
-// default), [FullRebuild], or the O(N²) [NaiveRebuild] reference — all
-// three byte-identical in output, which the tests enforce.
+// totals the paper's overhead figures use.
 //
 // Quick start:
 //

@@ -20,13 +20,13 @@ func lineNet(n int) *manet.Network {
 		pts[i] = geom.Point{X: float64(i) * 10, Y: 0}
 	}
 	a := geom.Rect{W: float64(n) * 10, H: 10}
-	return manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
+	return manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 }
 
 func randomNet(seed uint64, n int) *manet.Network {
 	rng := xrand.New(seed)
 	pts := topology.UniformPositions(n, area, rng)
-	return manet.New(mobility.NewStatic(pts, area), 50, xrand.New(seed))
+	return manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 50}}, xrand.New(seed))
 }
 
 func newBC(t *testing.T, net *manet.Network, zone int, qd QDMode) *Protocol {
@@ -165,7 +165,7 @@ func TestUnreachableTargetTerminates(t *testing.T) {
 		{X: 500, Y: 0}, {X: 510, Y: 0},
 	}
 	a := geom.Rect{W: 600, H: 10}
-	net := manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
+	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 	bc := newBC(t, net, 1, QD1)
 	res := bc.Query(0, 4)
 	if res.Found {

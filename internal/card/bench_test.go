@@ -27,7 +27,7 @@ func benchProtocol(b *testing.B, newNB func(*manet.Network, int) neighborhood.Pr
 	b.Helper()
 	area := geom.Rect{W: 2100, H: 2100}
 	pts := topology.UniformPositions(benchNodes, area, xrand.New(42))
-	net := manet.New(mobility.NewStatic(pts, area), 100, xrand.New(43))
+	net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 100}}, xrand.New(43))
 	cfg := Config{R: 2, MaxContactDist: 10, NoC: 6, Method: EM}
 	p, err := New(net, newNB(net, cfg.R), cfg, xrand.New(44))
 	if err != nil {

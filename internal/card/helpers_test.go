@@ -18,7 +18,7 @@ var testArea = geom.Rect{W: 710, H: 710}
 func staticNet(seed uint64, n int, txRange float64) *manet.Network {
 	rng := xrand.New(seed)
 	pts := topology.UniformPositions(n, testArea, rng)
-	return manet.New(mobility.NewStatic(pts, testArea), txRange, xrand.New(seed+1000))
+	return manet.NewNetwork(mobility.NewStatic(pts, testArea), manet.Config{Link: topology.LinkModel{Uniform: txRange}}, xrand.New(seed+1000))
 }
 
 // mobileNet builds an RWP network.
@@ -28,7 +28,7 @@ func mobileNet(t *testing.T, seed uint64, n int, txRange float64) *manet.Network
 	if err != nil {
 		t.Fatal(err)
 	}
-	return manet.New(m, txRange, xrand.New(seed+1000))
+	return manet.NewNetwork(m, manet.Config{Link: topology.LinkModel{Uniform: txRange}}, xrand.New(seed+1000))
 }
 
 // newProtocol wires a protocol over net with an oracle neighborhood.
@@ -62,7 +62,7 @@ func lineNet(n int) *manet.Network {
 		pts[i] = geom.Point{X: float64(i) * 10, Y: 0}
 	}
 	area := geom.Rect{W: float64(n) * 10, H: 10}
-	return manet.New(mobility.NewStatic(pts, area), 15, xrand.New(1))
+	return manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 }
 
 // checkPathValid asserts that a source route is hop-by-hop adjacent on the
@@ -98,7 +98,7 @@ func customNet(t *testing.T, coords [][2]float64) *manet.Network {
 	for _, c := range coords {
 		s.pos = append(s.pos, geom.Point{X: c[0], Y: c[1]})
 	}
-	net := manet.New(s, 15, xrand.New(99))
+	net := manet.NewNetwork(s, manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(99))
 	scriptedModels[net] = s
 	return net
 }

@@ -6,6 +6,7 @@ import (
 	"card/internal/geom"
 	"card/internal/manet"
 	"card/internal/mobility"
+	"card/internal/topology"
 	"card/internal/xrand"
 )
 
@@ -114,8 +115,9 @@ func churnedClique(t *testing.T, n int) (*manet.Network, *Protocol) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := manet.NewWithChurn(mobility.NewStatic(pts, area), 15, xrand.New(8),
-		manet.IncrementalTopology, churn)
+	net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{
+		Link: topology.LinkModel{Uniform: 15}, Churn: churn,
+	}, xrand.New(8))
 	cfg := Config{R: 1, MaxContactDist: 3, NoC: 2, Method: EM}
 	p := newProtocol(t, net, cfg, 76)
 	for tick := 1; tick <= 400; tick++ {

@@ -63,6 +63,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"card/internal/bitset"
 	"card/internal/bordercast"
@@ -140,32 +141,6 @@ const (
 	// proactive broadcasts appear in MessageCounts.Proactive.
 	DSDVProtocol
 )
-
-// TopologyKind selects how connectivity snapshots are recomputed; see
-// manet.TopologyMode.
-type TopologyKind int
-
-const (
-	// SpatialGrid (default) is the incremental spatial-hash builder.
-	SpatialGrid TopologyKind = iota
-	// FullRebuild rebuilds the grid-indexed graph every refresh.
-	FullRebuild
-	// NaiveRebuild is the O(N²) all-pairs reference path.
-	NaiveRebuild
-)
-
-func (k TopologyKind) mode() (manet.TopologyMode, error) {
-	switch k {
-	case SpatialGrid:
-		return manet.IncrementalTopology, nil
-	case FullRebuild:
-		return manet.FullGridTopology, nil
-	case NaiveRebuild:
-		return manet.NaiveTopology, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown topology kind %d", int(k))
-	}
-}
 
 // NetworkConfig describes the simulated network.
 type NetworkConfig struct {
@@ -248,8 +223,6 @@ type NetworkConfig struct {
 	// DSDVPeriod is the full-dump interval for DSDVProtocol in seconds
 	// (default 1).
 	DSDVPeriod float64
-	// Topology selects the snapshot strategy (default SpatialGrid).
-	Topology TopologyKind
 	// DirtyMaintenance restricts maintenance and selection rounds to the
 	// nodes whose outcome could differ from a no-op: nodes within
 	// max(R, MaxContactDist) hops of an adjacency change since the last
@@ -262,9 +235,8 @@ type NetworkConfig struct {
 	// simulated, which is the point — at 100k mostly-pausing nodes a full
 	// round is O(N·NoC·r) validation hops for nothing.
 	//
-	// Requires the SpatialGrid topology (the incremental builder is what
-	// reports adjacency diffs) and the OracleView substrate (whose views
-	// are retained across refreshes by the same diff).
+	// Requires the OracleView substrate (whose views are retained across
+	// refreshes by the adjacency diff the topology builder reports).
 	DirtyMaintenance bool
 	// Seed makes the run reproducible; equal seeds give identical runs.
 	Seed uint64
@@ -273,6 +245,24 @@ type NetworkConfig struct {
 func (nc *NetworkConfig) fill() error {
 	if nc.Nodes < 2 {
 		return fmt.Errorf("engine: need at least 2 nodes, got %d", nc.Nodes)
+	}
+	// NaN passes every ordered comparison below (x <= 0 and x >= 1 are
+	// both false for it) and +Inf passes the positivity ones, so the
+	// floats those checks guard are screened first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Width", nc.Width}, {"Height", nc.Height}, {"TxRange", nc.TxRange},
+		{"MinSpeed", nc.MinSpeed}, {"MaxSpeed", nc.MaxSpeed}, {"WalkSpeed", nc.WalkSpeed},
+		{"GMMeanSpeed", nc.GMMeanSpeed}, {"MemberSpeed", nc.MemberSpeed},
+		{"ChurnMeanUp", nc.ChurnMeanUp}, {"ChurnMeanDown", nc.ChurnMeanDown},
+		{"RangeSpread", nc.RangeSpread}, {"Loss", nc.Loss},
+		{"PartitionPeriod", nc.PartitionPeriod}, {"PartitionDuration", nc.PartitionDuration},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("engine: %s = %g is not a finite number", f.name, f.v)
+		}
 	}
 	if nc.Width <= 0 || nc.Height <= 0 {
 		return fmt.Errorf("engine: non-positive area %gx%g", nc.Width, nc.Height)
@@ -290,13 +280,8 @@ func (nc *NetworkConfig) fill() error {
 		return fmt.Errorf("engine: churn needs both ChurnMeanUp and ChurnMeanDown > 0 (got %g, %g)",
 			nc.ChurnMeanUp, nc.ChurnMeanDown)
 	}
-	if nc.DirtyMaintenance {
-		if nc.Topology != SpatialGrid {
-			return fmt.Errorf("engine: DirtyMaintenance requires the SpatialGrid topology (got %v)", nc.Topology)
-		}
-		if nc.Proactive != OracleView {
-			return fmt.Errorf("engine: DirtyMaintenance requires the OracleView substrate")
-		}
+	if nc.DirtyMaintenance && nc.Proactive != OracleView {
+		return fmt.Errorf("engine: DirtyMaintenance requires the OracleView substrate")
 	}
 	if nc.ViewCacheCap < 0 {
 		return fmt.Errorf("engine: negative ViewCacheCap %d", nc.ViewCacheCap)
@@ -460,6 +445,12 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 	if err := nc.fill(); err != nil {
 		return nil, err
 	}
+	// Before anything sized by Nodes is allocated: a bad R or NoC on a
+	// 10⁶-node preset should not cost the mobility and topology set-up.
+	// Validation reads no RNG stream, so no draw is reordered.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	area := geom.Rect{W: nc.Width, H: nc.Height}
 	rng := xrand.New(nc.Seed)
 	var model mobility.Model
@@ -493,10 +484,6 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode, err := nc.Topology.mode()
-	if err != nil {
-		return nil, err
-	}
 	var churn *manet.Churn
 	if nc.hasChurn() {
 		if nc.Proactive == DSDVProtocol {
@@ -522,14 +509,10 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 	}
 	net := manet.NewNetwork(model, manet.Config{
 		Link:      lm,
-		Mode:      mode,
 		Churn:     churn,
 		Loss:      manet.LossConfig{Rate: nc.Loss, Retries: nc.LossRetries},
 		Partition: manet.PartitionConfig{Period: nc.PartitionPeriod, Duration: nc.PartitionDuration},
 	}, rng.Derive(1))
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	var nb neighborhood.Provider
 	var dsdv *neighborhood.DSDV
 	switch nc.Proactive {

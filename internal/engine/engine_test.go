@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	proto "card/internal/card"
@@ -94,42 +95,6 @@ func TestAdvanceDriftFree(t *testing.T) {
 			if e.Rounds() < before {
 				t.Fatalf("round counter went backwards")
 			}
-		}
-	}
-}
-
-// TestTopologyKindsGiveIdenticalRuns runs the same mobile scenario under
-// the incremental, full-rebuild and naive topology paths and demands
-// bit-identical protocol behavior: same selections, same message totals,
-// same query results for the same seeds.
-func TestTopologyKindsGiveIdenticalRuns(t *testing.T) {
-	run := func(kind TopologyKind) ([]proto.QueryResult, MessageCounts, float64) {
-		nc := testNet(250)
-		nc.Mobility = RandomWaypoint
-		nc.MinSpeed, nc.MaxSpeed, nc.Pause = 1, 10, 4
-		nc.Topology = kind
-		e := newEngine(t, nc, testCfg())
-		e.SelectContacts()
-		e.Advance(5.5)
-		pairs := e.RandomPairs(60, 99)
-		res := e.BatchQuery(pairs)
-		return res, e.Messages(), e.MeanReachability(1)
-	}
-	incRes, incMsg, incReach := run(SpatialGrid)
-	fullRes, fullMsg, fullReach := run(FullRebuild)
-	naiveRes, naiveMsg, naiveReach := run(NaiveRebuild)
-	if incMsg != fullMsg || fullMsg != naiveMsg {
-		t.Errorf("message totals diverge:\n inc   %+v\n full  %+v\n naive %+v", incMsg, fullMsg, naiveMsg)
-	}
-	if incReach != fullReach || fullReach != naiveReach {
-		t.Errorf("reachability diverges: %v %v %v", incReach, fullReach, naiveReach)
-	}
-	if len(incRes) != len(fullRes) || len(fullRes) != len(naiveRes) {
-		t.Fatalf("result counts diverge: %d %d %d", len(incRes), len(fullRes), len(naiveRes))
-	}
-	for i := range incRes {
-		if incRes[i] != fullRes[i] || fullRes[i] != naiveRes[i] {
-			t.Fatalf("query %d diverges:\n inc   %+v\n full  %+v\n naive %+v", i, incRes[i], fullRes[i], naiveRes[i])
 		}
 	}
 }
@@ -268,5 +233,69 @@ func TestSchedulerExposed(t *testing.T) {
 	e.Advance(1)
 	if fired != 1 {
 		t.Fatalf("custom event fired %d times, want 1", fired)
+	}
+}
+
+// TestNetworkConfigRejectsNonFinite pins that NaN and ±Inf are configuration
+// errors wherever a range check guards a float: NaN compares false against
+// every bound (so `x <= 0` and `x >= 1` both let it through) and +Inf is
+// positive, and either would otherwise build a link-less network or be
+// dropped in favour of a default without a word.
+func TestNetworkConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*NetworkConfig, float64)
+	}{
+		{"Width", func(nc *NetworkConfig, v float64) { nc.Width = v }},
+		{"Height", func(nc *NetworkConfig, v float64) { nc.Height = v }},
+		{"TxRange", func(nc *NetworkConfig, v float64) { nc.TxRange = v }},
+		{"MinSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MinSpeed = RandomWaypoint, v }},
+		{"MaxSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MaxSpeed = RandomWaypoint, v }},
+		{"WalkSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.WalkSpeed = RandomWalk, v }},
+		{"GMMeanSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.GMMeanSpeed = GaussMarkov, v }},
+		{"MemberSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MemberSpeed = GroupMobility, v }},
+		{"ChurnMeanUp", func(nc *NetworkConfig, v float64) { nc.ChurnMeanUp, nc.ChurnMeanDown = v, 5 }},
+		{"ChurnMeanDown", func(nc *NetworkConfig, v float64) { nc.ChurnMeanUp, nc.ChurnMeanDown = 5, v }},
+		{"ChurnBoth", func(nc *NetworkConfig, v float64) { nc.ChurnMeanUp, nc.ChurnMeanDown = v, v }},
+		{"RangeSpread", func(nc *NetworkConfig, v float64) { nc.RangeSpread = v }},
+		{"Loss", func(nc *NetworkConfig, v float64) { nc.Loss = v }},
+		{"PartitionPeriod", func(nc *NetworkConfig, v float64) { nc.PartitionPeriod, nc.PartitionDuration = v, 2 }},
+		{"PartitionDuration", func(nc *NetworkConfig, v float64) { nc.PartitionPeriod, nc.PartitionDuration = 10, v }},
+		{"PartitionBoth", func(nc *NetworkConfig, v float64) { nc.PartitionPeriod, nc.PartitionDuration = v, v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			nc := testNet(60)
+			f.set(&nc, v)
+			if _, err := New(nc, testCfg()); err == nil {
+				t.Errorf("%s = %v: non-finite config accepted", f.name, v)
+			}
+		}
+	}
+}
+
+// TestNewValidatesProtocolBeforeBuilding pins the order of engine.New: a
+// bad card.Config is reported before anything sized by Nodes exists. On a
+// million-node config that is the difference between an instant error and
+// paying the whole mobility and topology set-up first; the allocation
+// budget is what shows that no position slab, grid or adjacency was made.
+func TestNewValidatesProtocolBeforeBuilding(t *testing.T) {
+	p, err := LookupPreset("metro-rwp-1m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := p.Net
+	nc.Seed = 1
+	bad := p.Protocol
+	bad.MaxContactDist = bad.R // r must exceed R
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := New(nc, bad); err == nil {
+			t.Fatal("invalid card.Config accepted")
+		}
+	})
+	// The error value and its message; 10⁶ positions alone would be one
+	// allocation of 16 MB, and the set-up as a whole runs to millions.
+	if allocs > 8 {
+		t.Errorf("rejecting a bad card.Config on a 1M-node network cost %.0f allocations; validation runs after the build", allocs)
 	}
 }

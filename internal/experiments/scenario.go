@@ -78,7 +78,13 @@ func sqrtf(x float64) float64 {
 func (s Scenario) StaticNet(seed uint64) *manet.Network {
 	rng := xrand.New(seed ^ uint64(s.ID)<<32)
 	pts := topology.UniformPositions(s.N, s.Area, rng)
-	return manet.New(mobility.NewStatic(pts, s.Area), s.TxRange, rng.Derive(1))
+	return manet.NewNetwork(mobility.NewStatic(pts, s.Area), s.substrate(), rng.Derive(1))
+}
+
+// substrate is the paper's radio layer: one uniform range, no churn, no
+// loss.
+func (s Scenario) substrate() manet.Config {
+	return manet.Config{Link: topology.LinkModel{Uniform: s.TxRange}}
 }
 
 // MobileNet builds a random-waypoint network for the scenario.
@@ -88,7 +94,7 @@ func (s Scenario) MobileNet(seed uint64, cfg mobility.RWPConfig) (*manet.Network
 	if err != nil {
 		return nil, err
 	}
-	return manet.New(m, s.TxRange, rng.Derive(1)), nil
+	return manet.NewNetwork(m, s.substrate(), rng.Derive(1)), nil
 }
 
 // NewCARD wires a CARD protocol with an oracle neighborhood over net.

@@ -18,13 +18,13 @@ func lineNet(n int) *manet.Network {
 		pts[i] = geom.Point{X: float64(i) * 10, Y: 0}
 	}
 	a := geom.Rect{W: float64(n) * 10, H: 10}
-	return manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
+	return manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 }
 
 func randomNet(seed uint64, n int) *manet.Network {
 	rng := xrand.New(seed)
 	pts := topology.UniformPositions(n, area, rng)
-	return manet.New(mobility.NewStatic(pts, area), 50, xrand.New(seed))
+	return manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 50}}, xrand.New(seed))
 }
 
 func TestFloodFindsTargetOnLine(t *testing.T) {
@@ -55,7 +55,7 @@ func TestFloodUnreachableTarget(t *testing.T) {
 	// Two disconnected pairs.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 500, Y: 0}, {X: 510, Y: 0}}
 	a := geom.Rect{W: 600, H: 10}
-	net := manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
+	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 	res := Query(net, 0, 3, true)
 	if res.Found {
 		t.Fatal("found target in another component")
@@ -125,7 +125,7 @@ func TestExpandingRingFindsFarTargets(t *testing.T) {
 func TestExpandingRingUnreachable(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 500, Y: 0}}
 	a := geom.Rect{W: 600, H: 10}
-	net := manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
+	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 	res := ExpandingRing(net, 0, 1, DoublingTTLs(8), false)
 	if res.Found {
 		t.Fatal("found unreachable target")
@@ -182,7 +182,7 @@ func TestRingSweepMatchesDeadExpandingRing(t *testing.T) {
 	pts = append(pts, geom.Point{X: 500, Y: 500})
 	a := geom.Rect{W: 600, H: 600}
 	build := func() *manet.Network {
-		return manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
+		return manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 	}
 	ttls := DoublingTTLs(8)
 	ref := ExpandingRing(build(), 0, 6, ttls, false)

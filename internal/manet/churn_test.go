@@ -75,23 +75,21 @@ func TestChurnActuallyFlips(t *testing.T) {
 
 // TestNetworkChurnIntegration checks the substrate contract: down nodes
 // are link-free in the snapshot, flip lists match state transitions, and
-// the three topology modes agree on the churned graph.
+// the churned graph is the one a fresh build of the same positions and
+// mask gives.
 func TestNetworkChurnIntegration(t *testing.T) {
 	const n = 120
 	area := geom.Rect{W: 500, H: 500}
-	build := func(mode TopologyMode) *Network {
-		rng := xrand.New(77)
-		m, err := mobility.NewRandomWaypoint(n, area, mobility.DefaultRWP(), rng.Derive(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		churn, err := NewChurn(n, ChurnConfig{MeanUp: 6, MeanDown: 3}, rng.Derive(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewWithChurn(m, 60, rng.Derive(1), mode, churn)
+	rng := xrand.New(77)
+	m, err := mobility.NewRandomWaypoint(n, area, mobility.DefaultRWP(), rng.Derive(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	inc, full, naive := build(IncrementalTopology), build(FullGridTopology), build(NaiveTopology)
+	churn, err := NewChurn(n, ChurnConfig{MeanUp: 6, MeanDown: 3}, rng.Derive(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := NewNetwork(m, Config{Link: topology.LinkModel{Uniform: 60}, Churn: churn}, rng.Derive(1))
 
 	// Snapshot the post-construction state: the t=0 build may already have
 	// flipped nodes whose first up-interval rounded to zero.
@@ -101,22 +99,16 @@ func TestNetworkChurnIntegration(t *testing.T) {
 	}
 	for _, tm := range []float64{0.5, 1, 2.5, 4, 8, 16, 30} {
 		inc.RefreshAt(tm)
-		full.RefreshAt(tm)
-		naive.RefreshAt(tm)
 
 		for u := 0; u < n; u++ {
-			if inc.Up(topology.NodeID(u)) != full.Up(topology.NodeID(u)) {
-				t.Fatalf("t=%v: topology modes disagree on up(%d)", tm, u)
+			if inc.Up(topology.NodeID(u)) != churn.UpAt(u, tm) {
+				t.Fatalf("t=%v: up(%d) disagrees with the schedule", tm, u)
 			}
 			if inc.Down(topology.NodeID(u)) && inc.Graph().Degree(topology.NodeID(u)) != 0 {
 				t.Fatalf("t=%v: down node %d has links", tm, u)
 			}
 		}
-		// Graphs must be structurally identical across modes.
-		if inc.Graph().Links() != naive.Graph().Links() || full.Graph().Links() != naive.Graph().Links() {
-			t.Fatalf("t=%v: link counts diverge: inc=%d full=%d naive=%d",
-				tm, inc.Graph().Links(), full.Graph().Links(), naive.Graph().Links())
-		}
+		snapshotMatchesFreshBuild(t, inc)
 		// Flip lists must match the observed state transitions.
 		flips := map[topology.NodeID]bool{}
 		for _, v := range inc.ChurnedDown() {
@@ -160,7 +152,7 @@ func downNodes(n *Network) []topology.NodeID {
 func TestNetworkWithoutChurnIsAllUp(t *testing.T) {
 	area := geom.Rect{W: 100, H: 100}
 	pts := topology.UniformPositions(10, area, xrand.New(1))
-	net := New(mobility.NewStatic(pts, area), 30, xrand.New(2))
+	net := NewNetwork(mobility.NewStatic(pts, area), Config{Link: topology.LinkModel{Uniform: 30}}, xrand.New(2))
 	if net.HasChurn() {
 		t.Error("churn-free network reports churn")
 	}
@@ -181,5 +173,5 @@ func TestNewWithChurnSizeMismatchPanics(t *testing.T) {
 	area := geom.Rect{W: 100, H: 100}
 	pts := topology.UniformPositions(10, area, xrand.New(1))
 	churn, _ := NewChurn(7, ChurnConfig{MeanUp: 5, MeanDown: 5}, xrand.New(3))
-	NewWithChurn(mobility.NewStatic(pts, area), 30, xrand.New(2), IncrementalTopology, churn)
+	NewNetwork(mobility.NewStatic(pts, area), Config{Link: topology.LinkModel{Uniform: 30}, Churn: churn}, xrand.New(2))
 }

@@ -5,6 +5,7 @@ import (
 
 	"card/internal/geom"
 	"card/internal/mobility"
+	"card/internal/topology"
 	"card/internal/xrand"
 )
 
@@ -21,7 +22,7 @@ func TestRefreshZeroWorkWhilePaused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := NewWithMode(m, 100, xrand.New(3), IncrementalTopology)
+	n := NewNetwork(m, Config{Link: topology.LinkModel{Uniform: 100}}, xrand.New(3))
 	if w := m.PositionWork(); w != 0 {
 		t.Fatalf("building the network performed %d position work", w)
 	}

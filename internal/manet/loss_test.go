@@ -1,6 +1,7 @@
 package manet
 
 import (
+	"math"
 	"testing"
 
 	"card/internal/geom"
@@ -223,8 +224,10 @@ func TestLossConfigValidation(t *testing.T) {
 	}{
 		{"rate-one", Config{Link: topology.LinkModel{Uniform: 50}, Loss: LossConfig{Rate: 1}}},
 		{"rate-negative", Config{Link: topology.LinkModel{Uniform: 50}, Loss: LossConfig{Rate: -0.1}}},
+		{"rate-nan", Config{Link: topology.LinkModel{Uniform: 50}, Loss: LossConfig{Rate: math.NaN()}}},
 		{"negative-retries", Config{Link: topology.LinkModel{Uniform: 50}, Loss: LossConfig{Rate: 0.1, Retries: -1}}},
 		{"partition-duration", Config{Link: topology.LinkModel{Uniform: 50}, Partition: PartitionConfig{Period: 10, Duration: 10}}},
+		{"partition-duration-nan", Config{Link: topology.LinkModel{Uniform: 50}, Partition: PartitionConfig{Period: 10, Duration: math.NaN()}}},
 	}
 	pts := []geom.Point{{X: 10, Y: 10}, {X: 40, Y: 10}}
 	a := geom.Rect{W: 100, H: 100}

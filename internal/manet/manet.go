@@ -14,11 +14,9 @@
 //
 // The topology snapshot is refreshed explicitly (RefreshAt); protocols
 // observe link churn between refreshes exactly as a beacon-driven MANET
-// stack observes it between hello intervals. How the snapshot is computed
-// is selected by TopologyMode: the default incremental spatial-hash
-// builder reprocesses only nodes that moved, the full-grid mode rebuilds
-// every refresh, and the naive O(N²) mode exists as the correctness and
-// performance reference.
+// stack observes it between hello intervals. Every snapshot comes from one
+// incremental [topology.Builder], which reprocesses only the nodes that
+// moved or flipped up/down state since the previous refresh.
 //
 // Message accounting flows through a pluggable [Recorder] (see
 // recorder.go): the plain [Counters] for serial runs, [AtomicCounters]
@@ -26,7 +24,7 @@
 //
 // # Node churn
 //
-// A Network may carry a [Churn] schedule (NewWithChurn): at every refresh
+// A Network may carry a [Churn] schedule (Config.Churn): at every refresh
 // the schedule is sampled and down nodes are excluded from the topology
 // snapshot — no links in either direction — while keeping their ids and
 // positions. The flip lists (ChurnedDown, ChurnedUp) let the protocol
@@ -79,36 +77,6 @@ func (c Category) String() string {
 	return categoryNames[c]
 }
 
-// TopologyMode selects how the connectivity snapshot is recomputed at each
-// refresh.
-type TopologyMode int
-
-const (
-	// IncrementalTopology (default) keeps a spatial-hash grid alive across
-	// refreshes and reprocesses only the nodes that moved since the last
-	// snapshot — O(moved·degree) per refresh.
-	IncrementalTopology TopologyMode = iota
-	// FullGridTopology rebuilds the grid-indexed graph from scratch every
-	// refresh — O(N·degree).
-	FullGridTopology
-	// NaiveTopology runs the O(N²) all-pairs scan every refresh. Reference
-	// implementation for equivalence tests and scaling benchmarks.
-	NaiveTopology
-)
-
-func (m TopologyMode) String() string {
-	switch m {
-	case IncrementalTopology:
-		return "incremental"
-	case FullGridTopology:
-		return "full-grid"
-	case NaiveTopology:
-		return "naive"
-	default:
-		return fmt.Sprintf("TopologyMode(%d)", int(m))
-	}
-}
-
 // Network is the substrate protocols run on. It is single-goroutine for
 // mutation: each simulation run constructs and drives its own Network.
 // Read-only access (graph queries, neighborhood lookups) is safe from
@@ -121,8 +89,7 @@ type Network struct {
 	lm      topology.LinkModel
 	txRange float64
 	//cardlint:stream run-owner generator stored by the single-goroutine substrate; parallel layers only ever read derived (node, round) streams
-	rng  *xrand.Rand
-	mode TopologyMode
+	rng *xrand.Rand
 
 	// Loss process: every protocol-level hop draws delivery outcomes from
 	// a pure hash of (lossSeed, epoch, u, v, attempt) — see loss.go.
@@ -139,15 +106,16 @@ type Network struct {
 	epoch   uint64
 	pos     []geom.Point
 	graph   *topology.Graph
-	builder *topology.Builder // non-nil iff mode == IncrementalTopology
+	builder *topology.Builder
 
 	// stepper is non-nil when the mobility model supports lazy stepping
-	// (mobility.Stepper): refreshes then patch only the moved nodes into
-	// the builder instead of rescanning all N positions, and pos aliases
-	// the model's internal slice (no per-refresh copy). dirtyScratch
-	// merges the moved list with churn flips for the builder.
-	stepper      mobility.Stepper
-	dirtyScratch []NodeID
+	// (mobility.Stepper): refreshes then hand the builder only the moved
+	// nodes instead of having it compare all N positions, and pos aliases
+	// the model's internal slice (no per-refresh copy). dirty is that
+	// hand-over list, the moved nodes plus the churn flips; it stays nil
+	// without a stepper, which is how the builder is told to compare.
+	stepper mobility.Stepper
+	dirty   []NodeID
 
 	// Churn state: nil churn means a fixed population. down is the
 	// node-exclusion mask fed to the topology builders; wentDown/cameUp
@@ -160,44 +128,21 @@ type Network struct {
 	rec Recorder
 }
 
-// New creates a network over the mobility model with the given transmission
-// range and takes the initial topology snapshot at t=0. The network starts
-// with the default incremental topology mode and a serial Counters
-// recorder.
-func New(model mobility.Model, txRange float64, rng *xrand.Rand) *Network {
-	return NewWithMode(model, txRange, rng, IncrementalTopology)
-}
-
-// NewWithMode is New with an explicit topology mode.
-func NewWithMode(model mobility.Model, txRange float64, rng *xrand.Rand, mode TopologyMode) *Network {
-	return NewWithChurn(model, txRange, rng, mode, nil)
-}
-
-// NewWithChurn is NewWithMode with a node up/down schedule: at every
-// refresh the schedule is sampled, down nodes are excluded from the
-// topology snapshot (no links in either direction), and the flip lists
-// (ChurnedDown, ChurnedUp) are refreshed for protocol-layer expiry. A nil
-// churn keeps the whole population up forever.
-func NewWithChurn(model mobility.Model, txRange float64, rng *xrand.Rand, mode TopologyMode, churn *Churn) *Network {
-	return NewNetwork(model, Config{
-		Link:  topology.LinkModel{Uniform: txRange},
-		Mode:  mode,
-		Churn: churn,
-	}, rng)
-}
-
 // Config gathers every substrate knob for NewNetwork. The zero value of
 // each optional field disables it: nil Churn keeps the population up, a
 // zero Loss delivers every transmission, a zero Partition never cuts the
-// area, and a Link with only Uniform set runs the scalar fast path.
+// area, and a Link with only Uniform set gives the paper's undirected
+// unit-disk graph.
 type Config struct {
 	// Link is the radio layer (see topology.LinkModel). Uniform must be
 	// positive; Ranges (per-node, producing directed graphs) is optional.
 	// Any BarrierX in it is overwritten when Partition is scheduled.
 	Link topology.LinkModel
-	// Mode selects how snapshots are recomputed (default incremental).
-	Mode TopologyMode
-	// Churn is an optional node up/down schedule (see NewWithChurn).
+	// Churn is an optional node up/down schedule: at every refresh it is
+	// sampled, down nodes are excluded from the topology snapshot (no
+	// links in either direction), and the flip lists (ChurnedDown,
+	// ChurnedUp) are refreshed for protocol-layer expiry. Nil keeps the
+	// whole population up forever.
 	Churn *Churn
 	// Loss is the probabilistic delivery model (see LossConfig).
 	Loss LossConfig
@@ -217,26 +162,21 @@ type PartitionConfig struct {
 
 // NewNetwork creates a network over the mobility model with the full
 // substrate configuration and takes the initial topology snapshot at t=0.
-// It starts with a serial Counters recorder.
+// It starts with a serial Counters recorder. A malformed cfg.Link panics in
+// topology.NewBuilder, the one place link models are validated.
 func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 	lm := cfg.Link
-	if lm.Ranges == nil && lm.Uniform <= 0 {
-		panic("manet: non-positive transmission range")
-	}
-	if lm.Ranges != nil && len(lm.Ranges) != model.N() {
-		panic(fmt.Sprintf("manet: link model covers %d nodes, model has %d", len(lm.Ranges), model.N()))
-	}
 	if cfg.Churn != nil && cfg.Churn.N() != model.N() {
 		panic(fmt.Sprintf("manet: churn schedule covers %d nodes, model has %d", cfg.Churn.N(), model.N()))
 	}
-	if cfg.Loss.Rate < 0 || cfg.Loss.Rate >= 1 {
+	if !(cfg.Loss.Rate >= 0 && cfg.Loss.Rate < 1) { // also rejects NaN
 		panic("manet: loss rate outside [0, 1)")
 	}
 	if cfg.Loss.Retries < 0 {
 		panic("manet: negative loss retry budget")
 	}
 	if cfg.Partition.Period > 0 &&
-		(cfg.Partition.Duration <= 0 || cfg.Partition.Duration >= cfg.Partition.Period) {
+		!(cfg.Partition.Duration > 0 && cfg.Partition.Duration < cfg.Partition.Period) {
 		panic("manet: partition duration must lie in (0, period)")
 	}
 	if cfg.Partition.Period > 0 {
@@ -248,7 +188,7 @@ func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 		lm:           lm,
 		txRange:      lm.Max(),
 		rng:          rng,
-		mode:         cfg.Mode,
+		builder:      topology.NewBuilder(model.N(), model.Area(), lm),
 		partPeriod:   cfg.Partition.Period,
 		partDuration: cfg.Partition.Duration,
 		pos:          make([]geom.Point, model.N()),
@@ -272,11 +212,9 @@ func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 	if cfg.Churn != nil {
 		n.down = make([]bool, model.N())
 	}
-	if cfg.Mode == IncrementalTopology {
-		n.builder = topology.NewBuilderLink(model.N(), model.Area(), n.lm)
-	}
 	if st, ok := model.(mobility.Stepper); ok {
 		n.stepper = st
+		n.dirty = []NodeID{}
 	}
 	n.rebuild(0)
 	return n
@@ -287,11 +225,9 @@ func (n *Network) rebuild(t float64) {
 		active := math.Mod(t, n.partPeriod) >= n.partPeriod-n.partDuration
 		if active != n.lm.BarrierActive {
 			n.lm.BarrierActive = active
-			if n.builder != nil {
-				// The toggle flips links among stationary nodes, so the
-				// builder falls back to a full rebuild (all changed).
-				n.builder.SetBarrier(active)
-			}
+			// The toggle flips links among stationary nodes, so the
+			// builder falls back to a full rebuild (all changed).
+			n.builder.SetBarrier(active)
 		}
 	}
 	var moved []NodeID
@@ -314,26 +250,10 @@ func (n *Network) rebuild(t float64) {
 			}
 		}
 	}
-	switch n.mode {
-	case IncrementalTopology:
-		if n.stepper != nil {
-			dirty := moved
-			if n.churn != nil && len(n.wentDown)+len(n.cameUp) > 0 {
-				d := append(n.dirtyScratch[:0], moved...)
-				d = append(d, n.wentDown...)
-				d = append(d, n.cameUp...)
-				n.dirtyScratch = d
-				dirty = d
-			}
-			n.graph = n.builder.UpdateDirtyMasked(n.pos, n.down, dirty)
-		} else {
-			n.graph = n.builder.UpdateMasked(n.pos, n.down)
-		}
-	case NaiveTopology:
-		n.graph = topology.BuildNaiveLinkMasked(n.pos, n.model.Area(), n.lm, n.down)
-	default:
-		n.graph = topology.BuildLinkMasked(n.pos, n.model.Area(), n.lm, n.down)
+	if n.stepper != nil {
+		n.dirty = append(append(append(n.dirty[:0], moved...), n.wentDown...), n.cameUp...)
 	}
+	n.graph = n.builder.Update(n.pos, n.down, n.dirty)
 	n.now = t
 	n.epoch++
 }
@@ -370,7 +290,7 @@ func (n *Network) TxRange() float64 { return n.txRange }
 func (n *Network) LinkModel() topology.LinkModel { return n.lm }
 
 // Directed reports whether the link model can produce asymmetric links.
-func (n *Network) Directed() bool { return n.lm.Ranges != nil || n.lm.BarrierX > 0 }
+func (n *Network) Directed() bool { return n.lm.Directed() }
 
 // LossRate returns the per-transmission loss probability (0 = lossless).
 func (n *Network) LossRate() float64 { return n.lossRate }
@@ -388,9 +308,6 @@ func (n *Network) Position(u NodeID) geom.Point { return n.pos[u] }
 
 // Area returns the deployment area the mobility model covers.
 func (n *Network) Area() geom.Rect { return n.model.Area() }
-
-// TopologyMode returns how this network recomputes snapshots.
-func (n *Network) TopologyMode() TopologyMode { return n.mode }
 
 // Rng returns the network's deterministic random stream (used by protocols
 // for forwarding choices).
@@ -431,17 +348,12 @@ func (n *Network) ChurnedUp() []NodeID { return n.cameUp }
 
 // AdjacencyChanged reports which nodes' adjacency lists differ from the
 // previous snapshot after the most recent refresh. all=true means the
-// refresh rebuilt everything (non-incremental topology modes, the first
-// build, or a mass-movement fallback) and every node must be treated as
-// changed; the list is then empty. Otherwise the list is exact and
-// duplicate-free (see topology.Builder.Changed) and valid until the next
-// refresh. The engine's dirty-set maintenance is the intended consumer.
-func (n *Network) AdjacencyChanged() (changed []NodeID, all bool) {
-	if n.builder == nil {
-		return nil, true
-	}
-	return n.builder.Changed()
-}
+// refresh rebuilt everything (the first build, a partition toggle, or a
+// mass-movement fallback) and every node must be treated as changed; the
+// list is then empty. Otherwise the list is exact and duplicate-free (see
+// topology.Builder.Changed) and valid until the next refresh. The engine's
+// dirty-set maintenance is the intended consumer.
+func (n *Network) AdjacencyChanged() (changed []NodeID, all bool) { return n.builder.Changed() }
 
 // Adjacent reports whether u can currently transmit to v (the symmetric
 // link predicate on scalar-range networks).

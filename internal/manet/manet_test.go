@@ -13,7 +13,7 @@ var area = geom.Rect{W: 500, H: 500}
 
 func staticNet(t *testing.T, pts []geom.Point, txRange float64) *Network {
 	t.Helper()
-	return New(mobility.NewStatic(pts, area), txRange, xrand.New(1))
+	return NewNetwork(mobility.NewStatic(pts, area), Config{Link: topology.LinkModel{Uniform: txRange}}, xrand.New(1))
 }
 
 func TestCountersBasics(t *testing.T) {
@@ -111,7 +111,7 @@ func TestBadRangePanics(t *testing.T) {
 			t.Error("txRange=0 did not panic")
 		}
 	}()
-	New(mobility.NewStatic(nil, area), 0, xrand.New(1))
+	staticNet(t, nil, 0)
 }
 
 func TestMobilityChangesTopology(t *testing.T) {
@@ -124,7 +124,7 @@ func TestMobilityChangesTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(m, 60, xrand.New(2))
+	n := NewNetwork(m, Config{Link: topology.LinkModel{Uniform: 60}}, xrand.New(2))
 	prev := n.Graph().Links()
 	changed := false
 	for i := 1; i <= 40; i++ {

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"card/internal/geom"
-	"card/internal/mobility"
-	"card/internal/xrand"
 )
 
 func TestAtomicCountersConcurrent(t *testing.T) {
@@ -89,40 +87,4 @@ func TestSetRecorderSwaps(t *testing.T) {
 		}
 	}()
 	n.SetRecorder(nil)
-}
-
-// TestTopologyModesAgree cross-checks the three snapshot strategies over a
-// mobile trace: identical adjacency at every refresh.
-func TestTopologyModesAgree(t *testing.T) {
-	mk := func(mode TopologyMode) *Network {
-		m, err := mobility.NewRandomWaypoint(120, area, mobility.RWPConfig{
-			MinSpeed: 1, MaxSpeed: 15, Pause: 2,
-		}, xrand.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewWithMode(m, 60, xrand.New(6), mode)
-	}
-	inc, full, naive := mk(IncrementalTopology), mk(FullGridTopology), mk(NaiveTopology)
-	for step := 1; step <= 12; step++ {
-		tm := float64(step) * 0.5
-		inc.RefreshAt(tm)
-		full.RefreshAt(tm)
-		naive.RefreshAt(tm)
-		gi, gf, gn := inc.Graph(), full.Graph(), naive.Graph()
-		if gi.Links() != gf.Links() || gf.Links() != gn.Links() {
-			t.Fatalf("t=%v links diverge: inc=%d full=%d naive=%d", tm, gi.Links(), gf.Links(), gn.Links())
-		}
-		for u := 0; u < gi.N(); u++ {
-			a, b, c := gi.Neighbors(NodeID(u)), gf.Neighbors(NodeID(u)), gn.Neighbors(NodeID(u))
-			if len(a) != len(b) || len(b) != len(c) {
-				t.Fatalf("t=%v node %d degree diverges: %v %v %v", tm, u, a, b, c)
-			}
-			for i := range a {
-				if a[i] != b[i] || b[i] != c[i] {
-					t.Fatalf("t=%v node %d adjacency diverges", tm, u)
-				}
-			}
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"card/internal/geom"
 	"card/internal/manet"
 	"card/internal/mobility"
+	"card/internal/topology"
 	"card/internal/xrand"
 )
 
@@ -147,7 +148,7 @@ func TestDSDVLinkBreakMarksRoutesBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := manet.New(m, 15, xrand.New(10))
+	net := manet.NewNetwork(m, manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(10))
 	d := newDSDV(t, net, 3)
 	d.Converge(0, 10)
 	if !d.Contains(0, 3) {
@@ -280,7 +281,7 @@ func TestDSDVMobileChurnKeepsViewsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := manet.New(m, 60, xrand.New(32))
+	net := manet.NewNetwork(m, manet.Config{Link: topology.LinkModel{Uniform: 60}}, xrand.New(32))
 	d := newDSDV(t, net, 2)
 	for step := 0; step < 30; step++ {
 		tm := float64(step) * 0.5

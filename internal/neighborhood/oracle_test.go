@@ -19,7 +19,7 @@ func lineNet(n int) *manet.Network {
 	for i := range pts {
 		pts[i] = geom.Point{X: float64(i) * 10, Y: 0}
 	}
-	return manet.New(mobility.NewStatic(pts, geom.Rect{W: float64(n) * 10, H: 10}), 15, xrand.New(1))
+	return manet.NewNetwork(mobility.NewStatic(pts, geom.Rect{W: float64(n) * 10, H: 10}), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 }
 
 // routeOf is the allocating form the tests read. It appends onto a
@@ -43,7 +43,7 @@ func routeOf(t testing.TB, p Provider, u, x NodeID) []NodeID {
 func randomNet(seed uint64, n int, txRange float64) *manet.Network {
 	rng := xrand.New(seed)
 	pts := topology.UniformPositions(n, area, rng)
-	return manet.New(mobility.NewStatic(pts, area), txRange, xrand.New(seed+1))
+	return manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: txRange}}, xrand.New(seed+1))
 }
 
 func TestOracleRadiusValidation(t *testing.T) {
@@ -161,7 +161,7 @@ func TestOracleCacheInvalidationOnRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := manet.New(m, 15, xrand.New(6))
+	net := manet.NewNetwork(m, manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(6))
 	o := NewOracle(net, 2)
 	before := len(o.Members(0))
 	// Walk them for a while; with 50 m/s in a 1000 m corridor they will

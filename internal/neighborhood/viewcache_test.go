@@ -6,6 +6,7 @@ import (
 
 	"card/internal/manet"
 	"card/internal/mobility"
+	"card/internal/topology"
 	"card/internal/xrand"
 )
 
@@ -18,7 +19,7 @@ func mobileNet(seed uint64, n int) *manet.Network {
 	if err != nil {
 		panic(err)
 	}
-	return manet.New(m, 100, xrand.New(seed+1))
+	return manet.NewNetwork(m, manet.Config{Link: topology.LinkModel{Uniform: 100}}, xrand.New(seed+1))
 }
 
 // checkProvidersAgree asserts every lookup of the Provider interface is

@@ -17,7 +17,7 @@ var area = geom.Rect{W: 710, H: 710}
 func testNet(seed uint64, n int) *manet.Network {
 	rng := xrand.New(seed)
 	pts := topology.UniformPositions(n, area, rng)
-	return manet.New(mobility.NewStatic(pts, area), 50, xrand.New(seed))
+	return manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 50}}, xrand.New(seed))
 }
 
 func testProtocol(t *testing.T, net *manet.Network) *card.Protocol {
@@ -243,7 +243,7 @@ func TestDiscoverUnreachableHolder(t *testing.T) {
 	// Two components: holder in the other one.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 500, Y: 500}}
 	a := geom.Rect{W: 600, H: 600}
-	net := manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
+	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 	cfg := card.Config{R: 2, MaxContactDist: 6, NoC: 2}
 	nb := neighborhood.NewOracle(net, cfg.R)
 	p, err := card.New(net, nb, cfg, xrand.New(2))
@@ -297,7 +297,7 @@ func deadNet() *manet.Network {
 		{X: 500, Y: 500}, {X: 560, Y: 500}, {X: 500, Y: 560}, // isolated holders
 	}
 	a := geom.Rect{W: 600, H: 600}
-	return manet.New(mobility.NewStatic(pts, a), 15, xrand.New(1))
+	return manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 }
 
 // TestDeadSearchCostHolderOrderInvariant pins the second fairness fix: when
@@ -411,7 +411,7 @@ func lineNet() *manet.Network {
 		{X: 0, Y: 10}, {X: 60, Y: 10}, {X: 120, Y: 10}, {X: 180, Y: 10},
 		{X: 1000, Y: 10}, // isolated
 	}
-	return manet.New(mobility.NewStatic(pts, a), 70, xrand.New(1))
+	return manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 70}}, xrand.New(1))
 }
 
 // TestExpandingRingAccountingHandComputed pins the per-ring charges of

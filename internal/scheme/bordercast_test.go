@@ -9,6 +9,7 @@ import (
 	"card/internal/mobility"
 	"card/internal/neighborhood"
 	"card/internal/resource"
+	"card/internal/topology"
 	"card/internal/xrand"
 )
 
@@ -22,7 +23,7 @@ func lineEnv(t *testing.T) Env {
 		{X: 0, Y: 10}, {X: 60, Y: 10}, {X: 120, Y: 10}, {X: 180, Y: 10},
 		{X: 1000, Y: 10}, // isolated
 	}
-	net := manet.New(mobility.NewStatic(pts, a), 70, xrand.New(2))
+	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 70}}, xrand.New(2))
 	cfg := card.Config{R: 2, MaxContactDist: 8, NoC: 2, Depth: 2}
 	nb := neighborhood.NewOracle(net, cfg.R)
 	prot, err := card.New(net, nb, cfg, xrand.New(3))

@@ -21,7 +21,7 @@ func testEnv(t *testing.T, n int) Env {
 	area := geom.Rect{W: 300, H: 300}
 	rng := xrand.New(1)
 	pts := topology.UniformPositions(n, area, rng)
-	net := manet.New(mobility.NewStatic(pts, area), 60, rng.Derive(1))
+	net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 60}}, rng.Derive(1))
 	cfg := card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2}
 	nb := neighborhood.NewOracle(net, cfg.R)
 	prot, err := card.New(net, nb, cfg, rng.Derive(2))

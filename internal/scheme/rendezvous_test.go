@@ -8,6 +8,7 @@ import (
 	"card/internal/manet"
 	"card/internal/mobility"
 	"card/internal/resource"
+	"card/internal/topology"
 	"card/internal/xrand"
 )
 
@@ -138,7 +139,7 @@ func TestRendezvousEmptyRegionDeadSearch(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: 10 + float64(i%4)*30, Y: 10 + float64(i/4)*30}
 	}
-	net := manet.New(mobility.NewStatic(pts, area), 60, xrand.New(5))
+	net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 60}}, xrand.New(5))
 	grid, err := NewRegionGrid(area, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +191,7 @@ func TestRendezvousReregistersOnRegionExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := manet.New(model, 80, rng.Derive(1))
+	net := manet.NewNetwork(model, manet.Config{Link: topology.LinkModel{Uniform: 80}}, rng.Derive(1))
 	dir := resource.NewDirectory(net.N())
 	place := xrand.New(9)
 	for id := 0; id < 10; id++ {

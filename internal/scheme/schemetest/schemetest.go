@@ -45,7 +45,7 @@ func Env(tb testing.TB, seed uint64, n int) scheme.Env {
 	area := geom.Rect{W: 710, H: 710}
 	rng := xrand.New(seed)
 	pts := topology.UniformPositions(n, area, rng)
-	net := manet.New(mobility.NewStatic(pts, area), 50, rng.Derive(1))
+	net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 50}}, rng.Derive(1))
 	cfg := card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2}
 	nb := neighborhood.NewOracle(net, cfg.R)
 	prot, err := card.New(net, nb, cfg, rng.Derive(2))

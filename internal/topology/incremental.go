@@ -6,55 +6,13 @@ import (
 	"card/internal/geom"
 )
 
-// BuildNaive constructs the same unit-disk graph as Build with the
-// textbook O(N²) all-pairs scan. It exists as the reference
-// implementation: the grid and incremental builders must produce
-// byte-identical adjacency, and the scaling benchmarks measure against it.
-func BuildNaive(pos []geom.Point, area geom.Rect, txRange float64) *Graph {
-	return BuildNaiveMasked(pos, area, txRange, nil)
-}
-
-// BuildNaiveMasked is BuildNaive with the node-exclusion mask of
-// BuildMasked; it is the correctness reference for churned topologies.
-func BuildNaiveMasked(pos []geom.Point, area geom.Rect, txRange float64, down []bool) *Graph {
-	if txRange <= 0 {
-		panic("topology: non-positive transmission range")
-	}
-	g := &Graph{
-		pos:  append([]geom.Point(nil), pos...),
-		area: area,
-		rng:  txRange,
-		adj:  make([][]NodeID, len(pos)),
-	}
-	r2 := txRange * txRange
-	for i := range g.pos {
-		if isDown(down, i) {
-			continue
-		}
-		for j := i + 1; j < len(g.pos); j++ {
-			if isDown(down, j) {
-				continue
-			}
-			if g.pos[i].Dist2(g.pos[j]) <= r2 {
-				// Ascending append on both sides keeps adjacency sorted
-				// without an explicit sort pass.
-				g.adj[i] = append(g.adj[i], NodeID(j))
-				g.adj[j] = append(g.adj[j], NodeID(i))
-				g.links++
-			}
-		}
-	}
-	return g
-}
-
-// Builder maintains a unit-disk graph across position updates. Unlike
-// Build, which re-buckets and re-scans every node on every snapshot, a
-// Builder keeps its spatial-hash grid and adjacency lists alive between
-// updates and reprocesses only the nodes that actually moved (plus their
-// old and new neighbors). With m moved nodes of mean degree d an update
-// costs O(m·d) instead of O(N·d), which is what makes slow-churn scenarios
-// (pausing waypoints, static sensor fields with a few mobile collectors)
-// cheap at thousands of nodes.
+// Builder is the one piece of code that turns positions into adjacency. It
+// keeps its spatial-hash grid and adjacency lists alive between updates and
+// reprocesses only the nodes that actually moved or flipped up/down state
+// (plus their old and new neighbors). With m such nodes of mean degree d an
+// update costs O(m·d) instead of O(N·d), which is what makes slow-churn
+// scenarios (pausing waypoints, static sensor fields with a few mobile
+// collectors) cheap at thousands of nodes.
 //
 // The Graph returned by Update aliases the Builder's internal storage and
 // is invalidated by the next Update call. That matches how the simulator
@@ -63,39 +21,30 @@ func BuildNaiveMasked(pos []geom.Point, area geom.Rect, txRange float64, down []
 // adjacency every topology refresh.
 type Builder struct {
 	area geom.Rect
-	// lm is the link model; txRange caches lm.Max() (the grid cell size,
-	// and the only range in scalar mode).
-	lm      LinkModel
-	txRange float64
-	// directed mirrors !lm.scalar(): per-node ranges or a configured
-	// barrier switch the builder into directed mode, where in-adjacency
-	// is maintained alongside out-adjacency.
-	directed bool
-	grid     *geom.Grid
-	pos      []geom.Point
-	adj      [][]NodeID
-	in       [][]NodeID // in-adjacency; nil unless directed
-	links    int
+	lm   LinkModel
+	maxR float64 // lm.Max(): the grid cell size, and Graph.TxRange
+	grid *geom.Grid
+	pos  []geom.Point
+	// down mirrors the exclusion mask of the last update: down nodes live
+	// outside the grid and carry no links.
+	down []bool
+	adj  [][]NodeID
+	in   [][]NodeID // in-adjacency; nil unless lm.Directed()
 	// adjTotal is the out-degree sum Σ len(adj[i]) (= 2·links undirected,
-	// = links directed), maintained as a delta by the incremental path so
-	// updates never pay an O(N) recount.
+	// = links directed), maintained as a delta by incremental updates so
+	// they never pay an O(N) recount.
 	adjTotal int
 	built    bool
 	// barrierDirty forces the next update into a full rebuild after a
 	// SetBarrier toggle, which flips arbitrarily many links at once.
 	barrierDirty bool
 
-	// down mirrors the exclusion mask of the last update: down nodes live
-	// outside the grid and carry no links (see UpdateMasked).
-	down []bool
-
 	// Generation-stamped scratch: avoids clearing O(N) marker arrays on
 	// every update.
-	gen        uint64
-	movedStamp []uint64
-	moved      []NodeID
-	newAdj     []NodeID
-	newIn      []NodeID // directed-mode scratch for rescanned in-lists
+	gen           uint64
+	movedStamp    []uint64
+	moved         []NodeID
+	newOut, newIn []NodeID // rescanned lists of the node being processed
 
 	// Changed-adjacency tracking for dirty-set consumers (engine
 	// maintenance rounds, oracle view retention): after each update,
@@ -114,32 +63,26 @@ type Builder struct {
 // full rebuild until well past half the fleet moving at once.
 const fullRebuildFraction = 0.6
 
-// NewBuilder creates an incremental builder for n nodes over area with the
-// given transmission range. The first Update performs a full build.
-func NewBuilder(n int, area geom.Rect, txRange float64) *Builder {
-	return NewBuilderLink(n, area, LinkModel{Uniform: txRange})
-}
-
-// NewBuilderLink creates an incremental builder for an arbitrary link
-// model. A plain uniform range runs the scalar (undirected) machinery
-// unchanged; per-node ranges or a configured barrier run the directed
-// machinery, bucketing by the maximum range and maintaining in- and
-// out-adjacency incrementally.
-func NewBuilderLink(n int, area geom.Rect, lm LinkModel) *Builder {
+// NewBuilder creates a builder for n nodes over area under the link model.
+// The grid is bucketed by the model's maximum range, so a one-ring scan
+// around a node covers every candidate within any node's radius (at the
+// cost of scanning short-range nodes' buckets a little wide). A directed
+// model maintains in-adjacency alongside out-adjacency. The first Update
+// performs a full build.
+func NewBuilder(n int, area geom.Rect, lm LinkModel) *Builder {
 	lm.validate(n)
 	b := &Builder{
 		area:         area,
 		lm:           lm,
-		txRange:      lm.Max(),
-		directed:     !lm.scalar(),
+		maxR:         lm.Max(),
 		pos:          make([]geom.Point, n),
-		adj:          make([][]NodeID, n),
 		down:         make([]bool, n),
+		adj:          make([][]NodeID, n),
 		movedStamp:   make([]uint64, n),
 		changedStamp: make([]uint64, n),
 	}
-	b.grid = geom.NewGrid(area, b.txRange)
-	if b.directed {
+	b.grid = geom.NewGrid(area, b.maxR)
+	if lm.Directed() {
 		b.in = make([][]NodeID, n)
 	}
 	return b
@@ -162,18 +105,23 @@ func (b *Builder) SetBarrier(active bool) {
 func (b *Builder) N() int { return len(b.pos) }
 
 // Update brings the graph to the given positions (length must equal N) and
-// returns the refreshed snapshot. The snapshot aliases builder storage and
-// is invalidated by the next Update.
-func (b *Builder) Update(pos []geom.Point) *Graph { return b.UpdateMasked(pos, nil) }
-
-// UpdateMasked is Update with a node-exclusion mask (see BuildMasked): a
-// node with down[i] true holds no links until it comes back up. State
-// flips are handled incrementally like movement — a node going down is
-// pulled from the grid and its neighbors' lists are patched; a node coming
-// back up is re-inserted at its current position and rescanned — so churn
-// costs O(flipped·degree) per refresh, not a rebuild. A nil mask means
-// every node is up.
-func (b *Builder) UpdateMasked(pos []geom.Point, down []bool) *Graph {
+// exclusion mask (see Build) and returns the refreshed snapshot, which
+// aliases builder storage and is invalidated by the next Update.
+//
+// dirty says where to look for change. A caller that knows which nodes may
+// have moved or flipped up/down state — a lazy mobility stepper reporting
+// its moved list, plus the churn flips — passes them: any superset will do
+// and duplicates are fine, only the listed nodes are checked, and a refresh
+// where nothing moved costs O(1). A nil dirty means the caller cannot say,
+// and every node is checked against its previous position and state. Both
+// ways arrive at the same moved set, hence the same full-rebuild decision
+// and the same snapshot.
+//
+// State flips are handled like movement — a node going down is pulled from
+// the grid and its neighbors' lists are patched; a node coming back up is
+// re-inserted at its current position and rescanned — so churn costs
+// O(flipped·degree) per refresh, not a rebuild.
+func (b *Builder) Update(pos []geom.Point, down []bool, dirty []NodeID) *Graph {
 	if len(pos) != len(b.pos) {
 		panic("topology: Builder.Update with mismatched position count")
 	}
@@ -183,149 +131,126 @@ func (b *Builder) UpdateMasked(pos []geom.Point, down []bool) *Graph {
 	b.changed, b.changedAll = b.changed[:0], false
 	if !b.built || b.barrierDirty {
 		b.fullBuild(pos, down)
-		b.built = true
-		return b.snapshot()
-	}
-	// Dirty set: nodes that moved or flipped up/down state.
-	b.moved = b.moved[:0]
-	for i, p := range pos {
-		if p != b.pos[i] || isDown(down, i) != b.down[i] {
-			b.moved = append(b.moved, NodeID(i))
-		}
-	}
-	if len(b.moved) == 0 {
-		return b.snapshot()
-	}
-	if float64(len(b.moved)) > fullRebuildFraction*float64(len(pos)) {
-		b.fullBuild(pos, down)
-		return b.snapshot()
-	}
-	b.incremental(pos, down)
-	return b.snapshot()
-}
-
-// UpdateDirtyMasked is UpdateMasked for callers that already know which
-// nodes may have moved or flipped up/down state — a lazy mobility stepper
-// (mobility.Stepper) reporting its moved list plus the churn flips. The
-// O(N) position-compare scan is skipped entirely: only the listed nodes
-// are checked, so a refresh where nothing moved costs O(1). dirty must be
-// a superset of the nodes whose position or mask state changed since the
-// previous update (duplicates are fine; entries that turn out unchanged
-// are filtered here, keeping the moved set — and the full-rebuild
-// fallback decision — identical to what the scanning path would compute).
-func (b *Builder) UpdateDirtyMasked(pos []geom.Point, down []bool, dirty []NodeID) *Graph {
-	if len(pos) != len(b.pos) {
-		panic("topology: Builder.Update with mismatched position count")
-	}
-	if down != nil && len(down) != len(b.pos) {
-		panic("topology: Builder.Update with mismatched mask length")
-	}
-	b.changed, b.changedAll = b.changed[:0], false
-	if !b.built || b.barrierDirty {
-		b.fullBuild(pos, down)
-		b.built = true
 		return b.snapshot()
 	}
 	b.gen++
-	gen := b.gen
 	b.moved = b.moved[:0]
-	for _, m := range dirty {
-		if b.movedStamp[m] == gen {
-			continue // duplicate in the caller's list
+	if dirty == nil {
+		for i := range pos {
+			b.noteIfMoved(NodeID(i), pos, down)
 		}
-		if pos[m] != b.pos[m] || isDown(down, int(m)) != b.down[m] {
-			b.movedStamp[m] = gen
-			b.moved = append(b.moved, NodeID(m))
+	} else {
+		for _, m := range dirty {
+			b.noteIfMoved(m, pos, down)
 		}
 	}
-	if len(b.moved) == 0 {
-		return b.snapshot()
-	}
-	if float64(len(b.moved)) > fullRebuildFraction*float64(len(pos)) {
+	switch {
+	case len(b.moved) == 0:
+	case float64(len(b.moved)) > fullRebuildFraction*float64(len(pos)):
 		b.fullBuild(pos, down)
-		return b.snapshot()
+	default:
+		b.incremental(pos, down)
 	}
-	b.incremental(pos, down)
 	return b.snapshot()
 }
 
-// fullBuild rebuilds grid and adjacency from scratch (reusing storage).
-func (b *Builder) fullBuild(pos []geom.Point, down []bool) {
-	b.barrierDirty = false
-	copy(b.pos, pos)
-	for i := range b.down {
-		b.down[i] = isDown(down, i)
+// noteIfMoved adds i to the moved set of the update in progress if its
+// position or mask state differs from the builder's and it is not there
+// already (the stamp absorbs duplicates in a caller's dirty list).
+func (b *Builder) noteIfMoved(i NodeID, pos []geom.Point, down []bool) {
+	if b.movedStamp[i] != b.gen && (pos[i] != b.pos[i] || isDown(down, int(i)) != b.down[i]) {
+		b.movedStamp[i] = b.gen
+		b.moved = append(b.moved, i)
 	}
+}
+
+// fullBuild rebuilds grid and adjacency from scratch (reusing storage):
+// every out-list is rescanned, and a directed model's in-lists are derived
+// from them in one ascending pass, which leaves them sorted without a sort.
+func (b *Builder) fullBuild(pos []geom.Point, down []bool) {
+	b.built, b.barrierDirty = true, false
+	copy(b.pos, pos)
 	b.grid.Reset()
 	for i, p := range b.pos {
+		b.down[i] = isDown(down, i)
 		if !b.down[i] {
 			b.grid.Insert(int32(i), p)
 		}
 	}
-	if b.directed {
-		b.fullScanDirected()
-	} else {
-		b.fullScanScalar()
+	b.adjTotal = 0
+	for u := range b.adj {
+		b.adj[u] = b.scanOut(NodeID(u), b.adj[u])
+		b.adjTotal += len(b.adj[u])
 	}
-	b.recountLinks()
+	if b.in != nil {
+		for i := range b.in {
+			b.in[i] = b.in[i][:0]
+		}
+		for u, out := range b.adj {
+			for _, v := range out {
+				b.in[v] = append(b.in[v], NodeID(u))
+			}
+		}
+	}
 	b.changedAll = true
 }
 
-// fullScanScalar rescans every node's adjacency under the uniform range.
-func (b *Builder) fullScanScalar() {
-	r2 := b.txRange * b.txRange
-	for i, p := range b.pos {
-		u := NodeID(i)
-		adj := b.adj[u][:0]
-		if !b.down[u] {
-			x0, y0, x1, y1 := b.grid.BucketRange(p, b.txRange)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != u && p.Dist2(b.pos[v]) <= r2 {
-							adj = append(adj, v)
-						}
-					}
+// scanOut returns, in buf's storage, the sorted list of nodes u transmits
+// to: the up nodes within u's own range (the grid holds only up nodes, so
+// candidates need no mask check; a down u reaches nobody). The barrier cut
+// is a second pass over the short result, and only while a partition is
+// active, which keeps the bucket loop free of anything but the distance
+// test.
+func (b *Builder) scanOut(u NodeID, buf []NodeID) []NodeID {
+	dst := buf[:0]
+	if b.down[u] {
+		return dst
+	}
+	p, r := b.pos[u], b.lm.RangeOf(int(u))
+	r2 := r * r
+	x0, y0, x1, y1 := b.grid.BucketRange(p, r)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			for _, v := range b.grid.Bucket(x, y) {
+				if v != u && p.Dist2(b.pos[v]) <= r2 {
+					dst = append(dst, v)
 				}
 			}
-			sortIDs(adj)
 		}
-		b.adj[u] = adj
 	}
+	if b.lm.BarrierActive {
+		dst = slices.DeleteFunc(dst, func(v NodeID) bool { return b.lm.cuts(p, b.pos[v]) })
+	}
+	// Deterministic neighbor order regardless of grid traversal.
+	slices.Sort(dst)
+	return dst
 }
 
-// fullScanDirected rescans every node's out-list under its own range
-// (honoring the barrier), then derives the in-lists in one ascending
-// pass, which leaves them sorted without a sort.
-func (b *Builder) fullScanDirected() {
-	for i, p := range b.pos {
-		u := NodeID(i)
-		adj := b.adj[u][:0]
-		if !b.down[u] {
-			ri := b.lm.RangeOf(i)
-			r2 := ri * ri
-			x0, y0, x1, y1 := b.grid.BucketRange(p, ri)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != u && p.Dist2(b.pos[v]) <= r2 && !b.lm.cuts(p, b.pos[v]) {
-							adj = append(adj, v)
-						}
-					}
+// scanIn returns, in buf's storage, the sorted list of nodes that transmit
+// to u: a maximum-range scan in which each candidate's own range decides
+// the v→u edge. Only directed models need it, and only for incremental
+// updates — a full build derives the in-lists from the out-lists.
+func (b *Builder) scanIn(u NodeID, buf []NodeID) []NodeID {
+	dst := buf[:0]
+	if b.down[u] {
+		return dst
+	}
+	p := b.pos[u]
+	x0, y0, x1, y1 := b.grid.BucketRange(p, b.maxR)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			for _, v := range b.grid.Bucket(x, y) {
+				if v == u || b.lm.cuts(p, b.pos[v]) {
+					continue
+				}
+				if rv := b.lm.RangeOf(int(v)); p.Dist2(b.pos[v]) <= rv*rv {
+					dst = append(dst, v)
 				}
 			}
-			sortIDs(adj)
-		}
-		b.adj[u] = adj
-	}
-	for i := range b.in {
-		b.in[i] = b.in[i][:0]
-	}
-	for u := range b.adj {
-		for _, v := range b.adj[u] {
-			b.in[v] = append(b.in[v], NodeID(u))
 		}
 	}
+	slices.Sort(dst)
+	return dst
 }
 
 // incremental applies a subset-dirty update: re-bucket the moved (and
@@ -336,16 +261,6 @@ func (b *Builder) fullScanDirected() {
 // unchanged and the patching step does no work at all — the steady-state
 // cost is the dirty nodes' grid rescans.
 func (b *Builder) incremental(pos []geom.Point, down []bool) {
-	if b.directed {
-		b.incrementalDirected(pos, down)
-		return
-	}
-	b.gen++
-	gen := b.gen
-	for _, m := range b.moved {
-		b.movedStamp[m] = gen
-	}
-
 	// 1. Re-bucket the dirty nodes at their new positions and states. Down
 	// nodes live outside the grid entirely: a node that was up leaves the
 	// grid, and only nodes that are (still or newly) up re-enter it.
@@ -360,207 +275,94 @@ func (b *Builder) incremental(pos []geom.Point, down []bool) {
 		}
 	}
 
-	// 2. Rescan each dirty node against the updated grid (a down node's new
-	// list is empty), then merge-diff the sorted old and new lists:
-	// stationary endpoints of vanished edges drop m, stationary endpoints
-	// of new edges gain m (sorted in place, O(degree)). Dirty–dirty edges
-	// need no patching — each endpoint's own rescan settles its list.
-	// The link count is carried as a delta on the directed-degree sum
-	// (adjTotal), so a refresh never pays the O(N) recount the full build
-	// does.
-	r2 := b.txRange * b.txRange
-	for _, m := range b.moved {
-		p := b.pos[m]
-		newAdj := b.newAdj[:0]
-		if !b.down[m] {
-			x0, y0, x1, y1 := b.grid.BucketRange(p, b.txRange)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != m && p.Dist2(b.pos[v]) <= r2 {
-							newAdj = append(newAdj, v)
-						}
-					}
-				}
-			}
-			sortIDs(newAdj)
-		}
-		b.newAdj = newAdj // keep the (possibly grown) scratch buffer
-
-		old := b.adj[m]
-		if slices.Equal(old, newAdj) {
-			continue // displacement too small to change any edge: no patching
-		}
-		b.markChanged(m, gen)
-		i, j := 0, 0
-		for i < len(old) || j < len(newAdj) {
-			switch {
-			case j == len(newAdj) || (i < len(old) && old[i] < newAdj[j]):
-				if v := old[i]; b.movedStamp[v] != gen {
-					b.adj[v] = removeSorted(b.adj[v], m)
-					b.markChanged(v, gen)
-					b.adjTotal--
-				}
-				i++
-			case i == len(old) || old[i] > newAdj[j]:
-				if v := newAdj[j]; b.movedStamp[v] != gen {
-					b.adj[v] = insertSorted(b.adj[v], m)
-					b.markChanged(v, gen)
-					b.adjTotal++
-				}
-				j++
-			default: // edge unchanged
-				i++
-				j++
-			}
-		}
-		b.adjTotal += len(newAdj) - len(old)
-		b.adj[m] = append(old[:0], newAdj...)
+	// 2. Rescan each dirty node against the updated grid and merge-diff the
+	// old and new lists (see patch). An out-edge m→v that appeared or
+	// vanished patches v's in-list, an in-edge v→m patches v's out-list.
+	// An undirected graph is the directed case with one list per node: the
+	// in-list of v is its adjacency list, and the in-edge diff — which
+	// would repeat the out-edge diff — is skipped.
+	//
+	// adjTotal is carried as a delta: a dirty node's own out-list
+	// contributes its length difference and each splice of a stationary
+	// out-list ±1, so every edge change is counted exactly once per
+	// out-list it touches.
+	peerIn := b.in
+	if peerIn == nil {
+		peerIn = b.adj
 	}
-	b.links = b.adjTotal / 2
+	for _, m := range b.moved {
+		b.newOut = b.scanOut(m, b.newOut)
+		if old := b.adj[m]; !slices.Equal(old, b.newOut) {
+			// Equal lists are the common case: a displacement too small
+			// to change any edge needs no patching.
+			spliced := b.patch(m, old, b.newOut, peerIn)
+			if b.in == nil {
+				b.adjTotal += spliced
+			}
+			b.adjTotal += len(b.newOut) - len(old)
+			b.adj[m] = append(old[:0], b.newOut...)
+		}
+		if b.in == nil {
+			continue
+		}
+		b.newIn = b.scanIn(m, b.newIn)
+		if old := b.in[m]; !slices.Equal(old, b.newIn) {
+			b.adjTotal += b.patch(m, old, b.newIn, b.adj)
+			b.in[m] = append(old[:0], b.newIn...)
+		}
+	}
 }
 
-// incrementalDirected is the directed-mode subset-dirty update. Each
-// dirty node is rescanned twice against the updated grid: once for its
-// out-list (its own range decides who it reaches) and once for its
-// in-list (a maximum-range scan filtered by each candidate's range
-// decides who reaches it). The two merge-diffs then patch the *opposite*
-// lists of stationary endpoints — an out-edge m→v that appeared or
-// vanished patches v's in-list, an in-edge v→m patches v's out-list —
-// keeping every list sorted with O(degree) splices. Dirty–dirty edges
-// settle through each endpoint's own rescans, exactly like the scalar
-// path. adjTotal (= Σ out-degree = directed link count) is carried as a
-// delta: a dirty node's own out-list contributes its length difference,
-// and each stationary out-list splice contributes ±1, so every directed
-// edge change is counted exactly once at its source.
-func (b *Builder) incrementalDirected(pos []geom.Point, down []bool) {
-	b.gen++
-	gen := b.gen
-	for _, m := range b.moved {
-		b.movedStamp[m] = gen
-	}
-
-	for _, m := range b.moved {
-		if !b.down[m] {
-			b.grid.Remove(int32(m), b.pos[m])
-		}
-		b.pos[m] = pos[m]
-		b.down[m] = isDown(down, int(m))
-		if !b.down[m] {
-			b.grid.Insert(int32(m), b.pos[m])
-		}
-	}
-
-	maxR := b.txRange
-	for _, m := range b.moved {
-		p := b.pos[m]
-		newOut := b.newAdj[:0]
-		newIn := b.newIn[:0]
-		if !b.down[m] {
-			rm := b.lm.RangeOf(int(m))
-			r2 := rm * rm
-			x0, y0, x1, y1 := b.grid.BucketRange(p, rm)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != m && p.Dist2(b.pos[v]) <= r2 && !b.lm.cuts(p, b.pos[v]) {
-							newOut = append(newOut, v)
-						}
-					}
-				}
+// patch merge-diffs dirty node m's sorted old and new edge lists and
+// settles the far end of every difference in lists: stationary endpoints
+// of vanished edges drop m, stationary endpoints of new edges gain m
+// (sorted in place, O(degree)). Dirty–dirty edges need no patching — each
+// endpoint's own rescan settles its list. It marks m and every spliced
+// node changed and returns the net number of entries added to lists.
+func (b *Builder) patch(m NodeID, old, cur []NodeID, lists [][]NodeID) (spliced int) {
+	b.markChanged(m)
+	i, j := 0, 0
+	for i < len(old) || j < len(cur) {
+		switch {
+		case j == len(cur) || (i < len(old) && old[i] < cur[j]):
+			if v := old[i]; b.movedStamp[v] != b.gen {
+				lists[v] = removeSorted(lists[v], m)
+				b.markChanged(v)
+				spliced--
 			}
-			sortIDs(newOut)
-			// The grid holds only up nodes, so candidates need no mask
-			// check; each candidate's own range decides the v→m edge.
-			x0, y0, x1, y1 = b.grid.BucketRange(p, maxR)
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					for _, v := range b.grid.Bucket(x, y) {
-						if v != m && !b.lm.cuts(p, b.pos[v]) {
-							rv := b.lm.RangeOf(int(v))
-							if p.Dist2(b.pos[v]) <= rv*rv {
-								newIn = append(newIn, v)
-							}
-						}
-					}
-				}
+			i++
+		case i == len(old) || old[i] > cur[j]:
+			if v := cur[j]; b.movedStamp[v] != b.gen {
+				lists[v] = insertSorted(lists[v], m)
+				b.markChanged(v)
+				spliced++
 			}
-			sortIDs(newIn)
-		}
-		b.newAdj, b.newIn = newOut, newIn // keep the (possibly grown) scratch
-
-		if old := b.adj[m]; !slices.Equal(old, newOut) {
-			b.markChanged(m, gen)
-			i, j := 0, 0
-			for i < len(old) || j < len(newOut) {
-				switch {
-				case j == len(newOut) || (i < len(old) && old[i] < newOut[j]):
-					if v := old[i]; b.movedStamp[v] != gen {
-						b.in[v] = removeSorted(b.in[v], m)
-						b.markChanged(v, gen)
-					}
-					i++
-				case i == len(old) || old[i] > newOut[j]:
-					if v := newOut[j]; b.movedStamp[v] != gen {
-						b.in[v] = insertSorted(b.in[v], m)
-						b.markChanged(v, gen)
-					}
-					j++
-				default:
-					i++
-					j++
-				}
-			}
-			b.adjTotal += len(newOut) - len(old)
-			b.adj[m] = append(old[:0], newOut...)
-		}
-		if old := b.in[m]; !slices.Equal(old, newIn) {
-			b.markChanged(m, gen)
-			i, j := 0, 0
-			for i < len(old) || j < len(newIn) {
-				switch {
-				case j == len(newIn) || (i < len(old) && old[i] < newIn[j]):
-					if v := old[i]; b.movedStamp[v] != gen {
-						b.adj[v] = removeSorted(b.adj[v], m)
-						b.markChanged(v, gen)
-						b.adjTotal--
-					}
-					i++
-				case i == len(old) || old[i] > newIn[j]:
-					if v := newIn[j]; b.movedStamp[v] != gen {
-						b.adj[v] = insertSorted(b.adj[v], m)
-						b.markChanged(v, gen)
-						b.adjTotal++
-					}
-					j++
-				default:
-					i++
-					j++
-				}
-			}
-			b.in[m] = append(old[:0], newIn...)
+			j++
+		default: // edge unchanged
+			i++
+			j++
 		}
 	}
-	b.links = b.adjTotal
+	return spliced
 }
 
 // markChanged records v in the changed-adjacency list of the update in
-// progress, deduplicating via the shared generation stamp.
-func (b *Builder) markChanged(v NodeID, gen uint64) {
-	if b.changedStamp[v] != gen {
-		b.changedStamp[v] = gen
+// progress, deduplicating via the update's generation stamp.
+func (b *Builder) markChanged(v NodeID) {
+	if b.changedStamp[v] != b.gen {
+		b.changedStamp[v] = b.gen
 		b.changed = append(b.changed, v)
 	}
 }
 
 // Changed reports which nodes' adjacency lists differ from the previous
 // snapshot after the most recent Update. all=true means the update was a
-// full (re)build — the first build, or the moved fraction exceeding the
-// incremental threshold — and every node must be treated as changed (the
-// list is then empty). Otherwise the list is exact and duplicate-free,
-// in no particular order: a node not listed has a byte-identical
-// adjacency list to the previous snapshot. The slice aliases builder
-// scratch and is valid until the next Update.
+// full (re)build — the first build, a barrier toggle, or the moved
+// fraction exceeding the incremental threshold — and every node must be
+// treated as changed (the list is then empty). Otherwise the list is exact
+// and duplicate-free, in no particular order: a node not listed has
+// byte-identical out- and in-lists to the previous snapshot. The slice
+// aliases builder scratch and is valid until the next Update.
 func (b *Builder) Changed() (changed []NodeID, all bool) {
 	return b.changed, b.changedAll
 }
@@ -588,35 +390,20 @@ func removeSorted(a []NodeID, x NodeID) []NodeID {
 	return a
 }
 
-// recountLinks re-derives the out-degree sum and link count from
-// scratch; full builds call it, incremental updates carry adjTotal as a
-// delta instead.
-func (b *Builder) recountLinks() {
-	sum := 0
-	for _, a := range b.adj {
-		sum += len(a)
-	}
-	b.adjTotal = sum
-	if b.directed {
-		b.links = sum
-	} else {
-		b.links = sum / 2
-	}
-}
-
 // snapshot wraps the builder's current state in a Graph header. The slices
 // are shared, not copied; see the type comment for the lifetime contract.
 func (b *Builder) snapshot() *Graph {
+	links := b.adjTotal
+	if b.in == nil {
+		links /= 2
+	}
 	return &Graph{
-		pos:      b.pos,
-		area:     b.area,
-		rng:      b.txRange,
-		ranges:   b.lm.Ranges,
-		directed: b.directed,
-		adj:      b.adj,
-		in:       b.in,
-		links:    b.links,
+		pos:    b.pos,
+		area:   b.area,
+		rng:    b.maxR,
+		ranges: b.lm.Ranges,
+		adj:    b.adj,
+		in:     b.in,
+		links:  links,
 	}
 }
-
-func sortIDs(a []NodeID) { slices.Sort(a) }

@@ -54,22 +54,30 @@ func TestBuildNaiveMatchesGrid(t *testing.T) {
 	rng := xrand.New(11)
 	for _, n := range []int{1, 2, 10, 120, 400} {
 		pos := UniformPositions(n, area, rng)
-		graphsEqual(t, BuildNaive(pos, area, 55), Build(pos, area, 55))
+		lm := LinkModel{Uniform: 55}
+		graphsEqual(t, buildNaive(pos, area, lm, nil), Build(pos, area, lm, nil))
 	}
 }
 
 // TestBuilderMatchesFullRebuild drives a Builder through a random mobility
 // trace where a random subset of nodes moves each step (including the
 // empty and full subsets) and checks that every incremental snapshot is
-// structurally identical to a from-scratch build.
+// structurally identical to a from-scratch build — and both to the naive
+// oracle, since Build is itself a one-shot Builder.
 func TestBuilderMatchesFullRebuild(t *testing.T) {
 	const n = 250
 	area := geom.Rect{W: 600, H: 600}
-	const tx = 60.0
+	lm := LinkModel{Uniform: 60}
 	rng := xrand.New(7)
 	pos := UniformPositions(n, area, rng)
-	b := NewBuilder(n, area, tx)
-	graphsEqual(t, Build(pos, area, tx), b.Update(pos))
+	b := NewBuilder(n, area, lm)
+	check := func() {
+		t.Helper()
+		want := buildNaive(pos, area, lm, nil)
+		graphsEqual(t, want, Build(pos, area, lm, nil))
+		graphsEqual(t, want, b.Update(pos, nil, nil))
+	}
+	check()
 
 	for step := 0; step < 60; step++ {
 		// Vary the churn: steps cycle through no movement, a handful of
@@ -93,7 +101,7 @@ func TestBuilderMatchesFullRebuild(t *testing.T) {
 				Y: pos[i].Y + rng.Range(-80, 80),
 			})
 		}
-		graphsEqual(t, Build(pos, area, tx), b.Update(pos))
+		check()
 	}
 }
 
@@ -101,15 +109,15 @@ func TestBuilderMatchesFullRebuild(t *testing.T) {
 // grid removal and reinsertion into distant buckets.
 func TestBuilderTeleport(t *testing.T) {
 	area := geom.Rect{W: 500, H: 500}
-	const tx = 80.0
+	lm := LinkModel{Uniform: 80}
 	rng := xrand.New(3)
 	pos := UniformPositions(100, area, rng)
-	b := NewBuilder(100, area, tx)
-	b.Update(pos)
+	b := NewBuilder(100, area, lm)
+	b.Update(pos, nil, nil)
 	for step := 0; step < 20; step++ {
 		i := rng.Intn(100)
 		pos[i] = geom.Point{X: rng.Range(0, area.W), Y: rng.Range(0, area.H)}
-		graphsEqual(t, Build(pos, area, tx), b.Update(pos))
+		graphsEqual(t, buildNaive(pos, area, lm, nil), b.Update(pos, nil, nil))
 	}
 }
 
@@ -119,6 +127,6 @@ func TestBuilderUpdateMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on mismatched position count")
 		}
 	}()
-	b := NewBuilder(4, geom.Rect{W: 10, H: 10}, 2)
-	b.Update(make([]geom.Point, 3))
+	b := NewBuilder(4, geom.Rect{W: 10, H: 10}, LinkModel{Uniform: 2})
+	b.Update(make([]geom.Point, 3), nil, nil)
 }

@@ -1,11 +1,14 @@
 package topology
 
-import "card/internal/geom"
+import (
+	"math"
+
+	"card/internal/geom"
+)
 
 // LinkModel describes the radio layer a connectivity snapshot is built
 // from. The zero value is invalid; most scenarios set only Uniform, which
-// reproduces the classic undirected unit-disk graph through the exact
-// code path (and bit pattern) the scalar builders have always used.
+// gives the classic undirected unit-disk graph.
 //
 // Setting Ranges or a barrier switches the graph into directed mode:
 // there is an edge u→v iff dist(u,v) <= RangeOf(u) and the barrier (when
@@ -33,11 +36,11 @@ type LinkModel struct {
 	BarrierActive bool
 }
 
-// scalar reports whether lm is the plain uniform-range model with no
-// barrier configured, i.e. whether the undirected fast path applies.
+// Directed reports whether the model can produce asymmetric links (per-node
+// ranges) or needs in-adjacency kept apart for another reason (a barrier).
 // A configured-but-inactive barrier still counts as directed so that a
 // builder's snapshot shape stays stable across partition toggles.
-func (lm LinkModel) scalar() bool { return lm.Ranges == nil && lm.BarrierX <= 0 }
+func (lm LinkModel) Directed() bool { return lm.Ranges != nil || lm.BarrierX > 0 }
 
 // RangeOf returns node i's transmission range.
 func (lm LinkModel) RangeOf(i int) float64 {
@@ -81,135 +84,19 @@ func (lm LinkModel) cuts(p, q geom.Point) bool {
 	return lm.BarrierActive && (p.X < lm.BarrierX) != (q.X < lm.BarrierX)
 }
 
-// validate panics on a malformed model (the same contract the scalar
-// builders enforce for txRange <= 0).
+// validate panics on a model that cannot cover n nodes: every range in use
+// must be positive and finite (the comparisons are written so NaN fails
+// them too).
 func (lm LinkModel) validate(n int) {
-	if lm.Ranges == nil {
-		if lm.Uniform <= 0 {
-			panic("topology: non-positive transmission range")
-		}
-		return
-	}
-	if len(lm.Ranges) != n {
+	ranges := lm.Ranges
+	if ranges == nil {
+		ranges = []float64{lm.Uniform}
+	} else if len(ranges) != n {
 		panic("topology: LinkModel.Ranges length does not match node count")
 	}
-	for _, r := range lm.Ranges {
-		if r <= 0 {
-			panic("topology: non-positive transmission range")
+	for _, r := range ranges {
+		if !(r > 0) || math.IsInf(r, 1) {
+			panic("topology: transmission range must be positive and finite")
 		}
 	}
-}
-
-// BuildLink constructs the connectivity snapshot for an arbitrary link
-// model: the scalar fast path for a plain uniform range, or the directed
-// builder when per-node ranges or a barrier are configured.
-func BuildLink(pos []geom.Point, area geom.Rect, lm LinkModel) *Graph {
-	return BuildLinkMasked(pos, area, lm, nil)
-}
-
-// BuildLinkMasked is BuildLink with the node-exclusion mask of
-// BuildMasked. In directed mode a down node has empty out- and in-lists.
-func BuildLinkMasked(pos []geom.Point, area geom.Rect, lm LinkModel, down []bool) *Graph {
-	if lm.scalar() {
-		return BuildMasked(pos, area, lm.Uniform, down)
-	}
-	lm.validate(len(pos))
-	maxR := lm.Max()
-	g := &Graph{
-		pos:      append([]geom.Point(nil), pos...),
-		area:     area,
-		rng:      maxR,
-		ranges:   lm.Ranges,
-		directed: true,
-		adj:      make([][]NodeID, len(pos)),
-		in:       make([][]NodeID, len(pos)),
-	}
-	// Bucket by the maximum range: a one-ring scan around u then covers
-	// every candidate within any node's radius, at the cost of scanning
-	// short-range nodes' buckets a little wide.
-	grid := geom.NewGrid(area, maxR)
-	for i, p := range g.pos {
-		if !isDown(down, i) {
-			grid.Insert(NodeID(i), p)
-		}
-	}
-	for i, p := range g.pos {
-		if isDown(down, i) {
-			continue
-		}
-		u := NodeID(i)
-		ri := lm.RangeOf(i)
-		r2 := ri * ri
-		x0, y0, x1, y1 := grid.BucketRange(p, ri)
-		for y := y0; y <= y1; y++ {
-			for x := x0; x <= x1; x++ {
-				for _, v := range grid.Bucket(x, y) {
-					if v != u && p.Dist2(g.pos[v]) <= r2 && !lm.cuts(p, g.pos[v]) {
-						g.adj[u] = append(g.adj[u], v)
-					}
-				}
-			}
-		}
-		sortIDs(g.adj[u])
-		g.links += len(g.adj[u])
-	}
-	// In-lists: appending sources in ascending order keeps them sorted
-	// without a sort pass.
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
-			g.in[v] = append(g.in[v], NodeID(u))
-		}
-	}
-	return g
-}
-
-// BuildNaiveLink is BuildLink via the O(N²) all-pairs reference scan.
-func BuildNaiveLink(pos []geom.Point, area geom.Rect, lm LinkModel) *Graph {
-	return BuildNaiveLinkMasked(pos, area, lm, nil)
-}
-
-// BuildNaiveLinkMasked is the correctness reference for directed
-// topologies: the grid and incremental link builders must produce
-// byte-identical out- and in-adjacency.
-func BuildNaiveLinkMasked(pos []geom.Point, area geom.Rect, lm LinkModel, down []bool) *Graph {
-	if lm.scalar() {
-		return BuildNaiveMasked(pos, area, lm.Uniform, down)
-	}
-	lm.validate(len(pos))
-	g := &Graph{
-		pos:      append([]geom.Point(nil), pos...),
-		area:     area,
-		rng:      lm.Max(),
-		ranges:   lm.Ranges,
-		directed: true,
-		adj:      make([][]NodeID, len(pos)),
-		in:       make([][]NodeID, len(pos)),
-	}
-	for i := range g.pos {
-		if isDown(down, i) {
-			continue
-		}
-		ri2 := lm.RangeOf(i) * lm.RangeOf(i)
-		for j := i + 1; j < len(g.pos); j++ {
-			if isDown(down, j) {
-				continue
-			}
-			d2 := g.pos[i].Dist2(g.pos[j])
-			if lm.cuts(g.pos[i], g.pos[j]) {
-				continue
-			}
-			// Ascending appends on every list keep all four sorted.
-			if d2 <= ri2 {
-				g.adj[i] = append(g.adj[i], NodeID(j))
-				g.in[j] = append(g.in[j], NodeID(i))
-				g.links++
-			}
-			if d2 <= lm.RangeOf(j)*lm.RangeOf(j) {
-				g.adj[j] = append(g.adj[j], NodeID(i))
-				g.in[i] = append(g.in[i], NodeID(j))
-				g.links++
-			}
-		}
-	}
-	return g
 }

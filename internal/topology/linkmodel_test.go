@@ -24,8 +24,8 @@ func TestDirectedEdgesFollowRanges(t *testing.T) {
 	pos := []geom.Point{{X: 50, Y: 50}, {X: 100, Y: 50}} // 50 m apart
 	lm := LinkModel{Uniform: 60, Ranges: []float64{100, 30}}
 	for name, g := range map[string]*Graph{
-		"naive": BuildNaiveLink(pos, area, lm),
-		"grid":  BuildLink(pos, area, lm),
+		"naive": buildNaive(pos, area, lm, nil),
+		"grid":  Build(pos, area, lm, nil),
 	} {
 		if !g.Directed() || !g.Heterogeneous() {
 			t.Fatalf("%s: graph not marked directed/heterogeneous", name)
@@ -57,10 +57,11 @@ func TestDirectedEdgesFollowRanges(t *testing.T) {
 	}
 }
 
-// TestUniformLinkMatchesScalar pins the fast-path guarantee from the other
-// side: a LinkModel whose Ranges are all equal must produce exactly the
-// scalar builder's structure (the scalar snapshot is undirected, so the
-// comparison goes through the accessors, not graphsEqual).
+// TestUniformLinkMatchesScalar pins "undirected is the directed case with
+// one list per node" from the outside: a LinkModel whose Ranges are all
+// equal must produce exactly the structure of the plain uniform model (the
+// scalar snapshot is undirected, so the comparison goes through the
+// accessors, not graphsEqual).
 func TestUniformLinkMatchesScalar(t *testing.T) {
 	const n, tx = 180, 55.0
 	area := geom.Rect{W: 500, H: 500}
@@ -71,8 +72,8 @@ func TestUniformLinkMatchesScalar(t *testing.T) {
 		ranges[i] = tx
 	}
 
-	scalar := Build(pos, area, tx)
-	uniform := BuildLink(pos, area, LinkModel{Uniform: tx, Ranges: ranges})
+	scalar := Build(pos, area, LinkModel{Uniform: tx}, nil)
+	uniform := Build(pos, area, LinkModel{Uniform: tx, Ranges: ranges}, nil)
 	if !uniform.Directed() {
 		t.Fatal("explicit-ranges graph should run the directed machinery")
 	}
@@ -127,21 +128,21 @@ func TestHeteroBuildersAgree(t *testing.T) {
 		Ranges:   heteroRanges(n, 60, 0.5, rng.Derive(1)),
 		BarrierX: area.W / 2,
 	}
-	bScan := NewBuilderLink(n, area, lm)
-	bDirty := NewBuilderLink(n, area, lm)
+	bScan := NewBuilder(n, area, lm)
+	bDirty := NewBuilder(n, area, lm)
 
 	check := func(dirty []NodeID) {
 		t.Helper()
-		want := BuildNaiveLinkMasked(pos, area, lm, down)
-		graphsEqual(t, want, BuildLinkMasked(pos, area, lm, down))
-		graphsEqual(t, want, bScan.UpdateMasked(pos, down))
-		graphsEqual(t, want, bDirty.UpdateDirtyMasked(pos, down, dirty))
+		want := buildNaive(pos, area, lm, down)
+		graphsEqual(t, want, Build(pos, area, lm, down))
+		graphsEqual(t, want, bScan.Update(pos, down, nil))
+		graphsEqual(t, want, bDirty.Update(pos, down, dirty))
 	}
 	check(nil)
 
 	mut := rng.Derive(2)
 	for step := 0; step < 60; step++ {
-		var dirty []NodeID
+		dirty := []NodeID{} // non-nil: "only these", even when empty
 		// Movement: a varying subset drifts, including mass-move steps
 		// that cross the full-rebuild threshold.
 		movers := []int{0, 7, n / 2, n}[step%4]
@@ -183,14 +184,14 @@ func TestBarrierForcesFullRebuild(t *testing.T) {
 	area := geom.Rect{W: 100, H: 100}
 	pos := []geom.Point{{X: 45, Y: 50}, {X: 55, Y: 50}}
 	lm := LinkModel{Uniform: 30, BarrierX: 50}
-	b := NewBuilderLink(2, area, lm)
-	g := b.Update(pos)
+	b := NewBuilder(2, area, lm)
+	g := b.Update(pos, nil, nil)
 	if !g.Bidirectional(0, 1) {
 		t.Fatal("pair should be linked before the partition")
 	}
 
 	b.SetBarrier(true)
-	g = b.Update(pos)
+	g = b.Update(pos, nil, nil)
 	if g.Adjacent(0, 1) || g.Adjacent(1, 0) || g.Links() != 0 {
 		t.Fatal("active barrier left links across the cut")
 	}
@@ -199,7 +200,7 @@ func TestBarrierForcesFullRebuild(t *testing.T) {
 	}
 
 	b.SetBarrier(false)
-	g = b.Update(pos)
+	g = b.Update(pos, nil, nil)
 	if !g.Bidirectional(0, 1) {
 		t.Fatal("healed partition did not restore the link")
 	}

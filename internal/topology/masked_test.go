@@ -7,32 +7,36 @@ import (
 	"card/internal/xrand"
 )
 
-// TestMaskedBuildersAgree drives all three construction paths through a
-// combined movement + churn trace and checks byte-identical structure:
-// the naive masked scan is the reference, the masked grid build and the
-// incremental builder must match it at every step — including steps where
-// nodes move while down, flip state without moving, and flip en masse
-// (crossing the full-rebuild threshold).
+// TestMaskedBuildersAgree drives every way of reaching a snapshot through
+// a combined movement + churn trace under the plain uniform model and
+// checks byte-identical structure: the naive masked scan is the reference,
+// the one-shot build and the incremental builder — scanning, and fed a
+// dirty list — must match it at every step, including steps where nodes
+// move while down, flip state without moving, and flip en masse (crossing
+// the full-rebuild threshold).
 func TestMaskedBuildersAgree(t *testing.T) {
 	const n = 220
 	area := geom.Rect{W: 600, H: 600}
-	const tx = 60.0
+	lm := LinkModel{Uniform: 60}
 	rng := xrand.New(19)
 	pos := UniformPositions(n, area, rng)
 	down := make([]bool, n)
-	b := NewBuilder(n, area, tx)
+	b := NewBuilder(n, area, lm)
+	bDirty := NewBuilder(n, area, lm)
 
-	check := func(step int) {
+	check := func(dirty []NodeID) {
 		t.Helper()
-		want := BuildNaiveMasked(pos, area, tx, down)
-		graphsEqual(t, want, BuildMasked(pos, area, tx, down))
-		graphsEqual(t, want, b.UpdateMasked(pos, down))
+		want := buildNaive(pos, area, lm, down)
+		graphsEqual(t, want, Build(pos, area, lm, down))
+		graphsEqual(t, want, b.Update(pos, down, nil))
+		graphsEqual(t, want, bDirty.Update(pos, down, dirty))
 	}
-	check(-1)
+	check(nil)
 
 	for step := 0; step < 50; step++ {
 		// Movement: a varying subset drifts (down nodes keep moving too —
 		// their radios are off, not their legs).
+		dirty := []NodeID{} // non-nil: "only these", even when empty
 		movers := []int{0, 8, n / 2, n}[step%4]
 		for k := 0; k < movers; k++ {
 			i := rng.Intn(n)
@@ -40,14 +44,16 @@ func TestMaskedBuildersAgree(t *testing.T) {
 				X: pos[i].X + rng.Range(-70, 70),
 				Y: pos[i].Y + rng.Range(-70, 70),
 			})
+			dirty = append(dirty, NodeID(i))
 		}
 		// Churn: flip a varying subset, including a mass-flip step.
 		flips := []int{3, 0, n / 3, 1}[step%4]
 		for k := 0; k < flips; k++ {
 			i := rng.Intn(n)
 			down[i] = !down[i]
+			dirty = append(dirty, NodeID(i))
 		}
-		check(step)
+		check(dirty)
 	}
 }
 
@@ -60,8 +66,8 @@ func TestMaskedDownNodesAreIsolated(t *testing.T) {
 	pos := []geom.Point{{X: 10, Y: 50}, {X: 50, Y: 50}, {X: 90, Y: 50}}
 	down := []bool{false, true, false}
 	for name, g := range map[string]*Graph{
-		"naive": BuildNaiveMasked(pos, area, 60, down),
-		"grid":  BuildMasked(pos, area, 60, down),
+		"naive": buildNaive(pos, area, LinkModel{Uniform: 60}, down),
+		"grid":  Build(pos, area, LinkModel{Uniform: 60}, down),
 	} {
 		if g.Degree(1) != 0 {
 			t.Errorf("%s: down node has %d neighbors", name, g.Degree(1))
@@ -91,18 +97,19 @@ func TestBuilderMaskOnReinsertion(t *testing.T) {
 	area := geom.Rect{W: 200, H: 200}
 	pos := []geom.Point{{X: 10, Y: 10}, {X: 20, Y: 10}, {X: 190, Y: 190}}
 	down := []bool{false, false, false}
-	b := NewBuilder(3, area, 30)
-	b.UpdateMasked(pos, down)
+	lm := LinkModel{Uniform: 30}
+	b := NewBuilder(3, area, lm)
+	b.Update(pos, down, nil)
 
 	// Node 1 goes down and wanders to the far corner next to node 2.
 	down[1] = true
-	b.UpdateMasked(pos, down)
+	b.Update(pos, down, nil)
 	pos[1] = geom.Point{X: 180, Y: 190}
-	b.UpdateMasked(pos, down)
+	b.Update(pos, down, nil)
 
 	down[1] = false
-	g := b.UpdateMasked(pos, down)
-	graphsEqual(t, BuildNaiveMasked(pos, area, 30, down), g)
+	g := b.Update(pos, down, nil)
+	graphsEqual(t, buildNaive(pos, area, lm, down), g)
 	if !g.Adjacent(1, 2) || g.Adjacent(0, 1) {
 		t.Errorf("readmitted node has wrong links: neighbors(1) = %v", g.Neighbors(1))
 	}

@@ -41,62 +41,22 @@ type Graph struct {
 	rng  float64 // max transmission range, meters (grid cell size)
 	// ranges holds per-node transmission ranges in directed mode built
 	// from LinkModel.Ranges; nil means every node uses rng.
-	ranges   []float64
-	directed bool
-	adj      [][]NodeID // out-adjacency (the only adjacency when undirected)
-	in       [][]NodeID // in-adjacency; nil when undirected
-	links    int
+	ranges []float64
+	adj    [][]NodeID // out-adjacency (the only adjacency when undirected)
+	in     [][]NodeID // in-adjacency; nil iff the snapshot is undirected
+	links  int
 }
 
-// Build constructs the unit-disk graph over the given positions: nodes u≠v
-// are adjacent iff dist(u,v) <= txRange. Runs in O(N·density) via a uniform
-// grid.
-func Build(pos []geom.Point, area geom.Rect, txRange float64) *Graph {
-	return BuildMasked(pos, area, txRange, nil)
-}
-
-// BuildMasked is Build with a node-exclusion mask: nodes with down[i] true
-// take part in no links (their adjacency is empty and no other node lists
-// them), modeling churned-out devices whose radios are off while their
-// ids — and positions — persist. A nil mask means every node is up.
-func BuildMasked(pos []geom.Point, area geom.Rect, txRange float64, down []bool) *Graph {
-	if txRange <= 0 {
-		panic("topology: non-positive transmission range")
-	}
-	g := &Graph{
-		pos:  append([]geom.Point(nil), pos...),
-		area: area,
-		rng:  txRange,
-		adj:  make([][]NodeID, len(pos)),
-	}
-	grid := geom.NewGrid(area, txRange)
-	for i, p := range g.pos {
-		if !isDown(down, i) {
-			grid.Insert(NodeID(i), p)
-		}
-	}
-	r2 := txRange * txRange
-	for i, p := range g.pos {
-		if isDown(down, i) {
-			continue
-		}
-		u := NodeID(i)
-		x0, y0, x1, y1 := grid.BucketRange(p, txRange)
-		for y := y0; y <= y1; y++ {
-			for x := x0; x <= x1; x++ {
-				for _, v := range grid.Bucket(x, y) {
-					if v != u && p.Dist2(g.pos[v]) <= r2 {
-						g.adj[u] = append(g.adj[u], v)
-					}
-				}
-			}
-		}
-		// Deterministic neighbor order regardless of grid traversal.
-		slices.Sort(g.adj[u])
-		g.links += len(g.adj[u])
-	}
-	g.links /= 2
-	return g
+// Build constructs the connectivity snapshot of pos under the link model:
+// an edge u→v iff dist(u,v) <= lm.RangeOf(u) and no active barrier
+// separates them (a plain uniform range gives the undirected unit-disk
+// graph). Nodes with down[i] true take part in no links — their adjacency
+// is empty and no other node lists them — modeling churned-out devices
+// whose radios are off while their ids and positions persist; a nil mask
+// means every node is up. It is a one-shot [Builder], so a snapshot built
+// here and one maintained across updates cannot disagree.
+func Build(pos []geom.Point, area geom.Rect, lm LinkModel, down []bool) *Graph {
+	return NewBuilder(len(pos), area, lm).Update(pos, down, nil)
 }
 
 // isDown reads an optional exclusion mask (nil = all up).
@@ -146,7 +106,7 @@ func (g *Graph) RangeSpan() (min, max float64) {
 // Directed reports whether the snapshot was built from a link model that
 // can produce asymmetric links (per-node ranges or a partition barrier).
 // Undirected snapshots guarantee Adjacent(u,v) == Adjacent(v,u).
-func (g *Graph) Directed() bool { return g.directed }
+func (g *Graph) Directed() bool { return g.in != nil }
 
 // Pos returns the position of node u.
 func (g *Graph) Pos(u NodeID) geom.Point { return g.pos[u] }
@@ -189,7 +149,7 @@ func (g *Graph) Adjacent(u, v NodeID) bool {
 // link-layer acknowledgement must travel v→u. On undirected snapshots it
 // is exactly Adjacent.
 func (g *Graph) Bidirectional(u, v NodeID) bool {
-	if !g.directed {
+	if g.in == nil {
 		return g.Adjacent(u, v)
 	}
 	return g.Adjacent(u, v) && g.Adjacent(v, u)
@@ -338,7 +298,7 @@ func (g *Graph) ComputeCensus() Census {
 	n := g.N()
 	c := Census{N: n, Links: g.links}
 	if n > 0 {
-		if g.directed {
+		if g.Directed() {
 			// links counts directed edges; the mean out-degree is the
 			// comparable figure.
 			c.MeanDegree = float64(g.links) / float64(n)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ func lineGraph(n int) *Graph {
 	for i := range pts {
 		pts[i] = geom.Point{X: float64(i) * 10, Y: 0}
 	}
-	return Build(pts, geom.Rect{W: float64(n) * 10, H: 10}, 15)
+	return Build(pts, geom.Rect{W: float64(n) * 10, H: 10}, LinkModel{Uniform: 15}, nil)
 }
 
 func TestBuildPathGraph(t *testing.T) {
@@ -40,18 +41,36 @@ func TestBuildPathGraph(t *testing.T) {
 	}
 }
 
+// TestBuildPanicsOnBadRange pins LinkModel validation, the only place link
+// models are checked: every range in use must be positive and finite, NaN
+// included (it compares false against any bound), and Ranges must cover
+// the node count.
 func TestBuildPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Build with range 0 did not panic")
-		}
-	}()
-	Build(nil, geom.Rect{W: 10, H: 10}, 0)
+	pos := []geom.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}
+	for name, lm := range map[string]LinkModel{
+		"zero":         {Uniform: 0},
+		"negative":     {Uniform: -5},
+		"nan":          {Uniform: math.NaN()},
+		"inf":          {Uniform: math.Inf(1)},
+		"ranges-zero":  {Uniform: 5, Ranges: []float64{5, 0}},
+		"ranges-nan":   {Uniform: 5, Ranges: []float64{math.NaN(), 5}},
+		"ranges-inf":   {Uniform: 5, Ranges: []float64{5, math.Inf(1)}},
+		"ranges-short": {Uniform: 5, Ranges: []float64{5}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Build with %+v did not panic", name, lm)
+				}
+			}()
+			Build(pos, geom.Rect{W: 10, H: 10}, lm, nil)
+		}()
+	}
 }
 
 func TestAdjacencySymmetric(t *testing.T) {
 	rng := xrand.New(3)
-	g := Build(UniformPositions(200, geom.Rect{W: 500, H: 500}, rng), geom.Rect{W: 500, H: 500}, 50)
+	g := Build(UniformPositions(200, geom.Rect{W: 500, H: 500}, rng), geom.Rect{W: 500, H: 500}, LinkModel{Uniform: 50}, nil)
 	for u := NodeID(0); int(u) < g.N(); u++ {
 		for _, v := range g.Neighbors(u) {
 			if !g.Adjacent(v, u) {
@@ -65,7 +84,7 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(11)
 	area := geom.Rect{W: 300, H: 300}
 	pts := UniformPositions(120, area, rng)
-	g := Build(pts, area, 40)
+	g := Build(pts, area, LinkModel{Uniform: 40}, nil)
 	links := 0
 	for i := 0; i < len(pts); i++ {
 		for j := i + 1; j < len(pts); j++ {
@@ -130,7 +149,7 @@ func TestBoundedBFSZeroHops(t *testing.T) {
 
 func TestPathToUnreachable(t *testing.T) {
 	// Two isolated nodes.
-	g := Build([]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 100}}, geom.Rect{W: 100, H: 100}, 10)
+	g := Build([]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 100}}, geom.Rect{W: 100, H: 100}, LinkModel{Uniform: 10}, nil)
 	res := g.BFS(0)
 	if res.PathTo(1) != nil {
 		t.Error("PathTo(unreachable) != nil")
@@ -140,7 +159,7 @@ func TestPathToUnreachable(t *testing.T) {
 func TestVisitedSortedByDistance(t *testing.T) {
 	rng := xrand.New(5)
 	area := geom.Rect{W: 400, H: 400}
-	g := Build(UniformPositions(150, area, rng), area, 60)
+	g := Build(UniformPositions(150, area, rng), area, LinkModel{Uniform: 60}, nil)
 	res := g.BFS(0)
 	for i := 1; i < len(res.Visited); i++ {
 		if res.Dist[res.Visited[i]] < res.Dist[res.Visited[i-1]] {
@@ -152,7 +171,7 @@ func TestVisitedSortedByDistance(t *testing.T) {
 func TestComponents(t *testing.T) {
 	// Two separated pairs plus an isolated node.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 100, Y: 0}, {X: 105, Y: 0}, {X: 200, Y: 200}}
-	g := Build(pts, geom.Rect{W: 300, H: 300}, 10)
+	g := Build(pts, geom.Rect{W: 300, H: 300}, LinkModel{Uniform: 10}, nil)
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3", len(comps))
@@ -188,7 +207,7 @@ func TestCensusOnPath(t *testing.T) {
 
 func TestCensusTriangleClustering(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 2.5, Y: 4}}
-	g := Build(pts, geom.Rect{W: 10, H: 10}, 6)
+	g := Build(pts, geom.Rect{W: 10, H: 10}, LinkModel{Uniform: 6}, nil)
 	c := g.ComputeCensus()
 	if c.MeanClustering != 1 {
 		t.Errorf("triangle clustering = %v, want 1", c.MeanClustering)
@@ -221,12 +240,12 @@ func TestCensusSampledAboveSourceCap(t *testing.T) {
 }
 
 func TestCensusEmptyAndSingleton(t *testing.T) {
-	g := Build(nil, geom.Rect{W: 10, H: 10}, 5)
+	g := Build(nil, geom.Rect{W: 10, H: 10}, LinkModel{Uniform: 5}, nil)
 	c := g.ComputeCensus()
 	if c.N != 0 || c.Links != 0 || c.Diameter != 0 {
 		t.Errorf("empty census = %+v", c)
 	}
-	g1 := Build([]geom.Point{{X: 1, Y: 1}}, geom.Rect{W: 10, H: 10}, 5)
+	g1 := Build([]geom.Point{{X: 1, Y: 1}}, geom.Rect{W: 10, H: 10}, LinkModel{Uniform: 5}, nil)
 	c1 := g1.ComputeCensus()
 	if c1.N != 1 || c1.AvgHops != 0 || c1.LargestComponentFrac != 1 {
 		t.Errorf("singleton census = %+v", c1)
@@ -293,7 +312,7 @@ func TestQuickBFSTriangleInequalityOverEdges(t *testing.T) {
 		rng := xrand.New(seed)
 		area := geom.Rect{W: 300, H: 300}
 		n := 30 + rng.Intn(80)
-		g := Build(UniformPositions(n, area, rng), area, 60)
+		g := Build(UniformPositions(n, area, rng), area, LinkModel{Uniform: 60}, nil)
 		src := NodeID(rng.Intn(n))
 		res := g.BFS(src)
 		for u := 0; u < n; u++ {
@@ -320,7 +339,7 @@ func TestQuickBoundedBFSPrefixOfFull(t *testing.T) {
 		rng := xrand.New(seed)
 		area := geom.Rect{W: 300, H: 300}
 		n := 30 + rng.Intn(80)
-		g := Build(UniformPositions(n, area, rng), area, 50)
+		g := Build(UniformPositions(n, area, rng), area, LinkModel{Uniform: 50}, nil)
 		src := NodeID(rng.Intn(n))
 		r := 1 + rng.Intn(5)
 		full := g.BFS(src)
@@ -346,7 +365,7 @@ func TestQuickComponentsPartitionNodes(t *testing.T) {
 		rng := xrand.New(seed)
 		area := geom.Rect{W: 500, H: 500}
 		n := 20 + rng.Intn(100)
-		g := Build(UniformPositions(n, area, rng), area, 40)
+		g := Build(UniformPositions(n, area, rng), area, LinkModel{Uniform: 40}, nil)
 		seen := make(map[NodeID]bool)
 		total := 0
 		for _, comp := range g.Components() {
@@ -380,14 +399,14 @@ func BenchmarkBuild500(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(pts, area, 50)
+		Build(pts, area, LinkModel{Uniform: 50}, nil)
 	}
 }
 
 func BenchmarkCensus500(b *testing.B) {
 	rng := xrand.New(1)
 	area := geom.Rect{W: 710, H: 710}
-	g := Build(UniformPositions(500, area, rng), area, 50)
+	g := Build(UniformPositions(500, area, rng), area, LinkModel{Uniform: 50}, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ComputeCensus()
