@@ -3,6 +3,7 @@ package card
 import (
 	proto "card/internal/card"
 	"card/internal/engine"
+	"card/internal/resource"
 	"card/internal/scheme"
 	"card/internal/sweep"
 	"card/internal/topology"
@@ -121,6 +122,11 @@ const (
 	// geographic regions that registrations and lookups meet in.
 	SchemeRendezvous = workload.Rendezvous
 )
+
+// DiscoveryResult reports one scheme-level discovery (QueryVia): whether
+// a holder was found, which, the control messages spent and the route
+// length.
+type DiscoveryResult = resource.Result
 
 // SchemeNames lists every registered discovery scheme name, sorted.
 func SchemeNames() []string { return scheme.Names() }
@@ -287,15 +293,20 @@ func (s *Simulation) Stats() Stats { return s.e.Stats() }
 // Messages returns the simulation's control-message accounting.
 func (s *Simulation) Messages() MessageCounts { return s.e.Messages() }
 
-// FloodQuery runs the flooding baseline on the current topology.
-func (s *Simulation) FloodQuery(src, target NodeID) (found bool, messages int64) {
-	return s.e.FloodQuery(src, target)
-}
-
-// BordercastQuery runs the ZRP bordercasting baseline (zone radius = R,
-// query detection QD2) on the current topology.
-func (s *Simulation) BordercastQuery(src, target NodeID) (found bool, messages int64, err error) {
-	return s.e.BordercastQuery(src, target)
+// QueryVia resolves one node-target query through the named discovery
+// scheme — SchemeFlood, SchemeBordercast, any of SchemeNames; "" means
+// SchemeCARD — on the current topology, charged by exactly the rules
+// sustained workloads and sweeps use. An unknown scheme name or a node id
+// outside [0, Nodes()) is an error, never a panic. The scheme is built per
+// call: this is the side-by-side comparison tool for a handful of pairs;
+// bulk traffic belongs to RunWorkload.
+//
+// One deliberate difference from the FloodQuery/BordercastQuery methods
+// it replaces: at src == target every scheme answers locally at zero
+// messages (the uniform self-held rule), where FloodQuery(u, u) charged a
+// whole-component flood. RandomPair never draws that case.
+func (s *Simulation) QueryVia(name WorkloadScheme, src, target NodeID) (DiscoveryResult, error) {
+	return s.e.QueryVia(name, src, target)
 }
 
 // Census summarizes the current topology (the paper's Table 1 metrics).

@@ -56,7 +56,9 @@ func TestEndToEndStaticDiscovery(t *testing.T) {
 		if s.Query(src, dst).Found {
 			found++
 		}
-		if ok, _ := s.FloodQuery(src, dst); ok {
+		if r, err := s.QueryVia(SchemeFlood, src, dst); err != nil {
+			t.Fatal(err)
+		} else if r.Found {
 			floodFound++
 		}
 	}
@@ -79,17 +81,19 @@ func TestEndToEndComparisonTraffic(t *testing.T) {
 	nc, cfg := staticCfg()
 	s := newSim(t, nc, cfg)
 	s.SelectContacts()
+	via := func(scheme WorkloadScheme, src, dst NodeID) int64 {
+		r, err := s.QueryVia(scheme, src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Messages
+	}
 	var cardMsgs, floodMsgs, bcMsgs int64
 	for i := 0; i < 25; i++ {
 		src, dst := s.RandomPair(uint64(100 + i))
 		cardMsgs += s.Query(src, dst).Messages
-		_, fm := s.FloodQuery(src, dst)
-		floodMsgs += fm
-		_, bm, err := s.BordercastQuery(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bcMsgs += bm
+		floodMsgs += via(SchemeFlood, src, dst)
+		bcMsgs += via(SchemeBordercast, src, dst)
 	}
 	if cardMsgs >= floodMsgs {
 		t.Errorf("CARD traffic (%d) not below flooding (%d)", cardMsgs, floodMsgs)

@@ -13,15 +13,17 @@
 // # The facade
 //
 // [Simulation] is the package's entry point: it binds a mobile network, a
-// proactive neighborhood substrate and a CARD protocol instance, and
-// exposes the flooding and ZRP-bordercasting baselines on the same
-// topology. Construct one from explicit configs ([NewSimulation]) or from
-// a named workload preset ([NewPresetSimulation]; see [Presets]). The full
-// stack lives under internal/ — unit-disk topology (incremental
-// spatial-hash builder), six mobility models, a discrete-event engine, a
-// scoped-DSDV substrate, the protocol itself — and [Simulation.Engine]
-// exposes the engine layer for advanced use (custom scheduled events,
-// direct network access, worker bounds).
+// proactive neighborhood substrate and a CARD protocol instance, and runs
+// any registered discovery scheme — the flooding, ZRP-bordercasting and
+// rendezvous baselines included — on the same topology
+// ([Simulation.QueryVia]). Construct one from explicit configs
+// ([NewSimulation]) or from a named workload preset
+// ([NewPresetSimulation]; see [Presets]). The full stack lives under
+// internal/ — unit-disk topology (incremental spatial-hash builder), six
+// mobility models, a discrete-event engine, a scoped-DSDV substrate, the
+// protocol itself — and [Simulation.Engine] exposes the engine layer for
+// advanced use (custom scheduled events, direct network access, worker
+// bounds).
 //
 // # Determinism guarantees
 //

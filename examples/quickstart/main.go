@@ -47,6 +47,9 @@ func main() {
 	}
 
 	// Compare with the flooding baseline on the same pair.
-	_, floodMsgs := sim.FloodQuery(src, dst)
-	fmt.Printf("flooding the same query costs %d msgs\n", floodMsgs)
+	fl, err := sim.QueryVia(card.SchemeFlood, src, dst)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("flooding the same query costs %d msgs\n", fl.Messages)
 }

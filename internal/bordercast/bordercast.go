@@ -99,25 +99,21 @@ type Result struct {
 	Rounds int
 }
 
-// Query searches for target from src, accounting on the network's active
-// recorder.
-func (p *Protocol) Query(src, target NodeID) Result {
-	return p.QueryR(p.net.Recorder(), src, target)
-}
-
-// QueryR is Query accounting on an explicit recorder. The Protocol holds
-// no per-query state (covered sets and tree distances are allocated per
-// call), so concurrent QueryR calls with private recorders are race-free
-// between snapshot refreshes — the scheme layer's per-worker sharding
-// relies on exactly this.
-func (p *Protocol) QueryR(rec manet.Recorder, src, target NodeID) Result {
-	var msgs int64
-	res := p.query(rec, &msgs, src, target)
-	res.Messages = msgs
+// Query searches for target from src, accounting on rec (serial callers
+// pass the network's Recorder()). The Protocol holds no per-query state
+// (covered sets and tree distances are allocated per call), so concurrent
+// Query calls with private recorders are race-free between snapshot
+// refreshes — the scheme layer's per-worker sharding relies on exactly
+// this.
+func (p *Protocol) Query(rec manet.Recorder, src, target NodeID) Result {
+	var sent manet.Counters
+	res := p.query(&sent, src, target)
+	sent.AddTo(rec)
+	res.Messages = sent.Total()
 	return res
 }
 
-func (p *Protocol) query(rec manet.Recorder, msgs *int64, src, target NodeID) Result {
+func (p *Protocol) query(sent *manet.Counters, src, target NodeID) Result {
 	if p.nb.Contains(src, target) {
 		// Intra-zone: the proactive table already has the route.
 		return Result{Found: true, PathHops: p.nb.Dist(src, target)}
@@ -143,12 +139,11 @@ func (p *Protocol) query(rec manet.Recorder, msgs *int64, src, target NodeID) Re
 		// only the next wave sees the detection state.
 		var marks []NodeID
 		for _, v := range frontier {
-			next = p.bordercast(rec, msgs, v, target, covered, dist, &marks, next)
+			next = p.bordercast(sent, v, target, covered, dist, &marks, next)
 			if found := dist[target]; found >= 0 {
 				// Found during v's bordercast: reply unicasts back.
 				if !p.cfg.DisableReplyCounting {
-					rec.Record(manet.CatReply, int64(found))
-					*msgs += int64(found)
+					sent.Record(manet.CatReply, int64(found))
 				}
 				return Result{Found: true, PathHops: int(found), Rounds: rounds}
 			}
@@ -171,7 +166,7 @@ func (p *Protocol) query(rec manet.Recorder, msgs *int64, src, target NodeID) Re
 // nodes that should re-bordercast to next and returns it; when some
 // processing node's zone contains the target, dist[target] is set and the
 // cast stops early.
-func (p *Protocol) bordercast(rec manet.Recorder, msgs *int64, v, target NodeID, covered *bitset.Set, dist []int32, marks *[]NodeID, next []NodeID) []NodeID {
+func (p *Protocol) bordercast(sent *manet.Counters, v, target NodeID, covered *bitset.Set, dist []int32, marks *[]NodeID, next []NodeID) []NodeID {
 	// process zone-checks the query at node w, reached hops transmissions
 	// from the source. Reports whether the target was located.
 	process := func(w NodeID, hops int32) bool {
@@ -206,8 +201,7 @@ func (p *Protocol) bordercast(rec manet.Recorder, msgs *int64, v, target NodeID,
 				continue
 			}
 			sentEdge[e] = struct{}{}
-			rec.Record(manet.CatQuery, 1)
-			*msgs++
+			sent.Record(manet.CatQuery, 1)
 			from, to := route[i], route[i+1]
 			at := dist[v] + int32(i+1)
 			if p.cfg.QD != QDNone {

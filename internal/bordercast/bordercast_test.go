@@ -62,7 +62,7 @@ func TestQDModeString(t *testing.T) {
 func TestIntraZoneQueryIsFree(t *testing.T) {
 	net := lineNet(20)
 	bc := newBC(t, net, 3, QD2)
-	res := bc.Query(5, 7)
+	res := bc.Query(bc.net.Recorder(), 5, 7)
 	if !res.Found || res.PathHops != 2 || res.Messages != 0 {
 		t.Errorf("intra-zone query = %+v", res)
 	}
@@ -71,7 +71,7 @@ func TestIntraZoneQueryIsFree(t *testing.T) {
 func TestBordercastFindsFarTargetOnLine(t *testing.T) {
 	net := lineNet(40)
 	bc := newBC(t, net, 3, QD2)
-	res := bc.Query(0, 30)
+	res := bc.Query(bc.net.Recorder(), 0, 30)
 	if !res.Found {
 		t.Fatalf("bordercast missed target: %+v", res)
 	}
@@ -100,7 +100,7 @@ func TestBordercastSuccessRateOnRandomNets(t *testing.T) {
 				src := comp[rng.Intn(len(comp))]
 				dst := comp[rng.Intn(len(comp))]
 				total++
-				if bc.Query(src, dst).Found {
+				if bc.Query(bc.net.Recorder(), src, dst).Found {
 					found++
 				}
 			}
@@ -125,7 +125,7 @@ func TestQueryDetectionReducesTraffic(t *testing.T) {
 			for q := 0; q < 20; q++ {
 				src := comp[rng.Intn(len(comp))]
 				dst := comp[rng.Intn(len(comp))]
-				sum += bc.Query(src, dst).Messages
+				sum += bc.Query(bc.net.Recorder(), src, dst).Messages
 			}
 		}
 		traffic[qd] = sum
@@ -150,8 +150,8 @@ func TestBordercastCheaperThanFlooding(t *testing.T) {
 		for q := 0; q < 15; q++ {
 			src := comp[rng.Intn(len(comp))]
 			dst := comp[rng.Intn(len(comp))]
-			bcSum += bc.Query(src, dst).Messages
-			flSum += flood.Query(netB, src, dst, true).Messages
+			bcSum += bc.Query(bc.net.Recorder(), src, dst).Messages
+			flSum += flood.Query(netB, netB.Recorder(), src, dst, -1, true).Messages
 		}
 	}
 	if bcSum >= flSum {
@@ -167,7 +167,7 @@ func TestUnreachableTargetTerminates(t *testing.T) {
 	a := geom.Rect{W: 600, H: 10}
 	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 	bc := newBC(t, net, 1, QD1)
-	res := bc.Query(0, 4)
+	res := bc.Query(bc.net.Recorder(), 0, 4)
 	if res.Found {
 		t.Fatal("found target in another component")
 	}
@@ -179,7 +179,7 @@ func TestUnreachableTargetTerminates(t *testing.T) {
 func TestRepliesCounted(t *testing.T) {
 	net := lineNet(30)
 	bc := newBC(t, net, 3, QD1)
-	withReply := bc.Query(0, 20).Messages
+	withReply := bc.Query(bc.net.Recorder(), 0, 20).Messages
 
 	net2 := lineNet(30)
 	nb2 := neighborhood.NewOracle(net2, 3)
@@ -187,7 +187,7 @@ func TestRepliesCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withoutReply := bc2.Query(0, 20).Messages
+	withoutReply := bc2.Query(bc2.net.Recorder(), 0, 20).Messages
 	if withoutReply >= withReply {
 		t.Errorf("reply counting off (%d) not cheaper than on (%d)", withoutReply, withReply)
 	}
@@ -196,7 +196,7 @@ func TestRepliesCounted(t *testing.T) {
 func TestSelfQuery(t *testing.T) {
 	net := lineNet(5)
 	bc := newBC(t, net, 2, QD2)
-	res := bc.Query(3, 3)
+	res := bc.Query(bc.net.Recorder(), 3, 3)
 	if !res.Found || res.PathHops != 0 || res.Messages != 0 {
 		t.Errorf("self query = %+v", res)
 	}

@@ -9,7 +9,8 @@
 //	geom / xrand / bitset / par      primitives
 //	topology  mobility  eventq       structure, movement, time
 //	manet                            substrate: snapshots + accounting
-//	neighborhood  card  flood  ...   protocols
+//	neighborhood  card  flood  ...   protocols (node-target primitives)
+//	resource  scheme  workload       discovery schemes, sustained traffic
 //	engine                           time-stepping, batching, presets
 //	card (root)  experiments  cmd/   facades and harnesses
 //
@@ -66,14 +67,14 @@ import (
 	"math"
 
 	"card/internal/bitset"
-	"card/internal/bordercast"
 	proto "card/internal/card"
 	"card/internal/eventq"
-	"card/internal/flood"
 	"card/internal/geom"
 	"card/internal/manet"
 	"card/internal/mobility"
 	"card/internal/neighborhood"
+	"card/internal/resource"
+	"card/internal/scheme"
 	"card/internal/topology"
 	"card/internal/xrand"
 )
@@ -720,21 +721,31 @@ func (e *Engine) Messages() MessageCounts {
 	}
 }
 
-// FloodQuery runs the flooding baseline on the current topology.
-func (e *Engine) FloodQuery(src, target NodeID) (found bool, messages int64) {
-	r := flood.Query(e.net, src, target, true)
-	return r.Found, r.Messages
-}
-
-// BordercastQuery runs the ZRP bordercasting baseline (zone radius = R,
-// query detection QD2) on the current topology.
-func (e *Engine) BordercastQuery(src, target NodeID) (found bool, messages int64, err error) {
-	bc, err := bordercast.New(e.net, e.nb, bordercast.Config{Zone: e.cfg.R, QD: bordercast.QD2})
-	if err != nil {
-		return false, 0, err
+// QueryVia resolves one node-target query through the named discovery
+// scheme ("" = card) on the current topology: target becomes the single
+// holder of a one-resource directory and the query runs through a
+// scheme.Worker, so it is charged by exactly the rules sustained workloads
+// and sweeps use — including the self-held rule: src == target is answered
+// locally at zero messages under every scheme. An unknown scheme name or a
+// node id outside [0, Nodes()) is an error. The scheme is built per call
+// (rendezvous pays its registration each time): a comparison tool for a
+// handful of pairs; bulk traffic belongs to RunWorkload.
+func (e *Engine) QueryVia(name string, src, target NodeID) (resource.Result, error) {
+	n := e.net.N()
+	if src < 0 || int(src) >= n || target < 0 || int(target) >= n {
+		return resource.Result{}, fmt.Errorf("engine: QueryVia(%d, %d): node id outside [0, %d)", src, target, n)
 	}
-	r := bc.Query(src, target)
-	return r.Found, r.Messages, nil
+	dir := resource.NewDirectory(n)
+	dir.Place(0, target)
+	sch, err := scheme.New(name, scheme.Env{Net: e.net, Prot: e.prot, Dir: dir})
+	if err != nil {
+		return resource.Result{}, err
+	}
+	sch.Setup()
+	w := sch.Worker()
+	r := w.Discover(src, 0)
+	w.Flush()
+	return r, nil
 }
 
 // RandomPair draws a uniformly random (src, dst) pair of distinct nodes

@@ -53,61 +53,55 @@ func runFig15Cell(fc struct {
 	n := float64(sc.N)
 	var out fig15Cell
 
-	// Flooding: fresh network, identical placement seed.
-	{
-		net := sc.StaticNet(seed)
-		var sum int64
-		for _, pr := range queryWorkload(net, queries, seed) {
-			sum += flood.Query(net, pr[0], pr[1], true).Messages
-		}
-		out.floodPerNode = float64(sum) / n
+	// The three mechanisms answer the same pairs on the same topology;
+	// query traffic never feeds back into the overhead categories.
+	net := sc.StaticNet(seed)
+	pairs := queryWorkload(net, queries, seed)
+
+	var sum int64
+	for _, pr := range pairs {
+		sum += flood.Query(net, net.Recorder(), pr[0], pr[1], -1, true).Messages
 	}
+	out.floodPerNode = float64(sum) / n
 
 	// Bordercasting with QD1+QD2, zone radius = CARD's R (same proactive
 	// substrate for a fair comparison).
-	{
-		net := sc.StaticNet(seed)
-		nb := neighborhood.NewOracle(net, fc.R)
-		bc, err := bordercast.New(net, nb, bordercast.Config{Zone: fc.R, QD: bordercast.QD2})
-		if err != nil {
-			panic(err)
-		}
-		var sum int64
-		for _, pr := range queryWorkload(net, queries, seed) {
-			sum += bc.Query(pr[0], pr[1]).Messages
-		}
-		out.borderPerNode = float64(sum) / n
+	nb := neighborhood.NewOracle(net, fc.R)
+	bc, err := bordercast.New(net, nb, bordercast.Config{Zone: fc.R, QD: bordercast.QD2})
+	if err != nil {
+		panic(err)
 	}
+	sum = 0
+	for _, pr := range pairs {
+		sum += bc.Query(net.Recorder(), pr[0], pr[1]).Messages
+	}
+	out.borderPerNode = float64(sum) / n
 
 	// CARD with D=3 (the paper's 95 %-success configuration).
-	{
-		net := sc.StaticNet(seed)
-		cfg := card.Config{
-			R: fc.R, MaxContactDist: fc.MaxDist, NoC: fc.NoC,
-			Depth: 3, Method: card.EM, ValidatePeriod: 1,
-		}
-		prot, err := NewCARD(net, cfg, seed)
-		if err != nil {
-			panic(err)
-		}
-		prot.SelectAll(0)
-		// One maintenance round so the overhead bar includes validation.
-		prot.MaintainAll(1)
-		out.cardOverhead = float64(net.Totals().Sum(overheadCats...)) / n
-
-		var qsum int64
-		found := 0
-		pairs := queryWorkload(net, queries, seed)
-		for _, pr := range pairs {
-			res := prot.Query(pr[0], pr[1])
-			qsum += res.Messages
-			if res.Found {
-				found++
-			}
-		}
-		out.cardPerNode = float64(qsum) / n
-		out.cardSuccess = 100 * float64(found) / float64(len(pairs))
+	cfg := card.Config{
+		R: fc.R, MaxContactDist: fc.MaxDist, NoC: fc.NoC,
+		Depth: 3, Method: card.EM, ValidatePeriod: 1,
 	}
+	prot, err := NewCARD(net, cfg, seed)
+	if err != nil {
+		panic(err)
+	}
+	prot.SelectAll(0)
+	// One maintenance round so the overhead bar includes validation.
+	prot.MaintainAll(1)
+	out.cardOverhead = float64(net.Totals().Sum(overheadCats...)) / n
+
+	sum = 0
+	found := 0
+	for _, pr := range pairs {
+		res := prot.Query(pr[0], pr[1])
+		sum += res.Messages
+		if res.Found {
+			found++
+		}
+	}
+	out.cardPerNode = float64(sum) / n
+	out.cardSuccess = 100 * float64(found) / float64(len(pairs))
 	return out
 }
 
@@ -271,7 +265,7 @@ func RunAblationQD(o Options) *Table {
 		found := 0
 		var sum int64
 		for _, pr := range queryWorkload(net, queries, seed) {
-			res := bc.Query(pr[0], pr[1])
+			res := bc.Query(net.Recorder(), pr[0], pr[1])
 			sum += res.Messages
 			if res.Found {
 				found++

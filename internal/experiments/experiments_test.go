@@ -332,6 +332,17 @@ func TestReplicationQuick(t *testing.T) {
 	}
 }
 
+// overheadOverTime averages runTimeSim across seeds with a direct serial
+// loop: the pre-sweep reference implementation timeSeriesSweep must
+// reproduce seed for seed.
+func overheadOverTime(p timeSimParams, seeds int) TimeSeries {
+	runs := make([]TimeSeries, seeds)
+	for i := range runs {
+		runs[i] = runTimeSim(p, uint64(i)+1)
+	}
+	return averageSeries(runs)
+}
+
 // TestFigSweepsMatchDirectLoops is the refactor acceptance pin: the
 // Fig. 11/12 time-series sweep and the Fig. 14 trade-off sweep, re-derived
 // through the generic sweep harness, must match the pre-refactor direct
@@ -342,13 +353,13 @@ func TestFigSweepsMatchDirectLoops(t *testing.T) {
 	sc := Scenario5.Scaled(o.Scale)
 
 	// Fig. 11/12 series: harness vs the direct serial reference
-	// (OverheadOverTime runs runTimeSim with seeds 1..Seeds and averages).
+	// (overheadOverTime runs runTimeSim with seeds 1..Seeds and averages).
 	rs, got := fig11Sweep(o, sc)
 	for i, r := range rs {
 		cfg := fig10Base()
 		cfg.NoC = 5
 		cfg.MaxContactDist = r
-		want := OverheadOverTime(timeSimParams{
+		want := overheadOverTime(timeSimParams{
 			sc: sc, cfg: cfg, horizon: 10, window: 2, refreshDt: 0.25,
 		}, o.Seeds)
 		if !reflect.DeepEqual(got[i], want) {

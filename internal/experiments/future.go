@@ -7,6 +7,7 @@ import (
 	"card/internal/engine"
 	"card/internal/manet"
 	"card/internal/resource"
+	"card/internal/scheme"
 	"card/internal/xrand"
 )
 
@@ -111,25 +112,32 @@ func RunReplication(o Options) *Table {
 			panic(err)
 		}
 		prot.SelectAll(0)
-		netFlood := sc.StaticNet(seed)
-		netRing := sc.StaticNet(seed)
+		// One directory the three arms share; lookup q places resource q
+		// just before asking for it.
+		dir := resource.NewDirectory(sc.N)
+		worker := func(name string) scheme.Worker {
+			sch, err := scheme.New(name, scheme.Env{Net: net, Prot: prot, Dir: dir})
+			if err != nil {
+				panic(err)
+			}
+			return sch.Worker()
+		}
+		cardW, floodW, ringW := worker("card"), worker("flood"), worker("ring")
 
 		rng := xrand.New(seed).Derive(55)
 		const lookups = 40
 		var r row
 		for q := 0; q < lookups; q++ {
-			dir := resource.NewDirectory(sc.N)
-			dir.PlaceReplicas(resource.ID(q), k, rng.Derive(uint64(q)))
+			id := resource.ID(q)
+			dir.PlaceReplicas(id, k, rng.Derive(uint64(q)))
 			src := manet.NodeID(rng.Intn(sc.N))
-			rc := resource.DiscoverCARD(prot, dir, src, resource.ID(q))
+			rc := cardW.Discover(src, id)
 			r.cardMsgs += float64(rc.Messages) / lookups
 			if rc.Found {
 				r.cardHit += 100.0 / lookups
 			}
-			rf := resource.DiscoverFlood(netFlood, dir, src, resource.ID(q))
-			r.floodMsgs += float64(rf.Messages) / lookups
-			rr := resource.DiscoverExpandingRing(netRing, dir, src, resource.ID(q))
-			r.ringMsgs += float64(rr.Messages) / lookups
+			r.floodMsgs += float64(floodW.Discover(src, id).Messages) / lookups
+			r.ringMsgs += float64(ringW.Discover(src, id).Messages) / lookups
 		}
 		cells[i] = r
 	})

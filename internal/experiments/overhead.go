@@ -111,23 +111,12 @@ func averageSeries(runs []TimeSeries) TimeSeries {
 	return out
 }
 
-// OverheadOverTime averages runTimeSim across seeds with a direct serial
-// loop. It is the pre-sweep reference implementation the figure sweeps
-// are pinned against (TestFigSweepsMatchDirectLoops): timeSeriesSweep
-// must reproduce it seed for seed.
-func OverheadOverTime(p timeSimParams, seeds int) TimeSeries {
-	runs := make([]TimeSeries, seeds)
-	for i := range runs {
-		runs[i] = runTimeSim(p, uint64(i)+1)
-	}
-	return averageSeries(runs)
-}
-
 // timeSeriesSweep runs one mobile time-series cell per (grid point, seed)
 // through the generic sweep harness and averages per point: the shared
 // engine behind the Fig. 10-13 grid declarations. Cells use the harness's
-// (point-major, seed s+1) enumeration, so every point reproduces
-// OverheadOverTime's direct loop seed for seed.
+// (point-major, seed s+1) enumeration, so every point reproduces a direct
+// serial loop over seeds 1..Seeds seed for seed (the reference lives in
+// TestFigSweepsMatchDirectLoops).
 func timeSeriesSweep(base card.Config, axes []sweep.Axis, seeds int, p timeSimParams) []TimeSeries {
 	g := &sweep.Grid{Base: base, Axes: axes, Seeds: seeds}
 	cells, err := sweep.RunCells(g, func(cfg sweep.CellConfig, _ []float64, _ int, seed uint64) TimeSeries {

@@ -8,13 +8,13 @@
 // per reached node (minus the target, which answers instead of relaying).
 // The reply unicasts back along the reverse shortest path.
 //
-// Every primitive exists in two forms: the plain form accounts on the
-// network's active recorder (the serial path), and an R-suffixed form
-// accounts on an explicit [manet.Recorder]. The R forms are what the
-// scheme layer's per-worker sharding uses: each worker tallies into a
-// private Counters and flushes serially after the join, so flooding
-// queries can fan out across workers with bit-identical totals — the same
-// local-tally recipe card.Querier established.
+// Every primitive accounts on the [manet.Recorder] it is handed. Serial
+// callers pass net.Recorder(); the scheme layer's workers pass a private
+// Counters and flush it serially after the join, so flooding queries fan
+// out across workers with bit-identical totals — the same local-tally
+// recipe card.Querier established. Results and tallies are pure functions
+// of the current snapshot, so concurrent calls with private recorders are
+// race-free and order-independent.
 package flood
 
 import (
@@ -36,29 +36,14 @@ type Result struct {
 	PathHops int
 }
 
-// Query floods the whole network from src for target. countReply includes
-// the unicast reply path in the message count.
-func Query(net *manet.Network, src, target NodeID, countReply bool) Result {
-	return QueryTTL(net, src, target, -1, countReply)
-}
-
-// QueryR is Query accounting on an explicit recorder.
-func QueryR(net *manet.Network, rec manet.Recorder, src, target NodeID, countReply bool) Result {
-	return QueryTTLR(net, rec, src, target, -1, countReply)
-}
-
-// QueryTTL floods at most ttl hops from src (ttl < 0 means unbounded).
-func QueryTTL(net *manet.Network, src, target NodeID, ttl int, countReply bool) Result {
-	return QueryTTLR(net, net.Recorder(), src, target, ttl, countReply)
-}
-
-// QueryTTLR is QueryTTL accounting on an explicit recorder: relays charge
-// CatQuery, the reply path (when counted) charges CatReply. The result and
-// the tallies are pure functions of the current snapshot, so concurrent
-// calls with private recorders are race-free and order-independent.
-func QueryTTLR(net *manet.Network, rec manet.Recorder, src, target NodeID, ttl int, countReply bool) Result {
+// Query floods at most ttl hops from src for target (ttl < 0 floods the
+// whole component). Relays charge CatQuery; countReply also charges the
+// unicast reply path to CatReply and includes it in the message count.
+// The target topology.None is a flood nobody answers: every reached node
+// relays and the query dies.
+func Query(net *manet.Network, rec manet.Recorder, src, target NodeID, ttl int, countReply bool) Result {
 	bfs := net.Graph().BoundedBFS(src, ttl)
-	found := bfs.Dist[target] >= 0
+	found := target != topology.None && bfs.Dist[target] >= 0
 	var relays int64
 	for _, v := range bfs.Visited {
 		if found && v == target {
@@ -88,15 +73,8 @@ func QueryTTLR(net *manet.Network, rec manet.Recorder, src, target NodeID, ttl i
 // resource no reachable node holds floods everywhere and dies. Unlike
 // Query with an unreachable proxy target, the charge depends only on src's
 // component, never on which unreachable node a caller happens to name.
-func Flood(net *manet.Network, src NodeID) Result {
-	return FloodR(net, net.Recorder(), src)
-}
-
-// FloodR is Flood accounting on an explicit recorder.
-func FloodR(net *manet.Network, rec manet.Recorder, src NodeID) Result {
-	n := int64(len(net.Graph().BFS(src).Visited))
-	rec.Record(manet.CatQuery, n)
-	return Result{Found: false, Messages: n, PathHops: -1}
+func Flood(net *manet.Network, rec manet.Recorder, src NodeID) Result {
+	return Query(net, rec, src, topology.None, -1, false)
 }
 
 // RingSweep charges a full expanding-ring escalation with no responder:
@@ -105,55 +83,29 @@ func FloodR(net *manet.Network, rec manet.Recorder, src NodeID) Result {
 // under the standard DoublingTTLs schedule — ends in one unbounded
 // component flood. This is the deterministic dead-search cost of the
 // expanding-ring baseline, a function of src's component alone.
-func RingSweep(net *manet.Network, src NodeID, ttls []int) Result {
-	return RingSweepR(net, net.Recorder(), src, ttls)
-}
-
-// RingSweepR is RingSweep accounting on an explicit recorder.
-func RingSweepR(net *manet.Network, rec manet.Recorder, src NodeID, ttls []int) Result {
-	var total int64
-	for _, ttl := range ttls {
-		bfs := net.Graph().BoundedBFS(src, ttl)
-		var relays int64
-		for _, v := range bfs.Visited {
-			if ttl >= 0 && int(bfs.Dist[v]) >= ttl {
-				continue // leaf of the bounded flood: receives, does not relay
-			}
-			relays++
-		}
-		rec.Record(manet.CatQuery, relays)
-		total += relays
-	}
-	return Result{Found: false, Messages: total, PathHops: -1}
+func RingSweep(net *manet.Network, rec manet.Recorder, src NodeID, ttls []int) Result {
+	return ExpandingRing(net, rec, src, topology.None, ttls, false)
 }
 
 // ExpandingRing performs the classic expanding-ring search: successive
 // floods with growing TTLs until the target is found or the last ring
 // fails. The paper's §III.C.4 contrasts CARD's directed escalation against
-// exactly this mechanism.
-func ExpandingRing(net *manet.Network, src, target NodeID, ttls []int, countReply bool) Result {
-	return ExpandingRingR(net, net.Recorder(), src, target, ttls, countReply)
-}
-
-// ExpandingRingR is ExpandingRing accounting on an explicit recorder. Each
-// failed ring charges its own relays exactly once; the final successful
-// ring charges its relays plus (when counted) the reply path, and the
-// returned Messages is the cumulative escalation cost.
-func ExpandingRingR(net *manet.Network, rec manet.Recorder, src, target NodeID, ttls []int, countReply bool) Result {
+// exactly this mechanism. Each failed ring charges its own relays exactly
+// once; the final successful ring charges its relays plus (when counted)
+// the reply path, and the returned Messages is the cumulative escalation
+// cost.
+func ExpandingRing(net *manet.Network, rec manet.Recorder, src, target NodeID, ttls []int, countReply bool) Result {
+	r := Result{PathHops: -1}
 	var total int64
-	for i, ttl := range ttls {
-		r := QueryTTLR(net, rec, src, target, ttl, countReply)
+	for _, ttl := range ttls {
+		r = Query(net, rec, src, target, ttl, countReply)
 		total += r.Messages
 		if r.Found {
-			r.Messages = total
-			return r
-		}
-		if i == len(ttls)-1 {
-			r.Messages = total
-			return r
+			break
 		}
 	}
-	return Result{Found: false, Messages: total, PathHops: -1}
+	r.Messages = total
+	return r
 }
 
 // DoublingTTLs returns the TTL schedule 1, 2, 4, ... capped at max, ending

@@ -29,7 +29,7 @@ func randomNet(seed uint64, n int) *manet.Network {
 
 func TestFloodFindsTargetOnLine(t *testing.T) {
 	net := lineNet(10)
-	res := Query(net, 0, 9, true)
+	res := Query(net, net.Recorder(), 0, 9, -1, true)
 	if !res.Found {
 		t.Fatal("flood did not find a connected target")
 	}
@@ -45,7 +45,7 @@ func TestFloodFindsTargetOnLine(t *testing.T) {
 
 func TestFloodWithoutReplyCounting(t *testing.T) {
 	net := lineNet(10)
-	res := Query(net, 0, 9, false)
+	res := Query(net, net.Recorder(), 0, 9, -1, false)
 	if res.Messages != 9 {
 		t.Errorf("Messages = %d, want 9 (no reply)", res.Messages)
 	}
@@ -56,7 +56,7 @@ func TestFloodUnreachableTarget(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 500, Y: 0}, {X: 510, Y: 0}}
 	a := geom.Rect{W: 600, H: 10}
 	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
-	res := Query(net, 0, 3, true)
+	res := Query(net, net.Recorder(), 0, 3, -1, true)
 	if res.Found {
 		t.Fatal("found target in another component")
 	}
@@ -74,8 +74,8 @@ func TestFloodCostScalesWithComponent(t *testing.T) {
 	// complaint about flooding.
 	small := randomNet(5, 250)
 	large := randomNet(5, 1000)
-	rs := Query(small, 0, 1, false)
-	rl := Query(large, 0, 1, false)
+	rs := Query(small, small.Recorder(), 0, 1, -1, false)
+	rl := Query(large, large.Recorder(), 0, 1, -1, false)
 	if rl.Messages <= rs.Messages {
 		t.Errorf("flood cost did not scale: N=250 -> %d, N=1000 -> %d", rs.Messages, rl.Messages)
 	}
@@ -83,7 +83,7 @@ func TestFloodCostScalesWithComponent(t *testing.T) {
 
 func TestQueryTTLBounds(t *testing.T) {
 	net := lineNet(20)
-	res := QueryTTL(net, 0, 15, 5, true)
+	res := Query(net, net.Recorder(), 0, 15, 5, true)
 	if res.Found {
 		t.Fatal("TTL-5 flood found a 15-hop target")
 	}
@@ -91,7 +91,7 @@ func TestQueryTTLBounds(t *testing.T) {
 	if res.Messages != 5 {
 		t.Errorf("Messages = %d, want 5", res.Messages)
 	}
-	res2 := QueryTTL(net, 0, 4, 5, false)
+	res2 := Query(net, net.Recorder(), 0, 4, 5, false)
 	if !res2.Found || res2.PathHops != 4 {
 		t.Errorf("TTL-5 flood missed a 4-hop target: %+v", res2)
 	}
@@ -99,9 +99,9 @@ func TestQueryTTLBounds(t *testing.T) {
 
 func TestExpandingRingCheaperForNearTargets(t *testing.T) {
 	netA := lineNet(60)
-	ring := ExpandingRing(netA, 0, 3, DoublingTTLs(64), false)
+	ring := ExpandingRing(netA, netA.Recorder(), 0, 3, DoublingTTLs(64), false)
 	netB := lineNet(60)
-	full := Query(netB, 0, 3, false)
+	full := Query(netB, netB.Recorder(), 0, 3, -1, false)
 	if !ring.Found || !full.Found {
 		t.Fatal("both searches should find the target")
 	}
@@ -113,7 +113,7 @@ func TestExpandingRingCheaperForNearTargets(t *testing.T) {
 
 func TestExpandingRingFindsFarTargets(t *testing.T) {
 	net := lineNet(40)
-	res := ExpandingRing(net, 0, 39, DoublingTTLs(64), false)
+	res := ExpandingRing(net, net.Recorder(), 0, 39, DoublingTTLs(64), false)
 	if !res.Found {
 		t.Fatal("expanding ring never found far target")
 	}
@@ -126,7 +126,7 @@ func TestExpandingRingUnreachable(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 500, Y: 0}}
 	a := geom.Rect{W: 600, H: 10}
 	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
-	res := ExpandingRing(net, 0, 1, DoublingTTLs(8), false)
+	res := ExpandingRing(net, net.Recorder(), 0, 1, DoublingTTLs(8), false)
 	if res.Found {
 		t.Fatal("found unreachable target")
 	}
@@ -147,7 +147,7 @@ func TestDoublingTTLs(t *testing.T) {
 
 func TestFloodSelfQuery(t *testing.T) {
 	net := lineNet(5)
-	res := Query(net, 2, 2, true)
+	res := Query(net, net.Recorder(), 2, 2, -1, true)
 	if !res.Found || res.PathHops != 0 {
 		t.Errorf("self query = %+v", res)
 	}
@@ -157,7 +157,7 @@ func TestFloodSelfQuery(t *testing.T) {
 // flood costs exactly one broadcast per node of src's component.
 func TestFloodChargesComponent(t *testing.T) {
 	net := lineNet(10)
-	r := Flood(net, 4)
+	r := Flood(net, net.Recorder(), 4)
 	if r.Found || r.PathHops != -1 {
 		t.Errorf("target-less flood reported a find: %+v", r)
 	}
@@ -185,8 +185,9 @@ func TestRingSweepMatchesDeadExpandingRing(t *testing.T) {
 		return manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 	}
 	ttls := DoublingTTLs(8)
-	ref := ExpandingRing(build(), 0, 6, ttls, false)
-	got := RingSweep(build(), 0, ttls)
+	var rec manet.Counters
+	ref := ExpandingRing(build(), &rec, 0, 6, ttls, false)
+	got := RingSweep(build(), &rec, 0, ttls)
 	if got.Found || got.PathHops != -1 {
 		t.Errorf("RingSweep reported a find: %+v", got)
 	}
@@ -195,7 +196,7 @@ func TestRingSweepMatchesDeadExpandingRing(t *testing.T) {
 	}
 	// The sweep must cost more than one plain flood: every failed ring is
 	// charged before the final unbounded one.
-	if full := Flood(build(), 0); got.Messages <= full.Messages {
+	if full := Flood(build(), &rec, 0); got.Messages <= full.Messages {
 		t.Errorf("sweep (%d) not above one component flood (%d)", got.Messages, full.Messages)
 	}
 }

@@ -1,23 +1,19 @@
 // Package resource adds the resource layer on top of CARD's node
 // discovery: named resources (services, data items, roles) hosted at one
-// or more nodes, discovered through any of the three schemes.
+// or more nodes.
 //
 // The paper evaluates node discovery and leaves "various scenarios of ...
 // resource distributions in the network" as future work (§V); this
-// package implements that study. A Directory maps resource ids to holder
-// nodes; discovery for a resource succeeds when any holder is found, so
-// replication turns one lookup into an any-cast and changes every scheme's
-// cost curve.
+// package holds the data of that study. A Directory maps resource ids to
+// holder nodes; discovery for a resource succeeds when any holder is
+// found, so replication turns one lookup into an any-cast and changes
+// every scheme's cost curve. Executing a discovery is the scheme
+// package's job (scheme.Worker.Discover returns this package's Result).
 package resource
 
 import (
-	"fmt"
 	"sort"
 
-	"card/internal/card"
-	"card/internal/flood"
-	"card/internal/manet"
-	"card/internal/neighborhood"
 	"card/internal/topology"
 	"card/internal/xrand"
 )
@@ -104,6 +100,12 @@ func (d *Directory) PlaceReplicas(id ID, k int, rng *xrand.Rand) {
 	d.swaps = swaps[:0]
 }
 
+// Placed returns the nodes holding id in placement order — the order
+// schemes that try holders one at a time (CARD) or break distance ties by
+// first placement (flood, ring) visit them in. It is the directory's own
+// slice, not a copy: read-only, valid until the next placement of id.
+func (d *Directory) Placed(id ID) []NodeID { return d.holders[id] }
+
 // Holders returns the nodes holding id (sorted, copy).
 func (d *Directory) Holders(id ID) []NodeID {
 	hs := append([]NodeID(nil), d.holders[id]...)
@@ -132,10 +134,6 @@ func (d *Directory) Hosted(u NodeID) []ID {
 // Resources returns the number of distinct resources registered.
 func (d *Directory) Resources() int { return len(d.holders) }
 
-func (d *Directory) String() string {
-	return fmt.Sprintf("directory: %d resources over %d nodes", len(d.holders), d.n)
-}
-
 // Result reports one resource discovery.
 type Result struct {
 	// Found reports whether some holder was located.
@@ -146,157 +144,4 @@ type Result struct {
 	Messages int64
 	// PathHops is the route length to the holder, or -1.
 	PathHops int
-}
-
-// DiscoverCARD finds a holder of id from src using the CARD protocol:
-// the source checks its own neighborhood for any holder, then queries
-// holders one at a time through the contact architecture, nearest-listed
-// first, stopping at the first hit.
-//
-// Contacts leverage neighborhood knowledge: a holder inside any queried
-// contact's neighborhood answers, so replication multiplies the effective
-// target set exactly as it would in a real deployment.
-func DiscoverCARD(p *card.Protocol, d *Directory, src NodeID, id ID) Result {
-	return discoverCARD(p.Neighborhood(), p.Query, d, src, id)
-}
-
-// DiscoverCARDWith is DiscoverCARD executing on a caller-owned Querier:
-// message tallies accumulate locally in q (flush after the batch joins)
-// and no shared protocol state is touched, so any number of Queriers may
-// discover concurrently between rounds — the sustained-workload engine
-// shards its per-tick query batches exactly this way.
-func DiscoverCARDWith(q *card.Querier, d *Directory, src NodeID, id ID) Result {
-	return discoverCARD(q.Protocol().Neighborhood(), q.Query, d, src, id)
-}
-
-// discoverCARD is the shared discovery core behind both entry points;
-// query runs one destination search (serial protocol path or per-worker
-// Querier path).
-func discoverCARD(nb neighborhood.Provider, query func(src, dst NodeID) card.QueryResult,
-	d *Directory, src NodeID, id ID) Result {
-	holders := d.holders[id]
-	if len(holders) == 0 {
-		return Result{Found: false, PathHops: -1}
-	}
-	// Local resolution: any holder within the neighborhood table.
-	best := Result{Found: false, PathHops: -1}
-	for _, h := range holders {
-		if h == src {
-			return Result{Found: true, Holder: src, PathHops: 0}
-		}
-		if nb.Contains(src, h) {
-			hops := nb.Dist(src, h)
-			if !best.Found || hops < best.PathHops {
-				best = Result{Found: true, Holder: h, PathHops: hops}
-			}
-		}
-	}
-	if best.Found {
-		return best
-	}
-	// Remote resolution through contacts, holder by holder.
-	var msgs int64
-	for _, h := range holders {
-		r := query(src, h)
-		msgs += r.Messages
-		if r.Found {
-			return Result{Found: true, Holder: h, Messages: msgs, PathHops: r.PathHops}
-		}
-	}
-	return Result{Found: false, Messages: msgs, PathHops: -1}
-}
-
-// DiscoverFlood finds a holder of id from src by flooding: the query
-// carries the resource id and the nearest holder answers. Cost is one
-// flood bounded by the distance to the nearest holder is not modeled —
-// plain duplicate-suppressed flooding reaches everyone, so the flood cost
-// is component-sized regardless of replication, while the reply comes from
-// the nearest holder.
-func DiscoverFlood(net *manet.Network, d *Directory, src NodeID, id ID) Result {
-	return DiscoverFloodR(net, net.Recorder(), d, src, id)
-}
-
-// DiscoverFloodR is DiscoverFlood accounting on an explicit recorder —
-// the per-worker form the scheme layer shards with (tally locally, flush
-// serially after the join, exactly like card.Querier).
-func DiscoverFloodR(net *manet.Network, rec manet.Recorder, d *Directory, src NodeID, id ID) Result {
-	holders := d.holders[id]
-	if len(holders) == 0 {
-		return Result{Found: false, PathHops: -1}
-	}
-	if r, ok := selfHeld(holders, src); ok {
-		return r
-	}
-	// One flood; nearest reachable holder replies.
-	bfs := net.Graph().BFS(src)
-	nearest := NodeID(-1)
-	bestDist := int32(1 << 30)
-	for _, h := range holders {
-		if bfs.Dist[h] >= 0 && bfs.Dist[h] < bestDist {
-			bestDist = bfs.Dist[h]
-			nearest = h
-		}
-	}
-	if nearest < 0 {
-		// No reachable holder: the query floods src's whole component and
-		// dies. Charging an explicit full-component flood (rather than a
-		// unicast-style query toward holders[0] as a proxy destination)
-		// makes the dead-search cost a function of the topology alone,
-		// identical under any holder insertion order.
-		r := flood.FloodR(net, rec, src)
-		return Result{Found: false, Messages: r.Messages, PathHops: -1}
-	}
-	r := flood.QueryR(net, rec, src, nearest, true)
-	return Result{Found: r.Found, Holder: nearest, Messages: r.Messages, PathHops: r.PathHops}
-}
-
-// DiscoverExpandingRing finds a holder via TTL-doubling floods, stopping
-// at the ring that first covers a holder — the classical anycast baseline.
-func DiscoverExpandingRing(net *manet.Network, d *Directory, src NodeID, id ID) Result {
-	return DiscoverExpandingRingR(net, net.Recorder(), d, src, id)
-}
-
-// DiscoverExpandingRingR is DiscoverExpandingRing accounting on an
-// explicit recorder (see DiscoverFloodR).
-func DiscoverExpandingRingR(net *manet.Network, rec manet.Recorder, d *Directory, src NodeID, id ID) Result {
-	holders := d.holders[id]
-	if len(holders) == 0 {
-		return Result{Found: false, PathHops: -1}
-	}
-	if r, ok := selfHeld(holders, src); ok {
-		return r
-	}
-	bfs := net.Graph().BFS(src)
-	nearest := NodeID(-1)
-	bestDist := int32(1 << 30)
-	for _, h := range holders {
-		if bfs.Dist[h] >= 0 && bfs.Dist[h] < bestDist {
-			bestDist = bfs.Dist[h]
-			nearest = h
-		}
-	}
-	if nearest < 0 {
-		// No reachable holder: the escalation runs its full TTL schedule
-		// and dies. RingSweep charges exactly that, as a function of src's
-		// component alone — no proxy holder destination involved.
-		r := flood.RingSweepR(net, rec, src, flood.DoublingTTLs(64))
-		return Result{Found: false, Messages: r.Messages, PathHops: -1}
-	}
-	r := flood.ExpandingRingR(net, rec, src, nearest, flood.DoublingTTLs(64), true)
-	return Result{Found: r.Found, Holder: nearest, Messages: r.Messages, PathHops: r.PathHops}
-}
-
-// selfHeld resolves the query locally when src itself holds the resource:
-// zero control messages, zero hops, under every discovery scheme. The
-// flooding baselines used to skip this check and charge a full flood for a
-// resource the source already had, inflating their overhead relative to
-// DiscoverCARD (which has always answered locally) and skewing every
-// cost comparison under replication.
-func selfHeld(holders []NodeID, src NodeID) (Result, bool) {
-	for _, h := range holders {
-		if h == src {
-			return Result{Found: true, Holder: src, PathHops: 0}, true
-		}
-	}
-	return Result{}, false
 }

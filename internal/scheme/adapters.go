@@ -1,117 +1,203 @@
-// Adapters wrapping the existing discovery mechanisms — CARD, flooding,
-// expanding ring, bordercast — onto the DiscoveryScheme interface. Each
-// worker owns private tallies and scratch; Flush drains them into the
-// network's shared recorder.
+// Adapters putting the discovery mechanisms — CARD, flooding, expanding
+// ring, bordercast — behind the DiscoveryScheme interface. The anycast
+// rules every mechanism shares (what is answered without radio traffic,
+// which holder answers, what a dead search costs) live here once; the
+// flood and bordercast packages below only know node targets.
 package scheme
 
 import (
 	"fmt"
+	"slices"
 
 	"card/internal/bordercast"
 	"card/internal/card"
+	"card/internal/flood"
 	"card/internal/manet"
 	"card/internal/resource"
 )
 
-// --- card ---
+// stateless is a scheme with nothing to register and nothing to repair —
+// CARD's own maintenance (DSDV rounds, contact validation) belongs to the
+// protocol's clock, and the flooding and bordercast baselines keep no
+// state between queries — so it is just a name and a worker factory.
+type stateless struct {
+	name      string
+	newWorker func() Worker
+}
 
-// cardScheme rides the CARD protocol: workers wrap card.Querier, which
-// already implements the local-tally/serial-flush contract. Maintenance
-// (DSDV rounds, contact validation) belongs to the protocol's own clock,
-// so Maintain is a no-op here.
-type cardScheme struct{ env Env }
+func (s *stateless) Name() string         { return s.name }
+func (s *stateless) Setup()               {}
+func (s *stateless) Maintain(now float64) {}
+func (s *stateless) Worker() Worker       { return s.newWorker() }
+
+// tally is the accounting half of every baseline worker — the sharding
+// contract of the package doc in code: Discover charges the private pend,
+// never the shared recorder, and Flush drains pend into the network's
+// recorder serially after the batch joins.
+type tally struct {
+	net  *manet.Network
+	pend manet.Counters
+}
+
+func (t *tally) Flush() {
+	t.pend.AddTo(t.net.Recorder())
+	t.pend.Reset()
+}
+
+// miss is a discovery that located no holder.
+func miss(msgs int64) resource.Result {
+	return resource.Result{Messages: msgs, PathHops: -1}
+}
+
+// selfHeld resolves the query locally when src itself holds the resource:
+// zero control messages, zero hops, under every discovery scheme. The
+// flooding baselines used to skip this check and charge a full flood for a
+// resource the source already had, inflating their overhead relative to
+// CARD (which has always answered locally) and skewing every cost
+// comparison under replication.
+func selfHeld(holders []NodeID, src NodeID) (resource.Result, bool) {
+	if slices.Contains(holders, src) {
+		return resource.Result{Found: true, Holder: src, PathHops: 0}, true
+	}
+	return resource.Result{}, false
+}
+
+// nearest is the one nearest-reachable scan: it returns the candidate
+// (a resource's holders, a region's residents) with the smallest
+// non-negative dist — BFS hops from the querier — or -1 when none is
+// reachable. Equidistant candidates tie to the first listed — or, with
+// lowestID, to the lowest id, for schemes whose cost depends on which
+// holder is addressed and must not vary with holder insertion order.
+func nearest(dist []int32, candidates []NodeID, lowestID bool) NodeID {
+	best := NodeID(-1)
+	for _, c := range candidates {
+		if dist[c] < 0 {
+			continue
+		}
+		if best < 0 || dist[c] < dist[best] || (lowestID && dist[c] == dist[best] && c < best) {
+			best = c
+		}
+	}
+	return best
+}
+
+// --- card ---
 
 func newCard(env Env) (DiscoveryScheme, error) {
 	if env.Prot == nil {
 		return nil, fmt.Errorf("scheme card: Env needs Prot")
 	}
-	return &cardScheme{env: env}, nil
+	return &stateless{"card", func() Worker {
+		return &cardWorker{dir: env.Dir, q: env.Prot.NewQuerier()}
+	}}, nil
 }
 
-func (s *cardScheme) Name() string         { return "card" }
-func (s *cardScheme) Setup()               {}
-func (s *cardScheme) Maintain(now float64) {}
-func (s *cardScheme) Worker() Worker {
-	return &cardWorker{dir: s.env.Dir, q: s.env.Prot.NewQuerier()}
-}
-
+// cardWorker wraps a card.Querier, which already implements the
+// local-tally/serial-flush contract: tallies accumulate in q and no shared
+// protocol state is touched, so any number of workers may discover
+// concurrently between rounds.
 type cardWorker struct {
 	dir *resource.Directory
 	q   *card.Querier
 }
 
+// Discover finds a holder of id through the contact architecture: the
+// source checks its own neighborhood table for any holder, then queries
+// holders one at a time through its contacts, in placement order,
+// stopping at the first hit.
+//
+// Contacts leverage neighborhood knowledge: a holder inside any queried
+// contact's neighborhood answers, so replication multiplies the effective
+// target set exactly as it would in a real deployment.
 func (w *cardWorker) Discover(src NodeID, id resource.ID) resource.Result {
-	return resource.DiscoverCARDWith(w.q, w.dir, src, id)
+	holders := w.dir.Placed(id)
+	if r, ok := selfHeld(holders, src); ok {
+		return r
+	}
+	// Local resolution: the nearest holder within the neighborhood table.
+	nb := w.q.Protocol().Neighborhood()
+	var best resource.Result
+	for _, h := range holders {
+		if nb.Contains(src, h) {
+			if hops := nb.Dist(src, h); !best.Found || hops < best.PathHops {
+				best = resource.Result{Found: true, Holder: h, PathHops: hops}
+			}
+		}
+	}
+	if best.Found {
+		return best
+	}
+	// Remote resolution through contacts, holder by holder.
+	var msgs int64
+	for _, h := range holders {
+		r := w.q.Query(src, h)
+		msgs += r.Messages
+		if r.Found {
+			return resource.Result{Found: true, Holder: h, Messages: msgs, PathHops: r.PathHops}
+		}
+	}
+	return miss(msgs)
 }
+
 func (w *cardWorker) Flush() { w.q.Flush() }
 
 // --- flood / ring ---
 
-// floodScheme and ringScheme are stateless: no setup, no maintenance.
-// Workers tally into a private Counters via the R-form discovery calls.
-type floodScheme struct{ env Env }
+// The two flooding baselines are one worker; they differ only in the TTL
+// schedule. "flood" is the one-ring schedule {unbounded}: plain
+// duplicate-suppressed flooding reaches everyone, so its cost is
+// component-sized regardless of replication. "ring" is the doubling
+// schedule, stopping at the ring that first covers a holder — the
+// classical anycast baseline.
+func newFlood(env Env) (DiscoveryScheme, error) { return floodScheme("flood", env, []int{-1}), nil }
 
-func newFlood(env Env) (DiscoveryScheme, error) { return &floodScheme{env: env}, nil }
+func newRing(env Env) (DiscoveryScheme, error) {
+	return floodScheme("ring", env, flood.DoublingTTLs(64)), nil
+}
 
-func (s *floodScheme) Name() string         { return "flood" }
-func (s *floodScheme) Setup()               {}
-func (s *floodScheme) Maintain(now float64) {}
-func (s *floodScheme) Worker() Worker {
-	return &floodWorker{net: s.env.Net, dir: s.env.Dir}
+func floodScheme(name string, env Env, ttls []int) DiscoveryScheme {
+	return &stateless{name, func() Worker {
+		return &floodWorker{tally: tally{net: env.Net}, dir: env.Dir, ttls: ttls}
+	}}
 }
 
 type floodWorker struct {
-	net  *manet.Network
+	tally
 	dir  *resource.Directory
-	pend manet.Counters
+	ttls []int
 }
 
+// Discover floods for id: the query carries the resource id and the
+// nearest reachable holder answers.
 func (w *floodWorker) Discover(src NodeID, id resource.ID) resource.Result {
-	return resource.DiscoverFloodR(w.net, &w.pend, w.dir, src, id)
-}
-func (w *floodWorker) Flush() {
-	w.pend.AddTo(w.net.Recorder())
-	w.pend.Reset()
-}
-
-type ringScheme struct{ env Env }
-
-func newRing(env Env) (DiscoveryScheme, error) { return &ringScheme{env: env}, nil }
-
-func (s *ringScheme) Name() string         { return "ring" }
-func (s *ringScheme) Setup()               {}
-func (s *ringScheme) Maintain(now float64) {}
-func (s *ringScheme) Worker() Worker {
-	return &ringWorker{net: s.env.Net, dir: s.env.Dir}
-}
-
-type ringWorker struct {
-	net  *manet.Network
-	dir  *resource.Directory
-	pend manet.Counters
-}
-
-func (w *ringWorker) Discover(src NodeID, id resource.ID) resource.Result {
-	return resource.DiscoverExpandingRingR(w.net, &w.pend, w.dir, src, id)
-}
-func (w *ringWorker) Flush() {
-	w.pend.AddTo(w.net.Recorder())
-	w.pend.Reset()
+	holders := w.dir.Placed(id)
+	if len(holders) == 0 {
+		return miss(0)
+	}
+	if r, ok := selfHeld(holders, src); ok {
+		return r
+	}
+	target := nearest(w.net.Graph().BFS(src).Dist, holders, false)
+	if target < 0 {
+		// No reachable holder: the search runs its full TTL schedule over
+		// src's component and dies. Charging that explicitly (rather than
+		// a query toward holders[0] as a proxy destination) makes the
+		// dead-search cost a function of the topology alone, identical
+		// under any holder insertion order.
+		return miss(flood.RingSweep(w.net, &w.pend, src, w.ttls).Messages)
+	}
+	r := flood.ExpandingRing(w.net, &w.pend, src, target, w.ttls, true)
+	return resource.Result{Found: r.Found, Holder: target, Messages: r.Messages, PathHops: r.PathHops}
 }
 
 // --- bordercast ---
 
-// bordercastScheme runs ZRP bordercasting as an anycast: a query targets
+// newBordercast runs ZRP bordercasting as an anycast: a query targets
 // the nearest reachable holder (ties to the lowest id, so the outcome is
 // invariant under holder insertion order). The zone radius reuses CARD's
 // neighborhood radius R — the same proactive substrate, exactly as the
 // paper's comparison sets it up. The Protocol holds no per-query state,
 // so one shared instance serves every worker.
-type bordercastScheme struct {
-	env Env
-	bc  *bordercast.Protocol
-}
-
 func newBordercast(env Env) (DiscoveryScheme, error) {
 	if env.Prot == nil {
 		return nil, fmt.Errorf("scheme bordercast: Env needs Prot (zone = neighborhood radius)")
@@ -121,54 +207,32 @@ func newBordercast(env Env) (DiscoveryScheme, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scheme bordercast: %w", err)
 	}
-	return &bordercastScheme{env: env, bc: bc}, nil
-}
-
-func (s *bordercastScheme) Name() string         { return "bordercast" }
-func (s *bordercastScheme) Setup()               {}
-func (s *bordercastScheme) Maintain(now float64) {}
-func (s *bordercastScheme) Worker() Worker {
-	return &bordercastWorker{net: s.env.Net, dir: s.env.Dir, bc: s.bc}
+	return &stateless{"bordercast", func() Worker {
+		return &bordercastWorker{tally: tally{net: env.Net}, dir: env.Dir, bc: bc}
+	}}, nil
 }
 
 type bordercastWorker struct {
-	net  *manet.Network
-	dir  *resource.Directory
-	bc   *bordercast.Protocol
-	pend manet.Counters
+	tally
+	dir *resource.Directory
+	bc  *bordercast.Protocol
 }
 
 func (w *bordercastWorker) Discover(src NodeID, id resource.ID) resource.Result {
-	holders := w.dir.Holders(id)
+	holders := w.dir.Placed(id)
 	if len(holders) == 0 {
-		return resource.Result{Found: false, PathHops: -1}
+		return miss(0)
 	}
-	for _, h := range holders {
-		if h == src {
-			return resource.Result{Found: true, Holder: src, PathHops: 0}
-		}
+	if r, ok := selfHeld(holders, src); ok {
+		return r
 	}
-	bfs := w.net.Graph().BFS(src)
-	nearest := NodeID(-1)
-	bestDist := int32(1 << 30)
-	for _, h := range holders {
-		if bfs.Dist[h] >= 0 && bfs.Dist[h] < bestDist {
-			bestDist = bfs.Dist[h]
-			nearest = h
-		}
-	}
-	if nearest < 0 {
+	target := nearest(w.net.Graph().BFS(src).Dist, holders, true)
+	if target < 0 {
 		// No reachable holder: the cascade runs dry over src's component.
 		// The cost is target-independent, so the lowest-id holder serves as
 		// the nominal (unreachable) destination.
-		r := w.bc.QueryR(&w.pend, src, holders[0])
-		return resource.Result{Found: false, Messages: r.Messages, PathHops: -1}
+		return miss(w.bc.Query(&w.pend, src, slices.Min(holders)).Messages)
 	}
-	r := w.bc.QueryR(&w.pend, src, nearest)
-	return resource.Result{Found: r.Found, Holder: nearest, Messages: r.Messages, PathHops: r.PathHops}
-}
-
-func (w *bordercastWorker) Flush() {
-	w.pend.AddTo(w.net.Recorder())
-	w.pend.Reset()
+	r := w.bc.Query(&w.pend, src, target)
+	return resource.Result{Found: r.Found, Holder: target, Messages: r.Messages, PathHops: r.PathHops}
 }

@@ -154,9 +154,6 @@ func newRendezvous(env Env) (DiscoveryScheme, error) {
 
 func (s *rendezvous) Name() string { return "rendezvous" }
 
-// Grid exposes the region grid (tests pin the hash contract through it).
-func (s *rendezvous) Grid() RegionGrid { return s.grid }
-
 // RegistrationRegion returns the region a holder registers id into.
 func (s *rendezvous) RegistrationRegion(id resource.ID) int { return s.grid.RegionOf(id) }
 
@@ -186,7 +183,13 @@ func (s *rendezvous) Setup() {
 	}
 	// regs is sorted by (id, holder); re-key the index view by (holder, id)
 	// with a stable insertion order so one BFS serves each holder's batch.
-	sortByHolder(s.byHolder, s.regs)
+	sort.Slice(s.byHolder, func(a, b int) bool {
+		x, y := s.regs[s.byHolder[a]], s.regs[s.byHolder[b]]
+		if x.holder != y.holder {
+			return x.holder < y.holder
+		}
+		return x.id < y.id
+	})
 	s.registerAll()
 }
 
@@ -221,7 +224,9 @@ func (s *rendezvous) registerAll() {
 			last = b.holder
 		}
 		region := s.grid.RegionOf(b.id)
-		gate, dist := s.nearestResident(region, bfs)
+		// The gate is the nearest reachable resident (residents are listed
+		// ascending, so ties go to the lowest id).
+		gate := nearest(bfs.Dist, s.residents[region], false)
 		if gate < 0 {
 			// The rendezvous region has no reachable resident right now:
 			// the registration packet cannot be delivered. The holder
@@ -232,7 +237,7 @@ func (s *rendezvous) registerAll() {
 		}
 		// Unicast holder→gate, then flood the region's residents: each
 		// resident rebroadcasts the binding once.
-		rec.Record(manet.CatRegister, int64(dist)+int64(len(s.residents[region])))
+		rec.Record(manet.CatRegister, int64(bfs.Dist[gate])+int64(len(s.residents[region])))
 		b.anchor = gate
 	}
 }
@@ -267,28 +272,13 @@ func (s *rendezvous) refreshResidents() {
 	}
 }
 
-// nearestResident returns the reachable resident of region nearest to
-// bfs's source (ties to the lowest id) and its distance, or (-1, -1).
-func (s *rendezvous) nearestResident(region int, bfs *topology.BFSResult) (NodeID, int32) {
-	gate := NodeID(-1)
-	best := int32(1 << 30)
-	for _, u := range s.residents[region] {
-		if d := bfs.Dist[u]; d >= 0 && d < best {
-			best = d
-			gate = u
-		}
-	}
-	if gate < 0 {
-		return -1, -1
-	}
-	return gate, best
+func (s *rendezvous) Worker() Worker {
+	return &rrWorker{tally: tally{net: s.env.Net}, s: s}
 }
 
-func (s *rendezvous) Worker() Worker { return &rrWorker{s: s} }
-
 type rrWorker struct {
-	s    *rendezvous
-	pend manet.Counters
+	tally
+	s *rendezvous
 }
 
 // Discover looks id up through its rendezvous region: unicast to the
@@ -297,22 +287,19 @@ type rrWorker struct {
 // live holder. An unknown or unregistered resource still pays the full
 // region lookup; only a resource the querier itself holds is free.
 func (w *rrWorker) Discover(src NodeID, id resource.ID) resource.Result {
-	s := w.s
-	net := s.env.Net
-	for _, h := range s.env.Dir.Holders(id) {
-		if h == src {
-			return resource.Result{Found: true, Holder: src, PathHops: 0}
-		}
+	s, net := w.s, w.net
+	if r, ok := selfHeld(s.env.Dir.Placed(id), src); ok {
+		return r
 	}
 	region := s.LookupRegion(id)
 	bfs := net.Graph().BFS(src)
-	gate, dist := s.nearestResident(region, bfs)
+	gate := nearest(bfs.Dist, s.residents[region], false)
 	if gate < 0 {
 		// Geo-routing toward an unpopulated-or-unreachable region
 		// degenerates to a dead search over src's component.
-		r := flood.FloodR(net, &w.pend, src)
-		return resource.Result{Found: false, Messages: r.Messages, PathHops: -1}
+		return miss(flood.Flood(net, &w.pend, src).Messages)
 	}
+	dist := bfs.Dist[gate]
 	// Unicast src→gate plus the region-local flood.
 	msgs := int64(dist) + int64(len(s.residents[region]))
 	w.pend.Record(manet.CatQuery, msgs)
@@ -335,26 +322,10 @@ func (w *rrWorker) Discover(src NodeID, id resource.ID) resource.Result {
 		}
 	}
 	if best < 0 {
-		return resource.Result{Found: false, Messages: msgs, PathHops: -1}
+		return miss(msgs)
 	}
 	// Reply unicasts back along the gate route.
 	w.pend.Record(manet.CatReply, int64(dist))
 	msgs += int64(dist)
 	return resource.Result{Found: true, Holder: best, Messages: msgs, PathHops: int(bfs.Dist[best])}
-}
-
-func (w *rrWorker) Flush() {
-	w.pend.AddTo(w.s.env.Net.Recorder())
-	w.pend.Reset()
-}
-
-// sortByHolder sorts reg indices by (holder, id) without ranging a map.
-func sortByHolder(idx []int, regs []rrBinding) {
-	sort.Slice(idx, func(a, b int) bool {
-		x, y := regs[idx[a]], regs[idx[b]]
-		if x.holder != y.holder {
-			return x.holder < y.holder
-		}
-		return x.id < y.id
-	})
 }

@@ -22,6 +22,7 @@
 package scheme
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -54,13 +55,6 @@ type Env struct {
 	// per side, K² regions). 0 sizes the grid from the deployment area and
 	// radio range.
 	RegionsPerSide int
-}
-
-func (e Env) validate(name string) error {
-	if e.Net == nil || e.Dir == nil {
-		return fmt.Errorf("scheme %s: Env needs Net and Dir", name)
-	}
-	return nil
 }
 
 // DiscoveryScheme is one constructed discovery mechanism. Setup and
@@ -133,12 +127,7 @@ func Known(name string) bool {
 }
 
 // Canon resolves the empty scheme name to the default, "card".
-func Canon(name string) string {
-	if name == "" {
-		return "card"
-	}
-	return name
-}
+func Canon(name string) string { return cmp.Or(name, "card") }
 
 // New builds the named scheme over env. The empty name builds the default
 // CARD scheme.
@@ -148,8 +137,8 @@ func New(name string, env Env) (DiscoveryScheme, error) {
 	if !ok {
 		return nil, fmt.Errorf("scheme: unknown scheme %q (have %v)", name, Names())
 	}
-	if err := env.validate(canon); err != nil {
-		return nil, err
+	if env.Net == nil || env.Dir == nil {
+		return nil, fmt.Errorf("scheme %s: Env needs Net and Dir", canon)
 	}
 	return f(env)
 }

@@ -70,36 +70,16 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 	if cfg.Scheme != "" {
 		return er.runScheme(e, cfg, nc.Seed)
 	}
-	var out Metrics
-	m := e.Messages()
-	n := float64(e.Nodes())
-	out.Overhead = float64(m.Selection+m.Backtrack+m.Validation+m.Recovery) / n
-	if er.Horizon > 0 {
-		out.Overhead /= er.Horizon
-	}
-	out.Reach = e.MeanReachability(e.Config().Depth)
+	out := er.standing(e)
 	if er.Queries > 0 {
 		pairs := e.RandomPairs(er.Queries, nc.Seed^pairSalt)
 		res := e.BatchQuery(pairs)
 		if len(res) > 0 {
-			// Stream the per-query records through windows sized to the
-			// batch: every sample is held, so the summaries are identical
-			// to sorting a retained slice, but the cell's footprint is
-			// bounded by its own query budget — the shape large sweeps
-			// (many cells × many queries) rely on.
-			winMsgs := stats.NewWindow(len(res))
-			winHops := stats.NewWindow(len(res))
-			found := 0
+			qs := querySummary{msgs: stats.NewWindow(len(res)), hops: stats.NewWindow(len(res))}
 			for _, r := range res {
-				winMsgs.Add(float64(r.Messages))
-				if r.Found {
-					found++
-					winHops.Add(float64(r.PathHops))
-				}
+				qs.add(r.Found, r.Messages, r.PathHops)
 			}
-			out.Success = 100 * float64(found) / float64(len(res))
-			out.Msgs = winMsgs.Summary()
-			out.Hops = winHops.Summary()
+			qs.fill(&out, len(res))
 		}
 	}
 	return out, nil
@@ -133,18 +113,10 @@ func (er EngineRunner) runScheme(e *engine.Engine, cfg CellConfig, cellSeed uint
 		return Metrics{}, err
 	}
 	sch.Setup()
-	var out Metrics
-	m := e.Messages()
-	out.Overhead = float64(m.Selection+m.Backtrack+m.Validation+m.Recovery+m.Register) / float64(n)
-	if er.Horizon > 0 {
-		out.Overhead /= er.Horizon
-	}
-	out.Reach = e.MeanReachability(e.Config().Depth)
+	out := er.standing(e)
 	if er.Queries > 0 {
 		w := sch.Worker()
-		winMsgs := stats.NewWindow(er.Queries)
-		winHops := stats.NewWindow(er.Queries)
-		found := 0
+		qs := querySummary{msgs: stats.NewWindow(er.Queries), hops: stats.NewWindow(er.Queries)}
 		net := e.Network()
 		for q := 0; q < er.Queries; q++ {
 			src := scheme.NodeID(draws.Intn(n))
@@ -153,16 +125,51 @@ func (er EngineRunner) runScheme(e *engine.Engine, cfg CellConfig, cellSeed uint
 				continue // offered but unservable; a failure with no traffic
 			}
 			r := w.Discover(src, id)
-			winMsgs.Add(float64(r.Messages))
-			if r.Found {
-				found++
-				winHops.Add(float64(r.PathHops))
-			}
+			qs.add(r.Found, r.Messages, r.PathHops)
 		}
 		w.Flush()
-		out.Success = 100 * float64(found) / float64(er.Queries)
-		out.Msgs = winMsgs.Summary()
-		out.Hops = winHops.Summary()
+		qs.fill(&out, er.Queries)
 	}
 	return out, nil
+}
+
+// standing measures what a cell costs and offers before any query runs:
+// the overhead rate — contact selection and upkeep plus scheme
+// registration (zero unless a rendezvous Setup ran) per node per second —
+// and mean reachability at the configured depth.
+func (er EngineRunner) standing(e *engine.Engine) Metrics {
+	m := e.Messages()
+	out := Metrics{Reach: e.MeanReachability(e.Config().Depth)}
+	out.Overhead = float64(m.Selection+m.Backtrack+m.Validation+m.Recovery+m.Register) / float64(e.Nodes())
+	if er.Horizon > 0 {
+		out.Overhead /= er.Horizon
+	}
+	return out
+}
+
+// querySummary accumulates a cell's per-query records for the Success /
+// Msgs / Hops metrics both cell bodies report. The windows are sized to
+// the cell's query budget: every sample is held, so the summaries are
+// identical to sorting a retained slice, but the cell's footprint is
+// bounded by its own budget — the shape large sweeps (many cells × many
+// queries) rely on.
+type querySummary struct {
+	msgs, hops *stats.Window
+	found      int
+}
+
+func (qs *querySummary) add(found bool, msgs int64, hops int) {
+	qs.msgs.Add(float64(msgs))
+	if found {
+		qs.found++
+		qs.hops.Add(float64(hops))
+	}
+}
+
+// fill writes the metrics; offered is the success denominator (it exceeds
+// the added records when sources were down).
+func (qs *querySummary) fill(out *Metrics, offered int) {
+	out.Success = 100 * float64(qs.found) / float64(offered)
+	out.Msgs = qs.msgs.Summary()
+	out.Hops = qs.hops.Summary()
 }

@@ -41,6 +41,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"card/internal/card"
 	"card/internal/manet"
@@ -113,6 +114,17 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
+	// Non-finite values pass the range checks below or defeat the tick
+	// loop (an infinite rate or horizon never terminates, a NaN tick never
+	// starts), so they are rejected by name first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"QPS", c.QPS}, {"Duration", c.Duration}, {"Tick", c.Tick}, {"ZipfS", c.ZipfS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s = %g is not a finite number", f.name, f.v)
+		}
+	}
 	if !(c.QPS > 0) {
 		return fmt.Errorf("workload: need QPS > 0, got %g", c.QPS)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"card/internal/card"
@@ -67,6 +68,10 @@ func TestRunValidatesConfig(t *testing.T) {
 		"negative-tick": {QPS: 10, Duration: 5, Tick: -1},
 		"negative-zipf": {QPS: 10, Duration: 5, ZipfS: -0.5},
 		"bad-scheme":    {QPS: 10, Duration: 5, Scheme: "zone-flooding"},
+		"inf-qps":       {QPS: math.Inf(1), Duration: 5},
+		"inf-duration":  {QPS: 10, Duration: math.Inf(1)},
+		"nan-tick":      {QPS: 10, Duration: 5, Tick: math.NaN()},
+		"inf-zipf":      {QPS: 10, Duration: 5, ZipfS: math.Inf(1)},
 	} {
 		if _, err := Run(d, bad); err == nil {
 			t.Errorf("%s: bad config accepted", name)
