@@ -67,17 +67,6 @@ const (
 	TraceReplay = engine.TraceReplay
 )
 
-// ProactiveKind selects the neighborhood substrate implementation.
-type ProactiveKind = engine.ProactiveKind
-
-// Proactive substrates.
-const (
-	// OracleView (default) recomputes converged R-hop views per snapshot.
-	OracleView = engine.OracleView
-	// DSDVProtocol runs the real scoped distance-vector protocol.
-	DSDVProtocol = engine.DSDVProtocol
-)
-
 // Pair is one (source, destination) query assignment for BatchQuery.
 type Pair = engine.Pair
 
@@ -229,9 +218,9 @@ func (s *Simulation) Config() Config { return s.e.Config() }
 func (s *Simulation) Protocol() *proto.Protocol { return s.e.Protocol() }
 
 // Advance moves simulated time forward by dt seconds: node positions and
-// the connectivity snapshot are refreshed, one maintenance round runs for
-// every elapsed ValidatePeriod boundary, and — under DSDVProtocol — the
-// proactive substrate detects link breaks and issues its periodic dumps.
+// the connectivity snapshot are refreshed, and one maintenance round runs
+// for every elapsed ValidatePeriod boundary; the neighborhood views follow
+// the new snapshot with no traffic of their own (the converged view).
 // The schedule is drift-free: maintenance boundaries are indexed by an
 // integer round counter, so no boundary is skipped or fired twice no
 // matter how Advance calls are sliced.

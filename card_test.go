@@ -174,67 +174,6 @@ func TestContactsAccessor(t *testing.T) {
 	}
 }
 
-func TestDSDVSubstrateEndToEnd(t *testing.T) {
-	nc, cfg := staticCfg()
-	nc.Proactive = DSDVProtocol
-	nc.Nodes = 200
-	s := newSim(t, nc, cfg)
-	if s.SelectContacts() == 0 {
-		t.Fatal("no contacts selected on DSDV substrate")
-	}
-	m := s.Messages()
-	if m.Proactive == 0 {
-		t.Error("DSDV substrate counted no proactive broadcasts")
-	}
-	// Static network: the converged DSDV view must equal the oracle view,
-	// so reachability through either substrate agrees.
-	ncO := nc
-	ncO.Proactive = OracleView
-	o := newSim(t, ncO, cfg)
-	o.SelectContacts()
-	dr, or := s.MeanReachability(1), o.MeanReachability(1)
-	if dr <= 0 {
-		t.Fatalf("DSDV reachability = %v", dr)
-	}
-	diff := dr - or
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 5 {
-		t.Errorf("DSDV (%v%%) and oracle (%v%%) reachability diverge on a static net", dr, or)
-	}
-	// Queries resolve over DSDV tables too.
-	found := 0
-	for i := 0; i < 20; i++ {
-		src, dst := s.RandomPair(uint64(i))
-		if s.Query(src, dst).Found {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Error("no queries resolved over the DSDV substrate")
-	}
-}
-
-func TestDSDVSubstrateUnderMobility(t *testing.T) {
-	nc, cfg := staticCfg()
-	nc.Proactive = DSDVProtocol
-	nc.Mobility = RandomWaypoint
-	nc.Nodes = 120
-	nc.DSDVPeriod = 0.5
-	cfg.ValidatePeriod = 1
-	s := newSim(t, nc, cfg)
-	s.SelectContacts()
-	s.Advance(5)
-	m := s.Messages()
-	if m.Proactive == 0 || m.Validation == 0 {
-		t.Errorf("mobile DSDV run missing traffic: %+v", m)
-	}
-	if s.MeanReachability(1) <= 0 {
-		t.Error("reachability collapsed under mobile DSDV")
-	}
-}
-
 func TestBatchQueryFacade(t *testing.T) {
 	nc, cfg := staticCfg()
 	s := newSim(t, nc, cfg)
@@ -273,13 +212,5 @@ func TestPresetSimulation(t *testing.T) {
 	}
 	if s.SelectContacts() == 0 {
 		t.Error("preset simulation selected no contacts")
-	}
-}
-
-func TestBadProactiveKindRejected(t *testing.T) {
-	nc, cfg := staticCfg()
-	nc.Proactive = ProactiveKind(9)
-	if _, err := NewSimulation(nc, cfg); err == nil {
-		t.Error("unknown proactive kind accepted")
 	}
 }

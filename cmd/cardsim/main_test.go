@@ -102,3 +102,22 @@ func TestNonFiniteFlagValuesExitTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedRadiusIsAnError pins the hostile-sweep path: R = 256
+// overflows the view's uint8 distance column, which used to surface as a
+// panic from inside engine.New. run() returning at all means no panic
+// escaped; the message must name the bound, not print a goroutine trace.
+func TestOversizedRadiusIsAnError(t *testing.T) {
+	var out, errw strings.Builder
+	code := run([]string{"-preset", "citywide-rwp-1k", "-sweep", "R=256;r=300", "-seeds", "1"}, &out, &errw)
+	if code == 0 {
+		t.Fatalf("run(-sweep R=256;r=300) = exit 0, want non-zero\nstdout: %s", out.String())
+	}
+	msg := errw.String()
+	if !strings.Contains(msg, "R = 256, need <= 255") {
+		t.Errorf("stderr does not name the radius bound:\n%s", msg)
+	}
+	if strings.Contains(msg, "goroutine") || strings.Contains(msg, "panic") {
+		t.Errorf("stderr carries a goroutine trace:\n%s", msg)
+	}
+}

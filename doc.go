@@ -20,10 +20,10 @@
 // ([NewSimulation]) or from a named workload preset
 // ([NewPresetSimulation]; see [Presets]). The full stack lives under
 // internal/ — unit-disk topology (incremental spatial-hash builder), six
-// mobility models, a discrete-event engine, a scoped-DSDV substrate, the
-// protocol itself — and [Simulation.Engine] exposes the engine layer for
-// advanced use (custom scheduled events, direct network access, worker
-// bounds).
+// mobility models, a discrete-event engine, the converged R-hop view
+// table, the protocol itself — and [Simulation.Engine] exposes the engine
+// layer for advanced use (custom scheduled events, direct network access,
+// worker bounds).
 //
 // # Determinism guarantees
 //

@@ -94,6 +94,10 @@ func (c *Config) Validate() error {
 	if c.R < 1 {
 		return fmt.Errorf("card: R = %d, need >= 1", c.R)
 	}
+	if c.R > 255 {
+		// A neighborhood view keeps hop distances in a uint8 column.
+		return fmt.Errorf("card: R = %d, need <= 255", c.R)
+	}
 	if c.MaxContactDist <= c.R {
 		return fmt.Errorf("card: r = %d must exceed R = %d", c.MaxContactDist, c.R)
 	}

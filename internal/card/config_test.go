@@ -5,6 +5,7 @@ import "testing"
 func TestConfigValidateErrors(t *testing.T) {
 	cases := []Config{
 		{R: 0, MaxContactDist: 10},
+		{R: 256, MaxContactDist: 300},
 		{R: 3, MaxContactDist: 3},
 		{R: 3, MaxContactDist: 2},
 		{R: 3, MaxContactDist: 10, NoC: -1},

@@ -221,7 +221,7 @@ func (m *Maintainer) maintain(u NodeID, now float64) {
 // it stores them (markIneligible). The EM term N(source) ∪ ⋃ N(edge_j)
 // is the provider's edge cover, on exact providers the 2R-hop out-ball
 // of u — one bounded BFS instead of |Edge_List| views; the identity and
-// its directed-graph proof are at neighborhood.ViewCache.StampCover.
+// its directed-graph proof are at neighborhood.Table.StampCover.
 func (m *Maintainer) computeIneligible(u NodeID) {
 	p := m.p
 	m.ineligGen++

@@ -44,8 +44,8 @@ func (p *Protocol) Query(u, target NodeID) QueryResult {
 // live in the Querier itself. Between topology refreshes and maintenance
 // rounds, any number of Queriers may run concurrently over the same
 // Protocol (the engine's BatchQuery does exactly that — one Querier per
-// worker), provided neighborhood views are warmed first; see
-// neighborhood.Warmer.
+// worker); the fan-out warms the neighborhood views first, see
+// neighborhood.Warm.
 //
 // A Querier is single-goroutine; message tallies accumulate locally until
 // Flush hands them to the network recorder.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	proto "card/internal/card"
+	"card/internal/neighborhood"
 	"card/internal/par"
 )
 
@@ -29,7 +30,7 @@ func (e *Engine) BatchQuery(pairs []Pair) []proto.QueryResult {
 	if len(pairs) == 0 {
 		return out
 	}
-	e.warmProvider()
+	neighborhood.Warm(e.nb)
 	// One Querier per worker: private visited scratch, private tallies.
 	// The worker-count bound is read once and passed explicitly so a
 	// concurrent GOMAXPROCS change cannot desync ids from the slice.

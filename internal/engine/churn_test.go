@@ -124,18 +124,3 @@ func TestChurnExpiresContacts(t *testing.T) {
 		t.Errorf("implausible up count %d/%d", up, e.Nodes())
 	}
 }
-
-// TestChurnRejectsDSDV pins the documented gate: churn currently requires
-// the oracle substrate.
-func TestChurnRejectsDSDV(t *testing.T) {
-	nc := churnNet(50)
-	nc.Proactive = DSDVProtocol
-	if _, err := New(nc, testCfg()); err == nil {
-		t.Fatal("churn + DSDV accepted")
-	}
-	nc.Proactive = OracleView
-	nc.ChurnMeanDown = 0 // half-configured churn
-	if _, err := New(nc, testCfg()); err == nil {
-		t.Fatal("half-configured churn accepted")
-	}
-}

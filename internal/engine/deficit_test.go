@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+
+	"card/internal/neighborhood"
 )
 
 // scanDeficit is the reference the incremental deficit bitset replaced:
@@ -113,17 +116,25 @@ func TestDeficitChurnEquivalence(t *testing.T) {
 	}
 }
 
-// TestViewCacheEngineEquivalence runs the same dirty churn+mobility trace
-// with the capped on-demand view cache in place of the resident oracle:
-// every table, statistic and message total must be bit-identical —
-// neighborhood views are pure functions of the snapshot, so the cache
-// policy must be invisible to results.
+// TestViewCacheEngineEquivalence runs the same churn+mobility trace with
+// the view table capped — at one view, below the working set, at exactly N
+// and beyond it — in place of the resident one, with views carried across
+// refreshes by Retain (dirty rounds) and dropped by the lazy epoch wipe
+// (full rounds), serially and sharded: every table, statistic and message
+// total must be bit-identical — neighborhood views are pure functions of
+// the snapshot, so residency policy must be invisible to results.
 func TestViewCacheEngineEquivalence(t *testing.T) {
-	nc := dirtyNet(250)
-	nc.ChurnMeanUp, nc.ChurnMeanDown = 15, 5
-	base := runDirtyTrace(t, nc, 1, 1)
-	cached := nc
-	cached.ViewCacheCap = 70 // ~2 per stripe at 250 nodes: constant eviction
+	const n = 250
+	base := map[bool]maintSnapshot{}
+	config := func(dirty bool) NetworkConfig {
+		nc := dirtyNet(n)
+		nc.DirtyMaintenance = dirty
+		nc.ChurnMeanUp, nc.ChurnMeanDown = 15, 5
+		return nc
+	}
+	for _, dirty := range []bool{true, false} {
+		base[dirty] = runDirtyTrace(t, config(dirty), 1, 1)
+	}
 	for _, c := range []struct {
 		name           string
 		workers, procs int
@@ -131,26 +142,47 @@ func TestViewCacheEngineEquivalence(t *testing.T) {
 		{"serial", 1, 1},
 		{"workers4-procs4", 4, 4},
 	} {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			got := runDirtyTrace(t, cached, c.workers, c.procs)
-			if got.added != base.added {
-				t.Errorf("initial selection added %d contacts, oracle added %d", got.added, base.added)
-			}
-			if got.stats != base.stats {
-				t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
-			}
-			if got.msgs != base.msgs {
-				t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
-			}
-			if got.reach != base.reach {
-				t.Errorf("reachability diverges: %v vs %v", got.reach, base.reach)
-			}
-			for u := range base.tables {
-				if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
-					t.Fatalf("node %d contact table diverges", u)
+			for _, dirty := range []bool{true, false} {
+				for _, cap := range []int{1, 70, n, 4 * n} {
+					t.Run(fmt.Sprintf("dirty=%v/cap%d", dirty, cap), func(t *testing.T) {
+						cached := config(dirty)
+						cached.ViewCacheCap = cap
+						got, base := runDirtyTrace(t, cached, c.workers, c.procs), base[dirty]
+						if got.added != base.added {
+							t.Errorf("initial selection added %d contacts, resident added %d", got.added, base.added)
+						}
+						if got.stats != base.stats {
+							t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
+						}
+						if got.msgs != base.msgs {
+							t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
+						}
+						if got.reach != base.reach {
+							t.Errorf("reachability diverges: %v vs %v", got.reach, base.reach)
+						}
+						for u := range base.tables {
+							if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
+								t.Fatalf("node %d contact table diverges", u)
+							}
+						}
+					})
 				}
 			}
 		})
+	}
+}
+
+// TestOnlyResidentViewsWarm pins how an on-demand provider is recognised
+// (by Warm, workload.runTick and cardbench alike): a capped engine's
+// Neighborhood() is not a Warmer, an uncapped one's is.
+func TestOnlyResidentViewsWarm(t *testing.T) {
+	nc := testNet(50)
+	if _, ok := newEngine(t, nc, testCfg()).Neighborhood().(neighborhood.Warmer); !ok {
+		t.Error("the resident view table does not implement Warmer")
+	}
+	nc.ViewCacheCap = 10
+	if _, ok := newEngine(t, nc, testCfg()).Neighborhood().(neighborhood.Warmer); ok {
+		t.Error("a capped view table implements Warmer")
 	}
 }

@@ -48,34 +48,34 @@ import "math/bits"
 // each restricted round consumes exactly one RNG round id, and each node
 // draws from its own (node, round) substream — so dirty rounds are
 // bit-identical serial vs sharded at any worker count, exactly like full
-// rounds. The oracle views retained across refreshes are bit-identical
-// to freshly computed ones (see neighborhood.Oracle.Retain), so query
+// rounds. The neighborhood views retained across refreshes are
+// bit-identical to freshly computed ones (see neighborhood.Table), so query
 // results and walk randomness cannot diverge either.
 
 // noteTopologyChanges folds the refresh's adjacency diff into the dirty
-// accumulator and retains the unaffected oracle views. Runs on the serial
+// accumulator and retains the unaffected neighborhood views. Runs on the serial
 // engine loop right after RefreshAt, before any view is read.
 func (e *Engine) noteTopologyChanges() {
 	changed, all := e.net.AdjacencyChanged()
 	if all {
 		// Full rebuild (first build or mass movement): every node is dirty
-		// and the epoch bump wipes the oracle cache on its own.
+		// and the epoch bump wipes the view table on its own.
 		e.dirtyAll = true
 		return
 	}
 	if e.dirtyAll {
-		// Already fully dirty; let the oracle wipe at its next read.
+		// Already fully dirty; let the view table wipe at its next read.
 		return
 	}
 	if len(changed) == 0 {
-		e.oracle.Retain(nil) // advance the epoch keeping every view
+		e.views.Retain(nil) // advance the epoch keeping every view
 		return
 	}
 	dirty, retain := e.expandChanges(changed)
 	for _, v := range dirty {
 		e.dirtyAcc.Add(int(v))
 	}
-	e.oracle.Retain(retain)
+	e.views.Retain(retain)
 }
 
 // expandChanges runs one multi-source BFS on the current snapshot from
@@ -83,7 +83,7 @@ func (e *Engine) noteTopologyChanges() {
 // returns the full expansion (the nodes to dirty — every stored path
 // that could have broken has its owner here, per the package invariant)
 // and its ≤R-hop prefix (the nodes whose R-ball may differ, i.e. the
-// oracle views to drop). Both slices alias engine scratch, valid until
+// views to drop). Both slices alias engine scratch, valid until
 // the next call.
 func (e *Engine) expandChanges(changed []NodeID) (dirty, retain []NodeID) {
 	g := e.net.Graph()

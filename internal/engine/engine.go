@@ -128,21 +128,6 @@ func (k MobilityKind) String() string {
 	}
 }
 
-// ProactiveKind selects the neighborhood substrate implementation.
-type ProactiveKind int
-
-const (
-	// OracleView (default) uses the converged R-hop view recomputed from
-	// each topology snapshot — the paper's modeling choice, whose metrics
-	// exclude proactive-update traffic.
-	OracleView ProactiveKind = iota
-	// DSDVProtocol runs the real scoped destination-sequenced
-	// distance-vector protocol: periodic dumps, triggered updates, soft
-	// state. Neighborhood views then converge with protocol dynamics and
-	// proactive broadcasts appear in MessageCounts.Proactive.
-	DSDVProtocol
-)
-
 // NetworkConfig describes the simulated network.
 type NetworkConfig struct {
 	// Nodes is the network size (>= 2). For TraceReplay it defaults to the
@@ -184,8 +169,7 @@ type NetworkConfig struct {
 	// ChurnMeanUp, ChurnMeanDown enable node churn when both are > 0:
 	// every node alternates exponentially distributed up/down phases
 	// (deterministic per Seed via per-node RNG streams). Down nodes hold
-	// no links, run no protocol rounds, and are readmitted cold. Churn
-	// currently requires the OracleView substrate.
+	// no links, run no protocol rounds, and are readmitted cold.
 	ChurnMeanUp, ChurnMeanDown float64
 
 	// RangeSpread, in [0, 1), gives every node its own radio range drawn
@@ -193,7 +177,6 @@ type NetworkConfig struct {
 	// Seed from an id-ordered stream. Any positive spread makes links
 	// asymmetric and the connectivity graph directed: protocol-level hops
 	// then require bidirectional reachability (see topology.LinkModel).
-	// Requires the OracleView substrate.
 	RangeSpread float64
 	// Loss enables probabilistic delivery: each transmission of a
 	// protocol-level hop is lost with this probability (in [0, 1)), and
@@ -201,29 +184,24 @@ type NetworkConfig struct {
 	// set). Retransmissions surface as MessageCounts.Retry; a hop that
 	// exhausts the budget behaves like a broken link and pays the
 	// protocol's usual recovery cost. Deterministic per Seed and
-	// order-independent (see manet/loss.go). Requires OracleView.
+	// order-independent (see manet/loss.go).
 	Loss        float64
 	LossRetries int
 	// PartitionPeriod and PartitionDuration schedule partition-and-heal
 	// events (both > 0 to enable): a vertical mid-area barrier cuts every
 	// crossing link during the last PartitionDuration seconds of each
-	// PartitionPeriod, then heals. Requires OracleView.
+	// PartitionPeriod, then heals.
 	PartitionPeriod, PartitionDuration float64
 
-	// Proactive selects the neighborhood substrate (default OracleView).
-	Proactive ProactiveKind
-	// ViewCacheCap, when > 0, replaces the resident per-node view table of
-	// the OracleView substrate with a capped LRU cache of at most this many
-	// materialized views, computed on demand. Lookups stay bit-identical
-	// (views are pure functions of the snapshot; see neighborhood.ViewCache)
-	// but a million-node field no longer pays O(N) view memory or O(N)
-	// per-round warm sweeps — only the views rounds actually read exist.
-	// Requires the OracleView substrate. Sized well below the working set
-	// it trades recompute time for memory; the 1M preset uses it.
+	// ViewCacheCap, when > 0, bounds the neighborhood view table to at
+	// most this many materialized views, computed on demand and evicted
+	// first-in first-out. Lookups stay bit-identical (views are pure
+	// functions of the snapshot; see neighborhood.Table) but a
+	// million-node field no longer pays O(N) view memory or O(N) per-round
+	// warm sweeps — only the views rounds actually read exist. Sized well
+	// below the working set it trades recompute time for memory; the 1M
+	// preset uses it.
 	ViewCacheCap int
-	// DSDVPeriod is the full-dump interval for DSDVProtocol in seconds
-	// (default 1).
-	DSDVPeriod float64
 	// DirtyMaintenance restricts maintenance and selection rounds to the
 	// nodes whose outcome could differ from a no-op: nodes within
 	// max(R, MaxContactDist) hops of an adjacency change since the last
@@ -236,8 +214,8 @@ type NetworkConfig struct {
 	// simulated, which is the point — at 100k mostly-pausing nodes a full
 	// round is O(N·NoC·r) validation hops for nothing.
 	//
-	// Requires the OracleView substrate (whose views are retained across
-	// refreshes by the adjacency diff the topology builder reports).
+	// Neighborhood views are retained across refreshes by the adjacency
+	// diff the topology builder reports.
 	DirtyMaintenance bool
 	// Seed makes the run reproducible; equal seeds give identical runs.
 	Seed uint64
@@ -281,14 +259,8 @@ func (nc *NetworkConfig) fill() error {
 		return fmt.Errorf("engine: churn needs both ChurnMeanUp and ChurnMeanDown > 0 (got %g, %g)",
 			nc.ChurnMeanUp, nc.ChurnMeanDown)
 	}
-	if nc.DirtyMaintenance && nc.Proactive != OracleView {
-		return fmt.Errorf("engine: DirtyMaintenance requires the OracleView substrate")
-	}
 	if nc.ViewCacheCap < 0 {
 		return fmt.Errorf("engine: negative ViewCacheCap %d", nc.ViewCacheCap)
-	}
-	if nc.ViewCacheCap > 0 && nc.Proactive != OracleView {
-		return fmt.Errorf("engine: ViewCacheCap requires the OracleView substrate")
 	}
 	if nc.RangeSpread < 0 || nc.RangeSpread >= 1 {
 		return fmt.Errorf("engine: RangeSpread %g outside [0, 1)", nc.RangeSpread)
@@ -306,9 +278,6 @@ func (nc *NetworkConfig) fill() error {
 	if nc.PartitionPeriod > 0 && nc.PartitionDuration >= nc.PartitionPeriod {
 		return fmt.Errorf("engine: PartitionDuration %g must be shorter than PartitionPeriod %g",
 			nc.PartitionDuration, nc.PartitionPeriod)
-	}
-	if nc.richLinks() && nc.Proactive != OracleView {
-		return fmt.Errorf("engine: heterogeneous ranges, loss and partitions require the OracleView substrate (DSDV does not yet model them)")
 	}
 	return nil
 }
@@ -382,7 +351,6 @@ type Engine struct {
 	net  *manet.Network
 	prot *proto.Protocol
 	nb   neighborhood.Provider
-	dsdv *neighborhood.DSDV // non-nil iff Proactive == DSDVProtocol
 	cfg  proto.Config
 
 	q *eventq.Queue
@@ -399,24 +367,17 @@ type Engine struct {
 
 	// Dirty-set round state (NetworkConfig.DirtyMaintenance); see dirty.go.
 	dirtyMode bool
-	oracle    viewRetainer // the substrate's retention hook; non-nil iff dirtyMode
-	dirtyAcc  *bitset.Set  // nodes dirtied since the last maintenance round
-	deficit   *bitset.Set  // nodes whose table sits below NoC (see dirty.go)
-	roundSet  *bitset.Set  // scratch: dirtyAcc ∪ deficit for the round list
-	dirtyAll  bool         // a full rebuild invalidated everything
-	lastRound int          // nodes processed by the most recent round
+	views     *neighborhood.Table // nb's table, for Retain; non-nil iff dirtyMode
+	dirtyAcc  *bitset.Set         // nodes dirtied since the last maintenance round
+	deficit   *bitset.Set         // nodes whose table sits below NoC (see dirty.go)
+	roundSet  *bitset.Set         // scratch: dirtyAcc ∪ deficit for the round list
+	dirtyAll  bool                // a full rebuild invalidated everything
+	lastRound int                 // nodes processed by the most recent round
 	// Multi-source BFS scratch for expanding adjacency diffs.
 	dirtyStamp []uint64
 	dirtyGen   uint64
 	dirtyQueue []NodeID
 	roundList  []NodeID
-}
-
-// viewRetainer is the slice of the neighborhood substrate the dirty-set
-// machinery needs: advance the view cache's epoch keeping every view
-// except the listed ones. Oracle and ViewCache both implement it.
-type viewRetainer interface {
-	Retain(changed []NodeID)
 }
 
 // New builds a network per nc and a CARD engine per cfg.
@@ -487,9 +448,6 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 	}
 	var churn *manet.Churn
 	if nc.hasChurn() {
-		if nc.Proactive == DSDVProtocol {
-			return nil, fmt.Errorf("engine: churn requires the OracleView substrate (DSDV does not yet model node departure)")
-		}
 		churn, err = manet.NewChurn(nc.Nodes, manet.ChurnConfig{
 			MeanUp: nc.ChurnMeanUp, MeanDown: nc.ChurnMeanDown,
 		}, rng.Derive(3))
@@ -515,40 +473,22 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 		Partition: manet.PartitionConfig{Period: nc.PartitionPeriod, Duration: nc.PartitionDuration},
 	}, rng.Derive(1))
 	var nb neighborhood.Provider
-	var dsdv *neighborhood.DSDV
-	switch nc.Proactive {
-	case OracleView:
-		if nc.ViewCacheCap > 0 {
-			nb = neighborhood.NewViewCache(net, cfg.R, nc.ViewCacheCap)
-		} else {
-			nb = neighborhood.NewOracle(net, cfg.R)
-		}
-	case DSDVProtocol:
-		dcfg := neighborhood.DefaultDSDV()
-		if nc.DSDVPeriod > 0 {
-			dcfg.Period = nc.DSDVPeriod
-			dcfg.ExpireAfter = 3 * nc.DSDVPeriod
-		}
-		d, err := neighborhood.NewDSDV(net, cfg.R, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		// Converge the initial tables so t=0 selection sees a warm
-		// substrate, exactly as a deployment would after R dump periods.
-		d.Converge(0, 4*cfg.R)
-		nb = d
-		dsdv = d
-	default:
-		return nil, fmt.Errorf("engine: unknown proactive kind %d", int(nc.Proactive))
+	var views *neighborhood.Table
+	if nc.ViewCacheCap > 0 {
+		views = neighborhood.NewViewCache(net, cfg.R, nc.ViewCacheCap)
+		nb = views
+	} else {
+		o := neighborhood.NewOracle(net, cfg.R)
+		nb, views = o, &o.Table
 	}
 	p, err := proto.New(net, nb, cfg, rng.Derive(2))
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{net: net, prot: p, nb: nb, dsdv: dsdv, cfg: p.Config(), q: eventq.New()}
+	e := &Engine{net: net, prot: p, nb: nb, cfg: p.Config(), q: eventq.New()}
 	if nc.DirtyMaintenance {
 		e.dirtyMode = true
-		e.oracle = nb.(viewRetainer) // fill() pinned Proactive == OracleView
+		e.views = views
 		e.dirtyAcc = bitset.New(nc.Nodes)
 		e.deficit = bitset.New(nc.Nodes)
 		e.deficit.Fill() // every table starts empty, hence below NoC
@@ -571,18 +511,15 @@ func (e *Engine) scheduleMaintenance() {
 
 func (e *Engine) maintainTick(now float64) {
 	e.refresh(now)
-	if e.dsdv != nil {
-		e.dsdv.Round(now)
-	}
 	e.maintainRound(now)
 	e.rounds++
 	e.scheduleMaintenance()
 }
 
 // refresh re-snapshots the network at time t and applies the consequences:
-// churn flips expire protocol state, and the DSDV substrate observes link
-// breaks. Runs serially (between rounds), so the expiry order — down
-// flips in id order, then up flips — is deterministic.
+// churn flips expire protocol state. Runs serially (between rounds), so
+// the expiry order — down flips in id order, then up flips — is
+// deterministic.
 func (e *Engine) refresh(t float64) {
 	e.net.RefreshAt(t)
 	if e.dirtyMode {
@@ -604,17 +541,12 @@ func (e *Engine) refresh(t float64) {
 			}
 		}
 	}
-	if e.dsdv != nil {
-		e.dsdv.DetectBreaks(t)
-	}
 }
 
 // Advance moves simulated time forward by dt seconds: node positions and
 // the connectivity snapshot are refreshed, one maintenance round runs at
 // every elapsed ValidatePeriod boundary (a boundary landing exactly on the
-// target time fires), and — under DSDVProtocol — the proactive substrate
-// detects link breaks and issues its periodic dumps. dt <= 0 (or NaN) is a
-// no-op.
+// target time fires). dt <= 0 (or NaN) is a no-op.
 func (e *Engine) Advance(dt float64) {
 	if !(dt > 0) {
 		return
@@ -698,7 +630,6 @@ type MessageCounts struct {
 	Recovery     int64 // local-recovery splice hops
 	Query        int64 // discovery query hops (CARD, flooding, bordercast)
 	Reply        int64 // success-reply hops
-	Proactive    int64 // neighborhood protocol broadcasts (when DSDV runs)
 	Register     int64 // rendezvous registration hops and region floods
 	Retry        int64 // link-layer retransmissions under a lossy link model
 	TotalPerNode float64
@@ -714,7 +645,6 @@ func (e *Engine) Messages() MessageCounts {
 		Recovery:     k.Get(manet.CatRecovery),
 		Query:        k.Get(manet.CatQuery),
 		Reply:        k.Get(manet.CatReply),
-		Proactive:    k.Get(manet.CatDSDV),
 		Register:     k.Get(manet.CatRegister),
 		Retry:        k.Get(manet.CatRetry),
 		TotalPerNode: float64(k.Total()) / float64(e.net.N()),

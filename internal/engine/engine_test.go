@@ -135,26 +135,6 @@ func TestBatchQueryMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchQueryDSDV exercises the fan-out over the DSDV substrate, whose
-// Provider facade reads protocol tables rather than oracle views.
-func TestBatchQueryDSDV(t *testing.T) {
-	nc := testNet(150)
-	nc.Proactive = DSDVProtocol
-	e := newEngine(t, nc, testCfg())
-	e.SelectContacts()
-	pairs := e.RandomPairs(80, 3)
-	res := e.BatchQuery(pairs)
-	found := 0
-	for _, r := range res {
-		if r.Found {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Error("no batched queries resolved over the DSDV substrate")
-	}
-}
-
 func TestBatchQueryEmpty(t *testing.T) {
 	e := newEngine(t, testNet(50), testCfg())
 	if got := e.BatchQuery(nil); len(got) != 0 {

@@ -101,24 +101,6 @@ func TestLossyEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestRichLinksRequireOracle pins the substrate gate: heterogeneous
-// ranges, loss and partitions are modeled by the oracle substrate only,
-// so pairing them with DSDV must fail loudly at construction.
-func TestRichLinksRequireOracle(t *testing.T) {
-	for _, mutate := range []func(*NetworkConfig){
-		func(nc *NetworkConfig) { nc.Loss = 0.1 },
-		func(nc *NetworkConfig) { nc.RangeSpread = 0.3 },
-		func(nc *NetworkConfig) { nc.PartitionPeriod, nc.PartitionDuration = 10, 2 },
-	} {
-		nc := testNet(60)
-		nc.Proactive = DSDVProtocol
-		mutate(&nc)
-		if _, err := New(nc, testCfg()); err == nil {
-			t.Errorf("rich-links config %+v accepted with DSDV substrate", nc)
-		}
-	}
-}
-
 // TestNetworkConfigLinkValidation pins the engine-level validation of the
 // new link-layer fields.
 func TestNetworkConfigLinkValidation(t *testing.T) {
@@ -133,6 +115,7 @@ func TestNetworkConfigLinkValidation(t *testing.T) {
 		{"period-without-duration", func(nc *NetworkConfig) { nc.PartitionPeriod = 10 }},
 		{"duration-without-period", func(nc *NetworkConfig) { nc.PartitionDuration = 2 }},
 		{"duration-over-period", func(nc *NetworkConfig) { nc.PartitionPeriod = 5; nc.PartitionDuration = 5 }},
+		{"churn-up-without-down", func(nc *NetworkConfig) { nc.ChurnMeanUp = 30 }},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -43,15 +43,6 @@ func (e *Engine) roundWorkers(n int) int {
 	return w
 }
 
-// warmProvider materializes lazily-computed neighborhood views up front:
-// afterwards the provider is read-only until the next refresh or substrate
-// round, so workers share it without locks.
-func (e *Engine) warmProvider() {
-	if w, ok := e.nb.(neighborhood.Warmer); ok {
-		w.WarmAll()
-	}
-}
-
 // workerMaintainers returns the cached per-worker Maintainers, growing
 // the pool to the requested bound. Maintainers are reusable across
 // rounds: the RNG is reseeded per (node, round) and Flush zeroes the
@@ -90,7 +81,7 @@ func (e *Engine) maintainRound(now float64) {
 		e.prot.MaintainAll(now)
 		return
 	}
-	e.warmProvider()
+	neighborhood.Warm(e.nb)
 	round := e.prot.NextRound()
 	ms := e.workerMaintainers(workers)
 	par.WorkersN(workers, n, func(worker, i int) {
@@ -108,7 +99,7 @@ func (e *Engine) maintainList(list []NodeID, now float64) {
 		e.prot.MaintainSet(list, now)
 		return
 	}
-	e.warmProvider()
+	neighborhood.Warm(e.nb)
 	round := e.prot.NextRound()
 	ms := e.workerMaintainers(workers)
 	par.WorkersN(workers, len(list), func(worker, i int) {
@@ -139,7 +130,7 @@ func (e *Engine) selectRound(now float64) int {
 	if workers <= 1 {
 		return e.prot.SelectAll(now)
 	}
-	e.warmProvider()
+	neighborhood.Warm(e.nb)
 	round := e.prot.NextRound()
 	ms := e.workerMaintainers(workers)
 	added := make([]int, n)
@@ -161,7 +152,7 @@ func (e *Engine) selectList(list []NodeID, now float64) int {
 	if workers <= 1 {
 		return e.prot.SelectSet(list, now)
 	}
-	e.warmProvider()
+	neighborhood.Warm(e.nb)
 	round := e.prot.NextRound()
 	ms := e.workerMaintainers(workers)
 	added := make([]int, len(list))

@@ -22,13 +22,12 @@ type maintSnapshot struct {
 // runMaintTrace drives a mobile scenario through initial selection plus
 // several scheduled maintenance rounds with the given worker bound and
 // GOMAXPROCS, and snapshots the resulting protocol state.
-func runMaintTrace(t *testing.T, proactive ProactiveKind, workers, procs int) maintSnapshot {
+func runMaintTrace(t *testing.T, workers, procs int) maintSnapshot {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	nc := testNet(400)
 	nc.Mobility = RandomWaypoint
 	nc.MinSpeed, nc.MaxSpeed, nc.Pause = 1, 15, 3
-	nc.Proactive = proactive
 	cfg := testCfg() // ValidatePeriod 2
 	e := newEngine(t, nc, cfg)
 	e.SetMaintainWorkers(workers)
@@ -55,7 +54,7 @@ func runMaintTrace(t *testing.T, proactive ProactiveKind, workers, procs int) ma
 // mobility trace, at GOMAXPROCS 1 and 4 and several worker bounds. Run
 // with -race to validate the sharding (CI does).
 func TestMaintainParallelEquivalence(t *testing.T) {
-	base := runMaintTrace(t, OracleView, 1, 1) // serial reference at GOMAXPROCS=1
+	base := runMaintTrace(t, 1, 1) // serial reference at GOMAXPROCS=1
 	cases := []struct {
 		name           string
 		workers, procs int
@@ -68,7 +67,7 @@ func TestMaintainParallelEquivalence(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			got := runMaintTrace(t, OracleView, c.workers, c.procs)
+			got := runMaintTrace(t, c.workers, c.procs)
 			if got.added != base.added {
 				t.Errorf("initial selection added %d contacts, serial added %d", got.added, base.added)
 			}
@@ -88,25 +87,6 @@ func TestMaintainParallelEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMaintainParallelEquivalenceDSDV repeats the contract over the DSDV
-// substrate, whose provider facade reads live protocol tables (warmed
-// before each fan-out).
-func TestMaintainParallelEquivalenceDSDV(t *testing.T) {
-	base := runMaintTrace(t, DSDVProtocol, 1, 4)
-	got := runMaintTrace(t, DSDVProtocol, 4, 4)
-	if got.stats != base.stats {
-		t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
-	}
-	if got.msgs != base.msgs {
-		t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
-	}
-	for u := range base.tables {
-		if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
-			t.Fatalf("node %d contact table diverges", u)
-		}
 	}
 }
 

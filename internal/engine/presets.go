@@ -177,7 +177,7 @@ var builtinPresets = []Preset{
 		// lazy mobility steps only un-paused travelers, the incremental
 		// builder re-examines only the moved list, the deficit bitset
 		// replaces the below-NoC table scan, and ViewCacheCap bounds
-		// resident neighborhood views to a quarter-million LRU entries
+		// resident neighborhood views to a quarter-million entries
 		// computed on demand — a warm full view table alone would dwarf the
 		// rest of the footprint. Long pauses keep per-refresh diffs sparse,
 		// so a steady-state round touches thousands of nodes, not 10⁶.

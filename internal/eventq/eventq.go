@@ -1,8 +1,8 @@
 // Package eventq implements a discrete-event scheduler: a simulated clock
 // and a time-ordered queue of callbacks.
 //
-// The MANET simulator is event driven at the protocol timescale — periodic
-// DSDV dumps, contact validation rounds, topology refreshes — while
+// The MANET simulator is event driven at the protocol timescale —
+// contact validation rounds, topology refreshes — while
 // individual control packets (CSQ walks, DSQ fan-outs) execute as
 // synchronous hop-by-hop walks inside a single event, because packet flight
 // time is orders of magnitude below the mobility timescale (the paper's

@@ -54,7 +54,12 @@ type Category int
 // Select+Backtrack+Validate+Recovery, Fig. 15 compares Query+Reply traffic
 // across schemes with CARD's Select/Validate shown separately.
 const (
-	CatDSDV      Category = iota // proactive neighborhood updates
+	// CatDSDV has no sender: the neighborhood is the converged view, whose
+	// update traffic the paper's figures leave out (DESIGN.md, "No DSDV").
+	// It stays because category order is part of cardbench's state digest
+	// (cmd/cardbench/digest.go names it), so removing it would renumber
+	// every other category.
+	CatDSDV      Category = iota // proactive neighborhood updates (always 0)
 	CatCSQ                       // contact-selection forward hops
 	CatBacktrack                 // contact-selection backtrack hops
 	CatValidate                  // contact path-validation hops

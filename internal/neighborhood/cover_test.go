@@ -1,6 +1,7 @@
 package neighborhood
 
 import (
+	"fmt"
 	"testing"
 
 	"card/internal/manet"
@@ -11,18 +12,15 @@ import (
 
 // coverWorld is one kind of snapshot the cover identity must hold on.
 type coverWorld struct {
-	name string
-	// symmetric marks worlds whose links are all bidirectional, the only
-	// ones DSDV can agree with the BFS providers on.
-	symmetric bool
-	build     func(seed uint64, n int) *manet.Network
+	name  string
+	build func(seed uint64, n int) *manet.Network
 }
 
 var coverWorlds = []coverWorld{
-	{"undirected", true, func(seed uint64, n int) *manet.Network {
+	{"undirected", func(seed uint64, n int) *manet.Network {
 		return randomNet(seed, n, 70)
 	}},
-	{"directed", false, func(seed uint64, n int) *manet.Network {
+	{"directed", func(seed uint64, n int) *manet.Network {
 		// Range spread ±50 %: u→v without v→u wherever the radios differ.
 		rng := xrand.New(seed)
 		pts := topology.UniformPositions(n, area, rng)
@@ -33,7 +31,7 @@ var coverWorlds = []coverWorld{
 		return manet.NewNetwork(mobility.NewStatic(pts, area),
 			manet.Config{Link: topology.LinkModel{Uniform: 70, Ranges: ranges}}, xrand.New(seed+1))
 	}},
-	{"churn-masked", true, func(seed uint64, n int) *manet.Network {
+	{"churn-masked", func(seed uint64, n int) *manet.Network {
 		rng := xrand.New(seed)
 		pts := topology.UniformPositions(n, area, rng)
 		churn, err := manet.NewChurn(n, manet.ChurnConfig{MeanUp: 4, MeanDown: 2}, rng)
@@ -48,7 +46,7 @@ var coverWorlds = []coverWorld{
 		}
 		return net
 	}},
-	{"barrier-partitioned", true, func(seed uint64, n int) *manet.Network {
+	{"barrier-partitioned", func(seed uint64, n int) *manet.Network {
 		rng := xrand.New(seed)
 		pts := topology.UniformPositions(n, area, rng)
 		net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{
@@ -109,12 +107,16 @@ func checkCover(t *testing.T, name string, p Provider, n int, want func(u NodeID
 	}
 }
 
+// coverCaps are the residency bounds the capped body is checked at: one
+// that evicts on every miss, the metro-rwp-1m ratio, exactly the working
+// set, and one the ring never fills.
+func coverCaps(n int) []int { return []int{1, n / 4, n, 4 * n} }
+
 // TestStampCoverMatchesMemberUnion pins the identity the selection path
-// rests on: every provider's StampCover equals the naive Members union —
-// for ViewCache, whose cover is a 2R-bounded BFS that reads no view, at a
-// capacity that evicts on nearly every lookup and at full residency.
+// rests on: both StampCover bodies equal the naive Members union — the
+// resident table's own union, and the capped table's 2R-bounded BFS that
+// reads no view, at every residency bound.
 func TestStampCoverMatchesMemberUnion(t *testing.T) {
-	dsdvConverged := 0
 	for _, w := range coverWorlds {
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, r := range []int{1, 2, 3} {
@@ -123,60 +125,33 @@ func TestStampCoverMatchesMemberUnion(t *testing.T) {
 				o := NewOracle(net, r)
 				ref := func(u NodeID) []bool { return naiveCover(o, u, n) }
 				checkCover(t, w.name+"/oracle", o, n, ref)
-				checkCover(t, w.name+"/viewcache-1", NewViewCache(net, r, 1), n, ref)
-				checkCover(t, w.name+"/viewcache-n", NewViewCache(net, r, n), n, ref)
-
-				d, err := NewDSDV(net, r, DefaultDSDV())
-				if err != nil {
-					t.Fatal(err)
-				}
-				d.Converge(0, 4*r+10)
-				// DSDV's cover is the union over its own tables, whatever
-				// they hold; where they hold the oracle's balls (the rounds'
-				// fixed point can keep a longer-than-shortest metric at the
-				// R shell, so that is checked, not assumed) it is the
-				// oracle's cover too.
-				checkCover(t, w.name+"/dsdv-own", d, n, func(u NodeID) []bool { return naiveCover(d, u, n) })
-				if w.symmetric && dsdvMatchesOracle(d, o, n) {
-					dsdvConverged++
-					checkCover(t, w.name+"/dsdv", d, n, ref)
+				for _, c := range coverCaps(n) {
+					checkCover(t, fmt.Sprintf("%s/viewcache-%d", w.name, c), NewViewCache(net, r, c), n, ref)
 				}
 			}
 		}
 	}
-	if dsdvConverged < 12 {
-		t.Errorf("DSDV reached the oracle view in only %d worlds; its cover went unchecked against the 2R ball", dsdvConverged)
-	}
-}
-
-// dsdvMatchesOracle reports whether every DSDV table holds exactly the
-// oracle's ball, edge nodes included.
-func dsdvMatchesOracle(d *DSDV, o *Oracle, n int) bool {
-	for u := NodeID(0); int(u) < n; u++ {
-		if !sameMembers(d.Members(u), o.Members(u)) || len(d.EdgeNodes(u)) != len(o.EdgeNodes(u)) {
-			return false
-		}
-		for _, e := range d.EdgeNodes(u) {
-			if o.Dist(u, e) != o.R() {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestStampCoverAcrossRefreshes drives the cover over a moving network:
-// the ViewCache form reads the live graph, never a cached view, so it must
+// the capped form reads the live graph, never a cached view, so it must
 // track every epoch with or without Retain.
 func TestStampCoverAcrossRefreshes(t *testing.T) {
 	const n = 80
 	net := mobileNet(11, n)
 	o := NewOracle(net, 2)
-	c := NewViewCache(net, 2, 8)
+	var caches []*Table
+	for _, c := range coverCaps(n) {
+		caches = append(caches, NewViewCache(net, 2, c))
+	}
 	for step := 0; step <= 4; step++ {
 		if step > 0 {
 			net.RefreshAt(float64(step))
 		}
-		checkCover(t, "mobile/viewcache", c, n, func(u NodeID) []bool { return naiveCover(o, u, n) })
+		ref := func(u NodeID) []bool { return naiveCover(o, u, n) }
+		checkCover(t, "mobile/oracle", o, n, ref)
+		for _, c := range caches {
+			checkCover(t, fmt.Sprintf("mobile/viewcache-%d", c.cap), c, n, ref)
+		}
 	}
 }

@@ -2,18 +2,14 @@
 // node maintains: "each node proactively (using a protocol such as DSDV)
 // maintains state for all the nodes in its neighborhood" (§III.C).
 //
-// Two providers are offered:
-//
-//   - [Oracle] — the converged view: R-hop BFS over the current topology
-//     snapshot, cached per network epoch. This matches how the paper's
-//     analysis treats the neighborhood (its overhead metrics deliberately
-//     exclude proactive-update traffic), and is the default for experiment
-//     runs.
-//   - [DSDV] — an actual scoped destination-sequenced distance-vector
-//     protocol: per-destination sequence numbers, periodic full dumps,
-//     triggered updates on link breaks, hop-limited to R. It exists to
-//     demonstrate and test the substrate end to end; on a static network it
-//     provably converges to the Oracle view.
+// The zone is modeled as the converged view — an R-hop BFS ball over the
+// current topology snapshot — exactly as the paper's analysis treats it:
+// its reachability and overhead figures deliberately exclude the
+// proactive scheme's own update traffic. One struct stores the views
+// ([Table], behind the [Provider] interface CARD consumes); it keeps
+// either every view ([NewOracle]) or at most a cap of them
+// ([NewViewCache]), with bit-identical answers either way. No
+// distance-vector protocol is simulated; DESIGN.md says why.
 package neighborhood
 
 import (
@@ -32,10 +28,10 @@ type Provider interface {
 	R() int
 	// Members returns the nodes of u's neighborhood (u included), sorted
 	// ascending by id. The slice is owned by the provider and valid until
-	// the next topology refresh or substrate round; callers must not
-	// mutate it. Membership is O(ball), never O(N): at 100k nodes a view
-	// is a few hundred entries, which is why the interface trades the old
-	// N-bit set for a dense sorted list.
+	// the next topology refresh; callers must not mutate it. Membership
+	// is O(ball), never O(N): at 100k nodes a view is a few hundred
+	// entries, which is why the interface trades the old N-bit set for a
+	// dense sorted list.
 	Members(u NodeID) []NodeID
 	// Contains reports whether x lies in u's neighborhood.
 	Contains(u, x NodeID) bool
@@ -55,35 +51,27 @@ type Provider interface {
 	// Members(u) ∪ ⋃ Members(e) over e in EdgeNodes(u) — the set the edge
 	// method excludes from contact-hood — and writes nothing else. stamp
 	// is caller-owned and indexed by node id. On an exact provider the
-	// cover is the 2R-hop out-ball of u (see ViewCache.StampCover), which
-	// lets an on-demand provider produce it without materializing any
-	// edge node's view.
+	// cover is the 2R-hop out-ball of u (see Table.StampCover), which
+	// lets a capped table produce it without materializing any edge
+	// node's view.
 	StampCover(u NodeID, stamp []uint64, gen uint64)
 }
 
-// stampResidentCover is StampCover for providers that keep every member
-// list resident (Oracle, DSDV): the literal union, one pass over the
-// lists. For DSDV mid-convergence it is also the only correct form — its
-// tables need not describe balls of any one graph.
-func stampResidentCover(p Provider, u NodeID, stamp []uint64, gen uint64) {
-	for _, x := range p.Members(u) {
-		stamp[x] = gen
-	}
-	for _, e := range p.EdgeNodes(u) {
-		for _, x := range p.Members(e) {
-			stamp[x] = gen
-		}
-	}
-}
-
-// Warmer is implemented by providers whose per-node views are computed
-// lazily (and therefore mutate internal caches on first read). WarmAll
-// materializes every node's view for the current topology snapshot, after
-// which the Provider's read methods are safe to call from multiple
-// goroutines until the next topology refresh or protocol round. The
-// engine's batch query fan-out warms providers before going parallel.
+// Warmer is implemented by the provider that keeps every view resident
+// (Oracle). WarmAll materializes every node's view for the current
+// topology snapshot, after which the Provider's read methods are pure
+// hits until the next topology refresh. A capped table does not
+// implement it, and callers recognise an on-demand provider by that.
 type Warmer interface {
 	WarmAll()
+}
+
+// Warm materializes the views a fan-out will read; a capped table faults
+// them in under its own synchronization, so it has nothing to warm.
+func Warm(p Provider) {
+	if w, ok := p.(Warmer); ok {
+		w.WarmAll()
+	}
 }
 
 // Overlaps reports whether the neighborhoods of a and b intersect — the

@@ -17,7 +17,7 @@ import (
 )
 
 // stateless is a scheme with nothing to register and nothing to repair —
-// CARD's own maintenance (DSDV rounds, contact validation) belongs to the
+// CARD's own maintenance (contact selection and validation) belongs to the
 // protocol's clock, and the flooding and bordercast baselines keep no
 // state between queries — so it is just a name and a worker factory.
 type stateless struct {

@@ -368,19 +368,16 @@ func streamSummary(agg *stats.Welford, win *stats.Window) stats.Summary {
 
 // runTick executes one tick's arrivals against the current snapshot,
 // filling outs indexed like batch. Every scheme shards with the
-// batch-query recipe: warm the neighborhood views (lazy per-epoch caches
-// must not be populated concurrently), fan the batch across per-worker
-// scheme.Workers with private tallies, then flush serially after the
-// join.
+// batch-query recipe: warm the neighborhood views (neighborhood.Warm),
+// fan the batch across per-worker scheme.Workers with private tallies,
+// then flush serially after the join.
 func runTick(prot *card.Protocol, net *manet.Network, sch scheme.DiscoveryScheme,
 	limit int, workers []scheme.Worker, batch []Query, outs []Outcome) {
 	if len(batch) == 0 {
 		return
 	}
 	if prot != nil {
-		if w, ok := prot.Neighborhood().(neighborhood.Warmer); ok {
-			w.WarmAll()
-		}
+		neighborhood.Warm(prot.Neighborhood())
 	}
 	par.WorkersN(limit, len(batch), func(worker, i int) {
 		q := batch[i]
