@@ -339,15 +339,14 @@ func benchMaintain5k(b *testing.B, workers int) {
 
 // BenchmarkMaintain5kSerial is the serial reference; the acceptance bar
 // for the round fan-out is BenchmarkMaintain5kParallel ≥ 2× faster on a
-// multi-core runner (CI records both in BENCH_2.json).
+// multi-core runner (CI smoke row 2 runs both).
 func BenchmarkMaintain5kSerial(b *testing.B)   { benchMaintain5k(b, 1) }
 func BenchmarkMaintain5kParallel(b *testing.B) { benchMaintain5k(b, 0) }
 
 // benchScenarioAdvance measures one ValidatePeriod of engine time —
 // mobility stepping, (masked) topology refresh, churn expiry and the
 // maintenance round — on a named preset: the end-to-end cost of the
-// scenario-diversity workloads. CI records the three variants below in
-// BENCH_3.json.
+// scenario-diversity workloads. CI smoke row 3 runs the three variants below.
 func benchScenarioAdvance(b *testing.B, preset string) {
 	sim, err := NewPresetSimulation(preset, 1)
 	if err != nil {
@@ -373,9 +372,8 @@ func BenchmarkAdvanceChurn2k(b *testing.B)  { benchScenarioAdvance(b, "churn-2k"
 // to end on the citywide-rwp-1k preset: each iteration streams 5 simulated
 // seconds of 200 qps Zipf-skewed open-loop query traffic, interleaving
 // mobility, topology refreshes and maintenance rounds with the sharded
-// per-tick query batches. CI records it as BENCH_4.json — the cost record
-// for the serving-scale path every future caching/replication feature
-// lands on.
+// per-tick query batches. CI smoke row 4 — the serving-scale path every future
+// caching/replication feature lands on.
 func BenchmarkWorkloadSustained1k(b *testing.B) {
 	sim, err := NewPresetSimulation("citywide-rwp-1k", 1)
 	if err != nil {
@@ -403,8 +401,7 @@ func BenchmarkWorkloadSustained1k(b *testing.B) {
 // the citywide-rwp-1k preset: a 6-point NoC x r grid, one isolated
 // 1000-node engine per cell (initial selection, 4 s of maintained
 // mobility, a 100-query batch), sharded across the cell pool with the
-// Pareto frontier extracted. CI records it as BENCH_5.json — the cost
-// record for grid tuning at the 1k scale.
+// Pareto frontier extracted. CI smoke row 5 — grid tuning at the 1k scale.
 func BenchmarkSweepGrid1k(b *testing.B) {
 	p, err := LookupPreset("citywide-rwp-1k")
 	if err != nil {
@@ -447,8 +444,8 @@ func new100k(tb testing.TB) *Simulation {
 
 // BenchmarkAdvance100k measures one ValidatePeriod of engine time on the
 // 100k preset — mobility stepping, incremental topology refresh, dirty-set
-// expansion and the restricted maintenance round. CI records it (with
-// allocation figures) in BENCH_6.json.
+// expansion and the restricted maintenance round. CI smoke row 6 runs it with
+// -benchmem.
 func BenchmarkAdvance100k(b *testing.B) {
 	sim := new100k(b)
 	period := sim.Config().ValidatePeriod
@@ -530,10 +527,9 @@ func new1M(tb testing.TB) *Simulation {
 // BenchmarkAdvance1M measures one ValidatePeriod of engine time on the
 // million-node preset — lazy mobility stepping (only un-paused travelers),
 // moved-list topology refresh, dirty expansion, deficit-merged restricted
-// round, on-demand capped neighborhood views. CI records it (with
-// allocation figures) in BENCH_9.json. Expect single iterations: the
-// point of the record is the absolute per-tick cost at N=10⁶, not ns/op
-// statistics.
+// round, on-demand capped neighborhood views. CI smoke row 9 runs it with
+// -benchmem. Expect single iterations: the point is the absolute
+// per-tick cost at N=10⁶, not ns/op statistics.
 func BenchmarkAdvance1M(b *testing.B) {
 	sim := new1M(b)
 	period := sim.Config().ValidatePeriod
@@ -583,7 +579,7 @@ func BenchmarkMaintenanceRound(b *testing.B) {
 // BenchmarkSchemeSustained1k runs the identical sustained workload on the
 // 1k preset under each headline discovery scheme — CARD, Rendezvous
 // Regions, bordercast — so the comparative overhead claim has a standing
-// ledger (CI records it as BENCH_8.json).
+// ledger (CI smoke row 8).
 func BenchmarkSchemeSustained1k(b *testing.B) {
 	for _, s := range []WorkloadScheme{SchemeCARD, SchemeRendezvous, SchemeBordercast} {
 		b.Run(s, func(b *testing.B) {
@@ -616,7 +612,7 @@ func BenchmarkSchemeSustained1k(b *testing.B) {
 // graph directed (separate in/out adjacency maintained on every refresh,
 // bidirectional hop checks on every walk) and the partition-and-heal
 // schedule forces periodic full rebuilds — the end-to-end cost record for
-// the directed link layer. CI records it in BENCH_10.json.
+// the directed link layer. CI smoke row 10.
 func BenchmarkAdvanceHetero5k(b *testing.B) { benchScenarioAdvance(b, "disaster-hetero-5k") }
 
 // BenchmarkWorkloadLossy10k streams 2 simulated seconds of 100 qps
@@ -625,7 +621,7 @@ func BenchmarkAdvanceHetero5k(b *testing.B) { benchScenarioAdvance(b, "disaster-
 // retry tax, so this is the serving-scale record for the probabilistic
 // link layer. The retry-share metric (retransmissions as a fraction of
 // all transmissions over the streamed window, maintenance included) keeps
-// the tax visible in the bench ledger. CI records it in BENCH_10.json.
+// the tax visible in the bench output. CI smoke row 10.
 func BenchmarkWorkloadLossy10k(b *testing.B) {
 	sim, err := NewPresetSimulation("lossy-metro-10k", 1)
 	if err != nil {
@@ -661,8 +657,7 @@ func BenchmarkWorkloadLossy10k(b *testing.B) {
 // slabs, incremental builder state, capped view cache) through the
 // cold-start selection round, then reports the live-heap delta it
 // retains after a GC. Run with -benchmem for the allocation ledger; CI
-// records it alongside the 1M advance/maintain records in BENCH_9.json —
-// the standing memory-profiling record for the 1M slab.
+// smoke row 9 runs it alongside the 1M advance/maintain benchmarks.
 func BenchmarkFootprint1M(b *testing.B) {
 	b.ReportAllocs()
 	var before, after runtime.MemStats

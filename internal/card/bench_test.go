@@ -16,7 +16,7 @@ import (
 // the citywide presets' density (mean degree ≈ 14), R=2, r=10, NoC=6, EM.
 // Run with
 //
-//	go test -run '^$' -bench 'SelectNode|WalkEM|Ineligible' -benchmem ./internal/card
+//	go test -run '^$' -bench 'SelectNode|WalkEM|Ineligible|Querier|Discover' -benchmem ./internal/card
 
 const benchNodes = 2000
 
@@ -28,7 +28,7 @@ func benchProtocol(b *testing.B, newNB func(*manet.Network, int) neighborhood.Pr
 	area := geom.Rect{W: 2100, H: 2100}
 	pts := topology.UniformPositions(benchNodes, area, xrand.New(42))
 	net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 100}}, xrand.New(43))
-	cfg := Config{R: 2, MaxContactDist: 10, NoC: 6, Method: EM}
+	cfg := Config{R: 2, MaxContactDist: 10, NoC: 6, Depth: 3, Method: EM}
 	p, err := New(net, newNB(net, cfg.R), cfg, xrand.New(44))
 	if err != nil {
 		b.Fatal(err)
@@ -104,5 +104,83 @@ func BenchmarkIneligible(b *testing.B) {
 			}
 			benchSink += int(m.ineligGen)
 		})
+	}
+}
+
+// BenchmarkQuerierQuery times one destination search between random
+// nodes of the field, tables full: the target's reverse ball, then up to
+// three depth escalations through the walk memo.
+func BenchmarkQuerierQuery(b *testing.B) {
+	for _, prov := range testProviders {
+		b.Run(prov.name, func(b *testing.B) {
+			p := benchProtocol(b, prov.new)
+			p.SelectAll(0)
+			q := p.NewQuerier()
+			pairs := randomPairs(xrand.New(45), benchNodes, 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				pr := pairs[k%len(pairs)]
+				if q.Query(pr[0], pr[1]).Found {
+					benchSink++
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDiscover8Replicas times the holder loop scheme.cardWorker.Discover
+// runs for a resource with eight replicas: one source queries holder after
+// holder until one answers, so all but the first sweep replay the memo.
+func BenchmarkDiscover8Replicas(b *testing.B) {
+	for _, prov := range testProviders {
+		b.Run(prov.name, func(b *testing.B) {
+			p := benchProtocol(b, prov.new)
+			p.SelectAll(0)
+			q := p.NewQuerier()
+			rng := xrand.New(46)
+			lookups := make([][9]NodeID, 512) // a source, then its resource's 8 holders
+			for i := range lookups {
+				for j := range lookups[i] {
+					lookups[i][j] = NodeID(rng.Intn(benchNodes))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				l := &lookups[k%len(lookups)]
+				for _, h := range l[1:] {
+					if q.Query(l[0], h).Found {
+						benchSink++
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAllocBudgetQuery pins a steady-state Querier.Query at zero
+// allocations: the first call sizes the walk memo and the BFS queue, and
+// nothing after it allocates — whichever provider answers.
+func TestAllocBudgetQuery(t *testing.T) {
+	for _, w := range refWorlds(31, 300) {
+		cfg := Config{R: 2, MaxContactDist: 10, NoC: 4, Depth: 3, Method: EM}
+		p, err := New(w.net, w.nb(w.net, cfg.R), cfg, xrand.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SelectAll(0)
+		q := p.NewQuerier()
+		pairs := randomPairs(xrand.New(32), 300, 200)
+		run := func() {
+			for _, pr := range pairs {
+				q.Query(pr[0], pr[1])
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(10, run); got != 0 {
+			t.Errorf("%s: %d steady-state queries allocate %.0f times, want 0", w.name, len(pairs), got)
+		}
 	}
 }

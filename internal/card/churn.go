@@ -34,6 +34,7 @@ func (p *Protocol) ExpireNodes(vs []NodeID) (affected []NodeID) {
 		p.departed = bitset.New(p.net.N())
 	}
 	p.affected = p.affected[:0]
+	p.tableGen++
 	for _, v := range vs {
 		p.departed.Add(int(v))
 		p.stats.ContactsExpired += int64(p.tables[v].Len())
@@ -73,6 +74,7 @@ func (p *Protocol) ExpireNode(v NodeID) { p.ExpireNodes([]NodeID{v}) }
 //
 // Like ExpireNodes, ResetNode is serial-only.
 func (p *Protocol) ResetNode(u NodeID) {
+	p.tableGen++
 	p.stats.ContactsExpired += int64(p.tables[u].Len())
 	p.tables[u].clear()
 }

@@ -170,6 +170,12 @@ type Protocol struct {
 	// round), which is what pins them bit-identical.
 	round uint64
 
+	// tableGen advances whenever a contact table may have changed: a round
+	// id is handed out (every selection or maintenance round takes one
+	// first), or churn expiry or a reset clears entries. A Querier's walk
+	// memo is valid for one (network epoch, tableGen) pair.
+	tableGen uint64
+
 	// maint serves the serial SelectContacts/Maintain entry points.
 	maint *Maintainer
 	// querier serves the serial Protocol.Query entry point.
@@ -264,10 +270,12 @@ func (p *Protocol) setSeg(slot int, path []NodeID) []NodeID {
 // node u draws its round randomness from the substream (u, id), so equal
 // round sequences give equal results at any worker count. The engine's
 // round fan-out calls this once per round before sharding nodes across
-// Maintainers.
+// Maintainers. Handing out an id also announces that tables are about to
+// change (tableGen).
 func (p *Protocol) NextRound() uint64 {
 	r := p.round
 	p.round++
+	p.tableGen++
 	return r
 }
 

@@ -44,11 +44,13 @@ func (p *Protocol) Query(u, target NodeID) QueryResult {
 // live in the Querier itself. Between topology refreshes and maintenance
 // rounds, any number of Queriers may run concurrently over the same
 // Protocol (the engine's BatchQuery does exactly that — one Querier per
-// worker); the fan-out warms the neighborhood views first, see
-// neighborhood.Warm.
+// worker). A query reads no neighborhood view — it asks the provider once
+// which nodes know the target (StampWatchers) — so nothing needs warming.
 //
 // A Querier is single-goroutine; message tallies accumulate locally until
-// Flush hands them to the network recorder.
+// Flush hands them to the network recorder. Keep one alive across
+// batches: its walk memo is what makes the second visit to a contact
+// within a snapshot free.
 type Querier struct {
 	p *Protocol
 
@@ -57,15 +59,57 @@ type Querier struct {
 	visited  []uint64
 	visitGen uint64
 
+	// watch marks (with watchGen) the nodes whose neighborhood holds the
+	// current target, watchDist their distance to it: one StampWatchers
+	// call per Query answers the source's and every leaf contact's table
+	// lookup. watchQueue is that call's BFS scratch.
+	watch      []uint64
+	watchDist  []uint8
+	watchGen   uint64
+	watchQueue []NodeID
+
+	// memo caches stored-route walk outcomes, direct-mapped by contact
+	// slot and valid for one (network epoch, table generation) pair, within
+	// which TryHop is pure and no route changes; memoGen advances when the
+	// pair does, so stale entries die without a sweep. Fixed size, so the
+	// footprint is independent of N·NoC, and allocated by the first remote
+	// query, so a Querier that only resolves locally never pays for it.
+	memo      []walkMemo
+	memoGen   uint64
+	memoEpoch uint64
+	memoTable uint64
+
 	// Locally accumulated transmission tallies, flushed on demand.
 	pendingQuery int64
 	pendingReply int64
 	pendingRetry int64
 }
 
+// walkMemo is one remembered walk of the stored route in slot: what it
+// charged and whether it reached the contact.
+type walkMemo struct {
+	gen       uint64 // Querier.memoGen (≥ 1) at record time; 0 = empty
+	slot      int
+	queries   int32
+	retries   int32
+	delivered bool
+}
+
+// walkMemoSize is the memo's entry count (a power of two). One lookup at
+// depth 3 touches a few hundred slots, contiguous per owner, so collisions
+// inside a lookup are rare; one that happens costs a re-walk, nothing else.
+const walkMemoSize = 4096
+
 // NewQuerier creates an independent query executor over p.
 func (p *Protocol) NewQuerier() *Querier {
-	return &Querier{p: p, visited: make([]uint64, p.net.N())}
+	n := p.net.N()
+	return &Querier{
+		p:         p,
+		visited:   make([]uint64, n),
+		watch:     make([]uint64, n),
+		watchDist: make([]uint8, n),
+		memoGen:   1,
+	}
 }
 
 // Protocol returns the protocol this Querier executes against, for callers
@@ -99,9 +143,18 @@ func (q *Querier) Query(u, target NodeID) QueryResult {
 	if u == target {
 		return QueryResult{Found: true, Depth: 0, PathHops: 0}
 	}
-	if p.nb.Contains(u, target) {
+	q.watchGen++
+	q.watchQueue = p.nb.StampWatchers(q.watchQueue, target, q.watch, q.watchDist, q.watchGen)
+	if q.watch[u] == q.watchGen {
 		// Resolved from the local neighborhood table: no control traffic.
-		return QueryResult{Found: true, Depth: 0, PathHops: p.nb.Dist(u, target)}
+		return QueryResult{Found: true, Depth: 0, PathHops: int(q.watchDist[u])}
+	}
+	if q.memo == nil {
+		q.memo = make([]walkMemo, walkMemoSize)
+	}
+	if e := p.net.Epoch(); e != q.memoEpoch || p.tableGen != q.memoTable {
+		q.memoEpoch, q.memoTable = e, p.tableGen
+		q.memoGen++
 	}
 	before := q.pendingQuery + q.pendingReply
 	for depth := 1; depth <= p.cfg.Depth; depth++ {
@@ -134,22 +187,23 @@ func (q *Querier) Query(u, target NodeID) QueryResult {
 // traffic or walking the query back to where it started.
 func (q *Querier) dsq(v, target NodeID, depth int) (int, bool) {
 	p := q.p
-	cs := p.tables[v].Contacts()
+	t := &p.tables[v]
+	cs := t.Contacts()
 	for i := range cs {
 		c := &cs[i]
 		if q.visited[c.ID] == q.visitGen {
 			continue
 		}
 		q.visited[c.ID] = q.visitGen
-		if !q.walkPath(c.Path) {
+		if !q.walkSlot(t.base()+i, c.Path) {
 			continue // stored path broken under mobility: this DSQ dies
 		}
 		if depth == 1 {
-			if p.nb.Contains(c.ID, target) {
+			if q.watch[c.ID] == q.watchGen {
 				if !p.cfg.DisableReplyCounting {
 					q.pendingReply += int64(c.Hops())
 				}
-				return c.Hops() + p.nb.Dist(c.ID, target), true
+				return c.Hops() + int(q.watchDist[c.ID]), true
 			}
 			continue
 		}
@@ -163,23 +217,33 @@ func (q *Querier) dsq(v, target NodeID, depth int) (int, bool) {
 	return 0, false
 }
 
-// walkPath mirrors manet.Network.WalkPath for CatQuery traffic but tallies
-// into the Querier's local counters: each attempted hop counts one query
-// transmission plus its lossy retransmissions, and the walk stops at the
-// first hop that is asymmetric, broken, or out of retries. TryHop is a
-// pure function of (epoch, edge, attempt), so concurrent Queriers see
-// identical outcomes regardless of scheduling.
-func (q *Querier) walkPath(path []NodeID) bool {
-	net := q.p.net
-	for i := 0; i+1 < len(path); i++ {
-		att, delivered := net.TryHop(path[i], path[i+1])
-		if att > 0 {
-			q.pendingQuery++
-			q.pendingRetry += int64(att - 1)
-		}
-		if !delivered {
-			return false
+// walkSlot walks the route stored in contact slot, at most once per memo
+// generation. The walk mirrors manet.Network.WalkPath for CatQuery
+// traffic: each attempted hop counts one query transmission plus its lossy
+// retransmissions, and it stops at the first hop that is asymmetric,
+// broken, or out of retries. TryHop is a pure function of (epoch, edge,
+// attempt), so the recorded outcome is what any later walk of the same
+// slot in this generation — by this or a concurrent Querier — would yield.
+// Hit or miss, the entry's tallies are charged the same way below, so a hit
+// cannot change a total; a colliding slot simply overwrites the entry.
+func (q *Querier) walkSlot(slot int, path []NodeID) bool {
+	m := &q.memo[slot&(len(q.memo)-1)]
+	if m.gen != q.memoGen || m.slot != slot {
+		*m = walkMemo{gen: q.memoGen, slot: slot, delivered: true}
+		net := q.p.net
+		for i := 0; i+1 < len(path); i++ {
+			att, delivered := net.TryHop(path[i], path[i+1])
+			if att > 0 {
+				m.queries++
+				m.retries += int32(att - 1)
+			}
+			if !delivered {
+				m.delivered = false
+				break
+			}
 		}
 	}
-	return true
+	q.pendingQuery += int64(m.queries)
+	q.pendingRetry += int64(m.retries)
+	return m.delivered
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	proto "card/internal/card"
-	"card/internal/neighborhood"
 	"card/internal/par"
 )
 
@@ -22,34 +21,31 @@ type Pair struct {
 // BatchQuery must not run concurrently with Advance, SelectContacts or
 // Maintain (the engine is externally synchronized, like the network it
 // drives); concurrent BatchQuery calls on one engine are likewise not
-// allowed, since workers flush tallies into the shared recorder at the
-// end. Swap in a manet.AtomicCounters recorder if live concurrent
-// accounting across engines is needed.
+// allowed, since they share the engine's per-worker Queriers and flush
+// tallies into the shared recorder at the end. Swap in a
+// manet.AtomicCounters recorder if live concurrent accounting across
+// engines is needed.
 func (e *Engine) BatchQuery(pairs []Pair) []proto.QueryResult {
 	out := make([]proto.QueryResult, len(pairs))
 	if len(pairs) == 0 {
 		return out
 	}
-	neighborhood.Warm(e.nb)
-	// One Querier per worker: private visited scratch, private tallies.
-	// The worker-count bound is read once and passed explicitly so a
-	// concurrent GOMAXPROCS change cannot desync ids from the slice.
-	limit := par.Limit()
-	queriers := make([]*proto.Querier, limit)
-	par.WorkersN(limit, len(pairs), func(worker, i int) {
-		q := queriers[worker]
-		if q == nil {
-			q = e.prot.NewQuerier()
-			queriers[worker] = q
-		}
-		out[i] = q.Query(pairs[i].Src, pairs[i].Dst)
+	// One Querier per worker: private scratch, private tallies, and a walk
+	// memo that outlives the call — so they are kept on the engine like the
+	// Maintainers, and the pool grows here, before the fan-out (growing it
+	// inside workers would race).
+	workers := min(par.Limit(), len(pairs))
+	for len(e.queryPool) < workers {
+		e.queryPool = append(e.queryPool, e.prot.NewQuerier())
+	}
+	qs := e.queryPool[:workers]
+	par.WorkersN(workers, len(pairs), func(worker, i int) {
+		out[i] = qs[worker].Query(pairs[i].Src, pairs[i].Dst)
 	})
 	// Serial flush after the join: totals land in the recorder in one
 	// deterministic sum, whatever the interleaving was.
-	for _, q := range queriers {
-		if q != nil {
-			q.Flush()
-		}
+	for _, q := range qs {
+		q.Flush()
 	}
 	return out
 }

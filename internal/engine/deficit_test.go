@@ -174,7 +174,7 @@ func TestViewCacheEngineEquivalence(t *testing.T) {
 }
 
 // TestOnlyResidentViewsWarm pins how an on-demand provider is recognised
-// (by Warm, workload.runTick and cardbench alike): a capped engine's
+// (by the round fan-outs' Warm and by cardbench alike): a capped engine's
 // Neighborhood() is not a Warmer, an uncapped one's is.
 func TestOnlyResidentViewsWarm(t *testing.T) {
 	nc := testNet(50)

@@ -26,10 +26,10 @@
 //
 // BatchQuery exploits that CARD queries are pure reads of the protocol
 // state between rounds: each worker gets its own card.Querier (private
-// visited scratch and message tallies), neighborhood views are warmed
-// before the fan-out, and tallies are flushed serially after the join —
-// results and accounting are bit-identical to the sequential loop, at
-// GOMAXPROCS-way speedup.
+// scratch, walk memo and message tallies, kept across calls), and tallies
+// are flushed serially after the join — results and accounting are
+// bit-identical to the sequential loop, at GOMAXPROCS-way speedup. A query
+// reads no neighborhood view, so nothing is warmed first.
 //
 // # Parallel rounds
 //
@@ -364,6 +364,9 @@ type Engine struct {
 	// O(N) scratch would otherwise be reallocated every ValidatePeriod);
 	// grown on demand in workerMaintainers.
 	maintPool []*proto.Maintainer
+	// queryPool caches BatchQuery's per-worker Queriers the same way; their
+	// walk memos stay warm from one batch to the next within a snapshot.
+	queryPool []*proto.Querier
 
 	// Dirty-set round state (NetworkConfig.DirtyMaintenance); see dirty.go.
 	dirtyMode bool

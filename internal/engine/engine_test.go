@@ -135,6 +135,38 @@ func TestBatchQueryMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBatchQueryPoolAcrossAdvance pins the engine-held Queriers: their
+// walk memos live from one BatchQuery to the next, so a batch after
+// refreshes and rounds must still equal fresh Queriers on a twin engine.
+func TestBatchQueryPoolAcrossAdvance(t *testing.T) {
+	build := func() *Engine {
+		nc := testNet(300)
+		nc.Mobility, nc.MinSpeed, nc.MaxSpeed = RandomWaypoint, 5, 15
+		cfg := testCfg()
+		cfg.Depth = 3
+		e := newEngine(t, nc, cfg)
+		e.SelectContacts()
+		return e
+	}
+	a, b := build(), build()
+	pairs := a.RandomPairs(200, 5)
+	for step := 0; step < 4; step++ {
+		batch := a.BatchQuery(pairs)
+		q := b.Protocol().NewQuerier()
+		for i, p := range pairs {
+			if want := q.Query(p.Src, p.Dst); batch[i] != want {
+				t.Fatalf("step %d pair %d: pooled %+v != fresh %+v", step, i, batch[i], want)
+			}
+		}
+		q.Flush()
+		if a.Messages() != b.Messages() {
+			t.Fatalf("step %d: accounting diverges: pooled %+v, fresh %+v", step, a.Messages(), b.Messages())
+		}
+		a.Advance(1.5) // a refresh every step, a round on some
+		b.Advance(1.5)
+	}
+}
+
 func TestBatchQueryEmpty(t *testing.T) {
 	e := newEngine(t, testNet(50), testCfg())
 	if got := e.BatchQuery(nil); len(got) != 0 {

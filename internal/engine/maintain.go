@@ -8,10 +8,10 @@ import (
 
 // The round fan-out parallelizes the write-side hot loop — network-wide
 // contact selection and maintenance — with the same recipe BatchQuery uses
-// for the read side, plus one extra ingredient for the writes:
+// for the read side (2), plus two ingredients of its own:
 //
-//  1. neighborhood views are warmed before the fan-out, so provider reads
-//     are pure;
+//  1. neighborhood views are warmed before the fan-out — a round reads
+//     every node's view, so provider reads are pure hits;
 //  2. each worker owns a card.Maintainer (private visited/overlap scratch,
 //     private RNG, private stats and message tallies), flushed serially in
 //     worker order after the join;

@@ -155,3 +155,53 @@ func TestStampCoverAcrossRefreshes(t *testing.T) {
 		}
 	}
 }
+
+// TestStampWatchersMatchesContains pins the in-ball identity the query
+// path rests on: for every target x, StampWatchers marks exactly the
+// nodes u with Contains(u, x), gives each its Dist(u, x), and touches no
+// other entry of either array — on the resident table and at every
+// residency bound, over every kind of snapshot.
+func TestStampWatchersMatchesContains(t *testing.T) {
+	for _, w := range coverWorlds {
+		for seed := uint64(1); seed <= 3; seed++ {
+			for _, r := range []int{1, 2, 3} {
+				n := 90 + 30*int(seed)
+				net := w.build(seed, n)
+				ref := NewOracle(net, r) // Contains/Dist come from its views
+				checkWatchers(t, w.name+"/oracle", NewOracle(net, r), ref, n)
+				for _, c := range []int{1, n / 4, n} {
+					checkWatchers(t, fmt.Sprintf("%s/viewcache-%d", w.name, c), NewViewCache(net, r, c), ref, n)
+				}
+			}
+		}
+	}
+}
+
+func checkWatchers(t *testing.T, name string, p, ref Provider, n int) {
+	t.Helper()
+	const untouched = 0xEE
+	stamp := make([]uint64, n)
+	dist := make([]uint8, n)
+	var queue []NodeID
+	for x := NodeID(0); int(x) < n; x++ {
+		gen := uint64(x) + 2 // fresh per call, as the contract requires
+		for i := range dist {
+			stamp[i], dist[i] = gen-1, untouched
+		}
+		queue = p.StampWatchers(queue, x, stamp, dist, gen)
+		for u := NodeID(0); int(u) < n; u++ {
+			want := ref.Dist(u, x)
+			if got := stamp[u] == gen; got != ref.Contains(u, x) || got != (want >= 0) {
+				t.Fatalf("%s: StampWatchers(%d) stamped[%d] = %v, Contains says %v", name, x, u, got, want >= 0)
+			}
+			switch {
+			case want >= 0 && int(dist[u]) != want:
+				t.Fatalf("%s: StampWatchers(%d) dist[%d] = %d, Dist says %d", name, x, u, dist[u], want)
+			case want < 0 && dist[u] != untouched:
+				t.Fatalf("%s: StampWatchers(%d) wrote dist[%d] outside the ball", name, x, u)
+			case want < 0 && stamp[u] != gen-1:
+				t.Fatalf("%s: StampWatchers(%d) wrote stamp[%d] outside the ball", name, x, u)
+			}
+		}
+	}
+}

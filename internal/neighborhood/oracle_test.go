@@ -238,3 +238,36 @@ func TestQuickEdgeNodesAtExactlyR(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRetainWithoutWarmStaysBounded covers the caller that never warms —
+// serial rounds and query fan-outs read views on demand: dropping and
+// refilling the same views refresh after refresh must not grow the warm
+// list without bound, and a warm call afterwards still fills every slot.
+func TestRetainWithoutWarmStaysBounded(t *testing.T) {
+	const n = 40
+	net := lineNet(n) // static: any Retain set is sound
+	o := NewOracle(net, 2)
+	o.WarmAll()
+	all := make([]NodeID, n)
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	for step := 1; step <= 10; step++ {
+		net.RefreshAt(float64(step))
+		o.Retain(all)
+		for _, u := range all {
+			o.Members(u) // on-demand refill, which does not delist
+		}
+		if len(o.missing) > 2*n {
+			t.Fatalf("refresh %d: warm list holds %d ids for %d nodes", step, len(o.missing), n)
+		}
+	}
+	net.RefreshAt(11)
+	o.Retain(all[:n/2])
+	o.WarmAll()
+	for u := range o.slots {
+		if o.slots[u].Load() == nil {
+			t.Fatalf("view %d missing after WarmAll", u)
+		}
+	}
+}

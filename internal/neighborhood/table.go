@@ -271,6 +271,12 @@ func (t *Table) Retain(changed []NodeID) {
 			t.missing = append(t.missing, u)
 		}
 	}
+	if len(t.missing) > len(t.slots) {
+		// Nobody warms (serial rounds and query fan-outs fault views in on
+		// demand, and every refill is re-listed when dropped again): fall
+		// back to the sweep instead of growing the list without bound.
+		t.missing, t.allMissing = t.missing[:0], true
+	}
 	t.epoch.Store(t.net.Epoch())
 }
 
@@ -445,6 +451,36 @@ func (t *Table) StampCover(u NodeID, stamp []uint64, gen uint64) {
 		}
 	}
 	t.scratch.Put(s)
+}
+
+// StampWatchers implements Provider with one R-bounded BFS from x over
+// in-edges. It reads the live graph and no view, so it costs the same at
+// every residency and tracks every epoch.
+//
+// Why the R-hop in-ball is the watcher set. With d(a,b) the out-distance
+// of StampCover's proof, Contains(u, x) is d(u,x) ≤ R and Dist(u, x) is
+// d(u,x). A u→x path over out-edges, reversed, is an x→u path over
+// in-edges of the same length, and the other way round, so the BFS level
+// at which u is reached from x over InNeighbors is exactly d(u,x) — for
+// every u at once. On an undirected snapshot InNeighbors is Neighbors and
+// the ball is x's own; churned-down nodes and barrier cuts are absent
+// edges of the snapshot, as above.
+func (t *Table) StampWatchers(queue []NodeID, x NodeID, stamp []uint64, dist []uint8, gen uint64) []NodeID {
+	g := t.net.Graph()
+	stamp[x], dist[x] = gen, 0
+	queue = append(queue[:0], x)
+	head := 0
+	for d := 1; d <= t.r && head < len(queue); d++ {
+		for end := len(queue); head < end; head++ {
+			for _, y := range g.InNeighbors(queue[head]) {
+				if stamp[y] != gen {
+					stamp[y], dist[y] = gen, uint8(d)
+					queue = append(queue, y)
+				}
+			}
+		}
+	}
+	return queue
 }
 
 var (

@@ -118,10 +118,9 @@ func (w *cardWorker) Discover(src NodeID, id resource.ID) resource.Result {
 	nb := w.q.Protocol().Neighborhood()
 	var best resource.Result
 	for _, h := range holders {
-		if nb.Contains(src, h) {
-			if hops := nb.Dist(src, h); !best.Found || hops < best.PathHops {
-				best = resource.Result{Found: true, Holder: h, PathHops: hops}
-			}
+		// Dist ≥ 0 is the membership test: one probe of src's table.
+		if hops := nb.Dist(src, h); hops >= 0 && (!best.Found || hops < best.PathHops) {
+			best = resource.Result{Found: true, Holder: h, PathHops: hops}
 		}
 	}
 	if best.Found {

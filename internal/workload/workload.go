@@ -27,9 +27,8 @@
 // Discovery is pluggable: Config.Scheme names any registered
 // DiscoveryScheme (card, flood, ring, bordercast, rendezvous, ...), and
 // every scheme's ticks shard across workers with the engine's batch-query
-// recipe — neighborhood views warmed before the fan-out, one
-// scheme.Worker with private tallies per OS worker, tallies flushed
-// serially in worker order after the join. That makes the per-query
+// recipe — one scheme.Worker with private tallies per OS worker, tallies
+// flushed serially in worker order after the join. That makes the per-query
 // outcome stream and the recorder totals bit-identical between serial and
 // sharded execution at any GOMAXPROCS, for every scheme — the same
 // equivalence contract the maintenance rounds honor, pinned by
@@ -45,7 +44,6 @@ import (
 
 	"card/internal/card"
 	"card/internal/manet"
-	"card/internal/neighborhood"
 	"card/internal/par"
 	"card/internal/resource"
 	"card/internal/scheme"
@@ -311,7 +309,7 @@ func Run(d Driver, cfg Config) (*Report, error) {
 			outs = make([]Outcome, len(batch))
 		}
 		outs = outs[:len(batch)]
-		runTick(prot, net, sch, limit, workers, batch, outs)
+		runTick(net, sch, limit, workers, batch, outs)
 		for _, o := range outs {
 			rep.Queries++
 			ok := 0.0
@@ -368,16 +366,13 @@ func streamSummary(agg *stats.Welford, win *stats.Window) stats.Summary {
 
 // runTick executes one tick's arrivals against the current snapshot,
 // filling outs indexed like batch. Every scheme shards with the
-// batch-query recipe: warm the neighborhood views (neighborhood.Warm),
-// fan the batch across per-worker scheme.Workers with private tallies,
-// then flush serially after the join.
-func runTick(prot *card.Protocol, net *manet.Network, sch scheme.DiscoveryScheme,
+// batch-query recipe: fan the batch across per-worker scheme.Workers with
+// private tallies, then flush serially after the join. Nothing is warmed:
+// the few views a discovery reads are get-or-compute from any worker.
+func runTick(net *manet.Network, sch scheme.DiscoveryScheme,
 	limit int, workers []scheme.Worker, batch []Query, outs []Outcome) {
 	if len(batch) == 0 {
 		return
-	}
-	if prot != nil {
-		neighborhood.Warm(prot.Neighborhood())
 	}
 	par.WorkersN(limit, len(batch), func(worker, i int) {
 		q := batch[i]

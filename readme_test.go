@@ -39,7 +39,7 @@ func TestReadmeListsEverything(t *testing.T) {
 	}
 	// The tooling table must track the lint suite the same way the
 	// preset/experiment tables track their registries.
-	for _, tool := range []string{"cardlint", "benchjson", "cardbench"} {
+	for _, tool := range []string{"cardlint", "cardbench"} {
 		if !strings.Contains(readme, "`"+tool+"`") {
 			t.Errorf("README.md does not list tool %q", tool)
 		}
