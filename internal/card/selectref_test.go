@@ -3,7 +3,9 @@ package card
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"card/internal/manet"
 	"card/internal/mobility"
@@ -49,12 +51,13 @@ func refStampIneligible(m *Maintainer, u NodeID) {
 	}
 }
 
-// refWalkEM is the rescanning EM walk.
+// refWalkEM is the rescanning EM walk. Its visited set is its own, a plain
+// []bool made per walk, so it shares no stamp representation with the code
+// under test: it depends on Neighbors, Adjacent, accept and the RNG only.
 func refWalkEM(m *Maintainer, route []NodeID) ([]NodeID, bool) {
-	m.visitGen++
-	gen := m.visitGen
+	visited := make([]bool, m.p.net.N())
 	for _, n := range route {
-		m.visited[n] = gen
+		visited[n] = true
 	}
 	stack := append([]NodeID(nil), route...)
 	r := m.p.cfg.MaxContactDist
@@ -66,7 +69,7 @@ func refWalkEM(m *Maintainer, route []NodeID) ([]NodeID, bool) {
 		cand = cand[:0]
 		if d < r {
 			for _, y := range m.p.net.Neighbors(x) {
-				if m.visited[y] == gen {
+				if visited[y] {
 					continue
 				}
 				if directed && !m.p.net.Adjacent(y, x) {
@@ -85,7 +88,7 @@ func refWalkEM(m *Maintainer, route []NodeID) ([]NodeID, bool) {
 			continue
 		}
 		y := cand[m.rng.Intn(len(cand))]
-		m.visited[y] = gen
+		visited[y] = true
 		stack = append(stack, y)
 		m.sendHop(manet.CatCSQ)
 		if m.accept(y, len(stack)-1) {
@@ -184,18 +187,63 @@ func protocolPair(t *testing.T, w refWorld, cfg Config, seed uint64) (a, b *Prot
 	return a, b
 }
 
+// walkCounts tallies what an equivalence test covered.
+type walkCounts struct{ cases, found, exhausted, directed int }
+
+// compareWalk runs one EM walk from u through edge node e on the production
+// walk (ma) and on the rescanning reference (mb), both reseeded to walkSeed
+// from identical state, and requires equal route, exhaustion flag, message
+// tallies, statistics and — the sharpest check that every rng.Intn saw the
+// same candidate count — the same next draw from the generator.
+func compareWalk(t *testing.T, id string, ma, mb *Maintainer, u, e NodeID, walkSeed uint64, n *walkCounts) {
+	t.Helper()
+	route, ok := ma.p.nb.AppendRoute(nil, u, e)
+	if !ok {
+		t.Fatalf("%s: no route %d->%d to an edge node", id, u, e)
+	}
+	id = fmt.Sprintf("%s u %d e %d", id, u, e)
+	ma.rng.Reseed(walkSeed)
+	mb.rng.Reseed(walkSeed)
+	ma.computeIneligible(u)
+	refStampIneligible(mb, u)
+	gotPath, gotEx := ma.walkEM(route)
+	wantPath, wantEx := refWalkEM(mb, route)
+	if !reflect.DeepEqual(gotPath, wantPath) || gotEx != wantEx {
+		t.Fatalf("%s: walk (%v, %v), rescan reference (%v, %v)", id, gotPath, gotEx, wantPath, wantEx)
+	}
+	if ma.pend != mb.pend {
+		t.Fatalf("%s: tallies %v, reference %v", id, ma.pend, mb.pend)
+	}
+	if ma.stats != mb.stats {
+		t.Fatalf("%s: stats %+v, reference %+v", id, ma.stats, mb.stats)
+	}
+	if a, b := ma.rng.Uint64(), mb.rng.Uint64(); a != b {
+		t.Fatalf("%s: generators diverged after the walk", id)
+	}
+	n.cases++
+	if gotPath != nil {
+		n.found++
+	}
+	if gotEx {
+		n.exhausted++
+	}
+	if ma.p.net.Directed() {
+		n.directed++
+	}
+}
+
 // TestWalkEMMatchesRescan drives the frame-list walk and the rescanning
 // reference from identical state over random (graph, source, edge node,
-// seed) cases: equal route, exhaustion flag, message tallies, statistics
-// and — the sharpest check that every rng.Intn saw the same candidate
-// count — the same next draw from the generator.
+// seed) cases.
 func TestWalkEMMatchesRescan(t *testing.T) {
-	cases, found, exhaustedWalks, directedCases := 0, 0, 0, 0
+	var n walkCounts
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, w := range refWorlds(seed, 220) {
 			// Small r makes exhausted regions (many returns to a frame)
-			// common; larger r makes long successful walks common.
-			for _, r := range []int{5, 7, 12} {
+			// common; larger r makes long successful walks common. At r = R+1
+			// the edge node itself is the depth r-1 frame and every push is a
+			// leaf; at R+2 every frame above it returns from drained children.
+			for _, r := range []int{3, 4, 5, 7, 12} {
 				cfg := Config{R: 2, MaxContactDist: r, NoC: 4, Method: EM}
 				pa, pb := protocolPair(t, w, cfg, seed)
 				ma, mb := pa.NewMaintainer(), pb.NewMaintainer()
@@ -207,46 +255,202 @@ func TestWalkEMMatchesRescan(t *testing.T) {
 						continue
 					}
 					e := edges[pick.Intn(len(edges))]
-					route, ok := pa.nb.AppendRoute(nil, u, e)
-					if !ok {
-						t.Fatalf("%s: no route %d->%d to an edge node", w.name, u, e)
-					}
-					walkSeed := pick.Uint64()
-					ma.rng.Reseed(walkSeed)
-					mb.rng.Reseed(walkSeed)
-					ma.computeIneligible(u)
-					refStampIneligible(mb, u)
-					gotPath, gotEx := ma.walkEM(route)
-					wantPath, wantEx := refWalkEM(mb, route)
-					id := fmt.Sprintf("%s seed %d r %d u %d e %d", w.name, seed, r, u, e)
-					if !reflect.DeepEqual(gotPath, wantPath) || gotEx != wantEx {
-						t.Fatalf("%s: walk (%v, %v), rescan reference (%v, %v)", id, gotPath, gotEx, wantPath, wantEx)
-					}
-					if ma.pend != mb.pend {
-						t.Fatalf("%s: tallies %v, reference %v", id, ma.pend, mb.pend)
-					}
-					if ma.stats != mb.stats {
-						t.Fatalf("%s: stats %+v, reference %+v", id, ma.stats, mb.stats)
-					}
-					if a, b := ma.rng.Uint64(), mb.rng.Uint64(); a != b {
-						t.Fatalf("%s: generators diverged after the walk", id)
-					}
-					cases++
-					if gotPath != nil {
-						found++
-					}
-					if gotEx {
-						exhaustedWalks++
-					}
-					if w.net.Directed() {
-						directedCases++
-					}
+					compareWalk(t, fmt.Sprintf("%s seed %d r %d", w.name, seed, r), ma, mb, u, e, pick.Uint64(), &n)
 				}
 			}
 		}
 	}
-	if cases < 1000 || found < 100 || exhaustedWalks < 100 || directedCases < 300 {
-		t.Fatalf("thin coverage: %d cases, %d found, %d exhausted, %d directed", cases, found, exhaustedWalks, directedCases)
+	if n.cases < 1600 || n.found < 100 || n.exhausted < 700 || n.directed < 500 {
+		t.Fatalf("thin coverage: %+v", n)
+	}
+}
+
+// spiderNet is a star: a hub with four arms of armLen nodes, 12 m apart
+// under the 15 m radio, so the arms touch only at the hub.
+func spiderNet(t *testing.T, armLen int) *manet.Network {
+	coords := [][2]float64{{500, 500}}
+	for _, dir := range [][2]float64{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+		for k := 1; k <= armLen; k++ {
+			coords = append(coords, [2]float64{500 + 12*dir[0]*float64(k), 500 + 12*dir[1]*float64(k)})
+		}
+	}
+	return customNet(t, coords)
+}
+
+// cliqueNet is n nodes on a 1 m grid: everyone hears everyone.
+func cliqueNet(t *testing.T, n int) *manet.Network {
+	coords := make([][2]float64, n)
+	for i := range coords {
+		coords[i] = [2]float64{500 + float64(i%4), 500 + float64(i/4)}
+	}
+	return customNet(t, coords)
+}
+
+// TestWalkEMMatchesRescanShapes is TestWalkEMMatchesRescan on the graphs
+// the frame refilter and the r-shell drain single out, walking from every
+// source through every one of its edge nodes: a line (every frame has one
+// candidate, and the drain frame one child), a star (the hub's frame is
+// returned to from each exhausted arm), a clique (at r = R+1 the whole
+// region is ineligible and drains in one frame; at r = R+3 every return
+// finds its list emptied by the subtree below) and dense fields whose r
+// stays inside the 2R cover, so every walk exhausts its region.
+func TestWalkEMMatchesRescanShapes(t *testing.T) {
+	oracle := testProviders[0].new
+	shapes := []struct {
+		w   refWorld
+		cfg Config
+	}{
+		{refWorld{"line", lineNet(40), oracle}, Config{R: 2, MaxContactDist: 3}},
+		{refWorld{"line", lineNet(40), oracle}, Config{R: 2, MaxContactDist: 9}},
+		{refWorld{"star", spiderNet(t, 7), oracle}, Config{R: 2, MaxContactDist: 4}},
+		{refWorld{"star", spiderNet(t, 7), oracle}, Config{R: 2, MaxContactDist: 6}},
+		{refWorld{"star", spiderNet(t, 7), oracle}, Config{R: 1, MaxContactDist: 5}},
+		{refWorld{"clique", cliqueNet(t, 14), oracle}, Config{R: 1, MaxContactDist: 2}},
+		{refWorld{"clique", cliqueNet(t, 14), oracle}, Config{R: 1, MaxContactDist: 4}},
+		{refWorld{"covered", staticNet(3, 120, 90), oracle}, Config{R: 2, MaxContactDist: 4}},
+		{refWorld{"covered/directed", directedNet(3, 120, 100), oracle}, Config{R: 2, MaxContactDist: 4}},
+	}
+	var n walkCounts
+	for _, sh := range shapes {
+		sh.cfg.NoC, sh.cfg.Method = 4, EM
+		pa, pb := protocolPair(t, sh.w, sh.cfg, 7)
+		ma, mb := pa.NewMaintainer(), pb.NewMaintainer()
+		id := fmt.Sprintf("%s R %d r %d", sh.w.name, sh.cfg.R, sh.cfg.MaxContactDist)
+		before := n
+		for u := NodeID(0); int(u) < sh.w.net.N(); u++ {
+			for _, e := range pa.nb.EdgeNodes(u) {
+				compareWalk(t, id, ma, mb, u, e, uint64(u)<<20|uint64(e), &n)
+			}
+		}
+		if n.cases == before.cases {
+			t.Fatalf("%s: no walk ran", id)
+		}
+		// Undirected, r <= 2R: the r-ball lies inside the edge cover.
+		if !sh.w.net.Directed() && sh.cfg.MaxContactDist <= 2*sh.cfg.R && n.found != before.found {
+			t.Fatalf("%s: a walk found a contact inside the source's cover", id)
+		}
+	}
+	if n.found < 100 || n.exhausted < 1000 || n.directed < 100 {
+		t.Fatalf("thin coverage: %+v", n)
+	}
+}
+
+// TestWalkEMStampWrap crosses the byte generation's wrap twice: 600
+// consecutive walks on one Maintainer must equal the same walks run on
+// Maintainers fresh from NewMaintainer, whose stamps are all zero. Walks
+// 1, 256 and 511 — the three that share generation 1 — leave from one
+// corner of the field and every other walk from the opposite corner, out of
+// each other's reach, so the corner's stamps from the earlier lap are still
+// in the array when the generation comes round again.
+func TestWalkEMStampWrap(t *testing.T) {
+	w := refWorlds(11, 400)[0]
+	cfg := Config{R: 2, MaxContactDist: 5, NoC: 4, Method: EM}
+	p, err := New(w.net, w.nb(w.net, cfg.R), cfg, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 5 hops of 55 m reach 275 m; the corners are 565 m apart.
+	var near, far []NodeID
+	for u := NodeID(0); int(u) < w.net.N(); u++ {
+		pos := w.net.Position(u)
+		switch {
+		case len(p.nb.EdgeNodes(u)) == 0:
+		case pos.X < 120 && pos.Y < 120:
+			near = append(near, u)
+		case pos.X > 520 && pos.Y > 520:
+			far = append(far, u)
+		}
+	}
+	if len(near) == 0 || len(far) < 5 {
+		t.Fatalf("field has %d near-corner and %d far-corner sources", len(near), len(far))
+	}
+	old := p.NewMaintainer()
+	pick := xrand.New(12)
+	for walk := 1; walk <= 600; walk++ {
+		u := far[pick.Intn(len(far))]
+		if walk%255 == 1 {
+			u = near[0]
+		}
+		edges := p.nb.EdgeNodes(u)
+		route, _ := p.nb.AppendRoute(nil, u, edges[pick.Intn(len(edges))])
+		walkSeed := pick.Uint64()
+		var res [2]string
+		for i, m := range []*Maintainer{old, p.NewMaintainer()} {
+			m.rng.Reseed(walkSeed)
+			m.computeIneligible(u)
+			m.pend.Reset()
+			path, ex := m.walkEM(route)
+			res[i] = fmt.Sprint(path, ex, m.pend, m.rng.Uint64())
+		}
+		if res[0] != res[1] {
+			t.Fatalf("walk %d (generation %d) from %d: reused Maintainer %s, fresh one %s", walk, old.visitGen, u, res[0], res[1])
+		}
+	}
+}
+
+// TestKeepUnvisited checks the compaction against a naive append-filter:
+// kept nodes and their order, dst aliasing src, and nothing written at or
+// past dst[len(src)].
+func TestKeepUnvisited(t *testing.T) {
+	const guard = NodeID(-7)
+	check := func(src []NodeID, visited []uint8, gen uint8, alias bool) error {
+		var want []NodeID
+		for _, y := range src {
+			if visited[y] != gen {
+				want = append(want, y)
+			}
+		}
+		// Both buffers end in two cells the compaction must not reach.
+		in := append(slices.Clone(src), guard, guard)
+		dst := in
+		if !alias {
+			dst = slices.Repeat([]NodeID{guard}, len(in))
+		}
+		k := keepUnvisited(dst, in[:len(src)], visited, gen)
+		if !slices.Equal(dst[:k], want) {
+			return fmt.Errorf("src %v visited %v gen %d alias %v: kept %v, want %v", src, visited, gen, alias, dst[:k], want)
+		}
+		if tail := dst[len(src):]; tail[0] != guard || tail[1] != guard {
+			return fmt.Errorf("src %v alias %v: wrote past len(src): %v", src, alias, dst)
+		}
+		if !alias && !slices.Equal(in[:len(src)], src) {
+			return fmt.Errorf("src %v: source modified to %v", src, in)
+		}
+		return nil
+	}
+	visited := []uint8{3, 0, 3, 7, 3, 0}
+	for _, tc := range []struct {
+		name string
+		src  []NodeID
+		gen  uint8
+	}{
+		{"empty", nil, 3},
+		{"none stamped", []NodeID{1, 3, 5, 1}, 3},
+		{"all stamped", []NodeID{0, 2, 4, 2}, 3},
+		{"mixed", []NodeID{5, 4, 3, 2, 1, 0}, 3},
+		{"first and last kept", []NodeID{1, 0, 2, 4, 5}, 3},
+		{"stale stamp is not the generation", []NodeID{3, 3}, 8},
+	} {
+		for _, alias := range []bool{false, true} {
+			if err := check(tc.src, visited, tc.gen, alias); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		}
+	}
+	prop := func(ids []uint8, stamps [256]uint8, gen uint8, alias bool) bool {
+		src := make([]NodeID, len(ids))
+		for i, id := range ids {
+			stamps[id] %= 4 // few generations, so many nodes carry gen%4
+			src[i] = NodeID(id)
+		}
+		err := check(src, stamps[:], gen%4, alias)
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -362,7 +362,7 @@ type Engine struct {
 	maintWorkers int
 	// maintPool caches the per-worker Maintainers across rounds (their
 	// O(N) scratch would otherwise be reallocated every ValidatePeriod);
-	// grown on demand in workerMaintainers.
+	// grown on demand in runRound.
 	maintPool []*proto.Maintainer
 	// queryPool caches BatchQuery's per-worker Queriers the same way; their
 	// walk memos stay warm from one batch to the next within a snapshot.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	proto "card/internal/card"
 	"card/internal/neighborhood"
 	"card/internal/par"
 )
@@ -31,147 +30,90 @@ import (
 // Not safe to call concurrently with Advance.
 func (e *Engine) SetMaintainWorkers(n int) { e.maintWorkers = n }
 
-// roundWorkers resolves the worker bound for a round over n nodes.
-func (e *Engine) roundWorkers(n int) int {
-	w := e.maintWorkers
-	if w <= 0 {
-		w = par.Limit()
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// workerMaintainers returns the cached per-worker Maintainers, growing
-// the pool to the requested bound. Maintainers are reusable across
-// rounds: the RNG is reseeded per (node, round) and Flush zeroes the
-// tallies, so caching them avoids reallocating O(N) scratch every
-// ValidatePeriod. Must be called before the fan-out starts (growing the
-// pool inside workers would race).
-func (e *Engine) workerMaintainers(workers int) []*proto.Maintainer {
-	for len(e.maintPool) < workers {
-		e.maintPool = append(e.maintPool, e.prot.NewMaintainer())
-	}
-	return e.maintPool[:workers]
-}
-
-// maintainRound runs one maintenance round, sharded across the worker
-// pool (or serially when the bound says so). Under DirtyMaintenance the
-// round is restricted to the dirty list (see dirty.go), which it
-// consumes; otherwise it covers every node.
-func (e *Engine) maintainRound(now float64) {
+// runRound runs one selection (sel) or maintenance round and returns the
+// number of contacts selection added. Under DirtyMaintenance the round is
+// restricted to the dirty list (ascending ids, see dirty.go) unless a full
+// round is owed; otherwise it covers every node. When the worker bound
+// says one worker it calls the protocol's own serial loop over the same
+// nodes. Otherwise it warms the views, takes one RNG round id and shards
+// the per-node calls across the per-worker Maintainers, which it flushes
+// serially in worker order after the join: the shared recorder sees one
+// deterministic sum per category, whatever the interleaving was.
+//
+// The Maintainers are cached across rounds — the RNG is reseeded per
+// (node, round) and Flush zeroes the tallies, so reuse avoids reallocating
+// O(N) scratch every ValidatePeriod — and the pool grows here, before the
+// fan-out starts (growing it inside workers would race).
+func (e *Engine) runRound(sel bool, now float64) (added int) {
+	all := !e.dirtyMode || e.dirtyAll
+	var list []NodeID
 	n := e.net.N()
-	if e.dirtyMode && !e.dirtyAll {
-		list := e.dirtyRoundList()
-		e.lastRound = len(list)
-		e.maintainList(list, now)
-		e.noteRoundTables(list) // only the listed tables could have changed
-		e.dirtyAcc.Clear()
-		return
+	if !all {
+		list = e.dirtyRoundList()
+		n = len(list)
 	}
 	e.lastRound = n
+	workers := e.maintWorkers
+	if workers <= 0 {
+		workers = par.Limit()
+	}
+	if workers = min(workers, n); workers <= 1 {
+		switch {
+		case sel && all:
+			added = e.prot.SelectAll(now)
+		case sel:
+			added = e.prot.SelectSet(list, now)
+		case all:
+			e.prot.MaintainAll(now)
+		default:
+			e.prot.MaintainSet(list, now)
+		}
+	} else {
+		neighborhood.Warm(e.nb)
+		round := e.prot.NextRound()
+		for len(e.maintPool) < workers {
+			e.maintPool = append(e.maintPool, e.prot.NewMaintainer())
+		}
+		ms := e.maintPool[:workers]
+		sums := make([]int, workers)
+		par.WorkersN(workers, n, func(worker, i int) {
+			u := NodeID(i)
+			if !all {
+				u = list[i]
+			}
+			if sel {
+				sums[worker] += ms[worker].SelectNode(u, now, round)
+			} else {
+				ms[worker].MaintainNode(u, now, round)
+			}
+		})
+		for w, m := range ms {
+			m.Flush()
+			added += sums[w]
+		}
+	}
+	// Only the tables the round processed can have changed.
+	if !all {
+		e.noteRoundTables(list)
+	} else if e.dirtyMode {
+		e.noteAllTables()
+	}
+	return added
+}
+
+// maintainRound runs one maintenance round and, under DirtyMaintenance,
+// consumes the dirty list.
+func (e *Engine) maintainRound(now float64) {
+	e.runRound(false, now)
 	if e.dirtyMode {
 		e.dirtyAll = false
 		e.dirtyAcc.Clear()
-		defer e.noteAllTables()
 	}
-	workers := e.roundWorkers(n)
-	if workers <= 1 {
-		e.prot.MaintainAll(now)
-		return
-	}
-	neighborhood.Warm(e.nb)
-	round := e.prot.NextRound()
-	ms := e.workerMaintainers(workers)
-	par.WorkersN(workers, n, func(worker, i int) {
-		ms[worker].MaintainNode(NodeID(i), now, round)
-	})
-	flushAll(ms)
 }
 
-// maintainList runs one maintenance round over just the listed nodes
-// (ascending ids), sharded like a full round and bit-identical to the
-// serial proto.MaintainSet loop.
-func (e *Engine) maintainList(list []NodeID, now float64) {
-	workers := e.roundWorkers(len(list))
-	if workers <= 1 {
-		e.prot.MaintainSet(list, now)
-		return
-	}
-	neighborhood.Warm(e.nb)
-	round := e.prot.NextRound()
-	ms := e.workerMaintainers(workers)
-	par.WorkersN(workers, len(list), func(worker, i int) {
-		ms[worker].MaintainNode(list[i], now, round)
-	})
-	flushAll(ms)
-}
-
-// selectRound runs one selection round, sharded like maintainRound, and
-// returns the number of contacts added. Under DirtyMaintenance it reads
-// the dirty list without consuming it — only a maintenance round clears
-// the accumulator (selection is the lighter half of the round pair and
-// may be invoked out of schedule, e.g. the t=0 warm-up).
-func (e *Engine) selectRound(now float64) int {
-	n := e.net.N()
-	if e.dirtyMode && !e.dirtyAll {
-		list := e.dirtyRoundList()
-		e.lastRound = len(list)
-		added := e.selectList(list, now)
-		e.noteRoundTables(list)
-		return added
-	}
-	e.lastRound = n
-	if e.dirtyMode {
-		defer e.noteAllTables()
-	}
-	workers := e.roundWorkers(n)
-	if workers <= 1 {
-		return e.prot.SelectAll(now)
-	}
-	neighborhood.Warm(e.nb)
-	round := e.prot.NextRound()
-	ms := e.workerMaintainers(workers)
-	added := make([]int, n)
-	par.WorkersN(workers, n, func(worker, i int) {
-		added[i] = ms[worker].SelectNode(NodeID(i), now, round)
-	})
-	flushAll(ms)
-	total := 0
-	for _, a := range added {
-		total += a
-	}
-	return total
-}
-
-// selectList runs one selection round over just the listed nodes
-// (ascending ids), sharded like a full round.
-func (e *Engine) selectList(list []NodeID, now float64) int {
-	workers := e.roundWorkers(len(list))
-	if workers <= 1 {
-		return e.prot.SelectSet(list, now)
-	}
-	neighborhood.Warm(e.nb)
-	round := e.prot.NextRound()
-	ms := e.workerMaintainers(workers)
-	added := make([]int, len(list))
-	par.WorkersN(workers, len(list), func(worker, i int) {
-		added[i] = ms[worker].SelectNode(list[i], now, round)
-	})
-	flushAll(ms)
-	total := 0
-	for _, a := range added {
-		total += a
-	}
-	return total
-}
-
-// flushAll hands the workers' local stats and message tallies to the
-// protocol serially, in worker order: the shared recorder sees one
-// deterministic sum per category, whatever the interleaving was.
-func flushAll(ms []*proto.Maintainer) {
-	for _, m := range ms {
-		m.Flush()
-	}
-}
+// selectRound runs one selection round and returns the number of contacts
+// added. Under DirtyMaintenance it reads the dirty list without consuming
+// it — only a maintenance round clears the accumulator (selection is the
+// lighter half of the round pair and may be invoked out of schedule, e.g.
+// the t=0 warm-up).
+func (e *Engine) selectRound(now float64) int { return e.runRound(true, now) }
