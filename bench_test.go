@@ -1,16 +1,15 @@
 package card
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation, one benchmark per artifact. Benchmarks run the same runners
-// as cmd/cardsim at a reduced scale (density-preserving) so the whole
-// suite completes in minutes; run cmd/cardsim with -scale 1 for paper-size
-// numbers. Key result values are attached to the benchmark output via
-// ReportMetric, so `go test -bench` doubles as a regression record of the
-// reproduced shapes.
+// The root benchmarks cover two things: BenchmarkExperiment regenerates
+// every table and figure of the evaluation through the experiment registry
+// (the same entries cmd/cardsim runs) at a reduced, density-preserving
+// scale; the engine-level benchmarks below it time the scenario engine on
+// its workload presets. Neither is where numbers come from — cardbench is
+// — and the reproduced values themselves are pinned by the experiments
+// package's Quick tests and golden file.
 
 import (
 	"runtime"
-	"strconv"
 	"testing"
 
 	"card/internal/experiments"
@@ -22,199 +21,26 @@ func benchOpts() experiments.Options {
 	return experiments.Options{Seeds: 1, Scale: 0.4}
 }
 
-func cell(b *testing.B, t *experiments.Table, row, col int) float64 {
-	b.Helper()
-	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
-	if err != nil {
-		b.Fatalf("cell (%d,%d) = %q: %v", row, col, t.Rows[row][col], err)
+// BenchmarkExperiment runs one sub-benchmark per registered experiment;
+// `scale` is left out (it times the engine presets, which the benchmarks
+// below do one by one).
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range experiments.Names() {
+		if id == "scale" {
+			continue
+		}
+		e, err := experiments.Lookup(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if tab := e.Run(benchOpts()); len(tab.Rows) == 0 {
+					b.Fatalf("%s rendered no rows", id)
+				}
+			}
+		})
 	}
-	return v
-}
-
-func BenchmarkTable1(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunTable1(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 4, 5), "scenario5-degree")
-	b.ReportMetric(cell(b, t, 4, 7), "scenario5-avg-hops")
-}
-
-func BenchmarkFig03(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig3(benchOpts())
-	}
-	last := len(t.Rows) - 1
-	b.ReportMetric(cell(b, t, last, 1), "pm-reach-noc9-%")
-	b.ReportMetric(cell(b, t, last, 2), "em-reach-noc9-%")
-}
-
-func BenchmarkFig04(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig4(benchOpts())
-	}
-	last := len(t.Rows) - 1
-	b.ReportMetric(cell(b, t, last, 1), "pm-backtracks-node")
-	b.ReportMetric(cell(b, t, last, 2), "em-backtracks-node")
-}
-
-// distMean computes the weighted mean of a reachability-distribution
-// column (bins of 5 %).
-func distMean(b *testing.B, t *experiments.Table, col int) float64 {
-	var sum, n float64
-	for row := range t.Rows {
-		mid := 2.5 + 5*float64(row)
-		c := cell(b, t, row, col)
-		sum += mid * c
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / n
-}
-
-func BenchmarkFig05(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig5(benchOpts())
-	}
-	b.ReportMetric(distMean(b, t, 1), "mean-reach-R1-%")
-	b.ReportMetric(distMean(b, t, 4), "mean-reach-R4-%")
-	b.ReportMetric(distMean(b, t, 7), "mean-reach-R7-%")
-}
-
-func BenchmarkFig06(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig6(benchOpts())
-	}
-	b.ReportMetric(distMean(b, t, 1), "mean-reach-r2R-%")
-	b.ReportMetric(distMean(b, t, 7), "mean-reach-r2R+12-%")
-}
-
-func BenchmarkFig07(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig7(benchOpts())
-	}
-	b.ReportMetric(distMean(b, t, 1), "mean-reach-noc0-%")
-	b.ReportMetric(distMean(b, t, 4), "mean-reach-noc6-%")
-	b.ReportMetric(distMean(b, t, 7), "mean-reach-noc12-%")
-}
-
-func BenchmarkFig08(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig8(benchOpts())
-	}
-	b.ReportMetric(distMean(b, t, 1), "mean-reach-D1-%")
-	b.ReportMetric(distMean(b, t, 3), "mean-reach-D3-%")
-}
-
-func BenchmarkFig09(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig9(benchOpts())
-	}
-	b.ReportMetric(distMean(b, t, 1), "mean-reach-small-%")
-	b.ReportMetric(distMean(b, t, 3), "mean-reach-large-%")
-}
-
-func BenchmarkFig10(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig10(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 0, 1), "overhead-noc3-t2")
-	b.ReportMetric(cell(b, t, 0, 4), "overhead-noc7-t2")
-}
-
-func BenchmarkFig11(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig11(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 0, 1), "overhead-r8-t2")
-	b.ReportMetric(cell(b, t, 0, 5), "overhead-r15-t2")
-}
-
-func BenchmarkFig12(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig12(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 0, 1), "backtrack-r8-t2")
-	b.ReportMetric(cell(b, t, 0, 5), "backtrack-r15-t2")
-}
-
-func BenchmarkFig13(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig13(benchOpts())
-	}
-	first, last := 0, len(t.Rows)-1
-	b.ReportMetric(cell(b, t, first, 1), "maint-msgs-node-t2")
-	b.ReportMetric(cell(b, t, last, 1), "maint-msgs-node-t20")
-	b.ReportMetric(cell(b, t, last, 2), "contacts-t20")
-}
-
-func BenchmarkFig14(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig14(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 5, 3), "norm-reach-noc5")
-	b.ReportMetric(cell(b, t, 5, 4), "norm-overhead-noc5")
-}
-
-func BenchmarkFig15(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunFig15(benchOpts())
-	}
-	last := len(t.Rows) - 1
-	b.ReportMetric(cell(b, t, last, 1), "flood-msgs-node")
-	b.ReportMetric(cell(b, t, last, 2), "bordercast-msgs-node")
-	b.ReportMetric(cell(b, t, last, 3), "card-msgs-node")
-	b.ReportMetric(cell(b, t, last, 5), "card-success-%")
-}
-
-func BenchmarkAblationMethods(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunAblationMethods(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 0, 2), "pm1-backtracks-node")
-	b.ReportMetric(cell(b, t, 2, 2), "em-backtracks-node")
-}
-
-func BenchmarkAblationRecovery(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunAblationRecovery(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 0, 4), "contacts-node-recovery-on")
-	b.ReportMetric(cell(b, t, 1, 4), "contacts-node-recovery-off")
-}
-
-func BenchmarkAblationQD(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunAblationQD(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 0, 1), "msgs-query-qdnone")
-	b.ReportMetric(cell(b, t, 2, 1), "msgs-query-qd2")
-}
-
-func BenchmarkSmallWorld(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.RunSmallWorld(benchOpts())
-	}
-	b.ReportMetric(cell(b, t, 3, 3), "reach-noc8-D3-%")
 }
 
 // scale1kScenario is the engine-scaling workload: a 1000-node

@@ -6,7 +6,7 @@
 //	cardsim -exp fig7                 # one experiment, aligned text
 //	cardsim -exp all -format md       # every paper experiment, markdown
 //	cardsim -exp ablations            # the design-choice ablations
-//	cardsim -list                     # available experiment ids
+//	cardsim -list                     # experiment ids and what each regenerates
 //	cardsim -exp fig3 -seeds 5 -scale 0.5 -format csv
 //
 //	cardsim -presets                  # list workload presets
@@ -28,8 +28,6 @@
 // configurations starred. -scheme routes every cell's (and every
 // sustained-traffic run's) queries through the named discovery scheme;
 // a Scheme sweep axis overrides it per point.
-//
-// Experiment ids match the per-experiment index in DESIGN.md.
 package main
 
 import (
@@ -75,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		exp    = fs.String("exp", "", "experiment id, or 'all' / 'ablations' / 'everything'")
-		format = fs.String("format", "text", "output format: text, csv, md, plot")
+		format = fs.String("format", "text", "output format: text, csv, md, plot (json with -sweep)")
 		seeds  = fs.Int("seeds", 3, "independent repetitions per cell")
 		scale  = fs.Float64("scale", 1, "scenario scale in (0,1]; 1 = paper-size networks")
 		list   = fs.Bool("list", false, "list experiment ids and exit")
@@ -102,20 +100,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// strconv accepts "nan" and "inf", and NaN then slips through every
 	// range check downstream (-loss nan compares false against both
 	// bounds; -horizon inf never ends), so no numeric flag may carry one.
-	var nonFinite string
+	var badFlag string
 	fs.Visit(func(f *flag.Flag) {
 		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && (math.IsNaN(v) || math.IsInf(v, 0)) {
-			nonFinite = fmt.Sprintf("bad -%s %s: want a finite number", f.Name, f.Value)
+			badFlag = fmt.Sprintf("bad -%s %s: want a finite number", f.Name, f.Value)
 		}
 	})
-	if nonFinite != "" {
-		fmt.Fprintln(stderr, "cardsim:", nonFinite)
+	// The experiment and sweep flags are rejected, not clamped: a typo
+	// must not cost a full-size default run that looks like an answer.
+	switch {
+	case badFlag != "":
+	case !(*scale > 0 && *scale <= 1):
+		badFlag = fmt.Sprintf("bad -scale %g: want a factor in (0, 1]", *scale)
+	case *seeds < 1:
+		badFlag = fmt.Sprintf("bad -seeds %d: want at least 1", *seeds)
+	case !validFormat(*format, *sweepArg != ""):
+		badFlag = fmt.Sprintf("bad -format %q: want text, csv, md or plot (json with -sweep)", *format)
+	}
+	if badFlag != "" {
+		fmt.Fprintln(stderr, "cardsim:", badFlag)
 		return 2
 	}
 
+	everything := append(experiments.Group("paper"), experiments.Group("ablation")...)
 	if *list {
-		for _, name := range experiments.Names() {
-			fmt.Fprintln(stdout, name)
+		for _, e := range everything {
+			fmt.Fprintf(stdout, "%-13s %s\n", e.ID, e.Doc)
 		}
 		return 0
 	}
@@ -170,42 +180,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var ids []string
+	var exps []experiments.Experiment
 	switch *exp {
 	case "all":
-		ids = experiments.PaperOrder
+		exps = experiments.Group("paper")
 	case "ablations":
-		ids = experiments.AblationOrder
+		exps = experiments.Group("ablation")
 	case "everything":
-		ids = append(append([]string{}, experiments.PaperOrder...), experiments.AblationOrder...)
+		exps = everything
 	default:
-		ids = []string{*exp}
-	}
-
-	opts := experiments.Options{Seeds: *seeds, Scale: *scale}
-	for _, id := range ids {
-		runner, err := experiments.Lookup(id)
+		e, err := experiments.Lookup(*exp)
 		if err != nil {
 			fmt.Fprintln(stderr, "cardsim:", err)
 			return 2
 		}
+		exps = []experiments.Experiment{e}
+	}
+
+	opts := experiments.Options{Seeds: *seeds, Scale: *scale}
+	for _, e := range exps {
 		start := time.Now()
-		tab := runner(opts)
-		switch *format {
-		case "csv":
-			fmt.Fprint(stdout, tab.CSV())
-		case "md":
-			fmt.Fprintln(stdout, tab.Markdown())
-		case "plot":
-			fmt.Fprintln(stdout, tab.Plot())
-		default:
-			fmt.Fprintln(stdout, tab.Text())
-		}
+		fmt.Fprint(stdout, render(e.Run(opts), *format))
 		if *timing {
-			fmt.Fprintf(stderr, "[%s: %v]\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[%s: %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	return 0
+}
+
+// validFormat reports whether -format names a rendering; json carries a
+// sweep's raw cells and exists only there.
+func validFormat(format string, sweep bool) bool {
+	switch format {
+	case "text", "csv", "md", "plot":
+		return true
+	}
+	return format == "json" && sweep
+}
+
+// render prints a table in a (validated) -format.
+func render(tab *experiments.Table, format string) string {
+	switch format {
+	case "csv":
+		return tab.CSV()
+	case "md":
+		return tab.Markdown() + "\n"
+	case "plot":
+		return tab.Plot() + "\n"
+	}
+	return tab.Text() + "\n"
 }
 
 // resolveWorkload turns the -preset / -trace / -churn / -loss /
@@ -407,22 +430,14 @@ func runSweep(p engine.Preset, spec, schemeName string, seeds, queries int, hori
 	}
 	wall := time.Since(start)
 	title := fmt.Sprintf("Sweep %s over %s (* = Pareto frontier)", spec, p.Name)
-	tab := experiments.SweepTable(title, res)
-	switch format {
-	case "csv":
-		fmt.Print(tab.CSV())
-	case "md":
-		fmt.Println(tab.Markdown())
-	case "plot":
-		fmt.Println(tab.Plot())
-	case "json":
+	if format == "json" {
 		b, err := res.JSON()
 		if err != nil {
 			return err
 		}
 		fmt.Println(string(b))
-	default:
-		fmt.Println(tab.Text())
+	} else {
+		fmt.Print(render(experiments.SweepTable(title, res), format))
 	}
 	front := res.Pareto()
 	fmt.Printf("pareto frontier: %d of %d points; wall %v\n",

@@ -121,3 +121,58 @@ func TestOversizedRadiusIsAnError(t *testing.T) {
 		t.Errorf("stderr carries a goroutine trace:\n%s", msg)
 	}
 }
+
+// TestExperimentFlagsAreRejectedNotClamped pins ROADMAP 3c: -scale outside
+// (0, 1], -seeds < 1 and an unknown -format used to be clamped or
+// defaulted — `-exp table1 -scale 2 -seeds 0 -format bogus` exited 0 after
+// a full-size, 3-seed, text-format run. They are usage errors on the -exp
+// and -sweep paths alike, and json exists only for sweeps.
+func TestExperimentFlagsAreRejectedNotClamped(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "table1", "-scale", "2"},
+		{"-exp", "table1", "-scale", "0"},
+		{"-exp", "table1", "-scale", "-0.5"},
+		{"-exp", "table1", "-seeds", "0"},
+		{"-exp", "table1", "-seeds", "-3"},
+		{"-exp", "table1", "-format", "bogus"},
+		{"-exp", "table1", "-format", "json"},
+		{"-exp", "table1", "-scale", "2", "-seeds", "0", "-format", "bogus"},
+		{"-sweep", "NoC=2", "-seeds", "0"},
+		{"-sweep", "NoC=2", "-scale", "1.5"},
+		{"-sweep", "NoC=2", "-format", "yaml"},
+	} {
+		var out, errw strings.Builder
+		if code := run(args, &out, &errw); code != 2 {
+			t.Errorf("run(%v) = exit %d, want 2\nstderr: %s", args, code, errw.String())
+		}
+		if msg := errw.String(); !strings.Contains(msg, "bad -") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("run(%v) wants a one-line message naming the bad flag, got:\n%s", args, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed a table before rejecting its flags:\n%s", args, out.String())
+		}
+	}
+	// In range, every table format renders.
+	for _, format := range []string{"text", "csv", "md", "plot"} {
+		var out, errw strings.Builder
+		if code := run([]string{"-exp", "smallworld", "-scale", "0.1", "-seeds", "1", "-format", format}, &out, &errw); code != 0 {
+			t.Errorf("-format %s = exit %d\nstderr: %s", format, code, errw.String())
+		}
+	}
+}
+
+// TestListPrintsDescriptionsInPaperOrder pins -list as the one experiment
+// index: `id  description` per line, the paper's artifacts first.
+func TestListPrintsDescriptionsInPaperOrder(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run([]string{"-list"}, &out, &errw); code != 0 {
+		t.Fatalf("run(-list) = exit %d", code)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if !strings.HasPrefix(lines[0], "table1 ") || !strings.Contains(lines[0], "Table 1") {
+		t.Errorf("-list does not open with table1 and its description: %q", lines[0])
+	}
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "scale ") {
+		t.Errorf("-list does not close with the scale extension: %q", last)
+	}
+}

@@ -1,17 +1,30 @@
 package experiments
 
 import (
+	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"card/internal/card"
 	"card/internal/scheme"
 	"card/internal/sweep"
 )
 
 // quick returns lightweight options for CI.
 func quick() Options { return Options{Seeds: 1, Scale: 0.3} }
+
+// run regenerates the experiment registered under id.
+func run(t *testing.T, id string, o Options) *Table {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(o)
+}
 
 func cellFloat(t *testing.T, tab *Table, row, col int) float64 {
 	t.Helper()
@@ -66,25 +79,15 @@ func TestTableCSVQuoting(t *testing.T) {
 	}
 }
 
-func TestParallelCoversAllIndices(t *testing.T) {
-	seen := make([]bool, 100)
-	Parallel(len(seen), func(i int) { seen[i] = true })
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d not executed", i)
-		}
-	}
-	Parallel(0, func(int) { t.Error("fn called for n=0") })
-}
-
 func TestRegistry(t *testing.T) {
-	if len(Names()) != len(PaperOrder)+len(AblationOrder) {
+	paper, ablations := Group("paper"), Group("ablation")
+	if len(Names()) != len(paper)+len(ablations) {
 		t.Errorf("registry size %d != paper %d + ablations %d",
-			len(Names()), len(PaperOrder), len(AblationOrder))
+			len(Names()), len(paper), len(ablations))
 	}
-	for _, name := range append(append([]string{}, PaperOrder...), AblationOrder...) {
-		if _, err := Lookup(name); err != nil {
-			t.Errorf("Lookup(%q): %v", name, err)
+	for _, e := range append(paper, ablations...) {
+		if _, err := Lookup(e.ID); err != nil {
+			t.Errorf("Lookup(%q): %v", e.ID, err)
 		}
 	}
 	if _, err := Lookup("nope"); err == nil {
@@ -93,7 +96,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestRunTable1Quick(t *testing.T) {
-	tab := RunTable1(quick())
+	tab := run(t, "table1", quick())
 	if len(tab.Rows) != 8 {
 		t.Fatalf("Table 1 rows = %d, want 8", len(tab.Rows))
 	}
@@ -113,7 +116,7 @@ func TestRunTable1Quick(t *testing.T) {
 }
 
 func TestRunFig3Quick(t *testing.T) {
-	tab := RunFig3(quick())
+	tab := run(t, "fig3", quick())
 	if len(tab.Rows) != 9 {
 		t.Fatalf("Fig 3 rows = %d", len(tab.Rows))
 	}
@@ -126,7 +129,7 @@ func TestRunFig3Quick(t *testing.T) {
 }
 
 func TestRunFig4Quick(t *testing.T) {
-	tab := RunFig4(quick())
+	tab := run(t, "fig4", quick())
 	if len(tab.Rows) != 5 {
 		t.Fatalf("Fig 4 rows = %d", len(tab.Rows))
 	}
@@ -139,7 +142,7 @@ func TestRunFig4Quick(t *testing.T) {
 }
 
 func TestRunFig7Quick(t *testing.T) {
-	tab := RunFig7(quick())
+	tab := run(t, "fig7", quick())
 	if len(tab.Rows) != 20 {
 		t.Fatalf("Fig 7 rows = %d, want 20 bins", len(tab.Rows))
 	}
@@ -153,7 +156,7 @@ func TestRunFig7Quick(t *testing.T) {
 }
 
 func TestRunFig8Quick(t *testing.T) {
-	tab := RunFig8(quick())
+	tab := run(t, "fig8", quick())
 	// Mean reachability must grow with depth: compare histogram means via
 	// weighted sums.
 	mean := func(col int) float64 {
@@ -176,7 +179,7 @@ func TestRunFig8Quick(t *testing.T) {
 }
 
 func TestRunFig10Quick(t *testing.T) {
-	tab := RunFig10(quick())
+	tab := run(t, "fig10", quick())
 	if len(tab.Rows) != 5 {
 		t.Fatalf("Fig 10 rows = %d, want 5 windows", len(tab.Rows))
 	}
@@ -194,7 +197,7 @@ func TestRunFig10Quick(t *testing.T) {
 }
 
 func TestRunFig13Quick(t *testing.T) {
-	tab := RunFig13(quick())
+	tab := run(t, "fig13", quick())
 	if len(tab.Rows) != 10 {
 		t.Fatalf("Fig 13 rows = %d, want 10 windows over 20s", len(tab.Rows))
 	}
@@ -204,7 +207,7 @@ func TestRunFig13Quick(t *testing.T) {
 }
 
 func TestRunFig14Quick(t *testing.T) {
-	tab := RunFig14(quick())
+	tab := run(t, "fig14", quick())
 	if len(tab.Rows) != 11 {
 		t.Fatalf("Fig 14 rows = %d", len(tab.Rows))
 	}
@@ -228,7 +231,7 @@ func TestRunFig14Quick(t *testing.T) {
 }
 
 func TestRunFig15Quick(t *testing.T) {
-	tab := RunFig15(quick())
+	tab := run(t, "fig15", quick())
 	if len(tab.Rows) != 3 {
 		t.Fatalf("Fig 15 rows = %d", len(tab.Rows))
 	}
@@ -255,11 +258,11 @@ func TestRunFig15Quick(t *testing.T) {
 }
 
 func TestAblationsQuick(t *testing.T) {
-	m := RunAblationMethods(quick())
+	m := run(t, "abl-methods", quick())
 	if len(m.Rows) != 3 {
 		t.Fatalf("methods ablation rows = %d", len(m.Rows))
 	}
-	rec := RunAblationRecovery(quick())
+	rec := run(t, "abl-recovery", quick())
 	if len(rec.Rows) != 2 {
 		t.Fatalf("recovery ablation rows = %d", len(rec.Rows))
 	}
@@ -269,11 +272,11 @@ func TestAblationsQuick(t *testing.T) {
 	if lostOn > lostOff {
 		t.Errorf("recovery on lost more contacts (%v) than off (%v)", lostOn, lostOff)
 	}
-	qd := RunAblationQD(quick())
+	qd := run(t, "abl-qd", quick())
 	if len(qd.Rows) != 3 {
 		t.Fatalf("QD ablation rows = %d", len(qd.Rows))
 	}
-	sw := RunSmallWorld(quick())
+	sw := run(t, "smallworld", quick())
 	if len(sw.Rows) != 4 {
 		t.Fatalf("small-world rows = %d", len(sw.Rows))
 	}
@@ -288,7 +291,7 @@ func TestAblationsQuick(t *testing.T) {
 }
 
 func TestAblationMobilityQuick(t *testing.T) {
-	tab := RunAblationMobility(quick())
+	tab := run(t, "abl-mobility", quick())
 	if len(tab.Rows) != 6 {
 		t.Fatalf("mobility ablation rows = %d", len(tab.Rows))
 	}
@@ -318,7 +321,7 @@ func TestAblationMobilityQuick(t *testing.T) {
 }
 
 func TestReplicationQuick(t *testing.T) {
-	tab := RunReplication(quick())
+	tab := run(t, "replication", quick())
 	if len(tab.Rows) != 5 {
 		t.Fatalf("replication rows = %d", len(tab.Rows))
 	}
@@ -333,20 +336,20 @@ func TestReplicationQuick(t *testing.T) {
 }
 
 // overheadOverTime averages runTimeSim across seeds with a direct serial
-// loop: the pre-sweep reference implementation timeSeriesSweep must
+// loop: the pre-harness reference implementation seriesFig.series must
 // reproduce seed for seed.
-func overheadOverTime(p timeSimParams, seeds int) TimeSeries {
+func overheadOverTime(sc Scenario, cfg card.Config, horizon float64, seeds int) TimeSeries {
 	runs := make([]TimeSeries, seeds)
 	for i := range runs {
-		runs[i] = runTimeSim(p, uint64(i)+1)
+		runs[i] = runTimeSim(sc, cfg, horizon, uint64(i)+1)
 	}
 	return averageSeries(runs)
 }
 
 // TestFigSweepsMatchDirectLoops is the refactor acceptance pin: the
 // Fig. 11/12 time-series sweep and the Fig. 14 trade-off sweep, re-derived
-// through the generic sweep harness, must match the pre-refactor direct
-// loops seed for seed, bit for bit.
+// through the cell harness, must match the pre-refactor direct loops seed
+// for seed, bit for bit.
 func TestFigSweepsMatchDirectLoops(t *testing.T) {
 	o := Options{Seeds: 2, Scale: 0.15}
 	o.fill()
@@ -354,14 +357,12 @@ func TestFigSweepsMatchDirectLoops(t *testing.T) {
 
 	// Fig. 11/12 series: harness vs the direct serial reference
 	// (overheadOverTime runs runTimeSim with seeds 1..Seeds and averages).
-	rs, got := fig11Sweep(o, sc)
-	for i, r := range rs {
+	_, got := fig11.series(o)
+	for i, r := range []int{8, 9, 10, 12, 15} {
 		cfg := fig10Base()
 		cfg.NoC = 5
 		cfg.MaxContactDist = r
-		want := overheadOverTime(timeSimParams{
-			sc: sc, cfg: cfg, horizon: 10, window: 2, refreshDt: 0.25,
-		}, o.Seeds)
+		want := overheadOverTime(sc, cfg, 10, o.Seeds)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("fig11 series for r=%d diverges from the direct loop", r)
 		}
@@ -375,14 +376,11 @@ func TestFigSweepsMatchDirectLoops(t *testing.T) {
 	for i := 0; i < len(nocs)*o.Seeds; i++ {
 		cfg := fig10Base()
 		cfg.NoC = nocs[i/o.Seeds]
-		m, err := fig14Cell(sc, cfg, uint64(i%o.Seeds)+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reach[i/o.Seeds] += m.Reach / float64(o.Seeds)
-		over[i/o.Seeds] += m.Overhead / float64(o.Seeds)
+		m := fig14Cell(sc, cfg, uint64(i%o.Seeds)+1)
+		reach[i/o.Seeds] += m[0] / float64(o.Seeds)
+		over[i/o.Seeds] += m[1] / float64(o.Seeds)
 	}
-	tab := RunFig14(o)
+	tab := run(t, "fig14", o)
 	for i := range nocs {
 		if got, want := cellFloat(t, tab, i, 1), reach[i]; got != roundTrip(want) {
 			t.Errorf("fig14 NoC=%d reach %v != direct %v", nocs[i], got, want)
@@ -402,7 +400,7 @@ func roundTrip(v float64) float64 {
 }
 
 func TestRunSweepQuick(t *testing.T) {
-	tab := RunSweep(quick())
+	tab := run(t, "sweep", quick())
 	if len(tab.Rows) != 16 {
 		t.Fatalf("sweep rows = %d, want 16 (4x4 grid)", len(tab.Rows))
 	}
@@ -473,7 +471,7 @@ func TestTablePlot(t *testing.T) {
 }
 
 func TestRunSustainedQuick(t *testing.T) {
-	tab := RunSustained(quick())
+	tab := run(t, "sustained", quick())
 	names := scheme.Names()
 	if len(tab.Rows) != len(names) {
 		t.Fatalf("sustained rows = %d, want %d schemes", len(tab.Rows), len(names))
@@ -524,5 +522,34 @@ func TestRunSustainedQuick(t *testing.T) {
 	}
 	if fl, cd := cellFloat(t, tab, flood, 3), cellFloat(t, tab, card, 3); fl <= cd {
 		t.Errorf("flood mean cost %v not above CARD %v", fl, cd)
+	}
+}
+
+// TestTablesMatchGolden pins every printed digit of every registered
+// experiment except `scale` (its columns are wall-clock): the golden file
+// is Table.CSV() of each id in Names() order at Seeds 2, Scale 0.2,
+// generated before the figures became declarations over the cell harness.
+func TestTablesMatchGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digits were recorded on amd64; %s may fuse multiply-adds and move a last digit", runtime.GOARCH)
+	}
+	want, err := os.ReadFile("testdata/golden_seeds2_scale0.2.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, id := range Names() {
+		if id != "scale" {
+			got.WriteString(run(t, id, Options{Seeds: 2, Scale: 0.2}).CSV())
+		}
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from testdata/golden_seeds2_scale0.2.csv:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, golden file %d", len(gl), len(wl))
 	}
 }

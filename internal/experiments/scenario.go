@@ -1,14 +1,19 @@
-// Package experiments reproduces the paper's evaluation (§IV): one runner
-// per table and figure, plus ablations on CARD's design choices. Each
-// runner builds its own deterministic simulation per (parameter, seed)
-// cell, fans the cells across worker goroutines, and renders the same rows
-// or series the paper reports.
+// Package experiments reproduces the paper's evaluation (§IV) plus
+// ablations on CARD's design choices. The evaluation is one experiment run
+// many ways — a parameter grid x seeds 1..S, one isolated deterministic
+// simulation per (point, seed) cell — so the package is one ordered
+// registry (registry.go) of entries declared over one cell harness
+// (harness.go): cells fans the grid, average folds a point's seeds, and
+// three figure shapes sit on top — scalar rows, reachability
+// distributions, time series. paper.go declares Table 1 and Figs. 3-15,
+// extensions.go the ablations and future-work studies.
 package experiments
 
 import (
 	"fmt"
 
 	"card/internal/card"
+	"card/internal/engine"
 	"card/internal/geom"
 	"card/internal/manet"
 	"card/internal/mobility"
@@ -24,10 +29,6 @@ type Scenario struct {
 	N       int
 	Area    geom.Rect
 	TxRange float64
-}
-
-func (s Scenario) String() string {
-	return fmt.Sprintf("#%d N=%d %s tx=%gm", s.ID, s.N, s.Area, s.TxRange)
 }
 
 // Table1Scenarios lists the eight simulation scenarios of Table 1.
@@ -53,10 +54,7 @@ func (s Scenario) Scaled(f float64) Scenario {
 		return s
 	}
 	out := s
-	out.N = int(float64(s.N) * f)
-	if out.N < 10 {
-		out.N = 10
-	}
+	out.N = max(int(float64(s.N)*f), 10)
 	scale := sqrtf(f)
 	out.Area = geom.Rect{W: s.Area.W * scale, H: s.Area.H * scale}
 	return out
@@ -87,18 +85,46 @@ func (s Scenario) substrate() manet.Config {
 	return manet.Config{Link: topology.LinkModel{Uniform: s.TxRange}}
 }
 
-// MobileNet builds a random-waypoint network for the scenario.
-func (s Scenario) MobileNet(seed uint64, cfg mobility.RWPConfig) (*manet.Network, error) {
-	rng := xrand.New(seed ^ uint64(s.ID)<<32)
-	m, err := mobility.NewRandomWaypoint(s.N, s.Area, cfg, rng)
+// must unwraps a constructor's result. Every configuration, spec and
+// preset the experiments build from is static data in this package, so an
+// error is a bug in a declaration, not a condition to handle.
+func must[T any](v T, err error) T {
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return manet.NewNetwork(m, s.substrate(), rng.Derive(1)), nil
+	return v
 }
 
-// NewCARD wires a CARD protocol with an oracle neighborhood over net.
-func NewCARD(net *manet.Network, cfg card.Config, seed uint64) (*card.Protocol, error) {
-	nb := neighborhood.NewOracle(net, cfg.R)
-	return card.New(net, nb, cfg, xrand.New(seed).Derive(2))
+// rwpNet builds a random-waypoint network for the scenario under the
+// paper's default waypoint parameters.
+func (s Scenario) rwpNet(seed uint64) *manet.Network {
+	rng := xrand.New(seed ^ uint64(s.ID)<<32)
+	m := must(mobility.NewRandomWaypoint(s.N, s.Area, mobility.DefaultRWP(), rng))
+	return manet.NewNetwork(m, s.substrate(), rng.Derive(1))
+}
+
+// engineNet is the scenario as an engine network: the same field and
+// radio, seeded like StaticNet; the caller picks the mobility model.
+func (s Scenario) engineNet(seed uint64) engine.NetworkConfig {
+	return engine.NetworkConfig{
+		Nodes: s.N, Width: s.Area.W, Height: s.Area.H, TxRange: s.TxRange,
+		Seed: seed ^ uint64(s.ID)<<32,
+	}
+}
+
+// deploy wires a CARD protocol with an oracle neighborhood over net and
+// runs the initial contact selection at t=0. A literal NoC = 0 is the
+// paper's no-contacts baseline (the Fig. 7 and Fig. 14 NoC=0 curves):
+// Config.Validate treats zero as "default", so it is validated as 1 and
+// selection is skipped entirely — the tables stay empty.
+func deploy(net *manet.Network, cfg card.Config, seed uint64) *card.Protocol {
+	noContacts := cfg.NoC == 0
+	if noContacts {
+		cfg.NoC = 1
+	}
+	p := must(card.New(net, neighborhood.NewOracle(net, cfg.R), cfg, xrand.New(seed).Derive(2)))
+	if !noContacts {
+		p.SelectAll(0)
+	}
+	return p
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"strings"
 )
@@ -25,8 +26,6 @@ func (t *Table) Add(cells ...any) {
 		switch v := c.(type) {
 		case float64:
 			row[i] = trimFloat(v)
-		case float32:
-			row[i] = trimFloat(float64(v))
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
@@ -87,25 +86,9 @@ func (t *Table) Text() string {
 // Cells containing commas or quotes are quoted per RFC 4180.
 func (t *Table) CSV() string {
 	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				sb.WriteByte('"')
-				sb.WriteString(strings.ReplaceAll(cell, "\"", "\"\""))
-				sb.WriteByte('"')
-			} else {
-				sb.WriteString(cell)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
+	w := csv.NewWriter(&sb)
+	w.Write(t.Columns)
+	w.WriteAll(t.Rows) // flushes; a strings.Builder cannot fail
 	return sb.String()
 }
 

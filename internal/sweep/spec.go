@@ -31,6 +31,8 @@ func intCheck(name string, min float64) func(float64) error {
 	}
 }
 
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 func renderNum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // axisDefs lists the sweepable axes. "R" and "r" are distinct and
@@ -141,6 +143,17 @@ func canonAxis(name string) (axisDef, error) {
 			if d.render == nil {
 				d.render = renderNum
 			}
+			// Every axis value — parsed, range-enumerated or handed to
+			// Grid.Validate — passes d.check, so this is the one place
+			// NaN/±Inf are refused: NaN compares false against every bound
+			// below, and a runner then silently ignores the axis.
+			inRange := d.check
+			d.check = func(v float64) error {
+				if !finite(v) {
+					return fmt.Errorf("sweep: axis %s takes finite values, got %g", canon, v)
+				}
+				return inRange(v)
+			}
 			return d, nil
 		}
 	}
@@ -224,14 +237,14 @@ func parseRange(d axisDef, s string) ([]float64, error) {
 		return nil, err
 	}
 	hi, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	if err != nil {
+	if err != nil || !finite(hi) {
 		return nil, fmt.Errorf("sweep: axis %s: bad range bound %q", d.canon, parts[1])
 	}
 	step := 1.0
 	if len(parts) == 3 {
 		step, err = strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err != nil || step <= 0 {
-			return nil, fmt.Errorf("sweep: axis %s: bad range step %q (want > 0)", d.canon, parts[2])
+		if err != nil || !(step > 0) || !finite(step) { // !(x > 0) also catches NaN
+			return nil, fmt.Errorf("sweep: axis %s: bad range step %q (want a finite step > 0)", d.canon, parts[2])
 		}
 	}
 	if hi < lo {

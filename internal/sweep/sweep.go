@@ -21,10 +21,11 @@
 //
 // # Layering
 //
-// sweep sits beside experiments: experiments declares the paper's figure
-// sweeps as thin grids over this harness (plus bespoke time-series cell
-// bodies via RunCells), while cmd/cardsim -sweep exposes ad-hoc grids over
-// any workload preset.
+// sweep sits beside experiments: experiments declares the parameter axis
+// of the paper's Figs. 10-14 as grid specs this package parses and
+// materializes (ParseSpec, Grid.Point, Grid.Config) and runs the stock
+// `sweep` experiment through Grid.Run, while cmd/cardsim -sweep exposes
+// ad-hoc grids over any workload preset.
 package sweep
 
 import (
@@ -179,8 +180,8 @@ func (g *Grid) Config(point []float64) (CellConfig, error) {
 // i/Seeds, repetition i%Seeds, run with seed (i%Seeds)+1. The cell body
 // must be a pure function of its arguments (build your own simulation
 // from them); results are then bit-identical at any worker count. This is
-// the generic layer the figure sweeps use for time-series cells; scalar
-// studies use Grid.Run on top.
+// the generic layer under Grid.Run, for cell bodies that return something
+// other than Metrics.
 func RunCells[M any](g *Grid, cell func(cfg CellConfig, point []float64, pointIdx int, seed uint64) M) ([]M, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -51,18 +52,20 @@ func TestParseSpecCaseRules(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
-		"",               // empty grid
-		"NoC",            // no values
-		"bogus=1..3",     // unknown axis
-		"NoC=3..1",       // descending range
-		"NoC=1..5..0",    // zero step
-		"NoC=1.5,2",      // non-integer on an int axis
-		"Method=EM,QM",   // unknown method
-		"D=0..2",         // below minimum
-		"VP=0,1",         // non-positive period
-		"NoC=1..3;noc=2", // duplicate axis (checked by Validate below)
-		"NoC=x",          // unparseable
-		"r=8..16..2..1",  // too many range parts
+		"",                                                        // empty grid
+		"NoC",                                                     // no values
+		"bogus=1..3",                                              // unknown axis
+		"NoC=3..1",                                                // descending range
+		"NoC=1..5..0",                                             // zero step
+		"NoC=1.5,2",                                               // non-integer on an int axis
+		"Method=EM,QM",                                            // unknown method
+		"D=0..2",                                                  // below minimum
+		"VP=0,1",                                                  // non-positive period
+		"NoC=1..3;noc=2",                                          // duplicate axis (checked by Validate below)
+		"NoC=x",                                                   // unparseable
+		"r=8..16..2..1",                                           // too many range parts
+		"Loss=nan;NoC=2", "RangeSpread=nan", "ValidatePeriod=inf", // non-finite values
+		"Loss=0..0.5..inf", "Loss=0..nan", // non-finite range step and bound
 	} {
 		axes, err := ParseSpec(bad)
 		if err == nil {
@@ -72,6 +75,11 @@ func TestParseSpecErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+	// Validate is the same gate for grids built in code.
+	g := &Grid{Axes: []Axis{{Name: "Loss", Values: []float64{math.NaN()}}}}
+	if err := g.Validate(); err == nil {
+		t.Error("Grid.Validate accepted a NaN axis value")
 	}
 }
 

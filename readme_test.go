@@ -12,9 +12,10 @@ import (
 )
 
 // TestReadmeListsEverything is the docs gate CI runs: README.md must name
-// every registered workload preset and every experiment id, so the front
-// door cannot silently fall behind the code. Names are matched as
-// backquoted table cells, the way the README renders them.
+// every registered workload preset and every experiment id (with its
+// registry description), so the front door cannot silently fall behind
+// the code. Names are matched as backquoted table cells, the way the
+// README renders them.
 func TestReadmeListsEverything(t *testing.T) {
 	b, err := os.ReadFile("README.md")
 	if err != nil {
@@ -26,9 +27,15 @@ func TestReadmeListsEverything(t *testing.T) {
 			t.Errorf("README.md does not list preset %q", p.Name)
 		}
 	}
+	// Experiments are matched as whole table rows, id and description:
+	// the registry's Doc is the one copy of each line.
 	for _, id := range experiments.Names() {
-		if !strings.Contains(readme, "`"+id+"`") {
-			t.Errorf("README.md does not list experiment %q", id)
+		e, err := experiments.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row := "| `" + id + "` | " + e.Doc + " |"; !strings.Contains(readme, row) {
+			t.Errorf("README.md does not carry the registry row %q", row)
 		}
 	}
 	// The discovery-scheme table must track the scheme registry.
