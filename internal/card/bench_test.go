@@ -155,9 +155,10 @@ func BenchmarkQuerierQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkDiscover8Replicas times the holder loop scheme.cardWorker.Discover
-// runs for a resource with eight replicas: one source queries holder after
-// holder until one answers, so all but the first sweep replay the memo.
+// BenchmarkDiscover8Replicas times the lookup scheme.cardWorker.Discover
+// runs for a resource with eight replicas: one stamp of the eight reverse
+// balls, then one escalation in which any contact that knows any holder
+// answers.
 func BenchmarkDiscover8Replicas(b *testing.B) {
 	for _, prov := range testProviders {
 		b.Run(prov.name, func(b *testing.B) {
@@ -175,11 +176,8 @@ func BenchmarkDiscover8Replicas(b *testing.B) {
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
 				l := &lookups[k%len(lookups)]
-				for _, h := range l[1:] {
-					if q.Query(l[0], h).Found {
-						benchSink++
-						break
-					}
+				if q.Resolve(l[0], l[1:]).Found {
+					benchSink++
 				}
 			}
 		})
@@ -188,7 +186,8 @@ func BenchmarkDiscover8Replicas(b *testing.B) {
 
 // TestAllocBudgetQuery pins a steady-state Querier.Query at zero
 // allocations: the first call sizes the walk memo and the BFS queue, and
-// nothing after it allocates — whichever provider answers.
+// nothing after it allocates — the one-element target set included —
+// whichever provider answers.
 func TestAllocBudgetQuery(t *testing.T) {
 	for _, w := range refWorlds(31, 300) {
 		cfg := Config{R: 2, MaxContactDist: 10, NoC: 4, Depth: 3, Method: EM}

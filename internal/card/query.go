@@ -18,6 +18,9 @@ type QueryResult struct {
 	// PathHops is the length of the discovered source→target path through
 	// the contact chain, or -1 when not found.
 	PathHops int
+	// Holder is the target the answering table listed — its nearest, ties
+	// to the lowest id. It is meaningless when Found is false.
+	Holder NodeID
 }
 
 // Query runs the Destination Search Query mechanism of §III.C.4: the
@@ -45,7 +48,7 @@ func (p *Protocol) Query(u, target NodeID) QueryResult {
 // rounds, any number of Queriers may run concurrently over the same
 // Protocol (the engine's BatchQuery does exactly that — one Querier per
 // worker). A query reads no neighborhood view — it asks the provider once
-// which nodes know the target (StampWatchers) — so nothing needs warming.
+// which nodes know a target (StampWatchers) — so nothing needs warming.
 //
 // A Querier is single-goroutine; message tallies accumulate locally until
 // Flush hands them to the network recorder. Keep one alive across
@@ -59,14 +62,17 @@ type Querier struct {
 	visited  []uint64
 	visitGen uint64
 
-	// watch marks (with watchGen) the nodes whose neighborhood holds the
-	// current target, watchDist their distance to it: one StampWatchers
-	// call per Query answers the source's and every leaf contact's table
-	// lookup. watchQueue is that call's BFS scratch.
-	watch      []uint64
-	watchDist  []uint8
-	watchGen   uint64
-	watchQueue []NodeID
+	// watch marks (with watchGen) the nodes whose neighborhood holds a
+	// current target, watchDist their distance to the nearest and
+	// watchHolder which one that is: one StampWatchers call per lookup
+	// answers the source's and every leaf contact's table lookup.
+	// watchQueue is its BFS scratch; one backs Query's one-target set.
+	watch       []uint64
+	watchDist   []uint8
+	watchHolder []NodeID
+	watchGen    uint64
+	watchQueue  []NodeID
+	one         [1]NodeID
 
 	// memo caches stored-route walk outcomes, direct-mapped by contact
 	// slot and valid for one (network epoch, table generation) pair, within
@@ -104,18 +110,14 @@ const walkMemoSize = 4096
 func (p *Protocol) NewQuerier() *Querier {
 	n := p.net.N()
 	return &Querier{
-		p:         p,
-		visited:   make([]uint64, n),
-		watch:     make([]uint64, n),
-		watchDist: make([]uint8, n),
-		memoGen:   1,
+		p:           p,
+		visited:     make([]uint64, n),
+		watch:       make([]uint64, n),
+		watchDist:   make([]uint8, n),
+		watchHolder: make([]NodeID, n),
+		memoGen:     1,
 	}
 }
-
-// Protocol returns the protocol this Querier executes against, for callers
-// (like the resource layer) that need the neighborhood views alongside the
-// query path.
-func (q *Querier) Protocol() *Protocol { return q.p }
 
 // Flush adds the locally accumulated query/reply tallies to the network
 // recorder and zeroes them. Call after a batch completes (or per query for
@@ -136,18 +138,29 @@ func (q *Querier) Flush() {
 	}
 }
 
-// Query runs one CARD destination search from u for target. See
-// Protocol.Query for the mechanism.
+// Query runs one CARD destination search from u for target: Resolve over
+// the one-element set.
 func (q *Querier) Query(u, target NodeID) QueryResult {
+	q.one[0] = target
+	return q.Resolve(u, q.one[:])
+}
+
+// Resolve runs one CARD destination search (see Protocol.Query for the
+// mechanism) from u for any of targets — the holders of the resource the
+// DSQ names. The set is stamped once; the source answers from its own
+// table if it lists a target, and otherwise one escalation runs in which a
+// queried contact answers as soon as its table does. An empty set is a
+// resource nobody holds: no DSQ is sent for it.
+func (q *Querier) Resolve(u NodeID, targets []NodeID) QueryResult {
 	p := q.p
-	if u == target {
-		return QueryResult{Found: true, Depth: 0, PathHops: 0}
+	if len(targets) == 0 {
+		return QueryResult{PathHops: -1}
 	}
 	q.watchGen++
-	q.watchQueue = p.nb.StampWatchers(q.watchQueue, target, q.watch, q.watchDist, q.watchGen)
+	q.watchQueue = p.nb.StampWatchers(q.watchQueue, targets, q.watch, q.watchDist, q.watchHolder, q.watchGen)
 	if q.watch[u] == q.watchGen {
-		// Resolved from the local neighborhood table: no control traffic.
-		return QueryResult{Found: true, Depth: 0, PathHops: int(q.watchDist[u])}
+		// Resolved from u's own table (u included, at distance 0): no traffic.
+		return QueryResult{Found: true, Depth: 0, PathHops: int(q.watchDist[u]), Holder: q.watchHolder[u]}
 	}
 	if q.memo == nil {
 		q.memo = make([]walkMemo, walkMemoSize)
@@ -163,29 +176,26 @@ func (q *Querier) Query(u, target NodeID) QueryResult {
 		// visited so a contact whose table points back at u does not walk
 		// the query home and charge wasted transmissions.
 		q.visited[u] = q.visitGen
-		if hops, ok := q.dsq(u, target, depth); ok {
+		if hops, leaf := q.dsq(u, depth); leaf >= 0 {
 			return QueryResult{
 				Found:    true,
 				Depth:    depth,
 				Messages: q.pendingQuery + q.pendingReply - before,
-				PathHops: hops,
+				PathHops: hops + int(q.watchDist[leaf]),
+				Holder:   q.watchHolder[leaf],
 			}
 		}
 	}
-	return QueryResult{
-		Found:    false,
-		Messages: q.pendingQuery + q.pendingReply - before,
-		PathHops: -1,
-	}
+	return QueryResult{Messages: q.pendingQuery + q.pendingReply - before, PathHops: -1}
 }
 
 // dsq delivers a depth-limited DSQ to v's contacts, one at a time. It
-// returns the hop length of the found path from v to the target via the
-// contact chain. Each contact — and the source itself, stamped per
-// escalation in Query — is visited at most once per escalation attempt
-// (q.visitGen), preventing the contact graph's cycles from amplifying
-// traffic or walking the query back to where it started.
-func (q *Querier) dsq(v, target NodeID, depth int) (int, bool) {
+// returns the leaf contact whose table lists a target (-1 if none does)
+// and the hop length of the contact chain from v to it. Each contact — and
+// the source itself, stamped per escalation in Resolve — is visited at
+// most once per escalation attempt (q.visitGen), preventing the contact
+// graph's cycles from amplifying traffic or walking the query back home.
+func (q *Querier) dsq(v NodeID, depth int) (hops int, leaf NodeID) {
 	p := q.p
 	t := &p.tables[v]
 	cs := t.Contacts()
@@ -198,23 +208,20 @@ func (q *Querier) dsq(v, target NodeID, depth int) (int, bool) {
 		if !q.walkSlot(t.base()+i, c.Path) {
 			continue // stored path broken under mobility: this DSQ dies
 		}
+		hops, leaf = 0, c.ID
 		if depth == 1 {
-			if q.watch[c.ID] == q.watchGen {
-				if !p.cfg.DisableReplyCounting {
-					q.pendingReply += int64(c.Hops())
-				}
-				return c.Hops() + int(q.watchDist[c.ID]), true
+			if q.watch[c.ID] != q.watchGen {
+				continue
 			}
+		} else if hops, leaf = q.dsq(c.ID, depth-1); leaf < 0 {
 			continue
 		}
-		if sub, found := q.dsq(c.ID, target, depth-1); found {
-			if !p.cfg.DisableReplyCounting {
-				q.pendingReply += int64(c.Hops())
-			}
-			return c.Hops() + sub, true
+		if !p.cfg.DisableReplyCounting {
+			q.pendingReply += int64(c.Hops())
 		}
+		return c.Hops() + hops, leaf
 	}
-	return 0, false
+	return 0, -1
 }
 
 // walkSlot walks the route stored in contact slot, at most once per memo

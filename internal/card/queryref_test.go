@@ -1,6 +1,8 @@
 package card
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"card/internal/manet"
@@ -31,17 +33,17 @@ func newRefQuerier(p *Protocol) *refQuerier {
 func (q *refQuerier) Query(u, target NodeID) QueryResult {
 	p := q.p
 	if u == target {
-		return QueryResult{Found: true, Depth: 0, PathHops: 0}
+		return QueryResult{Found: true, Depth: 0, PathHops: 0, Holder: target}
 	}
 	if p.nb.Contains(u, target) {
-		return QueryResult{Found: true, Depth: 0, PathHops: p.nb.Dist(u, target)}
+		return QueryResult{Found: true, Depth: 0, PathHops: p.nb.Dist(u, target), Holder: target}
 	}
 	before := q.query + q.reply
 	for depth := 1; depth <= p.cfg.Depth; depth++ {
 		q.visitGen++
 		q.visited[u] = q.visitGen
 		if hops, ok := q.dsq(u, target, depth); ok {
-			return QueryResult{Found: true, Depth: depth, Messages: q.query + q.reply - before, PathHops: hops}
+			return QueryResult{Found: true, Depth: depth, Messages: q.query + q.reply - before, PathHops: hops, Holder: target}
 		}
 	}
 	return QueryResult{Found: false, Messages: q.query + q.reply - before, PathHops: -1}
@@ -90,6 +92,33 @@ func (q *refQuerier) walkPath(path []NodeID) bool {
 		}
 	}
 	return true
+}
+
+// resolveLoop is a lookup for a replicated resource as the scheme adapter
+// ran it before the DSQ carried the resource: the source's own table first
+// (nearest holder, ties to the lowest id), then one full escalation per
+// holder, in the order listed, until one is found. It is the oracle
+// Querier.Resolve is bounded by.
+func (q *refQuerier) resolveLoop(u NodeID, holders []NodeID) QueryResult {
+	best := QueryResult{PathHops: -1}
+	for _, h := range holders {
+		d := q.p.nb.Dist(u, h)
+		if d >= 0 && (!best.Found || d < best.PathHops || (d == best.PathHops && h < best.Holder)) {
+			best = QueryResult{Found: true, PathHops: d, Holder: h}
+		}
+	}
+	if best.Found {
+		return best
+	}
+	for _, h := range holders {
+		r := q.Query(u, h)
+		best.Messages += r.Messages
+		if r.Found {
+			r.Messages = best.Messages
+			return r
+		}
+	}
+	return best
 }
 
 // queryArm is one executor under comparison, with its running
@@ -197,6 +226,76 @@ func TestQueryMatchesViewReference(t *testing.T) {
 			if w.net.LossRate() > 0 && ref.retry == 0 {
 				t.Fatalf("%s: no retransmission in %d queries", w.name, queries)
 			}
+		}
+	}
+}
+
+// TestResolveBoundedByHolderLoop runs Querier.Resolve against the holder
+// loop on every query world, for sets of one, two and eight holders. What
+// holds per lookup: Found is equal; a source that knows a holder answers
+// the same on both sides, for free; one holder is the loop's only
+// iteration, so the results are equal field for field; and the query
+// transmissions and retries of the one sweep never exceed the loop's — the
+// sweep visits contacts in an order no target changes, so it is a prefix of
+// the loop's sweep for whichever holder the loop found (same depth or
+// shallower, same leaf or an earlier one), and of each of its full sweeps
+// when it found none. Replies are bounded over the whole stream only: an
+// earlier leaf can sit behind a longer chain than the loop's.
+func TestResolveBoundedByHolderLoop(t *testing.T) {
+	const n, lookups = 300, 900
+	cfg := Config{R: 2, MaxContactDist: 10, NoC: 4, Depth: 3, Method: EM}
+	for _, w := range queryWorlds(t, 17, n) {
+		p, err := New(w.net, w.nb(w.net, cfg.R), cfg, xrand.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SelectAll(0)
+		if w.net.HasChurn() {
+			w.net.RefreshAt(5)
+			p.ExpireNodes(w.net.ChurnedDown())
+		}
+		q, ref := p.NewQuerier(), newRefQuerier(p)
+		rng := xrand.New(78)
+		remote, cheaper := 0, 0
+		for k := 0; k < lookups; k++ {
+			u := NodeID(rng.Intn(n))
+			holders := make([]NodeID, []int{1, 2, 8}[k%3])
+			for i := range holders {
+				holders[i] = NodeID(rng.Intn(n))
+			}
+			was, refWas := q.tallies(), ref.tallies()
+			got, want := q.Resolve(u, holders), ref.resolveLoop(u, holders)
+			now, refNow := q.tallies(), ref.tallies()
+			id := fmt.Sprintf("%s: lookup %d (%d→%v)", w.name, k, u, holders)
+			if got.Found != want.Found {
+				t.Fatalf("%s = %+v, the holder loop %+v", id, got, want)
+			}
+			if (want.Found && want.Depth == 0 || len(holders) == 1) && got != want {
+				t.Fatalf("%s = %+v, the holder loop %+v", id, got, want)
+			}
+			if got.Messages != now[0]-was[0]+now[1]-was[1] {
+				t.Fatalf("%s reports %d messages, the tallies moved by %v → %v", id, got.Messages, was, now)
+			}
+			for _, c := range []int{0, 2} { // query transmissions, retries
+				if sweep, loop := now[c]-was[c], refNow[c]-refWas[c]; sweep > loop {
+					t.Fatalf("%s: tally %d moved by %d, the holder loop's by %d", id, c, sweep, loop)
+				}
+			}
+			if got.Found && got.Depth > 0 {
+				remote++
+				if !slices.Contains(holders, got.Holder) {
+					t.Fatalf("%s answers with %d, not a holder", id, got.Holder)
+				}
+				if got.Messages < want.Messages {
+					cheaper++
+				}
+			}
+		}
+		if sweep, loop := q.tallies(), ref.tallies(); sweep[0]+sweep[1] > loop[0]+loop[1] {
+			t.Errorf("%s: query+reply %d over the stream, the holder loop %d", w.name, sweep[0]+sweep[1], loop[0]+loop[1])
+		}
+		if remote == 0 || cheaper == 0 {
+			t.Fatalf("%s: %d lookups answered by a contact, %d below the loop's cost", w.name, remote, cheaper)
 		}
 	}
 }

@@ -157,10 +157,12 @@ func TestStampCoverAcrossRefreshes(t *testing.T) {
 }
 
 // TestStampWatchersMatchesContains pins the in-ball identity the query
-// path rests on: for every target x, StampWatchers marks exactly the
-// nodes u with Contains(u, x), gives each its Dist(u, x), and touches no
-// other entry of either array — on the resident table and at every
-// residency bound, over every kind of snapshot.
+// path rests on: for every target set S — one node, two, eight, with a
+// repeated member and (where the world has one) a churned-down member —
+// StampWatchers marks exactly the nodes u with Contains(u, x) for some x
+// in S, gives each the smallest Dist(u, x) and the lowest-id x attaining
+// it, and touches no other entry of any array — on the resident table and
+// at every residency bound, over every kind of snapshot.
 func TestStampWatchersMatchesContains(t *testing.T) {
 	for _, w := range coverWorlds {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -168,39 +170,77 @@ func TestStampWatchersMatchesContains(t *testing.T) {
 				n := 90 + 30*int(seed)
 				net := w.build(seed, n)
 				ref := NewOracle(net, r) // Contains/Dist come from its views
-				checkWatchers(t, w.name+"/oracle", NewOracle(net, r), ref, n)
+				checkWatchers(t, w.name+"/oracle", NewOracle(net, r), ref, net)
 				for _, c := range []int{1, n / 4, n} {
-					checkWatchers(t, fmt.Sprintf("%s/viewcache-%d", w.name, c), NewViewCache(net, r, c), ref, n)
+					checkWatchers(t, fmt.Sprintf("%s/viewcache-%d", w.name, c), NewViewCache(net, r, c), ref, net)
 				}
 			}
 		}
 	}
 }
 
-func checkWatchers(t *testing.T, name string, p, ref Provider, n int) {
+// watcherSets lists the target sets checkWatchers runs: every singleton,
+// then random sets of two and eight, each with its first member repeated
+// at the end and its second replaced by a down node when there is one.
+func watcherSets(net *manet.Network) [][]NodeID {
+	n := net.N()
+	down := NodeID(-1)
+	var sets [][]NodeID
+	for x := NodeID(0); int(x) < n; x++ {
+		sets = append(sets, []NodeID{x})
+		if down < 0 && net.Down(x) {
+			down = x
+		}
+	}
+	rng := xrand.New(uint64(n))
+	for _, size := range []int{2, 8} {
+		for k := 0; k < n/3; k++ {
+			set := make([]NodeID, size, size+1)
+			for i := range set {
+				set[i] = NodeID(rng.Intn(n))
+			}
+			if down >= 0 {
+				set[1] = down
+			}
+			sets = append(sets, append(set, set[0]))
+		}
+	}
+	return sets
+}
+
+func checkWatchers(t *testing.T, name string, p, ref Provider, net *manet.Network) {
 	t.Helper()
 	const untouched = 0xEE
+	n := net.N()
 	stamp := make([]uint64, n)
 	dist := make([]uint8, n)
+	origin := make([]NodeID, n)
 	var queue []NodeID
-	for x := NodeID(0); int(x) < n; x++ {
-		gen := uint64(x) + 2 // fresh per call, as the contract requires
+	for k, set := range watcherSets(net) {
+		gen := uint64(k) + 2 // fresh per call, as the contract requires
 		for i := range dist {
-			stamp[i], dist[i] = gen-1, untouched
+			stamp[i], dist[i], origin[i] = gen-1, untouched, untouched
 		}
-		queue = p.StampWatchers(queue, x, stamp, dist, gen)
+		queue = p.StampWatchers(queue, set, stamp, dist, origin, gen)
 		for u := NodeID(0); int(u) < n; u++ {
-			want := ref.Dist(u, x)
-			if got := stamp[u] == gen; got != ref.Contains(u, x) || got != (want >= 0) {
-				t.Fatalf("%s: StampWatchers(%d) stamped[%d] = %v, Contains says %v", name, x, u, got, want >= 0)
+			want, from := -1, NodeID(-1)
+			for _, x := range set {
+				d := ref.Dist(u, x)
+				if (d >= 0) != ref.Contains(u, x) {
+					t.Fatalf("%s: reference Dist(%d, %d) = %d disagrees with Contains", name, u, x, d)
+				}
+				if d >= 0 && (want < 0 || d < want || (d == want && x < from)) {
+					want, from = d, x
+				}
 			}
-			switch {
-			case want >= 0 && int(dist[u]) != want:
-				t.Fatalf("%s: StampWatchers(%d) dist[%d] = %d, Dist says %d", name, x, u, dist[u], want)
-			case want < 0 && dist[u] != untouched:
-				t.Fatalf("%s: StampWatchers(%d) wrote dist[%d] outside the ball", name, x, u)
-			case want < 0 && stamp[u] != gen-1:
-				t.Fatalf("%s: StampWatchers(%d) wrote stamp[%d] outside the ball", name, x, u)
+			switch got := stamp[u] == gen; {
+			case got != (want >= 0):
+				t.Fatalf("%s: StampWatchers(%v) stamped[%d] = %v, Contains says %v", name, set, u, got, want >= 0)
+			case got && (int(dist[u]) != want || origin[u] != from):
+				t.Fatalf("%s: StampWatchers(%v) gives %d holder %d at %d hops, the views say %d at %d",
+					name, set, u, origin[u], dist[u], from, want)
+			case !got && (stamp[u] != gen-1 || dist[u] != untouched || origin[u] != untouched):
+				t.Fatalf("%s: StampWatchers(%v) wrote entry %d outside the union of balls", name, set, u)
 			}
 		}
 	}

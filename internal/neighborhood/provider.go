@@ -55,17 +55,18 @@ type Provider interface {
 	// lets a capped table produce it without materializing any edge
 	// node's view.
 	StampCover(u NodeID, stamp []uint64, gen uint64)
-	// StampWatchers sets stamp[u] = gen and dist[u] = Dist(u, x) for every
-	// u with Contains(u, x) — the nodes whose neighborhood tables list x —
-	// and writes no other entry. Both arrays are caller-owned and indexed
-	// by node id, and no entry of stamp may carry gen on entry (it doubles
-	// as the visit mark). queue is the caller's reusable BFS scratch,
-	// AppendRoute-style: its contents are overwritten and the (possibly
-	// grown) slice is returned for the next call, so a steady-state caller
-	// allocates nothing. One call answers "does c know x, and how far" for
-	// every c at once without materializing any view; see
-	// Table.StampWatchers for why the set is x's R-hop in-ball.
-	StampWatchers(queue []NodeID, x NodeID, stamp []uint64, dist []uint8, gen uint64) []NodeID
+	// StampWatchers answers "does u know a target, which, and how far" for
+	// every u at once without materializing any view: for each u with
+	// Contains(u, x) for some x in targets it sets stamp[u] = gen, dist[u]
+	// to the smallest Dist(u, x) and origin[u] to the lowest-id target at
+	// that distance (so neither order nor repeats in targets matter), and
+	// it writes no other entry. The arrays are caller-owned and indexed by
+	// node id, and no entry of stamp may carry gen on entry (it doubles as
+	// the visit mark). queue is the caller's reusable BFS scratch,
+	// AppendRoute-style: overwritten, and returned (possibly grown) for the
+	// next call, so a steady-state caller allocates nothing. See
+	// Table.StampWatchers for why the set is the targets' R-hop in-ball.
+	StampWatchers(queue, targets []NodeID, stamp []uint64, dist []uint8, origin []NodeID, gen uint64) []NodeID
 }
 
 // Warmer is implemented by the provider that keeps every view resident

@@ -453,28 +453,41 @@ func (t *Table) StampCover(u NodeID, stamp []uint64, gen uint64) {
 	t.scratch.Put(s)
 }
 
-// StampWatchers implements Provider with one R-bounded BFS from x over
-// in-edges. It reads the live graph and no view, so it costs the same at
-// every residency and tracks every epoch.
+// StampWatchers implements Provider with one R-bounded, level-synchronous
+// BFS over in-edges seeded with every target. It reads the live graph and
+// no view, so it costs the same at every residency and tracks every epoch.
 //
 // Why the R-hop in-ball is the watcher set. With d(a,b) the out-distance
 // of StampCover's proof, Contains(u, x) is d(u,x) ≤ R and Dist(u, x) is
 // d(u,x). A u→x path over out-edges, reversed, is an x→u path over
 // in-edges of the same length, and the other way round, so the BFS level
-// at which u is reached from x over InNeighbors is exactly d(u,x) — for
-// every u at once. On an undirected snapshot InNeighbors is Neighbors and
-// the ball is x's own; churned-down nodes and barrier cuts are absent
-// edges of the snapshot, as above.
-func (t *Table) StampWatchers(queue []NodeID, x NodeID, stamp []uint64, dist []uint8, gen uint64) []NodeID {
+// at which the seeds first reach u over InNeighbors is exactly the least
+// d(u,x) over targets x — for every u at once. On an undirected snapshot
+// InNeighbors is Neighbors and the ball is the targets' own; churned-down
+// nodes and barrier cuts are absent edges of the snapshot, as above.
+//
+// Why origin is the lowest-id nearest target, with no tie test in the
+// loop. A target x at distance d from u is at distance d-1 from the next
+// node of a shortest u→x path, so (by induction) origin[u] is the least
+// origin among the level-(d-1) nodes that reach u. The seeds enter the
+// queue in ascending id and a node inherits the origin of the parent that
+// discovers it, so every level is queued in non-decreasing origin order —
+// and the first parent to reach u is the one with the least origin.
+func (t *Table) StampWatchers(queue, targets []NodeID, stamp []uint64, dist []uint8, origin []NodeID, gen uint64) []NodeID {
 	g := t.net.Graph()
-	stamp[x], dist[x] = gen, 0
-	queue = append(queue[:0], x)
+	queue = append(queue[:0], targets...)
+	slices.Sort(queue)
+	queue = slices.Compact(queue)
+	for _, x := range queue {
+		stamp[x], dist[x], origin[x] = gen, 0, x
+	}
 	head := 0
 	for d := 1; d <= t.r && head < len(queue); d++ {
 		for end := len(queue); head < end; head++ {
+			from := origin[queue[head]]
 			for _, y := range g.InNeighbors(queue[head]) {
 				if stamp[y] != gen {
-					stamp[y], dist[y] = gen, uint8(d)
+					stamp[y], dist[y], origin[y] = gen, uint8(d), from
 					queue = append(queue, y)
 				}
 			}

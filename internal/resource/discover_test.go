@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"card/internal/card"
+	"card/internal/engine"
 	"card/internal/geom"
 	"card/internal/manet"
 	"card/internal/mobility"
@@ -356,56 +357,174 @@ func TestDeadSearchCostHolderOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestDiscoverCARDWithMatchesSerial pins that the card worker — the
-// Querier-based unit the workload layer shards across workers — returns
-// what the serial protocol path returns: a reference loop written against
-// Protocol.Query (self-held, then the nearest neighborhood holder, then
-// holder by holder in placement order), with identical accounting.
+// serialDiscover is the card lookup as the adapter ran it before the DSQ
+// carried the resource, written against Protocol.Query and kept as the
+// oracle the one-sweep lookup is bounded by: self-held, then the nearest
+// holder in the source's own table, then one full escalation per holder in
+// placement order until one is found.
+func serialDiscover(p *card.Protocol, d *resource.Directory, src NodeID, id ID) Result {
+	holders, nb := d.Placed(id), p.Neighborhood()
+	best := Result{PathHops: -1}
+	for _, h := range holders {
+		if h == src {
+			return Result{Found: true, Holder: src, PathHops: 0}
+		}
+		if nb.Contains(src, h) && (!best.Found || nb.Dist(src, h) < best.PathHops) {
+			best = Result{Found: true, Holder: h, PathHops: nb.Dist(src, h)}
+		}
+	}
+	if best.Found {
+		return best
+	}
+	for _, h := range holders {
+		r := p.Query(src, h)
+		best.Messages += r.Messages
+		if r.Found {
+			return Result{Found: true, Holder: h, Messages: best.Messages, PathHops: r.PathHops}
+		}
+	}
+	return best
+}
+
+// TestDiscoverCARDWithMatchesSerial bounds the card worker — the
+// Querier-based unit the workload layer shards across workers — by the
+// serial holder loop, lookup by lookup on twin networks. Found is equal,
+// and the one sweep is a prefix of the loop's sweep for whichever holder
+// the loop found (same depth or shallower, same leaf or an earlier one),
+// so it never transmits or retries more queries. A different, earlier leaf
+// can answer over a longer chain, so per lookup the reply leg — and with it
+// Messages — may exceed the loop's; query plus reply traffic is bounded
+// over the whole trial set.
 func TestDiscoverCARDWithMatchesSerial(t *testing.T) {
 	netA, netB := testNet(9, 250), testNet(9, 250)
 	pa, pb := testProtocol(t, netA), testProtocol(t, netB)
 	rng := xrand.New(21)
 	d := NewDirectory(250)
 	for id := 0; id < 20; id++ {
-		d.PlaceReplicas(ID(id), 2, rng.Derive(uint64(id)))
-	}
-	serialDiscover := func(src NodeID, id ID) Result {
-		holders, nb := d.Placed(id), pa.Neighborhood()
-		best := Result{PathHops: -1}
-		for _, h := range holders {
-			if h == src {
-				return Result{Found: true, Holder: src, PathHops: 0}
-			}
-			if nb.Contains(src, h) && (!best.Found || nb.Dist(src, h) < best.PathHops) {
-				best = Result{Found: true, Holder: h, PathHops: nb.Dist(src, h)}
-			}
-		}
-		if best.Found {
-			return best
-		}
-		for _, h := range holders {
-			r := pa.Query(src, h)
-			best.Messages += r.Messages
-			if r.Found {
-				return Result{Found: true, Holder: h, Messages: best.Messages, PathHops: r.PathHops}
-			}
-		}
-		return best
+		d.PlaceReplicas(ID(id), 1+id%4, rng.Derive(uint64(id)))
 	}
 	w := worker(t, "card", netB, pb, d)
-	for trial := 0; trial < 60; trial++ {
+	remote := 0
+	for trial := 0; trial < 200; trial++ {
 		src := NodeID(rng.Intn(250))
 		id := ID(rng.Intn(20))
-		serial := serialDiscover(src, id)
+		beforeA, beforeB := netA.Totals(), netB.Totals()
+		serial := serialDiscover(pa, d, src, id)
 		batch := w.Discover(src, id)
-		if serial != batch {
-			t.Fatalf("trial %d (src %d, id %d): serial %+v != querier %+v",
-				trial, src, id, serial, batch)
+		w.Flush()
+		loop, sweep := netA.Totals().DiffSince(beforeA), netB.Totals().DiffSince(beforeB)
+		if serial.Found != batch.Found {
+			t.Fatalf("trial %d (src %d, id %d): serial %+v, querier %+v", trial, src, id, serial, batch)
+		}
+		if serial.Messages == 0 && serial.PathHops != batch.PathHops {
+			t.Fatalf("trial %d (src %d, id %d): answered locally, serial %+v, querier %+v", trial, src, id, serial, batch)
+		}
+		if batch.Messages != sweep.Get(manet.CatQuery)+sweep.Get(manet.CatReply) {
+			t.Fatalf("trial %d (src %d, id %d): %+v, recorder moved by %v", trial, src, id, batch, sweep)
+		}
+		for _, c := range []manet.Category{manet.CatQuery, manet.CatRetry} {
+			if sweep.Get(c) > loop.Get(c) {
+				t.Fatalf("trial %d (src %d, id %d): category %d charged %d, the holder loop %d",
+					trial, src, id, c, sweep.Get(c), loop.Get(c))
+			}
+		}
+		if batch.Messages > 0 {
+			remote++
 		}
 	}
+	if remote == 0 {
+		t.Fatal("no lookup left the source's neighborhood")
+	}
+	ta, tb := netA.Totals(), netB.Totals()
+	if loop, sweep := ta.Get(manet.CatQuery)+ta.Get(manet.CatReply), tb.Get(manet.CatQuery)+tb.Get(manet.CatReply); sweep > loop {
+		t.Errorf("query+reply over the trial set: the one sweep %d, the holder loop %d", sweep, loop)
+	}
+}
+
+// TestDiscoverOneReplicaIsNodeQuery is the metamorphic relation between
+// the two entry points of the one resolve body: with a single holder per
+// resource, Discover(src, id) is Querier.Query(src, holder) field for
+// field, and both charge the recorder the same.
+func TestDiscoverOneReplicaIsNodeQuery(t *testing.T) {
+	netA, netB := testNet(10, 250), testNet(10, 250)
+	pa, pb := testProtocol(t, netA), testProtocol(t, netB)
+	rng := xrand.New(22)
+	d := NewDirectory(250)
+	for id := 0; id < 40; id++ {
+		d.PlaceReplicas(ID(id), 1, rng)
+	}
+	q, w := pa.NewQuerier(), worker(t, "card", netB, pb, d)
+	for trial := 0; trial < 200; trial++ {
+		src := NodeID(rng.Intn(250))
+		id := ID(rng.Intn(40))
+		holder := d.Placed(id)[0]
+		node, res := q.Query(src, holder), w.Discover(src, id)
+		want := Result{Found: node.Found, Messages: node.Messages, PathHops: node.PathHops}
+		if node.Found {
+			want.Holder = holder
+		}
+		if res != want {
+			t.Fatalf("trial %d: Discover(%d, %d) = %+v, Query(%d, %d) = %+v", trial, src, id, res, src, holder, node)
+		}
+	}
+	q.Flush()
 	w.Flush()
-	if ta, tb := netA.Totals(), netB.Totals(); ta != tb {
-		t.Errorf("accounting diverges: serial %v, querier %v", ta, tb)
+	if ta, tb := netA.Totals(), netB.Totals(); ta != tb || ta.Get(manet.CatReply) == 0 {
+		t.Errorf("recorder totals: node queries %v, lookups %v", ta, tb)
+	}
+}
+
+// TestDiscoverCostAgainstHolderLoop is the acceptance check of the
+// resource-keyed DSQ on the replicated-resource path cardsim -qps takes:
+// on citywide-rwp-1k, one validation period in, with 8 replicas of each of
+// 256 Zipf(0.9)-popular resources, the lookups through the scheme find
+// exactly as often as the holder loop and cost at most a third of its
+// messages (measured: 1987 of 2000 found on both sides, 40.8 against 387.6
+// msgs/lookup).
+func TestDiscoverCostAgainstHolderLoop(t *testing.T) {
+	preset, err := engine.LookupPreset("citywide-rwp-1k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := preset.New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SelectContacts()
+	e.Advance(e.Config().ValidatePeriod)
+	net, p := e.Network(), e.Protocol()
+	rng := xrand.New(3)
+	d := NewDirectory(net.N())
+	for id := 0; id < 256; id++ {
+		d.PlaceReplicas(ID(id), 8, rng)
+	}
+	w := worker(t, "card", net, p, d)
+	zipf := xrand.NewZipf(256, 0.9)
+	const lookups = 2000
+	var found, loopFound int
+	var msgs, loopMsgs int64
+	for k := 0; k < lookups; k++ {
+		src, id := NodeID(rng.Intn(net.N())), ID(zipf.Draw(rng))
+		r, loop := w.Discover(src, id), serialDiscover(p, d, src, id)
+		if r.Found != loop.Found {
+			t.Fatalf("lookup %d (src %d, id %d): %+v, the holder loop %+v", k, src, id, r, loop)
+		}
+		if r.Found {
+			found++
+		}
+		if loop.Found {
+			loopFound++
+		}
+		msgs += r.Messages
+		loopMsgs += loop.Messages
+	}
+	t.Logf("%d of %d found; %.1f msgs/lookup, the holder loop %.1f",
+		found, lookups, float64(msgs)/lookups, float64(loopMsgs)/lookups)
+	if found != loopFound || found == 0 || found == lookups {
+		t.Errorf("found %d of %d, the holder loop %d", found, lookups, loopFound)
+	}
+	if 3*msgs > loopMsgs {
+		t.Errorf("%d messages over %d lookups, more than a third of the holder loop's %d", msgs, lookups, loopMsgs)
 	}
 }
 

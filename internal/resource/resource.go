@@ -100,10 +100,10 @@ func (d *Directory) PlaceReplicas(id ID, k int, rng *xrand.Rand) {
 	d.swaps = swaps[:0]
 }
 
-// Placed returns the nodes holding id in placement order — the order
-// schemes that try holders one at a time (CARD) or break distance ties by
-// first placement (flood, ring) visit them in. It is the directory's own
-// slice, not a copy: read-only, valid until the next placement of id.
+// Placed returns the nodes holding id in placement order — the order the
+// schemes that break distance ties by first placement (flood, ring) visit
+// them in; CARD and bordercast tie to the lowest id. It is the directory's
+// own slice, not a copy: read-only, valid until the next placement of id.
 func (d *Directory) Placed(id ID) []NodeID { return d.holders[id] }
 
 // Holders returns the nodes holding id (sorted, copy).

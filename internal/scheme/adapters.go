@@ -1,8 +1,8 @@
 // Adapters putting the discovery mechanisms — CARD, flooding, expanding
 // ring, bordercast — behind the DiscoveryScheme interface. The anycast
 // rules every mechanism shares (what is answered without radio traffic,
-// which holder answers, what a dead search costs) live here once; the
-// flood and bordercast packages below only know node targets.
+// which holder answers, what a dead search costs) live here once; below,
+// flood and bordercast only know node targets, card.Querier sets of them.
 package scheme
 
 import (
@@ -101,41 +101,20 @@ type cardWorker struct {
 	q   *card.Querier
 }
 
-// Discover finds a holder of id through the contact architecture: the
-// source checks its own neighborhood table for any holder, then queries
-// holders one at a time through its contacts, in placement order,
-// stopping at the first hit.
-//
-// Contacts leverage neighborhood knowledge: a holder inside any queried
-// contact's neighborhood answers, so replication multiplies the effective
-// target set exactly as it would in a real deployment.
+// Discover finds a holder of id through the contact architecture. The
+// DSQ carries the resource, not a node: the source answers from its own
+// neighborhood table if it lists a holder, and otherwise one escalation
+// through its contacts ends at the first queried contact whose table
+// lists any holder — so replication multiplies the effective target set
+// exactly as it would in a real deployment, at the cost of one search.
+// The answering table names its nearest holder, ties to the lowest id.
 func (w *cardWorker) Discover(src NodeID, id resource.ID) resource.Result {
 	holders := w.dir.Placed(id)
 	if r, ok := selfHeld(holders, src); ok {
 		return r
 	}
-	// Local resolution: the nearest holder within the neighborhood table.
-	nb := w.q.Protocol().Neighborhood()
-	var best resource.Result
-	for _, h := range holders {
-		// Dist ≥ 0 is the membership test: one probe of src's table.
-		if hops := nb.Dist(src, h); hops >= 0 && (!best.Found || hops < best.PathHops) {
-			best = resource.Result{Found: true, Holder: h, PathHops: hops}
-		}
-	}
-	if best.Found {
-		return best
-	}
-	// Remote resolution through contacts, holder by holder.
-	var msgs int64
-	for _, h := range holders {
-		r := w.q.Query(src, h)
-		msgs += r.Messages
-		if r.Found {
-			return resource.Result{Found: true, Holder: h, Messages: msgs, PathHops: r.PathHops}
-		}
-	}
-	return miss(msgs)
+	r := w.q.Resolve(src, holders)
+	return resource.Result{Found: r.Found, Holder: r.Holder, Messages: r.Messages, PathHops: r.PathHops}
 }
 
 func (w *cardWorker) Flush() { w.q.Flush() }

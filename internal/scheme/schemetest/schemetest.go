@@ -6,9 +6,9 @@
 //   - an unknown resource is never Found;
 //   - a self-held resource resolves for free: Holder == src, zero
 //     messages, zero hops, nothing on the recorder;
-//   - outcomes are invariant under holder insertion order (Found for
-//     every scheme; full cost for every scheme except card, whose remote
-//     search probes holders in directory insertion order by design);
+//   - outcomes are invariant under holder insertion order: Found, cost
+//     and route length for every scheme, and the answering holder too for
+//     every scheme that breaks distance ties by id;
 //   - identical runs are bit-identical, results and recorder totals both;
 //   - serial and sharded execution agree: under mobility and churn, the
 //     per-query outcome stream, the message totals and the workload
@@ -150,12 +150,12 @@ func SelfHeldFree(t *testing.T, name string) {
 }
 
 // HolderOrderInvariant pins that discovery outcomes do not depend on the
-// order holders were placed in the directory. Found must be invariant for
-// every scheme. The cost (Messages, PathHops) must also be invariant for
-// every scheme except card: CARD's remote search probes holders one at a
-// time in directory insertion order — a documented property of the
-// protocol, not an accounting bug — so only its hit/miss outcome is
-// order-free.
+// order holders were placed in the directory: Found, Messages and PathHops
+// for every scheme, and Holder as well — the whole Result — for the
+// schemes that address a holder by a placement-free rule (nearest, ties to
+// the lowest id). The two flooding baselines address nobody: the nearest
+// holder answers and equidistant ones tie to the first placed, at equal
+// cost.
 func HolderOrderInvariant(t *testing.T, name string) {
 	orders := [][]scheme.NodeID{{40, 5, 23}, {23, 40, 5}, {5, 23, 40}}
 	var ref []resource.Result
@@ -169,7 +169,11 @@ func HolderOrderInvariant(t *testing.T, name string) {
 		w := s.Worker()
 		got := make([]resource.Result, 0, env.Net.N())
 		for src := 0; src < env.Net.N(); src++ {
-			got = append(got, w.Discover(scheme.NodeID(src), 3))
+			r := w.Discover(scheme.NodeID(src), 3)
+			if name == "flood" || name == "ring" {
+				r.Holder = 0
+			}
+			got = append(got, r)
 		}
 		w.Flush()
 		if oi == 0 {
@@ -177,15 +181,8 @@ func HolderOrderInvariant(t *testing.T, name string) {
 			continue
 		}
 		for i := range got {
-			if got[i].Found != ref[i].Found {
-				t.Fatalf("%s: Found depends on holder order: src %d, order %v: %+v vs %+v",
-					name, i, order, got[i], ref[i])
-			}
-			if name == "card" {
-				continue
-			}
-			if got[i].Messages != ref[i].Messages || got[i].PathHops != ref[i].PathHops {
-				t.Fatalf("%s: cost depends on holder order: src %d, order %v: %+v vs %+v",
+			if got[i] != ref[i] {
+				t.Fatalf("%s: outcome depends on holder order: src %d, order %v: %+v vs %+v",
 					name, i, order, got[i], ref[i])
 			}
 		}
