@@ -8,8 +8,8 @@ package card
 //     message looks the missing hop (and then each later path node) up in
 //     its own neighborhood table and splices the path;
 //  3. contacts whose path cannot be recovered are lost;
-//  4. contacts whose validated loop-free path length falls outside
-//     [method lower bound, r] are dropped;
+//  4. contacts whose validated route — shortened if it was spliced — is
+//     shorter than the method's lower bound or longer than r are dropped;
 //  5. a table left below NoC triggers new contact selection.
 //
 // Maintain is the serial entry point: it runs on the protocol's own

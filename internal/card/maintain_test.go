@@ -2,6 +2,7 @@ package card
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"card/internal/manet"
@@ -16,14 +17,26 @@ func TestMaintainStaticKeepsAllContacts(t *testing.T) {
 	if before == 0 {
 		t.Fatal("nothing selected")
 	}
-	// Sum of path hops of the contacts that will be validated.
+	// Sum of path hops of the contacts that will be validated, and their
+	// routes as stored.
 	var wantHops int64
+	routes := map[[2]NodeID][]NodeID{}
 	for u := 0; u < net.N(); u++ {
 		for _, c := range p.Table(NodeID(u)).Contacts() {
 			wantHops += int64(c.Hops())
+			routes[[2]NodeID{NodeID(u), c.ID}] = slices.Clone(c.Path)
 		}
 	}
 	p.MaintainAll(2)
+	// An intact route validates to itself (the engine's dirty-set invariant):
+	// only a spliced route is ever rewritten.
+	for u := 0; u < net.N(); u++ {
+		for _, c := range p.Table(NodeID(u)).Contacts() {
+			if old, ok := routes[[2]NodeID{NodeID(u), c.ID}]; ok && !slices.Equal(old, c.Path) {
+				t.Fatalf("node %d contact %d: intact route %v rewritten to %v", u, c.ID, old, c.Path)
+			}
+		}
+	}
 	// Static topology: nothing may be lost. The count may GROW, though:
 	// under-NoC tables retry selection with fresh randomness each round
 	// (the paper's Fig. 13 shows exactly this creep).
@@ -58,8 +71,8 @@ func TestMaintainDropsOutOfBoundContacts(t *testing.T) {
 			t.Fatal("rule 4 did not drop the over-long contact")
 		}
 	}
-	if p.Stats().BoundDrops != 1 {
-		t.Errorf("BoundDrops = %d, want 1", p.Stats().BoundDrops)
+	if st := p.Stats(); st.BoundDrops != 1 || st.TooFarDrops != 1 {
+		t.Errorf("BoundDrops = %d, TooFarDrops = %d, want 1 and 1", st.BoundDrops, st.TooFarDrops)
 	}
 }
 
@@ -74,6 +87,9 @@ func TestMaintainDropsTooCloseContacts(t *testing.T) {
 		if c.ID == 3 {
 			t.Fatal("rule 4 did not drop the too-close contact")
 		}
+	}
+	if st := p.Stats(); st.BoundDrops != 1 || st.TooFarDrops != 0 {
+		t.Errorf("BoundDrops = %d, TooFarDrops = %d, want 1 and 0", st.BoundDrops, st.TooFarDrops)
 	}
 }
 
@@ -198,6 +214,7 @@ func TestLocalRecoverySpliceCompactsLoops(t *testing.T) {
 	if !pathIsSimple(newPath) {
 		t.Fatalf("recovered path self-intersects: %v", newPath)
 	}
+	checkChordFree(t, net, newPath)
 	if newPath[0] != 0 || newPath[len(newPath)-1] != 3 {
 		t.Fatalf("recovered path endpoints wrong: %v", newPath)
 	}

@@ -53,8 +53,7 @@ type Maintainer struct {
 	// current step's; EM: one per walk frame, end to end, with frames
 	// holding each frame's start offset), the shuffled edge-node copy, the
 	// intra-neighborhood route of the current CSQ or recovery splice, and
-	// validatePath's rebuilt route. The old per-walk allocations of these
-	// were the dominant GC churn of a maintenance round.
+	// validatePath's rebuilt route.
 	stack   []NodeID
 	cand    []NodeID
 	frames  []int
@@ -193,6 +192,9 @@ func (m *Maintainer) maintain(u NodeID, now float64) {
 		if hops < lo || hops > p.cfg.MaxContactDist {
 			m.stats.ContactsLost++
 			m.stats.BoundDrops++
+			if hops > p.cfg.MaxContactDist {
+				m.stats.TooFarDrops++
+			}
 			t.removeAt(i)
 			continue
 		}
@@ -264,7 +266,7 @@ func (m *Maintainer) accept(x NodeID, d int) bool {
 }
 
 // runCSQ sends one Contact Selection Query from u through edge node e. It
-// returns the selected contact's loop-free source route (scratch owned by
+// returns the selected contact's shortened source route (scratch owned by
 // the Maintainer, valid until its next walk — callers store it via
 // Table.add, which copies), or nil with exhausted=true when the walk gave
 // up (region saturated for EM; step budget burned for PM).
@@ -481,43 +483,36 @@ func (m *Maintainer) walkPM(route []NodeID) ([]NodeID, bool) {
 // pathological walk run unbounded.
 func (m *Maintainer) csqBudget() int { return 2 * m.p.net.N() }
 
-// acceptContact finalizes a successful walk: the acceptor compacts the
-// accumulated walk into a loop-free source route and returns it to the
-// source, which stores the contact. The compaction runs in place on the
-// walk stack — the walk is over, and the caller copies the route into the
-// table's arena segment before the scratch is reused.
-//
-// The compaction matters for the PM walks, whose memoryless wandering may
-// self-intersect: the acceptance decision uses the raw walk hop count d
-// (the paper's semantics), but the route the reply carries — and the
-// source stores — must be the net, loop-free path, or Contact.Hops() is
-// inflated and the contact gets wrongly bound-dropped at the next
-// maintenance round. EM walks are simple by construction, so compaction
-// is a no-op for them.
+// acceptContact finalizes a successful walk: the reply travels back along
+// the walk, and every relay cuts the route it carries to the farthest listed
+// node it hears directly (shortenRoute, in place on the walk stack). The
+// acceptance decision used the raw walk hop count d (the paper's semantics);
+// the source stores, and the reply is charged, the shortened route. Stored
+// verbatim, the EM walk's meander and the PM walks' loops put Contact.Hops()
+// at the walk's length, not the contact's distance, and the first recovery
+// splice pushes the contact over r.
 func (m *Maintainer) acceptContact(stack []NodeID) []NodeID {
-	path := compactLoops(stack)
-	m.sendHops(manet.CatCSQ, len(path)-1) // reply carrying the loop-free path
+	path := shortenRoute(m.p.net, stack)
+	m.sendHops(manet.CatCSQ, len(path)-1) // reply carrying the shortened path
 	m.stats.CSQSucceeded++
 	return path
 }
 
 // validatePath walks a contact's stored source route over the current
 // topology, splicing around missing hops via local recovery. It returns
-// the (possibly re-spliced) path — Maintainer-owned scratch, valid until
-// the next validation; callers persist it via Table.setPath, which copies
-// — or ok=false when the contact is lost.
+// ok=false when the contact is lost, the stored route itself when no hop
+// needed a splice (the dirty-set invariant's "an intact route validates to
+// itself"), and otherwise the re-spliced route, shortened, in Maintainer
+// scratch valid until the next validation (Table.setPath copies it).
 //
-// Recovery splices can revisit nodes already on the rebuilt prefix — the
-// holder routes around the break through whatever its neighborhood table
-// offers, oblivious to where the message has been — so the final route is
-// compacted before it is returned: the stored path must be a simple source
-// route, and maintenance rule 4 must judge the contact by its loop-free
-// length.
+// A splice only lengthens a route, and may revisit nodes of the rebuilt
+// prefix — the holder routes around the break through whatever its
+// neighborhood table offers, oblivious to where the message has been —
+// hence shortenRoute before rule 4 judges the length.
 //
 // Message accounting: every surviving hop of the validation walk counts as
-// CatValidate; hops introduced by recovery splices count as CatRecovery
-// (both at their traveled, pre-compaction length — the transmissions
-// happened). Under a lossy link model each attempted hop additionally
+// CatValidate, hops introduced by recovery splices as CatRecovery (both as
+// traveled, before shortening). Under a lossy link model each attempted hop
 // charges its retransmissions to CatRetry, and a hop that exhausts its
 // retry budget is treated exactly like a broken link: the validation
 // message sits at the break and pays the local-recovery detour — the
@@ -529,6 +524,7 @@ func (m *Maintainer) validatePath(c *Contact) (path []NodeID, ok bool) {
 	old := c.Path
 	out := append(m.pathOut[:0], old[0])
 	i := 0 // index in old of the node the validation message sits at
+	spliced := false
 	for i+1 < len(old) {
 		cur := out[len(out)-1]
 		next := old[i+1]
@@ -544,33 +540,32 @@ func (m *Maintainer) validatePath(c *Contact) (path []NodeID, ok bool) {
 			i++
 			continue
 		}
-		if p.cfg.DisableLocalRecovery {
-			m.stats.RecoveryFailures++
-			m.pathOut = out
-			return nil, false
-		}
 		// Local recovery: look for the missing hop — and failing that, each
 		// subsequent node of the source path — in cur's neighborhood table.
-		recovered := false
-		for j := i + 1; j < len(old); j++ {
+		j := i + 1
+		if p.cfg.DisableLocalRecovery {
+			j = len(old) // nowhere to look: the contact is lost at the break
+		}
+		for ; j < len(old); j++ {
 			sub, routed := p.nb.AppendRoute(m.route[:0], cur, old[j])
 			m.route = sub
-			if !routed {
-				continue
+			if routed {
+				m.sendHops(manet.CatRecovery, len(sub)-1)
+				out = append(out, sub[1:]...)
+				break
 			}
-			m.sendHops(manet.CatRecovery, len(sub)-1)
-			out = append(out, sub[1:]...)
-			i = j
-			m.stats.Recoveries++
-			recovered = true
-			break
 		}
-		if !recovered {
+		if j == len(old) {
 			m.stats.RecoveryFailures++
 			m.pathOut = out
 			return nil, false
 		}
+		i, spliced = j, true
+		m.stats.Recoveries++
 	}
 	m.pathOut = out
-	return compactLoops(out), true
+	if !spliced {
+		return old, true
+	}
+	return shortenRoute(p.net, out), true
 }

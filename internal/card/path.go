@@ -1,48 +1,35 @@
 package card
 
-// compactLoops removes every cycle from a source route in place: whenever a
-// node reappears, the detour between its two occurrences is cut and the
-// walk continues from the first occurrence. The result keeps the original
-// endpoints, and every surviving hop is a hop of the input, so a hop-valid
-// input yields a hop-valid output on the same snapshot.
+import "card/internal/manet"
+
+// shortenRoute rewrites a source route in place as its relays would cut it:
+// walking forward from the owner, each node jumps to the farthest later node
+// of the route that is itself again (a loop) or that it hears directly — a
+// two-way link of net's current snapshot — and otherwise steps to its
+// successor. The result keeps both endpoints, visits no node twice, has no
+// chord (no node links two-way to a later one other than its successor), and
+// every hop of it is a hop of the input or a two-way link.
 //
-// Two producers need this. The PM walk has no loop memory ("forwards the
-// query to one of its randomly chosen neighbors"), so the accepted stack
-// may self-intersect; storing it verbatim inflates Contact.Hops() and gets
-// the contact wrongly bound-dropped at the next maintenance round. And
-// validatePath's recovery splices route around a missing hop through
-// whatever the holder's neighborhood table offers — which can revisit
-// nodes already on the rebuilt prefix, producing a self-intersecting
-// source route.
-//
-// Paths here are short (≤ MaxContactDist+1 nodes), so the quadratic scan
-// beats a map and allocates nothing.
-func compactLoops(path []NodeID) []NodeID {
+// Every relay knows its direct neighbours, so the cut costs no state and no
+// message. It reads adjacency only, never a neighbourhood view, and runs
+// only where a route is rewritten anyway (acceptContact, validatePath after
+// a splice): an intact route has nothing to cut and would pay ~len²/2 binary
+// searches to learn it.
+func shortenRoute(net *manet.Network, path []NodeID) []NodeID {
 	out := path[:0]
-	for _, n := range path {
-		cut := false
-		for j, m := range out {
-			if m == n {
-				out = out[:j+1]
-				cut = true
+	for i := 0; i < len(path); {
+		x := path[i]
+		next := i + 1
+		for j := len(path) - 1; j > next; j-- {
+			if path[j] == x || net.Bidirectional(x, path[j]) {
+				next = j
 				break
 			}
 		}
-		if !cut {
-			out = append(out, n)
+		if next == len(path) || path[next] != x { // else a loop: resume at x's last occurrence
+			out = append(out, x)
 		}
+		i = next
 	}
 	return out
-}
-
-// pathIsSimple reports whether no node appears twice on the route.
-func pathIsSimple(path []NodeID) bool {
-	for i, n := range path {
-		for _, m := range path[i+1:] {
-			if m == n {
-				return false
-			}
-		}
-	}
-	return true
 }

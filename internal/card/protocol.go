@@ -19,11 +19,11 @@ type NodeID = topology.NodeID
 type Contact struct {
 	// ID is the contact node.
 	ID NodeID
-	// Path is the source route owner→contact, inclusive of both endpoints.
-	// It is the path the CSQ traveled (spliced by local recovery over time),
-	// not necessarily a shortest path. For contacts stored in a protocol
-	// table the slice aliases the protocol's path arena; treat it as
-	// read-only.
+	// Path is the source route owner→contact, inclusive of both endpoints:
+	// the path the CSQ traveled, spliced by local recovery and cut by its
+	// relays at each rewrite (shortenRoute) — simple and chord-free, near a
+	// shortest path but not necessarily one. For contacts stored in a protocol
+	// table the slice aliases the protocol's path arena; treat it as read-only.
 	Path []NodeID
 	// SelectedAt is the simulation time the contact was chosen.
 	SelectedAt float64
@@ -100,7 +100,7 @@ func (t *Table) add(c Contact) {
 }
 
 // setPath replaces contact i's stored route with path (copied into the
-// slot's arena segment). path must not alias the slot's own segment.
+// slot's arena segment): foreign scratch, or the stored route itself.
 func (t *Table) setPath(i int, path []NodeID) {
 	slot := t.base() + i
 	t.p.slots[slot].Path = t.p.setSeg(slot, path)
@@ -151,7 +151,7 @@ type Protocol struct {
 	// their routes for the whole network live in two contiguous
 	// allocations — no per-contact pointers, nothing for the GC to chase,
 	// and a maintenance round walks memory linearly. pathCap is
-	// MaxContactDist+1: stored routes are loop-compacted and bound-checked
+	// MaxContactDist+1: stored routes are shortened and bound-checked
 	// to at most r hops before they are admitted.
 	tables    []Table
 	slots     []Contact
@@ -203,6 +203,8 @@ type Stats struct {
 	// BoundDrops counts contacts dropped by maintenance rule 4 (validated
 	// path length outside [lower, r]).
 	BoundDrops int64
+	// TooFarDrops is the part of BoundDrops above r; the rest fell below lower.
+	TooFarDrops int64
 	// ContactsExpired counts contact entries dropped by churn — a table
 	// cleared because its owner left the network, or an entry removed
 	// because the contact node itself went down. Expiry is bookkeeping,
@@ -221,6 +223,7 @@ func (s *Stats) add(o Stats) {
 	s.Recoveries += o.Recoveries
 	s.RecoveryFailures += o.RecoveryFailures
 	s.BoundDrops += o.BoundDrops
+	s.TooFarDrops += o.TooFarDrops
 	s.ContactsExpired += o.ContactsExpired
 }
 
@@ -255,7 +258,7 @@ func New(net *manet.Network, nb neighborhood.Provider, cfg Config, rng *xrand.Ra
 // setSeg copies path into slot's arena segment and returns the stored
 // slice (capacity-clamped so appends cannot scribble the next segment).
 // Stored routes never exceed pathCap nodes: walk acceptance bounds them to
-// r hops and maintenance re-admission bound-checks the compacted length.
+// r hops and maintenance re-admission bound-checks the shortened length.
 func (p *Protocol) setSeg(slot int, path []NodeID) []NodeID {
 	if len(path) > p.pathCap {
 		panic(fmt.Sprintf("card: route of %d nodes exceeds arena segment %d", len(path), p.pathCap))

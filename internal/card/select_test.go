@@ -257,6 +257,35 @@ func TestContactDistancesSorted(t *testing.T) {
 	}
 }
 
+// TestSelectedRoutesAreChordFree: the route a CSQ reply brings home has been
+// cut by every relay on the way back, so no node on it hears a later one
+// other than its successor — for all three methods, on scalar links and on
+// one-way lossy ones (where only a two-way link is a chord).
+func TestSelectedRoutesAreChordFree(t *testing.T) {
+	for _, w := range queryWorlds(t, 21, 300)[:2] { // scalar, directed-lossy; oracle provider
+		for _, method := range []Method{EM, PM1, PM2} {
+			cfg := Config{R: 2, MaxContactDist: 10, NoC: 5, Method: method}
+			p, err := New(w.net, w.nb(w.net, cfg.R), cfg, xrand.New(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SelectAll(0)
+			if p.TotalContacts() < w.net.N() {
+				t.Fatalf("%s %v: only %d contacts selected", w.name, method, p.TotalContacts())
+			}
+			for u := 0; u < w.net.N(); u++ {
+				for _, c := range p.Table(NodeID(u)).Contacts() {
+					if !pathIsSimple(c.Path) {
+						t.Fatalf("%s %v node %d: route %v self-intersects", w.name, method, u, c.Path)
+					}
+					checkPathValid(t, w.net, c.Path)
+					checkChordFree(t, w.net, c.Path)
+				}
+			}
+		}
+	}
+}
+
 func TestQuickSelectInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)

@@ -22,9 +22,9 @@ import "math/bits"
 //     p₀…p_a survives, so dist_new(u, p_a) ≤ a ≤ r-1 — and p_a's
 //     adjacency list changed at j, so the r-expansion of refresh j's diff
 //     reaches u, contradicting cleanliness. An intact path validates to
-//     itself (no recovery, no re-splice, same loop-free length, same
-//     bound check it already passed), so maintenance rules 1–4 change
-//     nothing.
+//     itself (no recovery, no re-splice — and only a spliced route is
+//     ever shortened — so the same length and the same bound check it
+//     already passed), so maintenance rules 1–4 change nothing.
 //   - Rule 5 (refill) is a no-op at NoC contacts, and selection rounds
 //     skip full tables outright.
 //

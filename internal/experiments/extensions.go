@@ -56,7 +56,7 @@ func ablRecovery(o Options) *Table {
 	sc := Scenario5.Scaled(o.Scale)
 	return rows{
 		title:  fmt.Sprintf("Ablation: local recovery over 10 s RWP (N=%d, R=3, r=12, NoC=5)", sc.N),
-		cols:   []string{"Recovery", "Lost/node", "Splices/node", "Maint msgs/node", "Final contacts/node"},
+		cols:   []string{"Recovery", "Lost/node", "Too far/node", "Splices/node", "Maint msgs/node", "Final contacts/node"},
 		points: 2,
 		label:  func(p int) any { return []string{"on", "off"}[p] },
 		cell: func(p int, seed uint64) []float64 {
@@ -70,6 +70,7 @@ func ablRecovery(o Options) *Table {
 			st := prot.Stats()
 			return []float64{
 				float64(st.ContactsLost) / n,
+				float64(st.TooFarDrops) / n,
 				float64(st.Recoveries) / n,
 				float64(net.Totals().Sum(maintenanceCats...)) / n,
 				float64(prot.TotalContacts()) / n,

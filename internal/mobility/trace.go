@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -64,8 +65,8 @@ func (tr *Trace) Bounds() geom.Rect {
 // Z_ coordinates, comments (#...) and blank lines are ignored; unknown
 // lines are rejected so silently truncated traces cannot masquerade as
 // valid workloads. Node ids must be dense in [0, N) by the end of the
-// trace (any id may appear first). A setdest speed <= 0 stops the node
-// where it is, matching how generators emit "pause" commands.
+// trace (any id may appear first) and every number finite. A setdest speed
+// <= 0 stops the node where it is, as generators emit "pause" commands.
 func ParseSetdest(r io.Reader) (*Trace, error) {
 	type nodeData struct {
 		init       geom.Point
@@ -108,7 +109,7 @@ func ParseSetdest(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("mobility: trace line %d: %v", lineNo, err)
 			}
-			v, err := strconv.ParseFloat(f[3], 64)
+			v, err := parseFinite(f[3])
 			if err != nil {
 				return nil, fmt.Errorf("mobility: trace line %d: bad coordinate %q", lineNo, f[3])
 			}
@@ -138,7 +139,7 @@ func ParseSetdest(r io.Reader) (*Trace, error) {
 				dst *float64
 				tok string
 			}{{&ev.T, f[2]}, {&ev.X, f[5]}, {&ev.Y, f[6]}, {&ev.Speed, f[7]}} {
-				if *p.dst, err = strconv.ParseFloat(p.tok, 64); err != nil {
+				if *p.dst, err = parseFinite(p.tok); err != nil {
 					return nil, fmt.Errorf("mobility: trace line %d: bad number %q", lineNo, p.tok)
 				}
 			}
@@ -174,6 +175,15 @@ func ParseSetdest(r io.Reader) (*Trace, error) {
 		tr.Events[id] = nd.events
 	}
 	return tr, nil
+}
+
+// parseFinite is strconv.ParseFloat less NaN and ±Inf, in any spelling.
+func parseFinite(tok string) (float64, error) {
+	v, err := strconv.ParseFloat(tok, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = strconv.ErrRange
+	}
+	return v, err
 }
 
 func parseNodeID(tok string) (int, error) {
@@ -279,7 +289,11 @@ func NewTraceReplay(tr *Trace, area geom.Rect) (*TraceReplay, error) {
 				continue // pause command: hold pos until the next command
 			}
 			dest := geom.Point{X: e.X, Y: e.Y}
-			dur := pos.Dist(dest) / e.Speed
+			dist := pos.Dist(dest)
+			if math.IsInf(dist, 0) { // finite ends, but Lerp along it is 0·Inf
+				return nil, fmt.Errorf("mobility: trace node %d: leg %v → %v overflows", i, pos, dest)
+			}
+			dur := dist / e.Speed
 			if dur <= 0 {
 				continue // already at the destination
 			}
