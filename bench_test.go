@@ -171,7 +171,7 @@ func benchMaintain5k(b *testing.B, workers int) {
 
 // BenchmarkMaintain5kSerial is the serial reference for
 // BenchmarkMaintain5kParallel (CI smoke row 2 runs both). How much the
-// fan-out buys on a multi-core runner is ROADMAP item 6's open question,
+// fan-out buys on a multi-core runner is ROADMAP item 7's open question,
 // not a CI gate.
 func BenchmarkMaintain5kSerial(b *testing.B)   { benchMaintain5k(b, 1) }
 func BenchmarkMaintain5kParallel(b *testing.B) { benchMaintain5k(b, 0) }

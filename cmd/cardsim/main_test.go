@@ -122,7 +122,7 @@ func TestOversizedRadiusIsAnError(t *testing.T) {
 	}
 }
 
-// TestExperimentFlagsAreRejectedNotClamped pins ROADMAP 3(d): -scale outside
+// TestExperimentFlagsAreRejectedNotClamped pins ROADMAP 2(d): -scale outside
 // (0, 1], -seeds < 1 and an unknown -format used to be clamped or
 // defaulted — `-exp table1 -scale 2 -seeds 0 -format bogus` exited 0 after
 // a full-size, 3-seed, text-format run. They are usage errors on the -exp

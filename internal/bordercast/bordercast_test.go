@@ -141,6 +141,7 @@ func TestQueryDetectionReducesTraffic(t *testing.T) {
 func TestBordercastCheaperThanFlooding(t *testing.T) {
 	// Fig. 15's middle bar: bordercasting sits between flooding and CARD.
 	var bcSum, flSum int64
+	var scan topology.BFSResult
 	for seed := uint64(1); seed <= 3; seed++ {
 		netA := randomNet(seed, 400)
 		bc := newBC(t, netA, 3, QD2)
@@ -151,7 +152,8 @@ func TestBordercastCheaperThanFlooding(t *testing.T) {
 			src := comp[rng.Intn(len(comp))]
 			dst := comp[rng.Intn(len(comp))]
 			bcSum += bc.Query(bc.net.Recorder(), src, dst).Messages
-			flSum += flood.Query(netB, netB.Recorder(), src, dst, -1, true).Messages
+			scan.Run(netB.Graph(), src, -1)
+			flSum += flood.Search(netB.Recorder(), &scan, dst, []int{-1}, true).Messages
 		}
 	}
 	if bcSum >= flSum {

@@ -225,7 +225,7 @@ func (q *Querier) dsq(v NodeID, depth int) (hops int, leaf NodeID) {
 }
 
 // walkSlot walks the route stored in contact slot, at most once per memo
-// generation. The walk mirrors manet.Network.WalkPath for CatQuery
+// generation. The walk follows TryHop's accounting contract for CatQuery
 // traffic: each attempted hop counts one query transmission plus its lossy
 // retransmissions, and it stops at the first hop that is asymmetric,
 // broken, or out of retries. TryHop is a pure function of (epoch, edge,

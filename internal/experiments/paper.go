@@ -9,6 +9,7 @@ import (
 	"card/internal/manet"
 	"card/internal/neighborhood"
 	"card/internal/stats"
+	"card/internal/topology"
 	"card/internal/xrand"
 )
 
@@ -263,8 +264,10 @@ func fig15(o Options) *Table {
 			pairs := queryWorkload(net, queries, seed)
 
 			var floodMsgs, borderMsgs, cardMsgs int64
+			var scan topology.BFSResult
 			for _, pr := range pairs {
-				floodMsgs += flood.Query(net, net.Recorder(), pr[0], pr[1], -1, true).Messages
+				scan.Run(net.Graph(), pr[0], -1)
+				floodMsgs += flood.Search(net.Recorder(), &scan, pr[1], []int{-1}, true).Messages
 			}
 
 			// Bordercasting with QD1+QD2, zone radius = CARD's R (same proactive

@@ -27,9 +27,70 @@ func randomNet(seed uint64, n int) *manet.Network {
 	return manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 50}}, xrand.New(seed))
 }
 
+// unbounded is the plain-flooding schedule.
+var unbounded = []int{-1}
+
+// search scans from src on net's snapshot and runs Search on the
+// network's recorder.
+func search(net *manet.Network, src, target NodeID, ttls []int, countReply bool) Result {
+	var scan topology.BFSResult
+	scan.Run(net.Graph(), src, -1)
+	return Search(net.Recorder(), &scan, target, ttls, countReply)
+}
+
+// The reference primitives: one bounded BFS per TTL ring, straight from
+// the flooding model. Search must charge and report exactly what they do.
+
+func refQuery(net *manet.Network, rec manet.Recorder, src, target NodeID, ttl int, countReply bool) Result {
+	bfs := net.Graph().BoundedBFS(src, ttl)
+	found := target != topology.None && bfs.Dist[target] >= 0
+	var relays int64
+	for _, v := range bfs.Visited {
+		if found && v == target {
+			continue // the target answers; it does not relay
+		}
+		if ttl >= 0 && int(bfs.Dist[v]) >= ttl {
+			continue // leaf of the bounded flood: receives, does not relay
+		}
+		relays++
+	}
+	rec.Record(manet.CatQuery, relays)
+	res := Result{Found: found, Messages: relays, PathHops: -1}
+	if found {
+		res.PathHops = int(bfs.Dist[target])
+		if countReply {
+			rec.Record(manet.CatReply, int64(res.PathHops))
+			res.Messages += int64(res.PathHops)
+		}
+	}
+	return res
+}
+
+func refExpandingRing(net *manet.Network, rec manet.Recorder, src, target NodeID, ttls []int, countReply bool) Result {
+	r := Result{PathHops: -1}
+	var total int64
+	for _, ttl := range ttls {
+		r = refQuery(net, rec, src, target, ttl, countReply)
+		total += r.Messages
+		if r.Found {
+			break
+		}
+	}
+	r.Messages = total
+	return r
+}
+
+func refFlood(net *manet.Network, rec manet.Recorder, src NodeID) Result {
+	return refQuery(net, rec, src, topology.None, -1, false)
+}
+
+func refRingSweep(net *manet.Network, rec manet.Recorder, src NodeID, ttls []int) Result {
+	return refExpandingRing(net, rec, src, topology.None, ttls, false)
+}
+
 func TestFloodFindsTargetOnLine(t *testing.T) {
 	net := lineNet(10)
-	res := Query(net, net.Recorder(), 0, 9, -1, true)
+	res := search(net, 0, 9, unbounded, true)
 	if !res.Found {
 		t.Fatal("flood did not find a connected target")
 	}
@@ -45,7 +106,7 @@ func TestFloodFindsTargetOnLine(t *testing.T) {
 
 func TestFloodWithoutReplyCounting(t *testing.T) {
 	net := lineNet(10)
-	res := Query(net, net.Recorder(), 0, 9, -1, false)
+	res := search(net, 0, 9, unbounded, false)
 	if res.Messages != 9 {
 		t.Errorf("Messages = %d, want 9 (no reply)", res.Messages)
 	}
@@ -56,7 +117,7 @@ func TestFloodUnreachableTarget(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 500, Y: 0}, {X: 510, Y: 0}}
 	a := geom.Rect{W: 600, H: 10}
 	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
-	res := Query(net, net.Recorder(), 0, 3, -1, true)
+	res := search(net, 0, 3, unbounded, true)
 	if res.Found {
 		t.Fatal("found target in another component")
 	}
@@ -74,8 +135,8 @@ func TestFloodCostScalesWithComponent(t *testing.T) {
 	// complaint about flooding.
 	small := randomNet(5, 250)
 	large := randomNet(5, 1000)
-	rs := Query(small, small.Recorder(), 0, 1, -1, false)
-	rl := Query(large, large.Recorder(), 0, 1, -1, false)
+	rs := search(small, 0, 1, unbounded, false)
+	rl := search(large, 0, 1, unbounded, false)
 	if rl.Messages <= rs.Messages {
 		t.Errorf("flood cost did not scale: N=250 -> %d, N=1000 -> %d", rs.Messages, rl.Messages)
 	}
@@ -83,7 +144,7 @@ func TestFloodCostScalesWithComponent(t *testing.T) {
 
 func TestQueryTTLBounds(t *testing.T) {
 	net := lineNet(20)
-	res := Query(net, net.Recorder(), 0, 15, 5, true)
+	res := search(net, 0, 15, []int{5}, true)
 	if res.Found {
 		t.Fatal("TTL-5 flood found a 15-hop target")
 	}
@@ -91,7 +152,7 @@ func TestQueryTTLBounds(t *testing.T) {
 	if res.Messages != 5 {
 		t.Errorf("Messages = %d, want 5", res.Messages)
 	}
-	res2 := Query(net, net.Recorder(), 0, 4, 5, false)
+	res2 := search(net, 0, 4, []int{5}, false)
 	if !res2.Found || res2.PathHops != 4 {
 		t.Errorf("TTL-5 flood missed a 4-hop target: %+v", res2)
 	}
@@ -99,9 +160,9 @@ func TestQueryTTLBounds(t *testing.T) {
 
 func TestExpandingRingCheaperForNearTargets(t *testing.T) {
 	netA := lineNet(60)
-	ring := ExpandingRing(netA, netA.Recorder(), 0, 3, DoublingTTLs(64), false)
+	ring := search(netA, 0, 3, DoublingTTLs(64), false)
 	netB := lineNet(60)
-	full := Query(netB, netB.Recorder(), 0, 3, -1, false)
+	full := search(netB, 0, 3, unbounded, false)
 	if !ring.Found || !full.Found {
 		t.Fatal("both searches should find the target")
 	}
@@ -113,7 +174,7 @@ func TestExpandingRingCheaperForNearTargets(t *testing.T) {
 
 func TestExpandingRingFindsFarTargets(t *testing.T) {
 	net := lineNet(40)
-	res := ExpandingRing(net, net.Recorder(), 0, 39, DoublingTTLs(64), false)
+	res := search(net, 0, 39, DoublingTTLs(64), false)
 	if !res.Found {
 		t.Fatal("expanding ring never found far target")
 	}
@@ -126,7 +187,7 @@ func TestExpandingRingUnreachable(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 500, Y: 0}}
 	a := geom.Rect{W: 600, H: 10}
 	net := manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
-	res := ExpandingRing(net, net.Recorder(), 0, 1, DoublingTTLs(8), false)
+	res := search(net, 0, 1, DoublingTTLs(8), false)
 	if res.Found {
 		t.Fatal("found unreachable target")
 	}
@@ -147,17 +208,17 @@ func TestDoublingTTLs(t *testing.T) {
 
 func TestFloodSelfQuery(t *testing.T) {
 	net := lineNet(5)
-	res := Query(net, net.Recorder(), 2, 2, -1, true)
+	res := search(net, 2, 2, unbounded, true)
 	if !res.Found || res.PathHops != 0 {
 		t.Errorf("self query = %+v", res)
 	}
 }
 
-// TestFloodChargesComponent pins the dead-search primitive: a target-less
-// flood costs exactly one broadcast per node of src's component.
+// TestFloodChargesComponent pins the dead search: a target-less flood
+// costs exactly one broadcast per node of src's component.
 func TestFloodChargesComponent(t *testing.T) {
 	net := lineNet(10)
-	r := Flood(net, net.Recorder(), 4)
+	r := search(net, 4, topology.None, unbounded, false)
 	if r.Found || r.PathHops != -1 {
 		t.Errorf("target-less flood reported a find: %+v", r)
 	}
@@ -169,10 +230,10 @@ func TestFloodChargesComponent(t *testing.T) {
 	}
 }
 
-// TestRingSweepMatchesDeadExpandingRing pins that the explicit dead-search
-// sweep charges exactly what an ExpandingRing escalation toward an
-// unreachable destination charges — the refactor removes the proxy
-// target from the call, not any cost.
+// TestRingSweepMatchesDeadExpandingRing pins that the target-less sweep
+// charges exactly what an escalation toward an unreachable destination
+// charges: a dead search's cost never depends on which absent node is
+// named.
 func TestRingSweepMatchesDeadExpandingRing(t *testing.T) {
 	// Two components: a 6-node line and one far node (id 6, unreachable).
 	pts := make([]geom.Point, 6)
@@ -185,18 +246,97 @@ func TestRingSweepMatchesDeadExpandingRing(t *testing.T) {
 		return manet.NewNetwork(mobility.NewStatic(pts, a), manet.Config{Link: topology.LinkModel{Uniform: 15}}, xrand.New(1))
 	}
 	ttls := DoublingTTLs(8)
-	var rec manet.Counters
-	ref := ExpandingRing(build(), &rec, 0, 6, ttls, false)
-	got := RingSweep(build(), &rec, 0, ttls)
+	ref := search(build(), 0, 6, ttls, false)
+	got := search(build(), 0, topology.None, ttls, false)
 	if got.Found || got.PathHops != -1 {
-		t.Errorf("RingSweep reported a find: %+v", got)
+		t.Errorf("sweep reported a find: %+v", got)
 	}
 	if got.Messages != ref.Messages {
-		t.Errorf("RingSweep cost %d != dead ExpandingRing cost %d", got.Messages, ref.Messages)
+		t.Errorf("sweep cost %d != dead escalation cost %d", got.Messages, ref.Messages)
 	}
 	// The sweep must cost more than one plain flood: every failed ring is
 	// charged before the final unbounded one.
-	if full := Flood(build(), &rec, 0); got.Messages <= full.Messages {
+	if full := search(build(), 0, topology.None, unbounded, false); got.Messages <= full.Messages {
 		t.Errorf("sweep (%d) not above one component flood (%d)", got.Messages, full.Messages)
+	}
+}
+
+// TestSearchMatchesReference is the equivalence property behind Search:
+// on random scalar and range-spread directed fields, every schedule read
+// off one reused unbounded scan reports the Result and charges the
+// per-category totals of the one-BFS-per-ring reference, for the dead
+// target, the source itself, an unreachable node, nodes exactly on a ring
+// edge and beyond the last bounded ring, TTL 0, and reply counting on and
+// off.
+func TestSearchMatchesReference(t *testing.T) {
+	schedules := [][]int{unbounded, {0}, {0, -1}, {3}, {1, 2}, DoublingTTLs(8), DoublingTTLs(64)}
+	var dead, self, unreachable, onEdge, beyond int
+	var scan topology.BFSResult
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, directed := range []bool{false, true} {
+			rng := xrand.New(seed)
+			n := 40 + rng.Intn(100)
+			a := geom.Rect{W: 300, H: 300}
+			lm := topology.LinkModel{Uniform: 45}
+			if directed {
+				lm.Ranges = make([]float64, n)
+				for i := range lm.Ranges {
+					lm.Ranges[i] = rng.Range(25, 65)
+				}
+			}
+			net := manet.NewNetwork(mobility.NewStatic(topology.UniformPositions(n, a, rng), a), manet.Config{Link: lm}, rng.Derive(1))
+			for q := 0; q < 6; q++ {
+				src := NodeID(rng.Intn(n))
+				scan.Run(net.Graph(), src, -1)
+				last := scan.Visited[len(scan.Visited)-1]
+				targets := []NodeID{topology.None, src, last, NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
+				for v := NodeID(0); int(v) < n; v++ {
+					if d := scan.Dist[v]; d < 0 || d == 2 || d == 4 {
+						targets = append(targets, v)
+					}
+				}
+				for _, target := range targets {
+					for _, ttls := range schedules {
+						for _, countReply := range []bool{false, true} {
+							var wantRec, gotRec manet.Counters
+							var want Result
+							switch {
+							case target != topology.None:
+								want = refExpandingRing(net, &wantRec, src, target, ttls, countReply)
+							case len(ttls) == 1 && ttls[0] < 0:
+								want = refFlood(net, &wantRec, src)
+							default:
+								want = refRingSweep(net, &wantRec, src, ttls)
+							}
+							got := Search(&gotRec, &scan, target, ttls, countReply)
+							if got != want || gotRec != wantRec {
+								t.Fatalf("seed %d directed %v src %d target %d ttls %v reply %v: Search %+v %v, reference %+v %v",
+									seed, directed, src, target, ttls, countReply, got, gotRec, want, wantRec)
+							}
+						}
+					}
+					switch {
+					case target == topology.None:
+						dead++
+					case target == src:
+						self++
+					case scan.Dist[target] < 0:
+						unreachable++
+					case scan.Dist[target] == 2 || scan.Dist[target] == 4:
+						onEdge++
+					case scan.Dist[target] > 4:
+						beyond++
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		hits int
+	}{{"dead", dead}, {"self", self}, {"unreachable", unreachable}, {"ring edge", onEdge}, {"beyond", beyond}} {
+		if c.hits == 0 {
+			t.Errorf("no %s target drawn; the case went untested", c.name)
+		}
 	}
 }

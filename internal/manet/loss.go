@@ -68,9 +68,9 @@ func (n *Network) hopDelivered(u, v NodeID, attempt int) bool {
 // transmissions attempted — 0 when no usable link exists and nothing was
 // sent, otherwise 1 + retransmissions — and whether the packet got
 // through. Callers charge the first transmission to the hop's category
-// and the rest to CatRetry (WalkPath does this; protocol layers with
-// local tallies do their own). Deterministic and order-independent within
-// an epoch; see loss.go's package notes.
+// and the rest to CatRetry, each into its own tally (the walkPath helper
+// in this package's tests pins that contract). Deterministic and
+// order-independent within an epoch; see loss.go's package notes.
 func (n *Network) TryHop(u, v NodeID) (attempts int, delivered bool) {
 	if !n.graph.Bidirectional(u, v) {
 		return 0, false

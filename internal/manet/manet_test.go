@@ -156,9 +156,9 @@ func TestSendAccounting(t *testing.T) {
 func TestWalkPathComplete(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}, {X: 30, Y: 0}}
 	n := staticNet(t, pts, 15)
-	ok, holder := n.WalkPath(CatValidate, []NodeID{0, 1, 2, 3})
+	ok, holder := walkPath(n, CatValidate, []NodeID{0, 1, 2, 3})
 	if !ok || holder != 3 {
-		t.Errorf("WalkPath = %v, %d", ok, holder)
+		t.Errorf("walkPath = %v, %d", ok, holder)
 	}
 	if got := n.Totals().Get(CatValidate); got != 3 {
 		t.Errorf("validate hops = %d, want 3", got)
@@ -168,7 +168,7 @@ func TestWalkPathComplete(t *testing.T) {
 func TestWalkPathBroken(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 200, Y: 0}, {X: 210, Y: 0}}
 	n := staticNet(t, pts, 15)
-	ok, holder := n.WalkPath(CatValidate, []NodeID{0, 1, 2, 3})
+	ok, holder := walkPath(n, CatValidate, []NodeID{0, 1, 2, 3})
 	if ok {
 		t.Error("broken path reported ok")
 	}
@@ -182,7 +182,7 @@ func TestWalkPathBroken(t *testing.T) {
 
 func TestWalkPathSingleNode(t *testing.T) {
 	n := staticNet(t, []geom.Point{{X: 0, Y: 0}}, 15)
-	ok, holder := n.WalkPath(CatQuery, []NodeID{0})
+	ok, holder := walkPath(n, CatQuery, []NodeID{0})
 	if !ok || holder != 0 {
 		t.Errorf("trivial walk = %v, %d", ok, holder)
 	}

@@ -14,6 +14,7 @@ import (
 	"card/internal/flood"
 	"card/internal/manet"
 	"card/internal/resource"
+	"card/internal/topology"
 )
 
 // stateless is a scheme with nothing to register and nothing to repair —
@@ -62,11 +63,11 @@ func selfHeld(holders []NodeID, src NodeID) (resource.Result, bool) {
 	return resource.Result{}, false
 }
 
-// nearest is the one nearest-reachable scan: it returns the candidate
+// nearest is the one nearest-reachable pick: it returns the candidate
 // (a resource's holders, a region's residents) with the smallest
-// non-negative dist — BFS hops from the querier — or -1 when none is
-// reachable. Equidistant candidates tie to the first listed — or, with
-// lowestID, to the lowest id, for schemes whose cost depends on which
+// non-negative dist — scan hops from the querier — or topology.None when
+// none is reachable. Equidistant candidates tie to the first listed — or,
+// with lowestID, to the lowest id, for schemes whose cost depends on which
 // holder is addressed and must not vary with holder insertion order.
 func nearest(dist []int32, candidates []NodeID, lowestID bool) NodeID {
 	best := NodeID(-1)
@@ -127,7 +128,10 @@ func (w *cardWorker) Flush() { w.q.Flush() }
 // component-sized regardless of replication. "ring" is the doubling
 // schedule, stopping at the ring that first covers a holder — the
 // classical anycast baseline.
-func newFlood(env Env) (DiscoveryScheme, error) { return floodScheme("flood", env, []int{-1}), nil }
+func newFlood(env Env) (DiscoveryScheme, error) { return floodScheme("flood", env, floodAll), nil }
+
+// floodAll is the one-ring TTL schedule: a single unbounded flood.
+var floodAll = []int{-1}
 
 func newRing(env Env) (DiscoveryScheme, error) {
 	return floodScheme("ring", env, flood.DoublingTTLs(64)), nil
@@ -143,10 +147,12 @@ type floodWorker struct {
 	tally
 	dir  *resource.Directory
 	ttls []int
+	scan topology.BFSResult
 }
 
 // Discover floods for id: the query carries the resource id and the
-// nearest reachable holder answers.
+// nearest reachable holder answers. One scan from src picks the holder and
+// prices every ring.
 func (w *floodWorker) Discover(src NodeID, id resource.ID) resource.Result {
 	holders := w.dir.Placed(id)
 	if len(holders) == 0 {
@@ -155,17 +161,18 @@ func (w *floodWorker) Discover(src NodeID, id resource.ID) resource.Result {
 	if r, ok := selfHeld(holders, src); ok {
 		return r
 	}
-	target := nearest(w.net.Graph().BFS(src).Dist, holders, false)
-	if target < 0 {
-		// No reachable holder: the search runs its full TTL schedule over
-		// src's component and dies. Charging that explicitly (rather than
-		// a query toward holders[0] as a proxy destination) makes the
-		// dead-search cost a function of the topology alone, identical
-		// under any holder insertion order.
-		return miss(flood.RingSweep(w.net, &w.pend, src, w.ttls).Messages)
+	w.scan.Run(w.net.Graph(), src, -1)
+	// With no reachable holder the target is topology.None: the search
+	// runs its full TTL schedule over src's component and dies. Charging
+	// that explicitly (rather than a query toward holders[0] as a proxy
+	// destination) makes the dead-search cost a function of the topology
+	// alone, identical under any holder insertion order.
+	target := nearest(w.scan.Dist, holders, false)
+	r := flood.Search(&w.pend, &w.scan, target, w.ttls, true)
+	if !r.Found {
+		return miss(r.Messages)
 	}
-	r := flood.ExpandingRing(w.net, &w.pend, src, target, w.ttls, true)
-	return resource.Result{Found: r.Found, Holder: target, Messages: r.Messages, PathHops: r.PathHops}
+	return resource.Result{Found: true, Holder: target, Messages: r.Messages, PathHops: r.PathHops}
 }
 
 // --- bordercast ---
@@ -192,8 +199,9 @@ func newBordercast(env Env) (DiscoveryScheme, error) {
 
 type bordercastWorker struct {
 	tally
-	dir *resource.Directory
-	bc  *bordercast.Protocol
+	dir  *resource.Directory
+	bc   *bordercast.Protocol
+	scan topology.BFSResult
 }
 
 func (w *bordercastWorker) Discover(src NodeID, id resource.ID) resource.Result {
@@ -204,7 +212,8 @@ func (w *bordercastWorker) Discover(src NodeID, id resource.ID) resource.Result 
 	if r, ok := selfHeld(holders, src); ok {
 		return r
 	}
-	target := nearest(w.net.Graph().BFS(src).Dist, holders, true)
+	w.scan.Run(w.net.Graph(), src, -1)
+	target := nearest(w.scan.Dist, holders, true)
 	if target < 0 {
 		// No reachable holder: the cascade runs dry over src's component.
 		// The cost is target-independent, so the lowest-id holder serves as

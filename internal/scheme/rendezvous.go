@@ -8,7 +8,6 @@ package scheme
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"card/internal/flood"
 	"card/internal/geom"
@@ -115,9 +114,9 @@ type rendezvous struct {
 	// the directory's placement is fixed for a run.
 	regs  []rrBinding
 	index map[resource.ID][2]int
-	// byHolder orders regs indices by (holder, id) so registration passes
-	// reuse one BFS per holder.
-	byHolder []int
+	// scan is registration's breadth-first scratch, one scan per binding
+	// that needs (re-)registering.
+	scan topology.BFSResult
 }
 
 // defaultRegionsPerSide sizes the grid so a region spans a few radio
@@ -177,19 +176,6 @@ func (s *rendezvous) Setup() {
 		}
 		s.index[id] = [2]int{start, len(s.regs)}
 	}
-	s.byHolder = make([]int, len(s.regs))
-	for i := range s.byHolder {
-		s.byHolder[i] = i
-	}
-	// regs is sorted by (id, holder); re-key the index view by (holder, id)
-	// with a stable insertion order so one BFS serves each holder's batch.
-	sort.Slice(s.byHolder, func(a, b int) bool {
-		x, y := s.regs[s.byHolder[a]], s.regs[s.byHolder[b]]
-		if x.holder != y.holder {
-			return x.holder < y.holder
-		}
-		return x.id < y.id
-	})
 	s.registerAll()
 }
 
@@ -203,14 +189,12 @@ func (s *rendezvous) Maintain(now float64) {
 	s.registerAll()
 }
 
-// registerAll walks bindings in (holder, id) order and (re-)registers
-// every binding that needs it, reusing one BFS per holder.
+// registerAll (re-)registers every binding that needs it, scanning from
+// its holder.
 func (s *rendezvous) registerAll() {
 	net := s.env.Net
 	rec := net.Recorder()
-	var bfs *topology.BFSResult
-	last := NodeID(-1)
-	for _, i := range s.byHolder {
+	for i := range s.regs {
 		b := &s.regs[i]
 		if net.Down(b.holder) {
 			b.anchor = -1
@@ -219,14 +203,11 @@ func (s *rendezvous) registerAll() {
 		if !s.needsRegistration(b) {
 			continue
 		}
-		if b.holder != last || bfs == nil {
-			bfs = net.Graph().BFS(b.holder)
-			last = b.holder
-		}
+		s.scan.Run(net.Graph(), b.holder, -1)
 		region := s.grid.RegionOf(b.id)
 		// The gate is the nearest reachable resident (residents are listed
 		// ascending, so ties go to the lowest id).
-		gate := nearest(bfs.Dist, s.residents[region], false)
+		gate := nearest(s.scan.Dist, s.residents[region], false)
 		if gate < 0 {
 			// The rendezvous region has no reachable resident right now:
 			// the registration packet cannot be delivered. The holder
@@ -237,7 +218,7 @@ func (s *rendezvous) registerAll() {
 		}
 		// Unicast holder→gate, then flood the region's residents: each
 		// resident rebroadcasts the binding once.
-		rec.Record(manet.CatRegister, int64(bfs.Dist[gate])+int64(len(s.residents[region])))
+		rec.Record(manet.CatRegister, int64(s.scan.Dist[gate])+int64(len(s.residents[region])))
 		b.anchor = gate
 	}
 }
@@ -278,7 +259,8 @@ func (s *rendezvous) Worker() Worker {
 
 type rrWorker struct {
 	tally
-	s *rendezvous
+	s    *rendezvous
+	scan topology.BFSResult
 }
 
 // Discover looks id up through its rendezvous region: unicast to the
@@ -292,16 +274,16 @@ func (w *rrWorker) Discover(src NodeID, id resource.ID) resource.Result {
 		return r
 	}
 	region := s.LookupRegion(id)
-	bfs := net.Graph().BFS(src)
-	gate := nearest(bfs.Dist, s.residents[region], false)
+	w.scan.Run(net.Graph(), src, -1)
+	dist := w.scan.Dist
+	gate := nearest(dist, s.residents[region], false)
 	if gate < 0 {
 		// Geo-routing toward an unpopulated-or-unreachable region
 		// degenerates to a dead search over src's component.
-		return miss(flood.Flood(net, &w.pend, src).Messages)
+		return miss(flood.Search(&w.pend, &w.scan, topology.None, floodAll, false).Messages)
 	}
-	dist := bfs.Dist[gate]
 	// Unicast src→gate plus the region-local flood.
-	msgs := int64(dist) + int64(len(s.residents[region]))
+	msgs := int64(dist[gate]) + int64(len(s.residents[region]))
 	w.pend.Record(manet.CatQuery, msgs)
 	// A binding answers when it is registered, its holder is up, and the
 	// holder is reachable from the querier — the reply carries a route,
@@ -312,11 +294,11 @@ func (w *rrWorker) Discover(src NodeID, id resource.ID) resource.Result {
 	if span, ok := s.index[id]; ok {
 		for i := span[0]; i < span[1]; i++ {
 			b := s.regs[i]
-			if b.anchor < 0 || net.Down(b.holder) || bfs.Dist[b.holder] < 0 {
+			if b.anchor < 0 || net.Down(b.holder) || dist[b.holder] < 0 {
 				continue
 			}
-			if best < 0 || bfs.Dist[b.holder] < bfs.Dist[best] ||
-				(bfs.Dist[b.holder] == bfs.Dist[best] && b.holder < best) {
+			if best < 0 || dist[b.holder] < dist[best] ||
+				(dist[b.holder] == dist[best] && b.holder < best) {
 				best = b.holder
 			}
 		}
@@ -325,7 +307,7 @@ func (w *rrWorker) Discover(src NodeID, id resource.ID) resource.Result {
 		return miss(msgs)
 	}
 	// Reply unicasts back along the gate route.
-	w.pend.Record(manet.CatReply, int64(dist))
-	msgs += int64(dist)
-	return resource.Result{Found: true, Holder: best, Messages: msgs, PathHops: int(bfs.Dist[best])}
+	w.pend.Record(manet.CatReply, int64(dist[gate]))
+	msgs += int64(dist[gate])
+	return resource.Result{Found: true, Holder: best, Messages: msgs, PathHops: int(dist[best])}
 }

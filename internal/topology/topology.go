@@ -23,7 +23,8 @@ import (
 // NodeID indexes a node within a Graph; ids are dense in [0, N).
 type NodeID = int32
 
-// None is the sentinel for "no node" (e.g. BFS parent of a root).
+// None is the sentinel for "no node": a root's parent, the target of a
+// search nobody answers.
 const None NodeID = -1
 
 // Graph is an immutable unit-disk connectivity snapshot.
@@ -155,73 +156,80 @@ func (g *Graph) Bidirectional(u, v NodeID) bool {
 	return g.Adjacent(u, v) && g.Adjacent(v, u)
 }
 
-// BFSResult holds hop distances and a shortest-path tree rooted at Source.
+// BFSResult is a breadth-first scan over out-edges from Source. The zero
+// value is ready for Run, and one value re-Run across sources and
+// snapshots stops allocating once its arrays have grown to fit.
 type BFSResult struct {
 	Source NodeID
 	// Dist[v] is the hop distance from Source to v, or -1 if unreachable
 	// (or beyond the hop limit for bounded searches).
 	Dist []int32
-	// Parent[v] is v's predecessor on a shortest path from Source, or None.
-	Parent []NodeID
 	// Visited lists reached nodes in non-decreasing distance order,
 	// starting with Source itself.
 	Visited []NodeID
+	// level[d] is the index in Visited of the first node d hops out.
+	level []int
 }
 
 // BFS runs a breadth-first search from src across the whole graph.
 func (g *Graph) BFS(src NodeID) *BFSResult { return g.BoundedBFS(src, -1) }
 
-// BoundedBFS runs a breadth-first search from src, exploring at most
-// maxHops hops (maxHops < 0 means unbounded). Nodes beyond the bound have
-// Dist -1.
+// BoundedBFS runs a breadth-first search from src into a fresh result,
+// exploring at most maxHops hops (maxHops < 0 means unbounded). Nodes
+// beyond the bound have Dist -1.
 func (g *Graph) BoundedBFS(src NodeID, maxHops int) *BFSResult {
-	n := g.N()
-	res := &BFSResult{
-		Source: src,
-		Dist:   make([]int32, n),
-		Parent: make([]NodeID, n),
-	}
-	for i := range res.Dist {
-		res.Dist[i] = -1
-		res.Parent[i] = None
-	}
-	res.Dist[src] = 0
-	res.Visited = append(res.Visited, src)
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if maxHops >= 0 && int(res.Dist[u]) >= maxHops {
-			continue
-		}
-		for _, v := range g.adj[u] {
-			if res.Dist[v] >= 0 {
-				continue
-			}
-			res.Dist[v] = res.Dist[u] + 1
-			res.Parent[v] = u
-			res.Visited = append(res.Visited, v)
-			queue = append(queue, v)
-		}
-	}
-	return res
+	r := new(BFSResult)
+	r.Run(g, src, maxHops)
+	return r
 }
 
-// PathTo reconstructs the shortest path source→v from a BFS result,
-// inclusive of both endpoints. Returns nil if v was not reached.
-func (r *BFSResult) PathTo(v NodeID) []NodeID {
-	if r.Dist[v] < 0 {
-		return nil
+// Run rescans from src over g, exploring at most maxHops hops (maxHops < 0
+// means unbounded). It clears only the nodes the previous scan reached, so
+// a scan costs the ball it covers rather than N; Dist is reallocated only
+// when g's size differs from the last graph scanned.
+func (r *BFSResult) Run(g *Graph, src NodeID, maxHops int) {
+	if n := g.N(); len(r.Dist) != n {
+		r.Dist = make([]int32, n)
+		for i := range r.Dist {
+			r.Dist[i] = -1
+		}
+	} else {
+		for _, v := range r.Visited {
+			r.Dist[v] = -1
+		}
 	}
-	path := make([]NodeID, 0, r.Dist[v]+1)
-	for u := v; u != None; u = r.Parent[u] {
-		path = append(path, u)
+	r.Source = src
+	r.Dist[src] = 0
+	r.Visited = append(r.Visited[:0], src)
+	r.level = append(r.level[:0], 0)
+	// Visited is the queue: nodes are expanded in the order they were
+	// reached, so distances never decrease along it.
+	for i := 0; i < len(r.Visited); i++ {
+		u := r.Visited[i]
+		d := r.Dist[u] + 1
+		if maxHops >= 0 && int(d) > maxHops {
+			break
+		}
+		for _, v := range g.adj[u] {
+			if r.Dist[v] >= 0 {
+				continue
+			}
+			if int(d) == len(r.level) {
+				r.level = append(r.level, len(r.Visited))
+			}
+			r.Dist[v] = d
+			r.Visited = append(r.Visited, v)
+		}
 	}
-	// Reverse in place: built leaf→root.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+}
+
+// Within returns the number of reached nodes closer than k hops to
+// Source; k < 0 counts every reached node.
+func (r *BFSResult) Within(k int) int {
+	if k < 0 || k >= len(r.level) {
+		return len(r.Visited)
 	}
-	return path
+	return r.level[k]
 }
 
 // Components returns the connected components, each a sorted node list,
@@ -229,15 +237,15 @@ func (r *BFSResult) PathTo(v NodeID) []NodeID {
 func (g *Graph) Components() [][]NodeID {
 	n := g.N()
 	seen := make([]bool, n)
+	var scan BFSResult
 	var comps [][]NodeID
 	for i := 0; i < n; i++ {
 		if seen[i] {
 			continue
 		}
-		res := g.BFS(NodeID(i))
-		comp := make([]NodeID, len(res.Visited))
-		copy(comp, res.Visited)
-		sort.Slice(comp, func(a, b int) bool { return comp[a] < comp[b] })
+		scan.Run(g, NodeID(i), -1)
+		comp := slices.Clone(scan.Visited)
+		slices.Sort(comp)
 		for _, v := range comp {
 			seen[v] = true
 		}
@@ -310,34 +318,15 @@ func (g *Graph) ComputeCensus() Census {
 	if n > censusSourceCap {
 		stride = (n + censusSourceCap - 1) / censusSourceCap
 	}
-	// One distance array reused across sources: the per-source BFSResult
-	// (Dist+Parent+Visited, ~2.4 MB each at 100k) was most of the census
-	// cost at scale.
-	dist := make([]int32, n)
-	queue := make([]NodeID, 0, n)
+	var scan BFSResult
 	var sumHops, pairs float64
 	for src := 0; src < n; src += stride {
-		for i := range dist {
-			dist[i] = -1
+		scan.Run(g, NodeID(src), -1)
+		for _, v := range scan.Visited[1:] {
+			sumHops += float64(scan.Dist[v])
 		}
-		dist[src] = 0
-		queue = append(queue[:0], NodeID(src))
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			d := dist[u] + 1
-			for _, v := range g.adj[u] {
-				if dist[v] >= 0 {
-					continue
-				}
-				dist[v] = d
-				queue = append(queue, v)
-				sumHops += float64(d)
-				pairs++
-				if int(d) > c.Diameter {
-					c.Diameter = int(d)
-				}
-			}
-		}
+		pairs += float64(len(scan.Visited) - 1)
+		c.Diameter = max(c.Diameter, len(scan.level)-1)
 	}
 	if pairs > 0 {
 		c.AvgHops = sumHops / pairs

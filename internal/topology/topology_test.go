@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,14 +111,17 @@ func TestBFSDistancesOnPath(t *testing.T) {
 			t.Errorf("Dist[%d] = %d, want %d", v, res.Dist[v], v)
 		}
 	}
-	path := res.PathTo(4)
-	if len(path) != 5 || path[0] != 0 || path[4] != 4 {
-		t.Errorf("PathTo(4) = %v", path)
+	// On a path graph the scan reaches the nodes in id order, one per
+	// level, so exactly k nodes lie closer than k hops.
+	for i, v := range res.Visited {
+		if int(v) != i {
+			t.Errorf("Visited = %v, want 0..5 in order", res.Visited)
+			break
+		}
 	}
-	// Path must walk adjacent nodes.
-	for i := 0; i+1 < len(path); i++ {
-		if !g.Adjacent(path[i], path[i+1]) {
-			t.Errorf("path step %d->%d not adjacent", path[i], path[i+1])
+	for k := 0; k <= 7; k++ {
+		if got, want := res.Within(k), min(k, 6); got != want {
+			t.Errorf("Within(%d) = %d, want %d", k, got, want)
 		}
 	}
 }
@@ -151,8 +155,8 @@ func TestPathToUnreachable(t *testing.T) {
 	// Two isolated nodes.
 	g := Build([]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 100}}, geom.Rect{W: 100, H: 100}, LinkModel{Uniform: 10}, nil)
 	res := g.BFS(0)
-	if res.PathTo(1) != nil {
-		t.Error("PathTo(unreachable) != nil")
+	if res.Dist[1] != -1 || len(res.Visited) != 1 || res.Within(-1) != 1 {
+		t.Errorf("unreachable node scanned: Dist = %v, Visited = %v", res.Dist, res.Visited)
 	}
 }
 
@@ -164,6 +168,46 @@ func TestVisitedSortedByDistance(t *testing.T) {
 	for i := 1; i < len(res.Visited); i++ {
 		if res.Dist[res.Visited[i]] < res.Dist[res.Visited[i-1]] {
 			t.Fatal("Visited not in non-decreasing distance order")
+		}
+	}
+}
+
+// TestBFSResultRunReuse pins the reusable scan: one BFSResult re-Run
+// across snapshots of equal and different size, scalar and directed,
+// bounded and unbounded, leaves exactly what a fresh BoundedBFS computes,
+// and Within(k) counts the nodes a fresh scan puts closer than k hops.
+func TestBFSResultRunReuse(t *testing.T) {
+	rng := xrand.New(21)
+	area := geom.Rect{W: 300, H: 300}
+	var scan BFSResult
+	for i, n := range []int{60, 60, 90, 30, 30, 120, 60} {
+		lm := LinkModel{Uniform: 45}
+		if i%2 == 1 {
+			lm.Ranges = make([]float64, n)
+			for j := range lm.Ranges {
+				lm.Ranges[j] = rng.Range(25, 65)
+			}
+		}
+		g := Build(UniformPositions(n, area, rng), area, lm, nil)
+		for q := 0; q < 8; q++ {
+			src := NodeID(rng.Intn(n))
+			maxHops := rng.Intn(6) - 1
+			scan.Run(g, src, maxHops)
+			fresh := g.BoundedBFS(src, maxHops)
+			if scan.Source != src || !slices.Equal(scan.Dist, fresh.Dist) || !slices.Equal(scan.Visited, fresh.Visited) {
+				t.Fatalf("graph %d src %d maxHops %d: reused scan differs from a fresh BoundedBFS", i, src, maxHops)
+			}
+			for k := -1; k <= n+1; k++ {
+				want := 0
+				for _, d := range fresh.Dist {
+					if d >= 0 && (k < 0 || int(d) < k) {
+						want++
+					}
+				}
+				if got := scan.Within(k); got != want {
+					t.Fatalf("graph %d src %d maxHops %d: Within(%d) = %d, want %d", i, src, maxHops, k, got, want)
+				}
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"card/internal/bordercast"
 	"card/internal/flood"
 	"card/internal/manet"
+	"card/internal/topology"
 	"card/internal/xrand"
 )
 
@@ -36,7 +37,9 @@ func TestQueryViaMatchesPrimitives(t *testing.T) {
 		}
 		primitives := map[WorkloadScheme]func(rec manet.Recorder, src, dst NodeID) outcome{
 			SchemeFlood: func(rec manet.Recorder, src, dst NodeID) outcome {
-				r := flood.Query(net, rec, src, dst, -1, true)
+				var scan topology.BFSResult
+				scan.Run(net.Graph(), src, -1)
+				r := flood.Search(rec, &scan, dst, []int{-1}, true)
 				return outcome{r.Found, r.Messages, r.PathHops}
 			},
 			SchemeBordercast: func(rec manet.Recorder, src, dst NodeID) outcome {
