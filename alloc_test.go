@@ -4,10 +4,10 @@ import "testing"
 
 // TestAllocBudgetAdvance1k pins the steady-state allocation cost of one
 // engine tick at the 1k scale. The scenario deliberately minimizes real
-// protocol work — static nodes, dirty maintenance, serial rounds — so
-// what remains per Advance(period) is the fixed machinery: the event-queue
-// reschedule, the (empty-diff) topology refresh, the oracle epoch advance
-// and the restricted round over the below-NoC stragglers. The flat-slab
+// protocol work — static nodes, dirty maintenance, one round worker — so
+// what remains per Advance(period) is the fixed machinery: the (empty-diff)
+// topology refresh, the oracle epoch advance and the restricted round over
+// the below-NoC stragglers. The flat-slab
 // contact tables and the reused maintainer/walk scratch are what keep this
 // figure flat; before them, every round paid O(N) table and path churn.
 //
@@ -36,12 +36,13 @@ func TestAllocBudgetAdvance1k(t *testing.T) {
 	got := testing.AllocsPerRun(20, func() {
 		sim.Advance(period)
 	})
-	// Steady-state ticks on this scenario measure 3 allocations, all of
-	// them the event-queue reschedule: CSQ and recovery routes are appended
-	// into Maintainer scratch, so retrying walkers allocate nothing. The
-	// budget leaves slack for toolchain drift but sits three orders of
-	// magnitude below the ~N·NoC the pre-slab representation paid.
-	const budget = 12
+	// Steady-state ticks on this scenario measure 2 allocations: the
+	// refresh's new topology.Graph header and the round's fan-out closure
+	// (its per-worker sums live in engine scratch). CSQ and recovery routes
+	// are appended into Maintainer scratch, so retrying walkers allocate
+	// nothing. That is three orders of magnitude below the ~N·NoC the
+	// pre-slab representation paid.
+	const budget = 2
 	t.Logf("allocs per 1k-node tick: %.1f (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("steady-state tick allocates %.1f times, budget %d", got, budget)
@@ -78,9 +79,9 @@ func TestAllocBudgetQuietAdvance10k(t *testing.T) {
 	got := testing.AllocsPerRun(20, func() {
 		sim.Advance(period)
 	})
-	// Measures 3, like the 1k tick: the stragglers' CSQ routes go into
+	// Measures 2, like the 1k tick: the stragglers' CSQ routes go into
 	// Maintainer scratch too.
-	const budget = 12
+	const budget = 2
 	t.Logf("allocs per quiet 10k-node tick: %.1f (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("quiet steady-state tick allocates %.1f times, budget %d", got, budget)

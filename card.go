@@ -195,8 +195,8 @@ func NewSimulation(nc NetworkConfig, cfg Config) (*Simulation, error) {
 	return &Simulation{e: e}, nil
 }
 
-// Engine exposes the underlying engine for advanced use (custom scheduled
-// events, direct network access).
+// Engine exposes the underlying engine for advanced use (direct network
+// access, worker bounds).
 func (s *Simulation) Engine() *engine.Engine { return s.e }
 
 // Nodes returns the network size.
@@ -214,7 +214,7 @@ func (s *Simulation) Now() float64 { return s.e.Now() }
 func (s *Simulation) Config() Config { return s.e.Config() }
 
 // Protocol exposes the underlying CARD protocol instance for advanced use
-// (per-node tables, raw reachability sets).
+// (per-node tables, reachability).
 func (s *Simulation) Protocol() *proto.Protocol { return s.e.Protocol() }
 
 // Advance moves simulated time forward by dt seconds: node positions and
@@ -223,7 +223,7 @@ func (s *Simulation) Protocol() *proto.Protocol { return s.e.Protocol() }
 // the new snapshot with no traffic of their own (the converged view).
 // The schedule is drift-free: maintenance boundaries are indexed by an
 // integer round counter, so no boundary is skipped or fired twice no
-// matter how Advance calls are sliced.
+// matter how Advance calls are sliced. dt <= 0, NaN or +Inf is a no-op.
 func (s *Simulation) Advance(dt float64) { s.e.Advance(dt) }
 
 // SelectContacts runs initial contact selection for every node, sharded

@@ -20,10 +20,9 @@
 // ([NewSimulation]) or from a named workload preset
 // ([NewPresetSimulation]; see [Presets]). The full stack lives under
 // internal/ — unit-disk topology (incremental spatial-hash builder), six
-// mobility models, a discrete-event engine, the converged R-hop view
+// mobility models, a round-stepped engine, the converged R-hop view
 // table, the protocol itself — and [Simulation.Engine] exposes the engine
-// layer for advanced use (custom scheduled events, direct network access,
-// worker bounds).
+// layer for advanced use (direct network access, worker bounds).
 //
 // # Determinism guarantees
 //
@@ -75,10 +74,10 @@
 //
 // # Observability knobs
 //
-// Message accounting flows through a pluggable recorder on the network
-// (manet.Recorder): plain counters by default, atomic counters for
-// concurrent consumers; [Simulation.Messages] reports the per-category
-// totals the paper's overhead figures use.
+// Message accounting is one per-category tally on the network
+// (manet.Counters), which parallel fan-outs flush into serially after
+// they join; [Simulation.Messages] reports the per-category totals the
+// paper's overhead figures use.
 //
 // Quick start:
 //

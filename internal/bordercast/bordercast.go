@@ -102,10 +102,10 @@ type Result struct {
 // Query searches for target from src, accounting on rec (serial callers
 // pass the network's Recorder()). The Protocol holds no per-query state
 // (covered sets and tree distances are allocated per call), so concurrent
-// Query calls with private recorders are race-free between snapshot
+// Query calls with private tallies are race-free between snapshot
 // refreshes — the scheme layer's per-worker sharding relies on exactly
 // this.
-func (p *Protocol) Query(rec manet.Recorder, src, target NodeID) Result {
+func (p *Protocol) Query(rec *manet.Counters, src, target NodeID) Result {
 	var sent manet.Counters
 	res := p.query(&sent, src, target)
 	sent.AddTo(rec)

@@ -33,19 +33,3 @@ func (p *Protocol) MaintainAll(now float64) {
 	}
 	p.maint.Flush()
 }
-
-// MaintainSet runs one maintenance round over only the listed nodes, in
-// the order given (callers pass ascending ids for determinism). It
-// consumes exactly one RNG round id, like MaintainAll, so dirty-set
-// engines interleave freely with full rounds: a node maintained in both
-// regimes sees the same (node, round) substream sequence. Nodes outside
-// the set keep their tables untouched and are charged no traffic — the
-// dirty-set contract is that their validation would have succeeded
-// trivially and their tables are full.
-func (p *Protocol) MaintainSet(nodes []NodeID, now float64) {
-	round := p.NextRound()
-	for _, u := range nodes {
-		p.maint.MaintainNode(u, now, round)
-	}
-	p.maint.Flush()
-}

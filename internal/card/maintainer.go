@@ -91,10 +91,10 @@ func (m *Maintainer) Flush() {
 
 // sendHop accounts one unicast hop transmission of category cat into the
 // local tally.
-func (m *Maintainer) sendHop(cat manet.Category) { m.pend.Add(cat, 1) }
+func (m *Maintainer) sendHop(cat manet.Category) { m.pend.Record(cat, 1) }
 
 // sendHops accounts k unicast hop transmissions of category cat.
-func (m *Maintainer) sendHops(cat manet.Category, k int) { m.pend.Add(cat, k) }
+func (m *Maintainer) sendHops(cat manet.Category, k int) { m.pend.Record(cat, int64(k)) }
 
 // SelectNode runs the contact-selection procedure of §III.C.1 for node u
 // at simulation time now, drawing randomness from the (u, round)

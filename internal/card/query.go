@@ -86,9 +86,7 @@ type Querier struct {
 	memoTable uint64
 
 	// Locally accumulated transmission tallies, flushed on demand.
-	pendingQuery int64
-	pendingReply int64
-	pendingRetry int64
+	pend manet.Counters
 }
 
 // walkMemo is one remembered walk of the stored route in slot: what it
@@ -119,23 +117,13 @@ func (p *Protocol) NewQuerier() *Querier {
 	}
 }
 
-// Flush adds the locally accumulated query/reply tallies to the network
-// recorder and zeroes them. Call after a batch completes (or per query for
-// live accounting); with concurrent Queriers, flush serially after the
-// fan-out joins unless the recorder is concurrency-safe.
+// Flush adds the locally accumulated query/reply/retry tallies to the
+// network recorder and zeroes them. Call after a batch completes (or per
+// query for live accounting); with concurrent Queriers, flush serially
+// after the fan-out joins.
 func (q *Querier) Flush() {
-	if q.pendingQuery != 0 {
-		q.p.net.Record(manet.CatQuery, q.pendingQuery)
-		q.pendingQuery = 0
-	}
-	if q.pendingReply != 0 {
-		q.p.net.Record(manet.CatReply, q.pendingReply)
-		q.pendingReply = 0
-	}
-	if q.pendingRetry != 0 {
-		q.p.net.Record(manet.CatRetry, q.pendingRetry)
-		q.pendingRetry = 0
-	}
+	q.pend.AddTo(q.p.net.Recorder())
+	q.pend.Reset()
 }
 
 // Query runs one CARD destination search from u for target: Resolve over
@@ -169,7 +157,7 @@ func (q *Querier) Resolve(u NodeID, targets []NodeID) QueryResult {
 		q.memoEpoch, q.memoTable = e, p.tableGen
 		q.memoGen++
 	}
-	before := q.pendingQuery + q.pendingReply
+	before := q.sent()
 	for depth := 1; depth <= p.cfg.Depth; depth++ {
 		q.visitGen++
 		// The source has already checked its own neighborhood: mark it
@@ -180,13 +168,18 @@ func (q *Querier) Resolve(u NodeID, targets []NodeID) QueryResult {
 			return QueryResult{
 				Found:    true,
 				Depth:    depth,
-				Messages: q.pendingQuery + q.pendingReply - before,
+				Messages: q.sent() - before,
 				PathHops: hops + int(q.watchDist[leaf]),
 				Holder:   q.watchHolder[leaf],
 			}
 		}
 	}
-	return QueryResult{Messages: q.pendingQuery + q.pendingReply - before, PathHops: -1}
+	return QueryResult{Messages: q.sent() - before, PathHops: -1}
+}
+
+// sent is the query and reply traffic tallied since the last Flush.
+func (q *Querier) sent() int64 {
+	return q.pend.Get(manet.CatQuery) + q.pend.Get(manet.CatReply)
 }
 
 // dsq delivers a depth-limited DSQ to v's contacts, one at a time. It
@@ -217,7 +210,7 @@ func (q *Querier) dsq(v NodeID, depth int) (hops int, leaf NodeID) {
 			continue
 		}
 		if !p.cfg.DisableReplyCounting {
-			q.pendingReply += int64(c.Hops())
+			q.pend.Record(manet.CatReply, int64(c.Hops()))
 		}
 		return c.Hops() + hops, leaf
 	}
@@ -250,7 +243,7 @@ func (q *Querier) walkSlot(slot int, path []NodeID) bool {
 			}
 		}
 	}
-	q.pendingQuery += int64(m.queries)
-	q.pendingRetry += int64(m.retries)
+	q.pend.Record(manet.CatQuery, int64(m.queries))
+	q.pend.Record(manet.CatRetry, int64(m.retries))
 	return m.delivered
 }

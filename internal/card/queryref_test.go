@@ -130,7 +130,7 @@ type queryArm interface {
 
 func (q *refQuerier) tallies() [3]int64 { return [3]int64{q.query, q.reply, q.retry} }
 func (q *Querier) tallies() [3]int64 {
-	return [3]int64{q.pendingQuery, q.pendingReply, q.pendingRetry}
+	return [3]int64{q.pend.Get(manet.CatQuery), q.pend.Get(manet.CatReply), q.pend.Get(manet.CatRetry)}
 }
 
 // checkQueriersAgree runs every pair on both executors and compares the
@@ -317,7 +317,7 @@ func TestWalkMemoInvalidation(t *testing.T) {
 		old.Flush()
 		fresh := p.NewQuerier()
 		checkQueriersAgree(t, event, old, fresh, pairs)
-		if fresh.pendingQuery == 0 {
+		if fresh.pend.Get(manet.CatQuery) == 0 {
 			t.Fatalf("%s: no query left the neighborhood", event)
 		}
 	}

@@ -29,12 +29,7 @@ func (p *Protocol) reachability(u NodeID, depth int, up int) float64 {
 	return 100 * float64(set.Count()) / float64(up)
 }
 
-// ReachableSet returns the set of nodes counted by Reachability. The
-// caller owns the returned set.
-func (p *Protocol) ReachableSet(u NodeID, depth int) *bitset.Set {
-	return p.reachableSet(u, depth)
-}
-
+// reachableSet returns the set of nodes counted by Reachability.
 func (p *Protocol) reachableSet(u NodeID, depth int) *bitset.Set {
 	n := p.net.N()
 	set := bitset.New(n)

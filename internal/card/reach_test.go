@@ -57,7 +57,7 @@ func TestReachableSetContainsNeighborhoods(t *testing.T) {
 	p.SelectAll(0)
 	nb := p.Neighborhood()
 	for u := NodeID(0); u < 20; u++ {
-		set := p.ReachableSet(u, 1)
+		set := p.reachableSet(u, 1)
 		for _, w := range nb.Members(u) {
 			if !set.Contains(int(w)) {
 				t.Fatalf("node %d: own neighborhood not in reachable set", u)

@@ -30,22 +30,6 @@ func (p *Protocol) SelectAll(now float64) int {
 	return total
 }
 
-// SelectSet runs one selection round over only the listed nodes, in the
-// order given (callers pass ascending ids for determinism), consuming one
-// RNG round id like SelectAll. Nodes outside the set would have
-// contributed nothing anyway when their tables are full — SelectNode
-// returns immediately at NoC contacts — which is what lets dirty-set
-// engines skip them wholesale.
-func (p *Protocol) SelectSet(nodes []NodeID, now float64) int {
-	round := p.NextRound()
-	total := 0
-	for _, u := range nodes {
-		total += p.maint.SelectNode(u, now, round)
-	}
-	p.maint.Flush()
-	return total
-}
-
 // acceptProb evaluates P = (d-lo)/(r-lo) clamped to [0,1]. When the band is
 // degenerate (r <= lo, e.g. r = 2R under eq. 2), acceptance collapses to
 // "only at d >= r", the limit the formula approaches.

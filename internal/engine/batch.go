@@ -22,9 +22,7 @@ type Pair struct {
 // Maintain (the engine is externally synchronized, like the network it
 // drives); concurrent BatchQuery calls on one engine are likewise not
 // allowed, since they share the engine's per-worker Queriers and flush
-// tallies into the shared recorder at the end. Swap in a
-// manet.AtomicCounters recorder if live concurrent accounting across
-// engines is needed.
+// tallies into the shared recorder at the end.
 func (e *Engine) BatchQuery(pairs []Pair) []proto.QueryResult {
 	out := make([]proto.QueryResult, len(pairs))
 	if len(pairs) == 0 {

@@ -1,13 +1,13 @@
 // Package engine owns the simulation core: it binds a mobile network, its
 // proactive neighborhood substrate and a CARD protocol instance, drives
-// simulated time through the discrete-event scheduler, and fans read-only
-// batch queries across worker goroutines.
+// simulated time through the periodic maintenance rounds, and fans
+// read-only batch queries across worker goroutines.
 //
 // The engine is the seam every scaling feature plugs into. Layering (see
 // DESIGN.md):
 //
 //	geom / xrand / bitset / par      primitives
-//	topology  mobility  eventq       structure, movement, time
+//	topology  mobility               structure, movement
 //	manet                            substrate: snapshots + accounting
 //	neighborhood  card  flood  ...   protocols (node-target primitives)
 //	resource  scheme  workload       discovery schemes, sustained traffic
@@ -16,11 +16,12 @@
 //
 // # Time stepping
 //
-// Advance runs the maintenance schedule on an event queue. Maintenance
-// boundaries are indexed by an integer round counter — boundary k fires at
-// float64(k)·ValidatePeriod — so repeated advancing can neither skip nor
+// CARD's one timed mechanism is periodic contact validation, so the clock
+// is a round counter: Advance walks the maintenance boundaries the step
+// crosses, in order. Boundary k fires at float64(k)·ValidatePeriod, derived
+// from the integer counter, so repeated advancing can neither skip nor
 // double-fire a round near floating-point representability edges (the
-// failure mode of the old int(now/period)+1 recurrence).
+// failure mode of an int(now/period)+1 recurrence).
 //
 // # Batch queries
 //
@@ -49,7 +50,7 @@
 // from every contact table (ExpireNodes) and readmitted nodes start cold
 // (ResetNode), both on the serial engine loop between rounds — so the
 // parallel paths stay bit-identical under churn (the churn equivalence
-// test pins it). Ready-made workloads live in the preset registry
+// test pins it). Ready-made workloads live in the preset table
 // (presets.go); each carries a Doc line synthesized from its config.
 //
 // # Sustained workloads
@@ -68,7 +69,6 @@ import (
 
 	"card/internal/bitset"
 	proto "card/internal/card"
-	"card/internal/eventq"
 	"card/internal/geom"
 	"card/internal/manet"
 	"card/internal/mobility"
@@ -353,9 +353,10 @@ type Engine struct {
 	nb   neighborhood.Provider
 	cfg  proto.Config
 
-	q *eventq.Queue
-	// rounds is the number of maintenance boundaries fired; boundary k
-	// (1-based) fires at exactly float64(k) * cfg.ValidatePeriod.
+	// now is the simulated time in seconds. rounds is the number of
+	// maintenance boundaries fired; boundary k (1-based) fires at exactly
+	// float64(k) * cfg.ValidatePeriod.
+	now    float64
 	rounds int64
 	// maintWorkers bounds the maintenance/selection fan-out; see
 	// SetMaintainWorkers. 0 = up to GOMAXPROCS, 1 = serial.
@@ -364,6 +365,9 @@ type Engine struct {
 	// O(N) scratch would otherwise be reallocated every ValidatePeriod);
 	// grown on demand in runRound.
 	maintPool []*proto.Maintainer
+	// roundSums is runRound's per-worker count of contacts added, grown
+	// with maintPool so a round does not allocate it.
+	roundSums []int
 	// queryPool caches BatchQuery's per-worker Queriers the same way; their
 	// walk memos stay warm from one batch to the next within a snapshot.
 	queryPool []*proto.Querier
@@ -488,7 +492,7 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{net: net, prot: p, nb: nb, cfg: p.Config(), q: eventq.New()}
+	e := &Engine{net: net, prot: p, nb: nb, cfg: p.Config()}
 	if nc.DirtyMaintenance {
 		e.dirtyMode = true
 		e.views = views
@@ -498,25 +502,7 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 		e.roundSet = bitset.New(nc.Nodes)
 		e.dirtyStamp = make([]uint64, nc.Nodes)
 	}
-	e.scheduleMaintenance()
 	return e, nil
-}
-
-// scheduleMaintenance queues the next maintenance boundary. Boundaries are
-// derived from the integer round counter, never from the float clock, so
-// the schedule is drift-free: boundary k is always exactly
-// float64(k)·period, each fires exactly once, and the sequence is strictly
-// increasing.
-func (e *Engine) scheduleMaintenance() {
-	k := e.rounds + 1
-	e.q.At(float64(k)*e.cfg.ValidatePeriod, e.maintainTick)
-}
-
-func (e *Engine) maintainTick(now float64) {
-	e.refresh(now)
-	e.maintainRound(now)
-	e.rounds++
-	e.scheduleMaintenance()
 }
 
 // refresh re-snapshots the network at time t and applies the consequences:
@@ -549,20 +535,34 @@ func (e *Engine) refresh(t float64) {
 // Advance moves simulated time forward by dt seconds: node positions and
 // the connectivity snapshot are refreshed, one maintenance round runs at
 // every elapsed ValidatePeriod boundary (a boundary landing exactly on the
-// target time fires). dt <= 0 (or NaN) is a no-op.
+// target time fires). Each boundary refreshes the snapshot at its own time
+// before its round runs. dt <= 0, NaN or +Inf is a no-op: an unbounded
+// step has no last round to stop at.
 func (e *Engine) Advance(dt float64) {
-	if !(dt > 0) {
+	if !(dt > 0) || math.IsInf(dt, 1) {
 		return
 	}
-	target := e.q.Now() + dt
-	e.q.RunUntil(target)
+	target := e.now + dt
+	for {
+		// Boundaries come from the integer counter, never from the float
+		// clock, so boundary k is always exactly float64(k)·period.
+		next := float64(e.rounds+1) * e.cfg.ValidatePeriod
+		if next > target {
+			break
+		}
+		e.now = next
+		e.refresh(next)
+		e.maintainRound(next)
+		e.rounds++
+	}
+	e.now = target
 	if target > e.net.Now() {
 		e.refresh(target)
 	}
 }
 
 // Now returns the current simulation time in seconds.
-func (e *Engine) Now() float64 { return e.q.Now() }
+func (e *Engine) Now() float64 { return e.now }
 
 // Rounds returns how many maintenance rounds have fired so far.
 func (e *Engine) Rounds() int64 { return e.rounds }
@@ -581,17 +581,11 @@ func (e *Engine) Config() proto.Config { return e.cfg }
 func (e *Engine) Network() *manet.Network { return e.net }
 
 // Protocol exposes the underlying CARD protocol instance for advanced use
-// (per-node tables, raw reachability sets).
+// (per-node tables, reachability).
 func (e *Engine) Protocol() *proto.Protocol { return e.prot }
 
 // Neighborhood returns the proactive substrate.
 func (e *Engine) Neighborhood() neighborhood.Provider { return e.nb }
-
-// Scheduler exposes the engine's event queue so callers can hang custom
-// periodic behavior (workload generators, measurement probes) off the same
-// clock. Events must not assume they run before or after maintenance at
-// equal timestamps beyond the queue's FIFO tie-break.
-func (e *Engine) Scheduler() *eventq.Queue { return e.q }
 
 // SelectContacts runs initial contact selection for every node, sharded
 // across the maintenance worker pool (see SetMaintainWorkers); results are

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"testing"
+	"time"
 
 	proto "card/internal/card"
 )
@@ -32,6 +33,26 @@ func TestAdvanceNonPositiveIsNoOp(t *testing.T) {
 	e.Advance(nan / nan) // NaN
 	if e.Now() != 0 || e.Rounds() != 0 {
 		t.Errorf("no-op Advance moved state: now=%v rounds=%d", e.Now(), e.Rounds())
+	}
+}
+
+// TestAdvanceInfIsNoOp pins that an unbounded step returns at once: it has
+// no last maintenance boundary, so walking the rounds up to it would never
+// end.
+func TestAdvanceInfIsNoOp(t *testing.T) {
+	e := newEngine(t, testNet(50), testCfg())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Advance(math.Inf(1))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Advance(+Inf) did not return within 5 s")
+	}
+	if e.Now() != 0 || e.Rounds() != 0 {
+		t.Errorf("Advance(+Inf) moved state: now=%v rounds=%d", e.Now(), e.Rounds())
 	}
 }
 
@@ -231,20 +252,6 @@ func TestPresetsRunnable(t *testing.T) {
 				e.BatchQuery(pairs)
 			}
 		})
-	}
-}
-
-func TestSchedulerExposed(t *testing.T) {
-	e := newEngine(t, testNet(50), testCfg())
-	fired := 0
-	e.Scheduler().At(1.5, func(now float64) { fired++ })
-	e.Advance(1)
-	if fired != 0 {
-		t.Fatal("custom event fired early")
-	}
-	e.Advance(1)
-	if fired != 1 {
-		t.Fatalf("custom event fired %d times, want 1", fired)
 	}
 }
 

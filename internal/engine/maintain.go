@@ -9,8 +9,8 @@ import (
 // contact selection and maintenance — with the same recipe BatchQuery uses
 // for the read side (2), plus two ingredients of its own:
 //
-//  1. neighborhood views are warmed before the fan-out — a round reads
-//     every node's view, so provider reads are pure hits;
+//  1. with more than one worker, views are warmed before the fan-out — a
+//     round reads every node's view, so provider reads are pure hits;
 //  2. each worker owns a card.Maintainer (private visited/overlap scratch,
 //     private RNG, private stats and message tallies), flushed serially in
 //     worker order after the join;
@@ -24,8 +24,8 @@ import (
 // pins that contract.
 
 // SetMaintainWorkers bounds the worker fan-out of maintenance and
-// selection rounds: 0 (the default) uses up to GOMAXPROCS workers, 1
-// forces the serial reference path, n > 1 caps the pool at n. Results,
+// selection rounds: 0 (the default) uses up to GOMAXPROCS workers, n > 0
+// caps the pool at n (1 runs the round inline, in id order). Results,
 // statistics and message accounting are bit-identical at every setting.
 // Not safe to call concurrently with Advance.
 func (e *Engine) SetMaintainWorkers(n int) { e.maintWorkers = n }
@@ -33,12 +33,12 @@ func (e *Engine) SetMaintainWorkers(n int) { e.maintWorkers = n }
 // runRound runs one selection (sel) or maintenance round and returns the
 // number of contacts selection added. Under DirtyMaintenance the round is
 // restricted to the dirty list (ascending ids, see dirty.go) unless a full
-// round is owed; otherwise it covers every node. When the worker bound
-// says one worker it calls the protocol's own serial loop over the same
-// nodes. Otherwise it warms the views, takes one RNG round id and shards
-// the per-node calls across the per-worker Maintainers, which it flushes
+// round is owed; otherwise it covers every node. It takes one RNG round id
+// and shards the per-node calls across the per-worker Maintainers — one
+// worker runs them inline in index order — then flushes the Maintainers
 // serially in worker order after the join: the shared recorder sees one
-// deterministic sum per category, whatever the interleaving was.
+// deterministic sum per category, whatever the interleaving was. Views
+// are warmed first only when more than one worker reads them.
 //
 // The Maintainers are cached across rounds — the RNG is reseeded per
 // (node, round) and Flush zeroes the tallies, so reuse avoids reallocating
@@ -57,40 +57,31 @@ func (e *Engine) runRound(sel bool, now float64) (added int) {
 	if workers <= 0 {
 		workers = par.Limit()
 	}
-	if workers = min(workers, n); workers <= 1 {
-		switch {
-		case sel && all:
-			added = e.prot.SelectAll(now)
-		case sel:
-			added = e.prot.SelectSet(list, now)
-		case all:
-			e.prot.MaintainAll(now)
-		default:
-			e.prot.MaintainSet(list, now)
-		}
-	} else {
+	workers = min(workers, n)
+	if workers > 1 {
 		neighborhood.Warm(e.nb)
-		round := e.prot.NextRound()
-		for len(e.maintPool) < workers {
-			e.maintPool = append(e.maintPool, e.prot.NewMaintainer())
+	}
+	round := e.prot.NextRound()
+	for len(e.maintPool) < workers {
+		e.maintPool = append(e.maintPool, e.prot.NewMaintainer())
+		e.roundSums = append(e.roundSums, 0)
+	}
+	ms, sums := e.maintPool[:workers], e.roundSums[:workers]
+	par.WorkersN(workers, n, func(worker, i int) {
+		u := NodeID(i)
+		if !all {
+			u = list[i]
 		}
-		ms := e.maintPool[:workers]
-		sums := make([]int, workers)
-		par.WorkersN(workers, n, func(worker, i int) {
-			u := NodeID(i)
-			if !all {
-				u = list[i]
-			}
-			if sel {
-				sums[worker] += ms[worker].SelectNode(u, now, round)
-			} else {
-				ms[worker].MaintainNode(u, now, round)
-			}
-		})
-		for w, m := range ms {
-			m.Flush()
-			added += sums[w]
+		if sel {
+			sums[worker] += ms[worker].SelectNode(u, now, round)
+		} else {
+			ms[worker].MaintainNode(u, now, round)
 		}
+	})
+	for w, m := range ms {
+		m.Flush()
+		added += sums[w]
+		sums[w] = 0
 	}
 	// Only the tables the round processed can have changed.
 	if !all {

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	proto "card/internal/card"
 	"card/internal/manet"
@@ -12,16 +12,15 @@ import (
 
 // Preset is a named, ready-to-run workload: a network scenario plus a
 // protocol tuning that suits it. New workloads are one struct literal away
-// — add an entry to the table below (or call Register from an experiment)
-// and every consumer (cmd/cardsim -preset, the examples, the scaling
-// benchmarks) can run it by name.
+// — add an entry to the table below and every consumer (cmd/cardsim
+// -preset, the examples, the scaling benchmarks) can run it by name.
 type Preset struct {
 	Name        string
 	Description string
 	// Doc is the one-line scenario summary shown by cardsim -presets:
 	// mobility model, node count, area, radio range and churn. It is
-	// synthesized from Net at registration time (see DescribeNet), never
-	// hand-written, so it cannot drift from the config it documents.
+	// synthesized from Net once, when the table is built (see DescribeNet),
+	// never hand-written, so it cannot drift from the config it documents.
 	Doc      string
 	Net      NetworkConfig
 	Protocol proto.Config
@@ -75,12 +74,6 @@ func DescribeNet(nc NetworkConfig) string {
 		doc += fmt.Sprintf(" | partition %gs every %gs", nc.PartitionDuration, nc.PartitionPeriod)
 	}
 	return doc
-}
-
-// withDoc returns p with its Doc synthesized from the network config.
-func withDoc(p Preset) Preset {
-	p.Doc = DescribeNet(p.Net)
-	return p
 }
 
 // New builds an engine for the preset. seed overrides the preset's
@@ -275,76 +268,29 @@ var builtinPresets = []Preset{
 	},
 }
 
-// presetMu guards presetIndex: experiments and tests register workloads
-// from whatever goroutine builds them, and the parallel experiment cells
-// look presets up concurrently.
-//
-//cardlint:parallel registry guard off the sim path; lookups are reads and registration happens before any cell runs
-var presetMu sync.RWMutex
-
-var presetIndex = func() map[string]Preset {
-	m := make(map[string]Preset, len(builtinPresets))
-	for _, p := range builtinPresets {
-		m[p.Name] = withDoc(p)
-	}
-	return m
-}()
-
-// builtinPreset reports whether name is one of the compiled-in workloads,
-// which Register refuses to replace.
-func builtinPreset(name string) bool {
-	for _, p := range builtinPresets {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Presets returns all registered presets sorted by name.
-func Presets() []Preset {
-	presetMu.RLock()
-	defer presetMu.RUnlock()
-	out := make([]Preset, 0, len(presetIndex))
-	for _, p := range presetIndex {
-		out = append(out, p)
+// presets is the built-in table sorted by name, each Doc synthesized
+// once from its network config.
+var presets = func() []Preset {
+	out := make([]Preset, len(builtinPresets))
+	for i, p := range builtinPresets {
+		p.Doc = DescribeNet(p.Net)
+		out[i] = p
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
+}()
 
-// LookupPreset returns the preset registered under name.
+// Presets returns all built-in presets sorted by name.
+func Presets() []Preset { return slices.Clone(presets) }
+
+// LookupPreset returns the built-in preset named name.
 func LookupPreset(name string) (Preset, error) {
-	presetMu.RLock()
-	defer presetMu.RUnlock()
-	p, ok := presetIndex[name]
-	if !ok {
-		names := make([]string, 0, len(presetIndex))
-		for n := range presetIndex {
-			names = append(names, n)
+	names := make([]string, 0, len(presets))
+	for _, p := range presets {
+		if p.Name == name {
+			return p, nil
 		}
-		sort.Strings(names)
-		return Preset{}, fmt.Errorf("engine: unknown preset %q (have %v)", name, names)
+		names = append(names, p.Name)
 	}
-	return p, nil
-}
-
-// Register adds a preset to the registry, replacing any previously
-// registered preset of the same name. It errors — rather than silently
-// replacing — when the name collides with a built-in workload, so a
-// benchmark baseline can never be redefined out from under a consumer.
-// The preset's Doc line is synthesized from its network config (any
-// caller-provided Doc is overwritten; docs never drift from code). Safe
-// for concurrent use.
-func Register(p Preset) error {
-	if p.Name == "" {
-		return fmt.Errorf("engine: preset without a name")
-	}
-	if builtinPreset(p.Name) {
-		return fmt.Errorf("engine: preset %q is built in and cannot be replaced", p.Name)
-	}
-	presetMu.Lock()
-	defer presetMu.Unlock()
-	presetIndex[p.Name] = withDoc(p)
-	return nil
+	return Preset{}, fmt.Errorf("engine: unknown preset %q (have %v)", name, names)
 }

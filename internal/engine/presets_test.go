@@ -3,69 +3,17 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 )
 
-func TestRegisterRejectsBuiltinReuse(t *testing.T) {
-	for _, name := range []string{"citywide-rwp-5k", "dense-sensor-field"} {
-		if err := Register(Preset{Name: name}); err == nil {
-			t.Errorf("Register(%q) replaced a built-in preset without error", name)
-		}
-	}
-	// The built-in must be untouched.
-	p, err := LookupPreset("citywide-rwp-5k")
-	if err != nil || p.Net.Nodes != 5000 {
-		t.Errorf("built-in preset damaged: %+v, %v", p, err)
-	}
-	if err := Register(Preset{Name: ""}); err == nil {
-		t.Error("Register accepted a nameless preset")
-	}
-}
-
-func TestRegisterConcurrent(t *testing.T) {
-	// Concurrent registration, lookup and listing must be race-free (run
-	// with -race) and every registered preset must land.
-	const workers, each = 8, 25
-	t.Cleanup(func() { // drop the test presets so other tests' Presets() sweeps stay lean
-		presetMu.Lock()
-		defer presetMu.Unlock()
-		for name := range presetIndex {
-			if !builtinPreset(name) {
-				delete(presetIndex, name)
-			}
-		}
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				name := fmt.Sprintf("test-preset-%d-%d", w, i)
-				if err := Register(Preset{Name: name, Net: testNet(50), Protocol: testCfg()}); err != nil {
-					t.Errorf("Register(%q): %v", name, err)
-				}
-				Presets()
-				if _, err := LookupPreset(name); err != nil {
-					t.Errorf("LookupPreset(%q): %v", name, err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := len(Presets()); got < workers*each+5 {
-		t.Errorf("registry holds %d presets, want >= %d", got, workers*each+5)
-	}
-}
-
-// TestPresetDocsSynthesized pins the -presets contract: every registered
-// preset carries a Doc line derived from its config (mobility model, N,
-// area, churn), including presets added through Register.
+// TestPresetDocsSynthesized pins the -presets contract: every built-in
+// preset carries the Doc line DescribeNet derives from its config
+// (mobility model, N, area, churn), and the table is sorted by name.
 func TestPresetDocsSynthesized(t *testing.T) {
-	for _, p := range Presets() {
-		if p.Doc == "" {
-			t.Errorf("preset %s has no Doc", p.Name)
+	ps := Presets()
+	for i, p := range ps {
+		if p.Doc == "" || p.Doc != DescribeNet(p.Net) {
+			t.Errorf("preset %s Doc %q, want synthesized %q", p.Name, p.Doc, DescribeNet(p.Net))
 			continue
 		}
 		for _, want := range []string{
@@ -80,23 +28,17 @@ func TestPresetDocsSynthesized(t *testing.T) {
 		if churned := p.Net.ChurnMeanUp > 0; churned != strings.Contains(p.Doc, "churn up~") {
 			t.Errorf("preset %s Doc %q misstates churn", p.Name, p.Doc)
 		}
+		if i > 0 && ps[i-1].Name >= p.Name {
+			t.Errorf("Presets not sorted by name: %s before %s", ps[i-1].Name, p.Name)
+		}
+		if got, err := LookupPreset(p.Name); err != nil || got.Doc != p.Doc {
+			t.Errorf("LookupPreset(%s) = %q, %v", p.Name, got.Doc, err)
+		}
 	}
-	// Register must synthesize (and overwrite) Doc.
-	name := "doc-synth-test"
-	t.Cleanup(func() {
-		presetMu.Lock()
-		defer presetMu.Unlock()
-		delete(presetIndex, name)
-	})
-	if err := Register(Preset{Name: name, Doc: "hand-written lies", Net: testNet(50)}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := LookupPreset(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Doc != DescribeNet(p.Net) {
-		t.Errorf("registered Doc %q, want synthesized %q", p.Doc, DescribeNet(p.Net))
+	// The returned slice is the caller's: editing it leaves the table alone.
+	ps[0].Doc = "hand-written lies"
+	if Presets()[0].Doc == ps[0].Doc {
+		t.Error("editing Presets()'s result reached the table")
 	}
 }
 

@@ -11,9 +11,9 @@
 //
 // A ring reached within t hops is the first t levels of the unbounded
 // scan from the source, so the whole escalation is read off one scan the
-// caller owns and reuses. Search accounts on the [manet.Recorder] it is
+// caller owns and reuses. Search accounts on the [manet.Counters] it is
 // handed: serial callers pass net.Recorder(); the scheme layer's workers
-// pass a private Counters and flush it serially after the join, so
+// pass a private tally and flush it serially after the join, so
 // flooding queries fan out across workers with bit-identical totals — the
 // same local-tally recipe card.Querier established.
 package flood
@@ -48,7 +48,7 @@ type Result struct {
 // floods, nobody answers — a cost that depends on the source's component
 // alone. The paper's §III.C.4 contrasts CARD's directed escalation against
 // exactly this mechanism.
-func Search(rec manet.Recorder, scan *topology.BFSResult, target NodeID, ttls []int, countReply bool) Result {
+func Search(rec *manet.Counters, scan *topology.BFSResult, target NodeID, ttls []int, countReply bool) Result {
 	hops := -1
 	if target != topology.None {
 		hops = int(scan.Dist[target])

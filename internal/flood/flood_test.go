@@ -41,7 +41,7 @@ func search(net *manet.Network, src, target NodeID, ttls []int, countReply bool)
 // The reference primitives: one bounded BFS per TTL ring, straight from
 // the flooding model. Search must charge and report exactly what they do.
 
-func refQuery(net *manet.Network, rec manet.Recorder, src, target NodeID, ttl int, countReply bool) Result {
+func refQuery(net *manet.Network, rec *manet.Counters, src, target NodeID, ttl int, countReply bool) Result {
 	bfs := net.Graph().BoundedBFS(src, ttl)
 	found := target != topology.None && bfs.Dist[target] >= 0
 	var relays int64
@@ -66,7 +66,7 @@ func refQuery(net *manet.Network, rec manet.Recorder, src, target NodeID, ttl in
 	return res
 }
 
-func refExpandingRing(net *manet.Network, rec manet.Recorder, src, target NodeID, ttls []int, countReply bool) Result {
+func refExpandingRing(net *manet.Network, rec *manet.Counters, src, target NodeID, ttls []int, countReply bool) Result {
 	r := Result{PathHops: -1}
 	var total int64
 	for _, ttl := range ttls {
@@ -80,11 +80,11 @@ func refExpandingRing(net *manet.Network, rec manet.Recorder, src, target NodeID
 	return r
 }
 
-func refFlood(net *manet.Network, rec manet.Recorder, src NodeID) Result {
+func refFlood(net *manet.Network, rec *manet.Counters, src NodeID) Result {
 	return refQuery(net, rec, src, topology.None, -1, false)
 }
 
-func refRingSweep(net *manet.Network, rec manet.Recorder, src NodeID, ttls []int) Result {
+func refRingSweep(net *manet.Network, rec *manet.Counters, src NodeID, ttls []int) Result {
 	return refExpandingRing(net, rec, src, topology.None, ttls, false)
 }
 

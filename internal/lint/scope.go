@@ -52,7 +52,6 @@ var DefaultScope = &Scope{
 		"card/internal/workload",
 		"card/internal/sweep",
 		"card/internal/resource",
-		"card/internal/eventq",
 	},
 	Experiments: []string{"card/internal/experiments"},
 	Par:         "card/internal/par",

@@ -128,10 +128,8 @@ func walkPath(n *Network, cat Category, path []NodeID) (ok bool, holder int) {
 	for i := 0; i+1 < len(path); i++ {
 		att, delivered := n.TryHop(path[i], path[i+1])
 		if att > 0 {
-			n.Record(cat, 1)
-			if att > 1 {
-				n.Record(CatRetry, int64(att-1))
-			}
+			n.Recorder().Record(cat, 1)
+			n.Recorder().Record(CatRetry, int64(att-1))
 		}
 		if !delivered {
 			return false, i

@@ -18,9 +18,10 @@
 // incremental [topology.Builder], which reprocesses only the nodes that
 // moved or flipped up/down state since the previous refresh.
 //
-// Message accounting flows through a pluggable [Recorder] (see
-// recorder.go): the plain [Counters] for serial runs, [AtomicCounters]
-// when concurrent readers or writers are in play.
+// Message accounting is one [Counters] tally per Network (see
+// recorder.go). Serial callers charge it directly through Recorder();
+// parallel executors tally privately and flush into it with
+// Counters.AddTo, serially, after their fan-out joins.
 //
 // # Node churn
 //
@@ -130,7 +131,7 @@ type Network struct {
 	down             []bool
 	wentDown, cameUp []NodeID
 
-	rec Recorder
+	rec Counters
 }
 
 // Config gathers every substrate knob for NewNetwork. The zero value of
@@ -167,7 +168,7 @@ type PartitionConfig struct {
 
 // NewNetwork creates a network over the mobility model with the full
 // substrate configuration and takes the initial topology snapshot at t=0.
-// It starts with a serial Counters recorder. A malformed cfg.Link panics in
+// Its message tally starts at zero. A malformed cfg.Link panics in
 // topology.NewBuilder, the one place link models are validated.
 func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 	lm := cfg.Link
@@ -198,7 +199,6 @@ func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 		partDuration: cfg.Partition.Duration,
 		pos:          make([]geom.Point, model.N()),
 		churn:        cfg.Churn,
-		rec:          &Counters{},
 	}
 	if cfg.Loss.Rate > 0 {
 		n.lossRate = cfg.Loss.Rate
@@ -373,31 +373,10 @@ func (n *Network) Bidirectional(u, v NodeID) bool { return n.graph.Bidirectional
 // Neighbors returns u's current one-hop neighbors (do not mutate).
 func (n *Network) Neighbors(u NodeID) []NodeID { return n.graph.Neighbors(u) }
 
-// Recorder returns the active message-accounting sink.
-func (n *Network) Recorder() Recorder { return n.rec }
+// Recorder returns the network's shared message tally. Only the serial
+// driver loop may write to it; parallel executors flush into it after
+// their join.
+func (n *Network) Recorder() *Counters { return &n.rec }
 
-// SetRecorder swaps the accounting sink (e.g. to AtomicCounters before a
-// concurrent phase). Tallies already recorded stay with the old recorder;
-// callers that need continuity should carry totals over themselves.
-func (n *Network) SetRecorder(r Recorder) {
-	if r == nil {
-		panic("manet: nil recorder")
-	}
-	n.rec = r
-}
-
-// Totals returns the current per-category message tallies.
-func (n *Network) Totals() Counters { return n.rec.Totals() }
-
-// Record adds k transmissions of category cat to the active recorder.
-func (n *Network) Record(cat Category, k int64) { n.rec.Record(cat, k) }
-
-// SendHop accounts one unicast hop transmission of category cat.
-func (n *Network) SendHop(cat Category) { n.rec.Record(cat, 1) }
-
-// SendHops accounts k unicast hop transmissions of category cat.
-func (n *Network) SendHops(cat Category, k int) { n.rec.Record(cat, int64(k)) }
-
-// Broadcast accounts one local broadcast transmission of category cat
-// (one radio transmission heard by all current neighbors).
-func (n *Network) Broadcast(cat Category) { n.rec.Record(cat, 1) }
+// Totals returns a copy of the current per-category message tallies.
+func (n *Network) Totals() Counters { return n.rec }

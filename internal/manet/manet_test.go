@@ -18,9 +18,9 @@ func staticNet(t *testing.T, pts []geom.Point, txRange float64) *Network {
 
 func TestCountersBasics(t *testing.T) {
 	var k Counters
-	k.Add(CatCSQ, 3)
-	k.Add(CatBacktrack, 2)
-	k.Add(CatCSQ, 1)
+	k.Record(CatCSQ, 3)
+	k.Record(CatBacktrack, 2)
+	k.Record(CatCSQ, 1)
 	if got := k.Get(CatCSQ); got != 4 {
 		t.Errorf("Get(CSQ) = %d", got)
 	}
@@ -30,8 +30,8 @@ func TestCountersBasics(t *testing.T) {
 	if got := k.Total(); got != 6 {
 		t.Errorf("Total = %d", got)
 	}
-	snap := k.Totals()
-	k.Add(CatQuery, 5)
+	snap := k
+	k.Record(CatQuery, 5)
 	d := k.DiffSince(snap)
 	if d.Get(CatQuery) != 5 || d.Get(CatCSQ) != 0 {
 		t.Errorf("DiffSince = %v", d.String())
@@ -47,7 +47,7 @@ func TestCountersString(t *testing.T) {
 	if k.String() != "(none)" {
 		t.Errorf("empty String = %q", k.String())
 	}
-	k.Add(CatValidate, 2)
+	k.Record(CatValidate, 2)
 	if k.String() != "validate=2" {
 		t.Errorf("String = %q", k.String())
 	}
@@ -140,16 +140,28 @@ func TestMobilityChangesTopology(t *testing.T) {
 	}
 }
 
+// TestSendAccounting pins the shared tally: charges through Recorder()
+// land in Totals, and Totals is a copy the caller may keep.
 func TestSendAccounting(t *testing.T) {
 	n := staticNet(t, []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}}, 15)
-	n.SendHop(CatQuery)
-	n.SendHops(CatQuery, 3)
-	n.Broadcast(CatDSDV)
-	if got := n.Totals().Get(CatQuery); got != 4 {
+	if n.Recorder() != n.Recorder() {
+		t.Fatal("Recorder() is not one tally")
+	}
+	n.Recorder().Record(CatQuery, 1)
+	n.Recorder().Record(CatQuery, 3)
+	var local Counters
+	local.Record(CatReply, 2)
+	local.AddTo(n.Recorder())
+	snap := n.Totals()
+	if got := snap.Get(CatQuery); got != 4 {
 		t.Errorf("query count = %d", got)
 	}
-	if got := n.Totals().Get(CatDSDV); got != 1 {
-		t.Errorf("dsdv count = %d", got)
+	if got := snap.Get(CatReply); got != 2 {
+		t.Errorf("reply count = %d", got)
+	}
+	snap.Record(CatQuery, 10)
+	if got := n.Totals().Get(CatQuery); got != 4 {
+		t.Errorf("writing to a Totals copy reached the network: query count = %d", got)
 	}
 }
 

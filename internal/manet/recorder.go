@@ -1,39 +1,17 @@
 package manet
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// Recorder is the message-accounting sink a Network writes to. Extracting
-// it behind an interface decouples the protocols (which only ever *emit*
-// transmissions) from how tallies are stored, so a run can choose the
-// plain serial Counters, the concurrency-safe AtomicCounters, or any
-// decorator (windowed deltas, per-node attribution) without touching
-// protocol code.
-type Recorder interface {
-	// Record adds n transmissions of category cat. n may be zero.
-	Record(cat Category, n int64)
-	// Totals returns a consistent copy of the per-category tallies.
-	Totals() Counters
-}
-
-// Counters is the serial Recorder: a plain per-category tally. The zero
-// value is ready to use. Not safe for concurrent use — it is the right
-// choice when a simulation run owns its Network exclusively, which is the
-// default.
+// Counters is a per-category transmission tally: the Network's shared
+// recorder, and the private tally every parallel executor (card.Querier,
+// card.Maintainer, the scheme workers) accumulates into and flushes with
+// AddTo. The zero value is ready to use. Not safe for concurrent use.
 type Counters struct {
 	c [numCategories]int64
 }
 
-// Record implements Recorder.
+// Record adds n transmissions of category cat. n may be zero.
 func (k *Counters) Record(cat Category, n int64) { k.c[cat] += n }
-
-// Totals implements Recorder.
-func (k *Counters) Totals() Counters { return *k }
-
-// Add records n transmissions of category cat.
-func (k *Counters) Add(cat Category, n int) { k.c[cat] += int64(n) }
 
 // Get returns the count for one category.
 func (k Counters) Get(cat Category) int64 { return k.c[cat] }
@@ -56,17 +34,15 @@ func (k Counters) Total() int64 {
 	return s
 }
 
-// AddTo adds k's tallies to r, walking categories in declaration order.
-// This is the flush half of the local-tally recipe used by the parallel
-// round fan-outs (engine.BatchQuery, the maintenance pool): workers
-// accumulate into a private Counters while running, then flush serially —
-// in worker order, after the join — so the shared recorder sees one
-// deterministic sum per category no matter how the work interleaved.
-func (k Counters) AddTo(r Recorder) {
+// AddTo adds k's tallies to r. This is the flush half of the local-tally
+// recipe used by the parallel fan-outs (engine.BatchQuery, the maintenance
+// pool, the scheme workers): workers accumulate into a private Counters
+// while running, then flush serially — in worker order, after the join —
+// so the shared recorder sees one deterministic sum per category no matter
+// how the work interleaved.
+func (k Counters) AddTo(r *Counters) {
 	for i, v := range k.c {
-		if v != 0 {
-			r.Record(Category(i), v)
-		}
+		r.c[i] += v
 	}
 }
 
@@ -98,51 +74,3 @@ func (k Counters) String() string {
 	}
 	return s
 }
-
-type paddedCounter struct {
-	v atomic.Int64
-	_ [56]byte // pad to a 64-byte cache line: categories never share a line
-}
-
-// AtomicCounters is the concurrent Recorder: per-category atomic tallies,
-// each on its own cache line, safe for any number of concurrent writers
-// and readers. Totals read each category atomically; a snapshot taken
-// while writers are active can tear *across* categories, but is exact once
-// writers quiesce — which is when the engine reads it (workers flush their
-// local tallies after the batch joins).
-type AtomicCounters struct {
-	c [numCategories]paddedCounter
-}
-
-// NewAtomicCounters returns an empty concurrent recorder.
-func NewAtomicCounters() *AtomicCounters { return &AtomicCounters{} }
-
-// Record implements Recorder.
-func (a *AtomicCounters) Record(cat Category, n int64) {
-	if n == 0 {
-		return
-	}
-	a.c[cat].v.Add(n)
-}
-
-// Totals implements Recorder.
-func (a *AtomicCounters) Totals() Counters {
-	var k Counters
-	for cat := range a.c {
-		k.c[cat] = a.c[cat].v.Load()
-	}
-	return k
-}
-
-// Reset zeroes all categories. Not atomic across categories; call only
-// while writers are quiescent.
-func (a *AtomicCounters) Reset() {
-	for cat := range a.c {
-		a.c[cat].v.Store(0)
-	}
-}
-
-var (
-	_ Recorder = (*Counters)(nil)
-	_ Recorder = (*AtomicCounters)(nil)
-)

@@ -93,37 +93,3 @@ func TestNewErrors(t *testing.T) {
 		}
 	}
 }
-
-// TestRegister exercises the extension path: bad registrations are
-// rejected, and a registered factory becomes reachable through Known,
-// Names and New. The registered name delegates to the flood factory so
-// it satisfies the conformance contract should any later test sweep the
-// registry. This test runs last in the file for the same reason.
-func TestRegister(t *testing.T) {
-	if err := Register("", newFlood); err == nil {
-		t.Error("Register with empty name succeeded")
-	}
-	if err := Register("x", nil); err == nil {
-		t.Error("Register with nil factory succeeded")
-	}
-	if err := Register("card", newFlood); err == nil {
-		t.Error("Register over built-in card succeeded")
-	}
-	if err := Register("test-flood-alias", newFlood); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if !Known("test-flood-alias") {
-		t.Error("registered scheme not Known")
-	}
-	env := testEnv(t, 10)
-	if _, err := New("test-flood-alias", env); err != nil {
-		t.Errorf("New of registered scheme: %v", err)
-	}
-	found := false
-	for _, n := range Names() {
-		found = found || n == "test-flood-alias"
-	}
-	if !found {
-		t.Error("registered scheme missing from Names")
-	}
-}

@@ -3,10 +3,10 @@
 // flooding and expanding-ring baselines, ZRP bordercasting, Rendezvous
 // Regions — implements one DiscoveryScheme interface, and the engine,
 // workload, sweep and experiment layers consume the interface instead of
-// hardwired per-scheme arms. Registering a new scheme makes it appear in
-// every sweep grid, the sustained-traffic experiment and `cardsim
-// -scheme` for free, and subjects it to the cross-scheme conformance
-// suite (schemetest).
+// hardwired per-scheme arms. Adding a factory to the builtins table makes
+// a new scheme appear in every sweep grid, the sustained-traffic
+// experiment and `cardsim -scheme` for free, and subjects it to the
+// cross-scheme conformance suite (schemetest).
 //
 // # Accounting and the sharding contract
 //
@@ -87,26 +87,13 @@ type Worker interface {
 // Factory builds a scheme instance over an environment.
 type Factory func(env Env) (DiscoveryScheme, error)
 
-// builtins is the static registry; extensions register at init time.
+// builtins is the whole registry, fixed at compile time.
 var builtins = map[string]Factory{
 	"card":       newCard,
 	"flood":      newFlood,
 	"ring":       newRing,
 	"bordercast": newBordercast,
 	"rendezvous": newRendezvous,
-}
-
-// Register adds a scheme factory under name. Registering over a built-in
-// or an already-registered name is a programming error.
-func Register(name string, f Factory) error {
-	if name == "" || f == nil {
-		return fmt.Errorf("scheme: empty name or nil factory")
-	}
-	if _, dup := builtins[name]; dup {
-		return fmt.Errorf("scheme: %q already registered", name)
-	}
-	builtins[name] = f
-	return nil
 }
 
 // Names lists the registered scheme names, sorted.

@@ -35,14 +35,14 @@ func TestQueryViaMatchesPrimitives(t *testing.T) {
 			msgs  int64
 			hops  int
 		}
-		primitives := map[WorkloadScheme]func(rec manet.Recorder, src, dst NodeID) outcome{
-			SchemeFlood: func(rec manet.Recorder, src, dst NodeID) outcome {
+		primitives := map[WorkloadScheme]func(rec *manet.Counters, src, dst NodeID) outcome{
+			SchemeFlood: func(rec *manet.Counters, src, dst NodeID) outcome {
 				var scan topology.BFSResult
 				scan.Run(net.Graph(), src, -1)
 				r := flood.Search(rec, &scan, dst, []int{-1}, true)
 				return outcome{r.Found, r.Messages, r.PathHops}
 			},
-			SchemeBordercast: func(rec manet.Recorder, src, dst NodeID) outcome {
+			SchemeBordercast: func(rec *manet.Counters, src, dst NodeID) outcome {
 				r := bc.Query(rec, src, dst)
 				return outcome{r.Found, r.Messages, r.PathHops}
 			},
