@@ -16,7 +16,7 @@ import (
 // the citywide presets' density (mean degree ≈ 14), R=2, r=10, NoC=6, EM.
 // Run with
 //
-//	go test -run '^$' -bench 'SelectNode|WalkEM|Ineligible|Querier|Discover' -benchmem ./internal/card
+//	go test -run '^$' -bench 'SelectNode|WalkEM|Ineligible|Querier|Discover|ShortenRoute' -benchmem ./internal/card
 
 const benchNodes = 2000
 
@@ -182,6 +182,85 @@ func BenchmarkDiscover8Replicas(b *testing.B) {
 			}
 		})
 	}
+}
+
+// spliceRoute is validatePath's walk without its accounting or its cut:
+// old with every break spliced by local recovery, or nil when old is intact
+// or lost.
+func spliceRoute(p *Protocol, old []NodeID) []NodeID {
+	var out []NodeID
+	for i := 0; i+1 < len(old); {
+		if p.net.Bidirectional(old[i], old[i+1]) {
+			if out != nil {
+				out = append(out, old[i+1])
+			}
+			i++
+			continue
+		}
+		if out == nil {
+			out = append([]NodeID(nil), old[:i+1]...)
+		}
+		j := i + 1
+		for ; j < len(old); j++ {
+			if sub, ok := p.nb.AppendRoute(nil, old[i], old[j]); ok {
+				out = append(out, sub[1:]...)
+				break
+			}
+		}
+		if j == len(old) {
+			return nil
+		}
+		i = j
+	}
+	return out
+}
+
+// BenchmarkShortenRoute times the cut of one spliced route, over the routes
+// a steady round of the citywide-rwp-5k field splices: 5000 RWP nodes over
+// 3000×3000 m, 100 m radio, 10 s pauses, R=2, r=10, NoC=8, EM, maintained
+// every 2 s up to t = 20 s, then moved 1.9 s on. nodes/op is the mean
+// spliced route length, so ns/op ÷ nodes/op compares across commits
+// whatever the field's routes look like.
+func BenchmarkShortenRoute(b *testing.B) {
+	area := geom.Rect{W: 3000, H: 3000}
+	mob, err := mobility.NewRandomWaypoint(5000, area, mobility.RWPConfig{MinSpeed: 1, MaxSpeed: 19, Pause: 10}, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := manet.NewNetwork(mob, manet.Config{Link: topology.LinkModel{Uniform: 100}}, xrand.New(2))
+	cfg := Config{R: 2, MaxContactDist: 10, NoC: 8, Depth: 3, Method: EM, ValidatePeriod: 2}
+	p, err := New(net, neighborhood.NewOracle(net, cfg.R), cfg, xrand.New(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.SelectAll(0)
+	for t := 2.0; t <= 20; t += 2 {
+		net.RefreshAt(t)
+		p.MaintainAll(t)
+	}
+	net.RefreshAt(21.9)
+	var routes [][]NodeID
+	nodes := 0
+	for u := 0; u < net.N(); u++ {
+		for _, c := range p.Table(NodeID(u)).Contacts() {
+			if r := spliceRoute(p, c.Path); r != nil {
+				routes = append(routes, r)
+				nodes += len(r)
+			}
+		}
+	}
+	if len(routes) == 0 {
+		b.Fatal("the round spliced no route")
+	}
+	m := p.NewMaintainer()
+	var buf []NodeID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		buf = append(buf[:0], routes[k%len(routes)]...)
+		benchSink += len(m.shortenRoute(buf))
+	}
+	b.ReportMetric(float64(nodes)/float64(len(routes)), "nodes/op")
 }
 
 // TestAllocBudgetQuery pins a steady-state Querier.Query at zero

@@ -62,9 +62,6 @@ func (p *Protocol) ExpireNodes(vs []NodeID) (affected []NodeID) {
 	return p.affected
 }
 
-// ExpireNode is ExpireNodes for a single departure.
-func (p *Protocol) ExpireNode(v NodeID) { p.ExpireNodes([]NodeID{v}) }
-
 // ResetNode clears node u's contact table without touching other tables:
 // a churned node is readmitted cold and re-selects contacts at the next
 // round. With the engine's churn wiring the table is normally already

@@ -43,6 +43,11 @@ type Maintainer struct {
 	ineligible []uint64
 	ineligGen  uint64
 
+	// routePos is shortenRoute's position stamp, routeGen<<32 | the node's
+	// last route index; an older generation's stamp is below every current one.
+	routePos []uint64
+	routeGen uint32
+
 	// rng is reseeded from the (node, round) substream at every
 	// MaintainNode/SelectNode entry; it must never be drawn from before a
 	// reseed.
@@ -74,6 +79,7 @@ func (p *Protocol) NewMaintainer() *Maintainer {
 		p:          p,
 		visited:    make([]uint8, p.net.N()),
 		ineligible: make([]uint64, p.net.N()),
+		routePos:   make([]uint64, p.net.N()),
 		rng:        xrand.New(0), // reseeded per (node, round) before use
 	}
 }
@@ -431,7 +437,7 @@ func (m *Maintainer) walkPM(route []NodeID) ([]NodeID, bool) {
 	stack := append(m.stack[:0], route...)
 	r := m.p.cfg.MaxContactDist
 	directed := m.p.net.Directed()
-	budget := m.csqBudget()
+	budget := 2 * m.p.net.N() // covers the region several times over, yet bounded
 	cand := m.cand
 	for budget > 0 {
 		x := stack[len(stack)-1]
@@ -478,11 +484,6 @@ func (m *Maintainer) walkPM(route []NodeID) ([]NodeID, bool) {
 	return nil, true
 }
 
-// csqBudget is the PM walk's transmission budget: twice the network size,
-// enough to cover the region several times over without letting a
-// pathological walk run unbounded.
-func (m *Maintainer) csqBudget() int { return 2 * m.p.net.N() }
-
 // acceptContact finalizes a successful walk: the reply travels back along
 // the walk, and every relay cuts the route it carries to the farthest listed
 // node it hears directly (shortenRoute, in place on the walk stack). The
@@ -492,10 +493,54 @@ func (m *Maintainer) csqBudget() int { return 2 * m.p.net.N() }
 // at the walk's length, not the contact's distance, and the first recovery
 // splice pushes the contact over r.
 func (m *Maintainer) acceptContact(stack []NodeID) []NodeID {
-	path := shortenRoute(m.p.net, stack)
+	path := m.shortenRoute(stack)
 	m.sendHops(manet.CatCSQ, len(path)-1) // reply carrying the shortened path
 	m.stats.CSQSucceeded++
 	return path
+}
+
+// shortenRoute rewrites a source route in place as its relays would cut it:
+// walking forward from the owner, each node jumps to the farthest later node
+// of the route that is itself again (a loop) or that it hears directly — a
+// two-way link of the current snapshot — and otherwise steps to its
+// successor. The result keeps both endpoints, visits no node twice, has no
+// chord (no node links two-way to a later one other than its successor), and
+// every hop of it is a hop of the input or a two-way link.
+//
+// Every relay knows its direct neighbours, so the cut costs no state and no
+// message. It reads adjacency only, never a view, and runs only where a
+// route is rewritten anyway (acceptContact, validatePath after a splice).
+// With each node's last index stamped first, a kept relay finds its jump in
+// one pass over its neighbour list: O(len + Σ degree) per route, where the
+// pairwise scan of path_test.go probes ~len²/2 adjacencies.
+func (m *Maintainer) shortenRoute(path []NodeID) []NodeID {
+	m.routeGen++
+	if m.routeGen == 0 { // wrapped: old stamps could alias new ones
+		clear(m.routePos)
+		m.routeGen = 1
+	}
+	pos, stamp := m.routePos, uint64(m.routeGen)<<32
+	for i, x := range path {
+		pos[x] = stamp | uint64(i)
+	}
+	net := m.p.net
+	directed := net.Directed()
+	out := path[:0]
+	for i := 0; i < len(path); {
+		x := path[i]
+		last := pos[x] // of this generation: x is on the route
+		for _, y := range net.Neighbors(x) {
+			if s := pos[y]; s > last && (!directed || net.Adjacent(y, x)) {
+				last = s
+			}
+		}
+		next := max(i+1, int(uint32(last)))
+		if next == len(path) || path[next] != x { // else a loop: resume at x's last occurrence
+			out = append(out, x)
+		}
+		i = next
+	}
+	return out
 }
 
 // validatePath walks a contact's stored source route over the current
@@ -503,7 +548,8 @@ func (m *Maintainer) acceptContact(stack []NodeID) []NodeID {
 // ok=false when the contact is lost, the stored route itself when no hop
 // needed a splice (the dirty-set invariant's "an intact route validates to
 // itself"), and otherwise the re-spliced route, shortened, in Maintainer
-// scratch valid until the next validation (Table.setPath copies it).
+// scratch valid until the next validation (Table.setPath copies it), which
+// is filled from the first break on: an intact route copies nothing.
 //
 // A splice only lengthens a route, and may revisit nodes of the rebuilt
 // prefix — the holder routes around the break through whatever its
@@ -522,12 +568,10 @@ func (m *Maintainer) acceptContact(stack []NodeID) []NodeID {
 func (m *Maintainer) validatePath(c *Contact) (path []NodeID, ok bool) {
 	p := m.p
 	old := c.Path
-	out := append(m.pathOut[:0], old[0])
-	i := 0 // index in old of the node the validation message sits at
-	spliced := false
-	for i+1 < len(old) {
-		cur := out[len(out)-1]
-		next := old[i+1]
+	var out []NodeID // the rebuilt route, begun at the first break; nil while intact
+	// The validation message sits at old[i]: every splice ends at a node of old.
+	for i := 0; i+1 < len(old); {
+		cur, next := old[i], old[i+1]
 		att, delivered := p.net.TryHop(cur, next)
 		if att > 0 {
 			m.sendHop(manet.CatValidate)
@@ -536,9 +580,14 @@ func (m *Maintainer) validatePath(c *Contact) (path []NodeID, ok bool) {
 			}
 		}
 		if delivered {
-			out = append(out, next)
+			if out != nil {
+				out = append(out, next)
+			}
 			i++
 			continue
+		}
+		if out == nil {
+			out = append(m.pathOut[:0], old[:i+1]...)
 		}
 		// Local recovery: look for the missing hop — and failing that, each
 		// subsequent node of the source path — in cur's neighborhood table.
@@ -560,12 +609,12 @@ func (m *Maintainer) validatePath(c *Contact) (path []NodeID, ok bool) {
 			m.pathOut = out
 			return nil, false
 		}
-		i, spliced = j, true
+		i = j
 		m.stats.Recoveries++
 	}
-	m.pathOut = out
-	if !spliced {
+	if out == nil {
 		return old, true
 	}
-	return shortenRoute(p.net, out), true
+	m.pathOut = out
+	return m.shortenRoute(out), true
 }

@@ -1,6 +1,7 @@
 package card
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,34 @@ import (
 	"card/internal/topology"
 	"card/internal/xrand"
 )
+
+// pairwiseShorten is Maintainer.shortenRoute as first written, kept as its
+// oracle: for each kept relay x at index i it scans the route downward from
+// the end for the first node that is x again or a two-way neighbour of x —
+// ~len²/2 adjacency probes per route where the method reads x's neighbour
+// list once.
+func pairwiseShorten(net *manet.Network, path []NodeID) []NodeID {
+	out := path[:0]
+	for i := 0; i < len(path); {
+		x := path[i]
+		next := i + 1
+		for j := len(path) - 1; j > next; j-- {
+			if path[j] == x || net.Bidirectional(x, path[j]) {
+				next = j
+				break
+			}
+		}
+		if next == len(path) || path[next] != x { // else a loop: resume at x's last occurrence
+			out = append(out, x)
+		}
+		i = next
+	}
+	return out
+}
+
+// shortener returns a Maintainer over net alone, enough to call
+// shortenRoute.
+func shortener(net *manet.Network) *Maintainer { return (&Protocol{net: net}).NewMaintainer() }
 
 // compactLoops is the route rewrite shortenRoute replaced, kept as its
 // oracle: chronological loop erasure — whenever a node reappears, the detour
@@ -96,9 +125,9 @@ func TestCompactLoops(t *testing.T) {
 		// Path collapsing to its endpoint.
 		{[]NodeID{5, 6, 5}, []NodeID{5}},
 	}
-	islands := islandNet(t, 8)
+	islands := shortener(islandNet(t, 8))
 	for _, c := range cases {
-		if got := shortenRoute(islands, append([]NodeID(nil), c.in...)); !slices.Equal(got, c.want) {
+		if got := islands.shortenRoute(append([]NodeID(nil), c.in...)); !slices.Equal(got, c.want) {
 			t.Errorf("shortenRoute(%v) on a link-free field = %v, want %v", c.in, got, c.want)
 		}
 		in := append([]NodeID(nil), c.in...)
@@ -176,7 +205,7 @@ func TestShortenRoute(t *testing.T) {
 		{"no chord on the ladder's rail", ladder, []NodeID{0, 1, 2, 3}, []NodeID{0, 1, 2, 3}},
 	}
 	for _, c := range cases {
-		got := shortenRoute(c.net, append([]NodeID(nil), c.in...))
+		got := shortener(c.net).shortenRoute(append([]NodeID(nil), c.in...))
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: shortenRoute(%v) = %v, want %v", c.name, c.in, got, c.want)
 		}
@@ -196,11 +225,11 @@ func TestShortenRouteSkipsOneWayChord(t *testing.T) {
 	if !oneWay.Adjacent(0, 2) || oneWay.Adjacent(2, 0) {
 		t.Fatal("field does not have the one-way link 0→2")
 	}
-	if got, want := shortenRoute(oneWay, []NodeID{0, 1, 2}), []NodeID{0, 1, 2}; !slices.Equal(got, want) {
+	if got, want := shortener(oneWay).shortenRoute([]NodeID{0, 1, 2}), []NodeID{0, 1, 2}; !slices.Equal(got, want) {
 		t.Errorf("one-way chord taken: %v, want %v", got, want)
 	}
 	twoWay := build(topology.LinkModel{Uniform: 12, Ranges: []float64{30, 12, 30}})
-	if got, want := shortenRoute(twoWay, []NodeID{0, 1, 2}), []NodeID{0, 2}; !slices.Equal(got, want) {
+	if got, want := shortener(twoWay).shortenRoute([]NodeID{0, 1, 2}), []NodeID{0, 2}; !slices.Equal(got, want) {
 		t.Errorf("two-way chord on a directed world not taken: %v, want %v", got, want)
 	}
 }
@@ -213,13 +242,14 @@ func TestShortenRouteSkipsOneWayChord(t *testing.T) {
 // chord-free simple route, or any route on a field without links — comes
 // out as compactLoops leaves it.
 func TestShortenRouteProperties(t *testing.T) {
-	islands := islandNet(t, 8)
+	islands := shortener(islandNet(t, 8))
 	nets := []*manet.Network{staticNet(71, 200, 60), directedNet(72, 200, 70)}
+	ms := []*Maintainer{shortener(nets[0]), shortener(nets[1])}
 	var walks, cut, untouched int
 	f := func(seed uint64, lenRaw uint8) bool {
 		rng := xrand.New(seed)
 		n := 1 + int(lenRaw%24)
-		net := nets[seed%2]
+		net, m := nets[seed%2], ms[seed%2]
 
 		// On the link-free field only loops can go: the old pass exactly.
 		seq := make([]NodeID, n)
@@ -227,7 +257,7 @@ func TestShortenRouteProperties(t *testing.T) {
 			seq[i] = NodeID(rng.Intn(8)) // small alphabet forces collisions
 		}
 		want := compactLoops(append([]NodeID(nil), seq...))
-		if got := shortenRoute(islands, append([]NodeID(nil), seq...)); !slices.Equal(got, want) {
+		if got := islands.shortenRoute(append([]NodeID(nil), seq...)); !slices.Equal(got, want) {
 			t.Logf("link-free: shortenRoute(%v) = %v, compactLoops = %v", seq, got, want)
 			return false
 		}
@@ -256,7 +286,7 @@ func TestShortenRouteProperties(t *testing.T) {
 		for i := 0; i+1 < len(in); i++ {
 			hopValid = hopValid && net.Bidirectional(in[i], in[i+1])
 		}
-		out := shortenRoute(net, append([]NodeID(nil), in...))
+		out := m.shortenRoute(append([]NodeID(nil), in...))
 		if out[0] != in[0] || out[len(out)-1] != in[len(in)-1] || !pathIsSimple(out) {
 			t.Logf("shortenRoute(%v) = %v: endpoints or simplicity", in, out)
 			return false
@@ -271,7 +301,7 @@ func TestShortenRouteProperties(t *testing.T) {
 				return false
 			}
 		}
-		if again := shortenRoute(net, append([]NodeID(nil), out...)); !slices.Equal(again, out) {
+		if again := m.shortenRoute(append([]NodeID(nil), out...)); !slices.Equal(again, out) {
 			t.Logf("not idempotent: %v -> %v -> %v", in, out, again)
 			return false
 		}
@@ -293,6 +323,65 @@ func TestShortenRouteProperties(t *testing.T) {
 	}
 	if cut < walks/2 || untouched < 20 {
 		t.Errorf("%d routes, %d shortened, %d chord-free inputs: property not exercised", walks, cut, untouched)
+	}
+}
+
+// randomWalk is a walk of up to n nodes over net's links from a random
+// start, free to turn back and — on a directed field — to take one-way hops,
+// so it carries loops, repeated nodes and chords of both kinds.
+func randomWalk(rng *xrand.Rand, net *manet.Network, n int) []NodeID {
+	walk := []NodeID{NodeID(rng.Intn(net.N()))}
+	for len(walk) < n {
+		nbrs := net.Neighbors(walk[len(walk)-1])
+		if len(nbrs) == 0 {
+			break
+		}
+		walk = append(walk, nbrs[rng.Intn(len(nbrs))])
+	}
+	return walk
+}
+
+// TestShortenMatchesReference: the position-stamp pass cuts every route
+// exactly as the pairwise scan does, on a scalar and a range-spread
+// directed field, over random walks and over short sequences of a few
+// close nodes (dense in repeats). One Maintainer serves every call, as in
+// a round, and every seventh call first winds the stamp generation to its
+// maximum, so the pass wraps it with the previous route's stamps still in
+// the array.
+func TestShortenMatchesReference(t *testing.T) {
+	nets := []*manet.Network{staticNet(81, 300, 60), directedNet(82, 300, 70)}
+	ms := []*Maintainer{shortener(nets[0]), shortener(nets[1])}
+	var calls, wraps, cut int
+	f := func(seed uint64, lenRaw uint8) bool {
+		rng := xrand.New(seed)
+		net, m := nets[seed%2], ms[seed%2]
+		in := randomWalk(rng, net, 1+int(lenRaw%40))
+		if seed%5 == 0 { // a few nodes and their neighbours, in any order
+			pool := append([]NodeID{in[0]}, net.Neighbors(in[0])...)
+			for i := range in {
+				in[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		if calls++; calls%7 == 0 {
+			m.routeGen = math.MaxUint32
+			wraps++
+		}
+		want := pairwiseShorten(net, append([]NodeID(nil), in...))
+		got := m.shortenRoute(append([]NodeID(nil), in...))
+		if !slices.Equal(got, want) {
+			t.Logf("directed=%v: shortenRoute(%v) = %v, pairwise = %v", net.Directed(), in, got, want)
+			return false
+		}
+		if len(got) < len(in) {
+			cut++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+	if wraps == 0 || cut < calls/2 {
+		t.Errorf("%d routes, %d shortened, %d generation wraps: not exercised", calls, cut, wraps)
 	}
 }
 

@@ -44,9 +44,6 @@ type Table struct {
 	n     int32 // live contacts in the span
 }
 
-// Owner returns the owning node.
-func (t *Table) Owner() NodeID { return t.owner }
-
 // base returns the slab index of the table's first slot.
 func (t *Table) base() int { return int(t.owner) * t.p.cfg.NoC }
 
@@ -66,19 +63,13 @@ func (t *Table) Len() int { return int(t.n) }
 func (t *Table) at(i int) *Contact { return &t.p.slots[t.base()+i] }
 
 // AppendIDs appends the contact node ids in selection order to dst and
-// returns the extended slice — the allocation-free sibling of IDs for
-// hot-path callers with a reusable scratch buffer.
+// returns the extended slice.
 func (t *Table) AppendIDs(dst []NodeID) []NodeID {
 	b := t.base()
 	for i := 0; i < int(t.n); i++ {
 		dst = append(dst, t.p.slots[b+i].ID)
 	}
 	return dst
-}
-
-// IDs returns the contact node ids in selection order.
-func (t *Table) IDs() []NodeID {
-	return t.AppendIDs(make([]NodeID, 0, t.n))
 }
 
 // add appends c to the table, copying c.Path into the slot's arena

@@ -1,8 +1,6 @@
 package card
 
-import (
-	"card/internal/bitset"
-)
+import "card/internal/bitset"
 
 // Reachability returns the percentage of live network nodes reachable from
 // u with the current contact tables and a depth-D search: the union of u's
@@ -42,9 +40,7 @@ func (p *Protocol) reachableSet(u NodeID, depth int) *bitset.Set {
 	for level := 1; level <= depth && len(frontier) > 0; level++ {
 		var next []NodeID
 		for _, v := range frontier {
-			cs := p.tables[v].Contacts()
-			for i := range cs {
-				c := &cs[i]
+			for _, c := range p.tables[v].Contacts() {
 				if seen.Contains(int(c.ID)) {
 					continue
 				}

@@ -151,7 +151,7 @@ func TestSelectDeterministic(t *testing.T) {
 			}
 			p.SelectAll(0)
 			for u := 0; u < nets[i].N(); u++ {
-				tabs[i] = append(tabs[i], p.Table(NodeID(u)).IDs()...)
+				tabs[i] = p.Table(NodeID(u)).AppendIDs(tabs[i])
 			}
 		}
 		if len(tabs[0]) != len(tabs[1]) {
