@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -100,6 +103,27 @@ func TestNonFiniteFlagValuesExitTwo(t *testing.T) {
 		if !strings.Contains(errw.String(), "bad -") {
 			t.Errorf("run(%v) does not name the bad flag:\n%s", args, errw.String())
 		}
+	}
+}
+
+// TestOverflowingRangeSpreadExitsTwo pins that a finite -tx whose widest
+// node range TxRange·(1+RangeSpread) overflows is a config error, not a
+// panic from the link model.
+func TestOverflowingRangeSpreadExitsTwo(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "t.tr")
+	var sb strings.Builder
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&sb, "$node_(%d) set X_ %d.0\n$node_(%d) set Y_ 20.0\n", i, 10+20*i, i)
+	}
+	if err := os.WriteFile(tr, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw strings.Builder
+	if code := run([]string{"-trace", tr, "-tx", "1e308", "-rangespread", "0.9"}, &out, &errw); code != 2 {
+		t.Errorf("exit %d, want 2\nstderr: %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "RangeSpread") {
+		t.Errorf("stderr does not name RangeSpread:\n%s", errw.String())
 	}
 }
 

@@ -53,8 +53,8 @@
 //     frontier ([SweepResult]).
 //
 // The source side of these guarantees is enforced at compile time by
-// cardlint (internal/lint, driver cmd/cardlint), a static-analysis
-// suite CI runs as a go vet -vettool: no order-sensitive map iteration,
+// cardlint (internal/lint), a static-analysis suite whose meta-test runs
+// over the whole module under go test: no order-sensitive map iteration,
 // no wall-clock or global-RNG reads in sim code, goroutines and raw
 // locks only inside internal/par, and per-(item, round) xrand stream
 // discipline around the worker pool. Deliberate exceptions carry a

@@ -1,9 +1,9 @@
 // Package bitset provides a dense, fixed-capacity bit set keyed by small
 // non-negative integers.
 //
-// CARD leans on set algebra for its hot paths: "does the source lie in this
-// candidate's neighborhood?", "do two neighborhoods overlap?", and "union the
-// neighborhoods of every contact reachable within D levels". Neighborhoods
+// CARD leans on it for membership ("does the source lie in this
+// candidate's neighborhood?") and unions ("the neighborhoods of every
+// contact reachable within D levels"). Neighborhoods
 // are sets of node indices in [0, N) with N at most a few thousand, so a
 // word-packed bit set gives O(N/64) unions and O(1) membership with zero
 // allocation on lookups.
@@ -76,16 +76,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Empty reports whether the set has no elements.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clear removes all elements, keeping capacity.
 func (s *Set) Clear() {
 	for i := range s.words {
@@ -130,44 +120,6 @@ func (s *Set) UnionWith(o *Set) {
 	}
 }
 
-// IntersectWith removes from s every element not in o (s &= o).
-func (s *Set) IntersectWith(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
-// DifferenceWith removes from s every element of o (s &^= o).
-func (s *Set) DifferenceWith(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &^= w
-	}
-}
-
-// Intersects reports whether s and o share at least one element, without
-// allocating. This is CARD's neighborhood-overlap predicate.
-func (s *Set) Intersects(o *Set) bool {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectionCount returns |s ∩ o| without materializing the intersection.
-func (s *Set) IntersectionCount(o *Set) int {
-	s.mustMatch(o)
-	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(s.words[i] & w)
-	}
-	return c
-}
-
 // Equal reports whether s and o contain exactly the same elements. Sets of
 // different capacity are never equal.
 func (s *Set) Equal(o *Set) bool {
@@ -176,17 +128,6 @@ func (s *Set) Equal(o *Set) bool {
 	}
 	for i, w := range o.words {
 		if s.words[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every element of s is also in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	s.mustMatch(o)
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
 			return false
 		}
 	}

@@ -59,9 +59,6 @@ type Config struct {
 	// QD is the query-detection mode (default QD2, matching the paper's
 	// "bordercasting was implemented with query detection (QD1 and QD2)").
 	QD QDMode
-	// DisableReplyCounting excludes success-reply hops from the message
-	// count (included by default, mirroring card.Config).
-	DisableReplyCounting bool
 }
 
 // Protocol runs bordercast queries over a network.
@@ -142,9 +139,7 @@ func (p *Protocol) query(sent *manet.Counters, src, target NodeID) Result {
 			next = p.bordercast(sent, v, target, covered, dist, &marks, next)
 			if found := dist[target]; found >= 0 {
 				// Found during v's bordercast: reply unicasts back.
-				if !p.cfg.DisableReplyCounting {
-					sent.Record(manet.CatReply, int64(found))
-				}
+				sent.Record(manet.CatReply, int64(found))
 				return Result{Found: true, PathHops: int(found), Rounds: rounds}
 			}
 		}

@@ -179,19 +179,19 @@ func TestUnreachableTargetTerminates(t *testing.T) {
 }
 
 func TestRepliesCounted(t *testing.T) {
+	// The success reply unicasts back along the found path: PathHops
+	// reply messages on top of the query traffic.
 	net := lineNet(30)
 	bc := newBC(t, net, 3, QD1)
-	withReply := bc.Query(bc.net.Recorder(), 0, 20).Messages
-
-	net2 := lineNet(30)
-	nb2 := neighborhood.NewOracle(net2, 3)
-	bc2, err := New(net2, nb2, Config{Zone: 3, QD: QD1, DisableReplyCounting: true})
-	if err != nil {
-		t.Fatal(err)
+	res := bc.Query(bc.net.Recorder(), 0, 20)
+	if !res.Found {
+		t.Fatalf("query = %+v, want found", res)
 	}
-	withoutReply := bc2.Query(bc2.net.Recorder(), 0, 20).Messages
-	if withoutReply >= withReply {
-		t.Errorf("reply counting off (%d) not cheaper than on (%d)", withoutReply, withReply)
+	if got := net.Totals().Sum(manet.CatReply); got != int64(res.PathHops) {
+		t.Errorf("reply messages = %d, want PathHops %d", got, res.PathHops)
+	}
+	if res.Messages <= int64(res.PathHops) {
+		t.Errorf("Messages = %d, want query traffic beyond the %d reply hops", res.Messages, res.PathHops)
 	}
 }
 

@@ -73,9 +73,6 @@ type Config struct {
 	// the ablation benches switch it off). Stored inverted so the zero
 	// value means enabled.
 	DisableLocalRecovery bool
-	// CountReplies includes success-reply hops in query traffic (default
-	// on). Stored inverted so the zero value means enabled.
-	DisableReplyCounting bool
 	// MaxFailedWalks bounds how many CSQ walks may come home empty within
 	// one selection round before the source gives up until the next
 	// round. Zero (the default) means unlimited — the paper's §III.C.1

@@ -42,6 +42,20 @@ func newProtocol(t *testing.T, net *manet.Network, cfg Config, seed uint64) *Pro
 	return p
 }
 
+// selectNode runs one selection round for u alone on the protocol's own
+// Maintainer, as one shard of the engine's fan-out does, and flushes it.
+func selectNode(p *Protocol, u NodeID, now float64) int {
+	added := p.maint.SelectNode(u, now, p.NextRound())
+	p.maint.Flush()
+	return added
+}
+
+// maintainNode is selectNode for one maintenance round.
+func maintainNode(p *Protocol, u NodeID, now float64) {
+	p.maint.MaintainNode(u, now, p.NextRound())
+	p.maint.Flush()
+}
+
 // testProviders are the two substrates selection runs on: every view
 // resident, and the capped cache the 100k/1M rungs use (a quarter of the
 // field resident, the metro-rwp-1m ratio).

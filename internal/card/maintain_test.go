@@ -65,7 +65,7 @@ func TestMaintainDropsOutOfBoundContacts(t *testing.T) {
 	}
 	p.Table(0).add(Contact{ID: 12, Path: path[:1]})
 	p.slots[0].Path = path
-	p.Maintain(0, 1)
+	maintainNode(p, 0, 1)
 	for _, c := range p.Table(0).Contacts() {
 		if c.ID == 12 {
 			t.Fatal("rule 4 did not drop the over-long contact")
@@ -82,7 +82,7 @@ func TestMaintainDropsTooCloseContacts(t *testing.T) {
 	p := newProtocol(t, net, cfg, 32)
 	// A 3-hop contact: below the EM lower bound 2R=4.
 	p.Table(0).add(Contact{ID: 3, Path: []NodeID{0, 1, 2, 3}})
-	p.Maintain(0, 1)
+	maintainNode(p, 0, 1)
 	for _, c := range p.Table(0).Contacts() {
 		if c.ID == 3 {
 			t.Fatal("rule 4 did not drop the too-close contact")
@@ -105,7 +105,7 @@ func TestMaintainRefillsDeficit(t *testing.T) {
 		t.Skip("node 0 found no contacts in this topology")
 	}
 	p.Table(src).clear()
-	p.Maintain(src, 5)
+	maintainNode(p, src, 5)
 	if p.Table(src).Len() == 0 {
 		t.Error("maintenance did not refill an emptied table")
 	}

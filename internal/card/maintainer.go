@@ -107,8 +107,8 @@ func (m *Maintainer) sendHops(cat manet.Category, k int) { m.pend.Record(cat, in
 // substream. It returns the number of contacts added. Churned-down nodes
 // skip the round entirely — their radios are off — which is safe for the
 // parallel fan-out because every node's randomness comes from its own
-// substream, so a skip cannot shift any other node's draws. See
-// Protocol.SelectContacts for the serial entry point.
+// substream, so a skip cannot shift any other node's draws.
+// Protocol.SelectAll is the serial round over every node.
 func (m *Maintainer) SelectNode(u NodeID, now float64, round uint64) int {
 	if m.p.net.Down(u) {
 		return 0
@@ -118,9 +118,20 @@ func (m *Maintainer) SelectNode(u NodeID, now float64, round uint64) int {
 }
 
 // MaintainNode runs one contact-maintenance round (§III.C.3) for node u,
-// drawing any refill-selection randomness from the (u, round) substream.
-// Churned-down nodes skip the round (see SelectNode). See
-// Protocol.Maintain for the serial entry point and the rule list.
+// drawing any refill-selection randomness from the (u, round) substream:
+//
+//  1. each contact is sent a validation message along its stored source
+//     route;
+//  2. a missing next hop triggers local recovery — the node holding the
+//     message looks the missing hop (and then each later path node) up in
+//     its own neighborhood table and splices the path;
+//  3. contacts whose path cannot be recovered are lost;
+//  4. contacts whose validated route — shortened if it was spliced — is
+//     shorter than the method's lower bound or longer than r are dropped;
+//  5. a table left below NoC triggers new contact selection.
+//
+// Churned-down nodes skip the round (see SelectNode). Protocol.MaintainAll
+// is the serial round over every node.
 func (m *Maintainer) MaintainNode(u NodeID, now float64, round uint64) {
 	if m.p.net.Down(u) {
 		return
@@ -182,7 +193,7 @@ func (m *Maintainer) selectContacts(u NodeID, now float64) int {
 }
 
 // maintain implements the maintenance round on the already-seeded
-// generator; see Protocol.Maintain for the five rules.
+// generator; see MaintainNode for the five rules.
 func (m *Maintainer) maintain(u NodeID, now float64) {
 	p := m.p
 	t := &p.tables[u]

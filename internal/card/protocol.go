@@ -62,16 +62,6 @@ func (t *Table) Len() int { return int(t.n) }
 // at returns the i-th live contact in place.
 func (t *Table) at(i int) *Contact { return &t.p.slots[t.base()+i] }
 
-// AppendIDs appends the contact node ids in selection order to dst and
-// returns the extended slice.
-func (t *Table) AppendIDs(dst []NodeID) []NodeID {
-	b := t.base()
-	for i := 0; i < int(t.n); i++ {
-		dst = append(dst, t.p.slots[b+i].ID)
-	}
-	return dst
-}
-
 // add appends c to the table, copying c.Path into the slot's arena
 // segment. The capacity is exactly NoC — selection never over-fills a
 // table, and the fixed per-node spans are what keep parallel rounds
@@ -123,8 +113,8 @@ func (t *Table) clear() {
 // share one protocol object (the simulator's bird's-eye view); per-node
 // state lives in the tables.
 //
-// A Protocol's serial entry points (SelectContacts/SelectAll, Maintain/
-// MaintainAll, Query) are single-goroutine, like the Network they run on.
+// A Protocol's serial entry points (SelectAll, MaintainAll, Query) are
+// single-goroutine, like the Network they run on.
 // Concurrency happens through per-worker executors: [Querier] for the
 // read-only query fan-out, [Maintainer] for sharded selection/maintenance
 // rounds. All mutable round scratch lives in those executors; the Protocol
@@ -167,7 +157,7 @@ type Protocol struct {
 	// memo is valid for one (network epoch, tableGen) pair.
 	tableGen uint64
 
-	// maint serves the serial SelectContacts/Maintain entry points.
+	// maint serves the serial SelectAll/MaintainAll rounds.
 	maint *Maintainer
 	// querier serves the serial Protocol.Query entry point.
 	querier *Querier

@@ -209,9 +209,7 @@ func (q *Querier) dsq(v NodeID, depth int) (hops int, leaf NodeID) {
 		} else if hops, leaf = q.dsq(c.ID, depth-1); leaf < 0 {
 			continue
 		}
-		if !p.cfg.DisableReplyCounting {
-			q.pend.Record(manet.CatReply, int64(c.Hops()))
-		}
+		q.pend.Record(manet.CatReply, int64(c.Hops()))
 		return c.Hops() + hops, leaf
 	}
 	return 0, -1

@@ -26,7 +26,7 @@ func TestQueryThroughContactDepth1(t *testing.T) {
 	net := lineNet(30)
 	cfg := Config{R: 2, MaxContactDist: 12, NoC: 1, Method: EM, Depth: 1}
 	p := newProtocol(t, net, cfg, 51)
-	p.SelectContacts(0, 0)
+	selectNode(p, 0, 0)
 	tab := p.Table(0)
 	if tab.Len() != 1 {
 		t.Fatalf("selected %d contacts, want 1", tab.Len())
@@ -158,34 +158,6 @@ func TestQueryNeverWalksBackToSource(t *testing.T) {
 	// Before the fix the depth-2 DSQ also walked 10->5 (5 more msgs).
 	if res.Messages != 10 {
 		t.Errorf("Messages = %d, want 10 (no back-walk to the source)", res.Messages)
-	}
-}
-
-func TestQueryReplyCountingToggle(t *testing.T) {
-	run := func(disable bool) int64 {
-		net := lineNet(30)
-		cfg := Config{R: 2, MaxContactDist: 12, NoC: 1, Method: EM, Depth: 1,
-			DisableReplyCounting: disable}
-		p := newProtocol(t, net, cfg, 56)
-		p.SelectContacts(0, 0)
-		if p.Table(0).Len() == 0 {
-			t.Fatal("no contact selected")
-		}
-		c := p.Table(0).Contacts()[0]
-		target := c.ID + 1
-		if int(target) >= net.N() {
-			target = c.ID - 1
-		}
-		res := p.Query(0, target)
-		if !res.Found {
-			t.Fatal("query failed")
-		}
-		return res.Messages
-	}
-	with := run(false)
-	without := run(true)
-	if without >= with {
-		t.Errorf("reply counting off (%d) not cheaper than on (%d)", without, with)
 	}
 }
 

@@ -63,17 +63,13 @@ func (q *refQuerier) dsq(v, target NodeID, depth int) (int, bool) {
 		}
 		if depth == 1 {
 			if p.nb.Contains(c.ID, target) {
-				if !p.cfg.DisableReplyCounting {
-					q.reply += int64(c.Hops())
-				}
+				q.reply += int64(c.Hops())
 				return c.Hops() + p.nb.Dist(c.ID, target), true
 			}
 			continue
 		}
 		if sub, found := q.dsq(c.ID, target, depth-1); found {
-			if !p.cfg.DisableReplyCounting {
-				q.reply += int64(c.Hops())
-			}
+			q.reply += int64(c.Hops())
 			return c.Hops() + sub, true
 		}
 	}
@@ -340,7 +336,7 @@ func TestWalkMemoInvalidation(t *testing.T) {
 	}
 	check("after ResetNode")
 	for _, u := range owners {
-		p.SelectContacts(u, 3)
+		selectNode(p, u, 3)
 	}
-	check("after SelectContacts without a refresh")
+	check("after a selection round without a refresh")
 }

@@ -1,21 +1,5 @@
 package card
 
-// SelectContacts runs the contact-selection procedure of §III.C.1 for node
-// u at simulation time now: while the table holds fewer than NoC contacts,
-// send a Contact Selection Query (CSQ) through each edge node, one at a
-// time. It returns the number of contacts added.
-//
-// SelectContacts is the serial entry point: it runs on the protocol's own
-// [Maintainer] (consuming one RNG round) and flushes statistics and
-// message tallies immediately. For concurrent selection rounds, create one
-// Maintainer per worker instead — see Maintainer.SelectNode and the
-// engine's round fan-out.
-func (p *Protocol) SelectContacts(u NodeID, now float64) int {
-	added := p.maint.SelectNode(u, now, p.NextRound())
-	p.maint.Flush()
-	return added
-}
-
 // SelectAll runs one selection round for every node, in id order. All
 // nodes share the round's RNG round id: node u draws from the substream
 // (u, round), which is what makes the engine's sharded rounds bit-identical

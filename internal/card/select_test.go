@@ -151,7 +151,9 @@ func TestSelectDeterministic(t *testing.T) {
 			}
 			p.SelectAll(0)
 			for u := 0; u < nets[i].N(); u++ {
-				tabs[i] = p.Table(NodeID(u)).AppendIDs(tabs[i])
+				for _, c := range p.Table(NodeID(u)).Contacts() {
+					tabs[i] = append(tabs[i], c.ID)
+				}
 			}
 		}
 		if len(tabs[0]) != len(tabs[1]) {
@@ -216,7 +218,7 @@ func TestSelectOnDisconnectedNodeIsGraceful(t *testing.T) {
 	net := lineNet(2) // 2-node path, R=3 covers everything: no edge nodes
 	cfg := Config{R: 3, MaxContactDist: 8, NoC: 4, Method: EM}
 	p := newProtocol(t, net, cfg, 12)
-	added := p.SelectContacts(0, 0)
+	added := selectNode(p, 0, 0)
 	if added != 0 || p.Table(0).Len() != 0 {
 		t.Errorf("selected %d contacts on a 2-node network", added)
 	}

@@ -265,6 +265,11 @@ func (nc *NetworkConfig) fill() error {
 	if nc.RangeSpread < 0 || nc.RangeSpread >= 1 {
 		return fmt.Errorf("engine: RangeSpread %g outside [0, 1)", nc.RangeSpread)
 	}
+	// The widest per-node range, TxRange·(1+RangeSpread), must itself be a
+	// finite radius for the link model.
+	if math.IsInf(nc.TxRange*(1+nc.RangeSpread), 0) {
+		return fmt.Errorf("engine: TxRange %g with RangeSpread %g overflows the largest node range", nc.TxRange, nc.RangeSpread)
+	}
 	if nc.Loss < 0 || nc.Loss >= 1 {
 		return fmt.Errorf("engine: Loss %g outside [0, 1)", nc.Loss)
 	}
@@ -280,12 +285,6 @@ func (nc *NetworkConfig) fill() error {
 			nc.PartitionDuration, nc.PartitionPeriod)
 	}
 	return nil
-}
-
-// richLinks reports whether the config departs from the paper's uniform
-// lossless radio model.
-func (nc *NetworkConfig) richLinks() bool {
-	return nc.RangeSpread > 0 || nc.Loss > 0 || nc.PartitionPeriod > 0
 }
 
 // hasChurn reports whether the config enables node churn.

@@ -281,6 +281,8 @@ func TestNetworkConfigRejectsNonFinite(t *testing.T) {
 		{"PartitionPeriod", func(nc *NetworkConfig, v float64) { nc.PartitionPeriod, nc.PartitionDuration = v, 2 }},
 		{"PartitionDuration", func(nc *NetworkConfig, v float64) { nc.PartitionPeriod, nc.PartitionDuration = 10, v }},
 		{"PartitionBoth", func(nc *NetworkConfig, v float64) { nc.PartitionPeriod, nc.PartitionDuration = v, v }},
+		// Two finite values whose widest node range overflows to +Inf.
+		{"TxRangeSpread", func(nc *NetworkConfig, _ float64) { nc.TxRange, nc.RangeSpread = 1e308, 0.9 }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

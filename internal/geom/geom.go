@@ -83,7 +83,7 @@ type Grid struct {
 
 // maxGridCells bounds the bucket count: a sparse network (tiny radio range
 // over a huge area) must not allocate area/range² buckets. Coarsening the
-// cell keeps queries correct — VisitWithin is an over-approximation by
+// cell keeps queries correct — BucketRange is an over-approximation by
 // bucket either way — at worst visiting more candidates per query.
 const maxGridCells = 1 << 20
 
@@ -162,20 +162,6 @@ func (g *Grid) Remove(id int32, p Point) bool {
 		}
 	}
 	return false
-}
-
-// VisitWithin calls fn for every inserted node id whose bucket could contain
-// a point within radius of p. Callers must distance-filter: the visit is a
-// superset of the true in-range set (bucket granularity), never a subset.
-func (g *Grid) VisitWithin(p Point, radius float64, fn func(id int32)) {
-	x0, y0, x1, y1 := g.BucketRange(p, radius)
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			for _, id := range g.cells[y*g.nx+x] {
-				fn(id)
-			}
-		}
-	}
 }
 
 // BucketRange returns the inclusive cell-coordinate bounds [x0,x1]×[y0,y1]

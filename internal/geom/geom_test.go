@@ -88,6 +88,19 @@ func bruteNeighbors(pts []Point, p Point, radius float64) map[int32]bool {
 	return out
 }
 
+// visitWithin calls fn for every id in the buckets BucketRange names,
+// the scan the unit-disk builders run inline.
+func visitWithin(g *Grid, p Point, radius float64, fn func(id int32)) {
+	x0, y0, x1, y1 := g.BucketRange(p, radius)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			for _, id := range g.Bucket(x, y) {
+				fn(id)
+			}
+		}
+	}
+}
+
 func TestGridMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(2024)
 	area := Rect{710, 710}
@@ -103,7 +116,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 		p := Point{rng.Range(0, area.W), rng.Range(0, area.H)}
 		want := bruteNeighbors(pts, p, radius)
 		got := map[int32]bool{}
-		g.VisitWithin(p, radius, func(id int32) {
+		visitWithin(g, p, radius, func(id int32) {
 			if p.Dist2(pts[id]) <= radius*radius {
 				got[id] = true
 			}
@@ -131,7 +144,7 @@ func TestGridVisitIsSuperset(t *testing.T) {
 	for probe := 0; probe < 200; probe++ {
 		p := Point{rng.Range(0, 100), rng.Range(0, 100)}
 		visited := map[int32]bool{}
-		g.VisitWithin(p, 30, func(id int32) { visited[id] = true })
+		visitWithin(g, p, 30, func(id int32) { visited[id] = true })
 		for i, q := range pts {
 			if p.Dist(q) <= 30 && !visited[int32(i)] {
 				t.Fatalf("node %d at %v within 30 of %v but not visited", i, q, p)
@@ -145,9 +158,9 @@ func TestGridReset(t *testing.T) {
 	g.Insert(1, Point{1, 1})
 	g.Reset()
 	count := 0
-	g.VisitWithin(Point{1, 1}, 5, func(int32) { count++ })
+	visitWithin(g, Point{1, 1}, 5, func(int32) { count++ })
 	if count != 0 {
-		t.Errorf("after Reset, VisitWithin saw %d nodes, want 0", count)
+		t.Errorf("after Reset, the bucket scan saw %d nodes, want 0", count)
 	}
 }
 
@@ -157,9 +170,9 @@ func TestGridHandlesOutOfAreaPoints(t *testing.T) {
 	g := NewGrid(Rect{10, 10}, 5)
 	g.Insert(1, Point{-3, 20})
 	found := false
-	g.VisitWithin(Point{-3, 20}, 5, func(id int32) { found = id == 1 })
+	visitWithin(g, Point{-3, 20}, 5, func(id int32) { found = id == 1 })
 	if !found {
-		t.Error("out-of-area point not rediscovered by VisitWithin at same spot")
+		t.Error("out-of-area point not rediscovered by the bucket scan at same spot")
 	}
 }
 
@@ -221,7 +234,7 @@ func BenchmarkGridBuildAndQuery(b *testing.B) {
 		}
 		total := 0
 		for _, p := range pts {
-			g.VisitWithin(p, 50, func(int32) { total++ })
+			visitWithin(g, p, 50, func(int32) { total++ })
 		}
 	}
 }

@@ -42,9 +42,9 @@
 // of golang.org/x/tools/go/analysis (Analyzer, Pass, Report) on the
 // standard library alone, loading type information from the compiler's
 // export data via `go list -export`, so the module keeps its empty
-// dependency graph. cmd/cardlint additionally speaks the `go vet
-// -vettool` single-unit protocol, and the meta-test in this package
-// runs the whole suite over ./... and fails on any unannotated finding.
+// dependency graph. Its one driver is the meta-test in this package
+// (TestRepoHonorsDeterminismContract), which runs the whole suite over
+// ./... under `go test ./...` and fails on any unannotated finding.
 package lint
 
 import (
@@ -56,7 +56,7 @@ import (
 
 // An Analyzer is one determinism-contract check.
 type Analyzer struct {
-	// Name identifies the analyzer in output and as its driver flag.
+	// Name identifies the analyzer in output.
 	Name string
 	// Doc is a one-line description.
 	Doc string

@@ -94,9 +94,7 @@ func newInfo() *types.Info {
 
 // Load loads the packages matching patterns (resolved relative to the
 // module at dir), parses their non-test sources, and typechecks them
-// against compiler export data. It is the standalone-driver and
-// meta-test entry point; `go vet -vettool` mode receives the same
-// inputs from the build system instead.
+// against compiler export data for the meta-test.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	entries, err := goList(dir, patterns...)
 	if err != nil {
@@ -206,16 +204,12 @@ func LoadDir(modDir, dir, path string) (*Package, error) {
 	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// Check loads patterns from the module at dir and runs the given
-// analyzers (the full suite when analyzers is nil) under scope,
-// returning every surviving finding. It is the core of both the
-// repo-wide meta-test and cmd/cardlint's standalone mode.
-func Check(dir string, scope *Scope, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
+// Check loads patterns from the module at dir and runs the full suite
+// under scope (DefaultScope when nil), returning every surviving
+// finding. It is the core of the repo-wide meta-test.
+func Check(dir string, scope *Scope, patterns ...string) ([]Diagnostic, error) {
 	if scope == nil {
 		scope = DefaultScope
-	}
-	if analyzers == nil {
-		analyzers = Analyzers
 	}
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
@@ -223,7 +217,7 @@ func Check(dir string, scope *Scope, analyzers []*Analyzer, patterns ...string) 
 	}
 	var out []Diagnostic
 	for _, p := range pkgs {
-		out = append(out, RunPackage(scope, p.Fset, p.Files, p.Types, p.Info, p.Path, analyzers)...)
+		out = append(out, RunPackage(scope, p.Fset, p.Files, p.Types, p.Info, p.Path, Analyzers)...)
 	}
 	return out, nil
 }

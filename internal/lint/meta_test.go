@@ -20,7 +20,7 @@ func TestRepoHonorsDeterminismContract(t *testing.T) {
 		t.Skip("builds export data for the whole module")
 	}
 	root := linttest.ModuleRoot(t)
-	diags, err := lint.Check(root, nil, nil, "./...")
+	diags, err := lint.Check(root, nil, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}

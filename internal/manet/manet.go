@@ -94,8 +94,6 @@ type Network struct {
 	// caches lm.Max() (the only range in the scalar model).
 	lm      topology.LinkModel
 	txRange float64
-	//cardlint:stream run-owner generator stored by the single-goroutine substrate; parallel layers only ever read derived (node, round) streams
-	rng *xrand.Rand
 
 	// Loss process: every protocol-level hop draws delivery outcomes from
 	// a pure hash of (lossSeed, epoch, u, v, attempt) — see loss.go.
@@ -193,7 +191,6 @@ func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 		model:        model,
 		lm:           lm,
 		txRange:      lm.Max(),
-		rng:          rng,
 		builder:      topology.NewBuilder(model.N(), model.Area(), lm),
 		partPeriod:   cfg.Partition.Period,
 		partDuration: cfg.Partition.Duration,
@@ -313,10 +310,6 @@ func (n *Network) Position(u NodeID) geom.Point { return n.pos[u] }
 
 // Area returns the deployment area the mobility model covers.
 func (n *Network) Area() geom.Rect { return n.model.Area() }
-
-// Rng returns the network's deterministic random stream (used by protocols
-// for forwarding choices).
-func (n *Network) Rng() *xrand.Rand { return n.rng }
 
 // HasChurn reports whether the network runs a node up/down schedule.
 func (n *Network) HasChurn() bool { return n.churn != nil }

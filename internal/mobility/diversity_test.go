@@ -22,7 +22,7 @@ func buildModel(t *testing.T, kind string, seed uint64) Model {
 		}
 		return m
 	case "rpgm":
-		m, err := NewRPGM(60, area, DefaultRPGM(5), rng)
+		m, err := NewRPGM(60, area, rescueRPGM(5), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,13 +153,24 @@ func UniformTestPositions(n int, area geom.Rect) []geom.Point {
 	return pts
 }
 
+// rescueRPGM is a rescue-team-like tuning: slow group leaders with
+// pauses, members drifting within 150 m of the reference point.
+func rescueRPGM(groups int) RPGMConfig {
+	return RPGMConfig{
+		Groups:      groups,
+		GroupRadius: 150,
+		Leader:      RWPConfig{MinSpeed: 1, MaxSpeed: 5, Pause: 30},
+		MemberSpeed: 2,
+	}
+}
+
 // TestRPGMGroupCoherence checks the defining property of group mobility:
 // a node stays within GroupRadius·√2 (box diagonal) of its group's other
 // members' reference point, i.e. intra-group spread is bounded while the
 // whole group travels.
 func TestRPGMGroupCoherence(t *testing.T) {
 	area := geom.Rect{W: 2000, H: 2000}
-	cfg := DefaultRPGM(4)
+	cfg := rescueRPGM(4)
 	m, err := NewRPGM(40, area, cfg, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)

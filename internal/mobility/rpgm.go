@@ -27,17 +27,6 @@ type RPGMConfig struct {
 	MemberPause float64
 }
 
-// DefaultRPGM returns a rescue-team-like tuning: slow group leaders with
-// pauses, members drifting within 150 m of the reference point.
-func DefaultRPGM(groups int) RPGMConfig {
-	return RPGMConfig{
-		Groups:      groups,
-		GroupRadius: 150,
-		Leader:      RWPConfig{MinSpeed: 1, MaxSpeed: 5, Pause: 30},
-		MemberSpeed: 2,
-	}
-}
-
 func (c RPGMConfig) validate() error {
 	if c.Groups < 1 {
 		return fmt.Errorf("mobility: RPGM needs >= 1 group, got %d", c.Groups)

@@ -31,7 +31,6 @@ type NodeID = topology.NodeID
 type Directory struct {
 	n       int
 	holders map[ID][]NodeID
-	hosted  map[NodeID][]ID
 
 	// PlaceReplicas sampling scratch: sample holds the identity
 	// permutation between calls (each call swaps k positions and swaps
@@ -45,7 +44,6 @@ func NewDirectory(n int) *Directory {
 	return &Directory{
 		n:       n,
 		holders: make(map[ID][]NodeID),
-		hosted:  make(map[NodeID][]ID),
 	}
 }
 
@@ -58,7 +56,6 @@ func (d *Directory) Place(id ID, u NodeID) {
 		}
 	}
 	d.holders[id] = append(d.holders[id], u)
-	d.hosted[u] = append(d.hosted[u], id)
 }
 
 // PlaceReplicas registers k distinct uniformly random holders for id.
@@ -66,10 +63,10 @@ func (d *Directory) Place(id ID, u NodeID) {
 // Holders are drawn with a partial Fisher–Yates shuffle over a persistent
 // identity scratch: exactly k swaps forward, then k swaps back, so after
 // the first call placing a resource costs O(k) — not the O(n) time and
-// allocation of the full rng.Perm(n) it replaces. The sampled k-subsets
-// are distributed identically to the Perm(n) prefix, but the draw consumes
-// k values from rng instead of n-1, so placements for a given seed differ
-// from pre-change streams.
+// allocation of the full n-permutation it replaces. The sampled k-subsets
+// are distributed identically to that permutation's prefix, but the draw
+// consumes k values from rng instead of n-1, so placements for a given
+// seed differ from pre-change streams.
 func (d *Directory) PlaceReplicas(id ID, k int, rng *xrand.Rand) {
 	if k > d.n {
 		k = d.n
@@ -124,11 +121,6 @@ func (d *Directory) IDs() []ID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Hosted returns the resources node u holds (copy).
-func (d *Directory) Hosted(u NodeID) []ID {
-	return append([]ID(nil), d.hosted[u]...)
 }
 
 // Resources returns the number of distinct resources registered.

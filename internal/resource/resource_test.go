@@ -15,8 +15,8 @@ func TestDirectoryPlacement(t *testing.T) {
 	if got := d.Holders(1); len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Errorf("Holders(1) = %v", got)
 	}
-	if got := d.Hosted(10); len(got) != 2 {
-		t.Errorf("Hosted(10) = %v", got)
+	if got := d.Holders(2); len(got) != 1 || got[0] != 10 {
+		t.Errorf("Holders(2) = %v", got)
 	}
 	if d.Resources() != 2 {
 		t.Errorf("Resources = %d", d.Resources())

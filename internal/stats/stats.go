@@ -1,7 +1,7 @@
 // Package stats provides the statistical accumulators the experiment
 // harness needs: running mean/variance (Welford), fixed-bin histograms
-// matching the paper's 5 %-bin reachability distributions, and time series
-// for the overhead-over-time figures.
+// matching the paper's 5 %-bin reachability distributions, and quantile
+// summaries.
 package stats
 
 import (
@@ -94,9 +94,7 @@ func (w *Welford) String() string {
 type Histogram struct {
 	width  float64
 	counts []int64
-	under  int64 // samples < 0
-	over   int64 // samples >= width*len(counts)
-	total  int64
+	total  int64 // samples added, outliers included
 }
 
 // NewHistogram creates a histogram with the given bin width and bin count.
@@ -111,12 +109,11 @@ func NewHistogram(width float64, bins int) *Histogram {
 // over [0, 100).
 func NewReachabilityHistogram() *Histogram { return NewHistogram(5, 20) }
 
-// Add counts one sample. Samples below 0 or at/above the top edge are
-// tracked separately (a reachability of exactly 100 % falls in the last bin).
+// Add counts one sample. Samples below 0 or beyond the top edge count
+// toward Total only (a reachability of exactly 100 % falls in the last bin).
 func (h *Histogram) Add(x float64) {
 	h.total++
 	if x < 0 {
-		h.under++
 		return
 	}
 	i := int(x / h.width)
@@ -125,19 +122,10 @@ func (h *Histogram) Add(x float64) {
 		// outlier.
 		if x <= h.width*float64(len(h.counts))+1e-9 {
 			h.counts[len(h.counts)-1]++
-			return
 		}
-		h.over++
 		return
 	}
 	h.counts[i]++
-}
-
-// Bins returns a copy of the per-bin counts.
-func (h *Histogram) Bins() []int64 {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
-	return out
 }
 
 // Bin returns the count in bin i.
@@ -152,9 +140,6 @@ func (h *Histogram) BinWidth() float64 { return h.width }
 // Total returns the number of samples added, including outliers.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Outliers returns the counts of below-range and above-range samples.
-func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }
-
 // Merge adds o's counts into h. Histograms must have identical shape.
 func (h *Histogram) Merge(o *Histogram) {
 	if h.width != o.width || len(h.counts) != len(o.counts) {
@@ -163,8 +148,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
-	h.under += o.under
-	h.over += o.over
 	h.total += o.total
 }
 
@@ -180,22 +163,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// FractionAtOrAbove returns the fraction of in-range samples in bins whose
-// lower edge is >= x. Used for "fraction of nodes with reachability >= 50 %".
-func (h *Histogram) FractionAtOrAbove(x float64) float64 {
-	var hit, n int64
-	for i, c := range h.counts {
-		n += c
-		if float64(i)*h.width >= x {
-			hit += c
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(hit) / float64(n)
 }
 
 // String renders a compact one-line view: "[5:12 10:40 ...]" listing
@@ -216,60 +183,6 @@ func (h *Histogram) String() string {
 	}
 	sb.WriteByte(']')
 	return sb.String()
-}
-
-// Series is an (x, y) sequence for time-series figures: overhead per node
-// sampled at t = 2, 4, 6, 8, 10 s and the like.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// AddPoint appends one (x, y) sample.
-func (s *Series) AddPoint(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// YAt returns the y value for the first point with the given x, or
-// (0, false) when absent.
-func (s *Series) YAt(x float64) (float64, bool) {
-	for i, v := range s.X {
-		if v == x {
-			return s.Y[i], true
-		}
-	}
-	return 0, false
-}
-
-// MaxY returns the largest y value (0 for an empty series).
-func (s *Series) MaxY() float64 {
-	m := 0.0
-	for i, v := range s.Y {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Normalized returns a copy of the series with y values scaled into [0, 1]
-// by the maximum (the paper's Fig. 14 normalization). A zero series is
-// returned unchanged.
-func (s *Series) Normalized() *Series {
-	out := &Series{Name: s.Name, X: append([]float64(nil), s.X...), Y: append([]float64(nil), s.Y...)}
-	m := s.MaxY()
-	if m == 0 {
-		return out
-	}
-	for i := range out.Y {
-		out.Y[i] /= m
-	}
-	return out
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

@@ -10,6 +10,16 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// inRange sums the bin counts: the samples a histogram kept, outliers
+// excluded.
+func inRange(h *Histogram) int64 {
+	var n int64
+	for i := 0; i < h.NumBins(); i++ {
+		n += h.Bin(i)
+	}
+	return n
+}
+
 func TestWelfordBasics(t *testing.T) {
 	var w Welford
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -91,13 +101,11 @@ func TestHistogramBinning(t *testing.T) {
 	h.Add(100)  // top edge -> last bin
 	h.Add(150)  // over
 	h.Add(-1)   // under
-	bins := h.Bins()
-	if bins[0] != 2 || bins[1] != 1 || bins[19] != 2 {
-		t.Errorf("bins = %v", bins)
+	if h.Bin(0) != 2 || h.Bin(1) != 1 || h.Bin(19) != 2 {
+		t.Errorf("bins = %v", h)
 	}
-	under, over := h.Outliers()
-	if under != 1 || over != 1 {
-		t.Errorf("outliers = %d/%d", under, over)
+	if got := inRange(h); got != 5 {
+		t.Errorf("in-range mass = %d, want 5 (two outliers)", got)
 	}
 	if h.Total() != 7 {
 		t.Errorf("Total = %d", h.Total())
@@ -116,22 +124,6 @@ func TestHistogramMean(t *testing.T) {
 	}
 }
 
-func TestHistogramFractionAtOrAbove(t *testing.T) {
-	h := NewReachabilityHistogram()
-	for i := 0; i < 6; i++ {
-		h.Add(30) // bin [30,35)
-	}
-	for i := 0; i < 4; i++ {
-		h.Add(80) // bin [80,85)
-	}
-	if got := h.FractionAtOrAbove(50); !almostEqual(got, 0.4, 1e-12) {
-		t.Errorf("FractionAtOrAbove(50) = %v, want 0.4", got)
-	}
-	if got := h.FractionAtOrAbove(0); got != 1 {
-		t.Errorf("FractionAtOrAbove(0) = %v, want 1", got)
-	}
-}
-
 func TestHistogramMerge(t *testing.T) {
 	a := NewHistogram(5, 4)
 	b := NewHistogram(5, 4)
@@ -140,7 +132,7 @@ func TestHistogramMerge(t *testing.T) {
 	b.Add(7)
 	a.Merge(b)
 	if a.Bin(0) != 2 || a.Bin(1) != 1 || a.Total() != 3 {
-		t.Errorf("merged histogram wrong: %v total %d", a.Bins(), a.Total())
+		t.Errorf("merged histogram wrong: %v total %d", a, a.Total())
 	}
 }
 
@@ -159,41 +151,6 @@ func TestHistogramString(t *testing.T) {
 	h.Add(11)
 	if got := h.String(); got != "[5:1 15:1]" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.AddPoint(2, 100)
-	s.AddPoint(4, 50)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if y, ok := s.YAt(4); !ok || y != 50 {
-		t.Errorf("YAt(4) = %v, %v", y, ok)
-	}
-	if _, ok := s.YAt(99); ok {
-		t.Error("YAt(99) should be absent")
-	}
-	if s.MaxY() != 100 {
-		t.Errorf("MaxY = %v", s.MaxY())
-	}
-	n := s.Normalized()
-	if n.Y[0] != 1 || n.Y[1] != 0.5 {
-		t.Errorf("Normalized = %v", n.Y)
-	}
-	// normalization must not mutate the original
-	if s.Y[0] != 100 {
-		t.Error("Normalized mutated source series")
-	}
-}
-
-func TestSeriesNormalizedZero(t *testing.T) {
-	var s Series
-	s.AddPoint(1, 0)
-	n := s.Normalized()
-	if n.Y[0] != 0 {
-		t.Errorf("zero series normalization = %v", n.Y)
 	}
 }
 
@@ -261,20 +218,21 @@ func TestQuickWelfordMatchesNaive(t *testing.T) {
 }
 
 func TestQuickHistogramConservation(t *testing.T) {
-	// in-range counts + outliers == total, regardless of input.
+	// in-range samples land in a bin, every sample counts toward Total,
+	// regardless of input.
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		h := NewHistogram(5, 20)
 		n := rng.Intn(500)
+		var want int64
 		for i := 0; i < n; i++ {
-			h.Add(rng.Range(-50, 200))
+			x := rng.Range(-50, 200)
+			if x >= 0 && x <= 100 {
+				want++
+			}
+			h.Add(x)
 		}
-		var inRange int64
-		for _, c := range h.Bins() {
-			inRange += c
-		}
-		under, over := h.Outliers()
-		return inRange+under+over == h.Total() && h.Total() == int64(n)
+		return inRange(h) == want && h.Total() == int64(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -44,16 +44,6 @@ type Axis struct {
 	Values []float64 `json:"values"`
 }
 
-// Label renders value index i of the axis for human-facing output
-// (methods render as EM/PM1/PM2, numbers compactly).
-func (a Axis) Label(i int) string {
-	d, err := canonAxis(a.Name)
-	if err != nil {
-		return fmt.Sprintf("%g", a.Values[i])
-	}
-	return d.render(a.Values[i])
-}
-
 // Grid spans the cartesian product of its axes, times Seeds repetitions
 // per point. The zero Workers uses up to GOMAXPROCS cell workers; 1 forces
 // the serial reference order (results are bit-identical either way).

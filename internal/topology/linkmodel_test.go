@@ -48,8 +48,8 @@ func TestDirectedEdgesFollowRanges(t *testing.T) {
 		if len(g.InNeighbors(0)) != 0 {
 			t.Errorf("%s: InNeighbors(0) = %v, want empty", name, g.InNeighbors(0))
 		}
-		if min, max := g.RangeSpan(); min != 30 || max != 100 {
-			t.Errorf("%s: RangeSpan = (%v,%v), want (30,100)", name, min, max)
+		if g.RangeOf(0) != 100 || g.RangeOf(1) != 30 {
+			t.Errorf("%s: RangeOf = (%v,%v), want (100,30)", name, g.RangeOf(0), g.RangeOf(1))
 		}
 		if g.TxRange() != 100 {
 			t.Errorf("%s: TxRange = %v, want max range 100", name, g.TxRange())

@@ -71,7 +71,7 @@ func (g *Graph) Area() geom.Rect { return g.area }
 
 // TxRange returns the transmission range in meters. For a heterogeneous
 // snapshot this is the maximum over all nodes — callers that render or
-// size by range should check Heterogeneous and use RangeOf/RangeSpan for
+// size by range should check Heterogeneous and use RangeOf for
 // the distribution instead of silently reporting the max.
 func (g *Graph) TxRange() float64 { return g.rng }
 
@@ -86,23 +86,6 @@ func (g *Graph) RangeOf(u NodeID) float64 {
 // Heterogeneous reports whether nodes carry individual transmission
 // ranges (TxRange is then only the maximum).
 func (g *Graph) Heterogeneous() bool { return g.ranges != nil }
-
-// RangeSpan returns the smallest and largest per-node transmission range.
-func (g *Graph) RangeSpan() (min, max float64) {
-	if g.ranges == nil {
-		return g.rng, g.rng
-	}
-	min, max = g.ranges[0], g.ranges[0]
-	for _, r := range g.ranges[1:] {
-		if r < min {
-			min = r
-		}
-		if r > max {
-			max = r
-		}
-	}
-	return min, max
-}
 
 // Directed reports whether the snapshot was built from a link model that
 // can produce asymmetric links (per-node ranges or a partition barrier).
@@ -392,50 +375,6 @@ func UniformPositions(n int, area geom.Rect, rng *xrand.Rand) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Point{X: rng.Range(0, area.W), Y: rng.Range(0, area.H)}
-	}
-	return pts
-}
-
-// GridPositions places n nodes on a jittered square lattice covering area;
-// jitter is the fraction of a cell by which each node is perturbed. Used by
-// the static sensor-field example (sensors deployed in a rough grid).
-func GridPositions(n int, area geom.Rect, jitter float64, rng *xrand.Rand) []geom.Point {
-	pts := make([]geom.Point, 0, n)
-	// Choose a cols x rows lattice with cols*rows >= n, as square as possible.
-	cols := 1
-	for cols*cols < n {
-		cols++
-	}
-	rows := (n + cols - 1) / cols
-	dx := area.W / float64(cols)
-	dy := area.H / float64(rows)
-	for i := 0; i < n; i++ {
-		cx := float64(i%cols)*dx + dx/2
-		cy := float64(i/cols)*dy + dy/2
-		p := geom.Point{
-			X: cx + rng.Range(-jitter, jitter)*dx,
-			Y: cy + rng.Range(-jitter, jitter)*dy,
-		}
-		pts = append(pts, area.Clamp(p))
-	}
-	return pts
-}
-
-// ClusteredPositions places n nodes around k uniformly placed cluster
-// centers with Gaussian spread sigma, clamped to the area. Models hotspot
-// deployments (units concentrated around objectives).
-func ClusteredPositions(n, k int, sigma float64, area geom.Rect, rng *xrand.Rand) []geom.Point {
-	if k < 1 {
-		panic("topology: need at least one cluster")
-	}
-	centers := UniformPositions(k, area, rng)
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		c := centers[rng.Intn(k)]
-		pts[i] = area.Clamp(geom.Point{
-			X: c.X + rng.NormFloat64()*sigma,
-			Y: c.Y + rng.NormFloat64()*sigma,
-		})
 	}
 	return pts
 }

@@ -306,50 +306,6 @@ func TestUniformPositionsInArea(t *testing.T) {
 	}
 }
 
-func TestGridPositions(t *testing.T) {
-	rng := xrand.New(10)
-	area := geom.Rect{W: 100, H: 100}
-	pts := GridPositions(25, area, 0, rng)
-	if len(pts) != 25 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	// Without jitter a 5x5 lattice has 20 m spacing starting at 10 m.
-	if pts[0] != (geom.Point{X: 10, Y: 10}) {
-		t.Errorf("pts[0] = %v", pts[0])
-	}
-	if pts[24] != (geom.Point{X: 90, Y: 90}) {
-		t.Errorf("pts[24] = %v", pts[24])
-	}
-	for _, p := range GridPositions(30, area, 0.4, rng) {
-		if !area.Contains(p) {
-			t.Fatalf("jittered grid position %v outside area", p)
-		}
-	}
-}
-
-func TestClusteredPositions(t *testing.T) {
-	rng := xrand.New(12)
-	area := geom.Rect{W: 500, H: 500}
-	pts := ClusteredPositions(200, 4, 30, area, rng)
-	if len(pts) != 200 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if !area.Contains(p) {
-			t.Fatalf("clustered position %v outside area", p)
-		}
-	}
-}
-
-func TestClusteredPanicsOnZeroClusters(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("k=0 did not panic")
-		}
-	}()
-	ClusteredPositions(10, 0, 1, geom.Rect{W: 10, H: 10}, xrand.New(1))
-}
-
 func TestQuickBFSTriangleInequalityOverEdges(t *testing.T) {
 	// For any edge (u,v): |dist(s,u) - dist(s,v)| <= 1.
 	f := func(seed uint64) bool {

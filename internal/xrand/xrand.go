@@ -117,9 +117,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 // Uses Lemire's multiply-shift rejection method to avoid modulo bias.
 func (r *Rand) Intn(n int) int {
@@ -188,16 +185,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts shuffles s in place (Fisher–Yates).
 func (r *Rand) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
@@ -212,15 +199,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Pick returns a uniformly random element index of a slice of length n,
-// or -1 if n == 0.
-func (r *Rand) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return r.Intn(n)
 }
 
 // Zipf samples from the bounded Zipf distribution over {0, …, n-1}:

@@ -257,20 +257,18 @@ func TestNormFloat64(t *testing.T) {
 }
 
 func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	p := r.Perm(50)
+	// Shuffling the identity of [0, 50) yields a permutation of it.
+	p := make([]int, 50)
+	for i := range p {
+		p[i] = i
+	}
+	New(13).ShuffleInts(p)
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
+			t.Fatalf("ShuffleInts produced invalid permutation: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestPermZero(t *testing.T) {
-	if p := New(1).Perm(0); len(p) != 0 {
-		t.Errorf("Perm(0) = %v, want empty", p)
 	}
 }
 
@@ -288,12 +286,6 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 	if sum != sum2 || len(s) != 7 {
 		t.Errorf("shuffle changed contents: %v", s)
-	}
-}
-
-func TestPickEmpty(t *testing.T) {
-	if got := New(1).Pick(0); got != -1 {
-		t.Errorf("Pick(0) = %d, want -1", got)
 	}
 }
 
