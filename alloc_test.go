@@ -26,7 +26,7 @@ func TestAllocBudgetAdvance1k(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.SelectContacts()
-	sim.Engine().SetMaintainWorkers(1)
+	sim.Engine.SetMaintainWorkers(1)
 	period := sim.Config().ValidatePeriod
 	// Warm up: let retrying walkers exhaust their fresh randomness churn
 	// and every reusable buffer reach its steady capacity.
@@ -71,7 +71,7 @@ func TestAllocBudgetQuietAdvance10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.SelectContacts()
-	sim.Engine().SetMaintainWorkers(1)
+	sim.Engine.SetMaintainWorkers(1)
 	period := sim.Config().ValidatePeriod
 	for i := 0; i < 5; i++ {
 		sim.Advance(period)
@@ -85,5 +85,43 @@ func TestAllocBudgetQuietAdvance10k(t *testing.T) {
 	t.Logf("allocs per quiet 10k-node tick: %.1f (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("quiet steady-state tick allocates %.1f times, budget %d", got, budget)
+	}
+}
+
+// TestAllocBudgetChurnedRefresh10k pins a churned refresh beside the quiet
+// one: 10k static nodes under churn (mean up 200 s, down 20 s, ~25 flips
+// per 0.5 s refresh) with dirty maintenance and no round in the window, so
+// each tick is the flip queue, the masked topology update, the dirty
+// expansion, churn expiry through the owners-of index and readmission.
+// The queue, the flip lists, the expiry candidates and the deficit bitset
+// are all reused scratch.
+func TestAllocBudgetChurnedRefresh10k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	sim, err := NewSimulation(NetworkConfig{
+		Nodes: 10000, Width: 4200, Height: 4200, TxRange: 100,
+		ChurnMeanUp: 200, ChurnMeanDown: 20, DirtyMaintenance: true, Seed: 9,
+	}, Config{R: 2, MaxContactDist: 10, NoC: 8, Depth: 3, ValidatePeriod: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SelectContacts()
+	sim.Engine.SetMaintainWorkers(1)
+	for i := 0; i < 5; i++ {
+		sim.Advance(0.5)
+	}
+	expired := sim.Stats().ContactsExpired
+	got := testing.AllocsPerRun(20, func() {
+		sim.Advance(0.5)
+	})
+	if sim.Stats().ContactsExpired == expired || sim.Rounds() != 0 {
+		t.Fatalf("window expired nothing or ran a round (%d rounds)", sim.Rounds())
+	}
+	// Measures 1: the refresh's new topology.Graph header.
+	const budget = 1
+	t.Logf("allocs per churned 10k-node refresh: %.1f (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("churned refresh allocates %.1f times, budget %d", got, budget)
 	}
 }

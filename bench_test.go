@@ -158,7 +158,7 @@ func benchMaintain5k(b *testing.B, workers int) {
 	}
 	sim.SelectContacts()
 	sim.Advance(20)
-	sim.Engine().SetMaintainWorkers(workers)
+	sim.Engine.SetMaintainWorkers(workers)
 	period := sim.Config().ValidatePeriod
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -299,7 +299,7 @@ func BenchmarkAdvance100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.Advance(period)
 	}
-	b.ReportMetric(float64(sim.Engine().LastRoundNodes()), "round-nodes")
+	b.ReportMetric(float64(sim.Engine.LastRoundNodes()), "round-nodes")
 }
 
 // BenchmarkMaintain100k isolates the restricted maintenance round at 100k:
@@ -317,7 +317,7 @@ func BenchmarkMaintain100k(b *testing.B) {
 		b.StartTimer()
 		sim.Maintain()
 	}
-	b.ReportMetric(float64(sim.Engine().LastRoundNodes()), "round-nodes")
+	b.ReportMetric(float64(sim.Engine.LastRoundNodes()), "round-nodes")
 }
 
 // BenchmarkWorkload100k streams 2 simulated seconds of 200 qps Zipf-skewed
@@ -371,7 +371,7 @@ func BenchmarkAdvance1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.Advance(period)
 	}
-	b.ReportMetric(float64(sim.Engine().LastRoundNodes()), "round-nodes")
+	b.ReportMetric(float64(sim.Engine.LastRoundNodes()), "round-nodes")
 }
 
 // BenchmarkMaintain1M isolates the restricted maintenance round at 10⁶
@@ -389,7 +389,7 @@ func BenchmarkMaintain1M(b *testing.B) {
 		b.StartTimer()
 		sim.Maintain()
 	}
-	b.ReportMetric(float64(sim.Engine().LastRoundNodes()), "round-nodes")
+	b.ReportMetric(float64(sim.Engine.LastRoundNodes()), "round-nodes")
 }
 
 // BenchmarkMaintenanceRound measures a network-wide validation round under
@@ -461,7 +461,7 @@ func BenchmarkWorkloadLossy10k(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim.SelectContacts()
-	before := sim.Engine().Messages()
+	before := sim.Engine.Messages()
 	var last *WorkloadReport
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -477,9 +477,9 @@ func BenchmarkWorkloadLossy10k(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(last.SuccessPct, "success-%")
-	m := sim.Engine().Messages()
+	m := sim.Engine.Messages()
 	retries := float64(m.Retry - before.Retry)
-	total := (m.TotalPerNode - before.TotalPerNode) * float64(sim.Engine().Nodes())
+	total := (m.TotalPerNode - before.TotalPerNode) * float64(sim.Engine.Nodes())
 	if total > 0 {
 		b.ReportMetric(100*retries/total, "retry-share-%")
 	}

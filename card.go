@@ -167,23 +167,26 @@ func NewPresetSimulation(name string, seed uint64) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{e: e}, nil
+	return &Simulation{e}, nil
 }
 
 // Simulation binds a mobile network, its proactive neighborhood substrate
-// and a CARD protocol instance, and offers the flooding and bordercasting
-// baselines on the same topology for comparison. It is a thin facade over
-// [engine.Engine], which owns the time-stepping loop and the batch-query
-// fan-out.
+// and a CARD protocol instance, and offers the flooding, expanding-ring,
+// bordercast and rendezvous baselines on the same topology for comparison
+// (QueryVia). It embeds [engine.Engine], which owns the time-stepping loop,
+// the round and batch-query fan-outs and every accessor — Advance,
+// SelectContacts, Maintain, Query, BatchQuery, RunWorkload, QueryVia,
+// Reachability, MeanReachability, Stats, Messages, Nodes, UpNodes, Now,
+// Config, Protocol, RandomPairs — and adds only the read-outs below.
 //
 // Mutating calls (Advance, SelectContacts, Maintain) are single-goroutine;
 // run independent simulations on separate goroutines for parameter sweeps.
 // BatchQuery — and, since the round fan-out, the selection/maintenance
 // rounds inside Advance/SelectContacts/Maintain — parallelize internally,
 // with results bit-identical to the serial loops at any GOMAXPROCS (use
-// Engine().SetMaintainWorkers to bound or disable the round sharding).
+// SetMaintainWorkers to bound or disable the round sharding).
 type Simulation struct {
-	e *engine.Engine
+	*engine.Engine
 }
 
 // NewSimulation builds a network per nc and a CARD instance per cfg.
@@ -192,111 +195,13 @@ func NewSimulation(nc NetworkConfig, cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{e: e}, nil
-}
-
-// Engine exposes the underlying engine for advanced use (direct network
-// access, worker bounds).
-func (s *Simulation) Engine() *engine.Engine { return s.e }
-
-// Nodes returns the network size.
-func (s *Simulation) Nodes() int { return s.e.Nodes() }
-
-// UpNodes returns how many nodes are up in the current snapshot — equal
-// to Nodes unless the scenario runs node churn (NetworkConfig.ChurnMeanUp
-// / ChurnMeanDown).
-func (s *Simulation) UpNodes() int { return s.e.UpNodes() }
-
-// Now returns the current simulation time in seconds.
-func (s *Simulation) Now() float64 { return s.e.Now() }
-
-// Config returns the protocol configuration with defaults filled.
-func (s *Simulation) Config() Config { return s.e.Config() }
-
-// Protocol exposes the underlying CARD protocol instance for advanced use
-// (per-node tables, reachability).
-func (s *Simulation) Protocol() *proto.Protocol { return s.e.Protocol() }
-
-// Advance moves simulated time forward by dt seconds: node positions and
-// the connectivity snapshot are refreshed, and one maintenance round runs
-// for every elapsed ValidatePeriod boundary; the neighborhood views follow
-// the new snapshot with no traffic of their own (the converged view).
-// The schedule is drift-free: maintenance boundaries are indexed by an
-// integer round counter, so no boundary is skipped or fired twice no
-// matter how Advance calls are sliced. dt <= 0, NaN or +Inf is a no-op.
-func (s *Simulation) Advance(dt float64) { s.e.Advance(dt) }
-
-// SelectContacts runs initial contact selection for every node, sharded
-// across the maintenance worker pool.
-func (s *Simulation) SelectContacts() int { return s.e.SelectContacts() }
-
-// Maintain forces one maintenance round for every node now, sharded
-// across the maintenance worker pool.
-func (s *Simulation) Maintain() { s.e.Maintain() }
-
-// Query runs a CARD destination search from src for target.
-func (s *Simulation) Query(src, target NodeID) QueryResult {
-	return s.e.Query(src, target)
-}
-
-// BatchQuery runs one CARD destination search per pair, fanned across
-// worker goroutines, and returns results indexed like pairs. Results and
-// message accounting are identical to a sequential Query loop over the
-// same pairs (each query is a pure read of protocol state), so equal seeds
-// give equal results at any GOMAXPROCS.
-func (s *Simulation) BatchQuery(pairs []Pair) []QueryResult {
-	return s.e.BatchQuery(pairs)
-}
-
-// RunWorkload drives the simulation with sustained open-loop query
-// traffic per cfg, advancing simulated time by cfg.Duration with mobility
-// and maintenance interleaved tick by tick. The per-query outcome stream
-// is bit-identical between serial and sharded execution at any GOMAXPROCS.
-func (s *Simulation) RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
-	return s.e.RunWorkload(cfg)
+	return &Simulation{e}, nil
 }
 
 // Contacts returns node u's current contact table entries — a read-only
 // view of the protocol's contact slab, valid until the next maintenance
 // round or churn event.
-func (s *Simulation) Contacts(u NodeID) []Contact { return s.e.Protocol().Table(u).Contacts() }
-
-// Reachability returns the percentage of live network nodes u can reach
-// with a depth-D contact search. Under node churn the denominator is the
-// up population — down nodes are not discoverable, so counting them would
-// conflate churn duty cycle with contact quality — and a down u reports
-// 0. Without churn this is the plain over-N percentage.
-func (s *Simulation) Reachability(u NodeID, depth int) float64 {
-	return s.e.Reachability(u, depth)
-}
-
-// MeanReachability averages Reachability over the up nodes (all nodes
-// when the scenario runs no churn).
-func (s *Simulation) MeanReachability(depth int) float64 {
-	return s.e.MeanReachability(depth)
-}
-
-// Stats returns protocol-level statistics.
-func (s *Simulation) Stats() Stats { return s.e.Stats() }
-
-// Messages returns the simulation's control-message accounting.
-func (s *Simulation) Messages() MessageCounts { return s.e.Messages() }
-
-// QueryVia resolves one node-target query through the named discovery
-// scheme — SchemeFlood, SchemeBordercast, any of SchemeNames; "" means
-// SchemeCARD — on the current topology, charged by exactly the rules
-// sustained workloads and sweeps use. An unknown scheme name or a node id
-// outside [0, Nodes()) is an error, never a panic. The scheme is built per
-// call: this is the side-by-side comparison tool for a handful of pairs;
-// bulk traffic belongs to RunWorkload.
-//
-// One deliberate difference from the FloodQuery/BordercastQuery methods
-// it replaces: at src == target every scheme answers locally at zero
-// messages (the uniform self-held rule), where FloodQuery(u, u) charged a
-// whole-component flood. RandomPair never draws that case.
-func (s *Simulation) QueryVia(name WorkloadScheme, src, target NodeID) (DiscoveryResult, error) {
-	return s.e.QueryVia(name, src, target)
-}
+func (s *Simulation) Contacts(u NodeID) []Contact { return s.Protocol().Table(u).Contacts() }
 
 // Census summarizes the current topology (the paper's Table 1 metrics).
 type Census struct {
@@ -310,7 +215,7 @@ type Census struct {
 
 // TopologyCensus computes connectivity statistics of the current snapshot.
 func (s *Simulation) TopologyCensus() Census {
-	c := s.e.Network().Graph().ComputeCensus()
+	c := s.Network().Graph().ComputeCensus()
 	return Census{
 		Links:          c.Links,
 		MeanDegree:     c.MeanDegree,
@@ -325,15 +230,9 @@ func (s *Simulation) TopologyCensus() Census {
 // largest connected component — the standard query workload. When the
 // component holds fewer than two nodes (an empty or fully partitioned
 // graph), both returns name the component's sole member (or 0), never an
-// out-of-range index; use RandomPairs or Engine().RandomPair when the
+// out-of-range index; use RandomPairs or Engine.RandomPair when the
 // degenerate case must be detected.
 func (s *Simulation) RandomPair(seed uint64) (src, dst NodeID) {
-	p, _ := s.e.RandomPair(seed)
+	p, _ := s.Engine.RandomPair(seed)
 	return p.Src, p.Dst
-}
-
-// RandomPairs draws up to k distinct-node pairs from the largest connected
-// component (fewer — possibly zero — when the component is degenerate).
-func (s *Simulation) RandomPairs(k int, seed uint64) []Pair {
-	return s.e.RandomPairs(k, seed)
 }

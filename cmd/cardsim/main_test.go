@@ -127,6 +127,22 @@ func TestOverflowingRangeSpreadExitsTwo(t *testing.T) {
 	}
 }
 
+// TestChurnBelowFloorExitsTwo pins the runaway-churn guard at the CLI: a
+// mean under 1 ms made every refresh run one renewal draw per elapsed
+// mean per node (1e-9 never finished). With -horizon 0 the run stops
+// before the first refresh, so a build that accepts the schedule exits 0
+// quickly instead of hanging; the guard exits 2 and names the floor.
+func TestChurnBelowFloorExitsTwo(t *testing.T) {
+	var out, errw strings.Builder
+	code := run([]string{"-preset", "citywide-rwp-1k", "-churn", "1e-9,1e-9", "-qps", "0", "-horizon", "0", "-queries", "0"}, &out, &errw)
+	if code != 2 {
+		t.Errorf("exit %d, want 2\nstderr: %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "floor") {
+		t.Errorf("stderr does not name the floor:\n%s", errw.String())
+	}
+}
+
 // TestOversizedRadiusIsAnError pins the hostile-sweep path: R = 256
 // overflows the view's uint8 distance column, which used to surface as a
 // panic from inside engine.New. run() returning at all means no panic

@@ -21,8 +21,8 @@
 // ([NewPresetSimulation]; see [Presets]). The full stack lives under
 // internal/ — unit-disk topology (incremental spatial-hash builder), six
 // mobility models, a round-stepped engine, the converged R-hop view
-// table, the protocol itself — and [Simulation.Engine] exposes the engine
-// layer for advanced use (direct network access, worker bounds).
+// table, the protocol itself — and Simulation embeds the engine, whose
+// accessors serve advanced use (direct network access, worker bounds).
 //
 // # Determinism guarantees
 //
@@ -37,7 +37,7 @@
 //     Maintain shard nodes across workers, with each node drawing from a
 //     counter-based (node, round) RNG substream — tables, statistics and
 //     recorder totals equal the serial id-order loop at any worker count
-//     (Engine().SetMaintainWorkers bounds or disables the fan-out).
+//     (SetMaintainWorkers bounds or disables the fan-out).
 //   - Node churn (NetworkConfig.ChurnMeanUp / ChurnMeanDown) schedules
 //     per-node up/down phases from per-node derived streams, so churned
 //     runs — including the parallel paths above — stay reproducible.

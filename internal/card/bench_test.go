@@ -1,6 +1,7 @@
 package card
 
 import (
+	"slices"
 	"testing"
 
 	"card/internal/geom"
@@ -48,8 +49,9 @@ func BenchmarkSelectNode(b *testing.B) {
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
 				u := NodeID(k % benchNodes)
-				p.tables[u].clear()
+				p.clearTable(u)
 				benchSink += m.SelectNode(u, 0, 1)
+				m.Flush()
 			}
 		})
 	}
@@ -287,4 +289,81 @@ func TestAllocBudgetQuery(t *testing.T) {
 			t.Errorf("%s: %d steady-state queries allocate %.0f times, want 0", w.name, len(pairs), got)
 		}
 	}
+}
+
+// BenchmarkExpireNodes times one refresh's churn expiry on a warmed 20k
+// field: 20000 static nodes at the citywide density (the bench field
+// scaled up), R=2, r=10, NoC=6, EM, under churn (mean up 200 s, down 20 s)
+// expired and refilled every 10 s up to t = 60 s. Each op expires four up
+// nodes that other tables hold; the tables it touched are restored
+// untimed, so every op sees the same steady field. expired/op is the
+// entries an op drops, so ns/op ÷ expired/op compares across commits.
+func BenchmarkExpireNodes(b *testing.B) {
+	const n = 20000
+	area := geom.Rect{W: 6640, H: 6640}
+	churn, err := manet.NewChurn(n, manet.ChurnConfig{MeanUp: 200, MeanDown: 20}, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := manet.NewNetwork(mobility.NewStatic(topology.UniformPositions(n, area, xrand.New(2)), area),
+		manet.Config{Link: topology.LinkModel{Uniform: 100}, Churn: churn}, xrand.New(3))
+	cfg := Config{R: 2, MaxContactDist: 10, NoC: 6, Depth: 3, Method: EM}
+	p, err := New(net, neighborhood.NewOracle(net, cfg.R), cfg, xrand.New(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.SelectAll(0)
+	for t := 10.0; t <= 60; t += 10 {
+		net.RefreshAt(t)
+		p.ExpireNodes(net.ChurnedDown())
+		for _, v := range net.ChurnedUp() {
+			p.ResetNode(v)
+		}
+		p.SelectAll(t)
+	}
+	rng := xrand.New(5)
+	var batches [][]NodeID
+	for len(batches) < 256 {
+		var batch []NodeID
+		for len(batch) < 4 {
+			if v := NodeID(rng.Intn(n)); net.Up(v) && len(p.heldBy[v]) > 0 {
+				batch = append(batch, v)
+			}
+		}
+		batches = append(batches, batch)
+	}
+	type saved struct {
+		owner NodeID
+		cs    []Contact
+	}
+	var keep []saved
+	expired := p.Stats().ContactsExpired
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		batch := batches[k%len(batches)]
+		b.StopTimer()
+		keep = keep[:0]
+		for _, v := range batch {
+			for _, u := range append([]NodeID{v}, p.heldBy[v]...) {
+				cs := slices.Clone(p.tables[u].Contacts())
+				for i := range cs {
+					cs[i].Path = slices.Clone(cs[i].Path)
+				}
+				keep = append(keep, saved{u, cs})
+			}
+		}
+		b.StartTimer()
+		benchSink += len(p.ExpireNodes(batch))
+		b.StopTimer()
+		for _, s := range keep { // an owner listed twice is restored twice, harmlessly
+			p.clearTable(s.owner)
+			for _, c := range s.cs {
+				inject(p, s.owner, c)
+			}
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(p.Stats().ContactsExpired-expired)/float64(b.N), "expired/op")
 }

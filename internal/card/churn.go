@@ -1,6 +1,10 @@
 package card
 
-import "card/internal/bitset"
+import (
+	"slices"
+
+	"card/internal/bitset"
+)
 
 // ExpireNodes processes a batch of nodes leaving the network (churn): each
 // departed node's own contact table is cleared — a device that powers off
@@ -10,9 +14,11 @@ import "card/internal/bitset"
 // vanished until the next validation walk fails, which is exactly how the
 // paper's maintenance handles broken paths.
 //
-// The whole batch costs one pass over the tables (the engine hands over
-// every node that went down at a refresh at once), not one per departure.
-// All expired entries are counted in Stats.ContactsExpired.
+// The owners-of index names every table that lists a departed node, so
+// the batch (the engine hands over every node that went down at a refresh
+// at once) visits only those tables: O(entries dropped · NoC), not a sweep
+// of the field. Each visited table is filtered in place, selection order
+// kept. All expired entries are counted in Stats.ContactsExpired.
 //
 // ExpireNodes mutates multiple tables and must only be called from the
 // serial engine loop (between rounds), never concurrently with a round
@@ -27,51 +33,53 @@ func (p *Protocol) ExpireNodes(vs []NodeID) (affected []NodeID) {
 	if len(vs) == 0 {
 		return nil
 	}
-	// Membership scratch: a lazily allocated bitset beats the old per-batch
-	// map — no allocation per churn event, O(1) probes in the table sweep —
-	// and is cleared by removing only the bits this batch set.
+	// Membership scratch, lazily allocated and cleared by removing only
+	// the bits this batch set.
 	if p.departed == nil {
 		p.departed = bitset.New(p.net.N())
 	}
-	p.affected = p.affected[:0]
 	p.tableGen++
+	cand := p.affected[:0]
 	for _, v := range vs {
 		p.departed.Add(int(v))
-		p.stats.ContactsExpired += int64(p.tables[v].Len())
-		p.tables[v].clear()
+		cand = append(append(cand, v), p.heldBy[v]...)
+		p.stats.ContactsExpired += int64(p.clearTable(v))
 	}
-	for i := range p.tables {
-		t := &p.tables[i]
-		shrank := p.departed.Contains(i) // cleared above
+	// The index's inner order depends on flush order; sorting is what keeps
+	// the visit order, and so every output, independent of it.
+	slices.Sort(cand)
+	cand = slices.Compact(cand)
+	for _, u := range cand {
+		t := &p.tables[u]
 		for j := 0; j < t.Len(); {
 			if p.departed.Contains(int(t.at(j).ID)) {
 				t.removeAt(j)
 				p.stats.ContactsExpired++
-				shrank = true
 				continue
 			}
 			j++
 		}
-		if shrank {
-			p.affected = append(p.affected, NodeID(i))
-		}
 	}
+	// Every entry naming a departed node is gone: its own owners' were
+	// released by clearTable, the rest were filtered out above.
 	for _, v := range vs {
 		p.departed.Remove(int(v))
+		p.heldBy[v] = p.heldBy[v][:0]
 	}
-	return p.affected
+	p.affected = cand
+	return cand
 }
 
-// ResetNode clears node u's contact table without touching other tables:
-// a churned node is readmitted cold and re-selects contacts at the next
-// round. With the engine's churn wiring the table is normally already
-// empty (ExpireNodes cleared it on departure); the reset is the defensive
-// half of the contract for callers driving churn by hand. Counted
-// expiries only cover entries actually dropped.
+// ResetNode empties node u's contact table (releasing its entries from
+// the owners-of index) without touching other tables: a churned node is
+// readmitted cold and re-selects contacts at the next round. With the
+// engine's churn wiring the table is normally already empty (ExpireNodes
+// cleared it on departure); the reset is the defensive half of the
+// contract for callers driving churn by hand. Counted expiries only cover
+// entries actually dropped.
 //
 // Like ExpireNodes, ResetNode is serial-only.
 func (p *Protocol) ResetNode(u NodeID) {
 	p.tableGen++
-	p.stats.ContactsExpired += int64(p.tables[u].Len())
-	p.tables[u].clear()
+	p.stats.ContactsExpired += int64(p.clearTable(u))
 }

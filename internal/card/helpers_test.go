@@ -56,6 +56,20 @@ func maintainNode(p *Protocol, u NodeID, now float64) {
 	p.maint.Flush()
 }
 
+// inject appends c to u's table as a selection round would and records it
+// in the owners-of index. Every test that plants a contact goes through it,
+// so the index stays exact for the expiry under test.
+func inject(p *Protocol, u NodeID, c Contact) {
+	p.tables[u].add(c)
+	p.hold(u, c.ID)
+}
+
+// dropAt removes u's i-th contact and releases it from the index.
+func dropAt(p *Protocol, u NodeID, i int) {
+	p.release(u, p.tables[u].at(i).ID)
+	p.tables[u].removeAt(i)
+}
+
 // testProviders are the two substrates selection runs on: every view
 // resident, and the capped cache the 100k/1M rungs use (a quarter of the
 // field resident, the metro-rwp-1m ratio).

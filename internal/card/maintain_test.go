@@ -63,7 +63,7 @@ func TestMaintainDropsOutOfBoundContacts(t *testing.T) {
 	for i := range path {
 		path[i] = NodeID(i)
 	}
-	p.Table(0).add(Contact{ID: 12, Path: path[:1]})
+	inject(p, 0, Contact{ID: 12, Path: path[:1]})
 	p.slots[0].Path = path
 	maintainNode(p, 0, 1)
 	for _, c := range p.Table(0).Contacts() {
@@ -81,7 +81,7 @@ func TestMaintainDropsTooCloseContacts(t *testing.T) {
 	cfg := Config{R: 2, MaxContactDist: 10, NoC: 1, Method: EM}
 	p := newProtocol(t, net, cfg, 32)
 	// A 3-hop contact: below the EM lower bound 2R=4.
-	p.Table(0).add(Contact{ID: 3, Path: []NodeID{0, 1, 2, 3}})
+	inject(p, 0, Contact{ID: 3, Path: []NodeID{0, 1, 2, 3}})
 	maintainNode(p, 0, 1)
 	for _, c := range p.Table(0).Contacts() {
 		if c.ID == 3 {
@@ -104,7 +104,7 @@ func TestMaintainRefillsDeficit(t *testing.T) {
 	if had == 0 {
 		t.Skip("node 0 found no contacts in this topology")
 	}
-	p.Table(src).clear()
+	p.clearTable(src)
 	maintainNode(p, src, 5)
 	if p.Table(src).Len() == 0 {
 		t.Error("maintenance did not refill an emptied table")

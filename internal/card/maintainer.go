@@ -66,11 +66,26 @@ type Maintainer struct {
 	route   []NodeID
 	pathOut []NodeID
 
-	// Locally accumulated protocol statistics and transmission tallies,
-	// flushed on demand.
+	// Locally accumulated protocol statistics, transmission tallies and
+	// table edits, flushed on demand. held logs every entry this
+	// Maintainer added to or removed from a table, for Flush to apply to
+	// the protocol's owners-of index: nothing shared is written mid-round.
 	stats Stats
 	pend  manet.Counters
+	held  []heldEdit
 }
+
+// heldEdit is one logged table change: owner's table gained (add) or lost
+// an entry naming contact.
+type heldEdit struct {
+	owner, contact NodeID
+	add            bool
+}
+
+// heldKeep is the log capacity, in edits, Flush always lets a Maintainer
+// keep. A larger buffer survives only while a flush uses a quarter of it,
+// so the initial selection's N·NoC edits are not held for the whole run.
+const heldKeep = 4096
 
 // NewMaintainer creates an independent selection/maintenance executor
 // over p.
@@ -85,14 +100,27 @@ func (p *Protocol) NewMaintainer() *Maintainer {
 }
 
 // Flush hands the locally accumulated statistics and message tallies to
-// the protocol and its network recorder, and zeroes them. Call after a
-// serial round completes, or — with concurrent Maintainers — serially
-// after the fan-out joins.
+// the protocol and its network recorder, applies the logged table edits
+// to the owners-of index, and zeroes all three. Call after a serial round
+// completes, or — with concurrent Maintainers — serially after the
+// fan-out joins.
 func (m *Maintainer) Flush() {
 	m.pend.AddTo(m.p.net.Recorder())
 	m.pend.Reset()
 	m.p.stats.add(m.stats)
 	m.stats = Stats{}
+	for _, e := range m.held {
+		if e.add {
+			m.p.hold(e.owner, e.contact)
+		} else {
+			m.p.release(e.owner, e.contact)
+		}
+	}
+	if cap(m.held) > max(heldKeep, 4*len(m.held)) {
+		m.held = nil
+	} else {
+		m.held = m.held[:0]
+	}
 }
 
 // sendHop accounts one unicast hop transmission of category cat into the
@@ -178,6 +206,7 @@ func (m *Maintainer) selectContacts(u NodeID, now float64) int {
 		if path != nil {
 			c := path[len(path)-1]
 			t.add(Contact{ID: c, Path: path, SelectedAt: now, LastValidated: now})
+			m.held = append(m.held, heldEdit{u, c, true})
 			m.markIneligible(p.nb.Members(c))
 			m.stats.ContactsSelected++
 			added++
@@ -197,21 +226,19 @@ func (m *Maintainer) selectContacts(u NodeID, now float64) int {
 func (m *Maintainer) maintain(u NodeID, now float64) {
 	p := m.p
 	t := &p.tables[u]
+	lo := p.cfg.Method.lowerBound(p.cfg.R)
 	for i := 0; i < t.Len(); {
 		newPath, ok := m.validatePath(t.at(i))
-		if !ok {
-			m.stats.ContactsLost++
-			t.removeAt(i)
-			continue
-		}
-		hops := len(newPath) - 1
-		lo := p.cfg.Method.lowerBound(p.cfg.R)
-		if hops < lo || hops > p.cfg.MaxContactDist {
-			m.stats.ContactsLost++
+		if hops := len(newPath) - 1; ok && (hops < lo || hops > p.cfg.MaxContactDist) {
+			ok = false
 			m.stats.BoundDrops++
 			if hops > p.cfg.MaxContactDist {
 				m.stats.TooFarDrops++
 			}
+		}
+		if !ok {
+			m.stats.ContactsLost++
+			m.held = append(m.held, heldEdit{u, t.at(i).ID, false})
 			t.removeAt(i)
 			continue
 		}

@@ -2,6 +2,7 @@ package card
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"card/internal/bitset"
@@ -39,8 +40,8 @@ func (c *Contact) Hops() int { return len(c.Path) - 1 }
 // spans of distinct nodes are disjoint, which is what lets per-worker
 // Maintainers mutate their shard's tables without locks.
 type Table struct {
-	owner NodeID
 	p     *Protocol
+	owner NodeID
 	n     int32 // live contacts in the span
 }
 
@@ -100,15 +101,6 @@ func (t *Table) removeAt(i int) {
 	t.p.slots[b+int(t.n)] = Contact{}
 }
 
-// clear drops every contact.
-func (t *Table) clear() {
-	b := t.base()
-	for i := 0; i < int(t.n); i++ {
-		t.p.slots[b+i] = Contact{}
-	}
-	t.n = 0
-}
-
 // Protocol is a CARD instance covering every node of a network. All nodes
 // share one protocol object (the simulator's bird's-eye view); per-node
 // state lives in the tables.
@@ -118,8 +110,8 @@ func (t *Table) clear() {
 // Concurrency happens through per-worker executors: [Querier] for the
 // read-only query fan-out, [Maintainer] for sharded selection/maintenance
 // rounds. All mutable round scratch lives in those executors; the Protocol
-// itself holds only the tables, the run-seed lineage and the aggregated
-// statistics.
+// itself holds only the tables, their owners-of index, the run-seed
+// lineage and the aggregated statistics.
 type Protocol struct {
 	cfg Config
 	net *manet.Network
@@ -138,6 +130,13 @@ type Protocol struct {
 	slots     []Contact
 	pathArena []NodeID
 	pathCap   int
+
+	// heldBy[v] lists the owners whose table names v, once per entry, in
+	// no particular order: the reverse of the tables, kept exact so that
+	// churn expiry visits only the owners of a departed node. Serial table
+	// changes update it directly (clearTable, ExpireNodes); a round's
+	// changes are logged per Maintainer and applied by Maintainer.Flush.
+	heldBy [][]NodeID
 
 	// departed is the churn-expiry scratch (see ExpireNodes); lazily
 	// allocated, cleared by removing only the bits it set. affected is the
@@ -224,6 +223,7 @@ func New(net *manet.Network, nb neighborhood.Provider, cfg Config, rng *xrand.Ra
 		nb:        nb,
 		rng:       rng,
 		tables:    make([]Table, n),
+		heldBy:    make([][]NodeID, n),
 		slots:     make([]Contact, n*cfg.NoC),
 		pathArena: make([]NodeID, n*cfg.NoC*(cfg.MaxContactDist+1)),
 		pathCap:   cfg.MaxContactDist + 1,
@@ -247,6 +247,33 @@ func (p *Protocol) setSeg(slot int, path []NodeID) []NodeID {
 	seg := p.pathArena[slot*p.pathCap : slot*p.pathCap+len(path) : (slot+1)*p.pathCap]
 	copy(seg, path)
 	return seg[:len(path):len(path)]
+}
+
+// hold records in the owners-of index that owner's table gained an entry
+// naming c. Serial only.
+func (p *Protocol) hold(owner, c NodeID) { p.heldBy[c] = append(p.heldBy[c], owner) }
+
+// release records that owner's table lost one entry naming c. Serial only.
+func (p *Protocol) release(owner, c NodeID) {
+	h := p.heldBy[c]
+	i := slices.Index(h, owner)
+	if i < 0 {
+		panic(fmt.Sprintf("card: owners-of index lost entry %d→%d", owner, c))
+	}
+	h[i] = h[len(h)-1]
+	p.heldBy[c] = h[:len(h)-1]
+}
+
+// clearTable drops every contact of u's table, releasing each from the
+// owners-of index, and returns how many it dropped. Serial only.
+func (p *Protocol) clearTable(u NodeID) int {
+	cs := p.tables[u].Contacts()
+	for i := range cs {
+		p.release(u, cs[i].ID)
+		cs[i] = Contact{}
+	}
+	p.tables[u].n = 0
+	return len(cs)
 }
 
 // NextRound allocates the next RNG round id. Every selection or

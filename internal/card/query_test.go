@@ -123,8 +123,8 @@ func TestQueryDedupTerminatesOnContactCycles(t *testing.T) {
 	p := newProtocol(t, net, cfg, 55)
 	pathAB := []NodeID{5, 6, 7, 8, 9, 10}
 	pathBA := []NodeID{10, 9, 8, 7, 6, 5}
-	p.Table(5).add(Contact{ID: 10, Path: pathAB})
-	p.Table(10).add(Contact{ID: 5, Path: pathBA})
+	inject(p, 5, Contact{ID: 10, Path: pathAB})
+	inject(p, 10, Contact{ID: 5, Path: pathBA})
 	// Target nowhere near either: query must terminate (not hang) and fail.
 	res := p.Query(5, 39)
 	if res.Found {
@@ -145,8 +145,8 @@ func TestQueryNeverWalksBackToSource(t *testing.T) {
 	cfg := Config{R: 2, MaxContactDist: 12, NoC: 2, Method: EM, Depth: 2}
 	p := newProtocol(t, net, cfg, 59)
 	// Symmetric hand-crafted contacts: 5 -> 10 and 10 -> 5 (5 hops each).
-	p.Table(5).add(Contact{ID: 10, Path: []NodeID{5, 6, 7, 8, 9, 10}})
-	p.Table(10).add(Contact{ID: 5, Path: []NodeID{10, 9, 8, 7, 6, 5}})
+	inject(p, 5, Contact{ID: 10, Path: []NodeID{5, 6, 7, 8, 9, 10}})
+	inject(p, 10, Contact{ID: 5, Path: []NodeID{10, 9, 8, 7, 6, 5}})
 	// Target far outside both neighborhoods and the depth-2 horizon.
 	res := p.Query(5, 39)
 	if res.Found {
@@ -167,7 +167,7 @@ func TestQueryBrokenContactPathFails(t *testing.T) {
 	})
 	cfg := Config{R: 1, MaxContactDist: 6, NoC: 1, Method: EM, Depth: 1}
 	p := newProtocol(t, net, cfg, 57)
-	p.Table(0).add(Contact{ID: 5, Path: []NodeID{0, 1, 2, 3, 4, 5}})
+	inject(p, 0, Contact{ID: 5, Path: []NodeID{0, 1, 2, 3, 4, 5}})
 	teleport(net, 3, 900, 900)
 	res := p.Query(0, 6)
 	if res.Found {

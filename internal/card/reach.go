@@ -14,12 +14,7 @@ import "card/internal/bitset"
 // nothing and reports 0. Without churn this is the original N-denominator
 // definition.
 func (p *Protocol) Reachability(u NodeID, depth int) float64 {
-	return p.reachability(u, depth, p.net.UpCount())
-}
-
-// reachability is Reachability with the up-population precomputed, so
-// whole-network averages pay the O(N) up-count scan once, not per node.
-func (p *Protocol) reachability(u NodeID, depth int, up int) float64 {
+	up := p.net.UpCount()
 	if up == 0 || p.net.Down(u) {
 		return 0
 	}
@@ -62,17 +57,13 @@ func (p *Protocol) reachableSet(u NodeID, depth int) *bitset.Set {
 // the live population can discover; without churn every node is up and
 // this is the plain all-nodes mean.
 func (p *Protocol) MeanReachability(depth int) float64 {
-	n := p.net.N()
-	upCount := p.net.UpCount()
-	if upCount == 0 {
+	up := p.net.UpCount()
+	if up == 0 {
 		return 0
 	}
 	var sum float64
-	for i := 0; i < n; i++ {
-		if p.net.Down(NodeID(i)) {
-			continue
-		}
-		sum += p.reachability(NodeID(i), depth, upCount)
+	for i := 0; i < p.net.N(); i++ {
+		sum += p.Reachability(NodeID(i), depth) // 0 for a down node
 	}
-	return sum / float64(upCount)
+	return sum / float64(up)
 }

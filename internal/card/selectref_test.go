@@ -129,6 +129,7 @@ func refSelectContacts(m *Maintainer, u NodeID, now float64) int {
 		}
 		if path != nil {
 			t.add(Contact{ID: path[len(path)-1], Path: path, SelectedAt: now, LastValidated: now})
+			m.held = append(m.held, heldEdit{u, path[len(path)-1], true})
 			m.stats.ContactsSelected++
 			added++
 		}
@@ -498,9 +499,10 @@ func TestIneligibleTracksTable(t *testing.T) {
 					}
 					// Drop every other node's oldest contact so the second
 					// round starts from part-filled tables.
-					for u := 0; u < w.net.N(); u += 2 {
+					m.Flush()
+					for u := NodeID(0); int(u) < w.net.N(); u += 2 {
 						if p.tables[u].Len() > 0 {
-							p.tables[u].removeAt(0)
+							dropAt(p, u, 0)
 						}
 					}
 				}
@@ -546,10 +548,10 @@ func TestSelectMatchesReference(t *testing.T) {
 					t.Fatalf("%s: stats %+v, reference %+v", name, pa.Stats(), pb.Stats())
 				}
 				// Thin both tables the same way so later rounds refill.
-				for u := round; u < w.net.N(); u += 3 {
+				for u := NodeID(round); int(u) < w.net.N(); u += 3 {
 					for _, p := range []*Protocol{pa, pb} {
 						if p.tables[u].Len() > 0 {
-							p.tables[u].removeAt(p.tables[u].Len() / 2)
+							dropAt(p, u, p.tables[u].Len()/2)
 						}
 					}
 				}

@@ -3,9 +3,11 @@ package engine
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	proto "card/internal/card"
+	"card/internal/workload"
 )
 
 // churnNet is a mobile scenario with aggressive churn: short up/down
@@ -122,5 +124,70 @@ func TestChurnExpiresContacts(t *testing.T) {
 	}
 	if up := e.UpNodes(); up == 0 || up == e.Nodes() {
 		t.Errorf("implausible up count %d/%d", up, e.Nodes())
+	}
+}
+
+// TestChurnMeanBelowFloorRejected pins the guard against the renewal loop
+// running away: a mean up- or down-time under 1 ms is a configuration
+// error naming the floor, reported by New before any refresh runs. (At
+// 1e-9 the first Advance never returned.)
+func TestChurnMeanBelowFloorRejected(t *testing.T) {
+	for _, c := range [][2]float64{{1e-9, 1e-9}, {1e-6, 5}, {5, 0.999e-3}} {
+		nc := testNet(60)
+		nc.ChurnMeanUp, nc.ChurnMeanDown = c[0], c[1]
+		_, err := New(nc, testCfg())
+		if err == nil || !strings.Contains(err.Error(), "floor") {
+			t.Errorf("churn %v: New = %v, want the floor error", c, err)
+		}
+	}
+	nc := testNet(60)
+	nc.ChurnMeanUp, nc.ChurnMeanDown = 1e-3, 1e-3
+	e := newEngine(t, nc, testCfg())
+	e.Advance(2) // ~2000 flips per node: bounded work
+	if e.Rounds() != 1 {
+		t.Fatalf("rounds = %d, want 1", e.Rounds())
+	}
+}
+
+// TestChurnEveryNodeDown pins the degenerate world where the whole
+// population is down: every node selects at t = 0 and is down by the
+// first boundary (mean up-time 1 ms, mean down-time ~30 years). Every
+// selected contact is expired exactly once, rounds keep firing over empty
+// tables, nothing is reachable, no pair can be drawn, and every offered
+// query is an offline-source arrival.
+func TestChurnEveryNodeDown(t *testing.T) {
+	for _, dirty := range []bool{false, true} {
+		nc := churnNet(200)
+		nc.ChurnMeanUp, nc.ChurnMeanDown = 1e-3, 1e9
+		nc.DirtyMaintenance = dirty
+		e := newEngine(t, nc, testCfg())
+		added := e.SelectContacts()
+		if added == 0 || e.UpNodes() != 200 {
+			t.Fatalf("dirty=%v: t=0 selection added %d with %d up", dirty, added, e.UpNodes())
+		}
+		e.Advance(4)
+		st := e.Stats()
+		if e.UpNodes() != 0 || e.Protocol().TotalContacts() != 0 || e.Rounds() != 2 {
+			t.Fatalf("dirty=%v: %d up, %d contacts, %d rounds; want 0, 0, 2", dirty, e.UpNodes(), e.Protocol().TotalContacts(), e.Rounds())
+		}
+		if st.ContactsExpired != int64(added) || st.ContactsSelected != int64(added) || st.ContactsLost != 0 {
+			t.Fatalf("dirty=%v: %d selected, %d expired, %d lost; want %d, %d, 0", dirty, st.ContactsSelected, st.ContactsExpired, st.ContactsLost, added, added)
+		}
+		if r := e.MeanReachability(1); r != 0 || e.Reachability(0, 1) != 0 {
+			t.Fatalf("dirty=%v: reachability %v with every node down", dirty, r)
+		}
+		if pairs := e.RandomPairs(10, 1); len(pairs) != 0 {
+			t.Fatalf("dirty=%v: drew %v from a field with every node down", dirty, pairs)
+		}
+		rep, err := e.RunWorkload(workload.Config{QPS: 20, Duration: 4, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Queries == 0 || rep.SrcDown != rep.Queries || rep.Found != 0 {
+			t.Fatalf("dirty=%v: %d queries, %d offline, %d found; want every query offline", dirty, rep.Queries, rep.SrcDown, rep.Found)
+		}
+		if e.Stats() != st || e.UpNodes() != 0 {
+			t.Fatalf("dirty=%v: protocol state moved while every node was down: %+v", dirty, e.Stats())
+		}
 	}
 }

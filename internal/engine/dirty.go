@@ -28,11 +28,11 @@ import "math/bits"
 //   - Rule 5 (refill) is a no-op at NoC contacts, and selection rounds
 //     skip full tables outright.
 //
-// The below-NoC half of the round list needs no diff tracking at all: an
-// O(N) table-length scan per round catches churn expiry victims, cold
-// readmissions, and nodes whose earlier walks failed and that retry with
-// fresh randomness every round (the paper's "lost opportunities" — these
-// must keep retrying even when nothing moved nearby).
+// The below-NoC half of the round list needs no diff tracking: the
+// deficit bitset (see the deficit invariant below) holds churn expiry
+// victims, cold readmissions, and nodes whose earlier walks failed and that
+// retry with fresh randomness every round (the paper's "lost opportunities"
+// — these must keep retrying even when nothing moved nearby).
 //
 // What a dirty round deliberately does NOT reproduce from a full round:
 // the CatValidate traffic and LastValidated refresh of clean nodes'

@@ -535,8 +535,11 @@ func (e *Engine) refresh(t float64) {
 // the connectivity snapshot are refreshed, one maintenance round runs at
 // every elapsed ValidatePeriod boundary (a boundary landing exactly on the
 // target time fires). Each boundary refreshes the snapshot at its own time
-// before its round runs. dt <= 0, NaN or +Inf is a no-op: an unbounded
-// step has no last round to stop at.
+// before its round runs; the neighborhood views follow each snapshot with
+// no traffic of their own (the converged view). The schedule is drift-free:
+// boundaries are indexed by an integer round counter, so none is skipped
+// or fired twice however the Advance calls are sliced. dt <= 0, NaN or
+// +Inf is a no-op: an unbounded step has no last round to stop at.
 func (e *Engine) Advance(dt float64) {
 	if !(dt > 0) || math.IsInf(dt, 1) {
 		return

@@ -1,6 +1,8 @@
 package manet
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"card/internal/geom"
@@ -19,34 +21,134 @@ func testChurn(t *testing.T, n int, seed uint64) *Churn {
 }
 
 func TestChurnConfigValidation(t *testing.T) {
-	for _, cfg := range []ChurnConfig{{MeanUp: 0, MeanDown: 1}, {MeanUp: 1, MeanDown: -2}} {
-		if _, err := NewChurn(5, cfg, xrand.New(1)); err == nil {
-			t.Errorf("NewChurn accepted %+v", cfg)
+	for _, cfg := range []ChurnConfig{
+		{MeanUp: 0, MeanDown: 1}, {MeanUp: 1, MeanDown: -2},
+		{MeanUp: 1e-9, MeanDown: 1}, {MeanUp: 1, MeanDown: 0.999e-3},
+	} {
+		_, err := NewChurn(5, cfg, xrand.New(1))
+		if err == nil || !strings.Contains(err.Error(), "floor") {
+			t.Errorf("NewChurn(%+v) = %v, want the floor error", cfg, err)
+		}
+	}
+	if _, err := NewChurn(5, ChurnConfig{MeanUp: 1e-3, MeanDown: 1e-3}, xrand.New(1)); err != nil {
+		t.Errorf("NewChurn rejected means at the floor: %v", err)
+	}
+}
+
+// scanChurn is the per-node scan the wake queue replaced, kept as its
+// oracle: the same derived stream and renewal loop per node, each node
+// holding its own next flip time and sampled one at a time.
+type scanChurn struct {
+	cfg   ChurnConfig
+	rngs  []*xrand.Rand
+	up    []bool
+	until []float64
+	count []int // flips so far, per node
+}
+
+func newScanChurn(n int, cfg ChurnConfig, rng *xrand.Rand) *scanChurn {
+	c := &scanChurn{cfg: cfg, rngs: make([]*xrand.Rand, n), up: make([]bool, n), until: make([]float64, n), count: make([]int, n)}
+	for i := range c.rngs {
+		c.rngs[i] = rng.Derive(uint64(i))
+		c.up[i] = true
+		c.until[i] = cfg.MeanUp * c.rngs[i].ExpFloat64()
+	}
+	return c
+}
+
+// upAt advances node i to t (non-decreasing per node) and reports its state.
+func (c *scanChurn) upAt(i int, t float64) bool {
+	for t >= c.until[i] {
+		c.up[i] = !c.up[i]
+		c.count[i]++
+		if c.up[i] {
+			c.until[i] += c.cfg.MeanUp * c.rngs[i].ExpFloat64()
+		} else {
+			c.until[i] += c.cfg.MeanDown * c.rngs[i].ExpFloat64()
+		}
+	}
+	return c.up[i]
+}
+
+// flips samples every node at t, in id order, and lists the state changes.
+func (c *scanChurn) flips(t float64) (down, up []NodeID) {
+	for i := range c.up {
+		was := c.up[i]
+		switch now := c.upAt(i, t); {
+		case now == was:
+		case now:
+			up = append(up, NodeID(i))
+		default:
+			down = append(down, NodeID(i))
+		}
+	}
+	return down, up
+}
+
+// TestChurnQueueMatchesScan drives the wake queue and the scan oracle
+// through the same refresh times — irregular gaps, repeated times, and
+// gaps spanning many flips of one node — and requires equal flip lists
+// and equal per-node states after every call.
+func TestChurnQueueMatchesScan(t *testing.T) {
+	const n = 300
+	for _, cfg := range []ChurnConfig{{MeanUp: 10, MeanDown: 4}, {MeanUp: 0.05, MeanDown: 0.02}, {MeanUp: 3, MeanDown: 3}} {
+		q, err := NewChurn(n, cfg, xrand.New(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newScanChurn(n, cfg, xrand.New(11))
+		rng := xrand.New(12)
+		tm := 0.0
+		var down, up []NodeID
+		for step := 0; step < 400; step++ {
+			switch step % 4 {
+			case 0: // repeat the last time
+			case 1:
+				tm += rng.Range(0, 0.1)
+			case 2:
+				tm += rng.ExpFloat64()
+			case 3:
+				tm += 10 * cfg.MeanUp * rng.Float64() // many flips per node
+			}
+			down, up = q.flips(tm, down[:0], up[:0])
+			wantDown, wantUp := ref.flips(tm)
+			if !slices.Equal(down, wantDown) || !slices.Equal(up, wantUp) {
+				t.Fatalf("%+v t=%v: flips down %v up %v, scan %v %v", cfg, tm, down, up, wantDown, wantUp)
+			}
+			for i := range q.down {
+				if q.down[i] == ref.up[i] {
+					t.Fatalf("%+v t=%v: node %d down=%v, scan up=%v", cfg, tm, i, q.down[i], ref.up[i])
+				}
+			}
+		}
+		if len(q.queue) != n {
+			t.Fatalf("%+v: queue holds %d of %d nodes", cfg, len(q.queue), n)
 		}
 	}
 }
 
 // TestChurnDeterministicPerSeed pins the schedule contract: equal seeds
-// give identical flip sequences under any monotone sampling, and sampling
-// one node never perturbs another (per-node derived streams).
+// give identical flip sequences under any monotone sampling, and how
+// often the schedule is sampled never changes any node's state (per-node
+// derived streams).
 func TestChurnDeterministicPerSeed(t *testing.T) {
 	const n = 40
 	a := testChurn(t, n, 5)
 	b := testChurn(t, n, 5)
 	times := []float64{0, 0.5, 3, 3, 7.25, 20, 100, 400}
 	for _, tm := range times {
-		for i := 0; i < n; i++ {
-			if a.UpAt(i, tm) != b.UpAt(i, tm) {
-				t.Fatalf("node %d diverges at t=%v under equal seeds", i, tm)
-			}
+		ad, au := a.flips(tm, nil, nil)
+		bd, bu := b.flips(tm, nil, nil)
+		if !slices.Equal(ad, bd) || !slices.Equal(au, bu) {
+			t.Fatalf("flips diverge at t=%v under equal seeds", tm)
 		}
 	}
 	// Independence: a third schedule sampled only at the final time must
 	// agree with one sampled densely.
 	c := testChurn(t, n, 5)
-	last := times[len(times)-1]
+	c.flips(times[len(times)-1], nil, nil)
 	for i := 0; i < n; i++ {
-		if got, want := c.UpAt(i, last), a.UpAt(i, last); got != want {
+		if got, want := c.down[i], a.down[i]; got != want {
 			t.Fatalf("node %d: sparse sampling %v != dense sampling %v", i, got, want)
 		}
 	}
@@ -55,21 +157,16 @@ func TestChurnDeterministicPerSeed(t *testing.T) {
 func TestChurnActuallyFlips(t *testing.T) {
 	const n = 50
 	c := testChurn(t, n, 9)
-	everDown := 0
-	for i := 0; i < n; i++ {
-		wasDown := false
-		for tm := 0.0; tm <= 100; tm += 1 {
-			if !c.UpAt(i, tm) {
-				wasDown = true
-			}
-		}
-		if wasDown {
-			everDown++
+	everDown := map[NodeID]bool{}
+	for tm := 0.0; tm <= 100; tm += 1 {
+		down, _ := c.flips(tm, nil, nil)
+		for _, v := range down {
+			everDown[v] = true
 		}
 	}
 	// Mean up-time 10 s over 100 s: virtually every node should go down.
-	if everDown < n*3/4 {
-		t.Errorf("only %d/%d nodes ever went down over 100 s", everDown, n)
+	if len(everDown) < n*3/4 {
+		t.Errorf("only %d/%d nodes ever went down over 100 s", len(everDown), n)
 	}
 }
 
@@ -89,6 +186,7 @@ func TestNetworkChurnIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newScanChurn(n, ChurnConfig{MeanUp: 6, MeanDown: 3}, rng.Derive(3))
 	inc := NewNetwork(m, Config{Link: topology.LinkModel{Uniform: 60}, Churn: churn}, rng.Derive(1))
 
 	// Snapshot the post-construction state: the t=0 build may already have
@@ -101,7 +199,7 @@ func TestNetworkChurnIntegration(t *testing.T) {
 		inc.RefreshAt(tm)
 
 		for u := 0; u < n; u++ {
-			if inc.Up(topology.NodeID(u)) != churn.UpAt(u, tm) {
+			if inc.Up(topology.NodeID(u)) != ref.upAt(u, tm) {
 				t.Fatalf("t=%v: up(%d) disagrees with the schedule", tm, u)
 			}
 			if inc.Down(topology.NodeID(u)) && inc.Graph().Degree(topology.NodeID(u)) != 0 {
@@ -136,6 +234,85 @@ func TestNetworkChurnIntegration(t *testing.T) {
 		if inc.UpCount()+len(downNodes(inc)) != n {
 			t.Fatalf("t=%v: UpCount inconsistent", tm)
 		}
+	}
+}
+
+// TestChurnBlinkInsideOneRefresh pins the degenerate flip that neither
+// flip list may show: a node that goes down and comes back between two
+// refreshes. Down-times average 1 ms against 0.5 s refreshes, so nearly
+// every down phase is such a blink; the network must report those nodes
+// up, list them nowhere, and keep them out of the builder's hand-over —
+// the snapshot still equals a fresh build — while the rare down phase a
+// refresh does catch is listed both ways, once each.
+func TestChurnBlinkInsideOneRefresh(t *testing.T) {
+	const n = 200
+	cfg := ChurnConfig{MeanUp: 5, MeanDown: 1e-3}
+	area := geom.Rect{W: 500, H: 500}
+	churn, err := NewChurn(n, cfg, xrand.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newScanChurn(n, cfg, xrand.New(4))
+	net := NewNetwork(mobility.NewStatic(topology.UniformPositions(n, area, xrand.New(5)), area),
+		Config{Link: topology.LinkModel{Uniform: 60}, Churn: churn}, xrand.New(6))
+	blinks, caught, back := 0, 0, 0
+	for tm := 0.5; tm <= 30; tm += 0.5 {
+		before := slices.Clone(ref.count)
+		net.RefreshAt(tm)
+		listed := append(slices.Clone(net.ChurnedDown()), net.ChurnedUp()...)
+		caught, back = caught+len(net.ChurnedDown()), back+len(net.ChurnedUp())
+		for u := 0; u < n; u++ {
+			id := topology.NodeID(u)
+			if net.Up(id) != ref.upAt(u, tm) {
+				t.Fatalf("t=%v: node %d up=%v disagrees with the scan", tm, u, net.Up(id))
+			}
+			if k := ref.count[u] - before[u]; k > 0 && k%2 == 0 {
+				blinks++
+				if !net.Up(id) || slices.Contains(listed, id) {
+					t.Fatalf("t=%v: node %d blinked (%d flips) but is down or listed", tm, u, k)
+				}
+			}
+		}
+		if net.UpCount()+len(downNodes(net)) != n {
+			t.Fatalf("t=%v: UpCount %d with %d down", tm, net.UpCount(), len(downNodes(net)))
+		}
+		snapshotMatchesFreshBuild(t, net)
+	}
+	if blinks != 1174 || caught != 2 || back != 2 {
+		t.Fatalf("%d blinks, %d caught down, %d back up; pinned 1174, 2 and 2", blinks, caught, back)
+	}
+}
+
+// TestUpCountMatchesScan pins the O(1) up counter against a scan of Up
+// after each of 250 churned refreshes.
+func TestUpCountMatchesScan(t *testing.T) {
+	const n = 150
+	area := geom.Rect{W: 400, H: 400}
+	m, err := mobility.NewRandomWaypoint(n, area, mobility.DefaultRWP(), xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn, err := NewChurn(n, ChurnConfig{MeanUp: 3, MeanDown: 2}, xrand.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := NewNetwork(m, Config{Link: topology.LinkModel{Uniform: 50}, Churn: churn}, xrand.New(3))
+	lo, hi := n, 0
+	for k := 1; k <= 250; k++ {
+		net.RefreshAt(0.3 * float64(k))
+		up := 0
+		for u := 0; u < n; u++ {
+			if net.Up(topology.NodeID(u)) {
+				up++
+			}
+		}
+		if net.UpCount() != up {
+			t.Fatalf("refresh %d: UpCount %d, scan %d", k, net.UpCount(), up)
+		}
+		lo, hi = min(lo, up), max(hi, up)
+	}
+	if lo == hi {
+		t.Fatalf("up count never moved (%d)", lo)
 	}
 }
 

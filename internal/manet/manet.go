@@ -122,12 +122,14 @@ type Network struct {
 	dirty   []NodeID
 
 	// Churn state: nil churn means a fixed population. down is the
-	// node-exclusion mask fed to the topology builders; wentDown/cameUp
+	// node-exclusion mask fed to the topology builders (the schedule's own
+	// state, which flips rewrites); wentDown/cameUp
 	// list the nodes that flipped at the most recent refresh and stay
-	// valid until the next one.
+	// valid until the next one; upCount follows the flips.
 	churn            *Churn
 	down             []bool
 	wentDown, cameUp []NodeID
+	upCount          int
 
 	rec Counters
 }
@@ -196,6 +198,7 @@ func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 		partDuration: cfg.Partition.Duration,
 		pos:          make([]geom.Point, model.N()),
 		churn:        cfg.Churn,
+		upCount:      model.N(),
 	}
 	if cfg.Loss.Rate > 0 {
 		n.lossRate = cfg.Loss.Rate
@@ -212,7 +215,7 @@ func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 		}
 	}
 	if cfg.Churn != nil {
-		n.down = make([]bool, model.N())
+		n.down = cfg.Churn.down
 	}
 	if st, ok := model.(mobility.Stepper); ok {
 		n.stepper = st
@@ -239,18 +242,8 @@ func (n *Network) rebuild(t float64) {
 		n.model.PositionsAt(t, n.pos)
 	}
 	if n.churn != nil {
-		n.wentDown, n.cameUp = n.wentDown[:0], n.cameUp[:0]
-		for i := range n.down {
-			up := n.churn.UpAt(i, t)
-			if up == n.down[i] { // state flip (down stores the negation)
-				if up {
-					n.cameUp = append(n.cameUp, NodeID(i))
-				} else {
-					n.wentDown = append(n.wentDown, NodeID(i))
-				}
-				n.down[i] = !up
-			}
-		}
+		n.wentDown, n.cameUp = n.churn.flips(t, n.wentDown[:0], n.cameUp[:0])
+		n.upCount += len(n.cameUp) - len(n.wentDown)
 	}
 	if n.stepper != nil {
 		n.dirty = append(append(append(n.dirty[:0], moved...), n.wentDown...), n.cameUp...)
@@ -323,18 +316,7 @@ func (n *Network) Up(u NodeID) bool { return n.down == nil || !n.down[u] }
 func (n *Network) Down(u NodeID) bool { return n.down != nil && n.down[u] }
 
 // UpCount returns the number of up nodes in the current snapshot.
-func (n *Network) UpCount() int {
-	if n.down == nil {
-		return n.model.N()
-	}
-	c := 0
-	for _, d := range n.down {
-		if !d {
-			c++
-		}
-	}
-	return c
-}
+func (n *Network) UpCount() int { return n.upCount }
 
 // ChurnedDown lists the nodes that went down at the most recent refresh.
 // The slice is valid until the next refresh; do not mutate or retain it.

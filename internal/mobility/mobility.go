@@ -110,7 +110,7 @@ type RandomWaypoint struct {
 	// advancement operations for the zero-work regression tests.
 	now    float64
 	pos    []geom.Point
-	paused pauseHeap
+	paused WakeQueue
 	active []int32
 	moved  []int32
 	work   uint64
@@ -128,7 +128,7 @@ func NewRandomWaypoint(n int, area geom.Rect, cfg RWPConfig, rng *xrand.Rand) (*
 		rngs:   make([]*xrand.Rand, n),
 		legs:   make([]leg, n),
 		pos:    make([]geom.Point, n),
-		paused: make(pauseHeap, 0, n),
+		paused: make(WakeQueue, 0, n),
 	}
 	for i := 0; i < n; i++ {
 		m.rngs[i] = rng.Derive(uint64(i))
@@ -136,11 +136,11 @@ func NewRandomWaypoint(n int, area geom.Rect, cfg RWPConfig, rng *xrand.Rand) (*
 		m.legs[i] = m.nextLeg(i, start, 0)
 		// At t=0 every node sits at its start until the first departure
 		// (depart = Pause >= 0), so all nodes enter the wake queue; one
-		// heapify beats n ordered pushes.
+		// Init beats n ordered pushes.
 		m.pos[i] = start
-		m.paused = append(m.paused, pauseEntry{at: m.legs[i].depart, id: int32(i)})
+		m.paused = append(m.paused, Wake{At: m.legs[i].depart, ID: int32(i)})
 	}
-	m.paused.heapify()
+	m.paused.Init()
 	return m, nil
 }
 

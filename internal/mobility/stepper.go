@@ -41,25 +41,27 @@ func (s *Static) StepTo(float64) ([]int32, []geom.Point) { return nil, s.pos }
 // PositionWork implements Stepper for Static (always zero).
 func (s *Static) PositionWork() uint64 { return 0 }
 
-// pauseEntry is one dwelling node in the wake queue: id sleeps at its
-// waypoint until at (the leg's departure time).
-type pauseEntry struct {
-	at float64
-	id int32
+// Wake is one sleeping node in a WakeQueue: ID is quiet until At.
+type Wake struct {
+	At float64
+	ID int32
 }
 
-// pauseHeap is a binary min-heap on pauseEntry.at. Hand-rolled (rather
-// than container/heap) to keep Push/Pop allocation-free on the refresh
-// hot path.
-type pauseHeap []pauseEntry
+// WakeQueue is a binary min-heap on Wake.At: the RWP stepper's dwelling
+// nodes keyed by leg departure, and manet.Churn's nodes keyed by their
+// next up/down flip. Hand-rolled (rather than container/heap) to keep
+// Push/Pop allocation-free on the refresh hot path. The order among equal
+// At values is unspecified.
+type WakeQueue []Wake
 
-func (h *pauseHeap) push(e pauseEntry) {
+// Push adds e.
+func (h *WakeQueue) Push(e Wake) {
 	*h = append(*h, e)
 	a := *h
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if a[p].at <= a[i].at {
+		if a[p].At <= a[i].At {
 			break
 		}
 		a[p], a[i] = a[i], a[p]
@@ -67,7 +69,9 @@ func (h *pauseHeap) push(e pauseEntry) {
 	}
 }
 
-func (h *pauseHeap) pop() pauseEntry {
+// Pop removes and returns the entry with the least At; the queue must
+// not be empty.
+func (h *WakeQueue) Pop() Wake {
 	a := *h
 	top := a[0]
 	n := len(a) - 1
@@ -77,7 +81,7 @@ func (h *pauseHeap) pop() pauseEntry {
 	return top
 }
 
-func (h *pauseHeap) siftDown(i int) {
+func (h *WakeQueue) siftDown(i int) {
 	a := *h
 	n := len(a)
 	for {
@@ -86,10 +90,10 @@ func (h *pauseHeap) siftDown(i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && a[r].at < a[l].at {
+		if r := l + 1; r < n && a[r].At < a[l].At {
 			m = r
 		}
-		if a[i].at <= a[m].at {
+		if a[i].At <= a[m].At {
 			return
 		}
 		a[i], a[m] = a[m], a[i]
@@ -97,9 +101,9 @@ func (h *pauseHeap) siftDown(i int) {
 	}
 }
 
-// heapify establishes the heap invariant over arbitrary contents in O(n);
+// Init establishes the heap invariant over arbitrary contents in O(n);
 // used once at construction instead of n pushes.
-func (h *pauseHeap) heapify() {
+func (h *WakeQueue) Init() {
 	for i := len(*h)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
@@ -126,10 +130,10 @@ func (m *RandomWaypoint) StepTo(t float64) ([]int32, []geom.Point) {
 		}
 	}
 	m.active = keep
-	for len(m.paused) > 0 && m.paused[0].at < t {
-		e := m.paused.pop()
-		if m.advanceNode(int(e.id), t) {
-			m.active = append(m.active, e.id)
+	for len(m.paused) > 0 && m.paused[0].At < t {
+		e := m.paused.Pop()
+		if m.advanceNode(int(e.ID), t) {
+			m.active = append(m.active, e.ID)
 		}
 	}
 	m.now = t
@@ -160,7 +164,7 @@ func (m *RandomWaypoint) advanceNode(i int, t float64) (traveling bool) {
 		m.moved = append(m.moved, int32(i))
 	}
 	if !traveling {
-		m.paused.push(pauseEntry{at: l.depart, id: int32(i)})
+		m.paused.Push(Wake{At: l.depart, ID: int32(i)})
 	}
 	return traveling
 }

@@ -24,7 +24,7 @@ func TestQueryViaMatchesPrimitives(t *testing.T) {
 	for name, nc := range map[string]NetworkConfig{"static": static, "spread+loss": rich} {
 		s := newSim(t, nc, cfg)
 		s.SelectContacts()
-		e := s.Engine()
+		e := s.Engine
 		net := e.Network()
 		bc, err := bordercast.New(net, e.Neighborhood(), bordercast.Config{Zone: cfg.R, QD: bordercast.QD2})
 		if err != nil {
