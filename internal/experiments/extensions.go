@@ -29,7 +29,7 @@ func ablMethods(o Options) *Table {
 		label:  func(p int) any { return methods[p] },
 		cell: func(p int, seed uint64) []float64 {
 			net := sc.StaticNet(seed)
-			prot := deploy(net, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 1, Method: methods[p]}, seed)
+			prot := deploy(sc, net, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 1, Method: methods[p]}, seed)
 			n := float64(net.N())
 			dist := 0.0
 			if ds := prot.ContactDistances(); len(ds) > 0 {
@@ -61,7 +61,7 @@ func ablRecovery(o Options) *Table {
 		label:  func(p int) any { return []string{"on", "off"}[p] },
 		cell: func(p int, seed uint64) []float64 {
 			net := sc.rwpNet(seed)
-			prot := deploy(net, card.Config{
+			prot := deploy(sc, net, card.Config{
 				R: 3, MaxContactDist: 12, NoC: 5, Depth: 1, Method: card.EM,
 				ValidatePeriod: 1, DisableLocalRecovery: p == 1,
 			}, seed)
@@ -120,7 +120,7 @@ func smallWorld(o Options) *Table {
 			sc.N, census.MeanClustering, census.AvgHops),
 		"NoC", "Reach% D=1", "Reach% D=2", "Reach% D=3")
 	for _, noc := range []int{1, 3, 5, 8} {
-		prot := deploy(net, card.Config{R: 3, MaxContactDist: 16, NoC: noc, Depth: 3, Method: card.EM}, uint64(noc))
+		prot := deploy(sc, net, card.Config{R: 3, MaxContactDist: 16, NoC: noc, Depth: 3, Method: card.EM}, 1)
 		t.Add(noc, prot.MeanReachability(1), prot.MeanReachability(2), prot.MeanReachability(3))
 	}
 	return t
@@ -197,7 +197,7 @@ func replication(o Options) *Table {
 		label:  func(p int) any { return replicas[p] },
 		cell: func(p int, seed uint64) []float64 {
 			net := sc.StaticNet(seed)
-			prot := deploy(net, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2, Method: card.EM}, seed)
+			prot := deploy(sc, net, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2, Method: card.EM}, seed)
 			// One directory the three arms share; lookup q places resource q
 			// just before asking for it.
 			dir := resource.NewDirectory(sc.N)

@@ -110,7 +110,7 @@ type reachDist struct {
 // node's reachability percentage.
 func reachCell(pt reachPoint, seed uint64) reachDist {
 	net := pt.sc.StaticNet(seed)
-	p := deploy(net, pt.cfg, seed)
+	p := deploy(pt.sc, net, pt.cfg, seed)
 	d := reachDist{hist: stats.NewReachabilityHistogram()}
 	for u := 0; u < net.N(); u++ {
 		v := p.Reachability(int32(u), pt.cfg.Depth)
@@ -244,7 +244,7 @@ func mobileRun(net *manet.Network, prot *card.Protocol, horizon float64, each fu
 // per window.
 func runTimeSim(sc Scenario, cfg card.Config, horizon float64, seed uint64) TimeSeries {
 	net := sc.rwpNet(seed)
-	prot := deploy(net, cfg, seed)
+	prot := deploy(sc, net, cfg, seed)
 	var ts TimeSeries
 	snap := net.Totals()
 	nextWindow := window

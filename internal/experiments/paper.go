@@ -79,7 +79,7 @@ func fig4(o Options) *Table {
 	sc := Scenario5.Scaled(o.Scale)
 	back := means(o, 2*5, func(p int, seed uint64) []float64 {
 		net := sc.StaticNet(seed)
-		deploy(net, nocByMethod(p), seed)
+		deploy(sc, net, nocByMethod(p), seed)
 		return []float64{float64(net.Totals().Get(manet.CatBacktrack)) / float64(net.N())}
 	})
 	return nocByMethodTable(
@@ -186,7 +186,7 @@ var fig13 = seriesFig{
 // neighborhood's.
 func fig14Cell(sc Scenario, cfg card.Config, seed uint64) []float64 {
 	net := sc.rwpNet(seed)
-	prot := deploy(net, cfg, seed)
+	prot := deploy(sc, net, cfg, seed)
 	if cfg.NoC != 0 {
 		mobileRun(net, prot, 10, nil)
 	}
@@ -222,20 +222,20 @@ func fig14(o Options) *Table {
 	return t
 }
 
-// queryWorkload draws q (src, dst) pairs uniformly from the largest
-// connected component, mirroring "50 randomly selected destinations from
-// 50 random sources".
+// queryWorkload draws q (src, dst) pairs of distinct nodes uniformly from
+// the largest connected component, mirroring "50 randomly selected
+// destinations from 50 random sources" — the draw Engine.RandomPairs makes.
 func queryWorkload(net *manet.Network, q int, seed uint64) [][2]manet.NodeID {
 	comp := net.Graph().LargestComponent()
-	rng := xrand.New(seed).Derive(77)
+	rng := xrand.New(seed)
 	pairs := make([][2]manet.NodeID, q)
 	for i := range pairs {
-		src := comp[rng.Intn(len(comp))]
-		dst := comp[rng.Intn(len(comp))]
-		for dst == src && len(comp) > 1 {
-			dst = comp[rng.Intn(len(comp))]
+		si := rng.Intn(len(comp))
+		di := rng.Intn(len(comp) - 1)
+		if di >= si {
+			di++
 		}
-		pairs[i] = [2]manet.NodeID{src, dst}
+		pairs[i] = [2]manet.NodeID{comp[si], comp[di]}
 	}
 	return pairs
 }
@@ -278,7 +278,7 @@ func fig15(o Options) *Table {
 			}
 
 			// CARD with D=3 (the paper's 95 %-success configuration).
-			prot := deploy(net, card.Config{
+			prot := deploy(sc, net, card.Config{
 				R: fc.R, MaxContactDist: fc.r, NoC: fc.NoC,
 				Depth: 3, Method: card.EM, ValidatePeriod: 1,
 			}, seed)

@@ -75,7 +75,7 @@ func sqrtf(x float64) float64 {
 // StaticNet builds a uniformly placed static network for the scenario.
 func (s Scenario) StaticNet(seed uint64) *manet.Network {
 	rng := xrand.New(seed ^ uint64(s.ID)<<32)
-	pts := topology.UniformPositions(s.N, s.Area, rng)
+	pts := topology.UniformPositions(s.N, s.Area, rng.Derive(0))
 	return manet.NewNetwork(mobility.NewStatic(pts, s.Area), s.substrate(), rng.Derive(1))
 }
 
@@ -99,7 +99,7 @@ func must[T any](v T, err error) T {
 // paper's default waypoint parameters.
 func (s Scenario) rwpNet(seed uint64) *manet.Network {
 	rng := xrand.New(seed ^ uint64(s.ID)<<32)
-	m := must(mobility.NewRandomWaypoint(s.N, s.Area, mobility.DefaultRWP(), rng))
+	m := must(mobility.NewRandomWaypoint(s.N, s.Area, mobility.DefaultRWP(), rng.Derive(0)))
 	return manet.NewNetwork(m, s.substrate(), rng.Derive(1))
 }
 
@@ -117,12 +117,12 @@ func (s Scenario) engineNet(seed uint64) engine.NetworkConfig {
 // paper's no-contacts baseline (the Fig. 7 and Fig. 14 NoC=0 curves):
 // Config.Validate treats zero as "default", so it is validated as 1 and
 // selection is skipped entirely — the tables stay empty.
-func deploy(net *manet.Network, cfg card.Config, seed uint64) *card.Protocol {
+func deploy(sc Scenario, net *manet.Network, cfg card.Config, seed uint64) *card.Protocol {
 	noContacts := cfg.NoC == 0
 	if noContacts {
 		cfg.NoC = 1
 	}
-	p := must(card.New(net, neighborhood.NewOracle(net, cfg.R), cfg, xrand.New(seed).Derive(2)))
+	p := must(card.New(net, neighborhood.NewOracle(net, cfg.R), cfg, xrand.New(seed^uint64(sc.ID)<<32).Derive(2)))
 	if !noContacts {
 		p.SelectAll(0)
 	}
