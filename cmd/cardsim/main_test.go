@@ -162,7 +162,21 @@ func TestOversizedRadiusIsAnError(t *testing.T) {
 	}
 }
 
-// TestExperimentFlagsAreRejectedNotClamped pins ROADMAP 2(d): -scale outside
+// TestSweepNoC0IsAnError pins that a NoC=0 sweep point exits 2 instead of
+// printing a row: the engine reads NoC 0 as its default, so the row used
+// to be a 5-contact run labelled NoC=0.
+func TestSweepNoC0IsAnError(t *testing.T) {
+	var out, errw strings.Builder
+	code := run([]string{"-preset", "citywide-rwp-1k", "-sweep", "NoC=0,5", "-seeds", "1", "-horizon", "2", "-queries", "50"}, &out, &errw)
+	if code != 2 {
+		t.Fatalf("run(-sweep NoC=0,5) = exit %d, want 2\nstderr: %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "NoC = 0") {
+		t.Errorf("stderr does not name the NoC = 0 refusal:\n%s", errw.String())
+	}
+}
+
+// TestExperimentFlagsAreRejectedNotClamped pins ROADMAP 3(d): -scale outside
 // (0, 1], -seeds < 1 and an unknown -format used to be clamped or
 // defaulted — `-exp table1 -scale 2 -seeds 0 -format bogus` exited 0 after
 // a full-size, 3-seed, text-format run. They are usage errors on the -exp

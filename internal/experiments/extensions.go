@@ -8,7 +8,6 @@ import (
 	"card/internal/card"
 	"card/internal/engine"
 	"card/internal/manet"
-	"card/internal/neighborhood"
 	"card/internal/resource"
 	"card/internal/scheme"
 	"card/internal/sweep"
@@ -28,9 +27,9 @@ func ablMethods(o Options) *Table {
 		points: len(methods),
 		label:  func(p int) any { return methods[p] },
 		cell: func(p int, seed uint64) []float64 {
-			net := sc.StaticNet(seed)
-			prot := deploy(sc, net, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 1, Method: methods[p]}, seed)
-			n := float64(net.N())
+			e := deploy(sc.engineNet(seed, engine.Static), card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 1, Method: methods[p]})
+			prot, tot := e.Protocol(), e.Network().Totals()
+			n := float64(e.Nodes())
 			dist := 0.0
 			if ds := prot.ContactDistances(); len(ds) > 0 {
 				sum := 0
@@ -40,11 +39,11 @@ func ablMethods(o Options) *Table {
 				dist = float64(sum) / float64(len(ds))
 			}
 			return []float64{
-				float64(net.Totals().Get(manet.CatCSQ)) / n,
-				float64(net.Totals().Get(manet.CatBacktrack)) / n,
+				float64(tot.Get(manet.CatCSQ)) / n,
+				float64(tot.Get(manet.CatBacktrack)) / n,
 				float64(prot.TotalContacts()) / n,
 				dist,
-				prot.MeanReachability(1),
+				e.MeanReachability(1),
 			}
 		},
 	}.table(o)
@@ -60,20 +59,19 @@ func ablRecovery(o Options) *Table {
 		points: 2,
 		label:  func(p int) any { return []string{"on", "off"}[p] },
 		cell: func(p int, seed uint64) []float64 {
-			net := sc.rwpNet(seed)
-			prot := deploy(sc, net, card.Config{
+			e := deploy(sc.engineNet(seed, engine.RandomWaypoint), card.Config{
 				R: 3, MaxContactDist: 12, NoC: 5, Depth: 1, Method: card.EM,
 				ValidatePeriod: 1, DisableLocalRecovery: p == 1,
-			}, seed)
-			mobileRun(net, prot, 10, nil)
-			n := float64(net.N())
-			st := prot.Stats()
+			})
+			mobileRun(e, 10, nil)
+			n := float64(e.Nodes())
+			st := e.Stats()
 			return []float64{
 				float64(st.ContactsLost) / n,
 				float64(st.TooFarDrops) / n,
 				float64(st.Recoveries) / n,
-				float64(net.Totals().Sum(maintenanceCats...)) / n,
-				float64(prot.TotalContacts()) / n,
+				float64(e.Network().Totals().Sum(maintenanceCats...)) / n,
+				float64(e.Protocol().TotalContacts()) / n,
 			}
 		},
 	}.table(o)
@@ -90,13 +88,16 @@ func ablQD(o Options) *Table {
 		points: len(modes),
 		label:  func(p int) any { return modes[p] },
 		cell: func(p int, seed uint64) []float64 {
-			net := sc.StaticNet(seed)
-			bc := must(bordercast.New(net, neighborhood.NewOracle(net, 3), bordercast.Config{Zone: 3, QD: modes[p]}))
+			// No contacts (NoC 0, see deploy): bordercast reads only the
+			// engine's zone-radius neighborhood.
+			e := deploy(sc.engineNet(seed, engine.Static), card.Config{R: 3, MaxContactDist: 16})
+			net := e.Network()
+			bc := must(bordercast.New(net, e.Neighborhood(), bordercast.Config{Zone: 3, QD: modes[p]}))
 			const queries = 30
 			found := 0
 			var sum int64
-			for _, pr := range queryWorkload(net, queries, seed) {
-				res := bc.Query(net.Recorder(), pr[0], pr[1])
+			for _, pr := range e.RandomPairs(queries, seed) {
+				res := bc.Query(net.Recorder(), pr.Src, pr.Dst)
 				sum += res.Messages
 				if res.Found {
 					found++
@@ -113,15 +114,14 @@ func ablQD(o Options) *Table {
 // tree as NoC grows — on the one seed-1 topology its title describes.
 func smallWorld(o Options) *Table {
 	sc := Scenario5.Scaled(o.Scale)
-	net := sc.StaticNet(1)
-	census := net.Graph().ComputeCensus()
+	census := deploy(sc.engineNet(1, engine.Static), bare).Network().Graph().ComputeCensus()
 	t := NewTable(
 		fmt.Sprintf("Small-world view (N=%d): clustering=%.3f, avg path=%.2f hops",
 			sc.N, census.MeanClustering, census.AvgHops),
 		"NoC", "Reach% D=1", "Reach% D=2", "Reach% D=3")
 	for _, noc := range []int{1, 3, 5, 8} {
-		prot := deploy(sc, net, card.Config{R: 3, MaxContactDist: 16, NoC: noc, Depth: 3, Method: card.EM}, 1)
-		t.Add(noc, prot.MeanReachability(1), prot.MeanReachability(2), prot.MeanReachability(3))
+		e := deploy(sc.engineNet(1, engine.Static), card.Config{R: 3, MaxContactDist: 16, NoC: noc, Depth: 3, Method: card.EM})
+		t.Add(noc, e.MeanReachability(1), e.MeanReachability(2), e.MeanReachability(3))
 	}
 	return t
 }
@@ -140,7 +140,7 @@ func ablMobility(o Options) *Table {
 		name string
 		mut  func(*engine.NetworkConfig)
 	}{
-		{"static", func(nc *engine.NetworkConfig) { nc.Mobility = engine.Static }},
+		{"static", func(*engine.NetworkConfig) {}},
 		{"waypoint", func(nc *engine.NetworkConfig) { nc.Mobility = engine.RandomWaypoint }},
 		{"walk", func(nc *engine.NetworkConfig) {
 			nc.Mobility = engine.RandomWalk
@@ -164,13 +164,10 @@ func ablMobility(o Options) *Table {
 		points: len(models),
 		label:  func(p int) any { return models[p].name },
 		cell: func(p int, seed uint64) []float64 {
-			nc := sc.engineNet(seed)
+			nc := sc.engineNet(seed, engine.Static)
 			models[p].mut(&nc)
-			e := must(engine.New(nc, card.Config{R: 3, MaxContactDist: 12, NoC: 5, Depth: 1, Method: card.EM, ValidatePeriod: 1}))
-			e.SelectContacts()
-			for t := refreshDt; t <= 10+1e-9; t += refreshDt {
-				e.Advance(refreshDt)
-			}
+			e := deploy(nc, card.Config{R: 3, MaxContactDist: 12, NoC: 5, Depth: 1, Method: card.EM, ValidatePeriod: 1})
+			mobileRun(e, 10, nil)
 			n := float64(e.Nodes())
 			st := e.Stats()
 			return []float64{
@@ -196,13 +193,12 @@ func replication(o Options) *Table {
 		points: len(replicas),
 		label:  func(p int) any { return replicas[p] },
 		cell: func(p int, seed uint64) []float64 {
-			net := sc.StaticNet(seed)
-			prot := deploy(sc, net, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2, Method: card.EM}, seed)
+			e := deploy(sc.engineNet(seed, engine.Static), card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2, Method: card.EM})
 			// One directory the three arms share; lookup q places resource q
 			// just before asking for it.
 			dir := resource.NewDirectory(sc.N)
 			worker := func(name string) scheme.Worker {
-				return must(scheme.New(name, scheme.Env{Net: net, Prot: prot, Dir: dir})).Worker()
+				return must(scheme.New(name, scheme.Env{Net: e.Network(), Prot: e.Protocol(), Dir: dir})).Worker()
 			}
 			cardW, floodW, ringW := worker("card"), worker("flood"), worker("ring")
 
@@ -247,11 +243,10 @@ func sustained(o Options) *Table {
 		points: len(schemes),
 		label:  func(p int) any { return schemes[p] },
 		cell: func(p int, seed uint64) []float64 {
-			nc := sc.engineNet(seed)
-			nc.Mobility, nc.MinSpeed, nc.MaxSpeed = engine.RandomWaypoint, 1, 10
+			nc := sc.engineNet(seed, engine.RandomWaypoint)
+			nc.MinSpeed, nc.MaxSpeed = 1, 10
 			nc.ChurnMeanUp, nc.ChurnMeanDown = 40, 8
-			e := must(engine.New(nc, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2, Method: card.EM, ValidatePeriod: 2}))
-			e.SelectContacts()
+			e := deploy(nc, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2, Method: card.EM, ValidatePeriod: 2})
 			rep := must(e.RunWorkload(workload.Config{
 				QPS: 40, Duration: 15, Resources: 64, Replicas: 2, ZipfS: 0.9,
 				Scheme: schemes[p], Seed: seed,
@@ -286,8 +281,7 @@ func SweepTable(title string, res *sweep.Result) *Table {
 // (sweep.EngineRunner, seeded per grid coordinate), not this package's.
 func stockSweep(o Options) *Table {
 	sc := Scenario5.Scaled(o.Scale)
-	er := sweep.EngineRunner{Net: sc.engineNet(0), Horizon: 10, Queries: 50, Seed: uint64(sc.ID) << 32}
-	er.Net.Mobility, er.Net.MinSpeed, er.Net.MaxSpeed = engine.RandomWaypoint, 1, 19
+	er := sweep.EngineRunner{Net: sc.engineNet(0, engine.RandomWaypoint), Horizon: 10, Queries: 50, Seed: uint64(sc.ID) << 32}
 	g := &sweep.Grid{Base: fig10Base(), Axes: must(sweep.ParseSpec("NoC=2..8..2;r=8..14..2")), Seeds: o.Seeds}
 	return SweepTable(
 		fmt.Sprintf("Sweep: overhead vs reachability over NoC x r (N=%d, R=3, D=1, 10 s RWP, %d seed(s); * = Pareto frontier)",

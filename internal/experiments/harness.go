@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"card/internal/card"
+	"card/internal/engine"
 	"card/internal/manet"
 	"card/internal/par"
 	"card/internal/stats"
@@ -106,14 +107,13 @@ type reachDist struct {
 }
 
 // reachCell is one (config, seed) reachability measurement: select contacts
-// on a static snapshot (unless NoC = 0, see deploy), then record every
-// node's reachability percentage.
+// on a static field (unless NoC = 0, see deploy), then record every node's
+// reachability percentage.
 func reachCell(pt reachPoint, seed uint64) reachDist {
-	net := pt.sc.StaticNet(seed)
-	p := deploy(pt.sc, net, pt.cfg, seed)
+	e := deploy(pt.sc.engineNet(seed, engine.Static), pt.cfg)
 	d := reachDist{hist: stats.NewReachabilityHistogram()}
-	for u := 0; u < net.N(); u++ {
-		v := p.Reachability(int32(u), pt.cfg.Depth)
+	for u := 0; u < e.Nodes(); u++ {
+		v := e.Reachability(engine.NodeID(u), pt.cfg.Depth)
 		d.hist.Add(v)
 		d.mean.Add(v)
 	}
@@ -222,34 +222,28 @@ const (
 )
 
 // mobileRun is the package's one mobile time loop: after the initial
-// selection (deploy), refresh the topology every refreshDt up to horizon,
-// run one maintenance round per ValidatePeriod, and hand every step's time
-// to each (nil for runs that only read the final state).
-func mobileRun(net *manet.Network, prot *card.Protocol, horizon float64, each func(t float64)) {
-	period := prot.Config().ValidatePeriod // defaults filled
-	nextValidate := period
-	for t := refreshDt; t <= horizon+1e-9; t += refreshDt {
-		net.RefreshAt(t)
-		if t+1e-9 >= nextValidate {
-			prot.MaintainAll(t)
-			nextValidate += period
-		}
+// selection (deploy), advance the engine refreshDt at a time up to horizon
+// — its maintenance rounds fire on the ValidatePeriod boundaries — and hand
+// every step's time to each (nil for runs that only read the final state).
+func mobileRun(e *engine.Engine, horizon float64, each func(t float64)) {
+	for e.Now()+refreshDt <= horizon+1e-9 {
+		e.Advance(refreshDt)
 		if each != nil {
-			each(t)
+			each(e.Now())
 		}
 	}
 }
 
-// runTimeSim executes one seeded mobile simulation, its counters sampled
-// per window.
+// runTimeSim executes one seeded random-waypoint simulation, its counters
+// sampled per window.
 func runTimeSim(sc Scenario, cfg card.Config, horizon float64, seed uint64) TimeSeries {
-	net := sc.rwpNet(seed)
-	prot := deploy(sc, net, cfg, seed)
+	e := deploy(sc.engineNet(seed, engine.RandomWaypoint), cfg)
+	net := e.Network()
 	var ts TimeSeries
 	snap := net.Totals()
 	nextWindow := window
 	n := float64(net.N())
-	mobileRun(net, prot, horizon, func(t float64) {
+	mobileRun(e, horizon, func(t float64) {
 		if t+1e-9 < nextWindow {
 			return
 		}
@@ -260,7 +254,7 @@ func runTimeSim(sc Scenario, cfg card.Config, horizon float64, seed uint64) Time
 			colOverhead:    float64(d.Sum(overheadCats...)) / n,
 			colBacktrack:   float64(d.Get(manet.CatBacktrack)) / n,
 			colMaintenance: float64(d.Sum(maintenanceCats...)) / n,
-			colContacts:    float64(prot.TotalContacts()),
+			colContacts:    float64(e.Protocol().TotalContacts()),
 		} {
 			ts.Cols[c] = append(ts.Cols[c], v)
 		}

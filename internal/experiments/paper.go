@@ -5,12 +5,11 @@ import (
 
 	"card/internal/bordercast"
 	"card/internal/card"
+	"card/internal/engine"
 	"card/internal/flood"
 	"card/internal/manet"
-	"card/internal/neighborhood"
 	"card/internal/stats"
 	"card/internal/topology"
-	"card/internal/xrand"
 )
 
 // table1 regenerates Table 1: the connectivity census of all eight
@@ -22,7 +21,8 @@ func table1(o Options) *Table {
 		fmt.Sprintf("Table 1: scenario census (avg of %d seeds, scale %g)", o.Seeds, o.Scale),
 		"No.", "Nodes", "Area", "TxRange", "Links", "Degree", "Diameter", "AvgHops", "LCC")
 	for p, runs := range cells(len(Table1Scenarios), o.Seeds, func(p int, seed uint64) [5]float64 {
-		c := Table1Scenarios[p].Scaled(o.Scale).StaticNet(seed).Graph().ComputeCensus()
+		sc := Table1Scenarios[p].Scaled(o.Scale)
+		c := deploy(sc.engineNet(seed, engine.Static), bare).Network().Graph().ComputeCensus()
 		return [5]float64{float64(c.Links), c.MeanDegree, float64(c.Diameter), c.AvgHops, c.LargestComponentFrac}
 	}) {
 		var w [5]stats.Welford
@@ -78,9 +78,8 @@ func fig3(o Options) *Table {
 func fig4(o Options) *Table {
 	sc := Scenario5.Scaled(o.Scale)
 	back := means(o, 2*5, func(p int, seed uint64) []float64 {
-		net := sc.StaticNet(seed)
-		deploy(sc, net, nocByMethod(p), seed)
-		return []float64{float64(net.Totals().Get(manet.CatBacktrack)) / float64(net.N())}
+		e := deploy(sc.engineNet(seed, engine.Static), nocByMethod(p))
+		return []float64{float64(e.Network().Totals().Get(manet.CatBacktrack)) / float64(e.Nodes())}
 	})
 	return nocByMethodTable(
 		fmt.Sprintf("Fig 4: backtracking per node vs NoC, PM vs EM (N=%d, R=3, r=20)", sc.N),
@@ -185,14 +184,13 @@ var fig13 = seriesFig{
 // the clock, so overhead is zero and reachability is the bare
 // neighborhood's.
 func fig14Cell(sc Scenario, cfg card.Config, seed uint64) []float64 {
-	net := sc.rwpNet(seed)
-	prot := deploy(sc, net, cfg, seed)
+	e := deploy(sc.engineNet(seed, engine.RandomWaypoint), cfg)
 	if cfg.NoC != 0 {
-		mobileRun(net, prot, 10, nil)
+		mobileRun(e, 10, nil)
 	}
 	return []float64{
-		prot.MeanReachability(cfg.Depth),
-		float64(net.Totals().Sum(overheadCats...)) / float64(net.N()),
+		e.MeanReachability(cfg.Depth),
+		float64(e.Network().Totals().Sum(overheadCats...)) / float64(e.Nodes()),
 	}
 }
 
@@ -222,24 +220,6 @@ func fig14(o Options) *Table {
 	return t
 }
 
-// queryWorkload draws q (src, dst) pairs of distinct nodes uniformly from
-// the largest connected component, mirroring "50 randomly selected
-// destinations from 50 random sources" — the draw Engine.RandomPairs makes.
-func queryWorkload(net *manet.Network, q int, seed uint64) [][2]manet.NodeID {
-	comp := net.Graph().LargestComponent()
-	rng := xrand.New(seed)
-	pairs := make([][2]manet.NodeID, q)
-	for i := range pairs {
-		si := rng.Intn(len(comp))
-		di := rng.Intn(len(comp) - 1)
-		if di >= si {
-			di++
-		}
-		pairs[i] = [2]manet.NodeID{comp[si], comp[di]}
-	}
-	return pairs
-}
-
 // fig15 regenerates Fig. 15: querying traffic per node for flooding,
 // bordercasting and CARD across three network sizes, plus CARD's
 // selection+maintenance overhead and its query success rate.
@@ -260,35 +240,35 @@ func fig15(o Options) *Table {
 
 			// The three mechanisms answer the same pairs on the same topology;
 			// query traffic never feeds back into the overhead categories.
-			net := sc.StaticNet(seed)
-			pairs := queryWorkload(net, queries, seed)
+			// CARD runs with D=3 (the paper's 95 %-success configuration).
+			e := deploy(sc.engineNet(seed, engine.Static), card.Config{
+				R: fc.R, MaxContactDist: fc.r, NoC: fc.NoC,
+				Depth: 3, Method: card.EM, ValidatePeriod: 1,
+			})
+			net := e.Network()
+			pairs := e.RandomPairs(queries, seed)
 
 			var floodMsgs, borderMsgs, cardMsgs int64
 			var scan topology.BFSResult
 			for _, pr := range pairs {
-				scan.Run(net.Graph(), pr[0], -1)
-				floodMsgs += flood.Search(net.Recorder(), &scan, pr[1], []int{-1}, true).Messages
+				scan.Run(net.Graph(), pr.Src, -1)
+				floodMsgs += flood.Search(net.Recorder(), &scan, pr.Dst, []int{-1}, true).Messages
 			}
 
-			// Bordercasting with QD1+QD2, zone radius = CARD's R (same proactive
-			// substrate for a fair comparison).
-			bc := must(bordercast.New(net, neighborhood.NewOracle(net, fc.R), bordercast.Config{Zone: fc.R, QD: bordercast.QD2}))
+			// Bordercasting with QD1+QD2, zone radius = CARD's R: the engine's
+			// own proactive substrate, for a fair comparison.
+			bc := must(bordercast.New(net, e.Neighborhood(), bordercast.Config{Zone: fc.R, QD: bordercast.QD2}))
 			for _, pr := range pairs {
-				borderMsgs += bc.Query(net.Recorder(), pr[0], pr[1]).Messages
+				borderMsgs += bc.Query(net.Recorder(), pr.Src, pr.Dst).Messages
 			}
 
-			// CARD with D=3 (the paper's 95 %-success configuration).
-			prot := deploy(sc, net, card.Config{
-				R: fc.R, MaxContactDist: fc.r, NoC: fc.NoC,
-				Depth: 3, Method: card.EM, ValidatePeriod: 1,
-			}, seed)
 			// One maintenance round so the overhead bar includes validation.
-			prot.MaintainAll(1)
+			e.Advance(1)
 			overhead := float64(net.Totals().Sum(overheadCats...)) / n
 
 			found := 0
 			for _, pr := range pairs {
-				res := prot.Query(pr[0], pr[1])
+				res := e.Query(pr.Src, pr.Dst)
 				cardMsgs += res.Messages
 				if res.Found {
 					found++

@@ -15,11 +15,6 @@ import (
 	"card/internal/card"
 	"card/internal/engine"
 	"card/internal/geom"
-	"card/internal/manet"
-	"card/internal/mobility"
-	"card/internal/neighborhood"
-	"card/internal/topology"
-	"card/internal/xrand"
 )
 
 // Scenario is one row of the paper's Table 1: a network size, deployment
@@ -72,19 +67,6 @@ func sqrtf(x float64) float64 {
 	return z
 }
 
-// StaticNet builds a uniformly placed static network for the scenario.
-func (s Scenario) StaticNet(seed uint64) *manet.Network {
-	rng := xrand.New(seed ^ uint64(s.ID)<<32)
-	pts := topology.UniformPositions(s.N, s.Area, rng.Derive(0))
-	return manet.NewNetwork(mobility.NewStatic(pts, s.Area), s.substrate(), rng.Derive(1))
-}
-
-// substrate is the paper's radio layer: one uniform range, no churn, no
-// loss.
-func (s Scenario) substrate() manet.Config {
-	return manet.Config{Link: topology.LinkModel{Uniform: s.TxRange}}
-}
-
 // must unwraps a constructor's result. Every configuration, spec and
 // preset the experiments build from is static data in this package, so an
 // error is a bug in a declaration, not a condition to handle.
@@ -95,36 +77,35 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// rwpNet builds a random-waypoint network for the scenario under the
-// paper's default waypoint parameters.
-func (s Scenario) rwpNet(seed uint64) *manet.Network {
-	rng := xrand.New(seed ^ uint64(s.ID)<<32)
-	m := must(mobility.NewRandomWaypoint(s.N, s.Area, mobility.DefaultRWP(), rng.Derive(0)))
-	return manet.NewNetwork(m, s.substrate(), rng.Derive(1))
-}
-
-// engineNet is the scenario as an engine network: the same field and
-// radio, seeded like StaticNet; the caller picks the mobility model.
-func (s Scenario) engineNet(seed uint64) engine.NetworkConfig {
+// engineNet is the scenario as an engine network under mobility model m:
+// the scenario's field and one uniform radio range, no churn, no loss.
+// Repetition seed s runs network seed s^ID<<32, so equal seeds on
+// different scenarios differ.
+func (s Scenario) engineNet(seed uint64, m engine.MobilityKind) engine.NetworkConfig {
 	return engine.NetworkConfig{
 		Nodes: s.N, Width: s.Area.W, Height: s.Area.H, TxRange: s.TxRange,
-		Seed: seed ^ uint64(s.ID)<<32,
+		Mobility: m, Seed: seed ^ uint64(s.ID)<<32,
 	}
 }
 
-// deploy wires a CARD protocol with an oracle neighborhood over net and
-// runs the initial contact selection at t=0. A literal NoC = 0 is the
-// paper's no-contacts baseline (the Fig. 7 and Fig. 14 NoC=0 curves):
+// bare configures a cell that reads only the graph (Table 1, the
+// small-world census): the smallest valid R and r, and NoC 0, so deploy
+// selects nothing.
+var bare = card.Config{R: 1, MaxContactDist: 2}
+
+// deploy is every experiment cell's world: one engine over nc with the
+// initial contact selection run at t=0. A literal NoC = 0 is the paper's
+// no-contacts baseline (the Fig. 7 and Fig. 14 NoC=0 curves):
 // Config.Validate treats zero as "default", so it is validated as 1 and
 // selection is skipped entirely — the tables stay empty.
-func deploy(sc Scenario, net *manet.Network, cfg card.Config, seed uint64) *card.Protocol {
+func deploy(nc engine.NetworkConfig, cfg card.Config) *engine.Engine {
 	noContacts := cfg.NoC == 0
 	if noContacts {
 		cfg.NoC = 1
 	}
-	p := must(card.New(net, neighborhood.NewOracle(net, cfg.R), cfg, xrand.New(seed^uint64(sc.ID)<<32).Derive(2)))
+	e := must(engine.New(nc, cfg))
 	if !noContacts {
-		p.SelectAll(0)
+		e.SelectContacts()
 	}
-	return p
+	return e
 }

@@ -25,13 +25,9 @@ import (
 
 	"card/internal/card"
 	"card/internal/engine"
-	"card/internal/geom"
 	"card/internal/manet"
-	"card/internal/mobility"
-	"card/internal/neighborhood"
 	"card/internal/resource"
 	"card/internal/scheme"
-	"card/internal/topology"
 	"card/internal/workload"
 	"card/internal/xrand"
 )
@@ -42,18 +38,7 @@ import (
 // environments, bit for bit.
 func Env(tb testing.TB, seed uint64, n int) scheme.Env {
 	tb.Helper()
-	area := geom.Rect{W: 710, H: 710}
-	rng := xrand.New(seed)
-	pts := topology.UniformPositions(n, area, rng)
-	net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{Link: topology.LinkModel{Uniform: 50}}, rng.Derive(1))
-	cfg := card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2}
-	nb := neighborhood.NewOracle(net, cfg.R)
-	prot, err := card.New(net, nb, cfg, rng.Derive(2))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	prot.SelectAll(0)
-	return scheme.Env{Net: net, Prot: prot, Dir: resource.NewDirectory(net.N()), Seed: seed}
+	return build(tb, engine.NetworkConfig{Nodes: n, Width: 710, Height: 710, TxRange: 50, Seed: seed})
 }
 
 // LossyEnv builds a deterministic static scenario over a directed, lossy
@@ -63,26 +48,22 @@ func Env(tb testing.TB, seed uint64, n int) scheme.Env {
 // budget. Equal seeds give identical environments, bit for bit.
 func LossyEnv(tb testing.TB, seed uint64, n int) scheme.Env {
 	tb.Helper()
-	area := geom.Rect{W: 710, H: 710}
-	rng := xrand.New(seed)
-	pts := topology.UniformPositions(n, area, rng)
-	rr := rng.Derive(3)
-	ranges := make([]float64, n)
-	for i := range ranges {
-		ranges[i] = 50 * (1 + 0.5*rr.Range(-1, 1))
-	}
-	net := manet.NewNetwork(mobility.NewStatic(pts, area), manet.Config{
-		Link: topology.LinkModel{Uniform: 50, Ranges: ranges},
-		Loss: manet.LossConfig{Rate: 0.15, Retries: 2},
-	}, rng.Derive(1))
-	cfg := card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2}
-	nb := neighborhood.NewOracle(net, cfg.R)
-	prot, err := card.New(net, nb, cfg, rng.Derive(2))
+	return build(tb, engine.NetworkConfig{
+		Nodes: n, Width: 710, Height: 710, TxRange: 50, Seed: seed,
+		RangeSpread: 0.5, Loss: 0.15, LossRetries: 2,
+	})
+}
+
+// build is both fixtures: one engine over nc with contacts selected, and
+// an empty directory.
+func build(tb testing.TB, nc engine.NetworkConfig) scheme.Env {
+	tb.Helper()
+	e, err := engine.New(nc, card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	prot.SelectAll(0)
-	return scheme.Env{Net: net, Prot: prot, Dir: resource.NewDirectory(net.N()), Seed: seed}
+	e.SelectContacts()
+	return scheme.Env{Net: e.Network(), Prot: e.Protocol(), Dir: resource.NewDirectory(nc.Nodes), Seed: nc.Seed}
 }
 
 // New builds the named scheme over env, failing the test on error.

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"errors"
+
 	"card/internal/engine"
 	"card/internal/resource"
 	"card/internal/scheme"
@@ -14,7 +16,7 @@ const pairSalt = 0x517cc1b727220a95
 // EngineRunner is the default cell runner: each cell is one isolated
 // engine run — build the network, select contacts, advance the horizon
 // under scheduled maintenance, then measure reachability and a batched
-// query load.
+// query load. A cell with NoC = 0 is an error, not a run.
 //
 // Determinism: the cell's network seed is the counter-based substream
 // (pointIdx, seed) of Seed (xrand.StreamSeed), so every cell's randomness
@@ -48,6 +50,12 @@ type EngineRunner struct {
 // path); a cell with the empty scheme runs the legacy CARD node-discovery
 // batch, bit-identical to pre-scheme sweeps.
 func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint64) (Metrics, error) {
+	// Config.Validate reads NoC 0 as "the default", so such a cell would
+	// report a default-NoC run under a NoC=0 label. The no-contacts
+	// baseline is an experiments-harness rule, not an engine run.
+	if cfg.Proto.NoC == 0 {
+		return Metrics{}, errors.New("sweep: NoC = 0 is not an engine run (the engine reads it as the default NoC); sweep NoC >= 1")
+	}
 	nc := er.Net
 	nc.Seed = xrand.New(er.Seed).StreamSeed(uint64(pointIdx), seed)
 	// Network-layer axes: -1 means "not swept", so the scenario's own

@@ -237,6 +237,24 @@ func TestRunSurfacesCellErrors(t *testing.T) {
 	}
 }
 
+// TestEngineRunnerRefusesNoC0 pins that a NoC = 0 point is an error, not a
+// silently relabelled run: Config.Validate reads NoC 0 as the default, so
+// the cell used to report a 5-contact run under a NoC=0 label.
+func TestEngineRunnerRefusesNoC0(t *testing.T) {
+	g := &Grid{
+		Base: proto.Config{R: 2, MaxContactDist: 8, NoC: 3},
+		Axes: []Axis{{Name: "NoC", Values: []float64{0, 5}}},
+	}
+	er := EngineRunner{
+		Net:  engine.NetworkConfig{Nodes: 20, Width: 200, Height: 200, TxRange: 60},
+		Seed: 1,
+	}
+	_, err := g.Run(er.Run)
+	if err == nil || !strings.Contains(err.Error(), "NoC = 0") {
+		t.Fatalf("NoC=0 sweep: err = %v, want a NoC = 0 refusal", err)
+	}
+}
+
 // sweepGrid12 is the acceptance grid: 6 points x 2 seeds = 12 cells of
 // real engine runs, small enough for CI.
 func sweepGrid12(workers int) (*Grid, EngineRunner) {
