@@ -28,14 +28,23 @@
 // configurations starred. -scheme routes every cell's (and every
 // sustained-traffic run's) queries through the named discovery scheme;
 // a Scheme sweep axis overrides it per point.
+//
+// The arguments become one checked plan before anything runs. A flag that
+// is set overrides the preset (-loss 0 turns loss off, -qps 0 the
+// sustained phase); one that is not leaves it alone. Each value is checked
+// by the config that owns it (engine.NetworkConfig, workload.Config,
+// sweep.Grid, card.Config), and a run past a work ceiling exits 2.
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,29 +57,94 @@ import (
 	"card/internal/workload"
 )
 
+// Work ceilings, far above every preset's defaults (metro-rwp-1m asks 60
+// advance steps and a 500-query batch) and far below what a typo such as
+// -horizon 1e308 asks for; workload.Config.Validate bounds sustained traffic.
+const (
+	advanceStep    = 0.5        // seconds per Advance call of a preset run
+	maxTicks       = 1_000_000  // advance steps of a preset run: -horizon / advanceStep
+	maxQueries     = 1_000_000  // -queries: one preset run's batch, or one sweep cell's
+	maxSweepRounds = 10_000_000 // maintenance rounds summed over a sweep's cells
+	maxSeeds       = 1_000      // -seeds: repetitions per experiment cell or sweep point
+)
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// presetNames returns the registered preset names, sorted — the "did you
-// mean" list printed when -preset misses the registry.
-func presetNames() []string {
-	ps := engine.Presets()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
+// plan is one checked cardsim invocation: a listing, experiments, a preset
+// run or a sweep. run executes it without checking anything further.
+type plan struct {
+	list, presets, timing bool
+	format                string
+	exps                  []experiments.Experiment
+	opts                  experiments.Options
+	preset                engine.Preset // a preset or -trace run, or the scenario a sweep spans
+	horizon               float64
+	queries               int
+	seed                  uint64
+	traffic               workload.Config // QPS 0: no sustained phase
+	grid                  *sweep.Grid     // a -sweep run over spec
+	spec                  string
 }
 
-// run is the testable body of main: it parses args on its own FlagSet and
-// returns the process exit code instead of calling os.Exit, so the unit
-// tests can drive the flag-parsing path directly. Unknown -preset and
-// -scheme values print the registered names and exit 1 (actionable
-// operator typos); malformed invocations keep exit 2.
+// refusal is a plan error printed as it is, with its own exit code: flag
+// usage (2), or an unknown -preset or -scheme and the registered names (1).
+type refusal struct {
+	text string
+	code int
+}
+
+func (r refusal) Error() string { return r.text }
+
+// run is the testable body of main: it returns the exit code instead of
+// calling os.Exit, and prints nothing until the whole plan is checked.
 func run(args []string, stdout, stderr io.Writer) int {
+	pl, err := parsePlan(args)
+	var r refusal
+	switch {
+	case errors.As(err, &r):
+		fmt.Fprint(stderr, r.text)
+		return r.code
+	case err != nil:
+	case pl.list:
+		for _, e := range append(experiments.Group("paper"), experiments.Group("ablation")...) {
+			fmt.Fprintf(stdout, "%-13s %s\n", e.ID, e.Doc)
+		}
+	case pl.presets:
+		for _, p := range engine.Presets() {
+			fmt.Fprintf(stdout, "%-20s %s\n", p.Name, p.Doc)
+			fmt.Fprintf(stdout, "%-20s   %s\n", "", p.Description)
+		}
+	case pl.grid != nil:
+		err = runSweep(stdout, pl)
+	case pl.preset.Name != "":
+		err = runPreset(stdout, pl)
+	default:
+		for _, e := range pl.exps {
+			start := time.Now()
+			fmt.Fprint(stdout, render(e.Run(pl.opts), pl.format))
+			if pl.timing {
+				fmt.Fprintf(stderr, "[%s: %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
+			}
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "cardsim:", err)
+		return 2
+	}
+	return 0
+}
+
+func notFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// parsePlan turns args into a checked plan. It simulates and prints
+// nothing, so every refusal comes before any output.
+func parsePlan(args []string) (plan, error) {
+	var pl plan
+	var usage strings.Builder
 	fs := flag.NewFlagSet("cardsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs.SetOutput(&usage)
 	var (
 		exp    = fs.String("exp", "", "experiment id, or 'all' / 'ablations' / 'everything'")
 		format = fs.String("format", "text", "output format: text, csv, md, plot (json with -sweep)")
@@ -83,139 +157,181 @@ func run(args []string, stdout, stderr io.Writer) int {
 		preset    = fs.String("preset", "", "run one workload preset end to end")
 		trace     = fs.String("trace", "", "replay an ns-2 setdest movement trace end to end")
 		tx        = fs.Float64("tx", 100, "radio range in meters for -trace runs")
-		churn     = fs.String("churn", "", "add node churn to the run: meanUp,meanDown seconds (e.g. 60,15)")
-		loss      = fs.Float64("loss", -1, "per-hop loss probability in [0,1) (-1 = preset default)")
-		spread    = fs.Float64("rangespread", -1, "per-node radio-range spread in [0,1); >0 makes links directed (-1 = preset default)")
-		queries   = fs.Int("queries", 500, "batched queries per preset run")
-		horizon   = fs.Float64("horizon", -1, "simulated seconds before querying (-1 = preset default)")
+		churn     = fs.String("churn", "", "node churn: meanUp,meanDown seconds (e.g. 60,15; 0,0 = off; default: the preset's)")
+		loss      = fs.Float64("loss", 0, "per-hop loss probability in [0,1) (default: the preset's)")
+		spread    = fs.Float64("rangespread", 0, "per-node radio-range spread in [0,1); >0 makes links directed (default: the preset's)")
+		queries   = fs.Int("queries", 500, "batched queries per preset run or sweep cell")
+		horizon   = fs.Float64("horizon", 0, "simulated seconds before querying (default: the preset's)")
 		seed      = fs.Uint64("seed", 1, "preset run seed")
-		qps       = fs.Float64("qps", -1, "sustained query-traffic rate in queries/s (-1 = preset default, 0 = off)")
-		zipf      = fs.Float64("zipf", -1, "resource popularity skew for sustained traffic (-1 = preset default)")
+		qps       = fs.Float64("qps", 0, "sustained query-traffic rate in queries/s, 0 = off (default: the preset's)")
+		zipf      = fs.Float64("zipf", 0, "resource popularity skew for sustained traffic (default: the preset's)")
 		sweepArg  = fs.String("sweep", "", `parameter-sweep grid over the preset, e.g. "NoC=1..10;r=6..20"`)
 		schemeArg = fs.String("scheme", "", "discovery scheme for sweeps and sustained traffic: card, flood, ring, bordercast, rendezvous")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return pl, refusal{usage.String(), 2}
 	}
-	// strconv accepts "nan" and "inf", and NaN then slips through every
-	// range check downstream (-loss nan compares false against both
-	// bounds; -horizon inf never ends), so no numeric flag may carry one.
-	var badFlag string
+	// Which flags were set decides what overrides the preset. strconv
+	// accepts "nan" and "inf", which slip past ordered range checks, so no
+	// numeric flag may carry one.
+	set := make(map[string]bool)
+	var bad error
 	fs.Visit(func(f *flag.Flag) {
-		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && (math.IsNaN(v) || math.IsInf(v, 0)) {
-			badFlag = fmt.Sprintf("bad -%s %s: want a finite number", f.Name, f.Value)
+		set[f.Name] = true
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && notFinite(v) && bad == nil {
+			bad = fmt.Errorf("bad -%s %s: want a finite number", f.Name, f.Value)
 		}
 	})
 	// The experiment and sweep flags are rejected, not clamped: a typo
 	// must not cost a full-size default run that looks like an answer.
 	switch {
-	case badFlag != "":
+	case bad != nil:
 	case !(*scale > 0 && *scale <= 1):
-		badFlag = fmt.Sprintf("bad -scale %g: want a factor in (0, 1]", *scale)
-	case *seeds < 1:
-		badFlag = fmt.Sprintf("bad -seeds %d: want at least 1", *seeds)
-	case !validFormat(*format, *sweepArg != ""):
-		badFlag = fmt.Sprintf("bad -format %q: want text, csv, md or plot (json with -sweep)", *format)
+		bad = fmt.Errorf("bad -scale %g: want a factor in (0, 1]", *scale)
+	case *seeds < 1 || *seeds > maxSeeds:
+		bad = fmt.Errorf("bad -seeds %d: want 1..%d", *seeds, maxSeeds)
+	case *queries < 0 || *queries > maxQueries:
+		bad = fmt.Errorf("bad -queries %d: want 0..%d per batch", *queries, maxQueries)
+	case *horizon < 0:
+		bad = fmt.Errorf("bad -horizon %g: want simulated seconds >= 0", *horizon)
+	case !slices.Contains([]string{"text", "csv", "md", "plot"}, *format) && !(*format == "json" && *sweepArg != ""):
+		bad = fmt.Errorf("bad -format %q: want text, csv, md or plot (json with -sweep)", *format)
 	}
-	if badFlag != "" {
-		fmt.Fprintln(stderr, "cardsim:", badFlag)
-		return 2
+	if bad != nil {
+		return pl, bad
 	}
-
-	everything := append(experiments.Group("paper"), experiments.Group("ablation")...)
-	if *list {
-		for _, e := range everything {
-			fmt.Fprintf(stdout, "%-13s %s\n", e.ID, e.Doc)
-		}
-		return 0
-	}
-	if *presets {
-		for _, p := range engine.Presets() {
-			fmt.Fprintf(stdout, "%-20s %s\n", p.Name, p.Doc)
-			fmt.Fprintf(stdout, "%-20s   %s\n", "", p.Description)
-		}
-		return 0
+	pl.list, pl.presets, pl.format, pl.timing = *list, *presets, *format, *timing
+	if pl.list || pl.presets {
+		return pl, nil
 	}
 	if *schemeArg != "" && !scheme.Known(*schemeArg) {
-		fmt.Fprintf(stderr, "cardsim: unknown -scheme %q; registered schemes:\n", *schemeArg)
-		for _, n := range scheme.Names() {
-			fmt.Fprintf(stderr, "  %s\n", n)
-		}
-		return 1
-	}
-	if *preset != "" {
-		if _, err := engine.LookupPreset(*preset); err != nil {
-			fmt.Fprintf(stderr, "cardsim: unknown -preset %q; registered presets:\n", *preset)
-			for _, n := range presetNames() {
-				fmt.Fprintf(stderr, "  %s\n", n)
-			}
-			return 1
-		}
+		return pl, refusal{fmt.Sprintf("cardsim: unknown -scheme %q; registered schemes:\n  %s\n",
+			*schemeArg, strings.Join(scheme.Names(), "\n  ")), 1}
 	}
 	// A bare -sweep runs over the default citywide preset.
 	if *sweepArg != "" && *preset == "" && *trace == "" {
 		*preset = "citywide-rwp-1k"
 	}
-	if *preset != "" || *trace != "" {
-		p, err := resolveWorkload(*preset, *trace, *tx, *churn, *loss, *spread)
-		if err == nil {
-			if *sweepArg != "" {
-				if *qps >= 0 || *zipf >= 0 {
-					err = fmt.Errorf("-qps/-zipf (sustained traffic) do not compose with -sweep; sweep cells measure batched queries")
-				} else {
-					err = runSweep(p, *sweepArg, *schemeArg, *seeds, *queries, *horizon, *seed, *format)
-				}
-			} else {
-				err = runPreset(p, *queries, *horizon, *seed, resolveTraffic(p, *qps, *zipf, *schemeArg))
+	if *preset == "" && *trace == "" {
+		pl.opts = experiments.Options{Seeds: *seeds, Scale: *scale}
+		switch *exp {
+		case "":
+			return pl, errors.New("-exp, -preset or -trace required (try -list / -presets)")
+		case "all":
+			pl.exps = experiments.Group("paper")
+		case "ablations":
+			pl.exps = experiments.Group("ablation")
+		case "everything":
+			pl.exps = append(experiments.Group("paper"), experiments.Group("ablation")...)
+		default:
+			e, err := experiments.Lookup(*exp)
+			if err != nil {
+				return pl, err
 			}
+			pl.exps = []experiments.Experiment{e}
 		}
+		return pl, nil
+	}
+
+	p, err := engine.LookupPreset(*preset)
+	switch {
+	case *preset != "" && err != nil:
+		var names []string
+		for _, p := range engine.Presets() {
+			names = append(names, p.Name)
+		}
+		return pl, refusal{fmt.Sprintf("cardsim: unknown -preset %q; registered presets:\n  %s\n",
+			*preset, strings.Join(names, "\n  ")), 1}
+	case *preset != "" && *trace != "":
+		return pl, errors.New("-preset and -trace are mutually exclusive")
+	case *trace != "":
+		p = engine.Preset{
+			Name:        "trace:" + *trace,
+			Description: "ad-hoc ns-2 setdest replay",
+			Net:         engine.NetworkConfig{Mobility: engine.TraceReplay, TracePath: *trace, TxRange: *tx},
+			// The citywide recipe suits the mid-size urban traces setdest
+			// emits; tune via a registered preset for anything exotic.
+			Protocol: proto.Config{R: 2, MaxContactDist: 10, NoC: 6, Depth: 2, ValidatePeriod: 2},
+			Horizon:  30,
+		}
+	}
+	if set["churn"] {
+		upStr, downStr, found := strings.Cut(*churn, ",")
+		up, err1 := strconv.ParseFloat(strings.TrimSpace(upStr), 64)
+		down, err2 := strconv.ParseFloat(strings.TrimSpace(downStr), 64)
+		if !found || err1 != nil || err2 != nil || notFinite(up) || notFinite(down) {
+			return pl, fmt.Errorf("bad -churn %q: want meanUp,meanDown seconds", *churn)
+		}
+		p.Net.ChurnMeanUp, p.Net.ChurnMeanDown = up, down
+	}
+	if set["loss"] {
+		p.Net.Loss = *loss
+	}
+	if set["rangespread"] {
+		p.Net.RangeSpread = *spread
+	}
+	if set["churn"] || set["loss"] || set["rangespread"] {
+		p.Doc = engine.DescribeNet(p.Net) // keep the header honest about the overlays
+	}
+	if err := p.Net.Validate(); err != nil {
+		return pl, err
+	}
+	pl.preset, pl.queries, pl.seed, pl.horizon = p, *queries, *seed, p.Horizon
+	if set["horizon"] {
+		pl.horizon = *horizon
+	}
+	if *sweepArg != "" {
+		if set["qps"] || set["zipf"] {
+			return pl, fmt.Errorf("-qps/-zipf (sustained traffic) do not compose with -sweep; sweep cells measure batched queries")
+		}
+		axes, err := sweep.ParseSpec(*sweepArg)
 		if err != nil {
-			fmt.Fprintln(stderr, "cardsim:", err)
-			return 2
+			return pl, err
 		}
-		return 0
-	}
-	if *exp == "" {
-		fmt.Fprintln(stderr, "cardsim: -exp, -preset or -trace required (try -list / -presets)")
-		return 2
-	}
-
-	var exps []experiments.Experiment
-	switch *exp {
-	case "all":
-		exps = experiments.Group("paper")
-	case "ablations":
-		exps = experiments.Group("ablation")
-	case "everything":
-		exps = everything
-	default:
-		e, err := experiments.Lookup(*exp)
-		if err != nil {
-			fmt.Fprintln(stderr, "cardsim:", err)
-			return 2
+		g := &sweep.Grid{Base: p.Protocol, Scheme: *schemeArg, Axes: axes, Seeds: *seeds}
+		if err := g.Validate(); err != nil {
+			return pl, err
 		}
-		exps = []experiments.Experiment{e}
+		// Each cell advances -horizon at its point's validation period.
+		rounds := 0.0
+		for i := 0; i < g.Points(); i++ {
+			c, err := g.Config(g.Point(i))
+			if err == nil {
+				err = c.Proto.Validate()
+			}
+			if err != nil {
+				return pl, err
+			}
+			rounds += float64(g.Seeds) * math.Floor(pl.horizon/c.Proto.ValidatePeriod)
+		}
+		if rounds > maxSweepRounds {
+			return pl, fmt.Errorf("-sweep over -horizon %gs runs %g maintenance rounds in %d cells, max %d",
+				pl.horizon, rounds, g.Cells(), maxSweepRounds)
+		}
+		pl.grid, pl.spec = g, *sweepArg
+		return pl, nil
 	}
-
-	opts := experiments.Options{Seeds: *seeds, Scale: *scale}
-	for _, e := range exps {
-		start := time.Now()
-		fmt.Fprint(stdout, render(e.Run(opts), *format))
-		if *timing {
-			fmt.Fprintf(stderr, "[%s: %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
+	if steps := math.Ceil(pl.horizon / advanceStep); steps > maxTicks {
+		return pl, fmt.Errorf("bad -horizon %g: %g advance steps of %gs, max %d", pl.horizon, steps, advanceStep, maxTicks)
+	}
+	tr := p.Traffic
+	if set["qps"] {
+		tr.QPS = *qps
+	}
+	if set["zipf"] {
+		tr.ZipfS = *zipf
+	}
+	tr.Scheme = cmp.Or(*schemeArg, tr.Scheme)
+	if tr.QPS != 0 {
+		// A traffic-less preset enabled by -qps streams over its horizon.
+		tr.Duration = cmp.Or(tr.Duration, p.Horizon, 10)
+		tr.Seed = cmp.Or(tr.Seed, *seed^0xc0ffee)
+		if err := tr.Validate(); err != nil {
+			return pl, err
 		}
 	}
-	return 0
-}
-
-// validFormat reports whether -format names a rendering; json carries a
-// sweep's raw cells and exists only there.
-func validFormat(format string, sweep bool) bool {
-	switch format {
-	case "text", "csv", "md", "plot":
-		return true
-	}
-	return format == "json" && sweep
+	pl.traffic = tr
+	return pl, nil
 }
 
 // render prints a table in a (validated) -format.
@@ -231,117 +347,31 @@ func render(tab *experiments.Table, format string) string {
 	return tab.Text() + "\n"
 }
 
-// resolveWorkload turns the -preset / -trace / -churn / -loss /
-// -rangespread flags into one runnable Preset: a registered preset by
-// name, or an ad-hoc trace-replay scenario, optionally overlaid with a
-// churn schedule and link-layer overrides (-1 keeps the preset's values;
-// 0 explicitly turns the feature off).
-func resolveWorkload(preset, trace string, tx float64, churn string, loss, spread float64) (engine.Preset, error) {
-	var p engine.Preset
-	switch {
-	case preset != "" && trace != "":
-		return p, fmt.Errorf("-preset and -trace are mutually exclusive")
-	case trace != "":
-		p = engine.Preset{
-			Name:        "trace:" + trace,
-			Description: "ad-hoc ns-2 setdest replay",
-			Net:         engine.NetworkConfig{Mobility: engine.TraceReplay, TracePath: trace, TxRange: tx},
-			// The citywide recipe suits the mid-size urban traces setdest
-			// emits; tune via a registered preset for anything exotic.
-			Protocol: proto.Config{R: 2, MaxContactDist: 10, NoC: 6, Depth: 2, ValidatePeriod: 2},
-			Horizon:  30,
-		}
-	default:
-		var err error
-		if p, err = engine.LookupPreset(preset); err != nil {
-			return p, err
-		}
-	}
-	if churn != "" {
-		upStr, downStr, found := strings.Cut(strings.TrimSpace(churn), ",")
-		up, err1 := strconv.ParseFloat(strings.TrimSpace(upStr), 64)
-		down, err2 := strconv.ParseFloat(strings.TrimSpace(downStr), 64)
-		if !found || err1 != nil || err2 != nil || !(up > 0) || !(down > 0) { // !(x > 0) also catches NaN
-			return p, fmt.Errorf("bad -churn %q: want meanUp,meanDown seconds, both > 0", churn)
-		}
-		p.Net.ChurnMeanUp, p.Net.ChurnMeanDown = up, down
-		p.Doc = engine.DescribeNet(p.Net) // keep the header honest about the overlay
-	}
-	if loss >= 0 {
-		if loss >= 1 {
-			return p, fmt.Errorf("bad -loss %g: want a probability in [0, 1)", loss)
-		}
-		p.Net.Loss = loss
-		p.Doc = engine.DescribeNet(p.Net)
-	}
-	if spread >= 0 {
-		if spread >= 1 {
-			return p, fmt.Errorf("bad -rangespread %g: want a fraction in [0, 1)", spread)
-		}
-		p.Net.RangeSpread = spread
-		p.Doc = engine.DescribeNet(p.Net)
-	}
-	return p, nil
-}
-
-// resolveTraffic overlays the -qps/-zipf flags on the preset's suggested
-// sustained-traffic shape. qps 0 disables the phase outright; qps > 0 on a
-// traffic-less preset enables it with the workload defaults.
-func resolveTraffic(p engine.Preset, qps, zipf float64, schemeName string) workload.Config {
-	tr := p.Traffic
-	switch {
-	case qps == 0:
-		tr.QPS = 0
-	case qps > 0:
-		tr.QPS = qps
-	}
-	if zipf >= 0 {
-		tr.ZipfS = zipf
-	}
-	if schemeName != "" {
-		tr.Scheme = schemeName
-	}
-	return tr
-}
-
 // runPreset builds the workload, advances it over its horizon, fans a
-// query batch, and reports topology, reachability, traffic and wall-clock
-// numbers — the quickest way to feel a workload's scale. A non-zero
-// traffic config then keeps the clock running under sustained query load
-// and reports the serving-style quantiles.
-func runPreset(p engine.Preset, queries int, horizon float64, seed uint64, traffic workload.Config) error {
-	if horizon < 0 {
-		horizon = p.Horizon
-	}
-	if p.Doc != "" {
-		fmt.Printf("preset %s: %s\n", p.Name, p.Doc)
-	} else {
-		fmt.Printf("preset %s: %s\n", p.Name, p.Description)
-	}
-
+// query batch and reports what it saw; a sustained-traffic phase then
+// keeps the clock running under query load and reports serving quantiles.
+func runPreset(w io.Writer, pl plan) error {
+	p, seed := pl.preset, pl.seed
 	start := time.Now()
 	e, err := p.New(seed)
 	if err != nil {
 		return err
 	}
 	build := time.Since(start)
+	fmt.Fprintf(w, "preset %s: %s\n", p.Name, cmp.Or(p.Doc, p.Description))
 
 	start = time.Now()
 	e.SelectContacts()
 	sel := time.Since(start)
 
 	start = time.Now()
-	if horizon > 0 {
-		const step = 0.5
-		for e.Now() < horizon {
-			e.Advance(step)
-		}
+	for e.Now() < pl.horizon {
+		e.Advance(advanceStep)
 	}
 	adv := time.Since(start)
 
 	start = time.Now()
-	pairs := e.RandomPairs(queries, seed^0x9e3779b97f4a7c15)
-	res := e.BatchQuery(pairs)
+	res := e.BatchQuery(e.RandomPairs(pl.queries, seed^0x9e3779b97f4a7c15))
 	q := time.Since(start)
 
 	found := 0
@@ -358,98 +388,67 @@ func runPreset(p engine.Preset, queries int, horizon float64, seed uint64, traff
 	if e.Network().HasChurn() {
 		churnNote = fmt.Sprintf(" (%d up)", e.UpNodes())
 	}
-	fmt.Printf("topology: %d nodes%s, %d links, mean degree %.1f, %.0f%% in largest component\n",
+	fmt.Fprintf(w, "topology: %d nodes%s, %d links, mean degree %.1f, %.0f%% in largest component\n",
 		e.Nodes(), churnNote, c.Links, c.MeanDegree, 100*c.LargestComponentFrac)
-	fmt.Printf("after %ss simulated (%d maintenance rounds): reach(D=1) %.1f%%\n",
-		trimSeconds(e.Now()), e.Rounds(), e.MeanReachability(1))
-	fmt.Printf("queries: %d/%d found, %.1f msgs/query\n", found, len(res), avg(msgs, len(res)))
-	fmt.Printf("traffic/node: %.1f total (selection %d, validation %d, query %d)\n",
+	fmt.Fprintf(w, "after %gs simulated (%d maintenance rounds): reach(D=1) %.1f%%\n",
+		e.Now(), e.Rounds(), e.MeanReachability(1))
+	fmt.Fprintf(w, "queries: %d/%d found, %.1f msgs/query\n", found, len(res), float64(msgs)/float64(max(len(res), 1)))
+	fmt.Fprintf(w, "traffic/node: %.1f total (selection %d, validation %d, query %d)\n",
 		m.TotalPerNode, m.Selection, m.Validation, m.Query)
-	fmt.Printf("wall clock: build %v, select %v, advance %v, %d queries %v\n",
+	fmt.Fprintf(w, "wall clock: build %v, select %v, advance %v, %d queries %v\n",
 		build.Round(time.Millisecond), sel.Round(time.Millisecond),
 		adv.Round(time.Millisecond), len(res), q.Round(time.Millisecond))
 
-	if traffic.QPS > 0 {
-		if traffic.Duration <= 0 {
-			traffic.Duration = p.Horizon
-			if traffic.Duration <= 0 {
-				traffic.Duration = 10
-			}
-		}
-		if traffic.Seed == 0 {
-			traffic.Seed = seed ^ 0xc0ffee
-		}
-		start = time.Now()
-		rep, err := e.RunWorkload(traffic)
-		if err != nil {
-			return err
-		}
-		wall := time.Since(start)
-		fmt.Printf("sustained traffic [%s]: %d queries over %ss @ %g qps (zipf %g, %d resources x%d)\n",
-			rep.Scheme, rep.Queries, trimSeconds(rep.Horizon), rep.Config.QPS,
-			rep.Config.ZipfS, rep.Config.Resources, rep.Config.Replicas)
-		offline := ""
-		if rep.SrcDown > 0 {
-			offline = fmt.Sprintf(" (%d offline sources)", rep.SrcDown)
-		}
-		fmt.Printf("  success %.1f%%%s, msgs/query p50 %.0f p95 %.0f p99 %.0f (mean %.1f)\n",
-			rep.SuccessPct, offline, rep.Messages.P50, rep.Messages.P95, rep.Messages.P99,
-			rep.Messages.Mean)
-		fmt.Printf("  hops p50 %.0f p95 %.0f; trailing window: success %.1f%%, msgs p95 %.0f; wall %v\n",
-			rep.Hops.P50, rep.Hops.P95, rep.WindowSuccessPct, rep.WindowMessages.P95,
-			wall.Round(time.Millisecond))
+	if pl.traffic.QPS == 0 {
+		return nil
 	}
-	return nil
-}
-
-// runSweep spans the -sweep grid over the resolved workload: every
-// (point, seed) cell is one isolated engine run on the preset's scenario
-// with the point's protocol tuning, measured over -horizon simulated
-// seconds and a -queries batch. The per-point table (Pareto frontier
-// starred) renders through -format; "json" additionally carries the raw
-// per-cell metrics.
-func runSweep(p engine.Preset, spec, schemeName string, seeds, queries int, horizon float64, seed uint64, format string) error {
-	axes, err := sweep.ParseSpec(spec)
+	start = time.Now()
+	rep, err := e.RunWorkload(pl.traffic)
 	if err != nil {
 		return err
 	}
-	if horizon < 0 {
-		horizon = p.Horizon
+	wall := time.Since(start)
+	fmt.Fprintf(w, "sustained traffic [%s]: %d queries over %gs @ %g qps (zipf %g, %d resources x%d)\n",
+		rep.Scheme, rep.Queries, rep.Horizon, rep.Config.QPS,
+		rep.Config.ZipfS, rep.Config.Resources, rep.Config.Replicas)
+	offline := ""
+	if rep.SrcDown > 0 {
+		offline = fmt.Sprintf(" (%d offline sources)", rep.SrcDown)
 	}
-	g := &sweep.Grid{Base: p.Protocol, Scheme: schemeName, Axes: axes, Seeds: seeds}
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	er := sweep.EngineRunner{Net: p.Net, Horizon: horizon, Queries: queries, Seed: seed}
-	fmt.Printf("sweep over %s: %d points x %d seed(s) = %d cells, horizon %gs, %d queries/cell\n",
-		p.Name, g.Points(), g.Seeds, g.Cells(), horizon, queries)
+	fmt.Fprintf(w, "  success %.1f%%%s, msgs/query p50 %.0f p95 %.0f p99 %.0f (mean %.1f)\n",
+		rep.SuccessPct, offline, rep.Messages.P50, rep.Messages.P95, rep.Messages.P99,
+		rep.Messages.Mean)
+	fmt.Fprintf(w, "  hops p50 %.0f p95 %.0f; trailing window: success %.1f%%, msgs p95 %.0f; wall %v\n",
+		rep.Hops.P50, rep.Hops.P95, rep.WindowSuccessPct, rep.WindowMessages.P95,
+		wall.Round(time.Millisecond))
+	return nil
+}
+
+// runSweep runs one isolated engine per (point, seed) cell of the grid on
+// the preset's scenario and renders the per-point table (Pareto frontier
+// starred) through -format; "json" also carries the raw per-cell metrics.
+func runSweep(w io.Writer, pl plan) error {
+	p, g := pl.preset, pl.grid
+	er := sweep.EngineRunner{Net: p.Net, Horizon: pl.horizon, Queries: pl.queries, Seed: pl.seed}
 	start := time.Now()
 	res, err := g.Run(er.Run)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
-	title := fmt.Sprintf("Sweep %s over %s (* = Pareto frontier)", spec, p.Name)
-	if format == "json" {
+	fmt.Fprintf(w, "sweep over %s: %d points x %d seed(s) = %d cells, horizon %gs, %d queries/cell\n",
+		p.Name, g.Points(), g.Seeds, g.Cells(), pl.horizon, pl.queries)
+	if pl.format == "json" {
 		b, err := res.JSON()
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(b))
+		fmt.Fprintln(w, string(b))
 	} else {
-		fmt.Print(render(experiments.SweepTable(title, res), format))
+		title := fmt.Sprintf("Sweep %s over %s (* = Pareto frontier)", pl.spec, p.Name)
+		fmt.Fprint(w, render(experiments.SweepTable(title, res), pl.format))
 	}
-	front := res.Pareto()
-	fmt.Printf("pareto frontier: %d of %d points; wall %v\n",
-		len(front), g.Points(), wall.Round(time.Millisecond))
+	fmt.Fprintf(w, "pareto frontier: %d of %d points; wall %v\n",
+		len(res.Pareto()), g.Points(), wall.Round(time.Millisecond))
 	return nil
 }
-
-func avg(total int64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
-}
-
-func trimSeconds(s float64) string { return fmt.Sprintf("%g", s) }

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"card/internal/engine"
 )
 
 // TestUnknownPresetListsNames pins the operator-typo path: an unknown
@@ -174,6 +177,9 @@ func TestSweepNoC0IsAnError(t *testing.T) {
 	if !strings.Contains(errw.String(), "NoC = 0") {
 		t.Errorf("stderr does not name the NoC = 0 refusal:\n%s", errw.String())
 	}
+	if out.Len() != 0 {
+		t.Errorf("a failed sweep printed its header:\n%s", out.String())
+	}
 }
 
 // TestExperimentFlagsAreRejectedNotClamped pins ROADMAP 3(d): -scale outside
@@ -228,5 +234,157 @@ func TestListPrintsDescriptionsInPaperOrder(t *testing.T) {
 	}
 	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "scale ") {
 		t.Errorf("-list does not close with the scale extension: %q", last)
+	}
+}
+
+// runWithin runs args through run with a deadline, so an invocation that
+// would simulate for hours fails the test instead of hanging it.
+func runWithin(t *testing.T, d time.Duration, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	type result struct {
+		code     int
+		out, err string
+	}
+	done := make(chan result, 1)
+	go func() {
+		var out, errw strings.Builder
+		c := run(args, &out, &errw)
+		done <- result{c, out.String(), errw.String()}
+	}()
+	select {
+	case r := <-done:
+		return r.code, r.out, r.err
+	case <-time.After(d):
+		t.Fatalf("run(%v) did not return within %v", args, d)
+		return 0, "", ""
+	}
+}
+
+// TestRunawayAndNegativeFlagsExitTwo pins the hostile-input probes of the
+// plan: invocations that asked for days of simulation (the first three
+// hung), and four negative values that ran anyway — -queries -5 ran no
+// queries, and -zipf -0.5, -qps -3 and -horizon -2 silently ran the
+// preset's zipf 0.9, 100 qps and 30 s. Each now exits 2 within a second,
+// before printing anything, and names the flag or the bound it broke.
+func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
+	const p = "-preset=citywide-rwp-1k"
+	for _, c := range []struct {
+		args []string
+		want string // in the lower-cased message
+	}{
+		{[]string{p, "-horizon", "1e308"}, "horizon"},
+		{[]string{p, "-qps", "1e12", "-horizon", "1"}, "qps"},
+		{[]string{p, "-sweep", "NoC=2", "-seeds", "5", "-horizon", "1e9"}, "maintenance rounds"},
+		{[]string{p, "-queries", "-5"}, "queries"},
+		{[]string{p, "-zipf", "-0.5"}, "zipf"},
+		{[]string{p, "-qps", "-3"}, "qps"},
+		{[]string{p, "-horizon", "-2"}, "horizon"},
+		{[]string{p, "-queries", "1000000000"}, "queries"},
+		{[]string{"-exp", "table1", "-seeds", "1000000"}, "seeds"},
+	} {
+		start := time.Now()
+		code, out, msg := runWithin(t, 10*time.Second, c.args...)
+		if code != 2 {
+			t.Errorf("run(%v) = exit %d, want 2\nstderr: %s", c.args, code, msg)
+		}
+		if !strings.Contains(strings.ToLower(msg), c.want) {
+			t.Errorf("run(%v) does not name %q:\n%s", c.args, c.want, msg)
+		}
+		if out != "" {
+			t.Errorf("run(%v) printed before refusing:\n%s", c.args, out)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("run(%v) took %v to refuse, want under 1 s", c.args, d)
+		}
+	}
+}
+
+// TestOldSentinelValuesExitTwo pins the deletion of the "-1 = preset
+// default" sentinel: -1 is now a value like any other, and a negative loss,
+// spread, horizon, rate or skew is refused by the config that owns it.
+func TestOldSentinelValuesExitTwo(t *testing.T) {
+	for _, f := range []string{"-loss", "-rangespread", "-horizon", "-qps", "-zipf"} {
+		code, _, msg := runWithin(t, 10*time.Second, "-preset", "citywide-rwp-1k", f, "-1")
+		if code != 2 {
+			t.Errorf("%s -1 = exit %d, want 2\nstderr: %s", f, code, msg)
+		}
+		if !strings.Contains(strings.ToLower(msg), strings.TrimPrefix(f, "-")) {
+			t.Errorf("%s -1 does not name the value it refused:\n%s", f, msg)
+		}
+	}
+}
+
+// TestSetFlagsOverrideThePreset pins the override rule: a flag that was
+// set replaces the preset's field, even with the zero value, and a flag
+// that was not set leaves the field as the preset wrote it.
+func TestSetFlagsOverrideThePreset(t *testing.T) {
+	plan := func(args ...string) plan {
+		t.Helper()
+		pl, err := parsePlan(args)
+		if err != nil {
+			t.Fatalf("parsePlan(%v): %v", args, err)
+		}
+		return pl
+	}
+	lossy := plan("-preset", "lossy-metro-10k")
+	if lossy.preset.Net.Loss == 0 || lossy.traffic.QPS != 100 || lossy.traffic.ZipfS != 0.9 || lossy.horizon != 30 {
+		t.Fatalf("unset flags changed the preset: loss %g, qps %g, zipf %g, horizon %g",
+			lossy.preset.Net.Loss, lossy.traffic.QPS, lossy.traffic.ZipfS, lossy.horizon)
+	}
+	off := plan("-preset", "lossy-metro-10k", "-loss", "0", "-rangespread", "0", "-qps", "0", "-horizon", "0")
+	if off.preset.Net.Loss != 0 || off.preset.Net.RangeSpread != 0 || off.traffic.QPS != 0 || off.horizon != 0 {
+		t.Errorf("zero-valued flags did not override: loss %g, spread %g, qps %g, horizon %g",
+			off.preset.Net.Loss, off.preset.Net.RangeSpread, off.traffic.QPS, off.horizon)
+	}
+	if !strings.Contains(off.preset.Doc, "tx 100m |") || strings.Contains(off.preset.Doc, "loss") {
+		t.Errorf("header not re-described after the overlays: %q", off.preset.Doc)
+	}
+	if c := plan("-preset", "churn-2k", "-churn", "0,0"); c.preset.Net.ChurnMeanUp != 0 || c.preset.Net.ChurnMeanDown != 0 {
+		t.Errorf("-churn 0,0 kept churn on: %+v", c.preset.Net)
+	}
+	// -qps on a traffic-less preset streams over its horizon, seeded from -seed.
+	tr := plan("-preset", "sparse-rescue", "-qps", "50", "-seed", "9").traffic
+	if tr.QPS != 50 || tr.Duration != 60 || tr.Seed != 9^0xc0ffee {
+		t.Errorf("-qps on a traffic-less preset: %+v", tr)
+	}
+}
+
+// TestEveryPresetPlansUnderTheCeilings pins that the work ceilings sit
+// above every preset's defaults, metro-rwp-1m included, for a preset run
+// and for a sweep over it.
+func TestEveryPresetPlansUnderTheCeilings(t *testing.T) {
+	for _, p := range engine.Presets() {
+		for _, args := range [][]string{
+			{"-preset", p.Name},
+			{"-preset", p.Name, "-sweep", "NoC=2..8..2;r=8..14..2", "-seeds", "5"},
+		} {
+			if _, err := parsePlan(args); err != nil {
+				t.Errorf("parsePlan(%v): %v", args, err)
+			}
+		}
+	}
+}
+
+// TestRunPrintsToItsWriter pins that preset and sweep runs print through
+// the writer run is given, not os.Stdout.
+func TestRunPrintsToItsWriter(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-preset", "citywide-rwp-1k", "-horizon", "0", "-queries", "20", "-qps", "0"},
+			[]string{"preset citywide-rwp-1k: ", "queries: ", "wall clock: "}},
+		{[]string{"-preset", "citywide-rwp-1k", "-sweep", "NoC=2,4", "-seeds", "1", "-horizon", "2", "-queries", "50"},
+			[]string{"sweep over citywide-rwp-1k: 2 points x 1 seed(s)", "pareto frontier: "}},
+	} {
+		code, out, msg := runWithin(t, time.Minute, c.args...)
+		if code != 0 {
+			t.Fatalf("run(%v) = exit %d\nstderr: %s", c.args, code, msg)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("run(%v) stdout lacks %q:\n%s", c.args, w, out)
+			}
+		}
 	}
 }

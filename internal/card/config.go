@@ -12,7 +12,10 @@
 // PM1 (probability eq. 1), PM2 (probability eq. 2) and EM (edge method).
 package card
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Method selects the contact-acceptance protocol of §III.C.2.
 type Method int
@@ -67,7 +70,7 @@ type Config struct {
 	// Method selects PM1, PM2 or EM (default EM, the paper's winner).
 	Method Method
 	// ValidatePeriod is the contact-maintenance interval in seconds
-	// (default 2).
+	// (default 2, at least 1 ms).
 	ValidatePeriod float64
 	// LocalRecovery enables path splicing during validation (default on;
 	// the ablation benches switch it off). Stored inverted so the zero
@@ -116,8 +119,9 @@ func (c *Config) Validate() error {
 	if c.ValidatePeriod == 0 {
 		c.ValidatePeriod = 2
 	}
-	if c.ValidatePeriod < 0 {
-		return fmt.Errorf("card: negative ValidatePeriod %v", c.ValidatePeriod)
+	// Advance never returns under a NaN period.
+	if !(c.ValidatePeriod >= 1e-3) || math.IsInf(c.ValidatePeriod, 1) {
+		return fmt.Errorf("card: ValidatePeriod %v, need a finite period >= 1 ms", c.ValidatePeriod)
 	}
 	if c.MaxFailedWalks < 0 {
 		return fmt.Errorf("card: negative MaxFailedWalks %d", c.MaxFailedWalks)

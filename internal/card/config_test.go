@@ -1,6 +1,9 @@
 package card
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestConfigValidateErrors(t *testing.T) {
 	cases := []Config{
@@ -11,6 +14,12 @@ func TestConfigValidateErrors(t *testing.T) {
 		{R: 3, MaxContactDist: 10, NoC: -1},
 		{R: 3, MaxContactDist: 10, Depth: -2},
 		{R: 3, MaxContactDist: 10, ValidatePeriod: -1},
+		// NaN hung Advance; +Inf never maintained; under the 1 ms floor one
+		// simulated second is over a thousand rounds.
+		{R: 3, MaxContactDist: 10, ValidatePeriod: math.NaN()},
+		{R: 3, MaxContactDist: 10, ValidatePeriod: math.Inf(1)},
+		{R: 3, MaxContactDist: 10, ValidatePeriod: math.Inf(-1)},
+		{R: 3, MaxContactDist: 10, ValidatePeriod: 1e-9},
 		{R: 3, MaxContactDist: 10, Method: Method(9)},
 	}
 	for i, c := range cases {

@@ -221,8 +221,10 @@ type NetworkConfig struct {
 	Seed uint64
 }
 
-func (nc *NetworkConfig) fill() error {
-	if nc.Nodes < 2 {
+// Validate checks the config and fills defaults in place. A TraceReplay
+// config may leave Nodes and the area zero for New to read from the trace.
+func (nc *NetworkConfig) Validate() error {
+	if nc.Nodes < 2 && !(nc.Mobility == TraceReplay && nc.Nodes == 0) {
 		return fmt.Errorf("engine: need at least 2 nodes, got %d", nc.Nodes)
 	}
 	// NaN passes every ordered comparison below (x <= 0 and x >= 1 are
@@ -243,7 +245,7 @@ func (nc *NetworkConfig) fill() error {
 			return fmt.Errorf("engine: %s = %g is not a finite number", f.name, f.v)
 		}
 	}
-	if nc.Width <= 0 || nc.Height <= 0 {
+	if (nc.Width <= 0 || nc.Height <= 0) && !(nc.Mobility == TraceReplay && nc.Width == 0 && nc.Height == 0) {
 		return fmt.Errorf("engine: non-positive area %gx%g", nc.Width, nc.Height)
 	}
 	if nc.TxRange <= 0 {
@@ -255,9 +257,11 @@ func (nc *NetworkConfig) fill() error {
 	if nc.MaxSpeed == 0 {
 		nc.MaxSpeed = 19
 	}
-	if (nc.ChurnMeanUp > 0) != (nc.ChurnMeanDown > 0) {
-		return fmt.Errorf("engine: churn needs both ChurnMeanUp and ChurnMeanDown > 0 (got %g, %g)",
-			nc.ChurnMeanUp, nc.ChurnMeanDown)
+	// Both means set, or both zero: a negative or one-sided pair is not "off".
+	if nc.ChurnMeanUp != 0 || nc.ChurnMeanDown != 0 {
+		if err := (manet.ChurnConfig{MeanUp: nc.ChurnMeanUp, MeanDown: nc.ChurnMeanDown}).Validate(); err != nil {
+			return err
+		}
 	}
 	if nc.ViewCacheCap < 0 {
 		return fmt.Errorf("engine: negative ViewCacheCap %d", nc.ViewCacheCap)
@@ -276,8 +280,8 @@ func (nc *NetworkConfig) fill() error {
 	if nc.LossRetries < 0 {
 		return fmt.Errorf("engine: negative LossRetries %d", nc.LossRetries)
 	}
-	if (nc.PartitionPeriod > 0) != (nc.PartitionDuration > 0) {
-		return fmt.Errorf("engine: partitions need both PartitionPeriod and PartitionDuration > 0 (got %g, %g)",
+	if nc.PartitionPeriod < 0 || nc.PartitionDuration < 0 || (nc.PartitionPeriod > 0) != (nc.PartitionDuration > 0) {
+		return fmt.Errorf("engine: partitions need both PartitionPeriod and PartitionDuration > 0, or both 0 (got %g, %g)",
 			nc.PartitionPeriod, nc.PartitionDuration)
 	}
 	if nc.PartitionPeriod > 0 && nc.PartitionDuration >= nc.PartitionPeriod {
@@ -410,7 +414,7 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 			nc.Width, nc.Height = b.W, b.H
 		}
 	}
-	if err := nc.fill(); err != nil {
+	if err := nc.Validate(); err != nil {
 		return nil, err
 	}
 	// Before anything sized by Nodes is allocated: a bad R or NoC on a

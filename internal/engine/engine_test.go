@@ -41,18 +41,47 @@ func TestAdvanceNonPositiveIsNoOp(t *testing.T) {
 // end.
 func TestAdvanceInfIsNoOp(t *testing.T) {
 	e := newEngine(t, testNet(50), testCfg())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		e.Advance(math.Inf(1))
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	if !advancesWithin(e, math.Inf(1), 5*time.Second) {
 		t.Fatal("Advance(+Inf) did not return within 5 s")
 	}
 	if e.Now() != 0 || e.Rounds() != 0 {
 		t.Errorf("Advance(+Inf) moved state: now=%v rounds=%d", e.Now(), e.Rounds())
+	}
+}
+
+// advancesWithin reports whether e.Advance(dt) returns within d. An
+// Advance that hangs is left running in its goroutine, so the caller fails
+// instead of hanging.
+func advancesWithin(e *Engine, dt float64, d time.Duration) bool {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Advance(dt)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// TestBadValidatePeriodIsRefused pins that New refuses a maintenance
+// period that is NaN, infinite or under the 1 ms floor. Boundary
+// float64(k)·NaN never exceeds the target time, so Advance(1) under a NaN
+// period never returned; under 1e-9 s it walked a billion rounds. The
+// deadline turns either hang into a failure.
+func TestBadValidatePeriodIsRefused(t *testing.T) {
+	for _, vp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e-9} {
+		cfg := testCfg()
+		cfg.ValidatePeriod = vp
+		e, err := New(testNet(50), cfg)
+		if err == nil {
+			t.Errorf("ValidatePeriod %v accepted", vp)
+			if !advancesWithin(e, 1, 3*time.Second) {
+				t.Fatalf("ValidatePeriod %v: Advance(1) did not return within 3 s", vp)
+			}
+		}
 	}
 }
 
@@ -291,6 +320,42 @@ func TestNetworkConfigRejectsNonFinite(t *testing.T) {
 			if _, err := New(nc, testCfg()); err == nil {
 				t.Errorf("%s = %v: non-finite config accepted", f.name, v)
 			}
+		}
+	}
+	// Negative churn means and partition times used to read as "off".
+	for _, c := range []struct {
+		name string
+		set  func(*NetworkConfig)
+	}{
+		{"ChurnBoth", func(nc *NetworkConfig) { nc.ChurnMeanUp, nc.ChurnMeanDown = -5, -5 }},
+		{"ChurnMeanUp", func(nc *NetworkConfig) { nc.ChurnMeanUp, nc.ChurnMeanDown = -5, 5 }},
+		{"PartitionPeriod", func(nc *NetworkConfig) { nc.PartitionPeriod = -3 }},
+		{"PartitionDuration", func(nc *NetworkConfig) { nc.PartitionDuration = -3 }},
+		{"PartitionBoth", func(nc *NetworkConfig) { nc.PartitionPeriod, nc.PartitionDuration = -3, -1 }},
+	} {
+		nc := testNet(60)
+		c.set(&nc)
+		if _, err := New(nc, testCfg()); err == nil {
+			t.Errorf("negative %s accepted: %+v", c.name, nc)
+		}
+	}
+}
+
+// TestValidateLeavesTraceShapeToNew pins that a trace config may be checked
+// before its trace is read: Nodes and the area come from the trace, so
+// Validate accepts them zero there and nowhere else.
+func TestValidateLeavesTraceShapeToNew(t *testing.T) {
+	trace := NetworkConfig{Mobility: TraceReplay, TracePath: "t.tr", TxRange: 100}
+	if err := trace.Validate(); err != nil {
+		t.Errorf("trace config without its shape refused: %v", err)
+	}
+	for _, nc := range []NetworkConfig{
+		{Mobility: Static, TxRange: 100},
+		{Mobility: TraceReplay, TracePath: "t.tr", Nodes: 1, TxRange: 100},
+		{Mobility: TraceReplay, TracePath: "t.tr", Width: 100, TxRange: 100},
+	} {
+		if err := nc.Validate(); err == nil {
+			t.Errorf("config %+v accepted", nc)
 		}
 	}
 }

@@ -27,7 +27,8 @@ type ChurnConfig struct {
 // is already ~2000 draws per node, and at 1e-9 s a refresh never ends.
 const minChurnMean = 1e-3
 
-func (c ChurnConfig) validate() error {
+// Validate checks that both means are at least the floor.
+func (c ChurnConfig) Validate() error {
 	for _, m := range []struct {
 		name string
 		v    float64
@@ -61,7 +62,7 @@ type Churn struct {
 // NewChurn creates a schedule for n nodes. The rng is consumed only for
 // stream derivation; the caller may keep using it.
 func NewChurn(n int, cfg ChurnConfig, rng *xrand.Rand) (*Churn, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Churn{cfg: cfg, rngs: make([]*xrand.Rand, n), down: make([]bool, n), queue: make(mobility.WakeQueue, n)}

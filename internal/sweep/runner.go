@@ -58,23 +58,18 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 	}
 	nc := er.Net
 	nc.Seed = xrand.New(er.Seed).StreamSeed(uint64(pointIdx), seed)
-	// Network-layer axes: -1 means "not swept", so the scenario's own
-	// Loss/RangeSpread survive unless an axis explicitly sets them (0 is a
-	// real value, forcing lossless/uniform links per point).
-	if cfg.Loss >= 0 {
-		nc.Loss = cfg.Loss
+	if cfg.Loss != nil {
+		nc.Loss = *cfg.Loss
 	}
-	if cfg.RangeSpread >= 0 {
-		nc.RangeSpread = cfg.RangeSpread
+	if cfg.RangeSpread != nil {
+		nc.RangeSpread = *cfg.RangeSpread
 	}
 	e, err := engine.New(nc, cfg.Proto)
 	if err != nil {
 		return Metrics{}, err
 	}
 	e.SelectContacts()
-	if er.Horizon > 0 {
-		e.Advance(er.Horizon)
-	}
+	e.Advance(er.Horizon)
 	if cfg.Scheme != "" {
 		return er.runScheme(e, cfg, nc.Seed)
 	}

@@ -88,7 +88,7 @@ var axisDefs = []axisDef{
 			}
 			return nil
 		},
-		apply: func(c *CellConfig, v float64) error { c.Loss = v; return nil },
+		apply: func(c *CellConfig, v float64) error { c.Loss = &v; return nil },
 	},
 	{
 		canon: "RangeSpread",
@@ -98,7 +98,7 @@ var axisDefs = []axisDef{
 			}
 			return nil
 		},
-		apply: func(c *CellConfig, v float64) error { c.RangeSpread = v; return nil },
+		apply: func(c *CellConfig, v float64) error { c.RangeSpread = &v; return nil },
 	},
 	{
 		canon: "Scheme",

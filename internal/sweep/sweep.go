@@ -135,15 +135,10 @@ type CellConfig struct {
 	Proto proto.Config
 	// Scheme names the discovery scheme of the cell (see scheme.Names).
 	Scheme string
-	// Loss and RangeSpread are network-layer axes: per-hop loss probability
-	// and per-node radio-range spread (engine.NetworkConfig fields of the
-	// same names). They default to -1, meaning "not swept — keep the
-	// runner's scenario value"; a Loss/RangeSpread axis overwrites them
-	// per point and the engine runner overlays non-negative values onto
-	// its NetworkConfig. 0 is a real value (explicitly lossless/uniform),
-	// distinct from the -1 sentinel.
-	Loss        float64
-	RangeSpread float64
+	// Loss and RangeSpread are the network-layer axes: set only when
+	// swept, they override the runner's engine.NetworkConfig fields of the
+	// same names.
+	Loss, RangeSpread *float64
 }
 
 // Config materializes the cell configuration of a point: Base (and the
@@ -152,7 +147,7 @@ type CellConfig struct {
 // may legally span points that turn out invalid — those cells surface the
 // validation error.
 func (g *Grid) Config(point []float64) (CellConfig, error) {
-	cfg := CellConfig{Proto: g.Base, Scheme: g.Scheme, Loss: -1, RangeSpread: -1}
+	cfg := CellConfig{Proto: g.Base, Scheme: g.Scheme}
 	for i, a := range g.Axes {
 		d, err := canonAxis(a.Name)
 		if err != nil {

@@ -111,29 +111,31 @@ type Config struct {
 	KeepOutcomes bool
 }
 
-func (c *Config) fill() error {
-	// Non-finite values pass the range checks below or defeat the tick
-	// loop (an infinite rate or horizon never terminates, a NaN tick never
-	// starts), so they are rejected by name first.
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"QPS", c.QPS}, {"Duration", c.Duration}, {"Tick", c.Tick}, {"ZipfS", c.ZipfS}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("workload: %s = %g is not a finite number", f.name, f.v)
-		}
-	}
+// maxQueries (QPS·Duration) and maxTicks (Duration/Tick) bound the work
+// one Run may ask for: far above any preset's stream, far below a typo.
+const maxQueries, maxTicks = 10_000_000, 1_000_000
+
+// Validate checks the configuration and fills defaults in place.
+func (c *Config) Validate() error {
+	// Every comparison is false for NaN, and an infinite rate or horizon
+	// fails the work ceilings below.
 	if !(c.QPS > 0) {
 		return fmt.Errorf("workload: need QPS > 0, got %g", c.QPS)
 	}
 	if !(c.Duration > 0) {
 		return fmt.Errorf("workload: need Duration > 0, got %g", c.Duration)
 	}
-	if c.Tick < 0 {
-		return fmt.Errorf("workload: negative Tick %g", c.Tick)
+	if !(c.Tick >= 0) {
+		return fmt.Errorf("workload: need Tick >= 0, got %g", c.Tick)
 	}
 	if c.Tick == 0 {
 		c.Tick = 0.5
+	}
+	if q := c.QPS * c.Duration; q > maxQueries {
+		return fmt.Errorf("workload: QPS %g x Duration %g s offers %g queries, max %d", c.QPS, c.Duration, q, maxQueries)
+	}
+	if t := c.Duration / c.Tick; t > maxTicks {
+		return fmt.Errorf("workload: Duration %g s / Tick %g s is %g ticks, max %d", c.Duration, c.Tick, t, maxTicks)
 	}
 	if c.Resources < 0 || c.Replicas < 0 || c.Window < 0 {
 		return fmt.Errorf("workload: negative Resources/Replicas/Window")
@@ -144,8 +146,8 @@ func (c *Config) fill() error {
 	if c.Replicas == 0 {
 		c.Replicas = 1
 	}
-	if !(c.ZipfS >= 0) {
-		return fmt.Errorf("workload: need ZipfS >= 0, got %g", c.ZipfS)
+	if !(c.ZipfS >= 0) || math.IsInf(c.ZipfS, 1) {
+		return fmt.Errorf("workload: need a finite ZipfS >= 0, got %g", c.ZipfS)
 	}
 	if c.Window == 0 {
 		c.Window = 256
@@ -240,7 +242,7 @@ type Driver interface {
 // directory of resource holders is placed from cfg.Seed before traffic
 // starts; the driver's clock advances by cfg.Duration.
 func Run(d Driver, cfg Config) (*Report, error) {
-	if err := cfg.fill(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := d.Nodes()

@@ -72,6 +72,9 @@ func TestRunValidatesConfig(t *testing.T) {
 		"inf-duration":  {QPS: 10, Duration: math.Inf(1)},
 		"nan-tick":      {QPS: 10, Duration: 5, Tick: math.NaN()},
 		"inf-zipf":      {QPS: 10, Duration: 5, ZipfS: math.Inf(1)},
+		// Work past the ceilings: 3e13 offered queries, 1e10 ticks.
+		"qps-x-duration": {QPS: 1e12, Duration: 30},
+		"tick-count":     {QPS: 1e-6, Duration: 1e7, Tick: 1e-3},
 	} {
 		if _, err := Run(d, bad); err == nil {
 			t.Errorf("%s: bad config accepted", name)
