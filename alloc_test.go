@@ -1,10 +1,13 @@
 package card
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestAllocBudgetAdvance1k pins the steady-state allocation cost of one
 // engine tick at the 1k scale. The scenario deliberately minimizes real
-// protocol work — static nodes, dirty maintenance, one round worker — so
+// protocol work — static nodes, dirty maintenance, GOMAXPROCS 1 — so
 // what remains per Advance(period) is the fixed machinery: the (empty-diff)
 // topology refresh, the oracle epoch advance and the restricted round over
 // the below-NoC stragglers. The flat-slab
@@ -26,7 +29,7 @@ func TestAllocBudgetAdvance1k(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.SelectContacts()
-	sim.Engine.SetMaintainWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	period := sim.Config().ValidatePeriod
 	// Warm up: let retrying walkers exhaust their fresh randomness churn
 	// and every reusable buffer reach its steady capacity.
@@ -71,7 +74,7 @@ func TestAllocBudgetQuietAdvance10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.SelectContacts()
-	sim.Engine.SetMaintainWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	period := sim.Config().ValidatePeriod
 	for i := 0; i < 5; i++ {
 		sim.Advance(period)
@@ -107,7 +110,7 @@ func TestAllocBudgetChurnedRefresh10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.SelectContacts()
-	sim.Engine.SetMaintainWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 5; i++ {
 		sim.Advance(0.5)
 	}

@@ -143,22 +143,22 @@ func BenchmarkSelectionRound(b *testing.B) {
 // serial fixed cost shared by both variants, so they run off the clock:
 // each iteration churns the network untimed, then times one forced
 // Maintain round on the fresh snapshot. Setup (build + initial selection)
-// always runs with the default pool; only the measured rounds honor the
-// worker bound, which is sound because the serial and sharded paths are
+// always runs at the default GOMAXPROCS; only the measured iterations run
+// at procs, which is sound because the serial and sharded paths are
 // bit-identical (TestMaintainParallelEquivalence).
 //
 // The timed rounds start at t = 20 s, as cardbench's warm-up does: until
 // t = 10 s every RWP node of the preset is still in its initial pause, and
 // a round over that frozen field does a tenth of the steady regime's walk
 // work.
-func benchMaintain5k(b *testing.B, workers int) {
+func benchMaintain5k(b *testing.B, procs int) {
 	sim, err := NewPresetSimulation("citywide-rwp-5k", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sim.SelectContacts()
 	sim.Advance(20)
-	sim.Engine.SetMaintainWorkers(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	period := sim.Config().ValidatePeriod
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,12 +169,14 @@ func benchMaintain5k(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkMaintain5kSerial is the serial reference for
-// BenchmarkMaintain5kParallel (CI smoke row 2 runs both). How much the
-// fan-out buys on a multi-core runner is ROADMAP item 7's open question,
-// not a CI gate.
-func BenchmarkMaintain5kSerial(b *testing.B)   { benchMaintain5k(b, 1) }
-func BenchmarkMaintain5kParallel(b *testing.B) { benchMaintain5k(b, 0) }
+// BenchmarkMaintain5k times the rounds at GOMAXPROCS 1, the serial
+// reference, and at the runner's whole GOMAXPROCS (CI smoke row 2 runs
+// both). How much the fan-out buys on a multi-core runner is ROADMAP
+// item 7's open question, not a CI gate.
+func BenchmarkMaintain5k(b *testing.B) {
+	b.Run("procs=1", func(b *testing.B) { benchMaintain5k(b, 1) })
+	b.Run("procs=all", func(b *testing.B) { benchMaintain5k(b, runtime.GOMAXPROCS(0)) })
+}
 
 // benchScenarioAdvance measures one ValidatePeriod of engine time —
 // mobility stepping, (masked) topology refresh, churn expiry and the

@@ -182,9 +182,9 @@ func NewPresetSimulation(name string, seed uint64) (*Simulation, error) {
 // Mutating calls (Advance, SelectContacts, Maintain) are single-goroutine;
 // run independent simulations on separate goroutines for parameter sweeps.
 // BatchQuery — and, since the round fan-out, the selection/maintenance
-// rounds inside Advance/SelectContacts/Maintain — parallelize internally,
-// with results bit-identical to the serial loops at any GOMAXPROCS (use
-// SetMaintainWorkers to bound or disable the round sharding).
+// rounds inside Advance/SelectContacts/Maintain — parallelize internally
+// across up to GOMAXPROCS workers, with results bit-identical to the
+// serial loops at any GOMAXPROCS.
 type Simulation struct {
 	*engine.Engine
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"card/internal/sweep"
 )
 
 // FuzzCardsimPlan feeds parsePlan arbitrary argument lists (the input,
@@ -66,7 +68,7 @@ func FuzzCardsimPlan(f *testing.F) {
 			for i := 0; i < g.Points(); i++ {
 				c, err := g.Config(g.Point(i))
 				if err == nil {
-					err = c.Proto.Validate()
+					err = sweep.EngineRunner{}.Check(&c)
 				}
 				if err != nil {
 					t.Fatalf("%q: plan carries a sweep point its owner refuses: %v", args, err)

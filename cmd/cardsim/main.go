@@ -194,6 +194,8 @@ func parsePlan(args []string) (plan, error) {
 		bad = fmt.Errorf("bad -queries %d: want 0..%d per batch", *queries, maxQueries)
 	case *horizon < 0:
 		bad = fmt.Errorf("bad -horizon %g: want simulated seconds >= 0", *horizon)
+	case set["tx"] && *trace == "":
+		bad = errors.New("-tx sets the radio range of a -trace run; this run has no -trace")
 	case !slices.Contains([]string{"text", "csv", "md", "plot"}, *format) && !(*format == "json" && *sweepArg != ""):
 		bad = fmt.Errorf("bad -format %q: want text, csv, md or plot (json with -sweep)", *format)
 	}
@@ -297,7 +299,7 @@ func parsePlan(args []string) (plan, error) {
 		for i := 0; i < g.Points(); i++ {
 			c, err := g.Config(g.Point(i))
 			if err == nil {
-				err = c.Proto.Validate()
+				err = sweep.EngineRunner{}.Check(&c)
 			}
 			if err != nil {
 				return pl, err
@@ -322,6 +324,9 @@ func parsePlan(args []string) (plan, error) {
 		tr.ZipfS = *zipf
 	}
 	tr.Scheme = cmp.Or(*schemeArg, tr.Scheme)
+	if tr.QPS == 0 && set["zipf"] {
+		return pl, errors.New("-zipf shapes sustained traffic; this run has none (set -qps > 0)")
+	}
 	if tr.QPS != 0 {
 		// A traffic-less preset enabled by -qps streams over its horizon.
 		tr.Duration = cmp.Or(tr.Duration, p.Horizon, 10)

@@ -264,8 +264,12 @@ func runWithin(t *testing.T, d time.Duration, args ...string) (code int, stdout,
 // plan: invocations that asked for days of simulation (the first three
 // hung), and four negative values that ran anyway — -queries -5 ran no
 // queries, and -zipf -0.5, -qps -3 and -horizon -2 silently ran the
-// preset's zipf 0.9, 100 qps and 30 s. Each now exits 2 within a second,
-// before printing anything, and names the flag or the bound it broke.
+// preset's zipf 0.9, 100 qps and 30 s. So did flags the run never reads:
+// -zipf with no sustained phase and -tx without -trace exited 0 (the -tx
+// run's header still printed the preset's 100 m radio), and a NoC = 0
+// sweep point failed only after the other points' cells had run. Each now
+// exits 2 within a second, before printing anything, and names the flag
+// or the bound it broke.
 func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
 	const p = "-preset=citywide-rwp-1k"
 	for _, c := range []struct {
@@ -281,6 +285,11 @@ func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
 		{[]string{p, "-horizon", "-2"}, "horizon"},
 		{[]string{p, "-queries", "1000000000"}, "queries"},
 		{[]string{"-exp", "table1", "-seeds", "1000000"}, "seeds"},
+		{[]string{"-preset", "dense-sensor-field", "-zipf", "-0.5", "-queries", "1"}, "-zipf"},
+		{[]string{p, "-qps", "0", "-zipf", "1.1"}, "-zipf"},
+		{[]string{p, "-tx", "5"}, "-tx"},
+		{[]string{"-exp", "table1", "-tx", "5"}, "-tx"},
+		{[]string{"-sweep", "NoC=0,5", "-horizon", "60"}, "noc = 0"},
 	} {
 		start := time.Now()
 		code, out, msg := runWithin(t, 10*time.Second, c.args...)
@@ -342,10 +351,14 @@ func TestSetFlagsOverrideThePreset(t *testing.T) {
 	if c := plan("-preset", "churn-2k", "-churn", "0,0"); c.preset.Net.ChurnMeanUp != 0 || c.preset.Net.ChurnMeanDown != 0 {
 		t.Errorf("-churn 0,0 kept churn on: %+v", c.preset.Net)
 	}
-	// -qps on a traffic-less preset streams over its horizon, seeded from -seed.
-	tr := plan("-preset", "sparse-rescue", "-qps", "50", "-seed", "9").traffic
-	if tr.QPS != 50 || tr.Duration != 60 || tr.Seed != 9^0xc0ffee {
-		t.Errorf("-qps on a traffic-less preset: %+v", tr)
+	// -qps on a traffic-less preset streams over its horizon, seeded from
+	// -seed, and gives -zipf a phase to shape.
+	tr := plan("-preset", "sparse-rescue", "-qps", "50", "-zipf", "0.5", "-seed", "9").traffic
+	if tr.QPS != 50 || tr.ZipfS != 0.5 || tr.Duration != 60 || tr.Seed != 9^0xc0ffee {
+		t.Errorf("-qps -zipf on a traffic-less preset: %+v", tr)
+	}
+	if tx := plan("-trace", "movements.tcl", "-tx", "70").preset.Net.TxRange; tx != 70 {
+		t.Errorf("-tx on a -trace run: radio range %g, want 70", tx)
 	}
 }
 

@@ -22,7 +22,7 @@
 // internal/ — unit-disk topology (incremental spatial-hash builder), six
 // mobility models, a round-stepped engine, the converged R-hop view
 // table, the protocol itself — and Simulation embeds the engine, whose
-// accessors serve advanced use (direct network access, worker bounds).
+// accessors serve advanced use (direct network and protocol access).
 //
 // # Determinism guarantees
 //
@@ -36,8 +36,8 @@
 //   - The selection/maintenance rounds inside Advance, SelectContacts and
 //     Maintain shard nodes across workers, with each node drawing from a
 //     counter-based (node, round) RNG substream — tables, statistics and
-//     recorder totals equal the serial id-order loop at any worker count
-//     (SetMaintainWorkers bounds or disables the fan-out).
+//     recorder totals equal the serial id-order loop at any GOMAXPROCS,
+//     the one fan-out width.
 //   - Node churn (NetworkConfig.ChurnMeanUp / ChurnMeanDown) schedules
 //     per-node up/down phases from per-node derived streams, so churned
 //     runs — including the parallel paths above — stay reproducible.
@@ -49,7 +49,7 @@
 //     ([ParseSweepSpec], e.g. "NoC=1..10;r=6..20"): every (point, seed)
 //     cell is an isolated engine run on a counter-based substream of the
 //     root seed, sharded across workers with bit-identical metrics at any
-//     worker count, aggregated into the overhead-vs-reachability Pareto
+//     GOMAXPROCS, aggregated into the overhead-vs-reachability Pareto
 //     frontier ([SweepResult]).
 //
 // The source side of these guarantees is enforced at compile time by

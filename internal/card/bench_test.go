@@ -44,7 +44,7 @@ func BenchmarkSelectNode(b *testing.B) {
 		b.Run(prov.name, func(b *testing.B) {
 			p := benchProtocol(b, prov.new)
 			m := p.NewMaintainer()
-			p.SelectAll(0) // resident views, grown scratch
+			selectAll(p, 0) // resident views, grown scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
@@ -123,7 +123,7 @@ func BenchmarkIneligible(b *testing.B) {
 	for _, prov := range testProviders {
 		b.Run(prov.name, func(b *testing.B) {
 			p := benchProtocol(b, prov.new)
-			p.SelectAll(0)
+			selectAll(p, 0)
 			m := p.NewMaintainer()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -142,7 +142,7 @@ func BenchmarkQuerierQuery(b *testing.B) {
 	for _, prov := range testProviders {
 		b.Run(prov.name, func(b *testing.B) {
 			p := benchProtocol(b, prov.new)
-			p.SelectAll(0)
+			selectAll(p, 0)
 			q := p.NewQuerier()
 			pairs := randomPairs(xrand.New(45), benchNodes, 4096)
 			b.ReportAllocs()
@@ -165,7 +165,7 @@ func BenchmarkDiscover8Replicas(b *testing.B) {
 	for _, prov := range testProviders {
 		b.Run(prov.name, func(b *testing.B) {
 			p := benchProtocol(b, prov.new)
-			p.SelectAll(0)
+			selectAll(p, 0)
 			q := p.NewQuerier()
 			rng := xrand.New(46)
 			lookups := make([][9]NodeID, 512) // a source, then its resource's 8 holders
@@ -235,7 +235,7 @@ func BenchmarkShortenRoute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.SelectAll(0)
+	selectAll(p, 0)
 	for t := 2.0; t <= 20; t += 2 {
 		net.RefreshAt(t)
 		p.MaintainAll(t)
@@ -276,7 +276,7 @@ func TestAllocBudgetQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SelectAll(0)
+		selectAll(p, 0)
 		q := p.NewQuerier()
 		pairs := randomPairs(xrand.New(32), 300, 200)
 		run := func() {
@@ -312,14 +312,14 @@ func BenchmarkExpireNodes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.SelectAll(0)
+	selectAll(p, 0)
 	for t := 10.0; t <= 60; t += 10 {
 		net.RefreshAt(t)
 		p.ExpireNodes(net.ChurnedDown())
 		for _, v := range net.ChurnedUp() {
 			p.ResetNode(v)
 		}
-		p.SelectAll(t)
+		selectAll(p, t)
 	}
 	rng := xrand.New(5)
 	var batches [][]NodeID

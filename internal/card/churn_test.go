@@ -65,8 +65,8 @@ func TestExpireMatchesSweep(t *testing.T) {
 	for _, w := range refWorlds(7, 240) {
 		cfg := Config{R: 2, MaxContactDist: 9, NoC: 5, Method: EM, MaxFailedWalks: 6}
 		a, b := protocolPair(t, w, cfg, 17)
-		a.SelectAll(0)
-		b.SelectAll(0)
+		selectAll(a, 0)
+		selectAll(b, 0)
 		n := w.net.N()
 		rng := xrand.New(23)
 		check := func(what string, got, want []NodeID) {
@@ -148,8 +148,8 @@ func TestExpireMatchesSweep(t *testing.T) {
 				check("reset", nil, nil)
 			}
 			if step%3 == 2 { // readmit: a round refills every table
-				a.SelectAll(float64(step))
-				b.SelectAll(float64(step))
+				selectAll(a, float64(step))
+				selectAll(b, float64(step))
 				check("select", nil, nil)
 			}
 		}

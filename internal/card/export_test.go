@@ -29,3 +29,32 @@ func HeldByMismatch(p *Protocol) error {
 	}
 	return nil
 }
+
+// serialMaintainer is p's own Maintainer, the one MaintainAll runs on,
+// allocated on first use.
+func serialMaintainer(p *Protocol) *Maintainer {
+	if p.maint == nil {
+		p.maint = p.NewMaintainer()
+	}
+	return p.maint
+}
+
+// selectAll runs one selection round for every node, in id order: the
+// serial reference the engine's sharded rounds are bit-identical to.
+func selectAll(p *Protocol, now float64) int {
+	m, round, total := serialMaintainer(p), p.NextRound(), 0
+	for i := 0; i < p.net.N(); i++ {
+		total += m.SelectNode(NodeID(i), now, round)
+	}
+	m.Flush()
+	return total
+}
+
+// query runs one destination search from u for target on a fresh Querier
+// and flushes its tallies to the recorder at once.
+func query(p *Protocol, u, target NodeID) QueryResult {
+	q := p.NewQuerier()
+	res := q.Query(u, target)
+	q.Flush()
+	return res
+}

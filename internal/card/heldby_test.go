@@ -2,6 +2,7 @@ package card_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"card/internal/card"
@@ -9,15 +10,16 @@ import (
 )
 
 // TestHeldByMatchesTables drives a churned mobile engine — full and dirty
-// rounds, one worker and four — and requires the owners-of index to equal
-// the reverse of the contact tables after every refresh-only tick and
-// every tick that ends in a round. Under -race it also proves the round
+// rounds, one worker and four (GOMAXPROCS 1 and 4) — and requires the
+// owners-of index to equal the reverse of the contact tables after every
+// refresh-only tick and every tick that ends in a round. Under -race it also proves the round
 // fan-out writes nothing shared: the index is only touched at Flush.
 func TestHeldByMatchesTables(t *testing.T) {
 	for _, dirty := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("dirty=%v/workers=%d", dirty, workers)
 			t.Run(name, func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				e, err := engine.New(engine.NetworkConfig{
 					Nodes: 300, Width: 710, Height: 710, TxRange: 50, Seed: 7,
 					Mobility: engine.RandomWaypoint, MinSpeed: 1, MaxSpeed: 15, Pause: 3,
@@ -26,7 +28,6 @@ func TestHeldByMatchesTables(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.SetMaintainWorkers(workers)
 				e.SelectContacts()
 				p := e.Protocol()
 				if err := card.HeldByMismatch(p); err != nil {

@@ -45,15 +45,17 @@ func newProtocol(t *testing.T, net *manet.Network, cfg Config, seed uint64) *Pro
 // selectNode runs one selection round for u alone on the protocol's own
 // Maintainer, as one shard of the engine's fan-out does, and flushes it.
 func selectNode(p *Protocol, u NodeID, now float64) int {
-	added := p.maint.SelectNode(u, now, p.NextRound())
-	p.maint.Flush()
+	m := serialMaintainer(p)
+	added := m.SelectNode(u, now, p.NextRound())
+	m.Flush()
 	return added
 }
 
 // maintainNode is selectNode for one maintenance round.
 func maintainNode(p *Protocol, u NodeID, now float64) {
-	p.maint.MaintainNode(u, now, p.NextRound())
-	p.maint.Flush()
+	m := serialMaintainer(p)
+	m.MaintainNode(u, now, p.NextRound())
+	m.Flush()
 }
 
 // inject appends c to u's table as a selection round would and records it

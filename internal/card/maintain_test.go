@@ -12,7 +12,7 @@ func TestMaintainStaticKeepsAllContacts(t *testing.T) {
 	net := staticNet(20, 300, 50)
 	cfg := Config{R: 3, MaxContactDist: 16, NoC: 5, Method: EM}
 	p := newProtocol(t, net, cfg, 30)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	before := p.TotalContacts()
 	if before == 0 {
 		t.Fatal("nothing selected")
@@ -97,7 +97,7 @@ func TestMaintainRefillsDeficit(t *testing.T) {
 	net := staticNet(22, 300, 50)
 	cfg := Config{R: 3, MaxContactDist: 16, NoC: 4, Method: EM}
 	p := newProtocol(t, net, cfg, 33)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	// Wipe node 0's table and confirm maintenance refills it.
 	src := NodeID(0)
 	had := p.Table(src).Len()
@@ -248,7 +248,7 @@ func TestMaintainUnderMobilityKeepsPathsValid(t *testing.T) {
 	net := mobileNet(t, 40, 250, 50)
 	cfg := Config{R: 3, MaxContactDist: 16, NoC: 5, Method: EM, ValidatePeriod: 1}
 	p := newProtocol(t, net, cfg, 41)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	for step := 1; step <= 10; step++ {
 		tm := float64(step)
 		net.RefreshAt(tm)

@@ -136,7 +136,6 @@ func (m *Maintainer) sendHops(cat manet.Category, k int) { m.pend.Record(cat, in
 // skip the round entirely — their radios are off — which is safe for the
 // parallel fan-out because every node's randomness comes from its own
 // substream, so a skip cannot shift any other node's draws.
-// Protocol.SelectAll is the serial round over every node.
 func (m *Maintainer) SelectNode(u NodeID, now float64, round uint64) int {
 	if m.p.net.Down(u) {
 		return 0

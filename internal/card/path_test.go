@@ -396,7 +396,7 @@ func TestPathHygieneUnderMobility(t *testing.T) {
 			net := mobileNet(t, 50+uint64(method), 250, 50)
 			cfg := Config{R: 3, MaxContactDist: 16, NoC: 5, Method: method, ValidatePeriod: 1}
 			p := newProtocol(t, net, cfg, 60+uint64(method))
-			p.SelectAll(0)
+			selectAll(p, 0)
 			check := func(tm float64) {
 				for u := 0; u < net.N(); u++ {
 					for _, c := range p.Table(NodeID(u)).Contacts() {

@@ -105,8 +105,7 @@ func (t *Table) removeAt(i int) {
 // share one protocol object (the simulator's bird's-eye view); per-node
 // state lives in the tables.
 //
-// A Protocol's serial entry points (SelectAll, MaintainAll, Query) are
-// single-goroutine, like the Network they run on.
+// A Protocol is single-goroutine, like the Network it runs on.
 // Concurrency happens through per-worker executors: [Querier] for the
 // read-only query fan-out, [Maintainer] for sharded selection/maintenance
 // rounds. All mutable round scratch lives in those executors; the Protocol
@@ -156,10 +155,8 @@ type Protocol struct {
 	// memo is valid for one (network epoch, tableGen) pair.
 	tableGen uint64
 
-	// maint serves the serial SelectAll/MaintainAll rounds.
+	// maint serves the serial MaintainAll round; nil until its first call.
 	maint *Maintainer
-	// querier serves the serial Protocol.Query entry point.
-	querier *Querier
 
 	// Selection statistics beyond raw message counts.
 	stats Stats
@@ -231,8 +228,6 @@ func New(net *manet.Network, nb neighborhood.Provider, cfg Config, rng *xrand.Ra
 	for i := range p.tables {
 		p.tables[i] = Table{owner: NodeID(i), p: p}
 	}
-	p.maint = p.NewMaintainer()
-	p.querier = p.NewQuerier()
 	return p, nil
 }
 

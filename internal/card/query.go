@@ -23,25 +23,6 @@ type QueryResult struct {
 	Holder NodeID
 }
 
-// Query runs the Destination Search Query mechanism of §III.C.4: the
-// source first checks its own neighborhood table, then escalates DSQs of
-// increasing depth D = 1..cfg.Depth through its contacts, each contact
-// leveraging its own neighborhood knowledge (and, for D > 1, forwarding to
-// its contacts with D-1).
-//
-// Matching the paper's "one at a time" semantics, contacts are queried
-// sequentially with early termination on the first hit; an unanswered
-// depth-D sweep is followed by a fresh depth-(D+1) DSQ.
-//
-// Query is the serial entry point: it runs on the protocol's own scratch
-// and flushes message tallies to the network recorder immediately. For
-// concurrent fan-outs, create one [Querier] per worker instead.
-func (p *Protocol) Query(u, target NodeID) QueryResult {
-	res := p.querier.Query(u, target)
-	p.querier.Flush()
-	return res
-}
-
 // Querier executes CARD queries against a protocol snapshot without
 // touching any shared mutable state: visited markers and message tallies
 // live in the Querier itself. Between topology refreshes and maintenance
@@ -126,14 +107,22 @@ func (q *Querier) Flush() {
 	q.pend.Reset()
 }
 
-// Query runs one CARD destination search from u for target: Resolve over
-// the one-element set.
+// Query runs the Destination Search Query mechanism of §III.C.4 from u
+// for target: Resolve over the one-element set. The source first checks
+// its own neighborhood table, then escalates DSQs of increasing depth
+// D = 1..cfg.Depth through its contacts, each contact leveraging its own
+// neighborhood knowledge (and, for D > 1, forwarding to its contacts with
+// D-1).
+//
+// Matching the paper's "one at a time" semantics, contacts are queried
+// sequentially with early termination on the first hit; an unanswered
+// depth-D sweep is followed by a fresh depth-(D+1) DSQ.
 func (q *Querier) Query(u, target NodeID) QueryResult {
 	q.one[0] = target
 	return q.Resolve(u, q.one[:])
 }
 
-// Resolve runs one CARD destination search (see Protocol.Query for the
+// Resolve runs one CARD destination search (see Query for the
 // mechanism) from u for any of targets — the holders of the resource the
 // DSQ names. The set is stamped once; the source answers from its own
 // table if it lists a target, and otherwise one escalation runs in which a

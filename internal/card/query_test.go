@@ -11,11 +11,11 @@ func TestQuerySelfAndNeighborhood(t *testing.T) {
 	cfg := Config{R: 3, MaxContactDist: 10, NoC: 2, Method: EM}
 	p := newProtocol(t, net, cfg, 50)
 
-	res := p.Query(5, 5)
+	res := query(p, 5, 5)
 	if !res.Found || res.Depth != 0 || res.PathHops != 0 {
 		t.Errorf("self query = %+v", res)
 	}
-	res = p.Query(5, 7) // 2 hops, inside R=3 neighborhood
+	res = query(p, 5, 7) // 2 hops, inside R=3 neighborhood
 	if !res.Found || res.Depth != 0 || res.PathHops != 2 || res.Messages != 0 {
 		t.Errorf("neighborhood query = %+v", res)
 	}
@@ -37,7 +37,7 @@ func TestQueryThroughContactDepth1(t *testing.T) {
 	if int(target) >= net.N() {
 		target = c.ID - 1
 	}
-	res := p.Query(0, target)
+	res := query(p, 0, target)
 	if !res.Found || res.Depth != 1 {
 		t.Fatalf("query = %+v, want found at depth 1", res)
 	}
@@ -56,8 +56,8 @@ func TestQueryNotFoundWithinDepth(t *testing.T) {
 	net := lineNet(60)
 	cfg := Config{R: 2, MaxContactDist: 10, NoC: 1, Method: EM, Depth: 1}
 	p := newProtocol(t, net, cfg, 52)
-	p.SelectAll(0)
-	res := p.Query(0, 59)
+	selectAll(p, 0)
+	res := query(p, 0, 59)
 	if res.Found {
 		t.Fatalf("depth-1 query found a target ~59 hops away: %+v", res)
 	}
@@ -76,22 +76,22 @@ func TestQueryDepth2ReachesFurther(t *testing.T) {
 	shallow := base
 	shallow.Depth = 1
 	p1 := newProtocol(t, net, shallow, 53)
-	p1.SelectAll(0)
+	selectAll(p1, 0)
 
 	deep := base
 	deep.Depth = 3
 	net2 := lineNet(60)
 	p2 := newProtocol(t, net2, deep, 53)
-	p2.SelectAll(0)
+	selectAll(p2, 0)
 
 	// On a line with R=2, EM contacts land ~2R+1 = 5 hops out, so depth 1
 	// reaches ~7 hops and depth 3 reaches ~17: probe the band between.
 	found1, found2 := 0, 0
 	for _, target := range []NodeID{10, 12, 14, 16} {
-		if p1.Query(0, target).Found {
+		if query(p1, 0, target).Found {
 			found1++
 		}
-		if p2.Query(0, target).Found {
+		if query(p2, 0, target).Found {
 			found2++
 		}
 	}
@@ -105,10 +105,10 @@ func TestQueryDepthEscalationReported(t *testing.T) {
 	net := lineNet(60)
 	cfg := Config{R: 2, MaxContactDist: 10, NoC: 1, Method: EM, Depth: 3}
 	p := newProtocol(t, net, cfg, 54)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	// Find some target that depth-1 cannot resolve but deeper can.
 	for target := NodeID(15); target < 60; target++ {
-		res := p.Query(0, target)
+		res := query(p, 0, target)
 		if res.Found && res.Depth >= 2 {
 			return // escalation worked and was reported
 		}
@@ -126,7 +126,7 @@ func TestQueryDedupTerminatesOnContactCycles(t *testing.T) {
 	inject(p, 5, Contact{ID: 10, Path: pathAB})
 	inject(p, 10, Contact{ID: 5, Path: pathBA})
 	// Target nowhere near either: query must terminate (not hang) and fail.
-	res := p.Query(5, 39)
+	res := query(p, 5, 39)
 	if res.Found {
 		t.Fatalf("query found unreachable target: %+v", res)
 	}
@@ -148,7 +148,7 @@ func TestQueryNeverWalksBackToSource(t *testing.T) {
 	inject(p, 5, Contact{ID: 10, Path: []NodeID{5, 6, 7, 8, 9, 10}})
 	inject(p, 10, Contact{ID: 5, Path: []NodeID{10, 9, 8, 7, 6, 5}})
 	// Target far outside both neighborhoods and the depth-2 horizon.
-	res := p.Query(5, 39)
+	res := query(p, 5, 39)
 	if res.Found {
 		t.Fatalf("unreachable target found: %+v", res)
 	}
@@ -169,7 +169,7 @@ func TestQueryBrokenContactPathFails(t *testing.T) {
 	p := newProtocol(t, net, cfg, 57)
 	inject(p, 0, Contact{ID: 5, Path: []NodeID{0, 1, 2, 3, 4, 5}})
 	teleport(net, 3, 900, 900)
-	res := p.Query(0, 6)
+	res := query(p, 0, 6)
 	if res.Found {
 		t.Fatal("query succeeded over a broken contact path")
 	}
@@ -183,11 +183,11 @@ func TestQueryMessagesMatchCounters(t *testing.T) {
 	net := staticNet(60, 300, 50)
 	cfg := Config{R: 3, MaxContactDist: 16, NoC: 4, Method: EM, Depth: 2}
 	p := newProtocol(t, net, cfg, 58)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	before := net.Totals().Sum(manet.CatQuery, manet.CatReply)
 	var reported int64
 	for u := NodeID(0); u < 50; u++ {
-		reported += p.Query(u, NodeID(299-u)).Messages
+		reported += query(p, u, NodeID(299-u)).Messages
 	}
 	delta := net.Totals().Sum(manet.CatQuery, manet.CatReply) - before
 	if reported != delta {

@@ -199,7 +199,7 @@ func TestQueryMatchesViewReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SelectAll(0)
+		selectAll(p, 0)
 		if w.net.HasChurn() {
 			w.net.RefreshAt(5)
 			p.ExpireNodes(w.net.ChurnedDown())
@@ -245,7 +245,7 @@ func TestResolveBoundedByHolderLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SelectAll(0)
+		selectAll(p, 0)
 		if w.net.HasChurn() {
 			w.net.RefreshAt(5)
 			p.ExpireNodes(w.net.ChurnedDown())
@@ -305,7 +305,7 @@ func TestWalkMemoInvalidation(t *testing.T) {
 	net := mobileNet(t, 21, n, 60)
 	cfg := Config{R: 2, MaxContactDist: 10, NoC: 4, Depth: 3, Method: EM}
 	p := newProtocol(t, net, cfg, 22)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	pairs := randomPairs(xrand.New(23), n, 600)
 	old := p.NewQuerier()
 	check := func(event string) {

@@ -26,7 +26,7 @@ func TestReachabilityGrowsWithContacts(t *testing.T) {
 	cfg := Config{R: 3, MaxContactDist: 16, NoC: 6, Method: EM}
 	p := newProtocol(t, net, cfg, 71)
 	before := p.MeanReachability(1)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	after := p.MeanReachability(1)
 	if after <= before {
 		t.Errorf("reachability did not grow: %.1f -> %.1f", before, after)
@@ -37,7 +37,7 @@ func TestReachabilityMonotoneInDepth(t *testing.T) {
 	net := staticNet(81, 300, 50)
 	cfg := Config{R: 3, MaxContactDist: 12, NoC: 5, Method: EM}
 	p := newProtocol(t, net, cfg, 72)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	for u := NodeID(0); u < 30; u++ {
 		prev := -1.0
 		for d := 1; d <= 3; d++ {
@@ -54,7 +54,7 @@ func TestReachableSetContainsNeighborhoods(t *testing.T) {
 	net := staticNet(82, 250, 50)
 	cfg := Config{R: 3, MaxContactDist: 14, NoC: 4, Method: EM}
 	p := newProtocol(t, net, cfg, 73)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	nb := p.Neighborhood()
 	for u := NodeID(0); u < 20; u++ {
 		set := p.reachableSet(u, 1)
@@ -77,7 +77,7 @@ func TestReachabilityBounds(t *testing.T) {
 	net := staticNet(83, 200, 50)
 	cfg := Config{R: 3, MaxContactDist: 14, NoC: 10, Method: EM}
 	p := newProtocol(t, net, cfg, 74)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	for u := NodeID(0); int(u) < net.N(); u++ {
 		v := p.Reachability(u, 3)
 		if v < 0 || v > 100 {
@@ -169,7 +169,7 @@ func TestEMReachesAtLeastPM(t *testing.T) {
 			net := staticNet(300+seed, 300, 50)
 			cfg := Config{R: 3, MaxContactDist: 20, NoC: 5, Method: m}
 			p := newProtocol(t, net, cfg, 400+seed)
-			p.SelectAll(0)
+			selectAll(p, 0)
 			if m == EM {
 				em += p.MeanReachability(1)
 			} else {

@@ -22,7 +22,7 @@ func TestSelectRespectsNoC(t *testing.T) {
 	net := staticNet(2, 300, 50)
 	cfg := Config{R: 3, MaxContactDist: 20, NoC: 3, Method: EM}
 	p := newProtocol(t, net, cfg, 7)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	for u := 0; u < net.N(); u++ {
 		if got := p.Table(NodeID(u)).Len(); got > 3 {
 			t.Fatalf("node %d has %d contacts, NoC=3", u, got)
@@ -34,7 +34,7 @@ func TestSelectEMInvariants(t *testing.T) {
 	net := staticNet(3, 300, 50)
 	cfg := Config{R: 3, MaxContactDist: 16, NoC: 6, Method: EM}
 	p := newProtocol(t, net, cfg, 8)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	nb := p.Neighborhood()
 	g := net.Graph()
 	total := 0
@@ -89,7 +89,7 @@ func TestSelectPM1Invariants(t *testing.T) {
 	net := staticNet(4, 300, 50)
 	cfg := Config{R: 3, MaxContactDist: 16, NoC: 6, Method: PM1}
 	p := newProtocol(t, net, cfg, 9)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	g := net.Graph()
 	found := 0
 	for u := 0; u < net.N(); u++ {
@@ -118,7 +118,7 @@ func TestSelectPM2DistanceBand(t *testing.T) {
 	net := staticNet(5, 300, 50)
 	cfg := Config{R: 3, MaxContactDist: 16, NoC: 6, Method: PM2}
 	p := newProtocol(t, net, cfg, 10)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	for u := 0; u < net.N(); u++ {
 		for _, c := range p.Table(NodeID(u)).Contacts() {
 			// The acceptance coin is flipped on the raw walk length (only
@@ -149,7 +149,7 @@ func TestSelectDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.SelectAll(0)
+			selectAll(p, 0)
 			for u := 0; u < nets[i].N(); u++ {
 				for _, c := range p.Table(NodeID(u)).Contacts() {
 					tabs[i] = append(tabs[i], c.ID)
@@ -174,7 +174,7 @@ func TestSelectCountsMessages(t *testing.T) {
 	net := staticNet(7, 250, 50)
 	cfg := Config{R: 3, MaxContactDist: 14, NoC: 4, Method: EM}
 	p := newProtocol(t, net, cfg, 11)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	if net.Totals().Get(manet.CatCSQ) == 0 {
 		t.Error("selection generated no CSQ messages")
 	}
@@ -200,7 +200,7 @@ func TestPMBacktracksMoreThanEM(t *testing.T) {
 			net := staticNet(100+seed, 500, 50)
 			cfg := Config{R: 3, MaxContactDist: 20, NoC: 5, Method: m}
 			p := newProtocol(t, net, cfg, 200+seed)
-			p.SelectAll(0)
+			selectAll(p, 0)
 			if m == EM {
 				emBack += net.Totals().Get(manet.CatBacktrack)
 			} else {
@@ -230,7 +230,7 @@ func TestSelectSaturatesBelowNoC(t *testing.T) {
 	net := staticNet(8, 300, 50)
 	tight := Config{R: 3, MaxContactDist: 7, NoC: 12, Method: EM}
 	p := newProtocol(t, net, tight, 13)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	mean := float64(p.TotalContacts()) / float64(net.N())
 	if mean >= 6 {
 		t.Errorf("tight band selected %.1f contacts/node on average; expected far below NoC=12", mean)
@@ -239,7 +239,7 @@ func TestSelectSaturatesBelowNoC(t *testing.T) {
 	wide := Config{R: 3, MaxContactDist: 20, NoC: 12, Method: EM}
 	net2 := staticNet(8, 300, 50)
 	p2 := newProtocol(t, net2, wide, 13)
-	p2.SelectAll(0)
+	selectAll(p2, 0)
 	if p2.TotalContacts() <= p.TotalContacts() {
 		t.Errorf("wider band (r=20: %d) selected no more contacts than tight (r=7: %d)",
 			p2.TotalContacts(), p.TotalContacts())
@@ -250,7 +250,7 @@ func TestContactDistancesSorted(t *testing.T) {
 	net := staticNet(9, 200, 50)
 	cfg := Config{R: 2, MaxContactDist: 12, NoC: 4, Method: EM}
 	p := newProtocol(t, net, cfg, 14)
-	p.SelectAll(0)
+	selectAll(p, 0)
 	ds := p.ContactDistances()
 	for i := 1; i < len(ds); i++ {
 		if ds[i] < ds[i-1] {
@@ -271,7 +271,7 @@ func TestSelectedRoutesAreChordFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.SelectAll(0)
+			selectAll(p, 0)
 			if p.TotalContacts() < w.net.N() {
 				t.Fatalf("%s %v: only %d contacts selected", w.name, method, p.TotalContacts())
 			}
@@ -303,7 +303,7 @@ func TestQuickSelectInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p.SelectAll(0)
+		selectAll(p, 0)
 		// The stored (loop-free) path length floor: EM's edge-list
 		// exclusion proves true distance > 2R, while the PM methods only
 		// prove > R — their raw walk cleared the method's band, but the

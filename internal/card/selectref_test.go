@@ -527,7 +527,7 @@ func TestSelectMatchesReference(t *testing.T) {
 				// Both protocols record into the one network, so tallies are
 				// compared as deltas around each side's flush.
 				t0 := w.net.Totals()
-				pa.SelectAll(float64(round))
+				selectAll(pa, float64(round))
 				t1 := w.net.Totals()
 				id := pb.NextRound()
 				for u := NodeID(0); int(u) < w.net.N(); u++ {

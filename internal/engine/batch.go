@@ -33,9 +33,7 @@ func (e *Engine) BatchQuery(pairs []Pair) []proto.QueryResult {
 	// Maintainers, and the pool grows here, before the fan-out (growing it
 	// inside workers would race).
 	workers := min(par.Limit(), len(pairs))
-	for len(e.queryPool) < workers {
-		e.queryPool = append(e.queryPool, e.prot.NewQuerier())
-	}
+	e.querier(workers - 1)
 	qs := e.queryPool[:workers]
 	par.WorkersN(workers, len(pairs), func(worker, i int) {
 		out[i] = qs[worker].Query(pairs[i].Src, pairs[i].Dst)
@@ -46,4 +44,12 @@ func (e *Engine) BatchQuery(pairs []Pair) []proto.QueryResult {
 		q.Flush()
 	}
 	return out
+}
+
+// querier returns worker w's Querier, growing the pool up to it.
+func (e *Engine) querier(w int) *proto.Querier {
+	for len(e.queryPool) <= w {
+		e.queryPool = append(e.queryPool, e.prot.NewQuerier())
+	}
+	return e.queryPool[w]
 }

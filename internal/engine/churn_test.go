@@ -21,81 +21,39 @@ func churnNet(nodes int) NetworkConfig {
 }
 
 // runChurnTrace drives a churned scenario through selection, scheduled
-// maintenance rounds and a query batch with the given worker bound and
-// GOMAXPROCS, and snapshots everything the equivalence contract covers —
-// including the query results, which must not depend on the fan-out.
-func runChurnTrace(t *testing.T, workers, procs int) (maintSnapshot, []proto.QueryResult) {
+// maintenance rounds and a query batch at the given GOMAXPROCS, and
+// snapshots everything the equivalence contract covers — including the
+// query results, which must not depend on the fan-out.
+func runChurnTrace(t *testing.T, procs int) (maintSnapshot, []proto.QueryResult) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	nc := churnNet(400)
-	cfg := testCfg() // ValidatePeriod 2
-	e := newEngine(t, nc, cfg)
-	e.SetMaintainWorkers(workers)
-	s := maintSnapshot{added: e.SelectContacts()}
+	e := newEngine(t, churnNet(400), testCfg()) // ValidatePeriod 2
+	added := e.SelectContacts()
 	e.Advance(8) // four maintenance rounds under mobility + churn
-	pairs := e.RandomPairs(120, 99)
-	res := e.BatchQuery(pairs)
-	p := e.Protocol()
-	s.tables = make([][]proto.Contact, e.Nodes())
-	for u := 0; u < e.Nodes(); u++ {
-		for _, c := range p.Table(NodeID(u)).Contacts() {
-			cp := c
-			cp.Path = append([]NodeID(nil), c.Path...)
-			s.tables[u] = append(s.tables[u], cp)
-		}
-	}
-	s.stats = e.Stats()
-	s.msgs = e.Messages()
-	s.reach = e.MeanReachability(1)
-	return s, res
+	res := e.BatchQuery(e.RandomPairs(120, 99))
+	return snapshot(e, added), res
 }
 
 // TestChurnParallelEquivalence mirrors TestMaintainParallelEquivalence
 // under node churn: contact tables, statistics, recorder totals and batch
-// query results must be bit-identical between the serial loops and the
-// sharded ones at GOMAXPROCS 1 and 4 (run with -race in CI). Churn is the
-// adversarial case for the fan-out — down nodes skip rounds and expiry
-// rewrites tables between rounds — so this pins that skipping and expiry
-// stay on the serial path's deterministic schedule.
+// query results must be bit-identical between the serial loops at
+// GOMAXPROCS 1 and the sharded ones at every equivProcs width (run with
+// -race in CI). Churn is the adversarial case for the fan-out — down
+// nodes skip rounds and expiry rewrites tables between rounds — so this
+// pins that skipping and expiry stay on the serial path's deterministic
+// schedule.
 func TestChurnParallelEquivalence(t *testing.T) {
-	base, baseRes := runChurnTrace(t, 1, 1) // serial reference at GOMAXPROCS=1
+	base, baseRes := runChurnTrace(t, 1)
 	if base.stats.ContactsExpired == 0 {
 		t.Fatal("scenario produced no churn expiries; the test is not exercising churn")
 	}
-	cases := []struct {
-		name           string
-		workers, procs int
-	}{
-		{"serial-procs4", 1, 4},
-		{"workers4-procs1", 4, 1},
-		{"workers4-procs4", 4, 4},
-		{"auto-procs4", 0, 4},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			got, gotRes := runChurnTrace(t, c.workers, c.procs)
-			if got.added != base.added {
-				t.Errorf("initial selection added %d contacts, serial added %d", got.added, base.added)
-			}
-			if got.stats != base.stats {
-				t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
-			}
-			if got.msgs != base.msgs {
-				t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
-			}
-			if got.reach != base.reach {
-				t.Errorf("reachability diverges: %v vs %v", got.reach, base.reach)
-			}
+	for _, procs := range equivProcs {
+		t.Run(widthName(procs), func(t *testing.T) {
+			got, gotRes := runChurnTrace(t, procs)
 			if !reflect.DeepEqual(gotRes, baseRes) {
 				t.Errorf("batch query results diverge")
 			}
-			for u := range base.tables {
-				if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
-					t.Fatalf("node %d contact table diverges:\n got  %+v\n want %+v",
-						u, got.tables[u], base.tables[u])
-				}
-			}
+			requireSame(t, got, base)
 		})
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -51,27 +50,25 @@ func refRoundList(e *Engine) []NodeID {
 
 // TestDeficitMatchesTableScan pins the deficit invariant under the full
 // mutation surface — mobility-driven rounds, churn expiry, cold
-// readmission — at serial and sharded worker settings: after every tick
+// readmission — serially at GOMAXPROCS 1 and sharded at 4: after every tick
 // the incrementally maintained deficit bitset must equal the table-length
 // scan, and the merged round list must equal what the old one-pass scan
 // would have produced.
 func TestDeficitMatchesTableScan(t *testing.T) {
 	cases := []struct {
-		name           string
-		workers, procs int
+		name  string
+		procs int
 	}{
-		{"serial-procs1", 1, 1},
-		{"workers4-procs4", 4, 4},
+		{"serial-procs1", 1},
+		{widthName(4), 4},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 			nc := dirtyNet(300)
 			nc.ChurnMeanUp, nc.ChurnMeanDown = 20, 5
 			cfg := testCfg()
 			e := newEngine(t, nc, cfg)
-			e.SetMaintainWorkers(c.workers)
 			e.SelectContacts()
 			for tick := 1; tick <= 8; tick++ {
 				e.Advance(cfg.ValidatePeriod)
@@ -92,27 +89,18 @@ func TestDeficitMatchesTableScan(t *testing.T) {
 
 // TestDeficitChurnEquivalence is the black-box half: under churn AND
 // mobility, the deficit-driven engine must stay bit-identical between the
-// serial and sharded paths — round lists (sizes), tables, stats and
-// recorder totals. (runDirtyTrace compares tables/stats/msgs/reach; the
-// per-round list equality is covered white-box above.)
+// serial path at GOMAXPROCS 1 and the sharded ones at every equivProcs
+// width — round lists (sizes), tables, stats and recorder totals.
+// (requireSame compares tables/stats/msgs/reach; the per-round list
+// equality is covered white-box above.)
 func TestDeficitChurnEquivalence(t *testing.T) {
 	nc := dirtyNet(250)
 	nc.ChurnMeanUp, nc.ChurnMeanDown = 15, 5
-	base := runDirtyTrace(t, nc, 1, 1)
-	got := runDirtyTrace(t, nc, 4, 4)
-	if got.stats != base.stats {
-		t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
-	}
-	if got.msgs != base.msgs {
-		t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
-	}
-	if got.reach != base.reach {
-		t.Errorf("reachability diverges: %v vs %v", got.reach, base.reach)
-	}
-	for u := range base.tables {
-		if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
-			t.Fatalf("node %d contact table diverges", u)
-		}
+	base := runDirtyTrace(t, nc, 1)
+	for _, procs := range equivProcs {
+		t.Run(widthName(procs), func(t *testing.T) {
+			requireSame(t, runDirtyTrace(t, nc, procs), base)
+		})
 	}
 }
 
@@ -120,9 +108,10 @@ func TestDeficitChurnEquivalence(t *testing.T) {
 // the view table capped — at one view, below the working set, at exactly N
 // and beyond it — in place of the resident one, with views carried across
 // refreshes by Retain (dirty rounds) and dropped by the lazy epoch wipe
-// (full rounds), serially and sharded: every table, statistic and message
-// total must be bit-identical — neighborhood views are pure functions of
-// the snapshot, so residency policy must be invisible to results.
+// (full rounds), serially at GOMAXPROCS 1 and sharded at 4: every table,
+// statistic and message total must be bit-identical — neighborhood views
+// are pure functions of the snapshot, so residency policy must be
+// invisible to results.
 func TestViewCacheEngineEquivalence(t *testing.T) {
 	const n = 250
 	base := map[bool]maintSnapshot{}
@@ -133,14 +122,14 @@ func TestViewCacheEngineEquivalence(t *testing.T) {
 		return nc
 	}
 	for _, dirty := range []bool{true, false} {
-		base[dirty] = runDirtyTrace(t, config(dirty), 1, 1)
+		base[dirty] = runDirtyTrace(t, config(dirty), 1)
 	}
 	for _, c := range []struct {
-		name           string
-		workers, procs int
+		name  string
+		procs int
 	}{
-		{"serial", 1, 1},
-		{"workers4-procs4", 4, 4},
+		{"serial", 1},
+		{widthName(4), 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, dirty := range []bool{true, false} {
@@ -148,24 +137,7 @@ func TestViewCacheEngineEquivalence(t *testing.T) {
 					t.Run(fmt.Sprintf("dirty=%v/cap%d", dirty, cap), func(t *testing.T) {
 						cached := config(dirty)
 						cached.ViewCacheCap = cap
-						got, base := runDirtyTrace(t, cached, c.workers, c.procs), base[dirty]
-						if got.added != base.added {
-							t.Errorf("initial selection added %d contacts, resident added %d", got.added, base.added)
-						}
-						if got.stats != base.stats {
-							t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
-						}
-						if got.msgs != base.msgs {
-							t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
-						}
-						if got.reach != base.reach {
-							t.Errorf("reachability diverges: %v vs %v", got.reach, base.reach)
-						}
-						for u := range base.tables {
-							if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
-								t.Fatalf("node %d contact table diverges", u)
-							}
-						}
+						requireSame(t, runDirtyTrace(t, cached, c.procs), base[dirty])
 					})
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	proto "card/internal/card"
 	"card/internal/neighborhood"
 )
 
@@ -21,66 +20,27 @@ func dirtyNet(nodes int) NetworkConfig {
 	return nc
 }
 
-// runDirtyTrace mirrors runMaintTrace with DirtyMaintenance enabled.
-func runDirtyTrace(t *testing.T, nc NetworkConfig, workers, procs int) maintSnapshot {
+// runDirtyTrace mirrors runMaintTrace on nc, which may enable
+// DirtyMaintenance.
+func runDirtyTrace(t *testing.T, nc NetworkConfig, procs int) maintSnapshot {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	e := newEngine(t, nc, testCfg())
-	e.SetMaintainWorkers(workers)
-	s := maintSnapshot{added: e.SelectContacts()}
+	added := e.SelectContacts()
 	e.Advance(8) // four maintenance rounds under mobility
-	p := e.Protocol()
-	s.tables = make([][]proto.Contact, e.Nodes())
-	for u := 0; u < e.Nodes(); u++ {
-		for _, c := range p.Table(NodeID(u)).Contacts() {
-			cp := c
-			cp.Path = append([]NodeID(nil), c.Path...)
-			s.tables[u] = append(s.tables[u], cp)
-		}
-	}
-	s.stats = e.Stats()
-	s.msgs = e.Messages()
-	s.reach = e.MeanReachability(1)
-	return s
+	return snapshot(e, added)
 }
 
 // TestDirtyParallelEquivalence extends the round fan-out contract to
 // restricted rounds: with DirtyMaintenance on, the sharded dirty-list
-// rounds must be bit-identical to the serial dirty-list loop — tables,
-// stats, accounting and reachability — at several worker bounds and
-// GOMAXPROCS settings. Run with -race (CI does) to validate the sharding.
+// rounds must be bit-identical to the serial dirty-list loop at
+// GOMAXPROCS 1 — tables, stats, accounting and reachability — at every
+// equivProcs width. Run with -race (CI does) to validate the sharding.
 func TestDirtyParallelEquivalence(t *testing.T) {
-	base := runDirtyTrace(t, dirtyNet(400), 1, 1)
-	cases := []struct {
-		name           string
-		workers, procs int
-	}{
-		{"workers4-procs1", 4, 1},
-		{"workers4-procs4", 4, 4},
-		{"auto-procs4", 0, 4},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			got := runDirtyTrace(t, dirtyNet(400), c.workers, c.procs)
-			if got.added != base.added {
-				t.Errorf("initial selection added %d contacts, serial added %d", got.added, base.added)
-			}
-			if got.stats != base.stats {
-				t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
-			}
-			if got.msgs != base.msgs {
-				t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
-			}
-			if got.reach != base.reach {
-				t.Errorf("reachability diverges: %v vs %v", got.reach, base.reach)
-			}
-			for u := range base.tables {
-				if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
-					t.Fatalf("node %d contact table diverges:\n got  %+v\n want %+v",
-						u, got.tables[u], base.tables[u])
-				}
-			}
+	base := runDirtyTrace(t, dirtyNet(400), 1)
+	for _, procs := range equivProcs {
+		t.Run(widthName(procs), func(t *testing.T) {
+			requireSame(t, runDirtyTrace(t, dirtyNet(400), procs), base)
 		})
 	}
 }
@@ -91,18 +51,11 @@ func TestDirtyParallelEquivalence(t *testing.T) {
 func TestDirtyParallelEquivalenceChurn(t *testing.T) {
 	nc := dirtyNet(300)
 	nc.ChurnMeanUp, nc.ChurnMeanDown = 20, 5
-	base := runDirtyTrace(t, nc, 1, 1)
-	got := runDirtyTrace(t, nc, 4, 4)
-	if got.stats != base.stats {
-		t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
-	}
-	if got.msgs != base.msgs {
-		t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
-	}
-	for u := range base.tables {
-		if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
-			t.Fatalf("node %d contact table diverges", u)
-		}
+	base := runDirtyTrace(t, nc, 1)
+	for _, procs := range equivProcs {
+		t.Run(widthName(procs), func(t *testing.T) {
+			requireSame(t, runDirtyTrace(t, nc, procs), base)
+		})
 	}
 }
 

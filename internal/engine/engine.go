@@ -39,8 +39,7 @@
 // card.Maintainer per worker, per-node counter-based RNG streams keyed by
 // (nodeID, round), serial flush in worker order. Node u's round touches
 // only u's own table, so the fan-out is race-free and bit-identical to
-// the serial id-order loop at any GOMAXPROCS; SetMaintainWorkers bounds
-// or disables it.
+// the serial id-order loop at any GOMAXPROCS, the fan-out's only width.
 //
 // # Scenarios and churn
 //
@@ -361,9 +360,6 @@ type Engine struct {
 	// float64(k) * cfg.ValidatePeriod.
 	now    float64
 	rounds int64
-	// maintWorkers bounds the maintenance/selection fan-out; see
-	// SetMaintainWorkers. 0 = up to GOMAXPROCS, 1 = serial.
-	maintWorkers int
 	// maintPool caches the per-worker Maintainers across rounds (their
 	// O(N) scratch would otherwise be reallocated every ValidatePeriod);
 	// grown on demand in runRound.
@@ -594,8 +590,8 @@ func (e *Engine) Protocol() *proto.Protocol { return e.prot }
 func (e *Engine) Neighborhood() neighborhood.Provider { return e.nb }
 
 // SelectContacts runs initial contact selection for every node, sharded
-// across the maintenance worker pool (see SetMaintainWorkers); results are
-// bit-identical to the serial id-order loop.
+// across up to GOMAXPROCS maintenance workers; results are bit-identical
+// to the serial id-order loop.
 func (e *Engine) SelectContacts() int { return e.selectRound(e.Now()) }
 
 // Maintain forces one maintenance round for every node now (outside the
@@ -603,9 +599,13 @@ func (e *Engine) SelectContacts() int { return e.selectRound(e.Now()) }
 // scheduled rounds, it is sharded across the maintenance worker pool.
 func (e *Engine) Maintain() { e.maintainRound(e.Now()) }
 
-// Query runs a CARD destination search from src for target.
+// Query runs a CARD destination search from src for target on BatchQuery's
+// first Querier and flushes its tallies to the recorder at once.
 func (e *Engine) Query(src, target NodeID) proto.QueryResult {
-	return e.prot.Query(src, target)
+	q := e.querier(0)
+	res := q.Query(src, target)
+	q.Flush()
+	return res
 }
 
 // Reachability returns the percentage of live network nodes u can reach

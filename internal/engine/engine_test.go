@@ -49,14 +49,18 @@ func TestAdvanceInfIsNoOp(t *testing.T) {
 	}
 }
 
-// advancesWithin reports whether e.Advance(dt) returns within d. An
-// Advance that hangs is left running in its goroutine, so the caller fails
-// instead of hanging.
+// advancesWithin reports whether e.Advance(dt) returns within d.
 func advancesWithin(e *Engine, dt float64, d time.Duration) bool {
+	return returnsWithin(d, func() { e.Advance(dt) })
+}
+
+// returnsWithin reports whether fn returns within d. A call that hangs is
+// left running in its goroutine, so the caller fails instead of hanging.
+func returnsWithin(d time.Duration, fn func()) bool {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.Advance(dt)
+		fn()
 	}()
 	select {
 	case <-done:

@@ -27,48 +27,34 @@ func lossyNet(nodes int) NetworkConfig {
 // richer link layer: over a directed, lossy, partitioning, churning
 // scenario, the sustained-traffic outcome stream, the report aggregates
 // and the recorder totals (retries included) are bit-identical between
-// serial and sharded execution at GOMAXPROCS 1 and 4. Loss outcomes are a
-// pure function of (epoch, edge, attempt), so no scheduling order can
-// leak in; CI runs this under -race.
+// serial execution at GOMAXPROCS 1 and sharded execution at every
+// equivProcs width. Loss outcomes are a pure function of (epoch, edge,
+// attempt), so no scheduling order can leak in; CI runs this under -race.
 func TestLossyParallelEquivalence(t *testing.T) {
-	traffic := func(workers int) workload.Config {
-		return workload.Config{
-			QPS: 30, Duration: 5, Tick: 0.5,
-			Resources: 24, Replicas: 2, ZipfS: 0.9,
-			Window: 64, Seed: 5, Workers: workers, KeepOutcomes: true,
-		}
-	}
-	run := func(workers, procs int) (*workload.Report, MessageCounts) {
+	run := func(procs int) (*workload.Report, MessageCounts) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		e := newEngine(t, lossyNet(250), testCfg())
-		e.SetMaintainWorkers(workers)
 		e.SelectContacts()
-		rep, err := e.RunWorkload(traffic(workers))
+		rep, err := e.RunWorkload(workload.Config{
+			QPS: 30, Duration: 5, Tick: 0.5,
+			Resources: 24, Replicas: 2, ZipfS: 0.9,
+			Window: 64, Seed: 5, KeepOutcomes: true,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep, e.Messages()
 	}
-	base, baseMsgs := run(1, 1)
+	base, baseMsgs := run(1)
 	if base.Queries == 0 || base.Found == 0 {
 		t.Fatalf("degenerate reference run: %+v", base)
 	}
 	if baseMsgs.Retry == 0 {
 		t.Fatal("reference run charged no retries; loss not exercised")
 	}
-	cases := []struct {
-		name           string
-		workers, procs int
-	}{
-		{"serial-procs4", 1, 4},
-		{"workers4-procs1", 4, 1},
-		{"workers4-procs4", 4, 4},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			got, gotMsgs := run(c.workers, c.procs)
-			got.Config.Workers = base.Config.Workers
+	for _, procs := range equivProcs {
+		t.Run(widthName(procs), func(t *testing.T) {
+			got, gotMsgs := run(procs)
 			if gotMsgs != baseMsgs {
 				t.Errorf("recorder totals diverge:\n got  %+v\n want %+v", gotMsgs, baseMsgs)
 			}

@@ -23,13 +23,6 @@ import (
 // serial id-order loop at any GOMAXPROCS. TestMaintainParallelEquivalence
 // pins that contract.
 
-// SetMaintainWorkers bounds the worker fan-out of maintenance and
-// selection rounds: 0 (the default) uses up to GOMAXPROCS workers, n > 0
-// caps the pool at n (1 runs the round inline, in id order). Results,
-// statistics and message accounting are bit-identical at every setting.
-// Not safe to call concurrently with Advance.
-func (e *Engine) SetMaintainWorkers(n int) { e.maintWorkers = n }
-
 // runRound runs one selection (sel) or maintenance round and returns the
 // number of contacts selection added. Under DirtyMaintenance the round is
 // restricted to the dirty list (ascending ids, see dirty.go) unless a full
@@ -53,11 +46,7 @@ func (e *Engine) runRound(sel bool, now float64) (added int) {
 		n = len(list)
 	}
 	e.lastRound = n
-	workers := e.maintWorkers
-	if workers <= 0 {
-		workers = par.Limit()
-	}
-	workers = min(workers, n)
+	workers := min(par.Limit(), n)
 	if workers > 1 {
 		neighborhood.Warm(e.nb)
 	}

@@ -1,12 +1,23 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	proto "card/internal/card"
 )
+
+// equivProcs are the GOMAXPROCS settings the equivalence tests run
+// against their serial reference at GOMAXPROCS 1. GOMAXPROCS is the only
+// width a fan-out reads, so setting k runs k workers; 3 leaves an uneven
+// shard split.
+var equivProcs = []int{2, 3, 4}
+
+// widthName names the subtest that runs at GOMAXPROCS procs.
+func widthName(procs int) string { return fmt.Sprintf("workers%d-procs%d", procs, procs) }
 
 // maintSnapshot captures everything the equivalence contract covers:
 // every node's contact table (ids, full paths, timestamps), the protocol
@@ -19,95 +30,83 @@ type maintSnapshot struct {
 	reach  float64
 }
 
+// snapshot copies e's contact tables, statistics, recorder totals and
+// depth-1 reachability; added is what the initial selection reported.
+func snapshot(e *Engine, added int) maintSnapshot {
+	s := maintSnapshot{added: added, stats: e.Stats(), msgs: e.Messages(), reach: e.MeanReachability(1)}
+	s.tables = make([][]proto.Contact, e.Nodes())
+	for u := range s.tables {
+		for _, c := range e.Protocol().Table(NodeID(u)).Contacts() {
+			c.Path = slices.Clone(c.Path)
+			s.tables[u] = append(s.tables[u], c)
+		}
+	}
+	return s
+}
+
+// requireSame fails t unless got equals the reference snapshot want.
+func requireSame(t *testing.T, got, want maintSnapshot) {
+	t.Helper()
+	if got.added != want.added {
+		t.Errorf("initial selection added %d contacts, reference added %d", got.added, want.added)
+	}
+	if got.stats != want.stats {
+		t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, want.stats)
+	}
+	if got.msgs != want.msgs {
+		t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, want.msgs)
+	}
+	if got.reach != want.reach {
+		t.Errorf("reachability diverges: %v vs %v", got.reach, want.reach)
+	}
+	for u := range want.tables {
+		if !reflect.DeepEqual(got.tables[u], want.tables[u]) {
+			t.Fatalf("node %d contact table diverges:\n got  %+v\n want %+v", u, got.tables[u], want.tables[u])
+		}
+	}
+}
+
 // runMaintTrace drives a mobile scenario through initial selection plus
-// several scheduled maintenance rounds with the given worker bound and
-// GOMAXPROCS, and snapshots the resulting protocol state.
-func runMaintTrace(t *testing.T, workers, procs int) maintSnapshot {
+// several scheduled maintenance rounds at the given GOMAXPROCS, and
+// snapshots the resulting protocol state.
+func runMaintTrace(t *testing.T, procs int) maintSnapshot {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	nc := testNet(400)
 	nc.Mobility = RandomWaypoint
 	nc.MinSpeed, nc.MaxSpeed, nc.Pause = 1, 15, 3
-	cfg := testCfg() // ValidatePeriod 2
-	e := newEngine(t, nc, cfg)
-	e.SetMaintainWorkers(workers)
-	s := maintSnapshot{added: e.SelectContacts()}
+	e := newEngine(t, nc, testCfg()) // ValidatePeriod 2
+	added := e.SelectContacts()
 	e.Advance(8) // four maintenance rounds under mobility
-	p := e.Protocol()
-	s.tables = make([][]proto.Contact, e.Nodes())
-	for u := 0; u < e.Nodes(); u++ {
-		for _, c := range p.Table(NodeID(u)).Contacts() {
-			cp := c
-			cp.Path = append([]NodeID(nil), c.Path...)
-			s.tables[u] = append(s.tables[u], cp)
-		}
-	}
-	s.stats = e.Stats()
-	s.msgs = e.Messages()
-	s.reach = e.MeanReachability(1)
-	return s
+	return snapshot(e, added)
 }
 
 // TestMaintainParallelEquivalence pins the round fan-out contract:
 // bit-identical contact tables, protocol statistics and recorder totals
-// between the serial maintenance path and the sharded one, across a
-// mobility trace, at GOMAXPROCS 1 and 4 and several worker bounds. Run
-// with -race to validate the sharding (CI does).
+// between the serial maintenance path (GOMAXPROCS 1) and the sharded one
+// at every equivProcs width, across a mobility trace. Run with -race to
+// validate the sharding (CI does).
 func TestMaintainParallelEquivalence(t *testing.T) {
-	base := runMaintTrace(t, 1, 1) // serial reference at GOMAXPROCS=1
-	cases := []struct {
-		name           string
-		workers, procs int
-	}{
-		{"serial-procs4", 1, 4},
-		{"workers4-procs1", 4, 1},
-		{"workers4-procs4", 4, 4},
-		{"auto-procs4", 0, 4},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			got := runMaintTrace(t, c.workers, c.procs)
-			if got.added != base.added {
-				t.Errorf("initial selection added %d contacts, serial added %d", got.added, base.added)
-			}
-			if got.stats != base.stats {
-				t.Errorf("stats diverge:\n got  %+v\n want %+v", got.stats, base.stats)
-			}
-			if got.msgs != base.msgs {
-				t.Errorf("message totals diverge:\n got  %+v\n want %+v", got.msgs, base.msgs)
-			}
-			if got.reach != base.reach {
-				t.Errorf("reachability diverges: %v vs %v", got.reach, base.reach)
-			}
-			for u := range base.tables {
-				if !reflect.DeepEqual(got.tables[u], base.tables[u]) {
-					t.Fatalf("node %d contact table diverges:\n got  %+v\n want %+v",
-						u, got.tables[u], base.tables[u])
-				}
-			}
+	base := runMaintTrace(t, 1)
+	for _, procs := range equivProcs {
+		t.Run(widthName(procs), func(t *testing.T) {
+			requireSame(t, runMaintTrace(t, procs), base)
 		})
 	}
 }
 
 // TestMaintainRoundIdsSharedWithSerial checks that forced rounds through
 // the public entry points allocate RNG round ids exactly like the serial
-// protocol loop: interleaving Engine.Maintain with direct protocol rounds
-// on a twin engine stays in lockstep.
+// protocol loop: interleaving sharded Engine.Maintain rounds with
+// Protocol.MaintainAll on a twin engine stays in lockstep.
 func TestMaintainRoundIdsSharedWithSerial(t *testing.T) {
-	build := func() *Engine {
-		nc := testNet(200)
-		e := newEngine(t, nc, testCfg())
-		return e
-	}
-	a, b := build(), build()
-	a.SetMaintainWorkers(4)
-	b.SetMaintainWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a, b := newEngine(t, testNet(200), testCfg()), newEngine(t, testNet(200), testCfg())
 	a.SelectContacts()
 	b.SelectContacts()
 	for i := 0; i < 3; i++ {
 		a.Maintain()
-		b.Maintain()
+		b.Protocol().MaintainAll(b.Now())
 	}
 	if a.Stats() != b.Stats() {
 		t.Errorf("stats diverge after interleaved forced rounds:\n a %+v\n b %+v", a.Stats(), b.Stats())

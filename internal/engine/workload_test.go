@@ -11,26 +11,25 @@ import (
 // workloadTraffic is the traffic shape the equivalence runs use: enough
 // arrivals per tick that the fan-out genuinely shards, long enough that
 // several maintenance rounds interleave with the stream.
-func workloadTraffic(workers int) workload.Config {
+func workloadTraffic() workload.Config {
 	return workload.Config{
 		QPS: 30, Duration: 8, Tick: 0.5,
 		Resources: 32, Replicas: 2, ZipfS: 0.9,
-		Window: 64, Seed: 5, Workers: workers, KeepOutcomes: true,
+		Window: 64, Seed: 5, KeepOutcomes: true,
 	}
 }
 
-// runWorkloadTrace drives one sustained-traffic run with the given worker
-// bound and GOMAXPROCS and snapshots everything the equivalence contract
+// runWorkloadTrace drives one sustained-traffic run at the given
+// GOMAXPROCS and snapshots everything the equivalence contract
 // covers: the full per-query outcome stream, the aggregate report, and the
 // engine's recorder totals (which include the maintenance rounds the
 // stream interleaves with).
-func runWorkloadTrace(t *testing.T, nc NetworkConfig, workers, procs int) (*workload.Report, MessageCounts) {
+func runWorkloadTrace(t *testing.T, nc NetworkConfig, procs int) (*workload.Report, MessageCounts) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	e := newEngine(t, nc, testCfg())
-	e.SetMaintainWorkers(workers)
 	e.SelectContacts()
-	rep, err := e.RunWorkload(workloadTraffic(workers))
+	rep, err := e.RunWorkload(workloadTraffic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +38,9 @@ func runWorkloadTrace(t *testing.T, nc NetworkConfig, workers, procs int) (*work
 
 // TestWorkloadParallelEquivalence pins the sustained-traffic determinism
 // contract: the full per-query result stream, the report aggregates and
-// the recorder totals are bit-identical between serial and sharded
-// execution at GOMAXPROCS 1 and 4 (CI runs it under -race), over a mobile
+// the recorder totals are bit-identical between serial execution at
+// GOMAXPROCS 1 and sharded execution at every equivProcs width (CI runs it
+// under -race), over a mobile
 // scenario and — the adversarial case — over one with node churn, where
 // sources and holders flip mid-stream.
 func TestWorkloadParallelEquivalence(t *testing.T) {
@@ -57,29 +57,16 @@ func TestWorkloadParallelEquivalence(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			base, baseMsgs := runWorkloadTrace(t, sc.nc, 1, 1) // serial reference
+			base, baseMsgs := runWorkloadTrace(t, sc.nc, 1) // serial reference
 			if base.Queries == 0 || base.Found == 0 {
 				t.Fatalf("degenerate reference run: %+v", base)
 			}
 			if sc.name == "churn" && base.SrcDown == 0 {
 				t.Fatal("churn scenario dropped no sources; not exercising churn")
 			}
-			cases := []struct {
-				name           string
-				workers, procs int
-			}{
-				{"serial-procs4", 1, 4},
-				{"workers4-procs1", 4, 1},
-				{"workers4-procs4", 4, 4},
-				{"auto-procs4", 0, 4},
-			}
-			for _, c := range cases {
-				c := c
-				t.Run(c.name, func(t *testing.T) {
-					got, gotMsgs := runWorkloadTrace(t, sc.nc, c.workers, c.procs)
-					// The worker bound is the one config field that
-					// legitimately differs across the equivalence cases.
-					got.Config.Workers = base.Config.Workers
+			for _, procs := range equivProcs {
+				t.Run(widthName(procs), func(t *testing.T) {
+					got, gotMsgs := runWorkloadTrace(t, sc.nc, procs)
 					if gotMsgs != baseMsgs {
 						t.Errorf("recorder totals diverge:\n got  %+v\n want %+v", gotMsgs, baseMsgs)
 					}

@@ -44,7 +44,12 @@ func testProtocol(t *testing.T, net *manet.Network) *card.Protocol {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SelectAll(0)
+	m := p.NewMaintainer()
+	round := p.NextRound()
+	for u := 0; u < net.N(); u++ {
+		m.SelectNode(card.NodeID(u), 0, round)
+	}
+	m.Flush()
 	return p
 }
 
@@ -358,12 +363,14 @@ func TestDeadSearchCostHolderOrderInvariant(t *testing.T) {
 }
 
 // serialDiscover is the card lookup as the adapter ran it before the DSQ
-// carried the resource, written against Protocol.Query and kept as the
-// oracle the one-sweep lookup is bounded by: self-held, then the nearest
-// holder in the source's own table, then one full escalation per holder in
-// placement order until one is found.
+// carried the resource, written as one Querier.Query per holder and kept
+// as the oracle the one-sweep lookup is bounded by: self-held, then the
+// nearest holder in the source's own table, then one full escalation per
+// holder in placement order until one is found.
 func serialDiscover(p *card.Protocol, d *resource.Directory, src NodeID, id ID) Result {
 	holders, nb := d.Placed(id), p.Neighborhood()
+	q := p.NewQuerier()
+	defer q.Flush()
 	best := Result{PathHops: -1}
 	for _, h := range holders {
 		if h == src {
@@ -377,7 +384,7 @@ func serialDiscover(p *card.Protocol, d *resource.Directory, src NodeID, id ID) 
 		return best
 	}
 	for _, h := range holders {
-		r := p.Query(src, h)
+		r := q.Query(src, h)
 		best.Messages += r.Messages
 		if r.Found {
 			return Result{Found: true, Holder: h, Messages: best.Messages, PathHops: r.PathHops}

@@ -30,7 +30,12 @@ func lineEnv(t *testing.T) Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot.SelectAll(0)
+	m := prot.NewMaintainer()
+	round := prot.NextRound()
+	for u := 0; u < net.N(); u++ {
+		m.SelectNode(card.NodeID(u), 0, round)
+	}
+	m.Flush()
 	return Env{Net: net, Prot: prot, Dir: resource.NewDirectory(net.N())}
 }
 

@@ -28,7 +28,12 @@ func testEnv(t *testing.T, n int) Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot.SelectAll(0)
+	m := prot.NewMaintainer()
+	round := prot.NextRound()
+	for u := 0; u < net.N(); u++ {
+		m.SelectNode(card.NodeID(u), 0, round)
+	}
+	m.Flush()
 	return Env{Net: net, Prot: prot, Dir: resource.NewDirectory(net.N())}
 }
 

@@ -12,7 +12,7 @@
 //   - identical runs are bit-identical, results and recorder totals both;
 //   - serial and sharded execution agree: under mobility and churn, the
 //     per-query outcome stream, the message totals and the workload
-//     report are bit-identical across worker counts and GOMAXPROCS.
+//     report are bit-identical at every GOMAXPROCS.
 //
 // The harness builds deterministic environments (Env) so scheme authors
 // can reuse it for their own tests beyond the conformance set.
@@ -294,17 +294,11 @@ func DirectedLossy(t *testing.T, name string) {
 
 // ParallelEquivalent pins the sharding contract end to end: a sustained
 // workload over a mobile, churning network must produce a bit-identical
-// per-query outcome stream, message totals and report whether queries run
-// serially or fan out across workers, at GOMAXPROCS 1 and 4 alike.
+// per-query outcome stream, message totals and report at GOMAXPROCS 2, 3
+// and 4 as at GOMAXPROCS 1, the serial reference; 3 splits each tick's
+// batch unevenly.
 func ParallelEquivalent(t *testing.T, name string) {
-	traffic := func(workers int) workload.Config {
-		return workload.Config{
-			QPS: 30, Duration: 5, Tick: 0.5,
-			Resources: 24, Replicas: 2, ZipfS: 0.9, Window: 64,
-			Scheme: name, Seed: 5, Workers: workers, KeepOutcomes: true,
-		}
-	}
-	run := func(workers, procs int) (*workload.Report, engine.MessageCounts) {
+	run := func(procs int) (*workload.Report, engine.MessageCounts) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		e, err := engine.New(engine.NetworkConfig{
 			Nodes: 250, Width: 600, Height: 600, TxRange: 55,
@@ -315,36 +309,30 @@ func ParallelEquivalent(t *testing.T, name string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetMaintainWorkers(workers)
 		e.SelectContacts()
-		rep, err := e.RunWorkload(traffic(workers))
+		rep, err := e.RunWorkload(workload.Config{
+			QPS: 30, Duration: 5, Tick: 0.5,
+			Resources: 24, Replicas: 2, ZipfS: 0.9, Window: 64,
+			Scheme: name, Seed: 5, KeepOutcomes: true,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep, e.Messages()
 	}
-	base, baseMsgs := run(1, 1)
-	cases := []struct {
-		label          string
-		workers, procs int
-	}{
-		{"serial-procs4", 1, 4},
-		{"workers4-procs1", 4, 1},
-		{"workers4-procs4", 4, 4},
-	}
-	for _, tc := range cases {
-		rep, msgs := run(tc.workers, tc.procs)
+	base, baseMsgs := run(1)
+	for _, procs := range []int{2, 3, 4} {
+		rep, msgs := run(procs)
 		if msgs != baseMsgs {
-			t.Errorf("%s/%s: message totals diverge:\n  serial %+v\n  got    %+v",
-				name, tc.label, baseMsgs, msgs)
+			t.Errorf("%s/procs%d: message totals diverge:\n  serial %+v\n  got    %+v",
+				name, procs, baseMsgs, msgs)
 		}
 		if !reflect.DeepEqual(rep.Outcomes, base.Outcomes) {
-			t.Errorf("%s/%s: outcome stream diverges from serial run", name, tc.label)
+			t.Errorf("%s/procs%d: outcome stream diverges from serial run", name, procs)
 		}
-		rep.Config.Workers = base.Config.Workers
 		if !reflect.DeepEqual(rep, base) {
-			t.Errorf("%s/%s: report diverges from serial run:\n  serial %+v\n  got    %+v",
-				name, tc.label, base, rep)
+			t.Errorf("%s/procs%d: report diverges from serial run:\n  serial %+v\n  got    %+v",
+				name, procs, base, rep)
 		}
 	}
 }

@@ -16,15 +16,15 @@ const pairSalt = 0x517cc1b727220a95
 // EngineRunner is the default cell runner: each cell is one isolated
 // engine run — build the network, select contacts, advance the horizon
 // under scheduled maintenance, then measure reachability and a batched
-// query load. A cell with NoC = 0 is an error, not a run.
+// query load. A cell Check refuses is an error, not a run.
 //
 // Determinism: the cell's network seed is the counter-based substream
 // (pointIdx, seed) of Seed (xrand.StreamSeed), so every cell's randomness
-// is a pure function of its grid coordinates — independent of sweep
-// worker count and of every other cell. The engine's own internal
-// parallelism (maintenance rounds, batch queries) is bit-identical to its
-// serial loops by the engine's standing contract, so it composes freely
-// with the sweep fan-out.
+// is a pure function of its grid coordinates — independent of GOMAXPROCS
+// and of every other cell. The engine's own internal parallelism
+// (maintenance rounds, batch queries) is bit-identical to its serial
+// loops by the engine's standing contract, so it composes freely with the
+// sweep fan-out.
 type EngineRunner struct {
 	// Net is the scenario every cell instantiates (the cell seed
 	// overrides Net.Seed).
@@ -50,11 +50,8 @@ type EngineRunner struct {
 // path); a cell with the empty scheme runs the legacy CARD node-discovery
 // batch, bit-identical to pre-scheme sweeps.
 func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint64) (Metrics, error) {
-	// Config.Validate reads NoC 0 as "the default", so such a cell would
-	// report a default-NoC run under a NoC=0 label. The no-contacts
-	// baseline is an experiments-harness rule, not an engine run.
-	if cfg.Proto.NoC == 0 {
-		return Metrics{}, errors.New("sweep: NoC = 0 is not an engine run (the engine reads it as the default NoC); sweep NoC >= 1")
+	if err := er.Check(&cfg); err != nil {
+		return Metrics{}, err
 	}
 	nc := er.Net
 	nc.Seed = xrand.New(er.Seed).StreamSeed(uint64(pointIdx), seed)
@@ -86,6 +83,18 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 		}
 	}
 	return out, nil
+}
+
+// Check refuses a cell Run cannot run and fills cfg's protocol defaults
+// in place, as Config.Validate does. Config.Validate reads NoC 0 as "the
+// default", so a NoC = 0 cell would report a default-NoC run under a NoC=0
+// label; the no-contacts baseline is an experiments-harness rule, not an
+// engine run.
+func (EngineRunner) Check(cfg *CellConfig) error {
+	if cfg.Proto.NoC == 0 {
+		return errors.New("sweep: NoC = 0 is not an engine run (the engine reads it as the default NoC); sweep NoC >= 1")
+	}
+	return cfg.Proto.Validate()
 }
 
 // runScheme measures a scheme-axis cell: place the replicated catalogue,

@@ -16,7 +16,7 @@
 // coordinates) — independent of which worker runs it, in what order, or
 // at what GOMAXPROCS. Results land in slices indexed by cell, so a sweep
 // sharded across the par pool is bit-identical to the same sweep run
-// serially (Grid.Workers = 1); TestSweepParallelEquivalence pins it, the
+// serially (GOMAXPROCS 1); TestSweepParallelEquivalence pins it, the
 // same contract the engine pins for maintenance rounds and batch queries.
 //
 // # Layering
@@ -45,8 +45,8 @@ type Axis struct {
 }
 
 // Grid spans the cartesian product of its axes, times Seeds repetitions
-// per point. The zero Workers uses up to GOMAXPROCS cell workers; 1 forces
-// the serial reference order (results are bit-identical either way).
+// per point. Cells fan out across up to GOMAXPROCS workers; results are
+// bit-identical to the serial order.
 type Grid struct {
 	// Base is the configuration every cell starts from; axis values are
 	// applied on top.
@@ -61,8 +61,6 @@ type Grid struct {
 	// 0 defaults to 1). Cell c of point p runs with seed c+1, matching the
 	// experiment harness convention.
 	Seeds int
-	// Workers bounds the cell fan-out: 0 = up to GOMAXPROCS, 1 = serial.
-	Workers int
 }
 
 // maxCells bounds a grid's total size; a sweep beyond it is almost
@@ -160,13 +158,13 @@ func (g *Grid) Config(point []float64) (CellConfig, error) {
 	return cfg, nil
 }
 
-// RunCells runs one isolated cell per (point, seed) across the grid's
-// worker bound and returns results indexed cell-major: cell i is point
-// i/Seeds, repetition i%Seeds, run with seed (i%Seeds)+1. The cell body
-// must be a pure function of its arguments (build your own simulation
-// from them); results are then bit-identical at any worker count. This is
-// the generic layer under Grid.Run, for cell bodies that return something
-// other than Metrics.
+// RunCells runs one isolated cell per (point, seed) across up to
+// GOMAXPROCS workers and returns results indexed cell-major: cell i is
+// point i/Seeds, repetition i%Seeds, run with seed (i%Seeds)+1. The cell
+// body must be a pure function of its arguments (build your own
+// simulation from them); results are then bit-identical at any
+// GOMAXPROCS. This is the generic layer under Grid.Run, for cell bodies
+// that return something other than Metrics.
 func RunCells[M any](g *Grid, cell func(cfg CellConfig, point []float64, pointIdx int, seed uint64) M) ([]M, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -185,11 +183,7 @@ func RunCells[M any](g *Grid, cell func(cfg CellConfig, point []float64, pointId
 		cfgs[p] = cfg
 	}
 	out := make([]M, g.Cells())
-	workers := g.Workers
-	if workers <= 0 {
-		workers = par.Limit()
-	}
-	par.WorkersN(workers, len(out), func(_, i int) {
+	par.Do(len(out), func(i int) {
 		p := i / g.Seeds
 		out[i] = cell(cfgs[p], pts[p], p, uint64(i%g.Seeds)+1)
 	})

@@ -21,8 +21,8 @@
 // scheduled inside the tick. The whole request sequence — arrival times,
 // sources, resources, holder placements — is generated from Config.Seed
 // with fixed draw counts per query, so it is a pure function of the
-// configuration: every scheme, worker bound and GOMAXPROCS sees the
-// identical offered load.
+// configuration: every scheme and GOMAXPROCS sees the identical offered
+// load.
 //
 // Discovery is pluggable: Config.Scheme names any registered
 // DiscoveryScheme (card, flood, ring, bordercast, rendezvous, ...), and
@@ -102,10 +102,6 @@ type Config struct {
 	// Replicas, ZipfS) — it never reads simulation state — so runs that
 	// share these fields offer the identical load to every scheme.
 	Seed uint64
-	// Workers bounds the per-tick query fan-out (every scheme shards): 0
-	// (default) uses up to GOMAXPROCS, 1 forces the serial reference path.
-	// Outcomes are bit-identical at every setting.
-	Workers int
 	// KeepOutcomes retains the full per-query outcome stream in the
 	// report (the equivalence tests pin it); leave false for long runs.
 	KeepOutcomes bool
@@ -275,11 +271,7 @@ func Run(d Driver, cfg Config) (*Report, error) {
 	// One-time scheme setup (rendezvous registration floods) accounts on
 	// the shared recorder before the stream opens.
 	sch.Setup()
-	limit := cfg.Workers
-	if limit <= 0 {
-		limit = par.Limit()
-	}
-	workers := make([]scheme.Worker, limit)
+	workers := make([]scheme.Worker, par.Limit())
 
 	start := d.Now()
 	end := start + cfg.Duration
@@ -311,7 +303,7 @@ func Run(d Driver, cfg Config) (*Report, error) {
 			outs = make([]Outcome, len(batch))
 		}
 		outs = outs[:len(batch)]
-		runTick(net, sch, limit, workers, batch, outs)
+		runTick(net, sch, workers, batch, outs)
 		for _, o := range outs {
 			rep.Queries++
 			ok := 0.0
@@ -372,11 +364,11 @@ func streamSummary(agg *stats.Welford, win *stats.Window) stats.Summary {
 // private tallies, then flush serially after the join. Nothing is warmed:
 // the few views a discovery reads are get-or-compute from any worker.
 func runTick(net *manet.Network, sch scheme.DiscoveryScheme,
-	limit int, workers []scheme.Worker, batch []Query, outs []Outcome) {
+	workers []scheme.Worker, batch []Query, outs []Outcome) {
 	if len(batch) == 0 {
 		return
 	}
-	par.WorkersN(limit, len(batch), func(worker, i int) {
+	par.WorkersN(len(workers), len(batch), func(worker, i int) {
 		q := batch[i]
 		if net.Down(q.Src) {
 			outs[i] = downOutcome(q)

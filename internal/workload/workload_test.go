@@ -37,7 +37,12 @@ func newTestDriver(t *testing.T, seed uint64, n int) *testDriver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot.SelectAll(0)
+	m := prot.NewMaintainer()
+	round := prot.NextRound()
+	for u := 0; u < net.N(); u++ {
+		m.SelectNode(card.NodeID(u), 0, round)
+	}
+	m.Flush()
 	return &testDriver{net: net, prot: prot}
 }
 
