@@ -21,14 +21,14 @@ func churnNet(nodes int) NetworkConfig {
 }
 
 // runChurnTrace drives a churned scenario through selection, scheduled
-// maintenance rounds and a query batch at the given GOMAXPROCS, and
-// snapshots everything the equivalence contract covers — including the
+// maintenance rounds and a query batch at width w, and snapshots everything the equivalence contract covers — including the
 // query results, which must not depend on the fan-out.
-func runChurnTrace(t *testing.T, procs int) (maintSnapshot, []proto.QueryResult) {
+func runChurnTrace(t *testing.T, w width) (maintSnapshot, []proto.QueryResult) {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer runtime.GOMAXPROCS(w.setBuild())
 	e := newEngine(t, churnNet(400), testCfg()) // ValidatePeriod 2
 	added := e.SelectContacts()
+	runtime.GOMAXPROCS(w.run)
 	e.Advance(8) // four maintenance rounds under mobility + churn
 	res := e.BatchQuery(e.RandomPairs(120, 99))
 	return snapshot(e, added), res
@@ -37,19 +37,19 @@ func runChurnTrace(t *testing.T, procs int) (maintSnapshot, []proto.QueryResult)
 // TestChurnParallelEquivalence mirrors TestMaintainParallelEquivalence
 // under node churn: contact tables, statistics, recorder totals and batch
 // query results must be bit-identical between the serial loops at
-// GOMAXPROCS 1 and the sharded ones at every equivProcs width (run with
+// GOMAXPROCS 1 and the sharded ones at every equivWidths width (run with
 // -race in CI). Churn is the adversarial case for the fan-out — down
 // nodes skip rounds and expiry rewrites tables between rounds — so this
 // pins that skipping and expiry stay on the serial path's deterministic
 // schedule.
 func TestChurnParallelEquivalence(t *testing.T) {
-	base, baseRes := runChurnTrace(t, 1)
+	base, baseRes := runChurnTrace(t, serial)
 	if base.stats.ContactsExpired == 0 {
 		t.Fatal("scenario produced no churn expiries; the test is not exercising churn")
 	}
-	for _, procs := range equivProcs {
-		t.Run(widthName(procs), func(t *testing.T) {
-			got, gotRes := runChurnTrace(t, procs)
+	for _, w := range equivWidths {
+		t.Run(w.name, func(t *testing.T) {
+			got, gotRes := runChurnTrace(t, w)
 			if !reflect.DeepEqual(gotRes, baseRes) {
 				t.Errorf("batch query results diverge")
 			}

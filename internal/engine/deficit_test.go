@@ -60,7 +60,7 @@ func TestDeficitMatchesTableScan(t *testing.T) {
 		procs int
 	}{
 		{"serial-procs1", 1},
-		{widthName(4), 4},
+		{fixed(4).name, 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -89,17 +89,17 @@ func TestDeficitMatchesTableScan(t *testing.T) {
 
 // TestDeficitChurnEquivalence is the black-box half: under churn AND
 // mobility, the deficit-driven engine must stay bit-identical between the
-// serial path at GOMAXPROCS 1 and the sharded ones at every equivProcs
+// serial path at GOMAXPROCS 1 and the sharded ones at every equivWidths
 // width — round lists (sizes), tables, stats and recorder totals.
 // (requireSame compares tables/stats/msgs/reach; the per-round list
 // equality is covered white-box above.)
 func TestDeficitChurnEquivalence(t *testing.T) {
 	nc := dirtyNet(250)
 	nc.ChurnMeanUp, nc.ChurnMeanDown = 15, 5
-	base := runDirtyTrace(t, nc, 1)
-	for _, procs := range equivProcs {
-		t.Run(widthName(procs), func(t *testing.T) {
-			requireSame(t, runDirtyTrace(t, nc, procs), base)
+	base := runDirtyTrace(t, nc, serial)
+	for _, w := range equivWidths {
+		t.Run(w.name, func(t *testing.T) {
+			requireSame(t, runDirtyTrace(t, nc, w), base)
 		})
 	}
 }
@@ -122,14 +122,14 @@ func TestViewCacheEngineEquivalence(t *testing.T) {
 		return nc
 	}
 	for _, dirty := range []bool{true, false} {
-		base[dirty] = runDirtyTrace(t, config(dirty), 1)
+		base[dirty] = runDirtyTrace(t, config(dirty), serial)
 	}
 	for _, c := range []struct {
-		name  string
-		procs int
+		name string
+		w    width
 	}{
-		{"serial", 1},
-		{widthName(4), 4},
+		{"serial", serial},
+		{fixed(4).name, fixed(4)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, dirty := range []bool{true, false} {
@@ -137,7 +137,7 @@ func TestViewCacheEngineEquivalence(t *testing.T) {
 					t.Run(fmt.Sprintf("dirty=%v/cap%d", dirty, cap), func(t *testing.T) {
 						cached := config(dirty)
 						cached.ViewCacheCap = cap
-						requireSame(t, runDirtyTrace(t, cached, c.procs), base[dirty])
+						requireSame(t, runDirtyTrace(t, cached, c.w), base[dirty])
 					})
 				}
 			}

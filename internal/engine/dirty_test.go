@@ -22,11 +22,12 @@ func dirtyNet(nodes int) NetworkConfig {
 
 // runDirtyTrace mirrors runMaintTrace on nc, which may enable
 // DirtyMaintenance.
-func runDirtyTrace(t *testing.T, nc NetworkConfig, procs int) maintSnapshot {
+func runDirtyTrace(t *testing.T, nc NetworkConfig, w width) maintSnapshot {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer runtime.GOMAXPROCS(w.setBuild())
 	e := newEngine(t, nc, testCfg())
 	added := e.SelectContacts()
+	runtime.GOMAXPROCS(w.run)
 	e.Advance(8) // four maintenance rounds under mobility
 	return snapshot(e, added)
 }
@@ -35,12 +36,12 @@ func runDirtyTrace(t *testing.T, nc NetworkConfig, procs int) maintSnapshot {
 // restricted rounds: with DirtyMaintenance on, the sharded dirty-list
 // rounds must be bit-identical to the serial dirty-list loop at
 // GOMAXPROCS 1 — tables, stats, accounting and reachability — at every
-// equivProcs width. Run with -race (CI does) to validate the sharding.
+// equivWidths width. Run with -race (CI does) to validate the sharding.
 func TestDirtyParallelEquivalence(t *testing.T) {
-	base := runDirtyTrace(t, dirtyNet(400), 1)
-	for _, procs := range equivProcs {
-		t.Run(widthName(procs), func(t *testing.T) {
-			requireSame(t, runDirtyTrace(t, dirtyNet(400), procs), base)
+	base := runDirtyTrace(t, dirtyNet(400), serial)
+	for _, w := range equivWidths {
+		t.Run(w.name, func(t *testing.T) {
+			requireSame(t, runDirtyTrace(t, dirtyNet(400), w), base)
 		})
 	}
 }
@@ -51,10 +52,10 @@ func TestDirtyParallelEquivalence(t *testing.T) {
 func TestDirtyParallelEquivalenceChurn(t *testing.T) {
 	nc := dirtyNet(300)
 	nc.ChurnMeanUp, nc.ChurnMeanDown = 20, 5
-	base := runDirtyTrace(t, nc, 1)
-	for _, procs := range equivProcs {
-		t.Run(widthName(procs), func(t *testing.T) {
-			requireSame(t, runDirtyTrace(t, nc, procs), base)
+	base := runDirtyTrace(t, nc, serial)
+	for _, w := range equivWidths {
+		t.Run(w.name, func(t *testing.T) {
+			requireSame(t, runDirtyTrace(t, nc, w), base)
 		})
 	}
 }

@@ -28,13 +28,14 @@ func lossyNet(nodes int) NetworkConfig {
 // scenario, the sustained-traffic outcome stream, the report aggregates
 // and the recorder totals (retries included) are bit-identical between
 // serial execution at GOMAXPROCS 1 and sharded execution at every
-// equivProcs width. Loss outcomes are a pure function of (epoch, edge,
+// equivWidths width. Loss outcomes are a pure function of (epoch, edge,
 // attempt), so no scheduling order can leak in; CI runs this under -race.
 func TestLossyParallelEquivalence(t *testing.T) {
-	run := func(procs int) (*workload.Report, MessageCounts) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	run := func(w width) (*workload.Report, MessageCounts) {
+		defer runtime.GOMAXPROCS(w.setBuild())
 		e := newEngine(t, lossyNet(250), testCfg())
 		e.SelectContacts()
+		runtime.GOMAXPROCS(w.run)
 		rep, err := e.RunWorkload(workload.Config{
 			QPS: 30, Duration: 5, Tick: 0.5,
 			Resources: 24, Replicas: 2, ZipfS: 0.9,
@@ -45,16 +46,16 @@ func TestLossyParallelEquivalence(t *testing.T) {
 		}
 		return rep, e.Messages()
 	}
-	base, baseMsgs := run(1)
+	base, baseMsgs := run(serial)
 	if base.Queries == 0 || base.Found == 0 {
 		t.Fatalf("degenerate reference run: %+v", base)
 	}
 	if baseMsgs.Retry == 0 {
 		t.Fatal("reference run charged no retries; loss not exercised")
 	}
-	for _, procs := range equivProcs {
-		t.Run(widthName(procs), func(t *testing.T) {
-			got, gotMsgs := run(procs)
+	for _, w := range equivWidths {
+		t.Run(w.name, func(t *testing.T) {
+			got, gotMsgs := run(w)
 			if gotMsgs != baseMsgs {
 				t.Errorf("recorder totals diverge:\n got  %+v\n want %+v", gotMsgs, baseMsgs)
 			}

@@ -10,14 +10,32 @@ import (
 	proto "card/internal/card"
 )
 
-// equivProcs are the GOMAXPROCS settings the equivalence tests run
-// against their serial reference at GOMAXPROCS 1. GOMAXPROCS is the only
-// width a fan-out reads, so setting k runs k workers; 3 leaves an uneven
-// shard split.
-var equivProcs = []int{2, 3, 4}
+// width is the GOMAXPROCS an equivalence run builds its engine and makes
+// its initial selection at (build), and the one its rounds, queries and
+// traffic then run at (run).
+type width struct {
+	name       string
+	build, run int
+}
 
-// widthName names the subtest that runs at GOMAXPROCS procs.
-func widthName(procs int) string { return fmt.Sprintf("workers%d-procs%d", procs, procs) }
+// fixed is the width that stays at GOMAXPROCS procs for the whole run.
+func fixed(procs int) width {
+	return width{fmt.Sprintf("workers%d-procs%d", procs, procs), procs, procs}
+}
+
+// serial is the reference every equivalence test compares against.
+var serial = fixed(1)
+
+// equivWidths are the widths the equivalence tests run against serial.
+// GOMAXPROCS is the only width a fan-out reads, so setting k runs k
+// workers; 3 leaves an uneven shard split. auto-procs4 builds the engine
+// at GOMAXPROCS 1 and raises it to 4 before the rounds: the width is read
+// each round, not at construction, so the worker pools must grow mid-run.
+var equivWidths = []width{fixed(2), fixed(3), fixed(4), {"auto-procs4", 1, 4}}
+
+// setBuild sets GOMAXPROCS to w.build and returns the setting to restore
+// when the run ends; the caller switches to w.run once setup is done.
+func (w width) setBuild() (restore int) { return runtime.GOMAXPROCS(w.build) }
 
 // maintSnapshot captures everything the equivalence contract covers:
 // every node's contact table (ids, full paths, timestamps), the protocol
@@ -67,16 +85,17 @@ func requireSame(t *testing.T, got, want maintSnapshot) {
 }
 
 // runMaintTrace drives a mobile scenario through initial selection plus
-// several scheduled maintenance rounds at the given GOMAXPROCS, and
-// snapshots the resulting protocol state.
-func runMaintTrace(t *testing.T, procs int) maintSnapshot {
+// several scheduled maintenance rounds at width w, and snapshots the
+// resulting protocol state.
+func runMaintTrace(t *testing.T, w width) maintSnapshot {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer runtime.GOMAXPROCS(w.setBuild())
 	nc := testNet(400)
 	nc.Mobility = RandomWaypoint
 	nc.MinSpeed, nc.MaxSpeed, nc.Pause = 1, 15, 3
 	e := newEngine(t, nc, testCfg()) // ValidatePeriod 2
 	added := e.SelectContacts()
+	runtime.GOMAXPROCS(w.run)
 	e.Advance(8) // four maintenance rounds under mobility
 	return snapshot(e, added)
 }
@@ -84,13 +103,13 @@ func runMaintTrace(t *testing.T, procs int) maintSnapshot {
 // TestMaintainParallelEquivalence pins the round fan-out contract:
 // bit-identical contact tables, protocol statistics and recorder totals
 // between the serial maintenance path (GOMAXPROCS 1) and the sharded one
-// at every equivProcs width, across a mobility trace. Run with -race to
+// at every equivWidths width, across a mobility trace. Run with -race to
 // validate the sharding (CI does).
 func TestMaintainParallelEquivalence(t *testing.T) {
-	base := runMaintTrace(t, 1)
-	for _, procs := range equivProcs {
-		t.Run(widthName(procs), func(t *testing.T) {
-			requireSame(t, runMaintTrace(t, procs), base)
+	base := runMaintTrace(t, serial)
+	for _, w := range equivWidths {
+		t.Run(w.name, func(t *testing.T) {
+			requireSame(t, runMaintTrace(t, w), base)
 		})
 	}
 }

@@ -19,16 +19,17 @@ func workloadTraffic() workload.Config {
 	}
 }
 
-// runWorkloadTrace drives one sustained-traffic run at the given
-// GOMAXPROCS and snapshots everything the equivalence contract
+// runWorkloadTrace drives one sustained-traffic run at width w and
+// snapshots everything the equivalence contract
 // covers: the full per-query outcome stream, the aggregate report, and the
 // engine's recorder totals (which include the maintenance rounds the
 // stream interleaves with).
-func runWorkloadTrace(t *testing.T, nc NetworkConfig, procs int) (*workload.Report, MessageCounts) {
+func runWorkloadTrace(t *testing.T, nc NetworkConfig, w width) (*workload.Report, MessageCounts) {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer runtime.GOMAXPROCS(w.setBuild())
 	e := newEngine(t, nc, testCfg())
 	e.SelectContacts()
+	runtime.GOMAXPROCS(w.run)
 	rep, err := e.RunWorkload(workloadTraffic())
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func runWorkloadTrace(t *testing.T, nc NetworkConfig, procs int) (*workload.Repo
 // TestWorkloadParallelEquivalence pins the sustained-traffic determinism
 // contract: the full per-query result stream, the report aggregates and
 // the recorder totals are bit-identical between serial execution at
-// GOMAXPROCS 1 and sharded execution at every equivProcs width (CI runs it
+// GOMAXPROCS 1 and sharded execution at every equivWidths width (CI runs it
 // under -race), over a mobile
 // scenario and — the adversarial case — over one with node churn, where
 // sources and holders flip mid-stream.
@@ -57,16 +58,16 @@ func TestWorkloadParallelEquivalence(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			base, baseMsgs := runWorkloadTrace(t, sc.nc, 1) // serial reference
+			base, baseMsgs := runWorkloadTrace(t, sc.nc, serial)
 			if base.Queries == 0 || base.Found == 0 {
 				t.Fatalf("degenerate reference run: %+v", base)
 			}
 			if sc.name == "churn" && base.SrcDown == 0 {
 				t.Fatal("churn scenario dropped no sources; not exercising churn")
 			}
-			for _, procs := range equivProcs {
-				t.Run(widthName(procs), func(t *testing.T) {
-					got, gotMsgs := runWorkloadTrace(t, sc.nc, procs)
+			for _, w := range equivWidths {
+				t.Run(w.name, func(t *testing.T) {
+					got, gotMsgs := runWorkloadTrace(t, sc.nc, w)
 					if gotMsgs != baseMsgs {
 						t.Errorf("recorder totals diverge:\n got  %+v\n want %+v", gotMsgs, baseMsgs)
 					}

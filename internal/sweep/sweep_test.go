@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -282,18 +281,20 @@ func sweepGrid12() (*Grid, EngineRunner) {
 // TestSweepParallelEquivalence pins the sweep determinism contract: a
 // 12-cell grid of real engine runs produces bit-identical cell and point
 // metrics at GOMAXPROCS 2, 3 and 4 as at GOMAXPROCS 1, where the cells run
-// serially (run with -race in CI).
+// serially (run with -race in CI). auto-procs4 reruns the reference's own
+// Grid and EngineRunner at GOMAXPROCS 4: neither holds a width, so the
+// same values fan out to four workers on the second run.
 func TestSweepParallelEquivalence(t *testing.T) {
-	run := func(procs int) *Result {
+	runOn := func(g *Grid, er EngineRunner, procs int) *Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		g, er := sweepGrid12()
 		res, err := g.Run(er.Run)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	base := run(1) // serial reference
+	g1, er1 := sweepGrid12()
+	base := runOn(g1, er1, 1) // serial reference
 	if len(base.Cells) != 12 {
 		t.Fatalf("grid has %d cells, want 12", len(base.Cells))
 	}
@@ -306,9 +307,23 @@ func TestSweepParallelEquivalence(t *testing.T) {
 	if len(base.Pareto()) == 0 {
 		t.Fatal("empty Pareto frontier")
 	}
-	for _, procs := range []int{2, 3, 4} {
-		t.Run(fmt.Sprintf("workers%d-procs%d", procs, procs), func(t *testing.T) {
-			got := run(procs)
+	fresh := func(procs int) func() *Result {
+		return func() *Result {
+			g, er := sweepGrid12()
+			return runOn(g, er, procs)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func() *Result
+	}{
+		{"workers2-procs2", fresh(2)},
+		{"workers3-procs3", fresh(3)},
+		{"workers4-procs4", fresh(4)},
+		{"auto-procs4", func() *Result { return runOn(g1, er1, 4) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := c.run()
 			if !reflect.DeepEqual(got.Cells, base.Cells) {
 				t.Errorf("cell metrics diverge from the serial reference")
 			}
