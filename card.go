@@ -121,7 +121,8 @@ type DiscoveryResult = resource.Result
 func SchemeNames() []string { return scheme.Names() }
 
 // SweepAxis is one swept parameter of a SweepGrid: a canonical config
-// axis name (R, r, NoC, D, Method, VP) and its values.
+// axis name (R, r, NoC, D, Method, VP, Scheme, Loss, RangeSpread) and its
+// values.
 type SweepAxis = sweep.Axis
 
 // SweepGrid spans a parameter study over the CARD configuration axes
@@ -131,8 +132,8 @@ type SweepAxis = sweep.Axis
 type SweepGrid = sweep.Grid
 
 // SweepMetrics are one cell's (or one seed-averaged point's) trade-off
-// measurements: overhead per node per second, mean reachability, query
-// success, and per-query message/hop quantiles.
+// measurements: overhead per node per second, mean reachability, lookup
+// success (a down source is a miss), and per-query message/hop quantiles.
 type SweepMetrics = sweep.Metrics
 
 // SweepResult is a completed sweep: per-cell runs, seed-averaged points,
@@ -141,7 +142,8 @@ type SweepResult = sweep.Result
 
 // SweepEngineRunner is the default sweep cell runner: one isolated engine
 // run per cell, seeded from the counter-based substream (point, seed) of
-// the root seed.
+// the root seed, whose lookups over a 64-resource catalogue go through
+// one worker of the cell's discovery scheme (card when none is named).
 type SweepEngineRunner = sweep.EngineRunner
 
 // ParseSweepSpec parses a sweep grid specification like

@@ -25,15 +25,20 @@
 // A -sweep grid runs one isolated engine per (point, seed) cell over the
 // preset's scenario (citywide-rwp-1k when -preset is omitted) and reports
 // the overhead-vs-reachability trade-off per point, with Pareto-frontier
-// configurations starred. -scheme routes every cell's (and every
-// sustained-traffic run's) queries through the named discovery scheme;
-// a Scheme sweep axis overrides it per point.
+// configurations starred. Each cell resolves its -queries lookups over a
+// 64-resource catalogue through one discovery scheme: card unless -scheme
+// names another, and a Scheme sweep axis overrides it per point. -scheme
+// also routes a preset run's sustained traffic.
 //
 // The arguments become one checked plan before anything runs. A flag that
 // is set overrides the preset (-loss 0 turns loss off, -qps 0 the
 // sustained phase); one that is not leaves it alone. Each value is checked
 // by the config that owns it (engine.NetworkConfig, workload.Config,
-// sweep.Grid, card.Config), and a run past a work ceiling exits 2.
+// sweep.Grid, card.Config), and a run past a work ceiling exits 2. So does
+// a set flag the run does not read. An experiment run reads only -exp,
+// -format, -seeds, -scale and -time, and a preset run none of those; a
+// -sweep reads -format and -seeds but not -qps or -zipf. -tx needs -trace,
+// and -zipf or -scheme on a preset run needs a sustained phase.
 package main
 
 import (
@@ -107,14 +112,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stderr, r.text)
 		return r.code
 	case err != nil:
-	case pl.list:
-		for _, e := range append(experiments.Group("paper"), experiments.Group("ablation")...) {
-			fmt.Fprintf(stdout, "%-13s %s\n", e.ID, e.Doc)
+	case pl.list || pl.presets:
+		if pl.list {
+			for _, e := range append(experiments.Group("paper"), experiments.Group("ablation")...) {
+				fmt.Fprintf(stdout, "%-13s %s\n", e.ID, e.Doc)
+			}
 		}
-	case pl.presets:
-		for _, p := range engine.Presets() {
-			fmt.Fprintf(stdout, "%-20s %s\n", p.Name, p.Doc)
-			fmt.Fprintf(stdout, "%-20s   %s\n", "", p.Description)
+		if pl.presets {
+			for _, p := range engine.Presets() {
+				fmt.Fprintf(stdout, "%-20s %s\n", p.Name, p.Doc)
+				fmt.Fprintf(stdout, "%-20s   %s\n", "", p.Description)
+			}
 		}
 	case pl.grid != nil:
 		err = runSweep(stdout, pl)
@@ -171,13 +179,37 @@ func parsePlan(args []string) (plan, error) {
 	if err := fs.Parse(args); err != nil {
 		return pl, refusal{usage.String(), 2}
 	}
+	// Each run kind reads its own flags; one set that the chosen run does
+	// not read is refused, not ignored.
+	kind := "a preset run"
+	switch {
+	case *list || *presets:
+		kind = "a listing"
+	case *sweepArg != "":
+		kind = "a sweep"
+	case *preset == "" && *trace == "":
+		kind = "an experiment run"
+	}
+	reads := strings.Fields(map[string]string{
+		"a listing":         "list presets",
+		"an experiment run": "exp format seeds scale time",
+		"a preset run":      "preset trace churn loss rangespread queries horizon seed qps zipf scheme",
+		"a sweep":           "sweep preset trace churn loss rangespread queries horizon seed seeds format scheme",
+	}[kind])
+	if *trace != "" {
+		reads = append(reads, "tx")
+	}
 	// Which flags were set decides what overrides the preset. strconv
 	// accepts "nan" and "inf", which slip past ordered range checks, so no
 	// numeric flag may carry one.
 	set := make(map[string]bool)
+	var unread []string
 	var bad error
 	fs.Visit(func(f *flag.Flag) {
 		set[f.Name] = true
+		if !slices.Contains(reads, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
 		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && notFinite(v) && bad == nil {
 			bad = fmt.Errorf("bad -%s %s: want a finite number", f.Name, f.Value)
 		}
@@ -194,10 +226,10 @@ func parsePlan(args []string) (plan, error) {
 		bad = fmt.Errorf("bad -queries %d: want 0..%d per batch", *queries, maxQueries)
 	case *horizon < 0:
 		bad = fmt.Errorf("bad -horizon %g: want simulated seconds >= 0", *horizon)
-	case set["tx"] && *trace == "":
-		bad = errors.New("-tx sets the radio range of a -trace run; this run has no -trace")
 	case !slices.Contains([]string{"text", "csv", "md", "plot"}, *format) && !(*format == "json" && *sweepArg != ""):
 		bad = fmt.Errorf("bad -format %q: want text, csv, md or plot (json with -sweep)", *format)
+	case len(unread) > 0:
+		bad = fmt.Errorf("%s reads no %s", kind, strings.Join(unread, ", "))
 	}
 	if bad != nil {
 		return pl, bad
@@ -283,9 +315,6 @@ func parsePlan(args []string) (plan, error) {
 		pl.horizon = *horizon
 	}
 	if *sweepArg != "" {
-		if set["qps"] || set["zipf"] {
-			return pl, fmt.Errorf("-qps/-zipf (sustained traffic) do not compose with -sweep; sweep cells measure batched queries")
-		}
 		axes, err := sweep.ParseSpec(*sweepArg)
 		if err != nil {
 			return pl, err
@@ -324,8 +353,8 @@ func parsePlan(args []string) (plan, error) {
 		tr.ZipfS = *zipf
 	}
 	tr.Scheme = cmp.Or(*schemeArg, tr.Scheme)
-	if tr.QPS == 0 && set["zipf"] {
-		return pl, errors.New("-zipf shapes sustained traffic; this run has none (set -qps > 0)")
+	if tr.QPS == 0 && (set["zipf"] || set["scheme"]) {
+		return pl, errors.New("-zipf and -scheme shape sustained traffic; this run has none (set -qps > 0)")
 	}
 	if tr.QPS != 0 {
 		// A traffic-less preset enabled by -qps streams over its horizon.

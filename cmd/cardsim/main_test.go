@@ -265,11 +265,13 @@ func runWithin(t *testing.T, d time.Duration, args ...string) (code int, stdout,
 // hung), and four negative values that ran anyway — -queries -5 ran no
 // queries, and -zipf -0.5, -qps -3 and -horizon -2 silently ran the
 // preset's zipf 0.9, 100 qps and 30 s. So did flags the run never reads:
-// -zipf with no sustained phase and -tx without -trace exited 0 (the -tx
-// run's header still printed the preset's 100 m radio), and a NoC = 0
-// sweep point failed only after the other points' cells had run. Each now
-// exits 2 within a second, before printing anything, and names the flag
-// or the bound it broke.
+// -zipf or -scheme with no sustained phase, -tx without -trace (the run's
+// header still printed the preset's 100 m radio), preset-run flags on an
+// -exp run, experiment flags on a preset run and -list beside anything
+// else all exited 0 with the flag dropped, and a NoC = 0 sweep point
+// failed only after the other points' cells had run. Each now exits 2
+// within a second, before printing anything, and names the flag or the
+// bound it broke.
 func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
 	const p = "-preset=citywide-rwp-1k"
 	for _, c := range []struct {
@@ -290,6 +292,12 @@ func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
 		{[]string{p, "-tx", "5"}, "-tx"},
 		{[]string{"-exp", "table1", "-tx", "5"}, "-tx"},
 		{[]string{"-sweep", "NoC=0,5", "-horizon", "60"}, "noc = 0"},
+		{[]string{"-exp", "smallworld", "-scale", "0.1", "-seeds", "1", "-loss", "0.5", "-qps", "10", "-horizon", "5"}, "-horizon, -loss, -qps"},
+		{[]string{"-preset", "dense-sensor-field", "-scheme", "flood", "-queries", "20", "-horizon", "2"}, "-scheme"},
+		{[]string{"-preset", "dense-sensor-field", "-queries", "5", "-horizon", "1", "-scale", "0.5", "-seeds", "7", "-format", "csv", "-time"},
+			"-format, -scale, -seeds, -time"},
+		{[]string{"-sweep", "NoC=2", "-qps", "5"}, "-qps"},
+		{[]string{"-list", "-exp", "fig3"}, "-exp"},
 	} {
 		start := time.Now()
 		code, out, msg := runWithin(t, 10*time.Second, c.args...)

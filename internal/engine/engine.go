@@ -91,8 +91,8 @@ const (
 	// RandomWaypoint is the paper's mobility model: uniform waypoints,
 	// uniform speed in [MinSpeed, MaxSpeed], optional pauses.
 	RandomWaypoint
-	// RandomWalk moves nodes at constant speed with periodic random
-	// direction changes, reflecting off the boundary.
+	// RandomWalk moves nodes at a constant 10 m/s with a random direction
+	// change every 2 s, reflecting off the boundary.
 	RandomWalk
 	// GaussMarkov runs the Gauss–Markov model: autoregressive speed and
 	// direction with tunable memory (GMAlpha), producing smooth
@@ -145,22 +145,18 @@ type NetworkConfig struct {
 	// Pause is the RWP (or RPGM leader) dwell time at waypoints in seconds.
 	Pause float64
 
-	// WalkSpeed, WalkEpoch parameterize RandomWalk: constant speed in m/s
-	// (default 10) and direction-change interval in seconds (default 2).
-	WalkSpeed, WalkEpoch float64
-
-	// GMMeanSpeed, GMAlpha, GMSpeedSigma, GMDirSigma, GMEpoch parameterize
-	// GaussMarkov; zero values take mobility.DefaultGM (10 m/s, α 0.75,
-	// σ_s 2 m/s, σ_θ 0.4 rad, 1 s epoch). To request α = 0 exactly
+	// GMMeanSpeed, GMAlpha, GMSpeedSigma parameterize GaussMarkov; zero
+	// values take mobility.DefaultGM (10 m/s, α 0.75, σ_s 2 m/s; σ_θ is
+	// always 0.4 rad and the epoch 1 s). To request α = 0 exactly
 	// (memoryless), set a negative GMAlpha.
-	GMMeanSpeed, GMAlpha, GMSpeedSigma, GMDirSigma, GMEpoch float64
+	GMMeanSpeed, GMAlpha, GMSpeedSigma float64
 
-	// Groups, GroupRadius, MemberSpeed, MemberPause parameterize
-	// GroupMobility: number of groups (default Nodes/20, min 1), member
-	// offset bound in meters (default 2·TxRange), member jitter speed in
-	// m/s (default 2) and jitter dwell in seconds.
-	Groups                                int
-	GroupRadius, MemberSpeed, MemberPause float64
+	// Groups, GroupRadius, MemberSpeed parameterize GroupMobility: number
+	// of groups (default Nodes/20, min 1), member offset bound in meters
+	// (default 2·TxRange) and member jitter speed in m/s (default 2);
+	// members jitter without dwelling.
+	Groups                   int
+	GroupRadius, MemberSpeed float64
 
 	// TracePath names an ns-2 setdest movement trace for TraceReplay.
 	TracePath string
@@ -234,7 +230,7 @@ func (nc *NetworkConfig) Validate() error {
 		v    float64
 	}{
 		{"Width", nc.Width}, {"Height", nc.Height}, {"TxRange", nc.TxRange},
-		{"MinSpeed", nc.MinSpeed}, {"MaxSpeed", nc.MaxSpeed}, {"WalkSpeed", nc.WalkSpeed},
+		{"MinSpeed", nc.MinSpeed}, {"MaxSpeed", nc.MaxSpeed},
 		{"GMMeanSpeed", nc.GMMeanSpeed}, {"MemberSpeed", nc.MemberSpeed},
 		{"ChurnMeanUp", nc.ChurnMeanUp}, {"ChurnMeanDown", nc.ChurnMeanDown},
 		{"RangeSpread", nc.RangeSpread}, {"Loss", nc.Loss},
@@ -308,12 +304,6 @@ func (nc *NetworkConfig) gmConfig() mobility.GMConfig {
 	if nc.GMSpeedSigma > 0 {
 		cfg.SpeedSigma = nc.GMSpeedSigma
 	}
-	if nc.GMDirSigma > 0 {
-		cfg.DirSigma = nc.GMDirSigma
-	}
-	if nc.GMEpoch > 0 {
-		cfg.Epoch = nc.GMEpoch
-	}
 	return cfg
 }
 
@@ -339,7 +329,6 @@ func (nc *NetworkConfig) rpgmConfig() mobility.RPGMConfig {
 		GroupRadius: radius,
 		Leader:      mobility.RWPConfig{MinSpeed: nc.MinSpeed, MaxSpeed: nc.MaxSpeed, Pause: nc.Pause},
 		MemberSpeed: speed,
-		MemberPause: nc.MemberPause,
 	}
 }
 
@@ -431,15 +420,8 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 			MinSpeed: nc.MinSpeed, MaxSpeed: nc.MaxSpeed, Pause: nc.Pause,
 		}, rng.Derive(0))
 	case RandomWalk:
-		speed, epoch := nc.WalkSpeed, nc.WalkEpoch
-		if speed == 0 {
-			speed = 10
-		}
-		if epoch == 0 {
-			epoch = 2
-		}
 		pts := topology.UniformPositions(nc.Nodes, area, rng.Derive(0))
-		model, err = mobility.NewRandomWalk(pts, area, speed, epoch, rng.Derive(4))
+		model, err = mobility.NewRandomWalk(pts, area, 10, 2, rng.Derive(4))
 	case GaussMarkov:
 		model, err = mobility.NewGaussMarkov(nc.Nodes, area, nc.gmConfig(), rng.Derive(0))
 	case GroupMobility:

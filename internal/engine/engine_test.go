@@ -303,7 +303,6 @@ func TestNetworkConfigRejectsNonFinite(t *testing.T) {
 		{"TxRange", func(nc *NetworkConfig, v float64) { nc.TxRange = v }},
 		{"MinSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MinSpeed = RandomWaypoint, v }},
 		{"MaxSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MaxSpeed = RandomWaypoint, v }},
-		{"WalkSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.WalkSpeed = RandomWalk, v }},
 		{"GMMeanSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.GMMeanSpeed = GaussMarkov, v }},
 		{"MemberSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MemberSpeed = GroupMobility, v }},
 		{"ChurnMeanUp", func(nc *NetworkConfig, v float64) { nc.ChurnMeanUp, nc.ChurnMeanDown = v, 5 }},

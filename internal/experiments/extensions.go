@@ -142,10 +142,7 @@ func ablMobility(o Options) *Table {
 	}{
 		{"static", func(*engine.NetworkConfig) {}},
 		{"waypoint", func(nc *engine.NetworkConfig) { nc.Mobility = engine.RandomWaypoint }},
-		{"walk", func(nc *engine.NetworkConfig) {
-			nc.Mobility = engine.RandomWalk
-			nc.WalkSpeed, nc.WalkEpoch = 10, 2
-		}},
+		{"walk", func(nc *engine.NetworkConfig) { nc.Mobility = engine.RandomWalk }},
 		{"gauss-markov", func(nc *engine.NetworkConfig) { nc.Mobility = engine.GaussMarkov }},
 		{"group", func(nc *engine.NetworkConfig) {
 			nc.Mobility = engine.GroupMobility
@@ -274,8 +271,8 @@ func SweepTable(title string, res *sweep.Result) *Table {
 
 // stockSweep is the `sweep` experiment: a stock NoC x r grid over the
 // paper's workhorse scenario run through the generic sweep engine —
-// 10 s of random-waypoint mobility with scheduled maintenance, then a
-// 50-query batch per cell. It demonstrates the trade-off surface the
+// 10 s of random-waypoint mobility with scheduled maintenance, then 50
+// CARD lookups per cell over the sweep's 64-resource catalogue. It demonstrates the trade-off surface the
 // Fig. 10-14 declarations each slice one line through; ad-hoc grids over
 // any preset run via `cardsim -sweep`. Its cells are the sweep engine's
 // (sweep.EngineRunner, seeded per grid coordinate), not this package's.

@@ -17,7 +17,7 @@
 // at what GOMAXPROCS. Results land in slices indexed by cell, so a sweep
 // sharded across the par pool is bit-identical to the same sweep run
 // serially (GOMAXPROCS 1); TestSweepParallelEquivalence pins it, the
-// same contract the engine pins for maintenance rounds and batch queries.
+// same contract the engine pins for its maintenance rounds.
 //
 // # Layering
 //
@@ -51,8 +51,8 @@ type Grid struct {
 	// Base is the configuration every cell starts from; axis values are
 	// applied on top.
 	Base proto.Config
-	// Scheme is the discovery scheme every cell starts from ("" keeps the
-	// runner's legacy default); a Scheme axis overrides it per point.
+	// Scheme is the discovery scheme every cell starts from ("" is card);
+	// a Scheme axis overrides it per point.
 	Scheme string
 	// Axes are the swept parameters; the last axis varies fastest in the
 	// point enumeration. An empty Axes is a single-point grid.
@@ -72,7 +72,7 @@ func (g *Grid) Validate() error {
 	if g.Seeds <= 0 {
 		g.Seeds = 1
 	}
-	if g.Scheme != "" && !scheme.Known(g.Scheme) {
+	if !scheme.Known(g.Scheme) {
 		return fmt.Errorf("sweep: unknown scheme %q (have %v)", g.Scheme, scheme.Names())
 	}
 	seen := make(map[string]bool, len(g.Axes))
@@ -127,11 +127,12 @@ func (g *Grid) Point(idx int) []float64 {
 
 // CellConfig is the full per-cell configuration a sweep materializes: the
 // CARD protocol parameters plus the discovery scheme the cell's queries
-// run through ("" leaves the runner's legacy default in charge).
+// run through.
 type CellConfig struct {
 	// Proto is the CARD protocol configuration of the cell.
 	Proto proto.Config
-	// Scheme names the discovery scheme of the cell (see scheme.Names).
+	// Scheme names the discovery scheme of the cell (see scheme.Names;
+	// "" is card).
 	Scheme string
 	// Loss and RangeSpread are the network-layer axes: set only when
 	// swept, they override the runner's engine.NetworkConfig fields of the
@@ -198,7 +199,8 @@ type Metrics struct {
 	Overhead float64 `json:"overhead"`
 	// Reach is the mean reachability percentage at the cell's depth.
 	Reach float64 `json:"reach"`
-	// Success is the batched-query success percentage.
+	// Success is the percentage of offered lookups that found a holder;
+	// a lookup from a down source is a miss.
 	Success float64 `json:"success"`
 	// Msgs summarizes control messages per query (P50/P95/P99 quantiles).
 	Msgs stats.Summary `json:"msgs"`

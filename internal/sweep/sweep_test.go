@@ -283,7 +283,8 @@ func sweepGrid12() (*Grid, EngineRunner) {
 // metrics at GOMAXPROCS 2, 3 and 4 as at GOMAXPROCS 1, where the cells run
 // serially (run with -race in CI). auto-procs4 reruns the reference's own
 // Grid and EngineRunner at GOMAXPROCS 4: neither holds a width, so the
-// same values fan out to four workers on the second run.
+// same values fan out to four workers on the second run. scheme-card
+// names the scheme the reference leaves empty.
 func TestSweepParallelEquivalence(t *testing.T) {
 	runOn := func(g *Grid, er EngineRunner, procs int) *Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -321,6 +322,12 @@ func TestSweepParallelEquivalence(t *testing.T) {
 		{"workers3-procs3", fresh(3)},
 		{"workers4-procs4", fresh(4)},
 		{"auto-procs4", func() *Result { return runOn(g1, er1, 4) }},
+		// The empty scheme is card: naming it runs the same cell body.
+		{"scheme-card", func() *Result {
+			g, er := sweepGrid12()
+			g.Scheme = "card"
+			return runOn(g, er, 1)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := c.run()
