@@ -249,7 +249,9 @@ func BenchmarkSweepGrid1k(b *testing.B) {
 	var last *SweepResult
 	for i := 0; i < b.N; i++ {
 		g := &SweepGrid{Base: p.Protocol, Axes: axes, Seeds: 1}
-		er := SweepEngineRunner{Net: p.Net, Horizon: 4, Queries: 100, Seed: uint64(i) + 1}
+		net := p.Net
+		net.Seed = uint64(i) + 1
+		er := SweepEngineRunner{Net: net, Horizon: 4, Queries: 100}
 		res, err := g.Run(er.Run)
 		if err != nil {
 			b.Fatal(err)

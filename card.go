@@ -137,13 +137,14 @@ type SweepGrid = sweep.Grid
 type SweepMetrics = sweep.Metrics
 
 // SweepResult is a completed sweep: per-cell runs, seed-averaged points,
-// and the overhead-vs-reachability Pareto frontier (Pareto, CSV, JSON).
+// and the overhead-vs-reachability Pareto frontier (Pareto, JSON).
 type SweepResult = sweep.Result
 
 // SweepEngineRunner is the default sweep cell runner: one isolated engine
 // run per cell, seeded from the counter-based substream (point, seed) of
-// the root seed, whose lookups over a 64-resource catalogue go through
-// one worker of the cell's discovery scheme (card when none is named).
+// Net.Seed, the sweep's root seed. A cell's lookups over a 64-resource
+// catalogue go through one worker of the cell's discovery scheme (card
+// when none is named).
 type SweepEngineRunner = sweep.EngineRunner
 
 // ParseSweepSpec parses a sweep grid specification like

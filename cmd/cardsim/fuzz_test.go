@@ -68,7 +68,7 @@ func FuzzCardsimPlan(f *testing.F) {
 			for i := 0; i < g.Points(); i++ {
 				c, err := g.Config(g.Point(i))
 				if err == nil {
-					err = sweep.EngineRunner{}.Check(&c)
+					err = sweep.EngineRunner{Horizon: pl.horizon, Queries: pl.queries}.Check(&c)
 				}
 				if err != nil {
 					t.Fatalf("%q: plan carries a sweep point its owner refuses: %v", args, err)

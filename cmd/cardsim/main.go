@@ -324,11 +324,12 @@ func parsePlan(args []string) (plan, error) {
 			return pl, err
 		}
 		// Each cell advances -horizon at its point's validation period.
+		er := sweep.EngineRunner{Horizon: pl.horizon, Queries: pl.queries}
 		rounds := 0.0
 		for i := 0; i < g.Points(); i++ {
 			c, err := g.Config(g.Point(i))
 			if err == nil {
-				err = sweep.EngineRunner{}.Check(&c)
+				err = er.Check(&c)
 			}
 			if err != nil {
 				return pl, err
@@ -463,7 +464,8 @@ func runPreset(w io.Writer, pl plan) error {
 // starred) through -format; "json" also carries the raw per-cell metrics.
 func runSweep(w io.Writer, pl plan) error {
 	p, g := pl.preset, pl.grid
-	er := sweep.EngineRunner{Net: p.Net, Horizon: pl.horizon, Queries: pl.queries, Seed: pl.seed}
+	p.Net.Seed = pl.seed // the sweep's root seed
+	er := sweep.EngineRunner{Net: p.Net, Horizon: pl.horizon, Queries: pl.queries}
 	start := time.Now()
 	res, err := g.Run(er.Run)
 	if err != nil {

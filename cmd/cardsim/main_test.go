@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"card/internal/engine"
+	"card/internal/sweep"
 )
 
 // TestUnknownPresetListsNames pins the operator-typo path: an unknown
@@ -407,5 +408,49 @@ func TestRunPrintsToItsWriter(t *testing.T) {
 				t.Errorf("run(%v) stdout lacks %q:\n%s", c.args, w, out)
 			}
 		}
+	}
+}
+
+// TestSweepHonoursSeed pins that -seed is a sweep's root seed: two seeds
+// run different cells, and -seed 1 prints exactly the JSON of Grid.Run
+// over the preset's network at Net.Seed = 1. The preset's own Seed is 1
+// too, so a sweep that dropped -seed would pass the second check and fail
+// the first.
+func TestSweepHonoursSeed(t *testing.T) {
+	sweepJSON := func(seed string) string {
+		args := []string{"-preset", "citywide-rwp-1k", "-sweep", "NoC=2", "-seeds", "1",
+			"-horizon", "2", "-queries", "20", "-format", "json", "-seed", seed}
+		code, out, msg := runWithin(t, time.Minute, args...)
+		if code != 0 {
+			t.Fatalf("run(%v) = exit %d\nstderr: %s", args, code, msg)
+		}
+		// The JSON sits between the header line and the frontier line.
+		return out[strings.Index(out, "{") : strings.LastIndex(out, "}")+1]
+	}
+	one, two := sweepJSON("1"), sweepJSON("2")
+	if one == two {
+		t.Errorf("-seed 1 and -seed 2 printed the same sweep:\n%s", one)
+	}
+
+	p, err := engine.LookupPreset("citywide-rwp-1k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	axes, err := sweep.ParseSpec("NoC=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Net.Seed = 1
+	g := &sweep.Grid{Base: p.Protocol, Axes: axes, Seeds: 1}
+	res, err := g.Run(sweep.EngineRunner{Net: p.Net, Horizon: 2, Queries: 20}.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != string(want) {
+		t.Errorf("-seed 1 sweep differs from Grid.Run at Net.Seed = 1:\n got %s\nwant %s", one, want)
 	}
 }

@@ -147,8 +147,8 @@ type NetworkConfig struct {
 
 	// GMMeanSpeed, GMAlpha, GMSpeedSigma parameterize GaussMarkov; zero
 	// values take mobility.DefaultGM (10 m/s, α 0.75, σ_s 2 m/s; σ_θ is
-	// always 0.4 rad and the epoch 1 s). To request α = 0 exactly
-	// (memoryless), set a negative GMAlpha.
+	// always 0.4 rad and the epoch 1 s). A GMAlpha outside [0, 1] is
+	// refused when the model is built.
 	GMMeanSpeed, GMAlpha, GMSpeedSigma float64
 
 	// Groups, GroupRadius, MemberSpeed parameterize GroupMobility: number
@@ -231,7 +231,8 @@ func (nc *NetworkConfig) Validate() error {
 	}{
 		{"Width", nc.Width}, {"Height", nc.Height}, {"TxRange", nc.TxRange},
 		{"MinSpeed", nc.MinSpeed}, {"MaxSpeed", nc.MaxSpeed},
-		{"GMMeanSpeed", nc.GMMeanSpeed}, {"MemberSpeed", nc.MemberSpeed},
+		{"GMMeanSpeed", nc.GMMeanSpeed}, {"GMAlpha", nc.GMAlpha}, {"GMSpeedSigma", nc.GMSpeedSigma},
+		{"GroupRadius", nc.GroupRadius}, {"MemberSpeed", nc.MemberSpeed},
 		{"ChurnMeanUp", nc.ChurnMeanUp}, {"ChurnMeanDown", nc.ChurnMeanDown},
 		{"RangeSpread", nc.RangeSpread}, {"Loss", nc.Loss},
 		{"PartitionPeriod", nc.PartitionPeriod}, {"PartitionDuration", nc.PartitionDuration},
@@ -297,9 +298,6 @@ func (nc *NetworkConfig) gmConfig() mobility.GMConfig {
 	}
 	if nc.GMAlpha != 0 {
 		cfg.Alpha = nc.GMAlpha
-		if cfg.Alpha < 0 {
-			cfg.Alpha = 0
-		}
 	}
 	if nc.GMSpeedSigma > 0 {
 		cfg.SpeedSigma = nc.GMSpeedSigma

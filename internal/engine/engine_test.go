@@ -304,6 +304,9 @@ func TestNetworkConfigRejectsNonFinite(t *testing.T) {
 		{"MinSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MinSpeed = RandomWaypoint, v }},
 		{"MaxSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MaxSpeed = RandomWaypoint, v }},
 		{"GMMeanSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.GMMeanSpeed = GaussMarkov, v }},
+		{"GMAlpha", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.GMAlpha = GaussMarkov, v }},
+		{"GMSpeedSigma", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.GMSpeedSigma = GaussMarkov, v }},
+		{"GroupRadius", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.GroupRadius = GroupMobility, v }},
 		{"MemberSpeed", func(nc *NetworkConfig, v float64) { nc.Mobility, nc.MemberSpeed = GroupMobility, v }},
 		{"ChurnMeanUp", func(nc *NetworkConfig, v float64) { nc.ChurnMeanUp, nc.ChurnMeanDown = v, 5 }},
 		{"ChurnMeanDown", func(nc *NetworkConfig, v float64) { nc.ChurnMeanUp, nc.ChurnMeanDown = 5, v }},
@@ -325,7 +328,8 @@ func TestNetworkConfigRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
-	// Negative churn means and partition times used to read as "off".
+	// Negative churn means and partition times used to read as "off", and
+	// a negative GMAlpha as α = 0.
 	for _, c := range []struct {
 		name string
 		set  func(*NetworkConfig)
@@ -335,6 +339,7 @@ func TestNetworkConfigRejectsNonFinite(t *testing.T) {
 		{"PartitionPeriod", func(nc *NetworkConfig) { nc.PartitionPeriod = -3 }},
 		{"PartitionDuration", func(nc *NetworkConfig) { nc.PartitionDuration = -3 }},
 		{"PartitionBoth", func(nc *NetworkConfig) { nc.PartitionPeriod, nc.PartitionDuration = -3, -1 }},
+		{"GMAlpha", func(nc *NetworkConfig) { nc.Mobility, nc.GMAlpha = GaussMarkov, -0.5 }},
 	} {
 		nc := testNet(60)
 		c.set(&nc)

@@ -275,10 +275,11 @@ func SweepTable(title string, res *sweep.Result) *Table {
 // CARD lookups per cell over the sweep's 64-resource catalogue. It demonstrates the trade-off surface the
 // Fig. 10-14 declarations each slice one line through; ad-hoc grids over
 // any preset run via `cardsim -sweep`. Its cells are the sweep engine's
-// (sweep.EngineRunner, seeded per grid coordinate), not this package's.
+// (sweep.EngineRunner, seeded per grid coordinate from the scenario's
+// network seed), not this package's.
 func stockSweep(o Options) *Table {
 	sc := Scenario5.Scaled(o.Scale)
-	er := sweep.EngineRunner{Net: sc.engineNet(0, engine.RandomWaypoint), Horizon: 10, Queries: 50, Seed: uint64(sc.ID) << 32}
+	er := sweep.EngineRunner{Net: sc.engineNet(0, engine.RandomWaypoint), Horizon: 10, Queries: 50}
 	g := &sweep.Grid{Base: fig10Base(), Axes: must(sweep.ParseSpec("NoC=2..8..2;r=8..14..2")), Seeds: o.Seeds}
 	return SweepTable(
 		fmt.Sprintf("Sweep: overhead vs reachability over NoC x r (N=%d, R=3, D=1, 10 s RWP, %d seed(s); * = Pareto frontier)",

@@ -7,7 +7,6 @@ import (
 	"card/internal/card"
 	"card/internal/engine"
 	"card/internal/manet"
-	"card/internal/par"
 	"card/internal/stats"
 	"card/internal/sweep"
 )
@@ -31,22 +30,6 @@ func (o *Options) fill() {
 	}
 }
 
-// cells is the package's one fan-out: it runs cell once per (point, seed)
-// pair — point-major, repetition s with seed s+1 — across the shared par
-// pool and returns each point's results in seed order. A cell owns its
-// whole simulation (network, protocol, RNG), so cells share nothing and a
-// figure is bit-identical at any GOMAXPROCS; every point reproduces a
-// direct serial loop over seeds 1..seeds (TestFigSweepsMatchDirectLoops).
-func cells[M any](points, seeds int, cell func(point int, seed uint64) M) [][]M {
-	flat := make([]M, points*seeds)
-	par.Do(len(flat), func(i int) { flat[i] = cell(i/seeds, uint64(i%seeds)+1) })
-	out := make([][]M, points)
-	for p := range out {
-		out[p] = flat[p*seeds : (p+1)*seeds]
-	}
-	return out
-}
-
 // average is the package's one seed average: column-wise Σ v/seeds in
 // seed order, the arithmetic every scalar and time-series figure prints.
 func average(runs [][]float64) []float64 {
@@ -60,10 +43,13 @@ func average(runs [][]float64) []float64 {
 }
 
 // means runs cell over a points x o.Seeds grid and returns every point's
-// seed-averaged values.
+// seed-averaged values. Like every figure here it fans out through
+// sweep.Cells: a cell owns its whole simulation, so a figure is
+// bit-identical at any GOMAXPROCS, and every point reproduces a direct
+// serial loop over seeds 1..o.Seeds (TestFigSweepsMatchDirectLoops).
 func means(o Options, points int, cell func(point int, seed uint64) []float64) [][]float64 {
 	out := make([][]float64, points)
-	for p, runs := range cells(points, o.Seeds, cell) {
+	for p, runs := range sweep.Cells(points, o.Seeds, cell) {
 		out[p] = average(runs)
 	}
 	return out
@@ -124,7 +110,7 @@ func reachCell(pt reachPoint, seed uint64) reachDist {
 // histogram (counts normalized per seed when rendered) and merged mean.
 func reachability(o Options, pts []reachPoint) []reachDist {
 	out := make([]reachDist, len(pts))
-	for p, runs := range cells(len(pts), o.Seeds, func(p int, seed uint64) reachDist {
+	for p, runs := range sweep.Cells(len(pts), o.Seeds, func(p int, seed uint64) reachDist {
 		return reachCell(pts[p], seed)
 	}) {
 		out[p].hist = stats.NewReachabilityHistogram()
@@ -315,7 +301,7 @@ type seriesFig struct {
 func (f seriesFig) series(o Options) (labels []string, out []TimeSeries) {
 	labels, cfgs := gridConfigs(f.base, f.spec)
 	sc := f.sc.Scaled(o.Scale)
-	for _, runs := range cells(len(cfgs), o.Seeds, func(p int, seed uint64) TimeSeries {
+	for _, runs := range sweep.Cells(len(cfgs), o.Seeds, func(p int, seed uint64) TimeSeries {
 		return runTimeSim(sc, cfgs[p], f.horizon, seed)
 	}) {
 		out = append(out, averageSeries(runs))

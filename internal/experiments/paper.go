@@ -9,6 +9,7 @@ import (
 	"card/internal/flood"
 	"card/internal/manet"
 	"card/internal/stats"
+	"card/internal/sweep"
 	"card/internal/topology"
 )
 
@@ -20,7 +21,7 @@ func table1(o Options) *Table {
 	t := NewTable(
 		fmt.Sprintf("Table 1: scenario census (avg of %d seeds, scale %g)", o.Seeds, o.Scale),
 		"No.", "Nodes", "Area", "TxRange", "Links", "Degree", "Diameter", "AvgHops", "LCC")
-	for p, runs := range cells(len(Table1Scenarios), o.Seeds, func(p int, seed uint64) [5]float64 {
+	for p, runs := range sweep.Cells(len(Table1Scenarios), o.Seeds, func(p int, seed uint64) [5]float64 {
 		sc := Table1Scenarios[p].Scaled(o.Scale)
 		c := deploy(sc.engineNet(seed, engine.Static), bare).Network().Graph().ComputeCensus()
 		return [5]float64{float64(c.Links), c.MeanDegree, float64(c.Diameter), c.AvgHops, c.LargestComponentFrac}

@@ -3,8 +3,8 @@
 // many ways — a parameter grid x seeds 1..S, one isolated deterministic
 // simulation per (point, seed) cell — so the package is one ordered
 // registry (registry.go) of entries declared over one cell harness
-// (harness.go): cells fans the grid, average folds a point's seeds, and
-// three figure shapes sit on top — scalar rows, reachability
+// (harness.go): sweep.Cells fans the grid, average folds a point's seeds,
+// and three figure shapes sit on top — scalar rows, reachability
 // distributions, time series. paper.go declares Table 1 and Figs. 3-15,
 // extensions.go the ablations and future-work studies.
 package experiments

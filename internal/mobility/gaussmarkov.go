@@ -19,17 +19,19 @@ type GMConfig struct {
 	// SpeedSigma is the standard deviation of the speed noise in m/s
 	// (>= 0); the stationary speed distribution is N(MeanSpeed, SpeedSigma).
 	SpeedSigma float64
-	// DirSigma is the standard deviation of the direction noise in radians
-	// (>= 0).
-	DirSigma float64
-	// Epoch is the velocity-update interval in seconds (> 0).
-	Epoch float64
 }
 
+// The direction noise σ_θ (radians) and the velocity-update interval
+// (seconds) are fixed: ~23° of direction noise per 1 s epoch.
+const (
+	gmDirSigma = 0.4
+	gmEpoch    = 1.0
+)
+
 // DefaultGM returns the common Gauss–Markov tuning: 10 m/s mean speed with
-// moderate memory (α = 0.75) and ~23° direction noise per 1 s epoch.
+// moderate memory (α = 0.75).
 func DefaultGM() GMConfig {
-	return GMConfig{MeanSpeed: 10, Alpha: 0.75, SpeedSigma: 2, DirSigma: 0.4, Epoch: 1}
+	return GMConfig{MeanSpeed: 10, Alpha: 0.75, SpeedSigma: 2}
 }
 
 func (c GMConfig) validate() error {
@@ -39,11 +41,8 @@ func (c GMConfig) validate() error {
 	if c.Alpha < 0 || c.Alpha > 1 {
 		return fmt.Errorf("mobility: Alpha %v outside [0, 1]", c.Alpha)
 	}
-	if c.SpeedSigma < 0 || c.DirSigma < 0 {
-		return fmt.Errorf("mobility: negative noise sigma (%v, %v)", c.SpeedSigma, c.DirSigma)
-	}
-	if c.Epoch <= 0 {
-		return fmt.Errorf("mobility: non-positive epoch %v", c.Epoch)
+	if c.SpeedSigma < 0 {
+		return fmt.Errorf("mobility: negative speed sigma %v", c.SpeedSigma)
 	}
 	return nil
 }
@@ -54,7 +53,7 @@ func (c GMConfig) validate() error {
 //	s_k = α·s_{k-1} + (1-α)·s̄ + √(1-α²)·N(0, σ_s)
 //	θ_k = α·θ_{k-1} + (1-α)·θ̄ + √(1-α²)·N(0, σ_θ)
 //
-// updated every Epoch seconds, so trajectories are smooth (no RWP-style
+// updated once per 1 s epoch, so trajectories are smooth (no RWP-style
 // sharp turns) with tunable temporal correlation. Each node keeps its own
 // mean direction θ̄ (drawn uniformly at construction), and nodes reflect
 // off the area boundary — position, current direction and mean direction
@@ -74,7 +73,7 @@ type GaussMarkov struct {
 	speed, dir, meanDir []float64
 	now                 float64
 	// phase is the time integrated since the last velocity update; the
-	// AR(1) step fires whenever it completes an Epoch, so update times are
+	// AR(1) step fires whenever it completes an epoch, so update times are
 	// independent of how finely the caller samples PositionsAt.
 	phase float64
 }
@@ -113,11 +112,11 @@ func (m *GaussMarkov) Area() geom.Rect { return m.area }
 
 // PositionsAt implements Model. Advances internal state; t must be
 // non-decreasing across calls. Velocity updates fire whenever integrated
-// time completes an Epoch — also across calls — so sampling finer than
+// time completes an epoch — also across calls — so sampling finer than
 // the epoch (the engine refreshes every ValidatePeriod slice) still steps
 // the AR(1) process on schedule (see stepEpochs).
 func (m *GaussMarkov) PositionsAt(t float64, dst []geom.Point) {
-	stepEpochs(t, &m.now, &m.phase, m.cfg.Epoch, m.advance, m.updateVelocities)
+	stepEpochs(t, &m.now, &m.phase, gmEpoch, m.advance, m.updateVelocities)
 	copy(dst, m.pos)
 }
 
@@ -158,12 +157,13 @@ func (m *GaussMarkov) advance(dt float64) {
 func (m *GaussMarkov) updateVelocities() {
 	a := m.cfg.Alpha
 	noise := math.Sqrt(1 - a*a)
+	speedNoise, dirNoise := noise*m.cfg.SpeedSigma, noise*gmDirSigma
 	for i, r := range m.rngs {
-		s := a*m.speed[i] + (1-a)*m.cfg.MeanSpeed + noise*m.cfg.SpeedSigma*r.NormFloat64()
+		s := a*m.speed[i] + (1-a)*m.cfg.MeanSpeed + speedNoise*r.NormFloat64()
 		if s < 0 {
 			s = 0 // speeds are magnitudes; the direction term carries heading
 		}
 		m.speed[i] = s
-		m.dir[i] = a*m.dir[i] + (1-a)*m.meanDir[i] + noise*m.cfg.DirSigma*r.NormFloat64()
+		m.dir[i] = a*m.dir[i] + (1-a)*m.meanDir[i] + dirNoise*r.NormFloat64()
 	}
 }

@@ -21,10 +21,9 @@ type RPGMConfig struct {
 	Leader RWPConfig
 	// MemberSpeed is the maximum speed of a member's local motion around
 	// the reference point in m/s (>= 0; 0 pins members to fixed offsets).
-	// Member leg speeds are uniform in [MemberSpeed/4, MemberSpeed].
+	// Member leg speeds are uniform in [MemberSpeed/4, MemberSpeed];
+	// members do not dwell between legs.
 	MemberSpeed float64
-	// MemberPause is the dwell between member jitter legs in seconds.
-	MemberPause float64
 }
 
 func (c RPGMConfig) validate() error {
@@ -36,9 +35,6 @@ func (c RPGMConfig) validate() error {
 	}
 	if c.MemberSpeed < 0 {
 		return fmt.Errorf("mobility: negative member speed %v", c.MemberSpeed)
-	}
-	if c.MemberPause < 0 {
-		return fmt.Errorf("mobility: negative member pause %v", c.MemberPause)
 	}
 	return c.Leader.validate()
 }
@@ -133,8 +129,7 @@ func (m *RPGM) nextMemberLeg(i int, p geom.Point, t float64) leg {
 	if speed <= 0 {
 		speed = m.cfg.MemberSpeed
 	}
-	depart := t + m.cfg.MemberPause
-	return leg{from: p, to: dest, depart: depart, arrive: depart + p.Dist(dest)/speed}
+	return leg{from: p, to: dest, depart: t, arrive: t + p.Dist(dest)/speed}
 }
 
 func inf() float64 { return 1e300 }

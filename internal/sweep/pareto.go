@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Pareto returns the indices (into Points) of the overhead-vs-reachability
@@ -48,8 +47,8 @@ func (r *Result) Pareto() []int {
 	return front
 }
 
-// metricHeaders are the scalar columns every emission shares, aligned
-// with Row.
+// metricHeaders are the scalar columns of the point table, aligned with
+// RowCells.
 var metricHeaders = []string{
 	"overhead/node/s", "reach%", "success%",
 	"msgs-mean", "msgs-p50", "msgs-p95", "msgs-p99",
@@ -68,8 +67,8 @@ func (r *Result) Headers() []string {
 
 // RowCells returns point p's row as typed cells aligned with Headers: axis
 // values as label strings (methods render as EM/PM1/PM2), metrics as
-// float64, and a "*" / "" frontier marker — for table renderers that do
-// their own number formatting.
+// float64, and a "*" / "" frontier marker. experiments.SweepTable renders
+// it as text, CSV, Markdown or a plot.
 func (r *Result) RowCells(p int) []any {
 	pr := r.Points[p]
 	cells := make([]any, 0, len(r.Axes)+len(metricHeaders))
@@ -91,22 +90,6 @@ func (r *Result) RowCells(p int) []any {
 	return append(cells, mark)
 }
 
-// Row renders point p as strings aligned with Headers (metrics with two
-// decimals); see RowCells for the typed variant.
-func (r *Result) Row(p int) []string {
-	cells := r.RowCells(p)
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			out[i] = strconv.FormatFloat(v, 'f', 2, 64)
-		default:
-			out[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	return out
-}
-
 // renderAxisValue renders one axis value by its definition's renderer.
 func renderAxisValue(a Axis, v float64) string {
 	d, err := canonAxis(a.Name)
@@ -114,20 +97,6 @@ func renderAxisValue(a Axis, v float64) string {
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
 	return d.render(v)
-}
-
-// CSV renders the seed-averaged point table as comma-separated rows with
-// a header line. Cells are numeric or bare identifiers, so no quoting is
-// needed.
-func (r *Result) CSV() string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(r.Headers(), ","))
-	sb.WriteByte('\n')
-	for p := range r.Points {
-		sb.WriteString(strings.Join(r.Row(p), ","))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // JSON renders the whole result — axes, per-cell runs and seed-averaged

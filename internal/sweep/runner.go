@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"card/internal/engine"
 	"card/internal/resource"
@@ -26,24 +28,23 @@ const (
 // scheme. A cell Check refuses is an error, not a run.
 //
 // Determinism: the cell's network seed is the counter-based substream
-// (pointIdx, seed) of Seed (xrand.StreamSeed), so every cell's randomness
-// is a pure function of its grid coordinates — independent of GOMAXPROCS
-// and of every other cell. The cell's lookups run serially on one scheme
+// (pointIdx, seed) of Net.Seed, the sweep's root seed (xrand.StreamSeed),
+// so every cell's randomness is a pure function of its grid coordinates —
+// independent of GOMAXPROCS and of every other cell. The cell's lookups run serially on one scheme
 // worker; the engine's own fan-out inside a cell is its maintenance
 // rounds, bit-identical to the serial loop by the engine's standing
 // contract, so it composes freely with the sweep fan-out.
 type EngineRunner struct {
-	// Net is the scenario every cell instantiates (the cell seed
-	// overrides Net.Seed).
+	// Net is the scenario every cell instantiates. Its Seed is the
+	// sweep's root seed: each cell runs the network seed derived from it.
 	Net engine.NetworkConfig
 	// Horizon is the simulated seconds each cell advances before
-	// measuring (0 = static: measure right after initial selection).
+	// measuring (finite, >= 0; 0 = static: measure right after initial
+	// selection).
 	Horizon float64
-	// Queries is the query-load size per cell (0 = skip the query phase;
-	// Success/Msgs/Hops stay zero).
+	// Queries is the query-load size per cell (>= 0; 0 = skip the query
+	// phase, Success/Msgs/Hops stay zero).
 	Queries int
-	// Seed is the sweep's root seed; cell streams derive from it.
-	Seed uint64
 }
 
 // Run implements Runner: one engine run, then the cell's scheme (card
@@ -58,7 +59,7 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 		return Metrics{}, err
 	}
 	nc := er.Net
-	nc.Seed = xrand.New(er.Seed).StreamSeed(uint64(pointIdx), seed)
+	nc.Seed = xrand.New(er.Net.Seed).StreamSeed(uint64(pointIdx), seed)
 	if cfg.Loss != nil {
 		nc.Loss = *cfg.Loss
 	}
@@ -93,7 +94,7 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 	if er.Horizon > 0 {
 		out.Overhead /= er.Horizon
 	}
-	if er.Queries <= 0 {
+	if er.Queries == 0 {
 		return out, nil
 	}
 	// Every sample is held, so the summaries are those of a sorted slice,
@@ -120,12 +121,18 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 }
 
 // Check refuses a cell Run cannot run and fills cfg's protocol defaults
-// in place, as Config.Validate does. Config.Validate reads NoC 0 as "the
-// default", so a NoC = 0 cell would report a default-NoC run under a NoC=0
-// label; the no-contacts baseline is an experiments-harness rule, not an
-// engine run.
-func (EngineRunner) Check(cfg *CellConfig) error {
-	if cfg.Proto.NoC == 0 {
+// in place, as Config.Validate does. Each refusal is a run that would
+// report under a label it did not run: Config.Validate reads NoC 0 as "the
+// default" (the no-contacts baseline is an experiments-harness rule, not
+// an engine run), Advance ignores a negative or non-finite horizon, and a
+// negative query count skips the query phase.
+func (er EngineRunner) Check(cfg *CellConfig) error {
+	switch {
+	case er.Horizon < 0 || math.IsNaN(er.Horizon) || math.IsInf(er.Horizon, 0):
+		return fmt.Errorf("sweep: Horizon = %g, want finite simulated seconds >= 0", er.Horizon)
+	case er.Queries < 0:
+		return fmt.Errorf("sweep: Queries = %d, want >= 0", er.Queries)
+	case cfg.Proto.NoC == 0:
 		return errors.New("sweep: NoC = 0 is not an engine run (the engine reads it as the default NoC); sweep NoC >= 1")
 	}
 	return cfg.Proto.Validate()

@@ -15,7 +15,7 @@ import (
 type axisDef struct {
 	canon  string
 	check  func(v float64) error
-	apply  func(c *CellConfig, v float64) error
+	apply  func(c *CellConfig, v float64)
 	render func(v float64) string
 }
 
@@ -42,22 +42,22 @@ var axisDefs = []axisDef{
 	{
 		canon: "R",
 		check: intCheck("R", 1),
-		apply: func(c *CellConfig, v float64) error { c.Proto.R = int(v); return nil },
+		apply: func(c *CellConfig, v float64) { c.Proto.R = int(v) },
 	},
 	{
 		canon: "r",
 		check: intCheck("r", 2),
-		apply: func(c *CellConfig, v float64) error { c.Proto.MaxContactDist = int(v); return nil },
+		apply: func(c *CellConfig, v float64) { c.Proto.MaxContactDist = int(v) },
 	},
 	{
 		canon: "NoC",
 		check: intCheck("NoC", 0),
-		apply: func(c *CellConfig, v float64) error { c.Proto.NoC = int(v); return nil },
+		apply: func(c *CellConfig, v float64) { c.Proto.NoC = int(v) },
 	},
 	{
 		canon: "D",
 		check: intCheck("D", 1),
-		apply: func(c *CellConfig, v float64) error { c.Proto.Depth = int(v); return nil },
+		apply: func(c *CellConfig, v float64) { c.Proto.Depth = int(v) },
 	},
 	{
 		canon: "Method",
@@ -67,7 +67,7 @@ var axisDefs = []axisDef{
 			}
 			return nil
 		},
-		apply:  func(c *CellConfig, v float64) error { c.Proto.Method = proto.Method(v); return nil },
+		apply:  func(c *CellConfig, v float64) { c.Proto.Method = proto.Method(v) },
 		render: func(v float64) string { return proto.Method(v).String() },
 	},
 	{
@@ -78,7 +78,7 @@ var axisDefs = []axisDef{
 			}
 			return nil
 		},
-		apply: func(c *CellConfig, v float64) error { c.Proto.ValidatePeriod = v; return nil },
+		apply: func(c *CellConfig, v float64) { c.Proto.ValidatePeriod = v },
 	},
 	{
 		canon: "Loss",
@@ -88,7 +88,7 @@ var axisDefs = []axisDef{
 			}
 			return nil
 		},
-		apply: func(c *CellConfig, v float64) error { c.Loss = &v; return nil },
+		apply: func(c *CellConfig, v float64) { c.Loss = &v },
 	},
 	{
 		canon: "RangeSpread",
@@ -98,7 +98,7 @@ var axisDefs = []axisDef{
 			}
 			return nil
 		},
-		apply: func(c *CellConfig, v float64) error { c.RangeSpread = &v; return nil },
+		apply: func(c *CellConfig, v float64) { c.RangeSpread = &v },
 	},
 	{
 		canon: "Scheme",
@@ -110,7 +110,7 @@ var axisDefs = []axisDef{
 		},
 		// Scheme values are indices into the sorted scheme registry
 		// (scheme.Names()) as of parse time; ParseSpec accepts the names.
-		apply:  func(c *CellConfig, v float64) error { c.Scheme = scheme.Names()[int(v)]; return nil },
+		apply:  func(c *CellConfig, v float64) { c.Scheme = scheme.Names()[int(v)] },
 		render: func(v float64) string { return scheme.Names()[int(v)] },
 	},
 }

@@ -8,11 +8,12 @@
 //
 // # Cell isolation and determinism
 //
-// A cell is one (grid point, seed) pair. Cells share nothing: each owns
-// its whole simulation (network, protocol, RNG lineage), with the default
-// engine-backed runner seeding every cell from the counter-based
-// substream (pointIdx, seed) of the sweep's root seed (xrand.StreamSeed).
-// A cell's result is therefore a pure function of (grid, root seed, cell
+// A cell is one (grid point, seed) pair, and Cells is the one fan-out
+// over them. Cells share nothing: each owns its whole simulation
+// (network, protocol, RNG lineage), with the default engine-backed runner
+// seeding every cell from the counter-based substream (pointIdx, seed) of
+// the sweep's root seed, EngineRunner.Net.Seed (xrand.StreamSeed). A
+// cell's result is therefore a pure function of (grid, root seed, cell
 // coordinates) — independent of which worker runs it, in what order, or
 // at what GOMAXPROCS. Results land in slices indexed by cell, so a sweep
 // sharded across the par pool is bit-identical to the same sweep run
@@ -21,11 +22,13 @@
 //
 // # Layering
 //
-// sweep sits beside experiments: experiments declares the parameter axis
-// of the paper's Figs. 10-14 as grid specs this package parses and
-// materializes (ParseSpec, Grid.Point, Grid.Config) and runs the stock
-// `sweep` experiment through Grid.Run, while cmd/cardsim -sweep exposes
-// ad-hoc grids over any workload preset.
+// sweep sits under experiments: every experiments figure fans its cells
+// out through Cells, declares the parameter axis of the paper's Figs.
+// 5-8 and 10-14 as grid specs this package parses and materializes
+// (ParseSpec, Grid.Point, Grid.Config), and runs the stock `sweep`
+// experiment through Grid.Run, rendering the point table through
+// experiments.SweepTable. cmd/cardsim -sweep exposes ad-hoc grids over
+// any workload preset and prints the same table, or Result.JSON.
 package sweep
 
 import (
@@ -58,8 +61,8 @@ type Grid struct {
 	// point enumeration. An empty Axes is a single-point grid.
 	Axes []Axis
 	// Seeds is the number of independent repetitions per point (>= 1;
-	// 0 defaults to 1). Cell c of point p runs with seed c+1, matching the
-	// experiment harness convention.
+	// 0 defaults to 1, a negative count is refused). Cell c of point p
+	// runs with seed c+1 (see Cells).
 	Seeds int
 }
 
@@ -69,9 +72,10 @@ const maxCells = 100_000
 
 // Validate checks the grid and fills defaults in place.
 func (g *Grid) Validate() error {
-	if g.Seeds <= 0 {
-		g.Seeds = 1
+	if g.Seeds < 0 {
+		return fmt.Errorf("sweep: Seeds = %d, want >= 1 (0 is the default 1)", g.Seeds)
 	}
+	g.Seeds = max(g.Seeds, 1)
 	if !scheme.Known(g.Scheme) {
 		return fmt.Errorf("sweep: unknown scheme %q (have %v)", g.Scheme, scheme.Names())
 	}
@@ -152,43 +156,25 @@ func (g *Grid) Config(point []float64) (CellConfig, error) {
 		if err != nil {
 			return cfg, err
 		}
-		if err := d.apply(&cfg, point[i]); err != nil {
-			return cfg, err
-		}
+		d.apply(&cfg, point[i])
 	}
 	return cfg, nil
 }
 
-// RunCells runs one isolated cell per (point, seed) across up to
-// GOMAXPROCS workers and returns results indexed cell-major: cell i is
-// point i/Seeds, repetition i%Seeds, run with seed (i%Seeds)+1. The cell
-// body must be a pure function of its arguments (build your own
-// simulation from them); results are then bit-identical at any
-// GOMAXPROCS. This is the generic layer under Grid.Run, for cell bodies
-// that return something other than Metrics.
-func RunCells[M any](g *Grid, cell func(cfg CellConfig, point []float64, pointIdx int, seed uint64) M) ([]M, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
+// Cells is the one (point, seed) fan-out: it runs cell once per pair —
+// point-major, repetition s with seed s+1 — across up to GOMAXPROCS
+// workers and returns each point's results in seed order. The cell body
+// must be a pure function of its arguments (it builds its own simulation
+// from them); results are then bit-identical at any GOMAXPROCS. Grid.Run
+// and every experiments figure fan out through it.
+func Cells[M any](points, seeds int, cell func(point int, seed uint64) M) [][]M {
+	flat := make([]M, points*seeds)
+	par.Do(len(flat), func(i int) { flat[i] = cell(i/seeds, uint64(i%seeds)+1) })
+	out := make([][]M, points)
+	for p := range out {
+		out[p] = flat[p*seeds : (p+1)*seeds]
 	}
-	points := g.Points()
-	// Materialize configs up front: spec-level errors surface before any
-	// simulation spins up, and workers share read-only state.
-	cfgs := make([]CellConfig, points)
-	pts := make([][]float64, points)
-	for p := 0; p < points; p++ {
-		pts[p] = g.Point(p)
-		cfg, err := g.Config(pts[p])
-		if err != nil {
-			return nil, err
-		}
-		cfgs[p] = cfg
-	}
-	out := make([]M, g.Cells())
-	par.Do(len(out), func(i int) {
-		p := i / g.Seeds
-		out[i] = cell(cfgs[p], pts[p], p, uint64(i%g.Seeds)+1)
-	})
-	return out, nil
+	return out
 }
 
 // Metrics are the scalar measurements of one cell (or the seed-average of
@@ -241,34 +227,39 @@ type Result struct {
 // Run executes the grid with the given cell runner and aggregates per
 // point. The first cell error (in cell order) aborts the sweep.
 func (g *Grid) Run(run Runner) (*Result, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	// Materialize configs up front: spec-level errors surface before any
+	// simulation spins up, and workers share read-only state.
+	pts := make([][]float64, g.Points())
+	cfgs := make([]CellConfig, len(pts))
+	for p := range pts {
+		pts[p] = g.Point(p)
+		cfg, err := g.Config(pts[p])
+		if err != nil {
+			return nil, err
+		}
+		cfgs[p] = cfg
+	}
 	type outcome struct {
 		m   Metrics
 		err error
 	}
-	cells, err := RunCells(g, func(cfg CellConfig, point []float64, pointIdx int, seed uint64) outcome {
-		m, err := run(cfg, point, pointIdx, seed)
+	runs := Cells(len(pts), g.Seeds, func(p int, seed uint64) outcome {
+		m, err := run(cfgs[p], pts[p], p, seed)
 		return outcome{m, err}
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range cells {
-		if c.err != nil {
-			return nil, fmt.Errorf("sweep: cell %d (point %v, seed %d): %w",
-				i, g.Point(i/g.Seeds), i%g.Seeds+1, c.err)
-		}
-	}
-	res := &Result{Axes: g.Axes, Seeds: g.Seeds}
-	res.Cells = make([]Cell, len(cells))
-	for i, c := range cells {
-		res.Cells[i] = Cell{PointIdx: i / g.Seeds, Seed: uint64(i%g.Seeds) + 1, Metrics: c.m}
-	}
-	res.Points = make([]PointResult, g.Points())
+	res := &Result{Axes: g.Axes, Seeds: g.Seeds, Cells: make([]Cell, 0, g.Cells()), Points: make([]PointResult, len(pts))}
 	s := float64(g.Seeds)
-	for p := range res.Points {
-		pr := PointResult{Point: g.Point(p)}
-		for k := 0; k < g.Seeds; k++ {
-			m := cells[p*g.Seeds+k].m
+	for p, seeds := range runs {
+		pr := PointResult{Point: pts[p]}
+		for k, c := range seeds {
+			if c.err != nil {
+				return nil, fmt.Errorf("sweep: cell %d (point %v, seed %d): %w", p*g.Seeds+k, pts[p], k+1, c.err)
+			}
+			m := c.m
+			res.Cells = append(res.Cells, Cell{PointIdx: p, Seed: uint64(k) + 1, Metrics: m})
 			pr.Metrics.Overhead += m.Overhead / s
 			pr.Metrics.Reach += m.Reach / s
 			pr.Metrics.Success += m.Success / s

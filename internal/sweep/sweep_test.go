@@ -81,6 +81,13 @@ func TestParseSpecErrors(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Error("Grid.Validate accepted a NaN axis value")
 	}
+	// Seeds 0 is the documented default of 1; a negative count is a typo.
+	if err := (&Grid{Seeds: -1}).Validate(); err == nil {
+		t.Error("Grid.Validate accepted Seeds = -1")
+	}
+	if g := (&Grid{}); g.Validate() != nil || g.Seeds != 1 {
+		t.Errorf("Grid.Validate on Seeds = 0: seeds %d, want the default 1", g.Seeds)
+	}
 }
 
 func TestGridEnumeration(t *testing.T) {
@@ -108,26 +115,13 @@ func TestGridEnumeration(t *testing.T) {
 	}
 }
 
-func TestRunCellsOrderAndSeeds(t *testing.T) {
-	g := &Grid{
-		Base:  proto.Config{R: 2, MaxContactDist: 8},
-		Axes:  []Axis{{Name: "NoC", Values: []float64{1, 2, 3}}},
-		Seeds: 2,
-	}
+func TestCellsOrderAndSeeds(t *testing.T) {
 	type cellID struct {
-		noc  int
-		seed uint64
+		point int
+		seed  uint64
 	}
-	got, err := RunCells(g, func(cfg CellConfig, point []float64, pointIdx int, seed uint64) cellID {
-		if int(point[0]) != cfg.Proto.NoC {
-			t.Errorf("point %v vs applied NoC %d", point, cfg.Proto.NoC)
-		}
-		return cellID{cfg.Proto.NoC, seed}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []cellID{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 1}, {3, 2}}
+	got := Cells(3, 2, func(point int, seed uint64) cellID { return cellID{point, seed} })
+	want := [][]cellID{{{0, 1}, {0, 2}}, {{1, 1}, {1, 2}}, {{2, 1}, {2, 2}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("cells = %v, want %v", got, want)
 	}
@@ -167,12 +161,23 @@ func TestRunAggregatesSeeds(t *testing.T) {
 		Axes:  []Axis{{Name: "NoC", Values: []float64{1, 2}}},
 		Seeds: 2,
 	}
-	res, err := g.Run(testRunner)
+	// Each cell gets its own point's applied config.
+	res, err := g.Run(func(cfg CellConfig, point []float64, pointIdx int, seed uint64) (Metrics, error) {
+		if int(point[0]) != cfg.Proto.NoC || int(point[0]) != pointIdx+1 {
+			t.Errorf("point %d: values %v, applied NoC %d", pointIdx, point, cfg.Proto.NoC)
+		}
+		return testRunner(cfg, point, pointIdx, seed)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Cells) != 4 || len(res.Points) != 2 {
 		t.Fatalf("cells=%d points=%d", len(res.Cells), len(res.Points))
+	}
+	for i, c := range res.Cells {
+		if c.PointIdx != i/2 || c.Seed != uint64(i%2)+1 {
+			t.Errorf("cell %d = point %d seed %d, want point %d seed %d", i, c.PointIdx, c.Seed, i/2, i%2+1)
+		}
 	}
 	// Point 0: seeds 1 and 2 -> overheads 1, 2 -> mean 1.5.
 	if got := res.Points[0].Metrics.Overhead; got != 1.5 {
@@ -201,15 +206,16 @@ func TestResultEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csv := res.CSV()
-	if !strings.HasPrefix(csv, "NoC,Method,overhead/node/s,") {
-		t.Errorf("CSV header = %q", strings.SplitN(csv, "\n", 2)[0])
+	if h := res.Headers(); len(h) != 12 || h[0] != "NoC" || h[1] != "Method" || h[2] != "overhead/node/s" {
+		t.Errorf("Headers() = %q", h)
 	}
-	if !strings.Contains(csv, "EM") || !strings.Contains(csv, "PM1") {
-		t.Errorf("CSV does not render method names:\n%s", csv)
+	if len(res.Points) != 4 {
+		t.Fatalf("%d points, want 4", len(res.Points))
 	}
-	if lines := strings.Count(csv, "\n"); lines != 5 {
-		t.Errorf("CSV has %d lines, want 5 (header + 4 points)", lines)
+	for p, method := range []string{"EM", "PM1", "EM", "PM1"} {
+		if row := res.RowCells(p); len(row) != 12 || row[1] != method {
+			t.Errorf("RowCells(%d) = %v, want %d cells naming method %s", p, row, 12, method)
+		}
 	}
 	b, err := res.JSON()
 	if err != nil {
@@ -229,8 +235,7 @@ func TestRunSurfacesCellErrors(t *testing.T) {
 		Axes: []Axis{{Name: "NoC", Values: []float64{1}}},
 	}
 	er := EngineRunner{
-		Net:  engine.NetworkConfig{Nodes: 20, Width: 200, Height: 200, TxRange: 60},
-		Seed: 1,
+		Net: engine.NetworkConfig{Nodes: 20, Width: 200, Height: 200, TxRange: 60, Seed: 1},
 	}
 	if _, err := g.Run(er.Run); err == nil {
 		t.Fatal("invalid cell config did not surface an error")
@@ -246,12 +251,37 @@ func TestEngineRunnerRefusesNoC0(t *testing.T) {
 		Axes: []Axis{{Name: "NoC", Values: []float64{0, 5}}},
 	}
 	er := EngineRunner{
-		Net:  engine.NetworkConfig{Nodes: 20, Width: 200, Height: 200, TxRange: 60},
-		Seed: 1,
+		Net: engine.NetworkConfig{Nodes: 20, Width: 200, Height: 200, TxRange: 60, Seed: 1},
 	}
 	_, err := g.Run(er.Run)
 	if err == nil || !strings.Contains(err.Error(), "NoC = 0") {
 		t.Fatalf("NoC=0 sweep: err = %v, want a NoC = 0 refusal", err)
+	}
+}
+
+// TestEngineRunnerRefusesBadHorizonAndQueries pins that a horizon Advance
+// would ignore (negative, NaN, ±Inf) and a negative query count are
+// errors: such a cell used to run static, or without its query phase,
+// under the label the caller asked for.
+func TestEngineRunnerRefusesBadHorizonAndQueries(t *testing.T) {
+	g := &Grid{
+		Base: proto.Config{R: 2, MaxContactDist: 8, NoC: 3},
+		Axes: []Axis{{Name: "NoC", Values: []float64{3}}},
+	}
+	net := engine.NetworkConfig{Nodes: 20, Width: 200, Height: 200, TxRange: 60, Seed: 1}
+	for _, er := range []EngineRunner{
+		{Net: net, Horizon: -1},
+		{Net: net, Horizon: math.NaN()},
+		{Net: net, Horizon: math.Inf(1)},
+		{Net: net, Horizon: math.Inf(-1)},
+		{Net: net, Queries: -1},
+	} {
+		if _, err := g.Run(er.Run); err == nil {
+			t.Errorf("horizon %g, queries %d: sweep ran, want a refusal", er.Horizon, er.Queries)
+		}
+	}
+	if _, err := g.Run(EngineRunner{Net: net, Horizon: 1, Queries: 5}.Run); err != nil {
+		t.Errorf("valid runner refused: %v", err)
 	}
 }
 
@@ -269,11 +299,10 @@ func sweepGrid12() (*Grid, EngineRunner) {
 	er := EngineRunner{
 		Net: engine.NetworkConfig{
 			Nodes: 150, Width: 400, Height: 400, TxRange: 60,
-			Mobility: engine.RandomWaypoint, MinSpeed: 1, MaxSpeed: 10,
+			Mobility: engine.RandomWaypoint, MinSpeed: 1, MaxSpeed: 10, Seed: 42,
 		},
 		Horizon: 3,
 		Queries: 50,
-		Seed:    42,
 	}
 	return g, er
 }
