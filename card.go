@@ -14,8 +14,8 @@ import (
 type NodeID = topology.NodeID
 
 // Config parameterizes the CARD protocol; see the field docs in the
-// underlying type. Zero values take the documented defaults (EM method,
-// NoC 5, depth 1).
+// underlying type. A zero Depth or ValidatePeriod takes its documented
+// default (1, 2 s); NoC 0 is the no-contacts baseline.
 type Config = proto.Config
 
 // Method selects the contact-selection protocol.

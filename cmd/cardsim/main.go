@@ -216,10 +216,11 @@ func parsePlan(args []string) (plan, error) {
 	})
 	// The experiment and sweep flags are rejected, not clamped: a typo
 	// must not cost a full-size default run that looks like an answer.
+	scaleErr := experiments.CheckScale(*scale)
 	switch {
 	case bad != nil:
-	case !(*scale > 0 && *scale <= 1):
-		bad = fmt.Errorf("bad -scale %g: want a factor in (0, 1]", *scale)
+	case scaleErr != nil:
+		bad = fmt.Errorf("bad -scale %g: %v", *scale, scaleErr)
 	case *seeds < 1 || *seeds > maxSeeds:
 		bad = fmt.Errorf("bad -seeds %d: want 1..%d", *seeds, maxSeeds)
 	case *queries < 0 || *queries > maxQueries:
@@ -299,7 +300,7 @@ func parsePlan(args []string) (plan, error) {
 		p.Net.ChurnMeanUp, p.Net.ChurnMeanDown = up, down
 	}
 	if set["loss"] {
-		p.Net.Loss = *loss
+		p.Net.SetLoss(*loss)
 	}
 	if set["rangespread"] {
 		p.Net.RangeSpread = *spread
@@ -428,8 +429,10 @@ func runPreset(w io.Writer, pl plan) error {
 	fmt.Fprintf(w, "after %gs simulated (%d maintenance rounds): reach(D=1) %.1f%%\n",
 		e.Now(), e.Rounds(), e.MeanReachability(1))
 	fmt.Fprintf(w, "queries: %d/%d found, %.1f msgs/query\n", found, len(res), float64(msgs)/float64(max(len(res), 1)))
-	fmt.Fprintf(w, "traffic/node: %.1f total (selection %d, validation %d, query %d)\n",
-		m.TotalPerNode, m.Selection, m.Validation, m.Query)
+	perNode := func(c int64) float64 { return float64(c) / float64(e.Nodes()) }
+	fmt.Fprintf(w, "traffic/node: %.1f total (selection %.1f, backtrack %.1f, validation %.1f, recovery %.1f, query %.1f, reply %.1f, register %.1f, retry %.1f)\n",
+		m.TotalPerNode, perNode(m.Selection), perNode(m.Backtrack), perNode(m.Validation), perNode(m.Recovery),
+		perNode(m.Query), perNode(m.Reply), perNode(m.Register), perNode(m.Retry))
 	fmt.Fprintf(w, "wall clock: build %v, select %v, advance %v, %d queries %v\n",
 		build.Round(time.Millisecond), sel.Round(time.Millisecond),
 		adv.Round(time.Millisecond), len(res), q.Round(time.Millisecond))

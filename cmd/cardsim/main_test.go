@@ -2,8 +2,10 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -166,20 +168,65 @@ func TestOversizedRadiusIsAnError(t *testing.T) {
 	}
 }
 
-// TestSweepNoC0IsAnError pins that a NoC=0 sweep point exits 2 instead of
-// printing a row: the engine reads NoC 0 as its default, so the row used
-// to be a 5-contact run labelled NoC=0.
-func TestSweepNoC0IsAnError(t *testing.T) {
+// TestSweepNoC0RunsBaseline pins that a NoC=0 sweep point prints the
+// paper's no-contacts baseline row: zero overhead and zero query
+// messages. It used to exit 2, because the engine read NoC 0 as its
+// default of 5.
+func TestSweepNoC0RunsBaseline(t *testing.T) {
 	var out, errw strings.Builder
-	code := run([]string{"-preset", "citywide-rwp-1k", "-sweep", "NoC=0,5", "-seeds", "1", "-horizon", "2", "-queries", "50"}, &out, &errw)
-	if code != 2 {
-		t.Fatalf("run(-sweep NoC=0,5) = exit %d, want 2\nstderr: %s", code, errw.String())
+	code := run([]string{"-preset", "citywide-rwp-1k", "-sweep", "NoC=0,5", "-seeds", "1", "-horizon", "2", "-queries", "50", "-format", "csv"}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("run(-sweep NoC=0,5) = exit %d, want 0\nstderr: %s", code, errw.String())
 	}
-	if !strings.Contains(errw.String(), "NoC = 0") {
-		t.Errorf("stderr does not name the NoC = 0 refusal:\n%s", errw.String())
+	rows := strings.Split(out.String(), "\n")
+	if len(rows) < 4 || !strings.HasPrefix(rows[1], "NoC,overhead/node/s,") {
+		t.Fatalf("unexpected sweep output:\n%s", out.String())
 	}
-	if out.Len() != 0 {
-		t.Errorf("a failed sweep printed its header:\n%s", out.String())
+	base := strings.Split(rows[2], ",")
+	if base[0] != "0" || base[1] != "0" || base[4] != "0" {
+		t.Errorf("NoC=0 row is not the no-contacts baseline (NoC, overhead, ..., msgs-mean): %s", rows[2])
+	}
+	if with := strings.Split(rows[3], ","); with[0] != "5" || with[1] == "0" {
+		t.Errorf("NoC=5 row sent no maintenance traffic: %s", rows[3])
+	}
+}
+
+// TestTrafficLineSumsToTotal pins the preset run's traffic line as one
+// unit: every message category per node, summing to the printed total up
+// to print rounding. It used to print three network totals under the
+// per-node label and leave out backtrack, recovery, reply, register and
+// retry.
+func TestTrafficLineSumsToTotal(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run([]string{"-preset", "citywide-rwp-1k", "-loss", "0.1", "-horizon", "2", "-queries", "50", "-qps", "0"}, &out, &errw); code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, errw.String())
+	}
+	_, line, found := strings.Cut(out.String(), "traffic/node: ")
+	line, _, _ = strings.Cut(line, "\n")
+	total, parts, ok := strings.Cut(line, " total (")
+	if !found || !ok {
+		t.Fatalf("no traffic line in:\n%s", out.String())
+	}
+	want, err := strconv.ParseFloat(total, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, names := 0.0, []string{}
+	for _, part := range strings.Split(strings.TrimSuffix(parts, ")"), ", ") {
+		name, v, _ := strings.Cut(part, " ")
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("part %q of %q: %v", part, line, err)
+		}
+		sum += f
+		names = append(names, name)
+	}
+	if got := strings.Join(names, " "); got != "selection backtrack validation recovery query reply register retry" {
+		t.Errorf("traffic line lists %q, want every message category", got)
+	}
+	// Each printed part is rounded to 0.1, so the sum may drift by 0.05 a part.
+	if math.Abs(sum-want) > 0.05*float64(len(names)) {
+		t.Errorf("traffic parts sum to %.2f, total is %.1f: %s", sum, want, line)
 	}
 }
 
@@ -198,6 +245,9 @@ func TestExperimentFlagsAreRejectedNotClamped(t *testing.T) {
 		{"-exp", "table1", "-format", "bogus"},
 		{"-exp", "table1", "-format", "json"},
 		{"-exp", "table1", "-scale", "2", "-seeds", "0", "-format", "bogus"},
+		// Scales at which Table 1's N = 250 would floor at 10 nodes.
+		{"-exp", "all", "-scale", "1e-9", "-seeds", "1"},
+		{"-exp", "table1", "-scale", "0.039"},
 		{"-sweep", "NoC=2", "-seeds", "0"},
 		{"-sweep", "NoC=2", "-scale", "1.5"},
 		{"-sweep", "NoC=2", "-format", "yaml"},
@@ -269,10 +319,10 @@ func runWithin(t *testing.T, d time.Duration, args ...string) (code int, stdout,
 // -zipf or -scheme with no sustained phase, -tx without -trace (the run's
 // header still printed the preset's 100 m radio), preset-run flags on an
 // -exp run, experiment flags on a preset run and -list beside anything
-// else all exited 0 with the flag dropped, and a NoC = 0 sweep point
-// failed only after the other points' cells had run. Each now exits 2
-// within a second, before printing anything, and names the flag or the
-// bound it broke.
+// else all exited 0 with the flag dropped. Each now exits 2 within a
+// second, before printing anything, and names the flag or the bound it
+// broke; so does a sweep point the engine refuses (r not above R), which
+// the plan checks before any other point's cell runs.
 func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
 	const p = "-preset=citywide-rwp-1k"
 	for _, c := range []struct {
@@ -292,7 +342,7 @@ func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
 		{[]string{p, "-qps", "0", "-zipf", "1.1"}, "-zipf"},
 		{[]string{p, "-tx", "5"}, "-tx"},
 		{[]string{"-exp", "table1", "-tx", "5"}, "-tx"},
-		{[]string{"-sweep", "NoC=0,5", "-horizon", "60"}, "noc = 0"},
+		{[]string{"-sweep", "r=12,2", "-horizon", "60"}, "r = 2 must exceed r = 2"},
 		{[]string{"-exp", "smallworld", "-scale", "0.1", "-seeds", "1", "-loss", "0.5", "-qps", "10", "-horizon", "5"}, "-horizon, -loss, -qps"},
 		{[]string{"-preset", "dense-sensor-field", "-scheme", "flood", "-queries", "20", "-horizon", "2"}, "-scheme"},
 		{[]string{"-preset", "dense-sensor-field", "-queries", "5", "-horizon", "1", "-scale", "0.5", "-seeds", "7", "-format", "csv", "-time"},
@@ -356,6 +406,10 @@ func TestSetFlagsOverrideThePreset(t *testing.T) {
 	}
 	if !strings.Contains(off.preset.Doc, "tx 100m |") || strings.Contains(off.preset.Doc, "loss") {
 		t.Errorf("header not re-described after the overlays: %q", off.preset.Doc)
+	}
+	// -loss over a lossless preset switches on a retransmitting link layer.
+	if on := plan("-preset", "citywide-rwp-1k", "-loss", "0.1"); on.preset.Net.LossRetries != 3 || !strings.Contains(on.preset.Doc, "loss 10% (3 retries)") {
+		t.Errorf("-loss over a lossless preset: %d retries, header %q", on.preset.Net.LossRetries, on.preset.Doc)
 	}
 	if c := plan("-preset", "churn-2k", "-churn", "0,0"); c.preset.Net.ChurnMeanUp != 0 || c.preset.Net.ChurnMeanDown != 0 {
 		t.Errorf("-churn 0,0 kept churn on: %+v", c.preset.Net)

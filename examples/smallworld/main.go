@@ -19,7 +19,7 @@ func main() {
 	// Base graph: clustering and path lengths without any short cuts.
 	base, err := card.NewSimulation(card.NetworkConfig{
 		Nodes: n, Width: 710, Height: 710, TxRange: 50, Seed: 11,
-	}, card.Config{R: 3, MaxContactDist: 12, NoC: 1})
+	}, card.Config{R: 3, MaxContactDist: 12})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,13 +32,11 @@ func main() {
 	for _, noc := range []int{0, 2, 4, 8} {
 		sim, err := card.NewSimulation(card.NetworkConfig{
 			Nodes: n, Width: 710, Height: 710, TxRange: 50, Seed: 11,
-		}, card.Config{R: 3, MaxContactDist: 16, NoC: max(noc, 1), Depth: 3})
+		}, card.Config{R: 3, MaxContactDist: 16, NoC: noc, Depth: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if noc > 0 {
-			sim.SelectContacts()
-		}
+		sim.SelectContacts()
 		total := 0
 		for u := card.NodeID(0); int(u) < sim.Nodes(); u++ {
 			total += len(sim.Contacts(u))
@@ -51,11 +49,4 @@ func main() {
 
 	fmt.Println("\neach contact level multiplies the visible network: the tree of")
 	fmt.Println("short cuts is what lets CARD query without flooding (paper §III.C.4)")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -32,15 +32,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// FromSlice builds a set of capacity n containing every value in vs.
-func FromSlice(n int, vs []int) *Set {
-	s := New(n)
-	for _, v := range vs {
-		s.Add(v)
-	}
-	return s
-}
-
 // Len returns the capacity of the set (the size of its universe), not the
 // number of elements; see Count for the latter.
 func (s *Set) Len() int { return s.n }

@@ -77,8 +77,8 @@ func TestCapacityMismatchPanics(t *testing.T) {
 }
 
 func TestUnionWith(t *testing.T) {
-	a := FromSlice(100, []int{1, 2, 3, 64, 65})
-	b := FromSlice(100, []int{3, 4, 65, 99})
+	a := fromSlice(100, []int{1, 2, 3, 64, 65})
+	b := fromSlice(100, []int{3, 4, 65, 99})
 	a.UnionWith(b)
 	if got, want := a.Slice(), []int{1, 2, 3, 4, 64, 65, 99}; !reflect.DeepEqual(got, want) {
 		t.Errorf("union = %v, want %v", got, want)
@@ -86,22 +86,22 @@ func TestUnionWith(t *testing.T) {
 }
 
 func TestEqualAndSubset(t *testing.T) {
-	a := FromSlice(64, []int{1, 2})
-	b := FromSlice(64, []int{1, 2})
-	c := FromSlice(64, []int{1, 2, 3})
+	a := fromSlice(64, []int{1, 2})
+	b := fromSlice(64, []int{1, 2})
+	c := fromSlice(64, []int{1, 2, 3})
 	if !a.Equal(b) {
 		t.Error("identical sets not Equal")
 	}
 	if a.Equal(c) {
 		t.Error("different sets Equal")
 	}
-	if a.Equal(FromSlice(65, []int{1, 2})) {
+	if a.Equal(fromSlice(65, []int{1, 2})) {
 		t.Error("sets of different capacity must not be Equal")
 	}
 }
 
 func TestForEachOrderAndEarlyStop(t *testing.T) {
-	s := FromSlice(100, []int{5, 1, 99, 64})
+	s := fromSlice(100, []int{5, 1, 99, 64})
 	var got []int
 	s.ForEach(func(v int) bool {
 		got = append(got, v)
@@ -121,7 +121,7 @@ func TestForEachOrderAndEarlyStop(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	a := FromSlice(32, []int{1})
+	a := fromSlice(32, []int{1})
 	b := a.Clone()
 	b.Add(2)
 	if a.Contains(2) {
@@ -130,7 +130,7 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestCopyFrom(t *testing.T) {
-	a := FromSlice(32, []int{1, 5})
+	a := fromSlice(32, []int{1, 5})
 	b := New(32)
 	b.CopyFrom(a)
 	if !a.Equal(b) {
@@ -139,7 +139,7 @@ func TestCopyFrom(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	a := FromSlice(32, []int{1, 5, 31})
+	a := fromSlice(32, []int{1, 5, 31})
 	a.Clear()
 	if a.Count() != 0 {
 		t.Error("Clear left elements behind")
@@ -150,7 +150,7 @@ func TestClear(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	if got := FromSlice(10, []int{3, 1}).String(); got != "{1 3}" {
+	if got := fromSlice(10, []int{3, 1}).String(); got != "{1 3}" {
 		t.Errorf("String = %q, want {1 3}", got)
 	}
 	if got := New(10).String(); got != "{}" {
@@ -211,7 +211,7 @@ func TestQuickInclusionExclusion(t *testing.T) {
 func TestQuickSliceRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		a, _, n := randomPair(seed)
-		return FromSlice(n, a.Slice()).Equal(a)
+		return fromSlice(n, a.Slice()).Equal(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -224,4 +224,13 @@ func BenchmarkUnionWith(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a1.UnionWith(a2)
 	}
+}
+
+// fromSlice builds a set of capacity n containing every value in vs.
+func fromSlice(n int, vs []int) *Set {
+	s := New(n)
+	for _, v := range vs {
+		s.Add(v)
+	}
+	return s
 }

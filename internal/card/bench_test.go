@@ -326,7 +326,7 @@ func BenchmarkExpireNodes(b *testing.B) {
 	for len(batches) < 256 {
 		var batch []NodeID
 		for len(batch) < 4 {
-			if v := NodeID(rng.Intn(n)); net.Up(v) && len(p.heldBy[v]) > 0 {
+			if v := NodeID(rng.Intn(n)); !net.Down(v) && len(p.heldBy[v]) > 0 {
 				batch = append(batch, v)
 			}
 		}

@@ -54,16 +54,19 @@ func (m Method) lowerBound(r1 int) int {
 	return 2 * r1 // beyond the overlap band (eq. 2 / edge method)
 }
 
-// Config parameterizes a CARD protocol instance. Zero fields take the
-// defaults documented per field; call Validate (or rely on New) to check
-// consistency.
+// Config parameterizes a CARD protocol instance. Depth and ValidatePeriod
+// have no legal zero, so Validate fills theirs with the documented
+// default; every other field means what it says. Call Validate (or rely
+// on New) to check consistency.
 type Config struct {
 	// R is the neighborhood radius in hops (required, >= 1).
 	R int
 	// MaxContactDist is the paper's r: the maximum contact distance in
 	// hops (required, > R).
 	MaxContactDist int
-	// NoC is the target number of contacts per node (default 5).
+	// NoC is the target number of contacts per node (>= 0). Zero is the
+	// paper's no-contacts baseline: selection and upkeep never run, every
+	// table stays empty and a query sees only its own neighborhood.
 	NoC int
 	// Depth is the query depth of search D (default 1).
 	Depth int
@@ -100,9 +103,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxContactDist <= c.R {
 		return fmt.Errorf("card: r = %d must exceed R = %d", c.MaxContactDist, c.R)
-	}
-	if c.NoC == 0 {
-		c.NoC = 5
 	}
 	if c.NoC < 0 {
 		return fmt.Errorf("card: NoC = %d, need >= 0", c.NoC)

@@ -29,26 +29,27 @@ func TestConfigValidateErrors(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins which zero fields Validate fills: only Depth and
+// ValidatePeriod, which have no legal zero. NoC 0 stays 0.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{R: 3, MaxContactDist: 10}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.NoC != 5 || c.Depth != 1 || c.ValidatePeriod != 2 || c.Method != EM {
-		t.Errorf("defaults not filled: %+v", c)
+	if c != (Config{R: 3, MaxContactDist: 10, Depth: 1, ValidatePeriod: 2}) {
+		t.Errorf("Validate filled more or less than Depth and ValidatePeriod: %+v", c)
 	}
 }
 
+// TestConfigNoCZeroAllowedExplicitly pins that NoC 0 is the paper's
+// no-contacts baseline, not a request for a default.
 func TestConfigNoCZeroAllowedExplicitly(t *testing.T) {
-	// NoC: the zero value means "default 5"; an explicit 0 is expressed as
-	// negative-impossible, so the experiments use NoC from 0 via a sweep
-	// that sets Depth etc. Document the behavior: zero -> 5.
 	c := Config{R: 3, MaxContactDist: 10, NoC: 0}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.NoC != 5 {
-		t.Errorf("NoC zero should default to 5, got %d", c.NoC)
+	if c.NoC != 0 {
+		t.Errorf("NoC 0 read as %d", c.NoC)
 	}
 }
 

@@ -24,7 +24,7 @@ func staticNet(seed uint64, n int, txRange float64) *manet.Network {
 // mobileNet builds an RWP network.
 func mobileNet(t *testing.T, seed uint64, n int, txRange float64) *manet.Network {
 	t.Helper()
-	m, err := mobility.NewRandomWaypoint(n, testArea, mobility.DefaultRWP(), xrand.New(seed))
+	m, err := mobility.NewRandomWaypoint(n, testArea, mobility.RWPConfig{MinSpeed: 1, MaxSpeed: 19}, xrand.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

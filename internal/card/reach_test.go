@@ -151,7 +151,7 @@ func TestReachabilityChurnUpNodesOnly(t *testing.T) {
 		switch {
 		case net.Down(u) && got != 0:
 			t.Errorf("down node %d reports reachability %v, want 0", u, got)
-		case net.Up(u) && got != 100:
+		case !net.Down(u) && got != 100:
 			t.Errorf("up node %d on a clique reports %v%%, want 100 (up=%d)", u, got, up)
 		}
 	}

@@ -1,6 +1,7 @@
 package card
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,7 +62,7 @@ func TestSelectEMInvariants(t *testing.T) {
 				t.Fatalf("node %d contact %d: true distance %d <= 2R", u, c.ID, bfs.Dist[c.ID])
 			}
 			// Non-overlap with the source's neighborhood.
-			if neighborhood.Overlaps(nb, src, c.ID) {
+			if slices.ContainsFunc(nb.Members(src), func(x NodeID) bool { return slices.Contains(nb.Members(c.ID), x) }) {
 				t.Fatalf("node %d contact %d: neighborhoods overlap", u, c.ID)
 			}
 		}

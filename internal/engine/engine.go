@@ -141,20 +141,24 @@ type NetworkConfig struct {
 	Mobility MobilityKind
 	// MinSpeed, MaxSpeed bound RWP speeds in m/s (defaults 1 and 19).
 	// Under GroupMobility they bound the group leader trajectory instead.
+	// Neither has a legal zero: a zero-speed leg never reaches its
+	// waypoint, so MinSpeed 0 reads as 1 rather than being refused.
 	MinSpeed, MaxSpeed float64
 	// Pause is the RWP (or RPGM leader) dwell time at waypoints in seconds.
 	Pause float64
 
-	// GMMeanSpeed, GMAlpha, GMSpeedSigma parameterize GaussMarkov; zero
-	// values take mobility.DefaultGM (10 m/s, α 0.75, σ_s 2 m/s; σ_θ is
-	// always 0.4 rad and the epoch 1 s). A GMAlpha outside [0, 1] is
-	// refused when the model is built.
+	// GMMeanSpeed, GMAlpha, GMSpeedSigma parameterize GaussMarkov: mean
+	// speed in m/s (default 10; zero is not a speed), memory α in [0, 1]
+	// (0 is Brownian-like motion) and speed noise σ_s >= 0 in m/s (0
+	// holds every node at the mean speed). σ_θ is always 0.4 rad and the
+	// epoch 1 s. Values out of range are refused when the model is built.
 	GMMeanSpeed, GMAlpha, GMSpeedSigma float64
 
 	// Groups, GroupRadius, MemberSpeed parameterize GroupMobility: number
 	// of groups (default Nodes/20, min 1), member offset bound in meters
-	// (default 2·TxRange) and member jitter speed in m/s (default 2);
-	// members jitter without dwelling.
+	// (0 pins members on their reference point) and member jitter speed in
+	// m/s (0 freezes the offsets); members jitter without dwelling.
+	// Negative values are refused when the model is built.
 	Groups                   int
 	GroupRadius, MemberSpeed float64
 
@@ -175,11 +179,11 @@ type NetworkConfig struct {
 	RangeSpread float64
 	// Loss enables probabilistic delivery: each transmission of a
 	// protocol-level hop is lost with this probability (in [0, 1)), and
-	// LossRetries bounds per-hop retransmissions (default 3 when Loss is
-	// set). Retransmissions surface as MessageCounts.Retry; a hop that
-	// exhausts the budget behaves like a broken link and pays the
-	// protocol's usual recovery cost. Deterministic per Seed and
-	// order-independent (see manet/loss.go).
+	// LossRetries bounds per-hop retransmissions after the first attempt
+	// (0 sends each hop once). Retransmissions surface as
+	// MessageCounts.Retry; a hop that exhausts the budget behaves like a
+	// broken link and pays the protocol's usual recovery cost.
+	// Deterministic per Seed and order-independent (see manet/loss.go).
 	Loss        float64
 	LossRetries int
 	// PartitionPeriod and PartitionDuration schedule partition-and-heal
@@ -287,46 +291,48 @@ func (nc *NetworkConfig) Validate() error {
 	return nil
 }
 
+// overlayLossRetries is the per-hop retry budget SetLoss grants when it
+// switches loss on over a lossless config.
+const overlayLossRetries = 3
+
+// SetLoss sets the per-hop loss rate, as an overlay such as cardsim's
+// -loss or the sweep Loss axis does. Turning loss on over a lossless
+// config with no retry budget also grants overlayLossRetries, so the
+// overlay models a link layer that retransmits; a config that is lossy
+// already keeps its own budget, zero included.
+func (nc *NetworkConfig) SetLoss(rate float64) {
+	if nc.Loss == 0 && nc.LossRetries == 0 {
+		nc.LossRetries = overlayLossRetries
+	}
+	nc.Loss = rate
+}
+
 // hasChurn reports whether the config enables node churn.
 func (nc *NetworkConfig) hasChurn() bool { return nc.ChurnMeanUp > 0 && nc.ChurnMeanDown > 0 }
 
-// gmConfig resolves the Gauss–Markov parameters against DefaultGM.
+// gmConfig is the Gauss–Markov model of nc: GMMeanSpeed has no legal
+// zero and defaults to 10 m/s; α and σ_s pass through as given.
 func (nc *NetworkConfig) gmConfig() mobility.GMConfig {
-	cfg := mobility.DefaultGM()
-	if nc.GMMeanSpeed > 0 {
-		cfg.MeanSpeed = nc.GMMeanSpeed
+	mean := nc.GMMeanSpeed
+	if mean == 0 {
+		mean = 10
 	}
-	if nc.GMAlpha != 0 {
-		cfg.Alpha = nc.GMAlpha
-	}
-	if nc.GMSpeedSigma > 0 {
-		cfg.SpeedSigma = nc.GMSpeedSigma
-	}
-	return cfg
+	return mobility.GMConfig{MeanSpeed: mean, Alpha: nc.GMAlpha, SpeedSigma: nc.GMSpeedSigma}
 }
 
-// rpgmConfig resolves the group-mobility parameters.
+// rpgmConfig is the group-mobility model of nc: Groups has no legal zero
+// and defaults to Nodes/20 (at least 1); the radius and member speed pass
+// through as given.
 func (nc *NetworkConfig) rpgmConfig() mobility.RPGMConfig {
 	groups := nc.Groups
-	if groups <= 0 {
-		groups = nc.Nodes / 20
-		if groups < 1 {
-			groups = 1
-		}
-	}
-	radius := nc.GroupRadius
-	if radius <= 0 {
-		radius = 2 * nc.TxRange
-	}
-	speed := nc.MemberSpeed
-	if speed <= 0 {
-		speed = 2
+	if groups == 0 {
+		groups = max(nc.Nodes/20, 1)
 	}
 	return mobility.RPGMConfig{
 		Groups:      groups,
-		GroupRadius: radius,
+		GroupRadius: nc.GroupRadius,
 		Leader:      mobility.RWPConfig{MinSpeed: nc.MinSpeed, MaxSpeed: nc.MaxSpeed, Pause: nc.Pause},
-		MemberSpeed: speed,
+		MemberSpeed: nc.MemberSpeed,
 	}
 }
 

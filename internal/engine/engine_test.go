@@ -2,10 +2,12 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	proto "card/internal/card"
+	"card/internal/geom"
 )
 
 func testNet(nodes int) NetworkConfig {
@@ -328,8 +330,9 @@ func TestNetworkConfigRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
-	// Negative churn means and partition times used to read as "off", and
-	// a negative GMAlpha as α = 0.
+	// Negative churn means and partition times used to read as "off", a
+	// negative GMAlpha as α = 0, and a negative mobility parameter as its
+	// default.
 	for _, c := range []struct {
 		name string
 		set  func(*NetworkConfig)
@@ -340,6 +343,11 @@ func TestNetworkConfigRejectsNonFinite(t *testing.T) {
 		{"PartitionDuration", func(nc *NetworkConfig) { nc.PartitionDuration = -3 }},
 		{"PartitionBoth", func(nc *NetworkConfig) { nc.PartitionPeriod, nc.PartitionDuration = -3, -1 }},
 		{"GMAlpha", func(nc *NetworkConfig) { nc.Mobility, nc.GMAlpha = GaussMarkov, -0.5 }},
+		{"GMSpeedSigma", func(nc *NetworkConfig) { nc.Mobility, nc.GMSpeedSigma = GaussMarkov, -1 }},
+		{"GMMeanSpeed", func(nc *NetworkConfig) { nc.Mobility, nc.GMMeanSpeed = GaussMarkov, -1 }},
+		{"GroupRadius", func(nc *NetworkConfig) { nc.Mobility, nc.GroupRadius = GroupMobility, -1 }},
+		{"MemberSpeed", func(nc *NetworkConfig) { nc.Mobility, nc.MemberSpeed = GroupMobility, -1 }},
+		{"Groups", func(nc *NetworkConfig) { nc.Mobility, nc.Groups = GroupMobility, -1 }},
 	} {
 		nc := testNet(60)
 		c.set(&nc)
@@ -391,5 +399,57 @@ func TestNewValidatesProtocolBeforeBuilding(t *testing.T) {
 	// allocation of 16 MB, and the set-up as a whole runs to millions.
 	if allocs > 8 {
 		t.Errorf("rejecting a bad card.Config on a 1M-node network cost %.0f allocations; validation runs after the build", allocs)
+	}
+}
+
+// TestNoC0EngineSendsNoContactTraffic pins NoC 0 as the no-contacts
+// baseline on a moving, churning field, under full and dirty rounds: no
+// CSQ, backtrack, validation or recovery hop is ever sent and every table
+// stays empty through Advance. Config.Validate used to read NoC 0 as 5.
+func TestNoC0EngineSendsNoContactTraffic(t *testing.T) {
+	for _, dirty := range []bool{false, true} {
+		nc := testNet(120)
+		nc.Mobility, nc.MaxSpeed = RandomWaypoint, 15
+		nc.ChurnMeanUp, nc.ChurnMeanDown = 6, 2
+		nc.DirtyMaintenance = dirty
+		cfg := testCfg()
+		cfg.NoC = 0
+		e := newEngine(t, nc, cfg)
+		if e.Config().NoC != 0 {
+			t.Fatalf("dirty=%v: NoC 0 read as %d", dirty, e.Config().NoC)
+		}
+		e.SelectContacts()
+		e.Advance(12)
+		if e.Rounds() == 0 {
+			t.Fatalf("dirty=%v: no maintenance round ran", dirty)
+		}
+		if m := e.Messages(); m.Selection != 0 || m.Backtrack != 0 || m.Validation != 0 || m.Recovery != 0 {
+			t.Errorf("dirty=%v: NoC 0 engine sent contact traffic: %+v", dirty, m)
+		}
+		for u := 0; u < e.Nodes(); u++ {
+			if n := e.Protocol().Table(NodeID(u)).Len(); n != 0 {
+				t.Fatalf("dirty=%v: node %d holds %d contacts at NoC 0", dirty, u, n)
+			}
+		}
+	}
+}
+
+// TestGMAlphaZeroIsBrownian pins that GMAlpha 0 reaches the Gauss–Markov
+// model as α = 0 (memoryless motion): it used to be replaced by the
+// default 0.75, so the two runs were identical.
+func TestGMAlphaZeroIsBrownian(t *testing.T) {
+	positions := func(alpha float64) []geom.Point {
+		nc := testNet(40)
+		nc.Mobility, nc.GMAlpha, nc.GMSpeedSigma = GaussMarkov, alpha, 2
+		e := newEngine(t, nc, testCfg())
+		e.Advance(6)
+		out := make([]geom.Point, e.Nodes())
+		for u := range out {
+			out[u] = e.Network().Position(NodeID(u))
+		}
+		return out
+	}
+	if reflect.DeepEqual(positions(0), positions(0.75)) {
+		t.Error("GMAlpha 0 moves nodes exactly as GMAlpha 0.75 does")
 	}
 }

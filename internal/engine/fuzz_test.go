@@ -45,7 +45,7 @@ var engineSeeds = func() []engineSeed {
 		// every round evicts what the last one read.
 		{nodes: 50, mobility: 1, width: 710, height: 710, tx: 50, maxSpeed: 15, validatePeriod: 0.5,
 			viewCacheCap: 1, dirty: true},
-		// Loss next to 1. LossRetries 0 reads as the default budget of 3.
+		// Loss next to 1 with LossRetries 0: each hop is sent once.
 		{nodes: 50, width: 710, height: 710, tx: 50, loss: 0.999999, validatePeriod: 0.5},
 		// Deaf nodes: a 0.999 range spread on a sparse field leaves some
 		// radios reaching nobody.

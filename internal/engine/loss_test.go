@@ -115,3 +115,32 @@ func TestNetworkConfigLinkValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestLossZeroRetriesSendsEachHopOnce pins LossRetries 0 as one attempt
+// per hop: a lossy run charges no retransmission, yet hops are still
+// lost. LossRetries 0 used to read as a budget of 3.
+func TestLossZeroRetriesSendsEachHopOnce(t *testing.T) {
+	nc := testNet(150)
+	nc.Loss = 0.3
+	e := newEngine(t, nc, testCfg())
+	e.SelectContacts()
+	e.Advance(6)
+	if m := e.Messages(); m.Retry != 0 || m.Selection == 0 {
+		t.Errorf("zero-retry lossy run: %+v, want Retry 0 and some selection traffic", m)
+	}
+	net, lost := e.Network(), 0
+	for u := 0; u < net.N(); u++ {
+		for _, v := range net.Graph().Neighbors(NodeID(u)) {
+			att, ok := net.TryHop(NodeID(u), v)
+			if att != 1 {
+				t.Fatalf("hop %d->%d took %d transmissions, want 1", u, v, att)
+			}
+			if !ok {
+				lost++
+			}
+		}
+	}
+	if lost == 0 {
+		t.Error("no hop lost at 30% loss")
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	proto "card/internal/card"
-	"card/internal/manet"
 	"card/internal/workload"
 )
 
@@ -64,11 +63,7 @@ func DescribeNet(nc NetworkConfig) string {
 	doc := fmt.Sprintf("%s%s | %s | %s | %s",
 		nc.Mobility, extra, size, tx, churn)
 	if nc.Loss > 0 {
-		retries := nc.LossRetries
-		if retries == 0 {
-			retries = manet.DefaultLossRetries
-		}
-		doc += fmt.Sprintf(" | loss %g%% (%d retries)", nc.Loss*100, retries)
+		doc += fmt.Sprintf(" | loss %g%% (%d retries)", nc.Loss*100, nc.LossRetries)
 	}
 	if nc.PartitionPeriod > 0 {
 		doc += fmt.Sprintf(" | partition %gs every %gs", nc.PartitionDuration, nc.PartitionPeriod)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"card/internal/bordercast"
@@ -88,8 +89,8 @@ func ablQD(o Options) *Table {
 		points: len(modes),
 		label:  func(p int) any { return modes[p] },
 		cell: func(p int, seed uint64) []float64 {
-			// No contacts (NoC 0, see deploy): bordercast reads only the
-			// engine's zone-radius neighborhood.
+			// No contacts (NoC 0): bordercast reads only the engine's
+			// zone-radius neighborhood.
 			e := deploy(sc.engineNet(seed, engine.Static), card.Config{R: 3, MaxContactDist: 16})
 			net := e.Network()
 			bc := must(bordercast.New(net, e.Neighborhood(), bordercast.Config{Zone: 3, QD: modes[p]}))
@@ -143,12 +144,14 @@ func ablMobility(o Options) *Table {
 		{"static", func(*engine.NetworkConfig) {}},
 		{"waypoint", func(nc *engine.NetworkConfig) { nc.Mobility = engine.RandomWaypoint }},
 		{"walk", func(nc *engine.NetworkConfig) { nc.Mobility = engine.RandomWalk }},
-		{"gauss-markov", func(nc *engine.NetworkConfig) { nc.Mobility = engine.GaussMarkov }},
+		{"gauss-markov", func(nc *engine.NetworkConfig) {
+			nc.Mobility, nc.GMAlpha, nc.GMSpeedSigma = engine.GaussMarkov, 0.75, 2
+		}},
 		{"group", func(nc *engine.NetworkConfig) {
 			nc.Mobility = engine.GroupMobility
 			nc.Groups = sc.N / 25
 			nc.GroupRadius = 3 * sc.TxRange
-			nc.MinSpeed, nc.MaxSpeed, nc.Pause = 1, 5, 5
+			nc.MinSpeed, nc.MaxSpeed, nc.Pause, nc.MemberSpeed = 1, 5, 5, 2
 		}},
 		{"waypoint+churn", func(nc *engine.NetworkConfig) {
 			nc.Mobility = engine.RandomWaypoint
@@ -308,8 +311,8 @@ func scale(o Options) *Table {
 	for _, p := range engine.Presets() {
 		nc := p.Net
 		if o.Scale < 1 {
-			nc.Nodes = max(int(float64(nc.Nodes)*o.Scale), 10)
-			s := sqrtf(o.Scale)
+			nc.Nodes = max(int(float64(nc.Nodes)*o.Scale), minNodes)
+			s := math.Sqrt(o.Scale)
 			nc.Width *= s
 			nc.Height *= s
 		}

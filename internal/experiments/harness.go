@@ -93,7 +93,7 @@ type reachDist struct {
 }
 
 // reachCell is one (config, seed) reachability measurement: select contacts
-// on a static field (unless NoC = 0, see deploy), then record every node's
+// on a static field (none at NoC = 0), then record every node's
 // reachability percentage.
 func reachCell(pt reachPoint, seed uint64) reachDist {
 	e := deploy(pt.sc.engineNet(seed, engine.Static), pt.cfg)

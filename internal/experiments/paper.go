@@ -101,7 +101,7 @@ var fig6 = reachFig{
 	label: func(c card.Config) string { return fmt.Sprintf("r=2R+%d", c.MaxContactDist-2*c.R) },
 }
 
-// Fig. 7: NoC = 0..12 (R=3, r=10, D=1); deploy handles the NoC=0 curve.
+// Fig. 7: NoC = 0..12 (R=3, r=10, D=1); NoC=0 is the no-contacts curve.
 var fig7 = reachFig{
 	title: "Fig 7: reachability distribution vs NoC (N=%d, R=3, r=10, D=1)",
 	base:  card.Config{R: 3, MaxContactDist: 10, Depth: 1, Method: card.EM}, spec: "NoC=0..12..2",
@@ -181,9 +181,8 @@ var fig13 = seriesFig{
 
 // fig14Cell measures one Fig. 14 cell: reachability bought and overhead
 // paid after 10 s of maintained mobility. NoC 0 is the paper's
-// no-contacts baseline: selection never runs (deploy) and neither does
-// the clock, so overhead is zero and reachability is the bare
-// neighborhood's.
+// no-contacts baseline: selection adds nothing and the clock does not
+// run, so overhead is zero and reachability is the bare neighborhood's.
 func fig14Cell(sc Scenario, cfg card.Config, seed uint64) []float64 {
 	e := deploy(sc.engineNet(seed, engine.RandomWaypoint), cfg)
 	if cfg.NoC != 0 {

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"card/internal/card"
 	"card/internal/engine"
@@ -41,30 +42,39 @@ var Table1Scenarios = []Scenario{
 // Scenario5 is the paper's workhorse configuration (most figures).
 var Scenario5 = Table1Scenarios[4]
 
+// minNodes is the smallest network a scaled scenario or preset holds.
+const minNodes = 10
+
 // Scaled returns the scenario shrunk by factor f (0 < f <= 1): node count
 // scales by f and the area by √f, preserving density. Benchmarks and CI
-// use scaled scenarios; f = 1 reproduces the paper's sizes.
+// use scaled scenarios; f = 1 reproduces the paper's sizes. N never drops
+// below minNodes; CheckScale refuses the factors at which it would.
 func (s Scenario) Scaled(f float64) Scenario {
 	if f >= 1 {
 		return s
 	}
 	out := s
-	out.N = max(int(float64(s.N)*f), 10)
-	scale := sqrtf(f)
+	out.N = max(int(float64(s.N)*f), minNodes)
+	scale := math.Sqrt(f)
 	out.Area = geom.Rect{W: s.Area.W * scale, H: s.Area.H * scale}
 	return out
 }
 
-func sqrtf(x float64) float64 {
-	// Newton's iteration; avoids importing math for one call site.
-	if x <= 0 {
-		return 0
+// CheckScale refuses a scale factor outside (0, 1], and one at which
+// Scaled would hold a Table 1 scenario at minNodes while its area still
+// shrank: that run would no longer have the density the scale promises.
+// Table 1 holds the smallest networks any experiment scales.
+func CheckScale(f float64) error {
+	if !(f > 0 && f <= 1) {
+		return fmt.Errorf("want a factor in (0, 1]")
 	}
-	z := x
-	for i := 0; i < 20; i++ {
-		z = (z + x/z) / 2
+	for _, s := range Table1Scenarios {
+		if int(float64(s.N)*f) < minNodes {
+			return fmt.Errorf("Table 1 scenario %d (N = %d) would floor at %d nodes; want a factor >= %g",
+				s.ID, s.N, minNodes, float64(minNodes)/float64(s.N))
+		}
 	}
-	return z
+	return nil
 }
 
 // must unwraps a constructor's result. Every configuration, spec and
@@ -89,23 +99,16 @@ func (s Scenario) engineNet(seed uint64, m engine.MobilityKind) engine.NetworkCo
 }
 
 // bare configures a cell that reads only the graph (Table 1, the
-// small-world census): the smallest valid R and r, and NoC 0, so deploy
-// selects nothing.
+// small-world census): the smallest valid R and r, and NoC 0, so no
+// contact is ever selected.
 var bare = card.Config{R: 1, MaxContactDist: 2}
 
 // deploy is every experiment cell's world: one engine over nc with the
-// initial contact selection run at t=0. A literal NoC = 0 is the paper's
-// no-contacts baseline (the Fig. 7 and Fig. 14 NoC=0 curves):
-// Config.Validate treats zero as "default", so it is validated as 1 and
-// selection is skipped entirely — the tables stay empty.
+// initial contact selection run at t=0. NoC = 0 is the paper's
+// no-contacts baseline (the Fig. 7 and Fig. 14 NoC=0 curves): selection
+// adds nothing and the tables stay empty.
 func deploy(nc engine.NetworkConfig, cfg card.Config) *engine.Engine {
-	noContacts := cfg.NoC == 0
-	if noContacts {
-		cfg.NoC = 1
-	}
 	e := must(engine.New(nc, cfg))
-	if !noContacts {
-		e.SelectContacts()
-	}
+	e.SelectContacts()
 	return e
 }

@@ -178,7 +178,7 @@ func TestNetworkChurnIntegration(t *testing.T) {
 	const n = 120
 	area := geom.Rect{W: 500, H: 500}
 	rng := xrand.New(77)
-	m, err := mobility.NewRandomWaypoint(n, area, mobility.DefaultRWP(), rng.Derive(0))
+	m, err := mobility.NewRandomWaypoint(n, area, mobility.RWPConfig{MinSpeed: 1, MaxSpeed: 19}, rng.Derive(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestNetworkChurnIntegration(t *testing.T) {
 		inc.RefreshAt(tm)
 
 		for u := 0; u < n; u++ {
-			if inc.Up(topology.NodeID(u)) != ref.upAt(u, tm) {
+			if !inc.Down(topology.NodeID(u)) != ref.upAt(u, tm) {
 				t.Fatalf("t=%v: up(%d) disagrees with the schedule", tm, u)
 			}
 			if inc.Down(topology.NodeID(u)) && inc.Graph().Degree(topology.NodeID(u)) != 0 {
@@ -211,7 +211,7 @@ func TestNetworkChurnIntegration(t *testing.T) {
 		flips := map[topology.NodeID]bool{}
 		for _, v := range inc.ChurnedDown() {
 			flips[v] = true
-			if inc.Up(v) {
+			if !inc.Down(v) {
 				t.Fatalf("t=%v: ChurnedDown lists up node %d", tm, v)
 			}
 		}
@@ -263,12 +263,12 @@ func TestChurnBlinkInsideOneRefresh(t *testing.T) {
 		caught, back = caught+len(net.ChurnedDown()), back+len(net.ChurnedUp())
 		for u := 0; u < n; u++ {
 			id := topology.NodeID(u)
-			if net.Up(id) != ref.upAt(u, tm) {
-				t.Fatalf("t=%v: node %d up=%v disagrees with the scan", tm, u, net.Up(id))
+			if !net.Down(id) != ref.upAt(u, tm) {
+				t.Fatalf("t=%v: node %d up=%v disagrees with the scan", tm, u, !net.Down(id))
 			}
 			if k := ref.count[u] - before[u]; k > 0 && k%2 == 0 {
 				blinks++
-				if !net.Up(id) || slices.Contains(listed, id) {
+				if !!net.Down(id) || slices.Contains(listed, id) {
 					t.Fatalf("t=%v: node %d blinked (%d flips) but is down or listed", tm, u, k)
 				}
 			}
@@ -288,7 +288,7 @@ func TestChurnBlinkInsideOneRefresh(t *testing.T) {
 func TestUpCountMatchesScan(t *testing.T) {
 	const n = 150
 	area := geom.Rect{W: 400, H: 400}
-	m, err := mobility.NewRandomWaypoint(n, area, mobility.DefaultRWP(), xrand.New(1))
+	m, err := mobility.NewRandomWaypoint(n, area, mobility.RWPConfig{MinSpeed: 1, MaxSpeed: 19}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestUpCountMatchesScan(t *testing.T) {
 		net.RefreshAt(0.3 * float64(k))
 		up := 0
 		for u := 0; u < n; u++ {
-			if net.Up(topology.NodeID(u)) {
+			if !net.Down(topology.NodeID(u)) {
 				up++
 			}
 		}
@@ -333,7 +333,7 @@ func TestNetworkWithoutChurnIsAllUp(t *testing.T) {
 	if net.HasChurn() {
 		t.Error("churn-free network reports churn")
 	}
-	if net.UpCount() != 10 || net.Down(3) || !net.Up(3) {
+	if net.UpCount() != 10 || net.Down(3) {
 		t.Error("churn-free network has down nodes")
 	}
 	if len(net.ChurnedDown()) != 0 || len(net.ChurnedUp()) != 0 {

@@ -24,17 +24,13 @@ package manet
 // from there, which is how protocol-level timeout cost surfaces in the
 // recorder without a clock.
 
-// DefaultLossRetries is the per-hop retry budget used when LossConfig
-// enables loss without choosing one.
-const DefaultLossRetries = 3
-
 // LossConfig configures the probabilistic delivery model.
 type LossConfig struct {
 	// Rate is the per-transmission loss probability in [0, 1). Zero keeps
 	// the lossless model: every hop costs exactly one transmission.
 	Rate float64
 	// Retries is the per-hop retransmission budget after the first
-	// attempt; zero with a positive Rate means DefaultLossRetries.
+	// attempt; zero sends each hop once.
 	Retries int
 	// Seed overrides the loss stream seed; zero derives one from the
 	// network's own generator lineage at construction.

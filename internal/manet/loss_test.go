@@ -209,7 +209,7 @@ func TestPartitionSchedule(t *testing.T) {
 		}
 		return cut
 	}
-	if net.PartitionActive() {
+	if net.lm.BarrierActive {
 		t.Fatal("partition active at t=0")
 	}
 	healthy := crossing()
@@ -219,7 +219,7 @@ func TestPartitionSchedule(t *testing.T) {
 	healthyLinks := net.Graph().Links()
 
 	net.RefreshAt(8) // 8 >= 10-3: inside the partition window
-	if !net.PartitionActive() {
+	if !net.lm.BarrierActive {
 		t.Fatal("partition inactive at t=8 (window [7, 10))")
 	}
 	if c := crossing(); c != 0 {
@@ -227,7 +227,7 @@ func TestPartitionSchedule(t *testing.T) {
 	}
 
 	net.RefreshAt(11) // healed: 11 mod 10 = 1 < 7
-	if net.PartitionActive() {
+	if net.lm.BarrierActive {
 		t.Fatal("partition still active at t=11")
 	}
 	if c := crossing(); c != healthy {

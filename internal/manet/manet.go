@@ -203,9 +203,6 @@ func NewNetwork(model mobility.Model, cfg Config, rng *xrand.Rand) *Network {
 	if cfg.Loss.Rate > 0 {
 		n.lossRate = cfg.Loss.Rate
 		n.lossRetries = cfg.Loss.Retries
-		if n.lossRetries == 0 {
-			n.lossRetries = DefaultLossRetries
-		}
 		n.lossSeed = cfg.Loss.Seed
 		if n.lossSeed == 0 {
 			// A derived constant substream of the run-owner generator:
@@ -287,16 +284,6 @@ func (n *Network) LinkModel() topology.LinkModel { return n.lm }
 // Directed reports whether the link model can produce asymmetric links.
 func (n *Network) Directed() bool { return n.lm.Directed() }
 
-// LossRate returns the per-transmission loss probability (0 = lossless).
-func (n *Network) LossRate() float64 { return n.lossRate }
-
-// LossRetries returns the per-hop retry budget under loss.
-func (n *Network) LossRetries() int { return n.lossRetries }
-
-// PartitionActive reports whether the scheduled partition barrier is
-// cutting links in the current snapshot.
-func (n *Network) PartitionActive() bool { return n.lm.BarrierActive }
-
 // Position returns node u's position in the current snapshot. Valid until
 // the next refresh; down nodes keep a position while holding no links.
 func (n *Network) Position(u NodeID) geom.Point { return n.pos[u] }
@@ -307,12 +294,9 @@ func (n *Network) Area() geom.Rect { return n.model.Area() }
 // HasChurn reports whether the network runs a node up/down schedule.
 func (n *Network) HasChurn() bool { return n.churn != nil }
 
-// Up reports whether node u is up in the current snapshot (always true
-// without churn). Down nodes keep their id and position but hold no links
-// and must not originate protocol rounds.
-func (n *Network) Up(u NodeID) bool { return n.down == nil || !n.down[u] }
-
 // Down reports whether node u is churned out of the current snapshot.
+// Down nodes keep their id and position but hold no links and must not
+// originate protocol rounds.
 func (n *Network) Down(u NodeID) bool { return n.down != nil && n.down[u] }
 
 // UpCount returns the number of up nodes in the current snapshot.

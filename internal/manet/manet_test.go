@@ -120,7 +120,7 @@ func TestMobilityChangesTopology(t *testing.T) {
 	// we control it: random walk with high speed and check the link set
 	// actually changes across refreshes at least once.
 	rng := xrand.New(77)
-	m, err := mobility.NewRandomWaypoint(30, area, mobility.DefaultRWP(), rng)
+	m, err := mobility.NewRandomWaypoint(30, area, mobility.RWPConfig{MinSpeed: 1, MaxSpeed: 19}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

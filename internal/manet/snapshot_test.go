@@ -72,7 +72,7 @@ func TestSnapshotsMatchFreshBuild(t *testing.T) {
 			return scanOnly{m}, err
 		}},
 		{"gauss-markov-scan", false, false, func(rng *xrand.Rand) (mobility.Model, error) {
-			return mobility.NewGaussMarkov(n, area, mobility.DefaultGM(), rng)
+			return mobility.NewGaussMarkov(n, area, mobility.GMConfig{MeanSpeed: 10, Alpha: 0.75, SpeedSigma: 2}, rng)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,13 +104,13 @@ func TestSnapshotsMatchFreshBuild(t *testing.T) {
 			for step := 1; step <= refreshes; step++ {
 				net.RefreshAt(float64(step) * 0.5)
 				snapshotMatchesFreshBuild(t, net)
-				if net.PartitionActive() {
+				if net.lm.BarrierActive {
 					partitioned++
 				}
 				flips += len(net.ChurnedDown()) + len(net.ChurnedUp())
 				if changed, all := net.AdjacencyChanged(); !all && len(changed) > 0 {
 					incremental++
-					if net.PartitionActive() {
+					if net.lm.BarrierActive {
 						incrementalCut++
 					}
 				}

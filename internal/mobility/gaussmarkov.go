@@ -28,12 +28,6 @@ const (
 	gmEpoch    = 1.0
 )
 
-// DefaultGM returns the common Gauss–Markov tuning: 10 m/s mean speed with
-// moderate memory (α = 0.75).
-func DefaultGM() GMConfig {
-	return GMConfig{MeanSpeed: 10, Alpha: 0.75, SpeedSigma: 2}
-}
-
 func (c GMConfig) validate() error {
 	if c.MeanSpeed <= 0 {
 		return fmt.Errorf("mobility: MeanSpeed must be > 0, got %v", c.MeanSpeed)

@@ -66,11 +66,6 @@ type RWPConfig struct {
 	Pause    float64 // seconds to dwell at each waypoint, >= 0
 }
 
-// DefaultRWP matches the era's common NS-2 setup: uniform speed in
-// [1, 19] m/s, no pause. The paper does not state its speed range; this
-// choice is recorded in EXPERIMENTS.md and configurable everywhere.
-func DefaultRWP() RWPConfig { return RWPConfig{MinSpeed: 1, MaxSpeed: 19, Pause: 0} }
-
 func (c RWPConfig) validate() error {
 	if c.MinSpeed <= 0 {
 		return fmt.Errorf("mobility: MinSpeed must be > 0, got %v", c.MinSpeed)

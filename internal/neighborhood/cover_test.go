@@ -53,8 +53,9 @@ var coverWorlds = []coverWorld{
 			Link:      topology.LinkModel{Uniform: 70},
 			Partition: manet.PartitionConfig{Period: 10, Duration: 4},
 		}, xrand.New(seed+1))
+		whole := net.Graph().Links()
 		net.RefreshAt(8) // inside the cut window [6, 10)
-		if !net.PartitionActive() {
+		if net.Graph().Links() >= whole {
 			panic("barrier world is not partitioned")
 		}
 		return net

@@ -153,12 +153,10 @@ func newRendezvous(env Env) (DiscoveryScheme, error) {
 
 func (s *rendezvous) Name() string { return "rendezvous" }
 
-// RegistrationRegion returns the region a holder registers id into.
-func (s *rendezvous) RegistrationRegion(id resource.ID) int { return s.grid.RegionOf(id) }
-
 // LookupRegion returns the region a querier sends a lookup for id to.
-// It must always agree with RegistrationRegion — that agreement is the
-// rendezvous invariant FuzzRegionHash pins.
+// It must always agree with the region a holder registers id into
+// (grid.RegionOf in registerAll) — that agreement is the rendezvous
+// invariant FuzzRegionHash pins.
 func (s *rendezvous) LookupRegion(id resource.ID) int { return s.grid.RegionOf(id) }
 
 // Setup snapshots the directory into the binding table and runs the

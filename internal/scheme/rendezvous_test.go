@@ -121,9 +121,9 @@ func FuzzRegionHash(f *testing.F) {
 			t.Fatalf("RegionOf(%d) differs across grid instances: %d vs %d", key, r, r2)
 		}
 		s := &rendezvous{grid: g}
-		if s.RegistrationRegion(id) != s.LookupRegion(id) {
+		if s.LookupRegion(id) != r {
 			t.Fatalf("registration region %d != lookup region %d for key %d",
-				s.RegistrationRegion(id), s.LookupRegion(id), key)
+				r, s.LookupRegion(id), key)
 		}
 	})
 }

@@ -71,9 +71,6 @@ func (w *Window) Add(x float64) {
 // Len returns the number of samples currently held.
 func (w *Window) Len() int { return w.n }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Values returns a copy of the held samples, oldest first.
 func (w *Window) Values() []float64 {
 	out := make([]float64, 0, w.n)

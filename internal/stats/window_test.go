@@ -190,8 +190,8 @@ func TestWindowPanicsOnBadCapacity(t *testing.T) {
 
 func TestWindowSlides(t *testing.T) {
 	w := NewWindow(4)
-	if w.Len() != 0 || w.Cap() != 4 || w.Mean() != 0 || w.Quantile(0.5) != 0 {
-		t.Fatalf("empty window misbehaves: len=%d cap=%d", w.Len(), w.Cap())
+	if w.Len() != 0 || len(w.buf) != 4 || w.Mean() != 0 || w.Quantile(0.5) != 0 {
+		t.Fatalf("empty window misbehaves: len=%d cap=%d", w.Len(), len(w.buf))
 	}
 	for i := 1; i <= 3; i++ {
 		w.Add(float64(i))

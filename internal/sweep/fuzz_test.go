@@ -23,6 +23,8 @@ func FuzzParseSpec(f *testing.F) {
 		"R=2,3;NoC=2..8..2;D=1..3", "Loss=0,0.05,0.1;RangeSpread=0,0.25,0.5",
 		// Non-finite values and bounds.
 		"Loss=nan;NoC=2", "RangeSpread=nan", "ValidatePeriod=inf", "Loss=0..0.5..inf", "Loss=0..nan",
+		// Integer axes past int64: once wrapped negative before their check.
+		"Scheme=1e300", "NoC=1e300", "r=1e300", "D=1e300", "R=1e300",
 	} {
 		f.Add(spec)
 	}
@@ -48,6 +50,20 @@ func FuzzParseSpec(f *testing.F) {
 				if err := def.check(v); err != nil {
 					t.Fatalf("spec %q: axis %s returned a value its own check rejects: %v", spec, a.Name, err)
 				}
+			}
+		}
+		// Every accepted point applies and renders without panicking.
+		g := &Grid{Axes: axes}
+		if g.Validate() != nil {
+			return
+		}
+		for i := 0; i < min(g.Points(), 64); i++ {
+			pt := g.Point(i)
+			if _, err := g.Config(pt); err != nil {
+				t.Fatalf("spec %q: point %d: %v", spec, i, err)
+			}
+			for j, a := range g.Axes {
+				renderAxisValue(a, pt[j])
 			}
 		}
 	})

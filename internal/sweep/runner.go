@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -61,7 +60,7 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 	nc := er.Net
 	nc.Seed = xrand.New(er.Net.Seed).StreamSeed(uint64(pointIdx), seed)
 	if cfg.Loss != nil {
-		nc.Loss = *cfg.Loss
+		nc.SetLoss(*cfg.Loss)
 	}
 	if cfg.RangeSpread != nil {
 		nc.RangeSpread = *cfg.RangeSpread
@@ -122,18 +121,14 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 
 // Check refuses a cell Run cannot run and fills cfg's protocol defaults
 // in place, as Config.Validate does. Each refusal is a run that would
-// report under a label it did not run: Config.Validate reads NoC 0 as "the
-// default" (the no-contacts baseline is an experiments-harness rule, not
-// an engine run), Advance ignores a negative or non-finite horizon, and a
-// negative query count skips the query phase.
+// report under a label it did not run: Advance ignores a negative or
+// non-finite horizon, and a negative query count skips the query phase.
 func (er EngineRunner) Check(cfg *CellConfig) error {
 	switch {
 	case er.Horizon < 0 || math.IsNaN(er.Horizon) || math.IsInf(er.Horizon, 0):
 		return fmt.Errorf("sweep: Horizon = %g, want finite simulated seconds >= 0", er.Horizon)
 	case er.Queries < 0:
 		return fmt.Errorf("sweep: Queries = %d, want >= 0", er.Queries)
-	case cfg.Proto.NoC == 0:
-		return errors.New("sweep: NoC = 0 is not an engine run (the engine reads it as the default NoC); sweep NoC >= 1")
 	}
 	return cfg.Proto.Validate()
 }

@@ -19,6 +19,10 @@ type axisDef struct {
 	render func(v float64) string
 }
 
+// intCheck admits the integers in [min, MaxInt32]. The bounds are
+// compared while v is still a float64: converted first, 1e300 would wrap
+// to a negative int and be refused under that name. A tighter bound
+// (R <= 255) is card.Config's to name.
 func intCheck(name string, min float64) func(float64) error {
 	return func(v float64) error {
 		if v != math.Trunc(v) {
@@ -26,6 +30,9 @@ func intCheck(name string, min float64) func(float64) error {
 		}
 		if v < min {
 			return fmt.Errorf("sweep: axis %s value %g below minimum %g", name, v, min)
+		}
+		if v > math.MaxInt32 {
+			return fmt.Errorf("sweep: axis %s value %g above maximum %d", name, v, math.MaxInt32)
 		}
 		return nil
 	}
@@ -103,7 +110,7 @@ var axisDefs = []axisDef{
 	{
 		canon: "Scheme",
 		check: func(v float64) error {
-			if v != math.Trunc(v) || v < 0 || int(v) >= len(scheme.Names()) {
+			if v != math.Trunc(v) || v < 0 || v >= float64(len(scheme.Names())) {
 				return fmt.Errorf("sweep: axis Scheme takes one of %v, got %g", scheme.Names(), v)
 			}
 			return nil

@@ -76,6 +76,15 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+	// An integer axis is bounded before it is converted, so the refusal
+	// names the value given (it used to name -9223372036854775808, and
+	// Scheme=1e300 indexed the registry with it).
+	for _, bad := range []string{"Scheme=1e300", "NoC=1e300", "r=1e300", "D=1e300", "R=1e300"} {
+		_, err := ParseSpec(bad)
+		if want := bad[strings.IndexByte(bad, '=')+1:]; err == nil || !strings.Contains(err.Error(), strings.Replace(want, "e", "e+", 1)) {
+			t.Errorf("spec %q: err = %v, want a refusal naming %s", bad, err, want)
+		}
+	}
 	// Validate is the same gate for grids built in code.
 	g := &Grid{Axes: []Axis{{Name: "Loss", Values: []float64{math.NaN()}}}}
 	if err := g.Validate(); err == nil {
@@ -242,20 +251,29 @@ func TestRunSurfacesCellErrors(t *testing.T) {
 	}
 }
 
-// TestEngineRunnerRefusesNoC0 pins that a NoC = 0 point is an error, not a
-// silently relabelled run: Config.Validate reads NoC 0 as the default, so
-// the cell used to report a 5-contact run under a NoC=0 label.
-func TestEngineRunnerRefusesNoC0(t *testing.T) {
+// TestEngineRunnerRunsNoC0Baseline pins that a NoC = 0 point is the
+// paper's no-contacts baseline: no selection or maintenance overhead, and
+// less reach than a point with contacts. The cell used to be refused (the
+// engine read NoC 0 as its default of 5).
+func TestEngineRunnerRunsNoC0Baseline(t *testing.T) {
 	g := &Grid{
 		Base: proto.Config{R: 2, MaxContactDist: 8, NoC: 3},
 		Axes: []Axis{{Name: "NoC", Values: []float64{0, 5}}},
 	}
 	er := EngineRunner{
-		Net: engine.NetworkConfig{Nodes: 20, Width: 200, Height: 200, TxRange: 60, Seed: 1},
+		Net:     engine.NetworkConfig{Nodes: 80, Width: 400, Height: 400, TxRange: 60, Seed: 1},
+		Horizon: 4, Queries: 40,
 	}
-	_, err := g.Run(er.Run)
-	if err == nil || !strings.Contains(err.Error(), "NoC = 0") {
-		t.Fatalf("NoC=0 sweep: err = %v, want a NoC = 0 refusal", err)
+	res, err := g.Run(er.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, with := res.Cells[0].Metrics, res.Cells[1].Metrics
+	if base.Overhead != 0 || base.Msgs.Max != 0 {
+		t.Errorf("NoC=0 cell sent control or query messages: %+v", base)
+	}
+	if with.Overhead == 0 || !(base.Reach < with.Reach) {
+		t.Errorf("NoC=5 cell bought nothing over the baseline: NoC=0 %+v, NoC=5 %+v", base, with)
 	}
 }
 

@@ -27,7 +27,7 @@ func TestDirectedEdgesFollowRanges(t *testing.T) {
 		"naive": buildNaive(pos, area, lm, nil),
 		"grid":  Build(pos, area, lm, nil),
 	} {
-		if !g.Directed() || !g.Heterogeneous() {
+		if !g.Directed() || g.ranges == nil {
 			t.Fatalf("%s: graph not marked directed/heterogeneous", name)
 		}
 		if !g.Adjacent(0, 1) {

@@ -71,7 +71,7 @@ func (g *Graph) Area() geom.Rect { return g.area }
 
 // TxRange returns the transmission range in meters. For a heterogeneous
 // snapshot this is the maximum over all nodes — callers that render or
-// size by range should check Heterogeneous and use RangeOf for
+// size by range should use RangeOf for
 // the distribution instead of silently reporting the max.
 func (g *Graph) TxRange() float64 { return g.rng }
 
@@ -82,10 +82,6 @@ func (g *Graph) RangeOf(u NodeID) float64 {
 	}
 	return g.ranges[u]
 }
-
-// Heterogeneous reports whether nodes carry individual transmission
-// ranges (TxRange is then only the maximum).
-func (g *Graph) Heterogeneous() bool { return g.ranges != nil }
 
 // Directed reports whether the snapshot was built from a link model that
 // can produce asymmetric links (per-node ranges or a partition barrier).

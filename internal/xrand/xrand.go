@@ -185,14 +185,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// ShuffleInts shuffles s in place (Fisher–Yates).
-func (r *Rand) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // Shuffle shuffles n elements using the provided swap function.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

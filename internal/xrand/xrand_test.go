@@ -262,11 +262,11 @@ func TestPermIsPermutation(t *testing.T) {
 	for i := range p {
 		p[i] = i
 	}
-	New(13).ShuffleInts(p)
+	New(13).Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("ShuffleInts produced invalid permutation: %v", p)
+			t.Fatalf("Shuffle produced invalid permutation: %v", p)
 		}
 		seen[v] = true
 	}
@@ -279,7 +279,7 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	for _, v := range s {
 		sum += v
 	}
-	r.ShuffleInts(s)
+	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 	sum2 := 0
 	for _, v := range s {
 		sum2 += v

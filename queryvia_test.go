@@ -20,7 +20,7 @@ import (
 func TestQueryViaMatchesPrimitives(t *testing.T) {
 	static, cfg := staticCfg()
 	rich := static
-	rich.RangeSpread, rich.Loss = 0.4, 0.2
+	rich.RangeSpread, rich.Loss, rich.LossRetries = 0.4, 0.2, 3
 	for name, nc := range map[string]NetworkConfig{"static": static, "spread+loss": rich} {
 		s := newSim(t, nc, cfg)
 		s.SelectContacts()
