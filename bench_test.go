@@ -483,7 +483,7 @@ func BenchmarkWorkloadLossy10k(b *testing.B) {
 	b.ReportMetric(last.SuccessPct, "success-%")
 	m := sim.Engine.Messages()
 	retries := float64(m.Retry - before.Retry)
-	total := (m.TotalPerNode - before.TotalPerNode) * float64(sim.Engine.Nodes())
+	total := float64(m.Total() - before.Total())
 	if total > 0 {
 		b.ReportMetric(100*retries/total, "retry-share-%")
 	}

@@ -73,6 +73,12 @@ type Pair = engine.Pair
 // MessageCounts reports cumulative control-message tallies by purpose.
 type MessageCounts = engine.MessageCounts
 
+// Report is one run's self-describing record — manifest, topology census
+// (the paper's Table 1 metrics), contact tables, every message category
+// and the query phases; Simulation.Report builds it, encoding/json
+// serializes it.
+type Report = engine.Report
+
 // Preset is a named ready-to-run workload; see Presets.
 type Preset = engine.Preset
 
@@ -179,8 +185,8 @@ func NewPresetSimulation(name string, seed uint64) (*Simulation, error) {
 // (QueryVia). It embeds [engine.Engine], which owns the time-stepping loop,
 // the round and batch-query fan-outs and every accessor — Advance,
 // SelectContacts, Maintain, Query, BatchQuery, RunWorkload, QueryVia,
-// Reachability, MeanReachability, Stats, Messages, Nodes, UpNodes, Now,
-// Config, Protocol, RandomPairs — and adds only the read-outs below.
+// Reachability, MeanReachability, Stats, Messages, Report, Nodes, UpNodes,
+// Now, Config, Protocol, RandomPairs — and adds only the read-outs below.
 //
 // Mutating calls (Advance, SelectContacts, Maintain) are single-goroutine;
 // run independent simulations on separate goroutines for parameter sweeps.
@@ -205,29 +211,6 @@ func NewSimulation(nc NetworkConfig, cfg Config) (*Simulation, error) {
 // view of the protocol's contact slab, valid until the next maintenance
 // round or churn event.
 func (s *Simulation) Contacts(u NodeID) []Contact { return s.Protocol().Table(u).Contacts() }
-
-// Census summarizes the current topology (the paper's Table 1 metrics).
-type Census struct {
-	Links          int
-	MeanDegree     float64
-	Diameter       int
-	AvgHops        float64
-	LargestCompPct float64
-	Clustering     float64
-}
-
-// TopologyCensus computes connectivity statistics of the current snapshot.
-func (s *Simulation) TopologyCensus() Census {
-	c := s.Network().Graph().ComputeCensus()
-	return Census{
-		Links:          c.Links,
-		MeanDegree:     c.MeanDegree,
-		Diameter:       c.Diameter,
-		AvgHops:        c.AvgHops,
-		LargestCompPct: 100 * c.LargestComponentFrac,
-		Clustering:     c.MeanClustering,
-	}
-}
 
 // RandomPair draws a uniformly random pair of distinct nodes from the
 // largest connected component — the standard query workload. When the

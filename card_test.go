@@ -72,7 +72,7 @@ func TestEndToEndStaticDiscovery(t *testing.T) {
 		t.Error("reachability not positive")
 	}
 	m := s.Messages()
-	if m.Selection == 0 || m.TotalPerNode <= 0 {
+	if m.Selection == 0 || m.Total() <= m.Selection {
 		t.Errorf("message accounting empty: %+v", m)
 	}
 }
@@ -133,12 +133,12 @@ func TestMobileSimulationAdvance(t *testing.T) {
 func TestTopologyCensus(t *testing.T) {
 	nc, cfg := staticCfg()
 	s := newSim(t, nc, cfg)
-	c := s.TopologyCensus()
+	c := s.Report(nil).Census
 	if c.Links == 0 || c.MeanDegree <= 0 || c.Diameter == 0 {
 		t.Errorf("census empty: %+v", c)
 	}
-	if c.LargestCompPct <= 0 || c.LargestCompPct > 100 {
-		t.Errorf("LCC%% = %v", c.LargestCompPct)
+	if c.LargestComponentFrac <= 0 || c.LargestComponentFrac > 1 {
+		t.Errorf("LCC fraction = %v", c.LargestComponentFrac)
 	}
 }
 

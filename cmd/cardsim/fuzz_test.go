@@ -26,6 +26,7 @@ func FuzzCardsimPlan(f *testing.F) {
 		"-preset citywide-rwp-1k -churn 1e-9,1e-9",
 		"-preset citywide-rwp-1k -churn -5,-5",
 		"-preset citywide-rwp-1k -sweep VP=0.0000001 -horizon 30",
+		"-preset citywide-rwp-1k -sweep NoC=100000000 -seeds 1 -horizon 0 -queries 0",
 		"-trace no-such-file.tr -tx nan",
 		"-trace t.tr -tx 1e308 -rangespread 0.9",
 		"-exp fig4 -scale -inf",
@@ -36,6 +37,7 @@ func FuzzCardsimPlan(f *testing.F) {
 		"-preset citywide-rwp-1k -churn 60,15",
 		"-preset citywide-rwp-1k -loss 0.1 -rangespread 0.5",
 		"-preset citywide-rwp-1k -qps 200 -zipf 1.1",
+		"-preset dense-sensor-field -horizon 2 -queries 50 -format json",
 		"-trace movements.tcl -tx 100 -horizon 60",
 		"-preset citywide-rwp-1k -sweep NoC=2..8..2;r=8..14..2",
 		"-preset churn-2k -sweep Method=EM,PM2;NoC=2,4 -seeds 5 -format csv",
@@ -68,7 +70,7 @@ func FuzzCardsimPlan(f *testing.F) {
 			for i := 0; i < g.Points(); i++ {
 				c, err := g.Config(g.Point(i))
 				if err == nil {
-					err = sweep.EngineRunner{Horizon: pl.horizon, Queries: pl.queries}.Check(&c)
+					err = sweep.EngineRunner{Net: pl.preset.Net, Horizon: pl.horizon, Queries: pl.queries}.Check(&c)
 				}
 				if err != nil {
 					t.Fatalf("%q: plan carries a sweep point its owner refuses: %v", args, err)

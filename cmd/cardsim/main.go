@@ -1,26 +1,15 @@
 // Command cardsim regenerates the paper's tables and figures and runs the
 // engine's workload presets.
 //
-// Usage:
+// Usage (README.md's Quickstart has more):
 //
-//	cardsim -exp fig7                 # one experiment, aligned text
-//	cardsim -exp all -format md       # every paper experiment, markdown
-//	cardsim -exp ablations            # the design-choice ablations
 //	cardsim -list                     # experiment ids and what each regenerates
 //	cardsim -exp fig3 -seeds 5 -scale 0.5 -format csv
-//
 //	cardsim -presets                  # list workload presets
-//	cardsim -preset citywide-rwp-1k   # run one preset end to end
-//	cardsim -preset sparse-rescue -queries 1000 -horizon 30
-//	cardsim -preset citywide-rwp-1k -churn 60,15   # add node churn
-//	cardsim -preset citywide-rwp-1k -loss 0.1 -rangespread 0.5   # lossy directed links
-//	cardsim -preset citywide-rwp-1k -qps 200 -zipf 1.1   # sustained traffic
-//	cardsim -trace movements.tcl -tx 100 -horizon 60   # replay an ns-2 trace
-//
-//	cardsim -preset citywide-rwp-1k -sweep "NoC=2..8..2;r=8..14..2"
+//	cardsim -preset citywide-rwp-1k -loss 0.1 -qps 200   # one preset end to end
+//	cardsim -preset citywide-rwp-1k -format json         # ... as its engine.Report
+//	cardsim -trace movements.tcl -tx 100 -horizon 60     # replay an ns-2 trace
 //	cardsim -preset churn-2k -sweep "Method=EM,PM2;NoC=2,4" -seeds 5 -format csv
-//	cardsim -sweep "NoC=1..4" -scheme rendezvous    # scheme cells on the default preset
-//	cardsim -preset citywide-rwp-1k -sweep "Scheme=card,rendezvous;NoC=2,4"
 //
 // A -sweep grid runs one isolated engine per (point, seed) cell over the
 // preset's scenario (citywide-rwp-1k when -preset is omitted) and reports
@@ -36,19 +25,22 @@
 // by the config that owns it (engine.NetworkConfig, workload.Config,
 // sweep.Grid, card.Config), and a run past a work ceiling exits 2. So does
 // a set flag the run does not read. An experiment run reads only -exp,
-// -format, -seeds, -scale and -time, and a preset run none of those; a
-// -sweep reads -format and -seeds but not -qps or -zipf. -tx needs -trace,
-// and -zipf or -scheme on a preset run needs a sustained phase.
+// -format, -seeds, -scale and -time, and a preset run none of those but
+// -format (text or json); a -sweep reads -format and -seeds but not -qps
+// or -zipf. -tx needs -trace, and -zipf or -scheme on a preset run needs a
+// sustained phase.
 package main
 
 import (
 	"cmp"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -155,7 +147,7 @@ func parsePlan(args []string) (plan, error) {
 	fs.SetOutput(&usage)
 	var (
 		exp    = fs.String("exp", "", "experiment id, or 'all' / 'ablations' / 'everything'")
-		format = fs.String("format", "text", "output format: text, csv, md, plot (json with -sweep)")
+		format = fs.String("format", "text", "output format: text, csv, md or plot for -exp; text or json for a preset run; any of the five for -sweep")
 		seeds  = fs.Int("seeds", 3, "independent repetitions per cell")
 		scale  = fs.Float64("scale", 1, "scenario scale in (0,1]; 1 = paper-size networks")
 		list   = fs.Bool("list", false, "list experiment ids and exit")
@@ -193,9 +185,14 @@ func parsePlan(args []string) (plan, error) {
 	reads := strings.Fields(map[string]string{
 		"a listing":         "list presets",
 		"an experiment run": "exp format seeds scale time",
-		"a preset run":      "preset trace churn loss rangespread queries horizon seed qps zipf scheme",
+		"a preset run":      "preset trace churn loss rangespread queries horizon seed qps zipf scheme format",
 		"a sweep":           "sweep preset trace churn loss rangespread queries horizon seed seeds format scheme",
 	}[kind])
+	formats := map[string]string{
+		"an experiment run": "text csv md plot",
+		"a preset run":      "text json",
+		"a sweep":           "text csv md plot json",
+	}[kind]
 	if *trace != "" {
 		reads = append(reads, "tx")
 	}
@@ -227,10 +224,10 @@ func parsePlan(args []string) (plan, error) {
 		bad = fmt.Errorf("bad -queries %d: want 0..%d per batch", *queries, maxQueries)
 	case *horizon < 0:
 		bad = fmt.Errorf("bad -horizon %g: want simulated seconds >= 0", *horizon)
-	case !slices.Contains([]string{"text", "csv", "md", "plot"}, *format) && !(*format == "json" && *sweepArg != ""):
-		bad = fmt.Errorf("bad -format %q: want text, csv, md or plot (json with -sweep)", *format)
 	case len(unread) > 0:
 		bad = fmt.Errorf("%s reads no %s", kind, strings.Join(unread, ", "))
+	case set["format"] && !slices.Contains(strings.Fields(formats), *format):
+		bad = fmt.Errorf("bad -format %q: %s prints %s", *format, kind, formats)
 	}
 	if bad != nil {
 		return pl, bad
@@ -325,7 +322,7 @@ func parsePlan(args []string) (plan, error) {
 			return pl, err
 		}
 		// Each cell advances -horizon at its point's validation period.
-		er := sweep.EngineRunner{Horizon: pl.horizon, Queries: pl.queries}
+		er := sweep.EngineRunner{Net: p.Net, Horizon: pl.horizon, Queries: pl.queries}
 		rounds := 0.0
 		for i := 0; i < g.Points(); i++ {
 			c, err := g.Config(g.Point(i))
@@ -386,66 +383,84 @@ func render(tab *experiments.Table, format string) string {
 // runPreset builds the workload, advances it over its horizon, fans a
 // query batch and reports what it saw; a sustained-traffic phase then
 // keeps the clock running under query load and reports serving quantiles.
+// The record is the engine's Report, printed through -format; the host
+// times beside it (text only) are this caller's.
 func runPreset(w io.Writer, pl plan) error {
 	p, seed := pl.preset, pl.seed
+	var wall [5]time.Duration // build, select, advance, batch, sustained
 	start := time.Now()
+	lap := func(i int) { wall[i], start = time.Since(start), time.Now() }
 	e, err := p.New(seed)
 	if err != nil {
 		return err
 	}
-	build := time.Since(start)
-	fmt.Fprintf(w, "preset %s: %s\n", p.Name, cmp.Or(p.Doc, p.Description))
-
-	start = time.Now()
+	lap(0)
 	e.SelectContacts()
-	sel := time.Since(start)
-
-	start = time.Now()
+	lap(1)
 	for e.Now() < pl.horizon {
 		e.Advance(advanceStep)
 	}
-	adv := time.Since(start)
-
-	start = time.Now()
+	lap(2)
 	res := e.BatchQuery(e.RandomPairs(pl.queries, seed^0x9e3779b97f4a7c15))
-	q := time.Since(start)
-
-	found := 0
-	var msgs int64
-	for _, r := range res {
-		if r.Found {
-			found++
+	lap(3)
+	rep := e.Report(res)
+	rep.Manifest.Preset, rep.Manifest.Doc = p.Name, cmp.Or(p.Doc, p.Description)
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				rep.Manifest.Revision = s.Value
+			}
 		}
-		msgs += r.Messages
 	}
-	c := e.Network().Graph().ComputeCensus()
-	m := e.Messages()
-	churnNote := ""
-	if e.Network().HasChurn() {
-		churnNote = fmt.Sprintf(" (%d up)", e.UpNodes())
+	if pl.traffic.QPS != 0 {
+		start = time.Now()
+		if rep.Sustained, err = e.RunWorkload(pl.traffic); err != nil {
+			return err
+		}
+		lap(4)
+		rep.Manifest.Scheme = rep.Sustained.Scheme
 	}
-	fmt.Fprintf(w, "topology: %d nodes%s, %d links, mean degree %.1f, %.0f%% in largest component\n",
-		e.Nodes(), churnNote, c.Links, c.MeanDegree, 100*c.LargestComponentFrac)
-	fmt.Fprintf(w, "after %gs simulated (%d maintenance rounds): reach(D=1) %.1f%%\n",
-		e.Now(), e.Rounds(), e.MeanReachability(1))
-	fmt.Fprintf(w, "queries: %d/%d found, %.1f msgs/query\n", found, len(res), float64(msgs)/float64(max(len(res), 1)))
-	perNode := func(c int64) float64 { return float64(c) / float64(e.Nodes()) }
-	fmt.Fprintf(w, "traffic/node: %.1f total (selection %.1f, backtrack %.1f, validation %.1f, recovery %.1f, query %.1f, reply %.1f, register %.1f, retry %.1f)\n",
-		m.TotalPerNode, perNode(m.Selection), perNode(m.Backtrack), perNode(m.Validation), perNode(m.Recovery),
-		perNode(m.Query), perNode(m.Reply), perNode(m.Register), perNode(m.Retry))
-	fmt.Fprintf(w, "wall clock: build %v, select %v, advance %v, %d queries %v\n",
-		build.Round(time.Millisecond), sel.Round(time.Millisecond),
-		adv.Round(time.Millisecond), len(res), q.Round(time.Millisecond))
+	if pl.format == "json" {
+		return writeJSON(w, rep)
+	}
+	writeText(w, rep, wall)
+	return nil
+}
 
-	if pl.traffic.QPS == 0 {
-		return nil
+// writeJSON prints v as indented JSON: encoding/json is the one
+// serialization of a preset report and of a sweep result.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// writeText renders a preset run's report, with the host times the caller
+// measured (wall: build, select, advance, batch, sustained).
+func writeText(w io.Writer, r *engine.Report, wall [5]time.Duration) {
+	ms := func(i int) time.Duration { return wall[i].Round(time.Millisecond) }
+	fmt.Fprintf(w, "preset %s: %s\n", r.Manifest.Preset, r.Manifest.Doc)
+	up := ""
+	if r.Manifest.Net.ChurnMeanUp > 0 {
+		up = fmt.Sprintf(" (%d up)", r.Up)
 	}
-	start = time.Now()
-	rep, err := e.RunWorkload(pl.traffic)
-	if err != nil {
-		return err
+	c := r.Census
+	fmt.Fprintf(w, "topology: %d nodes%s, %d links, mean degree %.1f, %.0f%% in largest component\n",
+		r.Nodes, up, c.Links, c.MeanDegree, 100*c.LargestComponentFrac)
+	fmt.Fprintf(w, "after %gs simulated (%d maintenance rounds): reach(D=1) %.1f%%\n", r.SimTime, r.Rounds, r.ReachD1)
+	b := r.Batch
+	fmt.Fprintf(w, "queries: %d/%d found, %.1f msgs/query\n", b.Found, b.Queries, b.MsgsPerQuery)
+	fmt.Fprintf(w, "traffic/node: %.1f total (", r.Total.PerNode)
+	sep := ""
+	for _, t := range r.Messages {
+		fmt.Fprintf(w, "%s%s %.1f", sep, t.Name, t.PerNode)
+		sep = ", "
 	}
-	wall := time.Since(start)
+	fmt.Fprintf(w, ")\nwall clock: build %v, select %v, advance %v, %d queries %v\n", ms(0), ms(1), ms(2), b.Queries, ms(3))
+	rep := r.Sustained
+	if rep == nil {
+		return
+	}
 	fmt.Fprintf(w, "sustained traffic [%s]: %d queries over %gs @ %g qps (zipf %g, %d resources x%d)\n",
 		rep.Scheme, rep.Queries, rep.Horizon, rep.Config.QPS,
 		rep.Config.ZipfS, rep.Config.Resources, rep.Config.Replicas)
@@ -457,9 +472,7 @@ func runPreset(w io.Writer, pl plan) error {
 		rep.SuccessPct, offline, rep.Messages.P50, rep.Messages.P95, rep.Messages.P99,
 		rep.Messages.Mean)
 	fmt.Fprintf(w, "  hops p50 %.0f p95 %.0f; trailing window: success %.1f%%, msgs p95 %.0f; wall %v\n",
-		rep.Hops.P50, rep.Hops.P95, rep.WindowSuccessPct, rep.WindowMessages.P95,
-		wall.Round(time.Millisecond))
-	return nil
+		rep.Hops.P50, rep.Hops.P95, rep.WindowSuccessPct, rep.WindowMessages.P95, ms(4))
 }
 
 // runSweep runs one isolated engine per (point, seed) cell of the grid on
@@ -478,11 +491,9 @@ func runSweep(w io.Writer, pl plan) error {
 	fmt.Fprintf(w, "sweep over %s: %d points x %d seed(s) = %d cells, horizon %gs, %d queries/cell\n",
 		p.Name, g.Points(), g.Seeds, g.Cells(), pl.horizon, pl.queries)
 	if pl.format == "json" {
-		b, err := res.JSON()
-		if err != nil {
+		if err := writeJSON(w, res); err != nil {
 			return err
 		}
-		fmt.Fprintln(w, string(b))
 	} else {
 		title := fmt.Sprintf("Sweep %s over %s (* = Pareto frontier)", pl.spec, p.Name)
 		fmt.Fprint(w, render(experiments.SweepTable(title, res), pl.format))

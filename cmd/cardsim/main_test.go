@@ -1,10 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -321,8 +323,11 @@ func runWithin(t *testing.T, d time.Duration, args ...string) (code int, stdout,
 // -exp run, experiment flags on a preset run and -list beside anything
 // else all exited 0 with the flag dropped. Each now exits 2 within a
 // second, before printing anything, and names the flag or the bound it
-// broke; so does a sweep point the engine refuses (r not above R), which
-// the plan checks before any other point's cell runs.
+// broke; so does a sweep point the engine refuses (r not above R, or
+// contact tables past the route-slot ceiling: NoC 1e8 used to pass the
+// plan and die sizing a terabyte slab), which the plan checks before any
+// other point's cell runs. A preset run reads -format, but only text or
+// json.
 func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
 	const p = "-preset=citywide-rwp-1k"
 	for _, c := range []struct {
@@ -345,8 +350,11 @@ func TestRunawayAndNegativeFlagsExitTwo(t *testing.T) {
 		{[]string{"-sweep", "r=12,2", "-horizon", "60"}, "r = 2 must exceed r = 2"},
 		{[]string{"-exp", "smallworld", "-scale", "0.1", "-seeds", "1", "-loss", "0.5", "-qps", "10", "-horizon", "5"}, "-horizon, -loss, -qps"},
 		{[]string{"-preset", "dense-sensor-field", "-scheme", "flood", "-queries", "20", "-horizon", "2"}, "-scheme"},
-		{[]string{"-preset", "dense-sensor-field", "-queries", "5", "-horizon", "1", "-scale", "0.5", "-seeds", "7", "-format", "csv", "-time"},
-			"-format, -scale, -seeds, -time"},
+		{[]string{"-preset", "dense-sensor-field", "-queries", "5", "-horizon", "1", "-scale", "0.5", "-seeds", "7", "-format", "json", "-time"},
+			"-scale, -seeds, -time"},
+		{[]string{"-preset", "dense-sensor-field", "-format", "csv"}, "bad -format \"csv\": a preset run prints text json"},
+		{[]string{"-presets", "-format", "json"}, "-format"},
+		{[]string{p, "-sweep", "NoC=100000000", "-seeds", "1", "-horizon", "0", "-queries", "0"}, "route slots, max 1e+09"},
 		{[]string{"-sweep", "NoC=2", "-qps", "5"}, "-qps"},
 		{[]string{"-list", "-exp", "fig3"}, "-exp"},
 	} {
@@ -500,11 +508,79 @@ func TestSweepHonoursSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := res.JSON()
+	want, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one != string(want) {
 		t.Errorf("-seed 1 sweep differs from Grid.Run at Net.Seed = 1:\n got %s\nwant %s", one, want)
+	}
+}
+
+// TestPresetTextMatchesGolden pins the preset text as a rendering of the
+// engine's Report: stdout of four preset runs (a sustained phase, churn,
+// a lossy directed overlay, a static field) must match the golden file
+// recorded from the hand-formatted printer the Report replaced, with the
+// host times masked.
+func TestPresetTextMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/preset_text.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := regexp.MustCompile(`(?m)^wall clock: .*$|; wall [^;\n]*$`)
+	var got strings.Builder
+	for _, line := range strings.Split(strings.TrimSpace(`
+-preset citywide-rwp-1k -horizon 4 -queries 100 -qps 20
+-preset churn-2k -horizon 4 -queries 50
+-preset citywide-rwp-1k -horizon 4 -queries 100 -qps 20 -loss 0.1 -rangespread 0.5
+-preset dense-sensor-field -queries 50`), "\n") {
+		code, out, msg := runWithin(t, time.Minute, strings.Fields(line)...)
+		if code != 0 {
+			t.Fatalf("cardsim %s = exit %d\nstderr: %s", line, code, msg)
+		}
+		got.WriteString("$ cardsim " + line + "\n")
+		got.WriteString(wall.ReplaceAllStringFunc(out, func(m string) string {
+			if strings.HasPrefix(m, "wall clock") {
+				return "wall clock: -"
+			}
+			return "; wall -"
+		}))
+	}
+	if got.String() != string(want) {
+		t.Errorf("preset text drifted from testdata/preset_text.golden:\n got:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestPresetJSONIsOneReport pins -format json on a preset run: stdout is
+// exactly one engine.Report whose manifest names the preset, the seed,
+// both effective configs and schema 1, and whose categories sum to its
+// total. No host time is printed.
+func TestPresetJSONIsOneReport(t *testing.T) {
+	code, out, msg := runWithin(t, time.Minute, "-preset", "dense-sensor-field", "-horizon", "2", "-queries", "50", "-seed", "4", "-format", "json")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, msg)
+	}
+	dec := json.NewDecoder(strings.NewReader(out))
+	var r engine.Report
+	if err := dec.Decode(&r); err != nil {
+		t.Fatalf("stdout is not a report: %v\n%s", err, out)
+	}
+	if dec.More() {
+		t.Errorf("stdout carries more than one JSON value:\n%s", out)
+	}
+	m := r.Manifest
+	if m.Schema != 1 || m.Preset != "dense-sensor-field" || m.Seed != 4 || m.Net.Seed != 4 ||
+		m.Net.Nodes != 2000 || m.Net.MaxSpeed != 19 || m.Protocol.R != 4 || m.Protocol.ValidatePeriod != 2 {
+		t.Errorf("manifest does not say what was run: %+v", m)
+	}
+	var sum int64
+	for _, c := range r.Messages {
+		sum += c.Total
+	}
+	if sum != r.Total.Total || r.Total.Total == 0 || r.Batch.Queries != 50 || r.Rounds != 1 {
+		t.Errorf("categories sum to %d, total %d; batch %+v, rounds %d", sum, r.Total.Total, r.Batch, r.Rounds)
+	}
+	if strings.Contains(out, "wall") {
+		t.Errorf("JSON carries a host time:\n%s", out)
 	}
 }

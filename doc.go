@@ -72,12 +72,13 @@
 // rescue groups, citywide fleets at 1k–10k nodes, churned fleets) are
 // listed by [Presets].
 //
-// # Observability knobs
+// # Observability
 //
-// Message accounting is one per-category tally on the network
-// (manet.Counters), which parallel fan-outs flush into serially after
-// they join; [Simulation.Messages] reports the per-category totals the
-// paper's overhead figures use.
+// [Simulation.Report] is a run's one self-describing record: what was run
+// (effective configs, seed, schema, build revision), the topology census,
+// the achieved contact tables, every message category in total and per
+// node with one overhead definition ([MessageCounts.Overhead]) and the
+// query phases. encoding/json is its serialization (cardsim -format json).
 //
 // Quick start:
 //

@@ -56,24 +56,16 @@ func main() {
 			}
 			lookups = append(lookups, card.Pair{Src: src, Dst: role})
 		}
-		found, queries := 0, len(lookups)
-		var msgs int64
-		for _, res := range sim.BatchQuery(lookups) {
-			msgs += res.Messages
-			if res.Found {
-				found++
-			}
-		}
+		b := sim.Report(sim.BatchQuery(lookups)).Batch
 		fmt.Printf("t=%2.0fs: reach %.0f%% | window: %2d contacts lost, %2d paths re-spliced | %d/%d role lookups ok (%d msgs)\n",
-			sim.Now(), sim.MeanReachability(2), lost, splices, found, queries, msgs)
+			sim.Now(), sim.MeanReachability(2), lost, splices, b.Found, b.Queries, b.Messages)
 	}
 
 	st := sim.Stats()
 	m := sim.Messages()
+	total := float64(m.Total())
 	fmt.Printf("\nmission totals: %d contacts selected, %d lost, %d local recoveries (%d recovery failures)\n",
 		st.ContactsSelected, st.ContactsLost, st.Recoveries, st.RecoveryFailures)
 	fmt.Printf("control traffic per responder: %.1f msgs (%.1f%% validation, %.1f%% selection)\n",
-		m.TotalPerNode,
-		100*float64(m.Validation+m.Recovery)/float64(m.TotalPerNode*float64(sim.Nodes())),
-		100*float64(m.Selection+m.Backtrack)/float64(m.TotalPerNode*float64(sim.Nodes())))
+		total/float64(sim.Nodes()), 100*float64(m.Validation+m.Recovery)/total, 100*float64(m.Selection+m.Backtrack)/total)
 }

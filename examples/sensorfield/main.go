@@ -37,14 +37,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := sim.TopologyCensus()
+	c := sim.Report(nil).Census
 	fmt.Printf("sensor field: %d nodes, %d links, diameter %d hops, %.0f%% connected\n",
-		sensors, c.Links, c.Diameter, c.LargestCompPct)
+		sensors, c.Links, c.Diameter, 100*c.LargestComponentFrac)
 
 	// One-time cost: contact setup.
 	sim.SelectContacts()
-	setup := sim.Messages()
-	fmt.Printf("contact setup: %.1f msgs/sensor (one-time)\n\n", setup.TotalPerNode)
+	setupTotal := float64(sim.Messages().Total())
+	fmt.Printf("contact setup: %.1f msgs/sensor (one-time)\n\n", setupTotal/sensors)
 
 	// The sinks are the resources; each lookup asks a random sensor to
 	// find a random sink.
@@ -65,14 +65,8 @@ func main() {
 	}
 	// CARD lookups are pure reads of the standing contact tables, so the
 	// whole workload fans across cores in one batch.
-	var cardMsgs int64
-	cardHit := 0
-	for _, res := range sim.BatchQuery(pairs) {
-		cardMsgs += res.Messages
-		if res.Found {
-			cardHit++
-		}
-	}
+	batch := sim.Report(sim.BatchQuery(pairs)).Batch
+	cardMsgs, cardHit := batch.Messages, batch.Found
 	// The baselines answer the same pairs on the same topology.
 	via := func(scheme card.WorkloadScheme) (msgs int64, hits int) {
 		for _, p := range pairs {
@@ -101,7 +95,6 @@ func main() {
 	// (setup + queries) undercuts flooding.
 	cardPer := float64(cardMsgs) / lookups
 	floodPer := float64(floodMsgs) / lookups
-	setupTotal := setup.TotalPerNode * sensors
 	if floodPer > cardPer {
 		breakeven := setupTotal / (floodPer - cardPer)
 		fmt.Printf("\nper lookup: CARD %.0f msgs vs flooding %.0f; one-time setup %.0f msgs\n",

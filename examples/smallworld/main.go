@@ -23,9 +23,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := base.TopologyCensus()
+	c := base.Report(nil).Census
 	fmt.Printf("base graph: clustering %.3f, avg path %.1f hops, diameter %d\n",
-		c.Clustering, c.AvgHops, c.Diameter)
+		c.MeanClustering, c.AvgHops, c.Diameter)
 	fmt.Printf("(high clustering + long paths: a 'large world' before short cuts)\n\n")
 
 	fmt.Printf("%-6s %12s %12s %12s %14s\n", "NoC", "reach D=1", "reach D=2", "reach D=3", "mean contacts")
@@ -37,14 +37,10 @@ func main() {
 			log.Fatal(err)
 		}
 		sim.SelectContacts()
-		total := 0
-		for u := card.NodeID(0); int(u) < sim.Nodes(); u++ {
-			total += len(sim.Contacts(u))
-		}
 		fmt.Printf("%-6d %11.1f%% %11.1f%% %11.1f%% %14.2f\n",
 			noc,
 			sim.MeanReachability(1), sim.MeanReachability(2), sim.MeanReachability(3),
-			float64(total)/float64(n))
+			sim.Report(nil).ContactsPerNode)
 	}
 
 	fmt.Println("\neach contact level multiplies the visible network: the tree of")

@@ -60,6 +60,12 @@
 // executed in sharded per-tick batches between Advance steps — the
 // per-query outcome stream is bit-identical serial vs sharded at any
 // GOMAXPROCS, including under churn.
+//
+// # Run report
+//
+// Report (report.go) is a run's one self-describing record, built from
+// the engine's own counters; MessageCounts.Overhead is the one definition
+// of overhead every surface reads.
 package engine
 
 import (
@@ -291,6 +297,22 @@ func (nc *NetworkConfig) Validate() error {
 	return nil
 }
 
+// maxRouteSlots bounds N·NoC·(r+1), the stored-route slots card.New
+// allocates up front (4 bytes each, beside an N·NoC contact slab): about
+// 11× metro-rwp-1m's 1e6·8·11, and 4 GB of route arena.
+const maxRouteSlots = 1e9
+
+// CheckTables refuses a protocol config whose contact tables on nodes
+// nodes would pass maxRouteSlots, before anything is allocated. NoC at or
+// above N is legal (tables just never fill).
+func CheckTables(nodes int, cfg proto.Config) error {
+	if s := float64(nodes) * float64(cfg.NoC) * (float64(cfg.MaxContactDist) + 1); s > maxRouteSlots {
+		return fmt.Errorf("engine: %d nodes x NoC %d x (r+1) %g = %g route slots, max %g",
+			nodes, cfg.NoC, float64(cfg.MaxContactDist)+1, s, float64(maxRouteSlots))
+	}
+	return nil
+}
+
 // overlayLossRetries is the per-hop retry budget SetLoss grants when it
 // switches loss on over a lossless config.
 const overlayLossRetries = 3
@@ -377,6 +399,8 @@ type Engine struct {
 	dirtyGen   uint64
 	dirtyQueue []NodeID
 	roundList  []NodeID
+
+	nc NetworkConfig // as run, for Report: defaults filled, trace size read
 }
 
 // New builds a network per nc and a CARD engine per cfg.
@@ -410,6 +434,9 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 	// 10⁶-node preset should not cost the mobility and topology set-up.
 	// Validation reads no RNG stream, so no draw is reordered.
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := CheckTables(nc.Nodes, cfg); err != nil {
 		return nil, err
 	}
 	area := geom.Rect{W: nc.Width, H: nc.Height}
@@ -477,7 +504,7 @@ func New(nc NetworkConfig, cfg proto.Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{net: net, prot: p, nb: nb, cfg: p.Config()}
+	e := &Engine{net: net, prot: p, nb: nb, cfg: p.Config(), nc: nc}
 	if nc.DirtyMaintenance {
 		e.dirtyMode = true
 		e.views = views
@@ -611,34 +638,46 @@ func (e *Engine) MeanReachability(depth int) float64 {
 // Stats returns protocol-level statistics.
 func (e *Engine) Stats() proto.Stats { return e.prot.Stats() }
 
-// MessageCounts reports the cumulative control-message tallies by purpose.
+// MessageCounts reports control-message tallies by purpose: the
+// recorder's cumulative totals (Messages) or a window's difference of them
+// (CountMessages).
 type MessageCounts struct {
-	Selection    int64 // CSQ forward + reply hops
-	Backtrack    int64 // CSQ backtracking hops
-	Validation   int64 // contact path-validation hops
-	Recovery     int64 // local-recovery splice hops
-	Query        int64 // discovery query hops (CARD, flooding, bordercast)
-	Reply        int64 // success-reply hops
-	Register     int64 // rendezvous registration hops and region floods
-	Retry        int64 // link-layer retransmissions under a lossy link model
-	TotalPerNode float64
+	Selection  int64 // CSQ forward + reply hops
+	Backtrack  int64 // CSQ backtracking hops
+	Validation int64 // contact path-validation hops
+	Recovery   int64 // local-recovery splice hops
+	Query      int64 // discovery query hops (CARD, flooding, bordercast)
+	Reply      int64 // success-reply hops
+	Register   int64 // rendezvous registration hops and region floods
+	Retry      int64 // link-layer retransmissions under a lossy link model
 }
 
-// Messages returns the engine's control-message accounting.
-func (e *Engine) Messages() MessageCounts {
-	k := e.net.Totals()
+// CountMessages sorts per-category tallies into MessageCounts.
+func CountMessages(k manet.Counters) MessageCounts {
 	return MessageCounts{
-		Selection:    k.Get(manet.CatCSQ),
-		Backtrack:    k.Get(manet.CatBacktrack),
-		Validation:   k.Get(manet.CatValidate),
-		Recovery:     k.Get(manet.CatRecovery),
-		Query:        k.Get(manet.CatQuery),
-		Reply:        k.Get(manet.CatReply),
-		Register:     k.Get(manet.CatRegister),
-		Retry:        k.Get(manet.CatRetry),
-		TotalPerNode: float64(k.Total()) / float64(e.net.N()),
+		Selection:  k.Get(manet.CatCSQ),
+		Backtrack:  k.Get(manet.CatBacktrack),
+		Validation: k.Get(manet.CatValidate),
+		Recovery:   k.Get(manet.CatRecovery),
+		Query:      k.Get(manet.CatQuery),
+		Reply:      k.Get(manet.CatReply),
+		Register:   k.Get(manet.CatRegister),
+		Retry:      k.Get(manet.CatRetry),
 	}
 }
+
+// Overhead is the one definition of overhead: the traffic a scheme spends
+// standing ready whatever the query load — CARD's contact selection and
+// upkeep (the paper's §IV.B total) plus Rendezvous Regions registration.
+func (m MessageCounts) Overhead() int64 {
+	return m.Selection + m.Backtrack + m.Validation + m.Recovery + m.Register
+}
+
+// Total sums every category.
+func (m MessageCounts) Total() int64 { return m.Overhead() + m.Query + m.Reply + m.Retry }
+
+// Messages returns the engine's cumulative control-message accounting.
+func (e *Engine) Messages() MessageCounts { return CountMessages(e.net.Totals()) }
 
 // QueryVia resolves one node-target query through the named discovery
 // scheme ("" = card) on the current topology: target becomes the single

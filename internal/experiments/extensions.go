@@ -29,7 +29,7 @@ func ablMethods(o Options) *Table {
 		label:  func(p int) any { return methods[p] },
 		cell: func(p int, seed uint64) []float64 {
 			e := deploy(sc.engineNet(seed, engine.Static), card.Config{R: 3, MaxContactDist: 16, NoC: 5, Depth: 1, Method: methods[p]})
-			prot, tot := e.Protocol(), e.Network().Totals()
+			prot, m := e.Protocol(), e.Messages()
 			n := float64(e.Nodes())
 			dist := 0.0
 			if ds := prot.ContactDistances(); len(ds) > 0 {
@@ -40,8 +40,8 @@ func ablMethods(o Options) *Table {
 				dist = float64(sum) / float64(len(ds))
 			}
 			return []float64{
-				float64(tot.Get(manet.CatCSQ)) / n,
-				float64(tot.Get(manet.CatBacktrack)) / n,
+				float64(m.Selection) / n,
+				float64(m.Backtrack) / n,
 				float64(prot.TotalContacts()) / n,
 				dist,
 				e.MeanReachability(1),
@@ -66,12 +66,12 @@ func ablRecovery(o Options) *Table {
 			})
 			mobileRun(e, 10, nil)
 			n := float64(e.Nodes())
-			st := e.Stats()
+			st, m := e.Stats(), e.Messages()
 			return []float64{
 				float64(st.ContactsLost) / n,
 				float64(st.TooFarDrops) / n,
 				float64(st.Recoveries) / n,
-				float64(e.Network().Totals().Sum(maintenanceCats...)) / n,
+				float64(m.Validation+m.Recovery) / n,
 				float64(e.Protocol().TotalContacts()) / n,
 			}
 		},
@@ -115,7 +115,7 @@ func ablQD(o Options) *Table {
 // tree as NoC grows — on the one seed-1 topology its title describes.
 func smallWorld(o Options) *Table {
 	sc := Scenario5.Scaled(o.Scale)
-	census := deploy(sc.engineNet(1, engine.Static), bare).Network().Graph().ComputeCensus()
+	census := deploy(sc.engineNet(1, engine.Static), bare).Report(nil).Census
 	t := NewTable(
 		fmt.Sprintf("Small-world view (N=%d): clustering=%.3f, avg path=%.2f hops",
 			sc.N, census.MeanClustering, census.AvgHops),
@@ -174,7 +174,7 @@ func ablMobility(o Options) *Table {
 				float64(st.ContactsLost) / n,
 				float64(st.ContactsExpired) / n,
 				float64(st.Recoveries) / n,
-				float64(e.Network().Totals().Sum(overheadCats...)) / n,
+				float64(e.Messages().Overhead()) / n,
 				float64(e.Protocol().TotalContacts()) / n,
 			}
 		},
@@ -332,23 +332,12 @@ func scale(o Options) *Table {
 				advance = time.Since(t0)
 			}
 			res := e.BatchQuery(e.RandomPairs(queries, seed^0xa5a5a5a5))
-			var found int
-			var msgs int64
-			for _, r := range res {
-				if r.Found {
-					found++
-				}
-				msgs += r.Messages
-			}
 			wall := time.Since(start)
-			g := e.Network().Graph()
-			foundPct, msgsPerQ := 0.0, 0.0
-			if len(res) > 0 {
-				foundPct = 100 * float64(found) / float64(len(res))
-				msgsPerQ = float64(msgs) / float64(len(res))
-			}
+			r := e.Report(res)
+			// 2·links/N at every preset: Census.MeanDegree is links/N on a
+			// directed graph.
 			return []float64{
-				2 * float64(g.Links()) / float64(g.N()), e.MeanReachability(1), foundPct, msgsPerQ,
+				2 * float64(r.Census.Links) / float64(r.Nodes), r.ReachD1, r.Batch.FoundPct, r.Batch.MsgsPerQuery,
 				float64(advance.Milliseconds()), float64(wall.Milliseconds()),
 			}
 		})[0]

@@ -6,7 +6,6 @@ import (
 
 	"card/internal/card"
 	"card/internal/engine"
-	"card/internal/manet"
 	"card/internal/stats"
 	"card/internal/sweep"
 )
@@ -167,18 +166,10 @@ func (f reachFig) table(o Options) *Table {
 	return reachTable(o, fmt.Sprintf(f.title, sc.N), pts)
 }
 
-// maintenanceCats are the categories charged to contact maintenance.
-var maintenanceCats = []manet.Category{manet.CatValidate, manet.CatRecovery}
-
-// overheadCats is the paper's §IV.B total: selection + maintenance.
-var overheadCats = []manet.Category{
-	manet.CatCSQ, manet.CatBacktrack, manet.CatValidate, manet.CatRecovery,
-}
-
 // The sampled columns of a TimeSeries.
 const (
-	// colOverhead is selection+maintenance control messages per node
-	// within each window (Fig. 10/11).
+	// colOverhead is MessageCounts.Overhead per node within each window
+	// (Fig. 10/11).
 	colOverhead = iota
 	// colBacktrack is the backtracking share within each window (Fig. 12).
 	colBacktrack
@@ -233,13 +224,13 @@ func runTimeSim(sc Scenario, cfg card.Config, horizon float64, seed uint64) Time
 		if t+1e-9 < nextWindow {
 			return
 		}
-		d := net.Totals().DiffSince(snap)
+		d := engine.CountMessages(net.Totals().DiffSince(snap))
 		snap = net.Totals()
 		ts.Times = append(ts.Times, nextWindow)
 		for c, v := range [numSeriesCols]float64{
-			colOverhead:    float64(d.Sum(overheadCats...)) / n,
-			colBacktrack:   float64(d.Get(manet.CatBacktrack)) / n,
-			colMaintenance: float64(d.Sum(maintenanceCats...)) / n,
+			colOverhead:    float64(d.Overhead()) / n,
+			colBacktrack:   float64(d.Backtrack) / n,
+			colMaintenance: float64(d.Validation+d.Recovery) / n,
 			colContacts:    float64(e.Protocol().TotalContacts()),
 		} {
 			ts.Cols[c] = append(ts.Cols[c], v)

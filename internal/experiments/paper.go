@@ -3,14 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"card/internal/bordercast"
 	"card/internal/card"
 	"card/internal/engine"
-	"card/internal/flood"
-	"card/internal/manet"
 	"card/internal/stats"
 	"card/internal/sweep"
-	"card/internal/topology"
 )
 
 // table1 regenerates Table 1: the connectivity census of all eight
@@ -23,7 +19,7 @@ func table1(o Options) *Table {
 		"No.", "Nodes", "Area", "TxRange", "Links", "Degree", "Diameter", "AvgHops", "LCC")
 	for p, runs := range sweep.Cells(len(Table1Scenarios), o.Seeds, func(p int, seed uint64) [5]float64 {
 		sc := Table1Scenarios[p].Scaled(o.Scale)
-		c := deploy(sc.engineNet(seed, engine.Static), bare).Network().Graph().ComputeCensus()
+		c := deploy(sc.engineNet(seed, engine.Static), bare).Report(nil).Census
 		return [5]float64{float64(c.Links), c.MeanDegree, float64(c.Diameter), c.AvgHops, c.LargestComponentFrac}
 	}) {
 		var w [5]stats.Welford
@@ -80,7 +76,7 @@ func fig4(o Options) *Table {
 	sc := Scenario5.Scaled(o.Scale)
 	back := means(o, 2*5, func(p int, seed uint64) []float64 {
 		e := deploy(sc.engineNet(seed, engine.Static), nocByMethod(p))
-		return []float64{float64(e.Network().Totals().Get(manet.CatBacktrack)) / float64(e.Nodes())}
+		return []float64{float64(e.Messages().Backtrack) / float64(e.Nodes())}
 	})
 	return nocByMethodTable(
 		fmt.Sprintf("Fig 4: backtracking per node vs NoC, PM vs EM (N=%d, R=3, r=20)", sc.N),
@@ -190,7 +186,7 @@ func fig14Cell(sc Scenario, cfg card.Config, seed uint64) []float64 {
 	}
 	return []float64{
 		e.MeanReachability(cfg.Depth),
-		float64(e.Network().Totals().Sum(overheadCats...)) / float64(e.Nodes()),
+		float64(e.Messages().Overhead()) / float64(e.Nodes()),
 	}
 }
 
@@ -245,38 +241,23 @@ func fig15(o Options) *Table {
 				R: fc.R, MaxContactDist: fc.r, NoC: fc.NoC,
 				Depth: 3, Method: card.EM, ValidatePeriod: 1,
 			})
-			net := e.Network()
 			pairs := e.RandomPairs(queries, seed)
 
-			var floodMsgs, borderMsgs, cardMsgs int64
-			var scan topology.BFSResult
+			// Flooding, and bordercasting with QD1+QD2 over the engine's own
+			// R-hop zones, through the scheme layer; CARD after them.
+			var floodMsgs, borderMsgs int64
 			for _, pr := range pairs {
-				scan.Run(net.Graph(), pr.Src, -1)
-				floodMsgs += flood.Search(net.Recorder(), &scan, pr.Dst, []int{-1}, true).Messages
-			}
-
-			// Bordercasting with QD1+QD2, zone radius = CARD's R: the engine's
-			// own proactive substrate, for a fair comparison.
-			bc := must(bordercast.New(net, e.Neighborhood(), bordercast.Config{Zone: fc.R, QD: bordercast.QD2}))
-			for _, pr := range pairs {
-				borderMsgs += bc.Query(net.Recorder(), pr.Src, pr.Dst).Messages
+				floodMsgs += must(e.QueryVia("flood", pr.Src, pr.Dst)).Messages
+				borderMsgs += must(e.QueryVia("bordercast", pr.Src, pr.Dst)).Messages
 			}
 
 			// One maintenance round so the overhead bar includes validation.
 			e.Advance(1)
-			overhead := float64(net.Totals().Sum(overheadCats...)) / n
+			overhead := float64(e.Messages().Overhead()) / n
 
-			found := 0
-			for _, pr := range pairs {
-				res := e.Query(pr.Src, pr.Dst)
-				cardMsgs += res.Messages
-				if res.Found {
-					found++
-				}
-			}
+			b := e.Report(e.BatchQuery(pairs)).Batch
 			return []float64{
-				float64(floodMsgs) / n, float64(borderMsgs) / n, float64(cardMsgs) / n,
-				overhead, 100 * float64(found) / float64(len(pairs)),
+				float64(floodMsgs) / n, float64(borderMsgs) / n, float64(b.Messages) / n, overhead, b.FoundPct,
 			}
 		},
 	}.table(o)

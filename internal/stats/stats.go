@@ -4,13 +4,6 @@
 // summaries.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
 // Welford accumulates mean and variance in a single numerically stable pass.
 // The zero value is ready to use.
 type Welford struct {
@@ -53,12 +46,6 @@ func (w *Welford) Var() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest sample (0 with no samples).
-func (w *Welford) Min() float64 { return w.min }
-
 // Max returns the largest sample (0 with no samples).
 func (w *Welford) Max() float64 { return w.max }
 
@@ -82,10 +69,6 @@ func (w *Welford) Merge(o *Welford) {
 		w.max = o.max
 	}
 	w.n = n
-}
-
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f max=%.3f", w.n, w.Mean(), w.Std(), w.min, w.max)
 }
 
 // Histogram counts samples into fixed-width bins over [0, width*bins).
@@ -137,9 +120,6 @@ func (h *Histogram) NumBins() int { return len(h.counts) }
 // BinWidth returns the bin width.
 func (h *Histogram) BinWidth() float64 { return h.width }
 
-// Total returns the number of samples added, including outliers.
-func (h *Histogram) Total() int64 { return h.total }
-
 // Merge adds o's counts into h. Histograms must have identical shape.
 func (h *Histogram) Merge(o *Histogram) {
 	if h.width != o.width || len(h.counts) != len(o.counts) {
@@ -151,52 +131,8 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.total += o.total
 }
 
-// Mean returns the histogram mean using bin midpoints (outliers excluded).
-func (h *Histogram) Mean() float64 {
-	var sum float64
-	var n int64
-	for i, c := range h.counts {
-		sum += (float64(i) + 0.5) * h.width * float64(c)
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// String renders a compact one-line view: "[5:12 10:40 ...]" listing
-// upper-edge:count for non-empty bins.
-func (h *Histogram) String() string {
-	var sb strings.Builder
-	sb.WriteByte('[')
-	first := true
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if !first {
-			sb.WriteByte(' ')
-		}
-		first = false
-		fmt.Fprintf(&sb, "%g:%d", float64(i+1)*h.width, c)
-	}
-	sb.WriteByte(']')
-	return sb.String()
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It panics on an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty slice")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// quantileSorted is Quantile over an already-sorted non-empty slice; the
+// quantileSorted returns the q-quantile (0 <= q <= 1) of an already-sorted
+// non-empty slice, interpolating linearly between order statistics; the
 // Summary path sorts once and reads several quantiles from it.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
@@ -212,16 +148,4 @@ func quantileSorted(sorted []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -13,7 +13,7 @@ type Summary struct {
 }
 
 // Summarize computes a Summary over xs (the zero Summary for empty input).
-// Quantiles interpolate linearly between order statistics, like Quantile.
+// Quantiles interpolate linearly between order statistics.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
@@ -91,14 +91,6 @@ func (w *Window) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(w.n)
-}
-
-// Quantile returns the q-quantile of the held samples (0 when empty).
-func (w *Window) Quantile(q float64) float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return Quantile(w.Values(), q)
 }
 
 // Summary returns the trailing Summary of the held samples.

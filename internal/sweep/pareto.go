@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
 	"strconv"
 )
@@ -97,14 +95,4 @@ func renderAxisValue(a Axis, v float64) string {
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
 	return d.render(v)
-}
-
-// JSON renders the whole result — axes, per-cell runs and seed-averaged
-// points with frontier flags — as indented JSON.
-func (r *Result) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	return b, nil
 }

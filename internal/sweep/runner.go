@@ -84,12 +84,10 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 		return Metrics{}, err
 	}
 	sch.Setup()
-	// The overhead rate: contact selection and upkeep plus scheme
-	// registration (zero unless a rendezvous Setup ran) per node per
-	// second.
-	m := e.Messages()
+	// The overhead rate: MessageCounts.Overhead (registration is zero
+	// unless a rendezvous Setup ran) per node per second.
 	out := Metrics{Reach: e.MeanReachability(e.Config().Depth)}
-	out.Overhead = float64(m.Selection+m.Backtrack+m.Validation+m.Recovery+m.Register) / float64(n)
+	out.Overhead = float64(e.Messages().Overhead()) / float64(n)
 	if er.Horizon > 0 {
 		out.Overhead /= er.Horizon
 	}
@@ -121,8 +119,9 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 
 // Check refuses a cell Run cannot run and fills cfg's protocol defaults
 // in place, as Config.Validate does. Each refusal is a run that would
-// report under a label it did not run: Advance ignores a negative or
-// non-finite horizon, and a negative query count skips the query phase.
+// report under a label it did not run (Advance ignores a negative or
+// non-finite horizon, and a negative query count skips the query phase)
+// or one engine.New would refuse after the plan (engine.CheckTables).
 func (er EngineRunner) Check(cfg *CellConfig) error {
 	switch {
 	case er.Horizon < 0 || math.IsNaN(er.Horizon) || math.IsInf(er.Horizon, 0):
@@ -130,5 +129,8 @@ func (er EngineRunner) Check(cfg *CellConfig) error {
 	case er.Queries < 0:
 		return fmt.Errorf("sweep: Queries = %d, want >= 0", er.Queries)
 	}
-	return cfg.Proto.Validate()
+	if err := cfg.Proto.Validate(); err != nil {
+		return err
+	}
+	return engine.CheckTables(er.Net.Nodes, cfg.Proto)
 }

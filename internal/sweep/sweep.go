@@ -180,8 +180,8 @@ func Cells[M any](points, seeds int, cell func(point int, seed uint64) M) [][]M 
 // Metrics are the scalar measurements of one cell (or the seed-average of
 // one point): the paper's §IV–§V trade-off quantities.
 type Metrics struct {
-	// Overhead is selection+maintenance control messages per node per
-	// simulated second (total per node for horizon-less static cells).
+	// Overhead is engine.MessageCounts.Overhead per node per simulated
+	// second (total per node for horizon-less static cells).
 	Overhead float64 `json:"overhead"`
 	// Reach is the mean reachability percentage at the cell's depth.
 	Reach float64 `json:"reach"`

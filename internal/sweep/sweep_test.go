@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"runtime"
@@ -226,7 +227,7 @@ func TestResultEmission(t *testing.T) {
 			t.Errorf("RowCells(%d) = %v, want %d cells naming method %s", p, row, 12, method)
 		}
 	}
-	b, err := res.JSON()
+	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
