@@ -85,7 +85,7 @@ func newScale1k(tb testing.TB) *Simulation {
 
 // runScale1k is the measured workload: 30 simulated seconds at 20 Hz link
 // sensing followed by a 500-query batch.
-func runScale1k(tb testing.TB, sim *Simulation, horizon float64) []QueryResult {
+func runScale1k(tb testing.TB, sim *Simulation, horizon float64) []DiscoveryResult {
 	for target := sim.Now() + horizon; sim.Now() < target; {
 		sim.Advance(0.05)
 	}
@@ -93,7 +93,11 @@ func runScale1k(tb testing.TB, sim *Simulation, horizon float64) []QueryResult {
 	if len(pairs) != 500 {
 		tb.Fatalf("drew %d pairs, want 500", len(pairs))
 	}
-	return sim.BatchQuery(pairs)
+	res, err := sim.BatchQuery(SchemeCARD, pairs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkScale1kGrid times the measured half of the 1k-node scenario.
@@ -105,8 +109,9 @@ func BenchmarkScale1kGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndQuery measures one full CARD query on a standing
-// 500-node network — the protocol's steady-state hot path.
+// BenchmarkEndToEndQuery measures one BatchQuery of 100 CARD lookups per
+// op on a standing 500-node network — the protocol's steady-state hot
+// path behind the fan-out every query batch runs through.
 func BenchmarkEndToEndQuery(b *testing.B) {
 	sim, err := NewSimulation(NetworkConfig{
 		Nodes: 500, Width: 710, Height: 710, TxRange: 50, Seed: 1,
@@ -115,11 +120,13 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim.SelectContacts()
+	pairs := sim.RandomPairs(100, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, dst := sim.RandomPair(uint64(i))
-		sim.Query(src, dst)
+		if _, err := sim.BatchQuery(SchemeCARD, pairs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -31,9 +31,6 @@ const (
 	PM2 = proto.PM2
 )
 
-// QueryResult reports one CARD resource-discovery attempt.
-type QueryResult = proto.QueryResult
-
 // Contact is one contact-table entry.
 type Contact = proto.Contact
 
@@ -67,7 +64,7 @@ const (
 	TraceReplay = engine.TraceReplay
 )
 
-// Pair is one (source, destination) query assignment for BatchQuery.
+// Pair is one (source, destination) lookup for BatchQuery.
 type Pair = engine.Pair
 
 // MessageCounts reports cumulative control-message tallies by purpose.
@@ -96,31 +93,30 @@ type WorkloadReport = workload.Report
 // WorkloadOutcome is one executed query of a sustained-traffic stream.
 type WorkloadOutcome = workload.Outcome
 
-// WorkloadScheme names the discovery mechanism sustained traffic
-// exercises — any scheme registered with the pluggable scheme layer; see
-// the Scheme* constants for the built-ins and SchemeNames for the full
-// registered set.
-type WorkloadScheme = workload.Scheme
+// WorkloadScheme names a discovery mechanism — any scheme registered with
+// the pluggable scheme layer ("" is card); see the Scheme* constants for
+// the built-ins and SchemeNames for the full registered set.
+type WorkloadScheme = string
 
-// Discovery schemes for WorkloadConfig.Scheme and SweepGrid.Scheme.
+// Discovery schemes for BatchQuery, QueryVia, WorkloadConfig.Scheme and
+// SweepGrid.Scheme.
 const (
-	// SchemeCARD runs contact-based discovery (the default), sharded
-	// across workers per tick.
-	SchemeCARD = workload.CARD
+	// SchemeCARD runs contact-based discovery (the default).
+	SchemeCARD WorkloadScheme = "card"
 	// SchemeFlood runs the duplicate-suppressed flooding baseline.
-	SchemeFlood = workload.Flood
+	SchemeFlood WorkloadScheme = "flood"
 	// SchemeExpandingRing runs the TTL-doubling anycast baseline.
-	SchemeExpandingRing = workload.ExpandingRing
+	SchemeExpandingRing WorkloadScheme = "ring"
 	// SchemeBordercast runs ZRP bordercasting with query detection.
-	SchemeBordercast = workload.Bordercast
+	SchemeBordercast WorkloadScheme = "bordercast"
 	// SchemeRendezvous runs Rendezvous Regions: resource keys hash to
 	// geographic regions that registrations and lookups meet in.
-	SchemeRendezvous = workload.Rendezvous
+	SchemeRendezvous WorkloadScheme = "rendezvous"
 )
 
-// DiscoveryResult reports one scheme-level discovery (QueryVia): whether
-// a holder was found, which, the control messages spent and the route
-// length.
+// DiscoveryResult reports one discovery (BatchQuery, QueryVia): whether
+// a holder was found, which, the control messages spent, the route length
+// and, under CARD, the contact level that answered.
 type DiscoveryResult = resource.Result
 
 // SchemeNames lists every registered discovery scheme name, sorted.
@@ -180,20 +176,20 @@ func NewPresetSimulation(name string, seed uint64) (*Simulation, error) {
 }
 
 // Simulation binds a mobile network, its proactive neighborhood substrate
-// and a CARD protocol instance, and offers the flooding, expanding-ring,
-// bordercast and rendezvous baselines on the same topology for comparison
-// (QueryVia). It embeds [engine.Engine], which owns the time-stepping loop,
-// the round and batch-query fan-outs and every accessor — Advance,
-// SelectContacts, Maintain, Query, BatchQuery, RunWorkload, QueryVia,
+// and a CARD protocol instance, and resolves lookups through CARD or the
+// flooding, expanding-ring, bordercast and rendezvous baselines on the
+// same topology (BatchQuery, QueryVia). It embeds [engine.Engine], which
+// owns the time-stepping loop, the round fan-out and every accessor —
+// Advance, SelectContacts, Maintain, BatchQuery, QueryVia, RunWorkload,
 // Reachability, MeanReachability, Stats, Messages, Report, Nodes, UpNodes,
 // Now, Config, Protocol, RandomPairs — and adds only the read-outs below.
 //
 // Mutating calls (Advance, SelectContacts, Maintain) are single-goroutine;
 // run independent simulations on separate goroutines for parameter sweeps.
-// BatchQuery — and, since the round fan-out, the selection/maintenance
-// rounds inside Advance/SelectContacts/Maintain — parallelize internally
-// across up to GOMAXPROCS workers, with results bit-identical to the
-// serial loops at any GOMAXPROCS.
+// BatchQuery and the selection/maintenance rounds inside
+// Advance/SelectContacts/Maintain parallelize internally across up to
+// GOMAXPROCS workers, with results bit-identical to the serial loops at
+// any GOMAXPROCS.
 type Simulation struct {
 	*engine.Engine
 }

@@ -53,7 +53,9 @@ func TestEndToEndStaticDiscovery(t *testing.T) {
 	const q = 40
 	for i := 0; i < q; i++ {
 		src, dst := s.RandomPair(uint64(i))
-		if s.Query(src, dst).Found {
+		if r, err := s.QueryVia(SchemeCARD, src, dst); err != nil {
+			t.Fatal(err)
+		} else if r.Found {
 			found++
 		}
 		if r, err := s.QueryVia(SchemeFlood, src, dst); err != nil {
@@ -91,7 +93,7 @@ func TestEndToEndComparisonTraffic(t *testing.T) {
 	var cardMsgs, floodMsgs, bcMsgs int64
 	for i := 0; i < 25; i++ {
 		src, dst := s.RandomPair(uint64(100 + i))
-		cardMsgs += s.Query(src, dst).Messages
+		cardMsgs += via(SchemeCARD, src, dst)
 		floodMsgs += via(SchemeFlood, src, dst)
 		bcMsgs += via(SchemeBordercast, src, dst)
 	}
@@ -182,13 +184,16 @@ func TestBatchQueryFacade(t *testing.T) {
 	if len(pairs) != 100 {
 		t.Fatalf("RandomPairs drew %d, want 100", len(pairs))
 	}
-	res := s.BatchQuery(pairs)
+	res, err := s.BatchQuery(SchemeCARD, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Cross-check against sequential queries on an identical simulation.
 	s2 := newSim(t, nc, cfg)
 	s2.SelectContacts()
 	for i, p := range pairs {
-		if seq := s2.Query(p.Src, p.Dst); seq != res[i] {
-			t.Fatalf("pair %d: batch %+v != sequential %+v", i, res[i], seq)
+		if seq, err := s2.QueryVia(SchemeCARD, p.Src, p.Dst); err != nil || seq != res[i] {
+			t.Fatalf("pair %d: batch %+v != sequential %+v (%v)", i, res[i], seq, err)
 		}
 	}
 	if s.Messages() != s2.Messages() {

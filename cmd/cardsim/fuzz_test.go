@@ -77,7 +77,7 @@ func FuzzCardsimPlan(f *testing.F) {
 				}
 				rounds += float64(g.Seeds) * math.Floor(pl.horizon/c.Proto.ValidatePeriod)
 			}
-			if rounds > maxSweepRounds {
+			if rounds > sweep.MaxRounds {
 				t.Fatalf("%q: sweep of %g rounds passed the ceiling", args, rounds)
 			}
 			return

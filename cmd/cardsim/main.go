@@ -56,13 +56,13 @@ import (
 
 // Work ceilings, far above every preset's defaults (metro-rwp-1m asks 60
 // advance steps and a 500-query batch) and far below what a typo such as
-// -horizon 1e308 asks for; workload.Config.Validate bounds sustained traffic.
+// -horizon 1e308 asks for; workload.Config.Validate bounds sustained traffic
+// and sweep.MaxRounds the maintenance rounds summed over a sweep's cells.
 const (
-	advanceStep    = 0.5        // seconds per Advance call of a preset run
-	maxTicks       = 1_000_000  // advance steps of a preset run: -horizon / advanceStep
-	maxQueries     = 1_000_000  // -queries: one preset run's batch, or one sweep cell's
-	maxSweepRounds = 10_000_000 // maintenance rounds summed over a sweep's cells
-	maxSeeds       = 1_000      // -seeds: repetitions per experiment cell or sweep point
+	advanceStep = 0.5       // seconds per Advance call of a preset run
+	maxTicks    = 1_000_000 // advance steps of a preset run: -horizon / advanceStep
+	maxQueries  = 1_000_000 // -queries: one preset run's batch, or one sweep cell's
+	maxSeeds    = 1_000     // -seeds: repetitions per experiment cell or sweep point
 )
 
 func main() {
@@ -334,9 +334,9 @@ func parsePlan(args []string) (plan, error) {
 			}
 			rounds += float64(g.Seeds) * math.Floor(pl.horizon/c.Proto.ValidatePeriod)
 		}
-		if rounds > maxSweepRounds {
+		if rounds > sweep.MaxRounds {
 			return pl, fmt.Errorf("-sweep over -horizon %gs runs %g maintenance rounds in %d cells, max %d",
-				pl.horizon, rounds, g.Cells(), maxSweepRounds)
+				pl.horizon, rounds, g.Cells(), sweep.MaxRounds)
 		}
 		pl.grid, pl.spec = g, *sweepArg
 		return pl, nil
@@ -401,7 +401,10 @@ func runPreset(w io.Writer, pl plan) error {
 		e.Advance(advanceStep)
 	}
 	lap(2)
-	res := e.BatchQuery(e.RandomPairs(pl.queries, seed^0x9e3779b97f4a7c15))
+	res, err := e.BatchQuery("card", e.RandomPairs(pl.queries, seed^0x9e3779b97f4a7c15))
+	if err != nil {
+		return err
+	}
 	lap(3)
 	rep := e.Report(res)
 	rep.Manifest.Preset, rep.Manifest.Doc = p.Name, cmp.Or(p.Doc, p.Description)

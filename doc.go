@@ -16,7 +16,7 @@
 // proactive neighborhood substrate and a CARD protocol instance, and runs
 // any registered discovery scheme — the flooding, ZRP-bordercasting and
 // rendezvous baselines included — on the same topology
-// ([Simulation.QueryVia]). Construct one from explicit configs
+// ([Simulation.BatchQuery]). Construct one from explicit configs
 // ([NewSimulation]) or from a named workload preset
 // ([NewPresetSimulation]; see [Presets]). The full stack lives under
 // internal/ — unit-disk topology (incremental spatial-hash builder), six
@@ -31,8 +31,8 @@
 // results are bit-identical across machines and Go releases; every
 // concurrent code path is pinned bit-identical to its serial reference:
 //
-//   - BatchQuery fans read-only queries across workers; results and
-//     message accounting equal a sequential Query loop at any GOMAXPROCS.
+//   - BatchQuery fans lookups through any scheme across workers; results
+//     and message accounting equal a sequential loop at any GOMAXPROCS.
 //   - The selection/maintenance rounds inside Advance, SelectContacts and
 //     Maintain shard nodes across workers, with each node drawing from a
 //     counter-based (node, round) RNG substream — tables, statistics and
@@ -87,10 +87,10 @@
 //	}, card.Config{R: 3, MaxContactDist: 16, NoC: 5})
 //	if err != nil { ... }
 //	sim.SelectContacts()
-//	res := sim.Query(12, 451)
+//	res, err := sim.QueryVia(card.SchemeCARD, 12, 451) // res.Found, res.Depth
 //
-//	sim.Advance(30)                                   // drift-free schedule
-//	results := sim.BatchQuery(sim.RandomPairs(500, 7)) // parallel, bit-identical
+//	sim.Advance(30) // drift-free schedule
+//	results, err := sim.BatchQuery(card.SchemeFlood, sim.RandomPairs(500, 7))
 //
 //	sim, err = card.NewPresetSimulation("churn-2k", 42)
 //	report, err := sim.RunWorkload(card.WorkloadConfig{ // sustained traffic

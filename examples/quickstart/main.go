@@ -37,7 +37,10 @@ func main() {
 	}
 
 	// Discover a resource held by a random distant node.
-	res := sim.Query(src, dst)
+	res, err := sim.QueryVia(card.SchemeCARD, src, dst)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if res.Found {
 		fmt.Printf("\nquery %d -> %d: found at contact level %d, %d-hop path, %d control msgs\n",
 			src, dst, res.Depth, res.PathHops, res.Messages)

@@ -56,7 +56,11 @@ func main() {
 			}
 			lookups = append(lookups, card.Pair{Src: src, Dst: role})
 		}
-		b := sim.Report(sim.BatchQuery(lookups)).Batch
+		res, err := sim.BatchQuery(card.SchemeCARD, lookups)
+		if err != nil {
+			log.Fatal(err)
+		}
+		b := sim.Report(res).Batch
 		fmt.Printf("t=%2.0fs: reach %.0f%% | window: %2d contacts lost, %2d paths re-spliced | %d/%d role lookups ok (%d msgs)\n",
 			sim.Now(), sim.MeanReachability(2), lost, splices, b.Found, b.Queries, b.Messages)
 	}

@@ -63,17 +63,15 @@ func main() {
 		}
 		pairs = append(pairs, card.Pair{Src: src, Dst: sink})
 	}
-	// CARD lookups are pure reads of the standing contact tables, so the
-	// whole workload fans across cores in one batch.
-	batch := sim.Report(sim.BatchQuery(pairs)).Batch
-	cardMsgs, cardHit := batch.Messages, batch.Found
-	// The baselines answer the same pairs on the same topology.
-	via := func(scheme card.WorkloadScheme) (msgs int64, hits int) {
-		for _, p := range pairs {
-			r, err := sim.QueryVia(scheme, p.Src, p.Dst)
-			if err != nil {
-				log.Fatal(err)
-			}
+	// Every scheme answers the same pairs on the same topology, each in
+	// one batch fanned across cores: CARD lookups are pure reads of the
+	// standing contact tables, the baselines' of the topology.
+	batch := func(scheme card.WorkloadScheme) (msgs int64, hits int) {
+		res, err := sim.BatchQuery(scheme, pairs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, r := range res {
 			msgs += r.Messages
 			if r.Found {
 				hits++
@@ -81,8 +79,9 @@ func main() {
 		}
 		return msgs, hits
 	}
-	floodMsgs, floodHit := via(card.SchemeFlood)
-	bcMsgs, bcHit := via(card.SchemeBordercast)
+	cardMsgs, cardHit := batch(card.SchemeCARD)
+	floodMsgs, floodHit := batch(card.SchemeFlood)
+	bcMsgs, bcHit := batch(card.SchemeBordercast)
 
 	fmt.Printf("%d sink lookups from random sensors:\n", lookups)
 	fmt.Printf("  %-14s %9s %9s\n", "scheme", "msgs", "success")

@@ -145,11 +145,13 @@ func BenchmarkQuerierQuery(b *testing.B) {
 			selectAll(p, 0)
 			q := p.NewQuerier()
 			pairs := randomPairs(xrand.New(45), benchNodes, 4096)
+			var target [1]NodeID
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
 				pr := pairs[k%len(pairs)]
-				if q.Query(pr[0], pr[1]).Found {
+				target[0] = pr[1]
+				if q.Resolve(pr[0], target[:]).Found {
 					benchSink++
 				}
 			}
@@ -265,10 +267,10 @@ func BenchmarkShortenRoute(b *testing.B) {
 	b.ReportMetric(float64(nodes)/float64(len(routes)), "nodes/op")
 }
 
-// TestAllocBudgetQuery pins a steady-state Querier.Query at zero
-// allocations: the first call sizes the walk memo and the BFS queue, and
-// nothing after it allocates — the one-element target set included —
-// whichever provider answers.
+// TestAllocBudgetQuery pins a steady-state node lookup, Querier.Resolve
+// over a caller-held one-element target set, at zero allocations: the
+// first call sizes the walk memo and the BFS queue, and nothing after it
+// allocates, whichever provider answers.
 func TestAllocBudgetQuery(t *testing.T) {
 	for _, w := range refWorlds(31, 300) {
 		cfg := Config{R: 2, MaxContactDist: 10, NoC: 4, Depth: 3, Method: EM}
@@ -279,9 +281,11 @@ func TestAllocBudgetQuery(t *testing.T) {
 		selectAll(p, 0)
 		q := p.NewQuerier()
 		pairs := randomPairs(xrand.New(32), 300, 200)
+		target := make([]NodeID, 1)
 		run := func() {
 			for _, pr := range pairs {
-				q.Query(pr[0], pr[1])
+				target[0] = pr[1]
+				q.Resolve(pr[0], target)
 			}
 		}
 		run()

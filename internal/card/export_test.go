@@ -3,6 +3,8 @@ package card
 import (
 	"fmt"
 	"slices"
+
+	"card/internal/resource"
 )
 
 // reverseIndex is the owners-of index recomputed from the tables: for
@@ -52,9 +54,14 @@ func selectAll(p *Protocol, now float64) int {
 
 // query runs one destination search from u for target on a fresh Querier
 // and flushes its tallies to the recorder at once.
-func query(p *Protocol, u, target NodeID) QueryResult {
+func query(p *Protocol, u, target NodeID) resource.Result {
 	q := p.NewQuerier()
-	res := q.Query(u, target)
+	res := q.lookup(u, target)
 	q.Flush()
 	return res
+}
+
+// lookup is Resolve over the one-element set {target}.
+func (q *Querier) lookup(u, target NodeID) resource.Result {
+	return q.Resolve(u, []NodeID{target})
 }

@@ -2,34 +2,17 @@ package card
 
 import (
 	"card/internal/manet"
+	"card/internal/resource"
 )
-
-// QueryResult reports one resource-discovery attempt.
-type QueryResult struct {
-	// Found reports whether a path to the target was returned.
-	Found bool
-	// Depth is the contact level at which the target was found: 0 means
-	// the source's own neighborhood, 1 a first-level contact, and so on.
-	// It is meaningless when Found is false.
-	Depth int
-	// Messages is the number of control messages (queries + replies) this
-	// attempt generated.
-	Messages int64
-	// PathHops is the length of the discovered source→target path through
-	// the contact chain, or -1 when not found.
-	PathHops int
-	// Holder is the target the answering table listed — its nearest, ties
-	// to the lowest id. It is meaningless when Found is false.
-	Holder NodeID
-}
 
 // Querier executes CARD queries against a protocol snapshot without
 // touching any shared mutable state: visited markers and message tallies
 // live in the Querier itself. Between topology refreshes and maintenance
 // rounds, any number of Queriers may run concurrently over the same
-// Protocol (the engine's BatchQuery does exactly that — one Querier per
-// worker). A query reads no neighborhood view — it asks the provider once
-// which nodes know a target (StampWatchers) — so nothing needs warming.
+// Protocol (the scheme layer's card workers do exactly that — one Querier
+// per fan-out worker). A query reads no neighborhood view — it asks the
+// provider once which nodes know a target (StampWatchers) — so nothing
+// needs warming.
 //
 // A Querier is single-goroutine; message tallies accumulate locally until
 // Flush hands them to the network recorder. Keep one alive across
@@ -47,13 +30,12 @@ type Querier struct {
 	// current target, watchDist their distance to the nearest and
 	// watchHolder which one that is: one StampWatchers call per lookup
 	// answers the source's and every leaf contact's table lookup.
-	// watchQueue is its BFS scratch; one backs Query's one-target set.
+	// watchQueue is its BFS scratch.
 	watch       []uint64
 	watchDist   []uint8
 	watchHolder []NodeID
 	watchGen    uint64
 	watchQueue  []NodeID
-	one         [1]NodeID
 
 	// memo caches stored-route walk outcomes, direct-mapped by contact
 	// slot and valid for one (network epoch, table generation) pair, within
@@ -107,37 +89,27 @@ func (q *Querier) Flush() {
 	q.pend.Reset()
 }
 
-// Query runs the Destination Search Query mechanism of §III.C.4 from u
-// for target: Resolve over the one-element set. The source first checks
-// its own neighborhood table, then escalates DSQs of increasing depth
+// Resolve runs the Destination Search Query mechanism of §III.C.4 from u
+// for any of targets — the holders of the resource the DSQ names. The set
+// is stamped once; the source answers from its own neighborhood table if
+// it lists a target, and otherwise escalates DSQs of increasing depth
 // D = 1..cfg.Depth through its contacts, each contact leveraging its own
 // neighborhood knowledge (and, for D > 1, forwarding to its contacts with
-// D-1).
-//
-// Matching the paper's "one at a time" semantics, contacts are queried
-// sequentially with early termination on the first hit; an unanswered
-// depth-D sweep is followed by a fresh depth-(D+1) DSQ.
-func (q *Querier) Query(u, target NodeID) QueryResult {
-	q.one[0] = target
-	return q.Resolve(u, q.one[:])
-}
-
-// Resolve runs one CARD destination search (see Query for the
-// mechanism) from u for any of targets — the holders of the resource the
-// DSQ names. The set is stamped once; the source answers from its own
-// table if it lists a target, and otherwise one escalation runs in which a
-// queried contact answers as soon as its table does. An empty set is a
-// resource nobody holds: no DSQ is sent for it.
-func (q *Querier) Resolve(u NodeID, targets []NodeID) QueryResult {
+// D-1). Matching the paper's "one at a time" semantics, contacts are
+// queried sequentially and a queried contact answers as soon as its table
+// lists a target; an unanswered depth-D sweep is followed by a fresh
+// depth-(D+1) DSQ. An empty set is a resource nobody holds: no DSQ is
+// sent for it.
+func (q *Querier) Resolve(u NodeID, targets []NodeID) resource.Result {
 	p := q.p
 	if len(targets) == 0 {
-		return QueryResult{PathHops: -1}
+		return resource.Result{PathHops: -1}
 	}
 	q.watchGen++
 	q.watchQueue = p.nb.StampWatchers(q.watchQueue, targets, q.watch, q.watchDist, q.watchHolder, q.watchGen)
 	if q.watch[u] == q.watchGen {
 		// Resolved from u's own table (u included, at distance 0): no traffic.
-		return QueryResult{Found: true, Depth: 0, PathHops: int(q.watchDist[u]), Holder: q.watchHolder[u]}
+		return resource.Result{Found: true, PathHops: int(q.watchDist[u]), Holder: q.watchHolder[u]}
 	}
 	if q.memo == nil {
 		q.memo = make([]walkMemo, walkMemoSize)
@@ -154,7 +126,7 @@ func (q *Querier) Resolve(u NodeID, targets []NodeID) QueryResult {
 		// the query home and charge wasted transmissions.
 		q.visited[u] = q.visitGen
 		if hops, leaf := q.dsq(u, depth); leaf >= 0 {
-			return QueryResult{
+			return resource.Result{
 				Found:    true,
 				Depth:    depth,
 				Messages: q.sent() - before,
@@ -163,7 +135,7 @@ func (q *Querier) Resolve(u NodeID, targets []NodeID) QueryResult {
 			}
 		}
 	}
-	return QueryResult{Messages: q.sent() - before, PathHops: -1}
+	return resource.Result{Messages: q.sent() - before, PathHops: -1}
 }
 
 // sent is the query and reply traffic tallied since the last Flush.

@@ -191,6 +191,6 @@ func TestQueryMessagesMatchCounters(t *testing.T) {
 	}
 	delta := net.Totals().Sum(manet.CatQuery, manet.CatReply) - before
 	if reported != delta {
-		t.Errorf("sum of QueryResult.Messages %d != counter delta %d", reported, delta)
+		t.Errorf("sum of Result.Messages %d != counter delta %d", reported, delta)
 	}
 }

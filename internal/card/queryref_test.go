@@ -8,6 +8,7 @@ import (
 
 	"card/internal/manet"
 	"card/internal/mobility"
+	"card/internal/resource"
 	"card/internal/topology"
 	"card/internal/xrand"
 )
@@ -31,23 +32,23 @@ func newRefQuerier(p *Protocol) *refQuerier {
 	return &refQuerier{p: p, visited: make([]uint64, p.net.N())}
 }
 
-func (q *refQuerier) Query(u, target NodeID) QueryResult {
+func (q *refQuerier) lookup(u, target NodeID) resource.Result {
 	p := q.p
 	if u == target {
-		return QueryResult{Found: true, Depth: 0, PathHops: 0, Holder: target}
+		return resource.Result{Found: true, Depth: 0, PathHops: 0, Holder: target}
 	}
 	if p.nb.Contains(u, target) {
-		return QueryResult{Found: true, Depth: 0, PathHops: p.nb.Dist(u, target), Holder: target}
+		return resource.Result{Found: true, Depth: 0, PathHops: p.nb.Dist(u, target), Holder: target}
 	}
 	before := q.query + q.reply
 	for depth := 1; depth <= p.cfg.Depth; depth++ {
 		q.visitGen++
 		q.visited[u] = q.visitGen
 		if hops, ok := q.dsq(u, target, depth); ok {
-			return QueryResult{Found: true, Depth: depth, Messages: q.query + q.reply - before, PathHops: hops, Holder: target}
+			return resource.Result{Found: true, Depth: depth, Messages: q.query + q.reply - before, PathHops: hops, Holder: target}
 		}
 	}
-	return QueryResult{Found: false, Messages: q.query + q.reply - before, PathHops: -1}
+	return resource.Result{Found: false, Messages: q.query + q.reply - before, PathHops: -1}
 }
 
 func (q *refQuerier) dsq(v, target NodeID, depth int) (int, bool) {
@@ -96,19 +97,19 @@ func (q *refQuerier) walkPath(path []NodeID) bool {
 // (nearest holder, ties to the lowest id), then one full escalation per
 // holder, in the order listed, until one is found. It is the oracle
 // Querier.Resolve is bounded by.
-func (q *refQuerier) resolveLoop(u NodeID, holders []NodeID) QueryResult {
-	best := QueryResult{PathHops: -1}
+func (q *refQuerier) resolveLoop(u NodeID, holders []NodeID) resource.Result {
+	best := resource.Result{PathHops: -1}
 	for _, h := range holders {
 		d := q.p.nb.Dist(u, h)
 		if d >= 0 && (!best.Found || d < best.PathHops || (d == best.PathHops && h < best.Holder)) {
-			best = QueryResult{Found: true, PathHops: d, Holder: h}
+			best = resource.Result{Found: true, PathHops: d, Holder: h}
 		}
 	}
 	if best.Found {
 		return best
 	}
 	for _, h := range holders {
-		r := q.Query(u, h)
+		r := q.lookup(u, h)
 		best.Messages += r.Messages
 		if r.Found {
 			r.Messages = best.Messages
@@ -121,7 +122,7 @@ func (q *refQuerier) resolveLoop(u NodeID, holders []NodeID) QueryResult {
 // queryArm is one executor under comparison, with its running
 // Query/Reply/Retry tallies.
 type queryArm interface {
-	Query(u, target NodeID) QueryResult
+	lookup(u, target NodeID) resource.Result
 	tallies() [3]int64
 }
 
@@ -135,7 +136,7 @@ func (q *Querier) tallies() [3]int64 {
 func checkQueriersAgree(t *testing.T, id string, q, ref queryArm, pairs [][2]NodeID) {
 	t.Helper()
 	for k, pr := range pairs {
-		got, want := q.Query(pr[0], pr[1]), ref.Query(pr[0], pr[1])
+		got, want := q.lookup(pr[0], pr[1]), ref.lookup(pr[0], pr[1])
 		if got != want {
 			t.Fatalf("%s: query %d (%d→%d) = %+v, reference %+v", id, k, pr[0], pr[1], got, want)
 		}

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	proto "card/internal/card"
+	"card/internal/resource"
 	"card/internal/workload"
 )
 
@@ -21,16 +21,17 @@ func churnNet(nodes int) NetworkConfig {
 }
 
 // runChurnTrace drives a churned scenario through selection, scheduled
-// maintenance rounds and a query batch at width w, and snapshots everything the equivalence contract covers — including the
-// query results, which must not depend on the fan-out.
-func runChurnTrace(t *testing.T, w width) (maintSnapshot, []proto.QueryResult) {
+// maintenance rounds and a query batch at width w, and snapshots
+// everything the equivalence contract covers — including the query
+// results, which must not depend on the fan-out.
+func runChurnTrace(t *testing.T, w width) (maintSnapshot, []resource.Result) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(w.setBuild())
 	e := newEngine(t, churnNet(400), testCfg()) // ValidatePeriod 2
 	added := e.SelectContacts()
 	runtime.GOMAXPROCS(w.run)
 	e.Advance(8) // four maintenance rounds under mobility + churn
-	res := e.BatchQuery(e.RandomPairs(120, 99))
+	res := mustBatch(t, e, "card", e.RandomPairs(120, 99))
 	return snapshot(e, added), res
 }
 

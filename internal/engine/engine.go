@@ -25,12 +25,10 @@
 //
 // # Batch queries
 //
-// BatchQuery exploits that CARD queries are pure reads of the protocol
-// state between rounds: each worker gets its own card.Querier (private
-// scratch, walk memo and message tallies, kept across calls), and tallies
-// are flushed serially after the join — results and accounting are
-// bit-identical to the sequential loop, at GOMAXPROCS-way speedup. A query
-// reads no neighborhood view, so nothing is warmed first.
+// BatchQuery resolves node lookups through any discovery scheme on
+// scheme.Batch, the one lookup fan-out workload ticks and sweep cells
+// share: results and accounting are bit-identical to the sequential loop
+// at any GOMAXPROCS, and nothing is warmed first.
 //
 // # Parallel rounds
 //
@@ -78,6 +76,7 @@ import (
 	"card/internal/manet"
 	"card/internal/mobility"
 	"card/internal/neighborhood"
+	"card/internal/par"
 	"card/internal/resource"
 	"card/internal/scheme"
 	"card/internal/topology"
@@ -382,9 +381,6 @@ type Engine struct {
 	// roundSums is runRound's per-worker count of contacts added, grown
 	// with maintPool so a round does not allocate it.
 	roundSums []int
-	// queryPool caches BatchQuery's per-worker Queriers the same way; their
-	// walk memos stay warm from one batch to the next within a snapshot.
-	queryPool []*proto.Querier
 
 	// Dirty-set round state (NetworkConfig.DirtyMaintenance); see dirty.go.
 	dirtyMode bool
@@ -612,15 +608,6 @@ func (e *Engine) SelectContacts() int { return e.selectRound(e.Now()) }
 // scheduled rounds, it is sharded across the maintenance worker pool.
 func (e *Engine) Maintain() { e.maintainRound(e.Now()) }
 
-// Query runs a CARD destination search from src for target on BatchQuery's
-// first Querier and flushes its tallies to the recorder at once.
-func (e *Engine) Query(src, target NodeID) proto.QueryResult {
-	q := e.querier(0)
-	res := q.Query(src, target)
-	q.Flush()
-	return res
-}
-
 // Reachability returns the percentage of live network nodes u can reach
 // with a depth-D contact search. Under churn the denominator is the up
 // population (a down node is not discoverable by any mechanism) and a
@@ -679,31 +666,45 @@ func (m MessageCounts) Total() int64 { return m.Overhead() + m.Query + m.Reply +
 // Messages returns the engine's cumulative control-message accounting.
 func (e *Engine) Messages() MessageCounts { return CountMessages(e.net.Totals()) }
 
-// QueryVia resolves one node-target query through the named discovery
-// scheme ("" = card) on the current topology: target becomes the single
-// holder of a one-resource directory and the query runs through a
-// scheme.Worker, so it is charged by exactly the rules sustained workloads
-// and sweeps use — including the self-held rule: src == target is answered
-// locally at zero messages under every scheme. An unknown scheme name or a
-// node id outside [0, Nodes()) is an error. The scheme is built per call
-// (rendezvous pays its registration each time): a comparison tool for a
-// handful of pairs; bulk traffic belongs to RunWorkload.
-func (e *Engine) QueryVia(name string, src, target NodeID) (resource.Result, error) {
+// Pair is one (source, destination) query assignment.
+type Pair struct {
+	Src, Dst NodeID
+}
+
+// BatchQuery resolves one node lookup per pair through the named
+// discovery scheme ("" = card) on the current snapshot, results indexed
+// like pairs. Each destination becomes the single holder of its own
+// resource id, and the lookups run through scheme.Batch, so a node lookup
+// is charged exactly as a workload lookup is — src == dst is answered at
+// zero messages, a down source is a miss that sends nothing — and results
+// and accounting do not depend on GOMAXPROCS. The scheme is built per
+// call. An unknown scheme or a node id outside [0, Nodes()) is an error.
+// BatchQuery must not overlap with any other call on the engine.
+func (e *Engine) BatchQuery(name string, pairs []Pair) ([]resource.Result, error) {
 	n := e.net.N()
-	if src < 0 || int(src) >= n || target < 0 || int(target) >= n {
-		return resource.Result{}, fmt.Errorf("engine: QueryVia(%d, %d): node id outside [0, %d)", src, target, n)
-	}
 	dir := resource.NewDirectory(n)
-	dir.Place(0, target)
-	sch, err := scheme.New(name, scheme.Env{Net: e.net, Prot: e.prot, Dir: dir})
+	for _, p := range pairs {
+		if p.Src < 0 || int(p.Src) >= n || p.Dst < 0 || int(p.Dst) >= n {
+			return nil, fmt.Errorf("engine: query %d -> %d: node id outside [0, %d)", p.Src, p.Dst, n)
+		}
+		dir.Place(resource.ID(p.Dst), p.Dst)
+	}
+	b, err := scheme.NewBatch(name, scheme.Env{Net: e.net, Prot: e.prot, Dir: dir}, par.Limit())
+	if err != nil {
+		return nil, err
+	}
+	out := make([]resource.Result, len(pairs))
+	b.Run(out, func(i int) (NodeID, resource.ID) { return pairs[i].Src, resource.ID(pairs[i].Dst) })
+	return out, nil
+}
+
+// QueryVia is BatchQuery's one-pair form.
+func (e *Engine) QueryVia(name string, src, target NodeID) (resource.Result, error) {
+	r, err := e.BatchQuery(name, []Pair{{src, target}})
 	if err != nil {
 		return resource.Result{}, err
 	}
-	sch.Setup()
-	w := sch.Worker()
-	r := w.Discover(src, 0)
-	w.Flush()
-	return r, nil
+	return r[0], nil
 }
 
 // RandomPair draws a uniformly random (src, dst) pair of distinct nodes

@@ -3,11 +3,15 @@ package engine
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	proto "card/internal/card"
 	"card/internal/geom"
+	"card/internal/resource"
+	"card/internal/scheme"
+	"card/internal/xrand"
 )
 
 func testNet(nodes int) NetworkConfig {
@@ -155,77 +159,73 @@ func TestAdvanceDriftFree(t *testing.T) {
 	}
 }
 
-// TestBatchQueryMatchesSequential checks the core BatchQuery contract:
-// same results and same message accounting as the serial loop. Run with
-// -race to validate the read-only fan-out.
-func TestBatchQueryMatchesSequential(t *testing.T) {
-	build := func() *Engine {
-		nc := testNet(300)
-		e := newEngine(t, nc, testCfg())
-		e.SelectContacts()
-		return e
+// mustBatch is BatchQuery for a caller that cannot get an error.
+func mustBatch(t testing.TB, e *Engine, scheme string, pairs []Pair) []resource.Result {
+	t.Helper()
+	res, err := e.BatchQuery(scheme, pairs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := build(), build()
-	pairs := a.RandomPairs(200, 5)
-	batch := a.BatchQuery(pairs)
-	seq := make([]proto.QueryResult, len(pairs))
-	for i, p := range pairs {
-		seq[i] = b.Query(p.Src, p.Dst)
-	}
-	for i := range batch {
-		if batch[i] != seq[i] {
-			t.Fatalf("pair %d: batch %+v != sequential %+v", i, batch[i], seq[i])
-		}
-	}
-	if a.Messages() != b.Messages() {
-		t.Errorf("accounting diverges: batch %+v, sequential %+v", a.Messages(), b.Messages())
-	}
-	// And a second batch on the same engine reproduces itself (scratch
-	// state fully resets between queries).
-	if again := a.BatchQuery(pairs); len(again) == len(batch) {
-		for i := range again {
-			if again[i] != batch[i] {
-				t.Fatalf("re-run pair %d: %+v != %+v", i, again[i], batch[i])
-			}
-		}
-	}
+	return res
 }
 
-// TestBatchQueryPoolAcrossAdvance pins the engine-held Queriers: their
-// walk memos live from one BatchQuery to the next, so a batch after
-// refreshes and rounds must still equal fresh Queriers on a twin engine.
-func TestBatchQueryPoolAcrossAdvance(t *testing.T) {
+// TestBatchQueryMatchesSequential checks the core BatchQuery contract for
+// every registered scheme: a batch at GOMAXPROCS 4 gives the results and
+// the per-category recorder delta of a serial QueryVia loop on a twin
+// engine. The world churns and loses hops, so sources are down, links
+// retry and stored routes break. Destinations are distinct: a batch
+// registers each destination's resource once, the loop once per call.
+// Run with -race to validate the read-only fan-out.
+func TestBatchQueryMatchesSequential(t *testing.T) {
 	build := func() *Engine {
-		nc := testNet(300)
-		nc.Mobility, nc.MinSpeed, nc.MaxSpeed = RandomWaypoint, 5, 15
-		cfg := testCfg()
-		cfg.Depth = 3
-		e := newEngine(t, nc, cfg)
+		nc := churnNet(300)
+		nc.Loss, nc.LossRetries = 0.1, 2
+		e := newEngine(t, nc, testCfg())
 		e.SelectContacts()
+		e.Advance(6)
 		return e
 	}
-	a, b := build(), build()
-	pairs := a.RandomPairs(200, 5)
-	for step := 0; step < 4; step++ {
-		batch := a.BatchQuery(pairs)
-		q := b.Protocol().NewQuerier()
-		for i, p := range pairs {
-			if want := q.Query(p.Src, p.Dst); batch[i] != want {
-				t.Fatalf("step %d pair %d: pooled %+v != fresh %+v", step, i, batch[i], want)
+	rng := xrand.New(5)
+	var pairs []Pair
+	for dst := NodeID(0); dst < 300; dst += 2 {
+		src := NodeID(rng.Intn(300))
+		if dst%50 == 0 {
+			src = dst // self-held lookups too
+		}
+		pairs = append(pairs, Pair{src, dst})
+	}
+	for _, name := range scheme.Names() {
+		t.Run(name, func(t *testing.T) {
+			a, b := build(), build()
+			if a.UpNodes() == a.Nodes() {
+				t.Fatal("no node is down; the down-source arm goes untested")
 			}
-		}
-		q.Flush()
-		if a.Messages() != b.Messages() {
-			t.Fatalf("step %d: accounting diverges: pooled %+v, fresh %+v", step, a.Messages(), b.Messages())
-		}
-		a.Advance(1.5) // a refresh every step, a round on some
-		b.Advance(1.5)
+			before := a.Network().Totals()
+			restore := runtime.GOMAXPROCS(4)
+			batch := mustBatch(t, a, name, pairs)
+			runtime.GOMAXPROCS(restore)
+			for i, p := range pairs {
+				seq, err := b.QueryVia(name, p.Src, p.Dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batch[i] != seq {
+					t.Fatalf("pair %d (%d -> %d): batch %+v != sequential %+v", i, p.Src, p.Dst, batch[i], seq)
+				}
+			}
+			if da, db := a.Network().Totals().DiffSince(before), b.Network().Totals().DiffSince(before); da != db {
+				t.Errorf("recorder delta: batch %v, sequential %v", da, db)
+			}
+			if tl := Tally(batch); tl.Found == 0 || tl.Found == tl.Queries || tl.Messages == 0 {
+				t.Errorf("batch %+v: want some hits, some misses and some traffic", tl)
+			}
+		})
 	}
 }
 
 func TestBatchQueryEmpty(t *testing.T) {
 	e := newEngine(t, testNet(50), testCfg())
-	if got := e.BatchQuery(nil); len(got) != 0 {
+	if got := mustBatch(t, e, "", nil); len(got) != 0 {
 		t.Errorf("BatchQuery(nil) = %v", got)
 	}
 }
@@ -284,7 +284,7 @@ func TestPresetsRunnable(t *testing.T) {
 			e.SelectContacts()
 			e.Advance(1)
 			if pairs := e.RandomPairs(5, 1); len(pairs) > 0 {
-				e.BatchQuery(pairs)
+				mustBatch(t, e, "", pairs)
 			}
 		})
 	}

@@ -76,7 +76,7 @@ func requireRuns(t *testing.T, e *Engine, nc NetworkConfig, validatePeriod float
 	if !advancesWithin(e, 1, 10*time.Second) {
 		t.Fatalf("Advance(1) did not return within 10 s: %+v, ValidatePeriod %v", nc, validatePeriod)
 	}
-	if !returnsWithin(10*time.Second, func() { e.BatchQuery(e.RandomPairs(16, 3)) }) {
+	if !returnsWithin(10*time.Second, func() { e.BatchQuery("card", e.RandomPairs(16, 3)) }) {
 		t.Fatalf("BatchQuery did not return within 10 s: %+v, ValidatePeriod %v", nc, validatePeriod)
 	}
 }

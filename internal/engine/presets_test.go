@@ -66,7 +66,7 @@ func TestScenarioPresetsRun(t *testing.T) {
 		if e.Rounds() == 0 {
 			t.Errorf("%s: no maintenance rounds fired", name)
 		}
-		res := e.BatchQuery(e.RandomPairs(40, 5))
+		res := mustBatch(t, e, "card", e.RandomPairs(40, 5))
 		found := 0
 		for _, r := range res {
 			if r.Found {

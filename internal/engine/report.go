@@ -2,6 +2,7 @@ package engine
 
 import (
 	proto "card/internal/card"
+	"card/internal/resource"
 	"card/internal/topology"
 	"card/internal/workload"
 )
@@ -68,7 +69,7 @@ type Batch struct {
 
 // Report builds the run's record now, tallying batch (BatchQuery's
 // results; nil for none).
-func (e *Engine) Report(batch []proto.QueryResult) *Report {
+func (e *Engine) Report(batch []resource.Result) *Report {
 	n := e.Nodes()
 	r := &Report{
 		Manifest:        Manifest{Schema: ReportSchema, Scheme: "card", Seed: e.nc.Seed, Net: e.nc, Protocol: e.cfg},
@@ -93,9 +94,14 @@ func (e *Engine) Report(batch []proto.QueryResult) *Report {
 		r.Messages = append(r.Messages, traffic(categoryNames[i], c))
 	}
 	r.Total, r.Overhead = traffic("total", m.Total()), traffic("overhead", m.Overhead())
-	b := &r.Batch
-	b.Queries = len(batch)
-	for _, q := range batch {
+	r.Batch = Tally(batch)
+	return r
+}
+
+// Tally sums a query batch's results.
+func Tally(results []resource.Result) Batch {
+	b := Batch{Queries: len(results)}
+	for _, q := range results {
 		b.Messages += q.Messages
 		if q.Found {
 			b.Found++
@@ -105,7 +111,7 @@ func (e *Engine) Report(batch []proto.QueryResult) *Report {
 		b.FoundPct = 100 * float64(b.Found) / float64(b.Queries)
 		b.MsgsPerQuery = float64(b.Messages) / float64(b.Queries)
 	}
-	return r
+	return b
 }
 
 // categoryNames name the MessageCounts fields in the report, in order.

@@ -29,7 +29,7 @@ func TestReportSumsToRecorder(t *testing.T) {
 			e := newEngine(t, nc, p.Protocol)
 			e.SelectContacts()
 			e.Advance(min(p.Horizon, 4))
-			r := e.Report(e.BatchQuery(e.RandomPairs(20, 3)))
+			r := e.Report(mustBatch(t, e, "card", e.RandomPairs(20, 3)))
 			rec := e.Network().Totals() // the report's moment; the sustained phase adds to it
 			if p.Traffic.QPS > 0 {
 				var err error

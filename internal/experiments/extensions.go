@@ -331,7 +331,7 @@ func scale(o Options) *Table {
 				e.Advance(p.Horizon)
 				advance = time.Since(t0)
 			}
-			res := e.BatchQuery(e.RandomPairs(queries, seed^0xa5a5a5a5))
+			res := must(e.BatchQuery("card", e.RandomPairs(queries, seed^0xa5a5a5a5)))
 			wall := time.Since(start)
 			r := e.Report(res)
 			// 2·links/N at every preset: Census.MeanDegree is links/N on a

@@ -244,20 +244,17 @@ func fig15(o Options) *Table {
 			pairs := e.RandomPairs(queries, seed)
 
 			// Flooding, and bordercasting with QD1+QD2 over the engine's own
-			// R-hop zones, through the scheme layer; CARD after them.
-			var floodMsgs, borderMsgs int64
-			for _, pr := range pairs {
-				floodMsgs += must(e.QueryVia("flood", pr.Src, pr.Dst)).Messages
-				borderMsgs += must(e.QueryVia("bordercast", pr.Src, pr.Dst)).Messages
-			}
+			// R-hop zones; CARD after them.
+			flooding := engine.Tally(must(e.BatchQuery("flood", pairs)))
+			bordercasting := engine.Tally(must(e.BatchQuery("bordercast", pairs)))
 
 			// One maintenance round so the overhead bar includes validation.
 			e.Advance(1)
 			overhead := float64(e.Messages().Overhead()) / n
 
-			b := e.Report(e.BatchQuery(pairs)).Batch
+			b := engine.Tally(must(e.BatchQuery("card", pairs)))
 			return []float64{
-				float64(floodMsgs) / n, float64(borderMsgs) / n, float64(b.Messages) / n, overhead, b.FoundPct,
+				float64(flooding.Messages) / n, float64(bordercasting.Messages) / n, float64(b.Messages) / n, overhead, b.FoundPct,
 			}
 		},
 	}.table(o)

@@ -363,10 +363,10 @@ func TestDeadSearchCostHolderOrderInvariant(t *testing.T) {
 }
 
 // serialDiscover is the card lookup as the adapter ran it before the DSQ
-// carried the resource, written as one Querier.Query per holder and kept
-// as the oracle the one-sweep lookup is bounded by: self-held, then the
-// nearest holder in the source's own table, then one full escalation per
-// holder in placement order until one is found.
+// carried the resource, written as one single-holder Resolve per holder
+// and kept as the oracle the one-sweep lookup is bounded by: self-held,
+// then the nearest holder in the source's own table, then one full
+// escalation per holder in placement order until one is found.
 func serialDiscover(p *card.Protocol, d *resource.Directory, src NodeID, id ID) Result {
 	holders, nb := d.Placed(id), p.Neighborhood()
 	q := p.NewQuerier()
@@ -384,7 +384,7 @@ func serialDiscover(p *card.Protocol, d *resource.Directory, src NodeID, id ID) 
 		return best
 	}
 	for _, h := range holders {
-		r := q.Query(src, h)
+		r := q.Resolve(src, []NodeID{h})
 		best.Messages += r.Messages
 		if r.Found {
 			return Result{Found: true, Holder: h, Messages: best.Messages, PathHops: r.PathHops}
@@ -449,9 +449,10 @@ func TestDiscoverCARDWithMatchesSerial(t *testing.T) {
 }
 
 // TestDiscoverOneReplicaIsNodeQuery is the metamorphic relation between
-// the two entry points of the one resolve body: with a single holder per
-// resource, Discover(src, id) is Querier.Query(src, holder) field for
-// field, and both charge the recorder the same.
+// the adapter and the protocol: with a single holder per resource,
+// Discover(src, id) is Querier.Resolve(src, {holder}) field for field —
+// the adapter's self-held shortcut included — and both charge the
+// recorder the same.
 func TestDiscoverOneReplicaIsNodeQuery(t *testing.T) {
 	netA, netB := testNet(10, 250), testNet(10, 250)
 	pa, pb := testProtocol(t, netA), testProtocol(t, netB)
@@ -465,13 +466,9 @@ func TestDiscoverOneReplicaIsNodeQuery(t *testing.T) {
 		src := NodeID(rng.Intn(250))
 		id := ID(rng.Intn(40))
 		holder := d.Placed(id)[0]
-		node, res := q.Query(src, holder), w.Discover(src, id)
-		want := Result{Found: node.Found, Messages: node.Messages, PathHops: node.PathHops}
-		if node.Found {
-			want.Holder = holder
-		}
-		if res != want {
-			t.Fatalf("trial %d: Discover(%d, %d) = %+v, Query(%d, %d) = %+v", trial, src, id, res, src, holder, node)
+		node, res := q.Resolve(src, d.Placed(id)), w.Discover(src, id)
+		if res != node {
+			t.Fatalf("trial %d: Discover(%d, %d) = %+v, Resolve(%d, {%d}) = %+v", trial, src, id, res, src, holder, node)
 		}
 	}
 	q.Flush()

@@ -136,4 +136,8 @@ type Result struct {
 	Messages int64
 	// PathHops is the route length to the holder, or -1.
 	PathHops int
+	// Depth is the CARD contact level that answered: 0 for the source's
+	// own neighborhood, 1 for a first-level contact, and so on. Other
+	// schemes leave it 0, as does a miss.
+	Depth int
 }

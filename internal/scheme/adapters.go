@@ -114,8 +114,7 @@ func (w *cardWorker) Discover(src NodeID, id resource.ID) resource.Result {
 	if r, ok := selfHeld(holders, src); ok {
 		return r
 	}
-	r := w.q.Resolve(src, holders)
-	return resource.Result{Found: r.Found, Holder: r.Holder, Messages: r.Messages, PathHops: r.PathHops}
+	return w.q.Resolve(src, holders)
 }
 
 func (w *cardWorker) Flush() { w.q.Flush() }

@@ -10,15 +10,17 @@
 //
 // # Accounting and the sharding contract
 //
-// Workers mirror the card.Querier idiom: each worker owns private message
-// tallies (a manet.Counters) and scratch, Discover never mutates shared
-// scheme state, and Flush adds the local tallies to the network's shared
-// recorder — called serially, in worker order, after the batch joins.
-// Because per-query results are pure functions of the snapshot and
-// category sums are commutative, the outcome stream and the recorder
-// totals are bit-identical between serial and sharded execution at any
-// GOMAXPROCS, for every scheme. Setup and Maintain run on the serial
-// driver loop between ticks and account directly on the shared recorder.
+// Batch is the one lookup fan-out: workload ticks, sweep cells and
+// Engine.BatchQuery all run their lookups through it. Each fan-out worker
+// owns a Worker with private message tallies (a manet.Counters) and
+// scratch; Discover never mutates shared scheme state, and Flush adds the
+// local tallies to the network's shared recorder — called serially, in
+// worker order, after the batch joins. Because per-query results are pure
+// functions of the snapshot and category sums are commutative, the
+// outcome stream and the recorder totals are bit-identical between serial
+// and sharded execution at any GOMAXPROCS, for every scheme. Setup and
+// Maintain run on the serial driver loop between ticks and account
+// directly on the shared recorder.
 package scheme
 
 import (
@@ -28,6 +30,7 @@ import (
 
 	"card/internal/card"
 	"card/internal/manet"
+	"card/internal/par"
 	"card/internal/resource"
 	"card/internal/topology"
 )
@@ -82,6 +85,54 @@ type DiscoveryScheme interface {
 type Worker interface {
 	Discover(src NodeID, id resource.ID) resource.Result
 	Flush()
+}
+
+// Batch is a scheme with its fan-out workers, each created on first use
+// and kept, with its scratch, for the batch's lifetime.
+type Batch struct {
+	DiscoveryScheme
+	net     *manet.Network
+	workers []Worker
+}
+
+// NewBatch builds the named scheme over env, runs its one-time Setup and
+// returns a fan-out at most width workers wide (par.Limit() for the whole
+// machine, 1 for a serial loop).
+func NewBatch(name string, env Env, width int) (*Batch, error) {
+	sch, err := New(name, env)
+	if err != nil {
+		return nil, err
+	}
+	sch.Setup()
+	return &Batch{DiscoveryScheme: sch, net: env.Net, workers: make([]Worker, width)}, nil
+}
+
+// Run resolves lookup i — lookup(i) names its source and resource — into
+// out[i] for every index of out, against the current snapshot, under the
+// sharding contract of the package doc. A lookup from a down source is a
+// miss that sends nothing.
+func (b *Batch) Run(out []resource.Result, lookup func(i int) (NodeID, resource.ID)) {
+	if len(out) == 0 {
+		return
+	}
+	par.WorkersN(len(b.workers), len(out), func(worker, i int) {
+		src, id := lookup(i)
+		if b.net.Down(src) {
+			out[i] = miss(0)
+			return
+		}
+		w := b.workers[worker]
+		if w == nil {
+			w = b.Worker()
+			b.workers[worker] = w
+		}
+		out[i] = w.Discover(src, id)
+	})
+	for _, w := range b.workers {
+		if w != nil {
+			w.Flush()
+		}
+	}
 }
 
 // Factory builds a scheme instance over an environment.

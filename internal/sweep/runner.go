@@ -18,6 +18,10 @@ const (
 	// catalogue is the resource count of every cell: ids 0..63, one
 	// holder each.
 	catalogue = 64
+	// MaxRounds bounds the maintenance rounds one cell, or a whole grid
+	// summed over its cells, may ask for: far above any preset's horizon,
+	// far below a typo such as Horizon 1e300, which would never return.
+	MaxRounds = 10_000_000
 )
 
 // EngineRunner is the default cell runner: each cell is one isolated
@@ -29,10 +33,11 @@ const (
 // Determinism: the cell's network seed is the counter-based substream
 // (pointIdx, seed) of Net.Seed, the sweep's root seed (xrand.StreamSeed),
 // so every cell's randomness is a pure function of its grid coordinates —
-// independent of GOMAXPROCS and of every other cell. The cell's lookups run serially on one scheme
-// worker; the engine's own fan-out inside a cell is its maintenance
-// rounds, bit-identical to the serial loop by the engine's standing
-// contract, so it composes freely with the sweep fan-out.
+// independent of GOMAXPROCS and of every other cell. The cell's lookups
+// run through scheme.Batch at width 1, serially on one scheme worker; the
+// engine's own fan-out inside a cell is its maintenance rounds,
+// bit-identical to the serial loop by the engine's standing contract, so
+// it composes freely with the sweep fan-out.
 type EngineRunner struct {
 	// Net is the scenario every cell instantiates. Its Seed is the
 	// sweep's root seed: each cell runs the network seed derived from it.
@@ -48,8 +53,8 @@ type EngineRunner struct {
 
 // Run implements Runner: one engine run, then the cell's scheme (card
 // when CellConfig.Scheme is empty) places the catalogue, runs its
-// registration, and resolves the query load on one worker. Draws come
-// from the cell seed's pairSalt substream, so the offered (source,
+// registration, and resolves the query load in one width-1 batch. Draws
+// come from the cell seed's pairSalt substream, so the offered (source,
 // resource) sequence is identical for every scheme at the same cell
 // coordinates — the cross-scheme fairness the sustained workload pins,
 // reproduced at sweep-cell scale.
@@ -79,11 +84,11 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 	for id := 0; id < catalogue; id++ {
 		dir.PlaceReplicas(resource.ID(id), 1, place)
 	}
-	sch, err := scheme.New(scheme.Canon(cfg.Scheme), scheme.Env{Net: e.Network(), Prot: e.Protocol(), Dir: dir, Seed: nc.Seed})
+	net := e.Network()
+	b, err := scheme.NewBatch(cfg.Scheme, scheme.Env{Net: net, Prot: e.Protocol(), Dir: dir, Seed: nc.Seed}, 1)
 	if err != nil {
 		return Metrics{}, err
 	}
-	sch.Setup()
 	// The overhead rate: MessageCounts.Overhead (registration is zero
 	// unless a rendezvous Setup ran) per node per second.
 	out := Metrics{Reach: e.MeanReachability(e.Config().Depth)}
@@ -94,24 +99,25 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 	if er.Queries == 0 {
 		return out, nil
 	}
+	srcs, ids := make([]scheme.NodeID, er.Queries), make([]resource.ID, er.Queries)
+	for q := range srcs {
+		srcs[q], ids[q] = scheme.NodeID(draws.Intn(n)), resource.ID(draws.Intn(catalogue))
+	}
+	res := make([]resource.Result, er.Queries)
+	b.Run(res, func(i int) (scheme.NodeID, resource.ID) { return srcs[i], ids[i] })
 	// Every sample is held, so the summaries are those of a sorted slice,
 	// but a cell's footprint is bounded by its own query budget.
 	msgs, hops, found := stats.NewWindow(er.Queries), stats.NewWindow(er.Queries), 0
-	w := sch.Worker()
-	for q := 0; q < er.Queries; q++ {
-		src := scheme.NodeID(draws.Intn(n))
-		id := resource.ID(draws.Intn(catalogue))
-		if e.Network().Down(src) {
+	for i, r := range res {
+		if net.Down(srcs[i]) {
 			continue // offered but unservable: a miss with no traffic
 		}
-		r := w.Discover(src, id)
 		msgs.Add(float64(r.Messages))
 		if r.Found {
 			found++
 			hops.Add(float64(r.PathHops))
 		}
 	}
-	w.Flush()
 	out.Success = 100 * float64(found) / float64(er.Queries)
 	out.Msgs, out.Hops = msgs.Summary(), hops.Summary()
 	return out, nil
@@ -120,8 +126,9 @@ func (er EngineRunner) Run(cfg CellConfig, _ []float64, pointIdx int, seed uint6
 // Check refuses a cell Run cannot run and fills cfg's protocol defaults
 // in place, as Config.Validate does. Each refusal is a run that would
 // report under a label it did not run (Advance ignores a negative or
-// non-finite horizon, and a negative query count skips the query phase)
-// or one engine.New would refuse after the plan (engine.CheckTables).
+// non-finite horizon, and a negative query count skips the query phase),
+// one past MaxRounds, or one engine.New would refuse after the plan
+// (engine.CheckTables).
 func (er EngineRunner) Check(cfg *CellConfig) error {
 	switch {
 	case er.Horizon < 0 || math.IsNaN(er.Horizon) || math.IsInf(er.Horizon, 0):
@@ -131,6 +138,10 @@ func (er EngineRunner) Check(cfg *CellConfig) error {
 	}
 	if err := cfg.Proto.Validate(); err != nil {
 		return err
+	}
+	if rounds := math.Floor(er.Horizon / cfg.Proto.ValidatePeriod); rounds > MaxRounds {
+		return fmt.Errorf("sweep: Horizon %gs at ValidatePeriod %gs runs %g maintenance rounds per cell, max %d",
+			er.Horizon, cfg.Proto.ValidatePeriod, rounds, MaxRounds)
 	}
 	return engine.CheckTables(er.Net.Nodes, cfg.Proto)
 }

@@ -281,7 +281,9 @@ func TestEngineRunnerRunsNoC0Baseline(t *testing.T) {
 // TestEngineRunnerRefusesBadHorizonAndQueries pins that a horizon Advance
 // would ignore (negative, NaN, ±Inf) and a negative query count are
 // errors: such a cell used to run static, or without its query phase,
-// under the label the caller asked for.
+// under the label the caller asked for. A finite horizon past MaxRounds
+// is refused by Check before any engine is built: a cell at Horizon 1e300
+// would never return.
 func TestEngineRunnerRefusesBadHorizonAndQueries(t *testing.T) {
 	g := &Grid{
 		Base: proto.Config{R: 2, MaxContactDist: 8, NoC: 3},
@@ -294,9 +296,17 @@ func TestEngineRunnerRefusesBadHorizonAndQueries(t *testing.T) {
 		{Net: net, Horizon: math.Inf(1)},
 		{Net: net, Horizon: math.Inf(-1)},
 		{Net: net, Queries: -1},
+		{Net: net, Horizon: 1e300},
 	} {
 		if _, err := g.Run(er.Run); err == nil {
 			t.Errorf("horizon %g, queries %d: sweep ran, want a refusal", er.Horizon, er.Queries)
+		}
+	}
+	// At ValidatePeriod 2 s, MaxRounds rounds span 2·MaxRounds seconds.
+	for horizon, refused := range map[float64]bool{2 * MaxRounds: false, 2*MaxRounds + 2: true, 1e300: true} {
+		c := CellConfig{Proto: g.Base}
+		if err := (EngineRunner{Net: net, Horizon: horizon}).Check(&c); (err != nil) != refused {
+			t.Errorf("Check at horizon %g: err = %v, want refused = %v", horizon, err, refused)
 		}
 	}
 	if _, err := g.Run(EngineRunner{Net: net, Horizon: 1, Queries: 5}.Run); err != nil {

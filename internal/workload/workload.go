@@ -26,16 +26,14 @@
 //
 // Discovery is pluggable: Config.Scheme names any registered
 // DiscoveryScheme (card, flood, ring, bordercast, rendezvous, ...), and
-// every scheme's ticks shard across workers with the engine's batch-query
-// recipe — one scheme.Worker with private tallies per OS worker, tallies
-// flushed serially in worker order after the join. That makes the per-query
-// outcome stream and the recorder totals bit-identical between serial and
-// sharded execution at any GOMAXPROCS, for every scheme — the same
-// equivalence contract the maintenance rounds honor, pinned by
-// TestWorkloadParallelEquivalence in the engine package and by the
-// cross-scheme conformance suite in internal/scheme. Scheme maintenance
-// (rendezvous re-registration) runs serially at each tick boundary, after
-// the driver advances and before the tick's queries.
+// each tick's lookups run through scheme.Batch, the one lookup fan-out.
+// That makes the per-query outcome stream and the recorder totals
+// bit-identical between serial and sharded execution at any GOMAXPROCS,
+// for every scheme — pinned by TestWorkloadParallelEquivalence in the
+// engine package and by the cross-scheme conformance suite in
+// internal/scheme. Scheme maintenance (rendezvous re-registration) runs
+// serially at each tick boundary, after the driver advances and before
+// the tick's queries.
 package workload
 
 import (
@@ -54,24 +52,6 @@ import (
 
 // NodeID aliases the topology node index type.
 type NodeID = topology.NodeID
-
-// Scheme names the discovery mechanism the traffic exercises — any name
-// registered with the scheme package ("" means the default, card). See
-// scheme.Names for the full set.
-type Scheme = string
-
-const (
-	// CARD runs contact-based discovery through the contact architecture.
-	CARD Scheme = "card"
-	// Flood runs the duplicate-suppressed flooding baseline.
-	Flood Scheme = "flood"
-	// ExpandingRing runs the TTL-doubling anycast baseline.
-	ExpandingRing Scheme = "ring"
-	// Bordercast runs ZRP bordercasting over the neighborhood substrate.
-	Bordercast Scheme = "bordercast"
-	// Rendezvous runs Rendezvous Regions (geographic key hashing).
-	Rendezvous Scheme = "rendezvous"
-)
 
 // Config parameterizes one sustained-traffic run.
 type Config struct {
@@ -96,7 +76,7 @@ type Config struct {
 	Window int
 	// Scheme names the discovery mechanism (default "card"; any name
 	// registered with the scheme package is valid).
-	Scheme Scheme
+	Scheme string
 	// Seed drives the placement and arrival streams. The request sequence
 	// is a pure function of (Seed, QPS, Duration, Tick, Resources,
 	// Replicas, ZipfS) — it never reads simulation state — so runs that
@@ -182,7 +162,7 @@ type Outcome struct {
 
 // Report aggregates one sustained-traffic run.
 type Report struct {
-	Scheme Scheme
+	Scheme string
 	// Config is the effective configuration of the run, with defaults
 	// filled — what consumers should display, since zero fields in the
 	// requested config resolve here.
@@ -263,21 +243,20 @@ func Run(d Driver, cfg Config) (*Report, error) {
 	winOK := stats.NewWindow(cfg.Window)
 	var aggMsgs, aggHops stats.Welford
 
-	prot, net := d.Protocol(), d.Network()
-	sch, err := scheme.New(cfg.Scheme, scheme.Env{Net: net, Prot: prot, Dir: dir, Seed: cfg.Seed})
+	// One-time scheme setup (rendezvous registration floods) accounts on
+	// the shared recorder before the stream opens.
+	net := d.Network()
+	sch, err := scheme.NewBatch(cfg.Scheme, scheme.Env{Net: net, Prot: d.Protocol(), Dir: dir, Seed: cfg.Seed}, par.Limit())
 	if err != nil {
 		return nil, err
 	}
-	// One-time scheme setup (rendezvous registration floods) accounts on
-	// the shared recorder before the stream opens.
-	sch.Setup()
-	workers := make([]scheme.Worker, par.Limit())
 
 	start := d.Now()
 	end := start + cfg.Duration
 	next := start + arrivals.ExpFloat64()/cfg.QPS
 	var batch []Query
-	var outs []Outcome
+	var res []resource.Result
+	lookup := func(i int) (NodeID, resource.ID) { return batch[i].Src, batch[i].Resource }
 	for now := start; now < end; {
 		tickEnd := now + cfg.Tick
 		if tickEnd > end {
@@ -299,12 +278,14 @@ func Run(d Driver, cfg Config) (*Report, error) {
 		// Scheme maintenance (rendezvous re-registration after mobility or
 		// churn) runs serially on the fresh snapshot, before the queries.
 		sch.Maintain(d.Now())
-		if cap(outs) < len(batch) {
-			outs = make([]Outcome, len(batch))
+		if cap(res) < len(batch) {
+			res = make([]resource.Result, len(batch))
 		}
-		outs = outs[:len(batch)]
-		runTick(net, sch, workers, batch, outs)
-		for _, o := range outs {
+		res = res[:len(batch)]
+		sch.Run(res, lookup)
+		for i, q := range batch {
+			r := res[i]
+			o := Outcome{Query: q, SrcDown: net.Down(q.Src), Found: r.Found, Messages: r.Messages, Hops: r.PathHops}
 			rep.Queries++
 			ok := 0.0
 			if o.Found {
@@ -356,41 +337,4 @@ func streamSummary(agg *stats.Welford, win *stats.Window) stats.Summary {
 		P99:  w.P99,
 		Max:  agg.Max(),
 	}
-}
-
-// runTick executes one tick's arrivals against the current snapshot,
-// filling outs indexed like batch. Every scheme shards with the
-// batch-query recipe: fan the batch across per-worker scheme.Workers with
-// private tallies, then flush serially after the join. Nothing is warmed:
-// the few views a discovery reads are get-or-compute from any worker.
-func runTick(net *manet.Network, sch scheme.DiscoveryScheme,
-	workers []scheme.Worker, batch []Query, outs []Outcome) {
-	if len(batch) == 0 {
-		return
-	}
-	par.WorkersN(len(workers), len(batch), func(worker, i int) {
-		q := batch[i]
-		if net.Down(q.Src) {
-			outs[i] = downOutcome(q)
-			return
-		}
-		sw := workers[worker]
-		if sw == nil {
-			sw = sch.Worker()
-			workers[worker] = sw
-		}
-		r := sw.Discover(q.Src, q.Resource)
-		outs[i] = Outcome{Query: q, Found: r.Found, Messages: r.Messages, Hops: r.PathHops}
-	})
-	// Serial flush after the join: the shared recorder sees one
-	// deterministic sum per category, whatever the interleaving was.
-	for _, sw := range workers {
-		if sw != nil {
-			sw.Flush()
-		}
-	}
-}
-
-func downOutcome(q Query) Outcome {
-	return Outcome{Query: q, SrcDown: true, Hops: -1}
 }

@@ -180,27 +180,27 @@ func TestSchemesShareOfferedLoad(t *testing.T) {
 		}
 	}
 	for _, s := range schemes {
-		if s == CARD {
+		if s == "card" {
 			continue
 		}
-		if len(streams[s]) != len(streams[CARD]) {
-			t.Fatalf("%v offered %d queries, card %d", s, len(streams[s]), len(streams[CARD]))
+		if len(streams[s]) != len(streams["card"]) {
+			t.Fatalf("%v offered %d queries, card %d", s, len(streams[s]), len(streams["card"]))
 		}
 		for i := range streams[s] {
-			if streams[s][i] != streams[CARD][i] {
-				t.Fatalf("%v query %d = %+v, card %+v", s, i, streams[s][i], streams[CARD][i])
+			if streams[s][i] != streams["card"][i] {
+				t.Fatalf("%v query %d = %+v, card %+v", s, i, streams[s][i], streams["card"][i])
 			}
 		}
 	}
 	// Flooding answers every reachable request but pays component-sized
 	// traffic: its success can't trail CARD's, its mean cost must exceed.
-	if reports[Flood].SuccessPct < reports[CARD].SuccessPct {
+	if reports["flood"].SuccessPct < reports["card"].SuccessPct {
 		t.Errorf("flood success %.1f%% below CARD %.1f%%",
-			reports[Flood].SuccessPct, reports[CARD].SuccessPct)
+			reports["flood"].SuccessPct, reports["card"].SuccessPct)
 	}
-	if reports[Flood].Messages.Mean <= reports[CARD].Messages.Mean {
+	if reports["flood"].Messages.Mean <= reports["card"].Messages.Mean {
 		t.Errorf("flood mean cost %.1f not above CARD %.1f",
-			reports[Flood].Messages.Mean, reports[CARD].Messages.Mean)
+			reports["flood"].Messages.Mean, reports["card"].Messages.Mean)
 	}
 }
 
